@@ -5,6 +5,10 @@ class QHarmonicsError(Exception):
     """Base class for all library-specific errors."""
 
 
+class InvariantViolationError(QHarmonicsError, ArithmeticError):
+    """A computed value broke a bound that the mathematics guarantees."""
+
+
 # -- axis / quaternion validation ------------------------------------------
 
 class NotUnitError(QHarmonicsError, ValueError):

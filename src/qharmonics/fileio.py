@@ -62,6 +62,8 @@ class _Reader:
             raise TruncatedPayloadError(
                 f"need {nbytes} bytes at offset {self.pos}, have {len(self.buf) - self.pos}")
         out = np.frombuffer(self.buf, dtype=dtype, count=count, offset=self.pos)
+        if dtype.kind == "f" and not np.isfinite(out).all():
+            raise QsigFormatError(f"non-finite value in the {count} reals at offset {self.pos}")
         self.pos += nbytes
         return out
 

@@ -194,10 +194,7 @@ def image_to_qsig(ppm_bytes: bytes) -> QSignal2D:
     """Decode a binary PPM (P6, 8-bit) into a pure-quaternion signal."""
     if ppm_bytes[:2] != b"P6":
         raise BadPpmError(f"not a binary PPM (magic {ppm_bytes[:2]!r})")
-    try:
-        tokens, offset = _ppm_tokens(ppm_bytes[2:], 3)
-    except BadPpmError:
-        raise
+    tokens, offset = _ppm_tokens(ppm_bytes[2:], 3)
     try:
         width, height, maxval = (int(tok) for tok in tokens)
     except ValueError as exc:

@@ -58,6 +58,17 @@ class Side(Enum):
     RIGHT_SIDED = "right"
     LEFT_SIDED = "left"
 
+    @property
+    def stages(self):
+        """Forward kernel stages, innermost first, as (grid axis, kernel on
+        the left); inverses undo them in reverse order."""
+        return _STAGES[self]
+
+
+_STAGES = {Side.TWO_SIDED: ((0, True), (1, False)),
+           Side.RIGHT_SIDED: ((0, False), (1, False)),
+           Side.LEFT_SIDED: ((1, True), (0, True))}
+
 
 @dataclass(frozen=True)
 class QftKind:
@@ -99,21 +110,6 @@ class FreqWindow:
                         self.nu, self.nv)
 
 
-def _forward_data(data, grid, kind, u, v):
-    mu1, mu2 = kind.axes.mu1, kind.axes.mu2
-    s, t = grid.s, grid.t
-    if kind.side is Side.TWO_SIDED:
-        g = exp_contract(-np.outer(u, s), mu1, data, left=True, axis=0)
-        out = exp_contract(-np.outer(v, t), mu2, g, left=False, axis=1)
-    elif kind.side is Side.RIGHT_SIDED:
-        g = exp_contract(-np.outer(u, s), mu1, data, left=False, axis=0)
-        out = exp_contract(-np.outer(v, t), mu2, g, left=False, axis=1)
-    else:
-        g = exp_contract(-np.outer(v, t), mu2, data, left=True, axis=1)
-        out = exp_contract(-np.outer(u, s), mu1, g, left=True, axis=0)
-    return out * grid.cell_area
-
-
 def qft_forward_at(sig: QSignal2D, kind: QftKind, u, v):
     """Forward QFT evaluated on explicit frequency arrays (raw data).
 
@@ -121,8 +117,12 @@ def qft_forward_at(sig: QSignal2D, kind: QftKind, u, v):
     comparisons (fast path, canonical-transform relations) can request
     arbitrary frequency nodes.  Returns an ``(len(u), len(v), 4)`` array.
     """
-    return _forward_data(sig.data, sig.grid, kind,
-                         np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    coords = ((u, sig.grid.s), (v, sig.grid.t))
+    mus = (kind.axes.mu1, kind.axes.mu2)
+    data = sig.data
+    for axis, left in kind.side.stages:
+        data = exp_contract(*coords[axis], -1.0, mus[axis], data, left, axis)
+    return data * sig.grid.cell_area
 
 
 def qft_forward(sig: QSignal2D, kind: QftKind, window: FreqWindow) -> QSpectrum2D:
@@ -143,19 +143,11 @@ def qft_inverse(spec: QSpectrum2D, kind: QftKind, out_grid: GridSpec) -> QSignal
     if spec.kind != kind:
         raise ProvenanceMismatchError(
             f"spectrum provenance {spec.kind!r} does not match {kind!r}")
-    mu1, mu2 = kind.axes.mu1, kind.axes.mu2
-    u, v = spec.grid.s, spec.grid.t
-    s, t = out_grid.s, out_grid.t
-    F = spec.data
-    if kind.side is Side.TWO_SIDED:
-        g = exp_contract(np.outer(s, u), mu1, F, left=True, axis=0)
-        out = exp_contract(np.outer(t, v), mu2, g, left=False, axis=1)
-    elif kind.side is Side.RIGHT_SIDED:
-        g = exp_contract(np.outer(t, v), mu2, F, left=False, axis=1)
-        out = exp_contract(np.outer(s, u), mu1, g, left=False, axis=0)
-    else:
-        g = exp_contract(np.outer(s, u), mu1, F, left=True, axis=0)
-        out = exp_contract(np.outer(t, v), mu2, g, left=True, axis=1)
+    coords = ((out_grid.s, spec.grid.s), (out_grid.t, spec.grid.t))
+    mus = (kind.axes.mu1, kind.axes.mu2)
+    out = spec.data
+    for axis, left in reversed(kind.side.stages):
+        out = exp_contract(*coords[axis], 1.0, mus[axis], out, left, axis)
     out *= spec.grid.cell_area / (4.0 * np.pi ** 2)
     return QSignal2D(out_grid, out)
 

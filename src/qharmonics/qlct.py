@@ -32,7 +32,6 @@ from .quaternion import (
     AxisPair,
     axis_components,
     qexp_pure,
-    qmul,
 )
 
 __all__ = [
@@ -117,38 +116,35 @@ class LctKind:
     family = "qlct"
 
 
-def _kernel_prefactor(b, mu):
-    """sqrt(1/(mu 2 pi b)) with the e^{-sign(b) mu pi/4} branch fixed."""
-    if b == 0.0:
-        raise DegenerateBError("kernel undefined for b = 0 (chirp branch)")
-    return qexp_pure(mu, -np.sign(b) * np.pi / 4) / np.sqrt(2.0 * np.pi * abs(b))
-
-
 def lct_kernel(A: LctParams, axis, x, xi):
     """Evaluate the canonical kernel K_A(x, xi) on broadcastable arrays.
 
-    |K| = 1/sqrt(2 pi |b|) everywhere.  Raises DegenerateBError when
-    b = 0 (that branch is a chirp multiplication, not a kernel).
+    The prefactor sqrt(1/(mu 2 pi b)) = e^{-sign(b) mu pi/4} / sqrt(2 pi |b|)
+    shares the axis of the phase, so |K| = 1/sqrt(2 pi |b|) everywhere.
+    Raises DegenerateBError when b = 0 (that branch is a chirp
+    multiplication, not a kernel).
     """
     a, b, _, d = A.astuple() if isinstance(A, LctParams) else A
-    pref = _kernel_prefactor(b, axis)
+    if b == 0.0:
+        raise DegenerateBError("kernel undefined for b = 0 (chirp branch)")
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    phase = a * x * x / (2 * b) - x * xi / b + d * xi * xi / (2 * b)
-    return qmul(pref, qexp_pure(axis, phase))
+    phase = a * x * x / (2 * b) - x * xi / b + d * xi * xi / (2 * b) - np.sign(b) * np.pi / 4
+    return qexp_pure(axis, phase) / np.sqrt(2.0 * np.pi * abs(b))
 
 
-def _lct_axis_stage(data, A, mu, x, xi, left, axis, inverse=False):
-    """One kernel-sandwich stage along a grid axis, factored as
-    chirp(x) -> oscillatory contraction -> chirp(xi) -> constant."""
+def _lct_axis_stage(data, A, mu, x, xi, left, axis, weight, inverse=False):
+    """One kernel-sandwich quadrature stage along a grid axis (cell width
+    `weight`), factored as chirp(x) -> oscillatory contraction -> chirp(xi),
+    the output chirp carrying the e^{-sign(b) mu pi/4} / sqrt(2 pi |b|)
+    prefactor and the weight."""
     a, b, _, d = A.astuple()
     if inverse:
         a, b, d = d, -b, a
-    pref = _kernel_prefactor(b, mu)
     out = chirp_multiply(a * x * x / (2 * b), mu, data, left, axis)
-    out = exp_contract(-np.outer(xi, x) / b, mu, out, left, axis)
-    out = chirp_multiply(d * xi * xi / (2 * b), mu, out, left, axis)
-    return const_multiply(pref, out, left)
+    out = exp_contract(xi, x, -1.0 / b, mu, out, left, axis)
+    return chirp_multiply(d * xi * xi / (2 * b) - np.sign(b) * np.pi / 4, mu, out,
+                          left, axis, scale=weight / np.sqrt(2.0 * np.pi * abs(b)))
 
 
 def _degenerate_axis(data, A, mu, x, left, axis):
@@ -160,17 +156,8 @@ def _degenerate_axis(data, A, mu, x, left, axis):
     if A.d <= 0:
         raise DegenerateBError("degenerate branch needs d > 0")
     xi = x / A.d
-    out = np.sqrt(A.d) * chirp_multiply(A.c * A.d * xi * xi / 2.0, mu, data, left, axis)
+    out = chirp_multiply(A.c * A.d * xi * xi / 2.0, mu, data, left, axis, scale=np.sqrt(A.d))
     return out, xi
-
-
-def _sided_orders(side):
-    """(first_axis, placements): stage order and left/right flags per axis."""
-    if side is Side.TWO_SIDED:
-        return ((0, True), (1, False))
-    if side is Side.RIGHT_SIDED:
-        return ((0, False), (1, False))
-    return ((1, True), (0, True))
 
 
 def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow) -> QSpectrum2D:
@@ -190,18 +177,16 @@ def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow) -> QSpectrum
 
     data = sig.data
     out_coords = [None, None]
-    scale = 1.0
-    for ax, left in _sided_orders(kind.side):
+    for ax, left in kind.side.stages:
         if mats[ax].is_degenerate:
             data, out_coords[ax] = _degenerate_axis(data, mats[ax], mus[ax],
                                                     in_coords[ax], left, ax)
         else:
-            data = _lct_axis_stage(data, mats[ax], mus[ax],
-                                   in_coords[ax], win_coords[ax], left, ax)
+            data = _lct_axis_stage(data, mats[ax], mus[ax], in_coords[ax],
+                                   win_coords[ax], left, ax, spacing[ax])
             out_coords[ax] = win_coords[ax]
-            scale *= spacing[ax]
     grid = _grid_from_coords(out_coords[0], out_coords[1])
-    return QSpectrum2D(grid, data * scale, kind, window)
+    return QSpectrum2D(grid, data, kind, window)
 
 
 def _grid_from_coords(u, v):
@@ -227,6 +212,18 @@ def _check_inverse_kind(spec, kind, want_sided):
         raise DegenerateBError("inverse through a degenerate (b = 0) axis")
 
 
+def _inverse(spec, kind, out_grid):
+    """Run the inverse-matrix stages of the forward sandwich in reverse."""
+    mats, mus = (kind.A1, kind.A2), (kind.axes.mu1, kind.axes.mu2)
+    coords = ((spec.grid.s, out_grid.s), (spec.grid.t, out_grid.t))
+    spacing = (spec.grid.ds, spec.grid.dt)
+    out = spec.data
+    for ax, left in reversed(kind.side.stages):
+        out = _lct_axis_stage(out, mats[ax], mus[ax], *coords[ax], left, ax, spacing[ax],
+                              inverse=True)
+    return QSignal2D(out_grid, out)
+
+
 def qlct_inverse_two_sided(spec: QSpectrum2D, kind: LctKind,
                            out_grid: GridSpec) -> QSignal2D:
     """Two-sided inversion with A^{-1} = (d, -b, -c, a) kernels.
@@ -235,12 +232,7 @@ def qlct_inverse_two_sided(spec: QSpectrum2D, kind: LctKind,
     with no 1/4pi^2 prefactor (see module docstring).
     """
     _check_inverse_kind(spec, kind, want_sided=False)
-    u, v = spec.grid.s, spec.grid.t
-    out = _lct_axis_stage(spec.data, kind.A1, kind.axes.mu1, u, out_grid.s,
-                          left=True, axis=0, inverse=True)
-    out = _lct_axis_stage(out, kind.A2, kind.axes.mu2, v, out_grid.t,
-                          left=False, axis=1, inverse=True)
-    return QSignal2D(out_grid, out * spec.grid.cell_area)
+    return _inverse(spec, kind, out_grid)
 
 
 def qlct_inverse_sided(spec: QSpectrum2D, kind: LctKind,
@@ -256,18 +248,7 @@ def qlct_inverse_sided(spec: QSpectrum2D, kind: LctKind,
     two inverse kernels on a non-real signal does not reconstruct f.
     """
     _check_inverse_kind(spec, kind, want_sided=True)
-    u, v = spec.grid.s, spec.grid.t
-    if kind.side is Side.RIGHT_SIDED:
-        out = _lct_axis_stage(spec.data, kind.A2, kind.axes.mu2, v, out_grid.t,
-                              left=False, axis=1, inverse=True)
-        out = _lct_axis_stage(out, kind.A1, kind.axes.mu1, u, out_grid.s,
-                              left=False, axis=0, inverse=True)
-    else:
-        out = _lct_axis_stage(spec.data, kind.A1, kind.axes.mu1, u, out_grid.s,
-                              left=True, axis=0, inverse=True)
-        out = _lct_axis_stage(out, kind.A2, kind.axes.mu2, v, out_grid.t,
-                              left=True, axis=1, inverse=True)
-    return QSignal2D(out_grid, out * spec.grid.cell_area)
+    return _inverse(spec, kind, out_grid)
 
 
 def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
@@ -291,8 +272,9 @@ def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
     s, t = sig.grid.s, sig.grid.t
 
     p = chirp_multiply(a1 * s * s / (2 * b1), mu1, sig.data, left=True, axis=0)
-    p = chirp_multiply(a2 * t * t / (2 * b2), mu2, p, left=False, axis=1)
-    p_sig = QSignal2D(sig.grid, p)
+    # keep only QSignal2D's C-order copy of the chirped field alive during the QFT
+    p_sig = QSignal2D(sig.grid, chirp_multiply(a2 * t * t / (2 * b2), mu2, p, left=False, axis=1))
+    del p
     qft_kind = QftKind(Side.TWO_SIDED, kind.axes)
 
     if fast:
@@ -309,10 +291,11 @@ def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
         u, v = fgrid.s, fgrid.t
         vals = qft_forward_at(p_sig, qft_kind, u / b1, v / b2)
 
-    out = chirp_multiply(d1 * u * u / (2 * b1), mu1, vals, left=True, axis=0)
-    out = chirp_multiply(d2 * v * v / (2 * b2), mu2, out, left=False, axis=1)
-    out = const_multiply(_kernel_prefactor(b1, mu1), out, left=True)
-    out = const_multiply(_kernel_prefactor(b2, mu2), out, left=False)
+    # output chirps carry the e^{-mu pi/4} / sqrt(2 pi b) prefactors (b > 0)
+    out = chirp_multiply(d1 * u * u / (2 * b1) - np.pi / 4, mu1, vals, left=True, axis=0,
+                         scale=1.0 / np.sqrt(2.0 * np.pi * b1))
+    out = chirp_multiply(d2 * v * v / (2 * b2) - np.pi / 4, mu2, out, left=False, axis=1,
+                         scale=1.0 / np.sqrt(2.0 * np.pi * b2))
     return QSpectrum2D(_grid_from_coords(u, v), out, kind, window)
 
 
@@ -348,13 +331,13 @@ def sided_decompose_transform(sig: QSignal2D, kind: LctKind,
         f_b = QSignal2D(sig.grid, _embed(a2c, a3c, mu1))
         term1 = qlct_forward(f_a, two(axes), window)
         term2 = qlct_forward(f_b, two(AxisPair(-mu1, mu2)), window)
-        data = term1.data + qmul(term2.data, np.concatenate([[0.0], mu2]))
+        data = term1.data + const_multiply(np.concatenate([[0.0], mu2]), term2.data, left=False)
     else:
         f_d = QSignal2D(sig.grid, _embed(a0, a2c, mu2))
         f_e = QSignal2D(sig.grid, _embed(a1c, a3c, mu2))
         term1 = qlct_forward(f_d, two(axes), window)
         term2 = qlct_forward(f_e, two(AxisPair(mu1, -mu2)), window)
-        data = term1.data + qmul(np.concatenate([[0.0], mu1]), term2.data)
+        data = term1.data + const_multiply(np.concatenate([[0.0], mu1]), term2.data, left=True)
     return QSpectrum2D(term1.grid, data, kind, window)
 
 
@@ -383,6 +366,6 @@ def qfrft(sig: QSignal2D, alpha: float, beta: float, side: Side,
     spec = qlct_forward(sig, LctKind(side, kind.A1, kind.A2, axes), window)
     data = spec.data
     if phase_corrected:
-        data = qmul(qexp_pure(axes.mu1, alpha / 2), data)
-        data = qmul(data, qexp_pure(axes.mu2, beta / 2))
+        data = const_multiply(qexp_pure(axes.mu1, alpha / 2), data, left=True)
+        data = const_multiply(qexp_pure(axes.mu2, beta / 2), data, left=False)
     return QSpectrum2D(spec.grid, data, kind, window)

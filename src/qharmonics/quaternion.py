@@ -24,6 +24,7 @@ __all__ = [
     "qinv",
     "qexp_pure",
     "mul_pure",
+    "mul_matrix",
     "pure_unit",
     "AxisPair",
     "CANONICAL_AXES",
@@ -101,22 +102,27 @@ def qexp_pure(mu, theta):
     return np.stack([c, s * mu[0], s * mu[1], s * mu[2]], axis=-1)
 
 
+def mul_matrix(q, left=True):
+    """4x4 real matrix M of ``p -> q p`` (left) or ``p -> p q`` (right).
+
+    Applied to a field as ``p @ M.T``; fixed-factor products become one
+    small real matrix product instead of a component-wise Hamilton product.
+    """
+    w, x, y, z = np.asarray(q, dtype=float)
+    if left:
+        return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
+    return np.array([[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]])
+
+
 def mul_pure(mu, q, left=True):
     """Product of a pure unit ``mu`` with a quaternion array.
 
-    ``left=True`` gives ``mu * q``; ``left=False`` gives ``q * mu``.
-    Cheaper than :func:`qmul` with an embedded axis and used heavily by
-    the transform kernels.
+    ``left=True`` gives ``mu * q``; ``left=False`` gives ``q * mu``.  One
+    (N, 4) x (4, 4) product through :func:`mul_matrix`.
     """
     q = np.asarray(q, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    w = q[..., 0]
-    v = q[..., 1:]
-    cross = np.cross(np.broadcast_to(mu, v.shape), v) if left else np.cross(v, np.broadcast_to(mu, v.shape))
-    out = np.empty_like(q)
-    out[..., 0] = -(v @ mu)
-    out[..., 1:] = w[..., None] * mu + cross
-    return out
+    M = mul_matrix(np.concatenate([[0.0], mu]), left)
+    return (q.reshape(-1, 4) @ M.T).reshape(q.shape)
 
 
 def pure_unit(v):

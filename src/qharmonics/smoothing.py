@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
+from ._kernels import exp_contract
 from .errors import (
+    InvariantViolationError,
     NoIntegrableSectionError,
     NonConvergentError,
     NonPositiveWindowError,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .grids import GridSpec, QSignal2D, QSpectrum2D, l1_norm, sample
 from .qft import Side, qft_inverse
-from .quaternion import qabs, qexp_pure, qmul
+from .quaternion import qabs
 
 __all__ = [
     "JumpAverage",
@@ -58,22 +59,14 @@ def dirichlet_partial_inverse_freq(spec: QSpectrum2D, point, M, N):
         raise NonPositiveWindowError(f"window ({M}, {N}) must be positive")
     if getattr(spec.kind, "family", None) != "qft":
         raise SideMismatchError("partial-sum inversion expects a QFT spectrum")
-    x0, y0 = point
     keep_u = np.abs(spec.grid.s) <= M
     keep_v = np.abs(spec.grid.t) <= N
-    u = spec.grid.s[keep_u]
-    v = spec.grid.t[keep_v]
-    F = spec.data[np.ix_(keep_u, keep_v)]
-    e1 = qexp_pure(spec.kind.axes.mu1, u * x0)
-    e2 = qexp_pure(spec.kind.axes.mu2, v * y0)
-    side = spec.kind.side
-    if side is Side.TWO_SIDED:
-        acc = qmul(qmul(e1[:, None, :], F), e2[None, :, :])
-    elif side is Side.RIGHT_SIDED:
-        acc = qmul(qmul(F, e2[None, :, :]), e1[:, None, :])
-    else:
-        acc = qmul(e2[None, :, :], qmul(e1[:, None, :], F))
-    return acc.sum(axis=(0, 1)) * spec.grid.cell_area / (4.0 * np.pi ** 2)
+    coords = (spec.grid.s[keep_u], spec.grid.t[keep_v])
+    mus = (spec.kind.axes.mu1, spec.kind.axes.mu2)
+    acc = spec.data[np.ix_(keep_u, keep_v)]
+    for axis, left in reversed(spec.kind.side.stages):
+        acc = exp_contract(point[axis:axis + 1], coords[axis], 1.0, mus[axis], acc, left, axis)
+    return acc[0, 0] * spec.grid.cell_area / (4.0 * np.pi ** 2)
 
 
 def _panel_nodes(lo, hi, rate, breakpoints=(), order=8):
@@ -194,10 +187,11 @@ def eta_jump_average(fn, point, h0=0.5, levels=11, tol=1e-6) -> JumpAverage:
 
 def sinc_integral_bound_check(a, b) -> float:
     """|integral_a^b sin(t)/t dt| via the sine integral; always <= 6."""
-    si_b = sici(b)[0]
-    si_a = sici(a)[0]
-    val = float(abs(si_b - si_a))
-    assert val <= 6.0, f"sine-integral bound violated: {val}"
+    from scipy.special import sici  # here, so importing the CLI does not load scipy
+
+    val = float(abs(sici(b)[0] - sici(a)[0]))
+    if not val <= 6.0:
+        raise InvariantViolationError(f"sine-integral bound violated: {val}")
     return val
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError
+from .errors import IndexOutOfRangeError, InvariantViolationError
 
 __all__ = [
     "Net",
@@ -152,7 +152,7 @@ def hardy_bvf_check(f, net: Net, bound=1e6, t_index=None, s_index=None) -> Varia
         # refinement can only grow the sum (triangle inequality on d11)
         nets += 1
         if np.sum(np.abs(_d11(sub))) > vit + 1e-12:
-            raise AssertionError("coarsening increased the Vitali sum")
+            raise InvariantViolationError("coarsening increased the Vitali sum")
         step *= 2
     ti = f.shape[1] // 2 if t_index is None else t_index
     si = f.shape[0] // 2 if s_index is None else s_index

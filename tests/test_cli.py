@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 
+import qharmonics
 import qharmonics.fileio as fileio
 from qharmonics.cli import main
-from qharmonics.grids import GridSpec, linf_diff, sample
+from qharmonics.grids import GridSpec, QSignal2D, linf_diff, sample
 from qharmonics.fixtures import gaussian
 
 
@@ -186,3 +191,23 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "subcommand" in out or "qharmonics" in out
+
+
+def test_nonfinite_input_exit_2_nothing_written(capsys, tmp_path):
+    data = np.zeros((8, 8, 4))
+    data[3, 4, 2] = np.nan
+    src = tmp_path / "nan.qsig"
+    fileio.save_qsig(QSignal2D(GridSpec.centered(2.0, 8), data), src)
+    out_path = tmp_path / "nan.qsp"
+    code, out, err = run(capsys, "qft", "--in", str(src), "--out", str(out_path))
+    assert code == 2 and out == "" and "non-finite" in err
+    assert not out_path.exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(qharmonics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, qharmonics.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -202,3 +202,25 @@ def test_qsig_to_image_modes():
         qsig_to_image(sig, clamp="strict")
     with pytest.raises(ValueError):
         qsig_to_image(sig, clamp="bogus")
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+def test_loaders_reject_nonfinite_values(tmp_path, bad_value):
+    sig = rand_signal(4)
+    path = tmp_path / "x.qsig"
+    fileio.save_qsig(sig, path)
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.qsig"
+    for offset in (4 + 8 + 16, len(raw) - 8):  # the ds header field, the last payload real
+        bad.write_bytes(raw[:offset] + np.float64(bad_value).tobytes() + raw[offset + 8:])
+        with pytest.raises(QsigFormatError):
+            fileio.load_qsig(bad)
+
+    spec = qft_forward(sig, QftKind(), FreqWindow.square(3.0, 4))
+    fileio.save_qspectrum(spec, path)
+    raw = path.read_bytes()
+    # the u_max window field follows the grid header, kind/flag bytes and axes
+    for offset in (4 + 8 + 32 + 2 + 48, len(raw) - 8):
+        bad.write_bytes(raw[:offset] + np.float64(bad_value).tobytes() + raw[offset + 8:])
+        with pytest.raises(QsigFormatError):
+            fileio.load_qspectrum(bad)

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import si_panels, si_series
 from qharmonics.errors import (
+    InvariantViolationError,
     NoIntegrableSectionError,
     NonConvergentError,
     NonPositiveWindowError,
@@ -236,3 +237,11 @@ def test_lc_diagnostic_errors():
     bad = lambda S, T: np.inf * np.ones(np.broadcast(S, T).shape)
     with pytest.raises(NoIntegrableSectionError):
         lc_class_diagnostic(bad, (0, 0), 0.5, 0.5, 4.0)
+
+
+def test_sinc_bound_violation_raises_typed_error(monkeypatch):
+    import scipy.special
+
+    monkeypatch.setattr(scipy.special, "sici", lambda x: (10.0 * x, 0.0))
+    with pytest.raises(InvariantViolationError):
+        sinc_integral_bound_check(0.0, 1.0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qharmonics.errors import IndexOutOfRangeError
+import qharmonics.variation as variation
+from qharmonics.errors import IndexOutOfRangeError, InvariantViolationError
 from qharmonics.variation import (
     Net,
     eval_on_net,
@@ -127,3 +128,10 @@ def test_jordan_split_random_fields():
         assert np.max(np.abs((f1 - f2) - f)) < 1e-10
         assert quasi_monotone_check(f1)
         assert quasi_monotone_check(f2)
+
+
+def test_hardy_check_coarsening_violation_raises_typed_error(monkeypatch):
+    net = Net.uniform(-3, 3, 16, -3, 3, 16)
+    monkeypatch.setattr(variation, "vitali_variation", lambda f: 0.0)
+    with pytest.raises(InvariantViolationError):
+        hardy_bvf_check(lambda S, T: np.exp(-(S ** 2 + T ** 2)), net)
