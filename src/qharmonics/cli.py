@@ -43,11 +43,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def finite(text):
+    """A finite real; the argparse type of the real-valued flags."""
+    val = float(text)
+    if not np.isfinite(val):
+        raise ValueError(f"{text!r} is not finite")
+    return val
+
+
 def _floats(text, n=None, flag=""):
     try:
-        vals = tuple(float(tok) for tok in text.split(","))
+        vals = tuple(finite(tok) for tok in text.split(","))
     except ValueError:
-        raise _UsageError(f"{flag}: could not parse {text!r} as comma-separated reals")
+        raise _UsageError(f"{flag}: could not parse {text!r} as comma-separated finite reals")
     if n is not None and len(vals) != n:
         raise _UsageError(f"{flag}: expected {n} comma-separated reals, got {len(vals)}")
     return vals
@@ -117,27 +125,22 @@ def _point(args):
 
 
 class _Outputs:
-    """Write-through-temp bookkeeping so failures leave no partial files."""
+    """Output files written atomically (temp file, then rename); rollback
+    removes the ones a failed command already wrote."""
 
     def __init__(self):
         self.written = []
 
     def write(self, path, data: bytes):
         tmp = f"{path}.tmp-{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         self.written.append(path)
-
-    def save_sig(self, sig, path):
-        fileio.save_qsig(sig, self._stage(path))
-
-    def save_spec(self, spec, path):
-        fileio.save_qspectrum(spec, self._stage(path))
-
-    def _stage(self, path):
-        self.written.append(path)
-        return path
 
     def rollback(self):
         for path in self.written:
@@ -165,11 +168,11 @@ def _build_parser():
 
     def grid_flags(p, grid=256, extent=10.0):
         p.add_argument("--grid", type=int, default=grid)
-        p.add_argument("--extent", type=float, default=extent)
+        p.add_argument("--extent", type=finite, default=extent)
 
     def matrix_flags(p):
         for k in ("a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2"):
-            p.add_argument(f"--{k}", type=float, default=None)
+            p.add_argument(f"--{k}", type=finite, default=None)
 
     p = add("qft", help="forward QFT of a QSIG file")
     io_flags(p)
@@ -193,8 +196,8 @@ def _build_parser():
     p = add("qfrft", help="fractional transform of a QSIG file")
     io_flags(p)
     p.add_argument("--side", choices=("two", "right", "left"), default="two")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--alpha", type=finite, required=True)
+    p.add_argument("--beta", type=finite, required=True)
     p.add_argument("--window", default=None)
     p.add_argument("--phase-corrected", action="store_true")
 
@@ -221,15 +224,15 @@ def _build_parser():
     p.add_argument("--fixture", default=None)
     p.add_argument("--in", dest="inp", default=None)
     p.add_argument("--component", choices=("w", "x", "y", "z"), default="w")
-    p.add_argument("--bound", type=float, default=1e6)
+    p.add_argument("--bound", type=finite, default=1e6)
     grid_flags(p, grid=64, extent=3.0)
 
     p = add("lc-diag", help="cross-neighborhood strip integral estimates (CSV)")
     p.add_argument("--fixture", default="gaussian")
     p.add_argument("--point", default="0,0")
-    p.add_argument("--eps1", type=float, default=0.5)
-    p.add_argument("--eps2", type=float, default=0.5)
-    p.add_argument("--radius", type=float, default=8.0)
+    p.add_argument("--eps1", type=finite, default=0.5)
+    p.add_argument("--eps2", type=finite, default=0.5)
+    p.add_argument("--radius", type=finite, default=8.0)
 
     p = add("img2qsig", help="PPM image to QSIG")
     io_flags(p)
@@ -251,14 +254,14 @@ def _cmd_qft(args, out: _Outputs):
     sig = fileio.load_qsig(args.inp)
     window = _window(args, sig.grid)
     spec = qft_forward(sig, QftKind(_side(args), axes), window)
-    out.save_spec(spec, args.out)
+    out.write(args.out, fileio.encode_qspectrum(spec))
 
 
 def _cmd_iqft(args, out: _Outputs):
     grid = _signal_grid(args)
     spec = fileio.load_qspectrum(args.inp)
     sig = qft_inverse(spec, spec.kind, grid)
-    out.save_sig(sig, args.out)
+    out.write(args.out, fileio.encode_qsig(sig))
 
 
 def _cmd_qlct(args, out: _Outputs):
@@ -267,17 +270,18 @@ def _cmd_qlct(args, out: _Outputs):
     sig = fileio.load_qsig(args.inp)
     window = _window(args, sig.grid)
     spec = qlct_forward(sig, LctKind(_side(args), A1, A2, axes), window)
-    out.save_spec(spec, args.out)
+    out.write(args.out, fileio.encode_qspectrum(spec))
+
+
+def _qlct_inverse(spec, grid):
+    sided = spec.kind.side is not Side.TWO_SIDED
+    return (qlct_inverse_sided if sided else qlct_inverse_two_sided)(spec, spec.kind, grid)
 
 
 def _cmd_iqlct(args, out: _Outputs):
     grid = _signal_grid(args)
     spec = fileio.load_qspectrum(args.inp)
-    if spec.kind.side is Side.TWO_SIDED:
-        sig = qlct_inverse_two_sided(spec, spec.kind, grid)
-    else:
-        sig = qlct_inverse_sided(spec, spec.kind, grid)
-    out.save_sig(sig, args.out)
+    out.write(args.out, fileio.encode_qsig(_qlct_inverse(spec, grid)))
 
 
 def _cmd_qfrft(args, out: _Outputs):
@@ -286,7 +290,7 @@ def _cmd_qfrft(args, out: _Outputs):
     window = _window(args, sig.grid)
     spec = qfrft(sig, args.alpha, args.beta, _side(args), window, axes,
                  phase_corrected=args.phase_corrected)
-    out.save_spec(spec, args.out)
+    out.write(args.out, fileio.encode_qspectrum(spec))
 
 
 def _cmd_roundtrip(args, out: _Outputs):
@@ -302,12 +306,7 @@ def _cmd_roundtrip(args, out: _Outputs):
         back = qft_inverse(spec, kind, grid)
     else:
         A1, A2 = _matrices(args)
-        kind = LctKind(side, A1, A2, axes)
-        spec = qlct_forward(sig, kind, window)
-        if side is Side.TWO_SIDED:
-            back = qlct_inverse_two_sided(spec, kind, grid)
-        else:
-            back = qlct_inverse_sided(spec, kind, grid)
+        back = _qlct_inverse(qlct_forward(sig, LctKind(side, A1, A2, axes), window), grid)
     diff = sig.map(lambda d: d - back.data)
     print("fixture,side,transform,l1_error,linf_error")
     print(",".join([args.fixture, args.side, args.transform,
@@ -374,7 +373,7 @@ def _cmd_lc_diag(args, out: _Outputs):
 def _cmd_img2qsig(args, out: _Outputs):
     with open(args.inp, "rb") as fh:
         sig = image_to_qsig(fh.read())
-    out.save_sig(sig, args.out)
+    out.write(args.out, fileio.encode_qsig(sig))
 
 
 def _cmd_qsig2img(args, out: _Outputs):
@@ -390,7 +389,7 @@ def _cmd_fixtures(args, out: _Outputs):
     os.makedirs(args.out_dir, exist_ok=True)
     for name in sorted(fixtures.FIXTURES):
         sig = sample(fixtures.FIXTURES[name], grid)
-        out.save_sig(sig, os.path.join(args.out_dir, f"{name}.qsig"))
+        out.write(os.path.join(args.out_dir, f"{name}.qsig"), fileio.encode_qsig(sig))
         print(f"wrote {name}.qsig")
 
 

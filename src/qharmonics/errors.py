@@ -26,7 +26,13 @@ class NotOrthogonalError(QHarmonicsError, ValueError):
 # -- grids, sampling and containers ----------------------------------------
 
 class NonFiniteError(QHarmonicsError, ValueError):
-    """A sampled value is NaN or infinite."""
+    """A sampled value, grid parameter or transform parameter is NaN or infinite."""
+
+
+class InvalidParameterError(QHarmonicsError, ValueError):
+    """Constructor argument outside its domain: a non-positive grid spacing
+    or sample count, a canonical matrix whose determinant is not 1, or
+    damping parameters that are not positive and strictly decreasing."""
 
 
 class ShapeMismatchError(QHarmonicsError, ValueError):
@@ -71,14 +77,6 @@ class ProvenanceMismatchError(QHarmonicsError, ValueError):
 
 class NonRealInputError(QHarmonicsError, ValueError):
     """Operation defined for real-valued fields received quaternion data."""
-
-
-class NotPowerOfTwoError(QHarmonicsError, ValueError):
-    """Fast path requires power-of-two sample counts."""
-
-
-class NonCanonicalAxesError(QHarmonicsError, ValueError):
-    """Fast path requires the canonical (i, j) axis pair."""
 
 
 class SideMismatchError(QHarmonicsError, ValueError):

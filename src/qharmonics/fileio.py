@@ -15,17 +15,23 @@ grid header and the payload::
 
 Kind tags: 1 two-sided QFT, 2 right QFT, 3 left QFT, 4 two-sided QLCT,
 5 right QLCT, 6 left QLCT.  Flags: bit0 fractional phase corrected,
-bit1/bit2 per-axis matrix sign normalization.  All loads round-trip
-saves bit-exactly.
+bit1/bit2 per-axis matrix sign normalization.  ``encode_*`` and
+``decode_*`` convert between objects and bytes; ``save_*`` and ``load_*``
+write and read files.  All loads round-trip saves bit-exactly.  Decoding
+raises QsigFormatError for any malformed field, including values the
+constructors reject (a non-unit axis, an invalid window or matrix).
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     BadMagicError,
     BadVersionError,
+    QHarmonicsError,
     QsigFormatError,
     TruncatedPayloadError,
 )
@@ -34,7 +40,8 @@ from .qft import FreqWindow, QftKind, Side
 from .qlct import LctKind, LctParams
 from .quaternion import AxisPair
 
-__all__ = ["save_qsig", "load_qsig", "save_qspectrum", "load_qspectrum"]
+__all__ = ["encode_qsig", "decode_qsig", "save_qsig", "load_qsig",
+           "encode_qspectrum", "decode_qspectrum", "save_qspectrum", "load_qspectrum"]
 
 _SIDES = (Side.TWO_SIDED, Side.RIGHT_SIDED, Side.LEFT_SIDED)
 _U4 = np.dtype("<u4")
@@ -52,9 +59,13 @@ def _payload(data) -> bytes:
 
 
 class _Reader:
-    def __init__(self, buf):
+    def __init__(self, buf, family):
+        if len(buf) < 4 or buf[:3] != family:
+            raise BadMagicError(f"bad magic {bytes(buf[:4])!r}")
+        if buf[3:4] != b"1":
+            raise BadVersionError(f"unsupported version byte {bytes(buf[3:4])!r}")
         self.buf = buf
-        self.pos = 0
+        self.pos = 4
 
     def take(self, dtype, count):
         nbytes = dtype.itemsize * count
@@ -72,43 +83,38 @@ class _Reader:
             raise QsigFormatError(f"{len(self.buf) - self.pos} trailing bytes")
 
 
-def _check_magic(buf, family):
-    if len(buf) < 4 or buf[:3] != family:
-        raise BadMagicError(f"bad magic {bytes(buf[:4])!r}")
-    if buf[3:4] != b"1":
-        raise BadVersionError(f"unsupported version byte {bytes(buf[3:4])!r}")
-
-
 def _read_grid(rd: _Reader) -> GridSpec:
     ns, nt = (int(x) for x in rd.take(_U4, 2))
     s_min, t_min, ds, dt = (float(x) for x in rd.take(_F8, 4))
     try:
         return GridSpec(s_min, t_min, ds, dt, ns, nt)
-    except ValueError as exc:
+    except QHarmonicsError as exc:
         raise QsigFormatError(f"invalid grid header: {exc}") from None
 
 
 def _read_payload(rd: _Reader, grid: GridSpec):
     flat = rd.take(_F8, grid.ns * grid.nt * 4)
-    return np.ascontiguousarray(
-        flat.reshape(grid.nt, grid.ns, 4).transpose(1, 0, 2)).astype(float)
+    return np.ascontiguousarray(flat.reshape(grid.nt, grid.ns, 4).transpose(1, 0, 2), dtype=float)
 
 
-def save_qsig(sig: QSignal2D, path):
-    with open(path, "wb") as fh:
-        fh.write(b"QSG1" + _grid_header(sig.grid) + _payload(sig.data))
+def encode_qsig(sig: QSignal2D) -> bytes:
+    return b"QSG1" + _grid_header(sig.grid) + _payload(sig.data)
 
 
-def load_qsig(path) -> QSignal2D:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    _check_magic(buf, b"QSG")
-    rd = _Reader(buf)
-    rd.pos = 4
+def decode_qsig(buf) -> QSignal2D:
+    rd = _Reader(buf, b"QSG")
     grid = _read_grid(rd)
     data = _read_payload(rd, grid)
     rd.done()
     return QSignal2D(grid, data)
+
+
+def save_qsig(sig: QSignal2D, path):
+    Path(path).write_bytes(encode_qsig(sig))
+
+
+def load_qsig(path) -> QSignal2D:
+    return decode_qsig(Path(path).read_bytes())
 
 
 def _kind_tag(kind) -> int:
@@ -116,7 +122,7 @@ def _kind_tag(kind) -> int:
     return base + _SIDES.index(kind.side)
 
 
-def save_qspectrum(spec: QSpectrum2D, path):
+def encode_qspectrum(spec: QSpectrum2D) -> bytes:
     kind = spec.kind
     if spec.window is None:
         raise QsigFormatError("spectrum has no window metadata to serialize")
@@ -131,33 +137,39 @@ def save_qspectrum(spec: QSpectrum2D, path):
     block += np.array([spec.window.nu, spec.window.nv], dtype=_U4).tobytes()
     if kind.family == "qlct":
         block += np.array(kind.A1.astuple() + kind.A2.astuple(), dtype=_F8).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(b"QSP1" + _grid_header(spec.grid) + block + _payload(spec.data))
+    return b"QSP1" + _grid_header(spec.grid) + block + _payload(spec.data)
 
 
-def load_qspectrum(path) -> QSpectrum2D:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    _check_magic(buf, b"QSP")
-    rd = _Reader(buf)
-    rd.pos = 4
+def decode_qspectrum(buf) -> QSpectrum2D:
+    rd = _Reader(buf, b"QSP")
     grid = _read_grid(rd)
     tag, flags = rd.take(np.dtype("u1"), 2)
     if not 1 <= tag <= 6:
         raise QsigFormatError(f"unknown kind tag {tag}")
     axes_vals = rd.take(_F8, 6)
-    axes = AxisPair(axes_vals[:3].copy(), axes_vals[3:].copy())
     u_max, v_max = (float(x) for x in rd.take(_F8, 2))
     nu, nv = (int(x) for x in rd.take(_U4, 2))
-    window = FreqWindow(u_max, v_max, nu, nv)
-    side = _SIDES[(tag - 1) % 3]
-    if tag <= 3:
-        kind = QftKind(side, axes)
-    else:
-        mats = [float(x) for x in rd.take(_F8, 8)]
-        A1 = LctParams(*mats[:4], sign_flipped=bool(flags & 2), normalize=False)
-        A2 = LctParams(*mats[4:], sign_flipped=bool(flags & 4), normalize=False)
-        kind = LctKind(side, A1, A2, axes, phase_corrected=bool(flags & 1))
+    mats = [float(x) for x in rd.take(_F8, 8)] if tag > 3 else None
     data = _read_payload(rd, grid)
     rd.done()
+    side = _SIDES[(tag - 1) % 3]
+    try:
+        axes = AxisPair(axes_vals[:3].copy(), axes_vals[3:].copy())
+        window = FreqWindow(u_max, v_max, nu, nv)
+        if mats is None:
+            kind = QftKind(side, axes)
+        else:
+            A1 = LctParams(*mats[:4], sign_flipped=bool(flags & 2), normalize=False)
+            A2 = LctParams(*mats[4:], sign_flipped=bool(flags & 4), normalize=False)
+            kind = LctKind(side, A1, A2, axes, phase_corrected=bool(flags & 1))
+    except QHarmonicsError as exc:
+        raise QsigFormatError(f"invalid spectrum metadata: {exc}") from None
     return QSpectrum2D(grid, data, kind, window)
+
+
+def save_qspectrum(spec: QSpectrum2D, path):
+    Path(path).write_bytes(encode_qspectrum(spec))
+
+
+def load_qspectrum(path) -> QSpectrum2D:
+    return decode_qspectrum(Path(path).read_bytes())

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadPpmError, NonFiniteError, ShapeMismatchError
+from .errors import BadPpmError, InvalidParameterError, NonFiniteError, ShapeMismatchError
 from .quaternion import qabs
 
 __all__ = [
@@ -40,11 +40,13 @@ class GridSpec:
     nt: int
 
     def __post_init__(self):
+        if not np.isfinite([self.s_min, self.t_min, self.ds, self.dt]).all():
+            raise NonFiniteError("grid origin and spacings must be finite")
         if not (self.ds > 0 and self.dt > 0):
-            raise ValueError("grid spacings must be positive")
+            raise InvalidParameterError("grid spacings must be positive")
         # 1x1 grids are legal so single-pixel images can round-trip
         if not (self.ns >= 1 and self.nt >= 1):
-            raise ValueError("grids need at least 1 sample per axis")
+            raise InvalidParameterError("grids need at least 1 sample per axis")
 
     @classmethod
     def centered(cls, extent, n, extent_t=None, nt=None):
@@ -75,6 +77,10 @@ def _check_data(grid, data):
     if data.shape != (grid.ns, grid.nt, 4):
         raise ShapeMismatchError(
             f"data shape {data.shape} does not match grid ({grid.ns}, {grid.nt}, 4)")
+    # min and max propagate NaN and expose inf without a mask the size of the data
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        bad = np.argwhere(~np.isfinite(data))[0]
+        raise NonFiniteError(f"non-finite value at data index {tuple(bad)}")
     return data
 
 
@@ -141,9 +147,6 @@ def sample(fn, grid: GridSpec) -> QSignal2D:
         vals = out
     else:
         vals = np.broadcast_to(vals, (grid.ns, grid.nt, 4)).copy()
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
-        raise NonFiniteError(f"non-finite sample at data index {tuple(bad)}")
     return QSignal2D(grid, vals)
 
 

@@ -22,11 +22,13 @@ from ._kernels import chirp_multiply, const_multiply, exp_contract
 from .errors import (
     DegenerateAngleError,
     DegenerateBError,
+    InvalidParameterError,
+    NonFiniteError,
     ProvenanceMismatchError,
     SideMismatchError,
 )
 from .grids import GridSpec, QSignal2D, QSpectrum2D
-from .qft import FreqWindow, QftKind, Side, qft_fast, qft_forward_at
+from .qft import FreqWindow, QftKind, Side, qft_forward_at
 from .quaternion import (
     CANONICAL_AXES,
     AxisPair,
@@ -69,9 +71,11 @@ class LctParams:
     normalize: InitVar[bool] = True
 
     def __post_init__(self, normalize):
+        if not np.isfinite(self.astuple()).all():
+            raise NonFiniteError(f"matrix entries {self.astuple()!r} must be finite")
         det = self.a * self.d - self.b * self.c
         if abs(det - 1.0) > DET_TOL:
-            raise ValueError(f"matrix determinant {det!r} is not 1 within {DET_TOL}")
+            raise InvalidParameterError(f"matrix determinant {det!r} is not 1 within {DET_TOL}")
         if normalize and self.b < 0:
             for name, val in zip("abcd", (-self.a, -self.b, -self.c, -self.d)):
                 object.__setattr__(self, name, val)
@@ -258,9 +262,10 @@ def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
     p(s,t) = e^{mu1 a1 s^2/(2 b1)} f(s,t) e^{mu2 a2 t^2/(2 b2)} is
     transformed by the two-sided QFT, then scaled to (u/b1, v/b2),
     chirped in the output and multiplied by the kernel prefactors.  With
-    ``fast=True`` the QFT runs on the FFT path and the spectrum lands on
-    the natural window scaled by (b1, b2); otherwise the window is
-    required and the result matches qlct_forward node for node.
+    ``fast=True`` the window is the natural window of the signal grid
+    scaled by (b1, b2), on which the QFT stage is the exact DFT of the
+    chirped samples; otherwise the window is required.  Either way the
+    result matches qlct_forward node for node.
     """
     if kind.side is not Side.TWO_SIDED:
         raise SideMismatchError("the chirp factorization applies to the two-sided QLCT")
@@ -275,21 +280,14 @@ def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
     # keep only QSignal2D's C-order copy of the chirped field alive during the QFT
     p_sig = QSignal2D(sig.grid, chirp_multiply(a2 * t * t / (2 * b2), mu2, p, left=False, axis=1))
     del p
-    qft_kind = QftKind(Side.TWO_SIDED, kind.axes)
-
     if fast:
-        p_spec = qft_fast(p_sig, qft_kind)
-        u = b1 * p_spec.grid.s
-        v = b2 * p_spec.grid.t
-        vals = p_spec.data
-        window = FreqWindow(b1 * p_spec.window.u_max, b2 * p_spec.window.v_max,
-                            p_spec.window.nu, p_spec.window.nv)
-    else:
-        if window is None:
-            raise ValueError("a window is required on the quadrature path")
-        fgrid = window.to_grid()
-        u, v = fgrid.s, fgrid.t
-        vals = qft_forward_at(p_sig, qft_kind, u / b1, v / b2)
+        natural = FreqWindow.natural(sig.grid)
+        window = FreqWindow(b1 * natural.u_max, b2 * natural.v_max, natural.nu, natural.nv)
+    elif window is None:
+        raise ValueError("a window is required unless fast=True")
+    fgrid = window.to_grid()
+    u, v = fgrid.s, fgrid.t
+    vals = qft_forward_at(p_sig, QftKind(Side.TWO_SIDED, kind.axes), u / b1, v / b2)
 
     # output chirps carry the e^{-mu pi/4} / sqrt(2 pi b) prefactors (b > 0)
     out = chirp_multiply(d1 * u * u / (2 * b1) - np.pi / 4, mu1, vals, left=True, axis=0,

@@ -141,13 +141,13 @@ def pure_unit(v):
     """
     v = np.asarray(v, dtype=float)
     if v.shape == (4,):
-        if abs(v[0]) > AXIS_TOL:
+        if not abs(v[0]) <= AXIS_TOL:  # written so that NaN fails
             raise NotPureError(f"scalar part {v[0]!r} is nonzero")
         v = v[1:]
     if v.shape != (3,):
         raise NotPureError(f"expected 3 or 4 components, got shape {v.shape}")
     n = float(np.sqrt(v @ v))
-    if abs(n - 1.0) > UNIT_SLACK:
+    if not abs(n - 1.0) <= UNIT_SLACK:
         raise NotUnitError(f"axis norm {n!r} is not 1 within {UNIT_SLACK}")
     return v / n
 
@@ -176,11 +176,6 @@ class AxisPair:
     def mu3(self):
         # mu1*mu2 = (-mu1.mu2, mu1 x mu2) and the scalar part vanishes here
         return np.cross(self.mu1, self.mu2)
-
-    @property
-    def is_canonical(self):
-        return (np.allclose(self.mu1, [1.0, 0.0, 0.0], atol=AXIS_TOL)
-                and np.allclose(self.mu2, [0.0, 1.0, 0.0], atol=AXIS_TOL))
 
     def __eq__(self, other):
         if not isinstance(other, AxisPair):

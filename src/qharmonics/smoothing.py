@@ -21,9 +21,11 @@ import numpy as np
 
 from ._kernels import exp_contract
 from .errors import (
+    InvalidParameterError,
     InvariantViolationError,
     NoIntegrableSectionError,
     NonConvergentError,
+    NonFiniteError,
     NonPositiveWindowError,
     SideMismatchError,
 )
@@ -213,11 +215,13 @@ class GaussMeanParams:
     schedule: tuple
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
         sched = tuple(float(a) for a in self.schedule)
+        if not np.isfinite((self.alpha,) + sched).all():
+            raise NonFiniteError("alpha and the schedule must be finite")
+        if self.alpha <= 0:
+            raise InvalidParameterError("alpha must be positive")
         if any(a <= 0 for a in sched) or any(np.diff(sched) >= 0):
-            raise ValueError("schedule must be strictly decreasing and positive")
+            raise InvalidParameterError("schedule must be strictly decreasing and positive")
         object.__setattr__(self, "schedule", sched)
 
 

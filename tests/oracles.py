@@ -8,7 +8,8 @@ is evidence, not tautology.
 
 import numpy as np
 
-from qharmonics.quaternion import qmul
+from qharmonics.qft import qft_from_ft
+from qharmonics.quaternion import qmul, quat
 
 
 def _exp_axis(mu, theta):
@@ -45,6 +46,41 @@ def qft_bruteforce(sig, side, axes, u, v):
             for p in range(nu):
                 out[p, q] = qmul(K1[:, p], Tq).sum(axis=0)
     return out * sig.grid.cell_area
+
+
+def qft_fft_reference(sig, side):
+    """QFT on ``FreqWindow.natural(sig.grid)`` by FFT, canonical (i, j) axes.
+
+    An independent route to the DFT that the natural-window quadrature
+    computes.  Each real component goes through one complex FFT, shifted
+    onto the midpoint grids (the half-cell frequency offset becomes an
+    input modulation, the half-cell sample offset an output phase), and the
+    quaternion spectrum is reassembled with the sign-flip rule
+    e^{-ius} j = j e^{ius} (Ell and Sangwine, IEEE TIP 2007):
+
+        two-sided  F = F(f0) + i F(f1) + j F(f2)(-u,v) + k F(f3)(-u,v)
+        right      F = F(f0) + i F(f1) + j F(f2)       + k F(f3)
+        left       F = F(f0) + i F(f1)(u,-v) + j F(f2)(-u,v) + k F(f3)(-u,-v)
+
+    where F(h) is the two-sided QFT of the real component h.  Returns the
+    ``(ns, nt, 4)`` spectrum.
+    """
+    grid = sig.grid
+    ns, nt = grid.ns, grid.nt
+    k, l = np.arange(ns), np.arange(nt)
+    u = -np.pi / grid.ds + (k + 0.5) * 2.0 * np.pi / (ns * grid.ds)
+    v = -np.pi / grid.dt + (l + 0.5) * 2.0 * np.pi / (nt * grid.dt)
+    pre = np.outer((-1.0) ** k * np.exp(-1j * np.pi * k / ns),
+                   (-1.0) ** l * np.exp(-1j * np.pi * l / nt))
+    post = np.outer(np.exp(-1j * u * grid.s[0]), np.exp(-1j * v * grid.t[0]))
+    H = np.fft.fft2(np.moveaxis(sig.data, -1, 0) * pre, axes=(-2, -1)) * post
+    f0, f1, f2, f3 = (qft_from_ft(H[n] * grid.cell_area) for n in range(4))
+    i, j, kk = quat(0, 1, 0, 0), quat(0, 0, 1, 0), quat(0, 0, 0, 1)
+    if side.value == "two":
+        return f0 + qmul(i, f1) + qmul(j, f2[::-1]) + qmul(kk, f3[::-1])
+    if side.value == "right":
+        return f0 + qmul(i, f1) + qmul(j, f2) + qmul(kk, f3)
+    return f0 + qmul(i, f1[:, ::-1]) + qmul(j, f2[::-1]) + qmul(kk, f3[::-1, ::-1])
 
 
 def lct_kernel_ref(mat, mu, x, xi):

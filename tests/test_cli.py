@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import qharmonics
 import qharmonics.fileio as fileio
@@ -194,10 +195,12 @@ def test_help_exits_zero(capsys):
 
 
 def test_nonfinite_input_exit_2_nothing_written(capsys, tmp_path):
-    data = np.zeros((8, 8, 4))
-    data[3, 4, 2] = np.nan
+    # QSignal2D rejects NaN, so the NaN goes into the encoded payload: the
+    # real at data[3, 4, 2] (t-major rows, after the 44-byte header)
+    raw = fileio.encode_qsig(QSignal2D(GridSpec.centered(2.0, 8), np.zeros((8, 8, 4))))
+    offset = 44 + 8 * ((4 * 8 + 3) * 4 + 2)
     src = tmp_path / "nan.qsig"
-    fileio.save_qsig(QSignal2D(GridSpec.centered(2.0, 8), data), src)
+    src.write_bytes(raw[:offset] + np.float64(np.nan).tobytes() + raw[offset + 8:])
     out_path = tmp_path / "nan.qsp"
     code, out, err = run(capsys, "qft", "--in", str(src), "--out", str(out_path))
     assert code == 2 and out == "" and "non-finite" in err
@@ -211,3 +214,37 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["roundtrip", "--grid", "16", "--window", "inf"],
+    ["roundtrip", "--grid", "16", "--transform", "qlct", "--a1", "nan", "--b1", "1",
+     "--c1", "0", "--d1", "1", "--a2", "1", "--b2", "1", "--c2", "0", "--d2", "1"],
+    ["roundtrip", "--grid", "16", "--extent", "inf"],
+    ["jump-demo", "--M", "nan"],
+])
+def test_non_finite_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "finite" in err
+
+
+def test_failed_write_keeps_existing_output_and_leaves_no_temp(capsys, tmp_path, monkeypatch):
+    src = tmp_path / "g.qsig"
+    fileio.save_qsig(sample(gaussian, GridSpec.centered(4.0, 8)), src)
+    out_path = tmp_path / "g.qsp"
+    out_path.write_bytes(b"previous")
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(fileio, "encode_qspectrum", fail)  # fails before any file opens
+    code, _, err = run(capsys, "qft", "--in", str(src), "--out", str(out_path))
+    assert code == 2 and "disk full" in err
+    assert out_path.read_bytes() == b"previous"
+    monkeypatch.undo()
+
+    monkeypatch.setattr(os, "replace", fail)  # fails after the temp file is written
+    code, _, err = run(capsys, "qft", "--in", str(src), "--out", str(out_path))
+    assert code == 2 and "disk full" in err
+    assert out_path.read_bytes() == b"previous"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.qsig", "g.qsp"]

@@ -6,7 +6,10 @@ from qharmonics.errors import (
     BadMagicError,
     BadPpmError,
     BadVersionError,
+    InvalidParameterError,
     NonFiniteError,
+    NotPureError,
+    NotUnitError,
     QsigFormatError,
     ShapeMismatchError,
     TruncatedPayloadError,
@@ -15,6 +18,7 @@ from qharmonics.fixtures import gaussian, indicator
 from qharmonics.grids import (
     GridSpec,
     QSignal2D,
+    QSpectrum2D,
     image_to_qsig,
     l1_norm,
     linf_diff,
@@ -22,7 +26,8 @@ from qharmonics.grids import (
     sample,
 )
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward
-from qharmonics.qlct import LctKind, LctParams
+from qharmonics.qlct import LctKind, LctParams, qlct_forward
+from qharmonics.smoothing import GaussMeanParams
 from qharmonics.quaternion import AxisPair
 
 
@@ -224,3 +229,57 @@ def test_loaders_reject_nonfinite_values(tmp_path, bad_value):
         bad.write_bytes(raw[:offset] + np.float64(bad_value).tobytes() + raw[offset + 8:])
         with pytest.raises(QsigFormatError):
             fileio.load_qspectrum(bad)
+
+
+NAN_DATA = np.full((4, 4, 4), np.nan)
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda: GridSpec(0, 0, np.inf, 1, 4, 4), NonFiniteError),
+    (lambda: GridSpec(np.nan, 0, 1, 1, 4, 4), NonFiniteError),
+    (lambda: GridSpec(0, 0, -1.0, 1, 4, 4), InvalidParameterError),
+    (lambda: GridSpec(0, 0, 1, 1, 4, 0), InvalidParameterError),
+    (lambda: FreqWindow(np.inf, 1.0, 4, 4), NonFiniteError),
+    (lambda: QSignal2D(GridSpec.centered(1.0, 4), NAN_DATA), NonFiniteError),
+    (lambda: QSignal2D(GridSpec.centered(1.0, 4), np.full((4, 4, 4), -np.inf)), NonFiniteError),
+    (lambda: QSpectrum2D(GridSpec.centered(1.0, 4), NAN_DATA, QftKind()), NonFiniteError),
+    (lambda: LctParams(np.nan, 1.0, 0.0, 1.0), NonFiniteError),
+    (lambda: LctParams(1.0, 1.0, 1.0, 1.0), InvalidParameterError),
+    (lambda: GaussMeanParams(np.nan, (1.0,)), NonFiniteError),
+    (lambda: GaussMeanParams(1.0, (1.0, np.inf)), NonFiniteError),
+    (lambda: GaussMeanParams(-1.0, (1.0, 0.1)), InvalidParameterError),
+    (lambda: AxisPair(np.array([np.nan, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])), NotUnitError),
+    (lambda: AxisPair(np.array([np.nan, 1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])), NotPureError),
+])
+def test_constructors_raise_typed_errors(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def _corruptions(raw):
+    """Every single-bit flip of `raw`, then every proper prefix of it."""
+    for offset in range(len(raw)):
+        for bit in range(8):
+            buf = bytearray(raw)
+            buf[offset] ^= 1 << bit
+            yield bytes(buf)
+    for cut in range(len(raw)):
+        yield raw[:cut]
+
+
+@pytest.mark.parametrize("family", ["qsig", "qft", "qlct"])
+def test_every_bit_flip_and_truncation_raises_only_format_errors(family):
+    sig = rand_signal(8, seed=21)
+    if family == "qsig":
+        raw, decode = fileio.encode_qsig(sig), fileio.decode_qsig
+    else:
+        window = FreqWindow.square(3.0, 8)
+        spec = (qft_forward(sig, QftKind(Side.LEFT_SIDED), window) if family == "qft" else
+                qlct_forward(sig, LctKind(Side.TWO_SIDED, LctParams(2.0, 0.5, 2.0, 1.0),
+                                          LctParams(1.0, 1.0, 0.0, 1.0)), window))
+        raw, decode = fileio.encode_qspectrum(spec), fileio.decode_qspectrum
+    for buf in _corruptions(raw):
+        try:
+            decode(buf)
+        except QsigFormatError:
+            pass

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import qft_bruteforce
+from oracles import qft_bruteforce, qft_fft_reference
 from qharmonics.errors import (
     InvalidWindowError,
-    NonCanonicalAxesError,
     NonRealInputError,
-    NotPowerOfTwoError,
     ProvenanceMismatchError,
     SideMismatchError,
 )
@@ -21,7 +19,6 @@ from qharmonics.qft import (
     ft_from_qft,
     qft_fast,
     qft_forward,
-    qft_forward_at,
     qft_from_ft,
     qft_inverse,
 )
@@ -129,19 +126,29 @@ def test_even_in_v_field_collapses_relation():
 @pytest.mark.parametrize("side", list(Side))
 def test_fast_path_matches_quadrature(side):
     sig = sample(qgaussian, GridSpec.centered(8.0, 32))
-    kind = QftKind(side)
-    fast = qft_fast(sig, kind)
-    quad = qft_forward_at(sig, kind, fast.grid.s, fast.grid.t)
-    assert np.max(np.abs(fast.data - quad)) < 1e-9
+    fast = qft_fast(sig, QftKind(side))
+    assert np.max(np.abs(fast.data - qft_fft_reference(sig, side))) < 1e-9
 
 
-def test_fast_path_errors():
-    sig = rand_signal(12, seed=8)  # 12 is not a power of two
-    with pytest.raises(NotPowerOfTwoError):
-        qft_fast(sig)
-    sig2 = rand_signal(8, seed=8)
-    with pytest.raises(NonCanonicalAxesError):
-        qft_fast(sig2, QftKind(Side.TWO_SIDED, TILTED))
+@pytest.mark.parametrize("side", list(Side))
+def test_fast_path_matches_fft_reference_at_512(side):
+    sig = rand_signal(512, seed=11, extent=10.0)
+    fast = qft_fast(sig, QftKind(side))
+    want = qft_fft_reference(sig, side)
+    assert np.max(np.abs(fast.data - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_fast_path_any_size_and_axes():
+    rng = np.random.default_rng(8)
+    cases = [(rand_signal(12, seed=8), QftKind()),
+             (QSignal2D(GridSpec.centered(2.0, 30, 1.5, 17), rng.normal(size=(30, 17, 4))),
+              QftKind(Side.LEFT_SIDED)),
+             (rand_signal(8, seed=8), QftKind(Side.TWO_SIDED, TILTED))]
+    for sig, kind in cases:
+        fast = qft_fast(sig, kind)
+        assert fast.window == FreqWindow.natural(sig.grid)
+        want = qft_bruteforce(sig, kind.side, kind.axes, fast.grid.s, fast.grid.t)
+        assert np.max(np.abs(fast.data - want)) < 1e-12
 
 
 def test_fast_path_impulse_flat_spectrum():
