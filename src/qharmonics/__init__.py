@@ -42,7 +42,6 @@ _EXPORTS = {
     "sided_decompose_transform": "qlct", "qfrft": "qlct",
     # smoothing
     "JumpAverage": "smoothing", "GaussMeanParams": "smoothing",
-    "dirichlet_partial_inverse": "smoothing",
     "dirichlet_partial_inverse_freq": "smoothing",
     "dirichlet_partial_inverse_sinc": "smoothing",
     "eta_jump_average": "smoothing", "sinc_integral_bound_check": "smoothing",

@@ -23,10 +23,10 @@ import numpy as np  # noqa: E402
 
 from . import fileio, fixtures, smoothing, variation  # noqa: E402
 from .errors import QHarmonicsError  # noqa: E402
-from .grids import GridSpec, image_to_qsig, l1_norm, linf_diff, qsig_to_image, sample  # noqa: E402
+from .grids import GridSpec, image_to_qsig, qsig_to_image, sample  # noqa: E402
 from .qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse  # noqa: E402
 from .qlct import LctKind, LctParams, qfrft, qlct_forward, qlct_inverse_sided, qlct_inverse_two_sided  # noqa: E402
-from .quaternion import CANONICAL_AXES, AxisPair  # noqa: E402
+from .quaternion import CANONICAL_AXES, AxisPair, qabs  # noqa: E402
 from .variation import Net  # noqa: E402
 
 __all__ = ["main"]
@@ -307,10 +307,10 @@ def _cmd_roundtrip(args, out: _Outputs):
     else:
         A1, A2 = _matrices(args)
         back = _qlct_inverse(qlct_forward(sig, LctKind(side, A1, A2, axes), window), grid)
-    diff = sig.map(lambda d: d - back.data)
+    err = qabs(sig.data - back.data)
     print("fixture,side,transform,l1_error,linf_error")
     print(",".join([args.fixture, args.side, args.transform,
-                    _G17(l1_norm(diff)), _G17(linf_diff(sig, back))]))
+                    _G17(float(np.sum(err) * grid.cell_area)), _G17(float(np.max(err)))]))
 
 
 def _cmd_jump_demo(args, out: _Outputs):

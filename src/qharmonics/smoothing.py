@@ -37,7 +37,6 @@ __all__ = [
     "JumpAverage",
     "GaussMeanParams",
     "GaussMeanStep",
-    "dirichlet_partial_inverse",
     "dirichlet_partial_inverse_freq",
     "dirichlet_partial_inverse_sinc",
     "eta_jump_average",
@@ -103,6 +102,9 @@ def dirichlet_partial_inverse_sinc(fn, point, M, N, rect,
         Truncation rectangle for the shifted integrand f(x0-s, y0-t).
     breakpoints_s, breakpoints_t : extra panel cuts (e.g. at the edge of
         an indicator's support) so discontinuities fall on panel edges.
+
+    Each block of 256 s nodes is two matrix-vector products (s kernel,
+    then t kernel); a real field stays real.  Returns a quaternion (4,).
     """
     if M <= 0 or N <= 0:
         raise NonPositiveWindowError(f"window ({M}, {N}) must be positive")
@@ -116,20 +118,13 @@ def dirichlet_partial_inverse_sinc(fn, point, M, N, rect,
     for block in range(0, s.size, 256):
         sb = s[block:block + 256]
         vals = np.asarray(fn(x0 - sb[:, None], y0 - t[None, :]), dtype=float)
+        vals = np.broadcast_to(vals, (sb.size, t.size) + vals.shape[2:])
+        row = ker_s[block:block + 256] @ vals.reshape(sb.size, -1)
         if vals.ndim == 2:
-            vals = np.stack([vals, np.zeros_like(vals), np.zeros_like(vals),
-                             np.zeros_like(vals)], axis=-1)
-        total += np.einsum("i,j,ijq->q", ker_s[block:block + 256], ker_t, vals)
+            total[0] += row @ ker_t
+        else:
+            total += ker_t @ row.reshape(t.size, 4)
     return total
-
-
-def dirichlet_partial_inverse(source, point, M, N, **kwargs):
-    """Dispatch to the frequency path (spectra) or the sinc path (callables)."""
-    if isinstance(source, QSpectrum2D):
-        return dirichlet_partial_inverse_freq(source, point, M, N)
-    if callable(source):
-        return dirichlet_partial_inverse_sinc(source, point, M, N, **kwargs)
-    raise TypeError(f"expected a QSpectrum2D or a callable, got {type(source)!r}")
 
 
 # -- quadrant limits and the jump average ------------------------------------

@@ -133,14 +133,11 @@ def si_series(x, terms=60):
     return total
 
 
-def si_panels(a, b, order=10):
-    """integral_a^b sin(t)/t dt by Gauss-Legendre on half-period panels."""
-    if a == b:
-        return 0.0
-    lo, hi = min(a, b), max(a, b)
+def half_period_panels(lo, hi, rate, order=10):
+    """Gauss-Legendre nodes/weights on [lo, hi], cut at the zeros of sin(rate*x)."""
     edges = np.unique(np.concatenate([
         [lo, hi],
-        np.arange(np.ceil(lo / np.pi), np.floor(hi / np.pi) + 1) * np.pi,
+        np.arange(np.ceil(lo * rate / np.pi), np.floor(hi * rate / np.pi) + 1) * np.pi / rate,
     ]))
     edges = edges[(edges >= lo) & (edges <= hi)]
     gx, gw = np.polynomial.legendre.leggauss(order)
@@ -148,6 +145,33 @@ def si_panels(a, b, order=10):
     mid = (edges[:-1] + edges[1:]) / 2
     nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     weights = (half[:, None] * gw[None, :]).ravel()
+    return nodes, weights
+
+
+def si_panels(a, b, order=10):
+    """integral_a^b sin(t)/t dt by Gauss-Legendre on half-period panels."""
+    if a == b:
+        return 0.0
+    nodes, weights = half_period_panels(min(a, b), max(a, b), 1.0, order=order)
     vals = np.sinc(nodes / np.pi)  # sin(t)/t with the removable singularity
     total = float(np.sum(weights * vals))
     return total if b >= a else -total
+
+
+def sinc_partial_sum_reference(fn, point, M, N, rect, order=8):
+    """Double sinc convolution at a point as one unblocked double sum.
+
+    sum_i sum_j ws_i wt_j sin(M s_i)/(pi s_i) sin(N t_j)/(pi t_j)
+    f(x0 - s_i, y0 - t_j) over the half-period panels of ``rect``, with
+    the whole (s, t) field sampled at once.  A real field is returned in
+    the real part of a quaternion (4,).
+    """
+    x0, y0 = point
+    s_lo, s_hi, t_lo, t_hi = rect
+    s, ws = half_period_panels(s_lo, s_hi, M, order=order)
+    t, wt = half_period_panels(t_lo, t_hi, N, order=order)
+    weight = np.outer(ws * np.sin(M * s) / (np.pi * s), wt * np.sin(N * t) / (np.pi * t))
+    vals = np.asarray(fn(x0 - s[:, None], y0 - t[None, :]), dtype=float)
+    if vals.ndim == 2:
+        return np.array([np.sum(weight * vals), 0.0, 0.0, 0.0])
+    return np.sum(weight[..., None] * vals, axis=(0, 1))

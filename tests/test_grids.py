@@ -283,3 +283,59 @@ def test_every_bit_flip_and_truncation_raises_only_format_errors(family):
             decode(buf)
         except QsigFormatError:
             pass
+
+
+def _bit_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _awkward_values(rng, shape):
+    """Normal draws salted with -0.0, subnormals and extremes, which a lossy codec would alter."""
+    data = rng.normal(size=shape)
+    flat = data.reshape(-1)
+    picks = rng.integers(0, flat.size, size=min(flat.size, 4))
+    flat[picks] = [-0.0, 5e-324, -1.7976931348623157e308, 1e-310][:picks.size]
+    return data
+
+
+@pytest.mark.parametrize("ns, nt", [(1, 1), (1, 6), (7, 1), (5, 5), (9, 4), (3, 14)])
+def test_qsig_roundtrip_bit_for_bit_at_odd_and_nonsquare_shapes(ns, nt):
+    rng = np.random.default_rng(1000 * ns + nt)
+    grid = GridSpec(*rng.uniform(-3, 3, size=2), *rng.uniform(0.05, 2.0, size=2), ns, nt)
+    sig = QSignal2D(grid, _awkward_values(rng, (ns, nt, 4)))
+    raw = fileio.encode_qsig(sig)
+    back = fileio.decode_qsig(raw)
+    assert back.grid == sig.grid
+    assert _bit_equal(back.data, sig.data)
+    assert fileio.encode_qsig(back) == raw
+
+
+@pytest.mark.parametrize("nu, nv", [(2, 2), (3, 5), (7, 2), (4, 9)])
+@pytest.mark.parametrize("family", ["qft", "qlct"])
+def test_qspectrum_roundtrip_bit_for_bit_at_odd_and_nonsquare_shapes(family, nu, nv):
+    rng = np.random.default_rng(100 * nu + nv)
+    sig = QSignal2D(GridSpec.centered(2.0, 5), rng.normal(size=(5, 5, 4)))
+    window = FreqWindow(*rng.uniform(0.5, 4.0, size=2), nu, nv)
+    side = Side(rng.choice(["two", "right", "left"]))
+    if family == "qft":
+        spec = qft_forward(sig, QftKind(side), window)
+    else:
+        spec = qlct_forward(sig, LctKind(side, LctParams(2.0, 0.5, 2.0, 1.0),
+                                         LctParams(0.0, -1.0, 1.0, 0.0)), window)
+    spec = QSpectrum2D(spec.grid, _awkward_values(rng, spec.data.shape), spec.kind, spec.window)
+    raw = fileio.encode_qspectrum(spec)
+    back = fileio.decode_qspectrum(raw)
+    assert (back.grid, back.kind, back.window) == (spec.grid, spec.kind, spec.window)
+    assert _bit_equal(back.data, spec.data)
+    assert fileio.encode_qspectrum(back) == raw
+
+
+@pytest.mark.parametrize("width, height", [(1, 1), (1, 4), (6, 1), (3, 8), (13, 5)])
+def test_ppm_roundtrip_bit_for_bit_through_qsig(width, height):
+    rng = np.random.default_rng(10 * width + height)
+    raster = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+    ppm = f"P6\n{width} {height}\n255\n".encode() + raster.tobytes()
+    sig = fileio.decode_qsig(fileio.encode_qsig(image_to_qsig(ppm)))
+    assert (sig.grid.ns, sig.grid.nt) == (width, height)
+    out, _ = qsig_to_image(sig)
+    assert out == ppm

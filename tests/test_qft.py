@@ -264,3 +264,26 @@ def test_fast_path_beats_extrapolated_defining_quadrature():
     print(f"\nfast 512^2: {t_fast * 1e3:.1f} ms; extrapolated defining "
           f"quadrature: {t_ref:.0f} s")
     assert t_ref > 20.0 * t_fast
+
+
+def random_axes(rng):
+    mu1 = rng.normal(size=3)
+    mu1 /= np.linalg.norm(mu1)
+    mu2 = rng.normal(size=3)
+    mu2 -= (mu2 @ mu1) * mu1
+    return AxisPair(mu1, mu2 / np.linalg.norm(mu2))
+
+
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize("ns, nt", [(15, 22), (9, 9), (2, 13), (16, 7)])
+def test_plancherel_ratio_is_one_on_the_natural_window(side, ns, nt):
+    # ||F||^2 du dv / (4 pi^2 ||f||^2 ds dt) = 1: on its natural window the
+    # quadrature is a unitary DFT, whatever the axes, spacings and origin
+    rng = np.random.default_rng(ns * 100 + nt)
+    for centred in (True, False):
+        origin = (-0.5 * ns * 0.3, -0.5 * nt * 0.7) if centred else rng.uniform(-2, 2, size=2)
+        sig = QSignal2D(GridSpec(*origin, 0.3, 0.7, ns, nt), rng.normal(size=(ns, nt, 4)))
+        spec = qft_forward(sig, QftKind(side, random_axes(rng)), FreqWindow.natural(sig.grid))
+        ratio = (np.sum(spec.data ** 2) * spec.grid.cell_area
+                 / (4 * np.pi ** 2 * np.sum(sig.data ** 2) * sig.grid.cell_area))
+        assert abs(ratio - 1.0) < 1e-12

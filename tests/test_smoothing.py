@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import si_panels, si_series
+from oracles import half_period_panels, si_panels, si_series, sinc_partial_sum_reference
 from qharmonics.errors import (
     InvariantViolationError,
     NoIntegrableSectionError,
@@ -9,12 +9,11 @@ from qharmonics.errors import (
     NonPositiveWindowError,
     SideMismatchError,
 )
-from qharmonics.fixtures import gaussian, indicator
+from qharmonics.fixtures import gaussian, indicator, qgaussian, sinc_rect
 from qharmonics.grids import GridSpec, l1_norm, sample
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward
 from qharmonics.smoothing import (
     GaussMeanParams,
-    dirichlet_partial_inverse,
     dirichlet_partial_inverse_freq,
     dirichlet_partial_inverse_sinc,
     eta_jump_average,
@@ -39,17 +38,28 @@ def test_partial_inverse_gaussian_center():
     assert np.max(np.abs(got[1:])) < 1e-12
 
 
-def test_partial_inverse_paths_agree_and_dispatch():
+def test_partial_inverse_freq_and_sinc_paths_agree():
     _, spec = gaussian_spectrum()
     point = (0.4, -0.3)
     a = dirichlet_partial_inverse_freq(spec, point, 8.0, 8.0)
     b = dirichlet_partial_inverse_sinc(gaussian, point, 8.0, 8.0, GAUSS_RECT)
     assert np.max(np.abs(a - b)) < 1e-6
-    np.testing.assert_array_equal(dirichlet_partial_inverse(spec, point, 8.0, 8.0), a)
-    np.testing.assert_array_equal(
-        dirichlet_partial_inverse(gaussian, point, 8.0, 8.0, rect=GAUSS_RECT), b)
-    with pytest.raises(TypeError):
-        dirichlet_partial_inverse(3.0, point, 8.0, 8.0)
+
+
+@pytest.mark.parametrize("fn, rect_name, point, M", [
+    (indicator, "indicator", (1.0, 0.0), 60.0),           # real, jump at an edge point
+    (qgaussian, "qgaussian", (0.4, -0.3), 8.0),           # quaternion, all parts active
+    (lambda S, T: np.exp(-T ** 2), "gaussian", (0.2, 0.1), 8.0),  # real, shape (1, nt)
+])
+def test_sinc_path_matches_unblocked_reference(fn, rect_name, point, M):
+    rect = sinc_rect(rect_name, point)
+    # more than one 256-node block of s, the last one partial
+    ns = half_period_panels(rect[0], rect[1], M, order=8)[0].size
+    assert ns > 256 and ns % 256
+    got = dirichlet_partial_inverse_sinc(fn, point, M, M, rect)
+    want = sinc_partial_sum_reference(fn, point, M, M, rect)
+    assert got.shape == (4,)
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_partial_inverse_error_decays_with_window_doubling():
