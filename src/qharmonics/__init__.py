@@ -18,9 +18,7 @@ _EXPORTS = {
     "quat": "quaternion", "qmul": "quaternion", "qconj": "quaternion",
     "qabs": "quaternion", "qinv": "quaternion", "qexp_pure": "quaternion",
     "pure_unit": "quaternion", "AxisPair": "quaternion",
-    "CANONICAL_AXES": "quaternion", "SplitFlavor": "quaternion",
-    "SymplecticSplit": "quaternion", "symplectic_split": "quaternion",
-    "recompose": "quaternion",
+    "CANONICAL_AXES": "quaternion",
     # grids
     "GridSpec": "grids", "QSignal2D": "grids", "QSpectrum2D": "grids",
     "sample": "grids", "l1_norm": "grids", "linf_diff": "grids",
@@ -41,7 +39,7 @@ _EXPORTS = {
     "qlct_inverse_sided": "qlct", "qlct_via_qft": "qlct",
     "sided_decompose_transform": "qlct", "qfrft": "qlct",
     # smoothing
-    "JumpAverage": "smoothing", "GaussMeanParams": "smoothing",
+    "JumpAverage": "smoothing",
     "dirichlet_partial_inverse_freq": "smoothing",
     "dirichlet_partial_inverse_sinc": "smoothing",
     "eta_jump_average": "smoothing", "sinc_integral_bound_check": "smoothing",

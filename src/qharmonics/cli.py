@@ -154,10 +154,11 @@ def _build_parser():
     top = _Parser(prog="qharmonics", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
+    def add(name, axes=False, **kw):
         p = sub.add_parser(name, prog=f"qharmonics {name}", **kw)
-        p.add_argument("--mu1", default=None)
-        p.add_argument("--mu2", default=None)
+        if axes:  # only the commands that read _axes take the axis flags
+            p.add_argument("--mu1", default=None)
+            p.add_argument("--mu2", default=None)
         return p
 
     def io_flags(p, inp=True, out=True):
@@ -174,7 +175,7 @@ def _build_parser():
         for k in ("a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2"):
             p.add_argument(f"--{k}", type=finite, default=None)
 
-    p = add("qft", help="forward QFT of a QSIG file")
+    p = add("qft", axes=True, help="forward QFT of a QSIG file")
     io_flags(p)
     p.add_argument("--side", choices=("two", "right", "left"), default="two")
     p.add_argument("--window", default=None)
@@ -183,7 +184,7 @@ def _build_parser():
     io_flags(p)
     grid_flags(p)
 
-    p = add("qlct", help="forward QLCT of a QSIG file")
+    p = add("qlct", axes=True, help="forward QLCT of a QSIG file")
     io_flags(p)
     p.add_argument("--side", choices=("two", "right", "left"), default="two")
     p.add_argument("--window", default=None)
@@ -193,7 +194,7 @@ def _build_parser():
     io_flags(p)
     grid_flags(p)
 
-    p = add("qfrft", help="fractional transform of a QSIG file")
+    p = add("qfrft", axes=True, help="fractional transform of a QSIG file")
     io_flags(p)
     p.add_argument("--side", choices=("two", "right", "left"), default="two")
     p.add_argument("--alpha", type=finite, required=True)
@@ -201,7 +202,7 @@ def _build_parser():
     p.add_argument("--window", default=None)
     p.add_argument("--phase-corrected", action="store_true")
 
-    p = add("roundtrip", help="forward+inverse reconstruction errors on a fixture")
+    p = add("roundtrip", axes=True, help="forward+inverse reconstruction errors on a fixture")
     p.add_argument("--fixture", default="gaussian")
     p.add_argument("--side", choices=("two", "right", "left"), default="two")
     grid_flags(p)

@@ -30,9 +30,10 @@ class NonFiniteError(QHarmonicsError, ValueError):
 
 
 class InvalidParameterError(QHarmonicsError, ValueError):
-    """Constructor argument outside its domain: a non-positive grid spacing
-    or sample count, a canonical matrix whose determinant is not 1, or
-    damping parameters that are not positive and strictly decreasing."""
+    """Argument outside its domain: a non-positive grid spacing or sample
+    count, a canonical matrix whose determinant is not 1, net cuts that
+    do not increase, or damping parameters that are not positive and
+    strictly decreasing."""
 
 
 class ShapeMismatchError(QHarmonicsError, ValueError):

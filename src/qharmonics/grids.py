@@ -94,10 +94,6 @@ class QSignal2D:
     def __post_init__(self):
         object.__setattr__(self, "data", _check_data(self.grid, self.data))
 
-    def map(self, fn):
-        """New signal with ``fn`` applied to the data array."""
-        return QSignal2D(self.grid, fn(self.data))
-
 
 @dataclass(frozen=True)
 class QSpectrum2D:

@@ -26,8 +26,9 @@ from enum import Enum
 
 import numpy as np
 
-from ._kernels import exp_contract
+from ._kernels import const_multiply, exp_contract
 from .errors import (
+    InvalidParameterError,
     InvalidWindowError,
     NonFiniteError,
     NonRealInputError,
@@ -35,7 +36,7 @@ from .errors import (
     SideMismatchError,
 )
 from .grids import GridSpec, QSignal2D, QSpectrum2D
-from .quaternion import CANONICAL_AXES, AxisPair, qmul, quat
+from .quaternion import CANONICAL_AXES, AxisPair
 
 __all__ = [
     "Side",
@@ -114,9 +115,9 @@ class FreqWindow:
 def qft_forward_at(sig: QSignal2D, kind: QftKind, u, v):
     """Forward QFT evaluated on explicit frequency arrays (raw data).
 
-    The workhorse behind :func:`qft_forward`; exposed so matched-grid
-    comparisons (fast path, canonical-transform relations) can request
-    arbitrary frequency nodes.  Returns an ``(len(u), len(v), 4)`` array.
+    The workhorse behind :func:`qft_forward`; exposed so the chirp
+    factorization of the QLCT (``qlct_via_qft``) and matched-grid
+    comparisons can request arbitrary frequency nodes.  Returns an ``(len(u), len(v), 4)`` array.
     """
     coords = ((u, sig.grid.s), (v, sig.grid.t))
     mus = (kind.axes.mu1, kind.axes.mu2)
@@ -218,16 +219,6 @@ def qft_fast(sig: QSignal2D, kind: QftKind = QftKind()) -> QSpectrum2D:
 
 # -- derivative multipliers ---------------------------------------------------
 
-def _axis_power(mu, grid_vals, m):
-    """(mu * x)^m as a quaternion array over grid values x."""
-    cycle = m % 4
-    unit = {0: quat(1, 0, 0, 0),
-            1: quat(0, *mu),
-            2: quat(-1, 0, 0, 0),
-            3: quat(0, *(-np.asarray(mu)))}[cycle]
-    return (grid_vals ** m)[:, None] * unit[None, :]
-
-
 def derivative_multiplier(spec: QSpectrum2D, m: int, n: int) -> QSpectrum2D:
     """Spectrum of the (m, n)-th partial derivative via frequency multipliers.
 
@@ -237,18 +228,20 @@ def derivative_multiplier(spec: QSpectrum2D, m: int, n: int) -> QSpectrum2D:
     be 0); anything else raises SideMismatchError.
     """
     _require_qft(spec)
-    if m < 0 or n < 0:
-        raise ValueError("derivative orders must be nonnegative")
+    if not (m >= 0 and n >= 0):
+        raise InvalidParameterError("derivative orders must be nonnegative")
     kind = spec.kind
     if kind.side is Side.LEFT_SIDED and n != 0:
         raise SideMismatchError("left-sided spectra only admit the u-multiplier")
     if kind.side is Side.RIGHT_SIDED and m != 0:
         raise SideMismatchError("right-sided spectra only admit the v-multiplier")
     data = spec.data
-    if m:
-        pw = _axis_power(kind.axes.mu1, spec.grid.s, m)
-        data = qmul(pw[:, None, :], data)
-    if n:
-        pw = _axis_power(kind.axes.mu2, spec.grid.t, n)
-        data = qmul(data, pw[None, :, :])
+    # (mu x)^k = x^k mu^k, and mu^k is one of 1, mu, -1, -mu: a real factor
+    # times one fixed 4x4 map
+    for k, mu, x, left in ((m, kind.axes.mu1, spec.grid.s[:, None, None], True),
+                           (n, kind.axes.mu2, spec.grid.t[None, :, None], False)):
+        if k:
+            odd = k % 2
+            mu_k = (-1.0) ** (k // 2) * np.concatenate([[1.0 - odd], odd * mu])
+            data = x ** k * const_multiply(mu_k, data, left)
     return QSpectrum2D(spec.grid, data, kind, spec.window)

@@ -284,7 +284,7 @@ def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
         natural = FreqWindow.natural(sig.grid)
         window = FreqWindow(b1 * natural.u_max, b2 * natural.v_max, natural.nu, natural.nv)
     elif window is None:
-        raise ValueError("a window is required unless fast=True")
+        raise InvalidParameterError("a window is required unless fast=True")
     fgrid = window.to_grid()
     u, v = fgrid.s, fgrid.t
     vals = qft_forward_at(p_sig, QftKind(Side.TWO_SIDED, kind.axes), u / b1, v / b2)

@@ -9,8 +9,7 @@ is pure and allocation-only; values are never mutated in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +28,6 @@ __all__ = [
     "AxisPair",
     "CANONICAL_AXES",
     "axis_components",
-    "SplitFlavor",
-    "SymplecticSplit",
-    "symplectic_split",
-    "recompose",
 ]
 
 #: slack within which an axis vector is silently renormalized to unit length
@@ -197,43 +192,3 @@ def axis_components(q, axes: AxisPair):
     v = q[..., 1:]
     return q[..., 0], v @ axes.mu1, v @ axes.mu2, v @ axes.mu3
 
-
-class SplitFlavor(Enum):
-    """Which commuting-subalgebra decomposition to use."""
-
-    RIGHT = "right"  # f = (a_re + i a_im) + (b_re + i b_im) j
-    LEFT = "left"    # f = (a_re + j a_im) + i (b_re + j b_im)
-
-
-@dataclass(frozen=True)
-class SymplecticSplit:
-    """Symplectic decomposition of a quaternion array into complex pairs.
-
-    For ``RIGHT``: ``q = (a_re + i a_im) + (b_re + i b_im) j``.
-    For ``LEFT``:  ``q = (a_re + j a_im) + i (b_re + j b_im)``.
-    The split is a relabeling of components, so recomposition is exact.
-    """
-
-    a_re: np.ndarray
-    a_im: np.ndarray
-    b_re: np.ndarray
-    b_im: np.ndarray
-    flavor: SplitFlavor = field(default=SplitFlavor.RIGHT)
-
-
-def symplectic_split(q, flavor=SplitFlavor.RIGHT):
-    """Split ``q`` into two commuting complex parts (see SymplecticSplit)."""
-    q = np.asarray(q, dtype=float)
-    w, x, y, z = (q[..., n] for n in range(4))
-    if flavor is SplitFlavor.RIGHT:
-        # q = (w + x i) + (y + z i) j   since (y + z i) j = y j + z k
-        return SymplecticSplit(w.copy(), x.copy(), y.copy(), z.copy(), flavor)
-    # q = (w + y j) + i (x + z j)      since i (x + z j) = x i + z k
-    return SymplecticSplit(w.copy(), y.copy(), x.copy(), z.copy(), flavor)
-
-
-def recompose(split: SymplecticSplit):
-    """Inverse of :func:`symplectic_split`; exact by construction."""
-    if split.flavor is SplitFlavor.RIGHT:
-        return np.stack([split.a_re, split.a_im, split.b_re, split.b_im], axis=-1)
-    return np.stack([split.a_re, split.b_re, split.a_im, split.b_im], axis=-1)

@@ -1,8 +1,8 @@
 """Convergence machinery for the pointwise and L1 inversion results.
 
-Two routes to the truncated inversion value at a point are provided: a
-frequency-domain quadrature of the windowed inversion integral, and the
-signal-domain double sinc convolution
+Two routes to the truncated inversion value at a point are provided: the
+inverse QFT of the spectrum cropped to the window |u| <= M, |v| <= N,
+evaluated at the point, and the signal-domain double sinc convolution
 
     I(x0, y0, M, N) = integral f(x0-s, y0-t) sin(Ms)/(pi s) sin(Nt)/(pi t) ds dt
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import exp_contract
 from .errors import (
     InvalidParameterError,
     InvariantViolationError,
@@ -35,7 +34,6 @@ from .quaternion import qabs
 
 __all__ = [
     "JumpAverage",
-    "GaussMeanParams",
     "GaussMeanStep",
     "dirichlet_partial_inverse_freq",
     "dirichlet_partial_inverse_sinc",
@@ -53,21 +51,25 @@ def dirichlet_partial_inverse_freq(spec: QSpectrum2D, point, M, N):
     """Windowed inversion integral at one point, from a QFT spectrum.
 
     (1/4pi^2) integral over |u|<=M, |v|<=N of the side-ordered kernel
-    sandwich; spectrum cells with midpoints outside the window are
-    dropped.  Returns a single quaternion (4,).
+    sandwich: the inverse QFT of the spectrum cropped to the cells whose
+    midpoints lie in the window, evaluated at the point.  A window that
+    holds no cell gives the empty sum 0.  Returns a single quaternion (4,).
     """
-    if M <= 0 or N <= 0:
+    if not (M > 0 and N > 0):  # written so that NaN fails
         raise NonPositiveWindowError(f"window ({M}, {N}) must be positive")
     if getattr(spec.kind, "family", None) != "qft":
         raise SideMismatchError("partial-sum inversion expects a QFT spectrum")
-    keep_u = np.abs(spec.grid.s) <= M
-    keep_v = np.abs(spec.grid.t) <= N
-    coords = (spec.grid.s[keep_u], spec.grid.t[keep_v])
-    mus = (spec.kind.axes.mu1, spec.kind.axes.mu2)
-    acc = spec.data[np.ix_(keep_u, keep_v)]
-    for axis, left in reversed(spec.kind.side.stages):
-        acc = exp_contract(point[axis:axis + 1], coords[axis], 1.0, mus[axis], acc, left, axis)
-    return acc[0, 0] * spec.grid.cell_area / (4.0 * np.pi ** 2)
+    # one cell narrower than any ulp: its midpoint x0 + ds/2 rounds to x0
+    tiny = np.finfo(float).smallest_subnormal
+    at = GridSpec(point[0], point[1], tiny, tiny, 1, 1)
+    g = spec.grid
+    u = np.flatnonzero(np.abs(g.s) <= M)
+    v = np.flatnonzero(np.abs(g.t) <= N)
+    if not (u.size and v.size):
+        return np.zeros(4)
+    crop = GridSpec(g.s_min + u[0] * g.ds, g.t_min + v[0] * g.dt, g.ds, g.dt, u.size, v.size)
+    cropped = QSpectrum2D(crop, spec.data[u[0]:u[-1] + 1, v[0]:v[-1] + 1], spec.kind)
+    return qft_inverse(cropped, spec.kind, at).data[0, 0]
 
 
 def _panel_nodes(lo, hi, rate, breakpoints=(), order=8):
@@ -106,10 +108,12 @@ def dirichlet_partial_inverse_sinc(fn, point, M, N, rect,
     Each block of 256 s nodes is two matrix-vector products (s kernel,
     then t kernel); a real field stays real.  Returns a quaternion (4,).
     """
-    if M <= 0 or N <= 0:
+    if not (M > 0 and N > 0):
         raise NonPositiveWindowError(f"window ({M}, {N}) must be positive")
     x0, y0 = point
     s_lo, s_hi, t_lo, t_hi = rect
+    if not np.isfinite([M, N, x0, y0, s_lo, s_hi, t_lo, t_hi]).all():
+        raise NonFiniteError("window, point and rectangle must be finite")
     s, ws = _panel_nodes(s_lo, s_hi, M, breakpoints_s, order)
     t, wt = _panel_nodes(t_lo, t_hi, N, breakpoints_t, order)
     ker_s = ws * (M / np.pi) * np.sinc(M * s / np.pi)
@@ -165,6 +169,8 @@ def eta_jump_average(fn, point, h0=0.5, levels=11, tol=1e-6) -> JumpAverage:
     still moves by more than `tol` at the last level.
     """
     x0, y0 = point
+    if not np.isfinite([x0, y0, h0]).all():
+        raise NonFiniteError("point and h0 must be finite")
     h = h0 * 2.0 ** (-np.arange(levels))
     quadrants = []
     for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
@@ -172,7 +178,7 @@ def eta_jump_average(fn, point, h0=0.5, levels=11, tol=1e-6) -> JumpAverage:
         if vals.ndim == 1:
             vals = np.stack([vals] + [np.zeros_like(vals)] * 3, axis=-1)
         limit, settle = _richardson(vals)
-        if settle > tol:
+        if not settle <= tol:  # written so that NaN fails
             raise NonConvergentError(
                 f"quadrant ({sx:+d},{sy:+d}) extrapolant still moves by {settle:.3e}")
         quadrants.append(limit)
@@ -196,28 +202,10 @@ def sinc_integral_bound_check(a, b) -> float:
 
 def gauss_weierstrass_kernel(alpha, grid: GridSpec) -> QSignal2D:
     """Heat kernel (1/(4 pi alpha)) e^{-(s^2+t^2)/(4 alpha)} sampled on grid."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not alpha > 0:
+        raise InvalidParameterError("alpha must be positive")
     return sample(lambda S, T: np.exp(-(S ** 2 + T ** 2) / (4.0 * alpha))
                   / (4.0 * np.pi * alpha), grid)
-
-
-@dataclass(frozen=True)
-class GaussMeanParams:
-    """Damping parameter and a decreasing schedule of them."""
-
-    alpha: float
-    schedule: tuple
-
-    def __post_init__(self):
-        sched = tuple(float(a) for a in self.schedule)
-        if not np.isfinite((self.alpha,) + sched).all():
-            raise NonFiniteError("alpha and the schedule must be finite")
-        if self.alpha <= 0:
-            raise InvalidParameterError("alpha must be positive")
-        if any(a <= 0 for a in sched) or any(np.diff(sched) >= 0):
-            raise InvalidParameterError("schedule must be strictly decreasing and positive")
-        object.__setattr__(self, "schedule", sched)
 
 
 @dataclass(frozen=True)
@@ -227,7 +215,7 @@ class GaussMeanStep:
     l1_error: float | None
 
 
-def gauss_mean_inverse(spec: QSpectrum2D, params, reference: QSignal2D = None,
+def gauss_mean_inverse(spec: QSpectrum2D, schedule, reference: QSignal2D = None,
                        out_grid: GridSpec = None):
     """Damped (Gauss-mean) inversion along a schedule of alphas.
 
@@ -235,17 +223,21 @@ def gauss_mean_inverse(spec: QSpectrum2D, params, reference: QSignal2D = None,
     windowed inversion integral evaluated on the output grid; the result
     equals the heat smoothing f * W_alpha up to truncation.  When a
     reference is supplied, the L1 distance to it is reported per step
-    (non-increasing along a decreasing schedule).
+    (non-increasing along a decreasing schedule).  The schedule must be
+    finite (NonFiniteError), positive and strictly decreasing
+    (InvalidParameterError).
     """
     if getattr(spec.kind, "family", None) != "qft" or spec.kind.side is not Side.TWO_SIDED:
         raise SideMismatchError("Gauss means are defined for two-sided QFT spectra")
-    if isinstance(params, GaussMeanParams):
-        schedule = params.schedule or (params.alpha,)
-    else:
-        schedule = tuple(params)
+    schedule = tuple(float(a) for a in schedule)
+    if not np.isfinite(schedule).all():
+        raise NonFiniteError(f"schedule {schedule!r} must be finite")
+    if not (all(a > 0 for a in schedule) and np.all(np.diff(schedule) < 0)):
+        raise InvalidParameterError(
+            f"schedule {schedule!r} must be strictly decreasing and positive")
     if out_grid is None:
         if reference is None:
-            raise ValueError("need a reference signal or an output grid")
+            raise InvalidParameterError("need a reference signal or an output grid")
         out_grid = reference.grid
     U, V = spec.grid.mesh()
     steps = []
@@ -304,11 +296,13 @@ def lc_class_diagnostic(fn, point, eps1, eps2, radius,
     underlying condition is asymptotic and not decidable from finite
     data.
     """
-    if eps1 <= 0 or eps2 <= 0:
-        raise ValueError("strip half-widths must be positive")
-    if radius <= max(eps1, eps2):
-        raise ValueError("radius must exceed the strip half-widths")
     x0, y0 = point
+    if not np.isfinite([x0, y0, eps1, eps2, radius]).all():
+        raise NonFiniteError("point, strip half-widths and radius must be finite")
+    if not (eps1 > 0 and eps2 > 0):
+        raise InvalidParameterError("strip half-widths must be positive")
+    if not radius > max(eps1, eps2):
+        raise InvalidParameterError("radius must exceed the strip half-widths")
     val1 = _lc_strip(fn, x0, y0, eps1, eps2, radius, n_inner, n_outer, swap=False)
     val2 = _lc_strip(fn, x0, y0, eps2, eps1, radius, n_inner, n_outer, swap=True)
     return val1, val2

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, InvariantViolationError
+from .errors import (
+    IndexOutOfRangeError,
+    InvalidParameterError,
+    InvariantViolationError,
+    NonFiniteError,
+)
 
 __all__ = [
     "Net",
@@ -48,10 +53,12 @@ class Net:
     def __post_init__(self):
         s = np.asarray(self.s_cuts, dtype=float)
         t = np.asarray(self.t_cuts, dtype=float)
+        if not (np.isfinite(s).all() and np.isfinite(t).all()):
+            raise NonFiniteError("net cuts must be finite")
         if s.size < 2 or t.size < 2:
-            raise ValueError("a net needs at least 2 cuts per axis")
-        if np.any(np.diff(s) <= 0) or np.any(np.diff(t) <= 0):
-            raise ValueError("net cuts must be strictly increasing")
+            raise InvalidParameterError("a net needs at least 2 cuts per axis")
+        if not (np.all(np.diff(s) > 0) and np.all(np.diff(t) > 0)):
+            raise InvalidParameterError("net cuts must be strictly increasing")
         object.__setattr__(self, "s_cuts", s)
         object.__setattr__(self, "t_cuts", t)
 
@@ -95,11 +102,11 @@ def eval_on_net(fn, net: Net):
 def _as_field(f, net=None):
     if callable(f):
         if net is None:
-            raise ValueError("a net is required to evaluate a callable field")
+            raise InvalidParameterError("a net is required to evaluate a callable field")
         f = eval_on_net(f, net)
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
-        raise ValueError(f"expected a 2D field, got shape {f.shape}")
+        raise InvalidParameterError(f"expected a 2D field, got shape {f.shape}")
     if net is not None and f.shape != net.shape:
         raise IndexOutOfRangeError(
             f"field shape {f.shape} does not match net shape {net.shape}")

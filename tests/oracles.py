@@ -8,11 +8,27 @@ is evidence, not tautology.
 
 import numpy as np
 
+from qharmonics.grids import GridSpec
 from qharmonics.qft import qft_from_ft
-from qharmonics.quaternion import qmul, quat
+from qharmonics.quaternion import AxisPair, qmul, quat
 
 
-def _exp_axis(mu, theta):
+def random_axes(rng):
+    """A random orthonormal axis pair (a seeded test input, not an oracle)."""
+    mu1 = rng.normal(size=3)
+    mu1 /= np.linalg.norm(mu1)
+    mu2 = rng.normal(size=3)
+    mu2 -= (mu2 @ mu1) * mu1
+    return AxisPair(mu1, mu2 / np.linalg.norm(mu2))
+
+
+def property_grids(rng, ns, nt):
+    """A grid centred at 0 (mirrored nodes) and one at a random origin."""
+    yield GridSpec(-0.5 * ns * 0.3, -0.5 * nt * 0.7, 0.3, 0.7, ns, nt)
+    yield GridSpec(*rng.uniform(-2, 2, size=2), 0.3, 0.7, ns, nt)
+
+
+def exp_axis(mu, theta):
     """cos(theta) + mu sin(theta), assembled by hand."""
     theta = np.asarray(theta, dtype=float)
     out = np.zeros(theta.shape + (4,))
@@ -27,8 +43,8 @@ def qft_bruteforce(sig, side, axes, u, v):
     """O(n^4)-style quadrature of the defining integrals, qmul term by term."""
     mu1, mu2 = axes.mu1, axes.mu2
     s, t = sig.grid.s, sig.grid.t
-    K1 = _exp_axis(mu1, -np.outer(s, u))  # K1[k, p] = e^{-mu1 u_p s_k}
-    K2 = _exp_axis(mu2, -np.outer(t, v))
+    K1 = exp_axis(mu1, -np.outer(s, u))  # K1[k, p] = e^{-mu1 u_p s_k}
+    K2 = exp_axis(mu2, -np.outer(t, v))
     data = sig.data
     nu, nv = len(u), len(v)
     out = np.zeros((nu, nv, 4))
@@ -92,7 +108,7 @@ def lct_kernel_ref(mat, mu, x, xi):
     """
     a, b, _, d = mat
     theta = (a * x * x - 2.0 * x * xi + d * xi * xi) / (2.0 * b) - np.sign(b) * np.pi / 4
-    return _exp_axis(mu, theta) / np.sqrt(2.0 * np.pi * abs(b))
+    return exp_axis(mu, theta) / np.sqrt(2.0 * np.pi * abs(b))
 
 
 def qlct_bruteforce(sig, side, A1, A2, axes, u, v):

@@ -9,7 +9,9 @@ import qharmonics
 import qharmonics.fileio as fileio
 from qharmonics.cli import main
 from qharmonics.grids import GridSpec, QSignal2D, linf_diff, sample
-from qharmonics.fixtures import gaussian
+from qharmonics.fixtures import gaussian, qgaussian
+from qharmonics.qft import QftKind, Side
+from qharmonics.quaternion import AxisPair
 
 
 def run(capsys, *argv):
@@ -248,3 +250,41 @@ def test_failed_write_keeps_existing_output_and_leaves_no_temp(capsys, tmp_path,
     assert code == 2 and "disk full" in err
     assert out_path.read_bytes() == b"previous"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.qsig", "g.qsp"]
+
+
+def test_qft_with_tilted_axes_records_them_and_round_trips(capsys, tmp_path):
+    sig = sample(qgaussian, GridSpec.centered(6.0, 32))
+    src = tmp_path / "q.qsig"
+    fileio.save_qsig(sig, src)
+    axes = AxisPair(np.array([0.6, 0.8, 0.0]), np.array([0.48, -0.36, 0.8]))
+    for side in Side:
+        spec_path, back_path = tmp_path / f"{side.value}.qsp", tmp_path / f"{side.value}.qsig"
+        code, _, err = run(capsys, "qft", "--in", str(src), "--out", str(spec_path),
+                           "--side", side.value, "--mu1=0.6,0.8,0", "--mu2=0.48,-0.36,0.8")
+        assert code == 0 and err == ""
+        assert fileio.load_qspectrum(spec_path).kind == QftKind(side, axes)
+        code, _, err = run(capsys, "iqft", "--in", str(spec_path), "--out", str(back_path),
+                           "--grid", "32", "--extent", "6")
+        assert code == 0 and err == ""
+        # the default window is the natural one, on which the inverse undoes the DFT
+        assert linf_diff(sig, fileio.load_qsig(back_path)) < 1e-12
+
+
+def test_axis_flags_are_usage_errors_where_unread(capsys, tmp_path):
+    out = tmp_path / "out"
+    commands = [
+        ["iqft", "--in", "g.qsp", "--out", str(out)],
+        ["iqlct", "--in", "g.qsp", "--out", str(out)],
+        ["jump-demo", "--M", "25"],
+        ["gauss-mean", "--grid", "16"],
+        ["variation", "--fixture", "gaussian"],
+        ["lc-diag"],
+        ["img2qsig", "--in", "g.ppm", "--out", str(out)],
+        ["qsig2img", "--in", "g.qsig", "--out", str(out)],
+        ["fixtures", "--out-dir", str(out)],
+    ]
+    for argv in commands:
+        for axes in (["--mu1", "5,5,5"], ["--mu1=nan,1,1", "--mu2=0,1,0"]):
+            code, stdout, err = run(capsys, *argv, *axes)
+            assert code == 1 and stdout == "" and "unrecognized arguments: --mu1" in err
+            assert not out.exists()

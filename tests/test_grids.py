@@ -27,8 +27,9 @@ from qharmonics.grids import (
 )
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward
 from qharmonics.qlct import LctKind, LctParams, qlct_forward
-from qharmonics.smoothing import GaussMeanParams
+from qharmonics.smoothing import gauss_mean_inverse
 from qharmonics.quaternion import AxisPair
+from qharmonics.variation import Net
 
 
 def rand_signal(n=8, seed=0, extent=2.0):
@@ -232,6 +233,12 @@ def test_loaders_reject_nonfinite_values(tmp_path, bad_value):
 
 
 NAN_DATA = np.full((4, 4, 4), np.nan)
+GAUSS_SPEC = qft_forward(QSignal2D(GridSpec.centered(1.0, 4), np.ones((4, 4, 4))), QftKind(),
+                         FreqWindow.square(2.0, 4))
+
+
+def gauss_mean(schedule):
+    return gauss_mean_inverse(GAUSS_SPEC, schedule, out_grid=GAUSS_SPEC.grid)
 
 
 @pytest.mark.parametrize("make,error", [
@@ -245,11 +252,14 @@ NAN_DATA = np.full((4, 4, 4), np.nan)
     (lambda: QSpectrum2D(GridSpec.centered(1.0, 4), NAN_DATA, QftKind()), NonFiniteError),
     (lambda: LctParams(np.nan, 1.0, 0.0, 1.0), NonFiniteError),
     (lambda: LctParams(1.0, 1.0, 1.0, 1.0), InvalidParameterError),
-    (lambda: GaussMeanParams(np.nan, (1.0,)), NonFiniteError),
-    (lambda: GaussMeanParams(1.0, (1.0, np.inf)), NonFiniteError),
-    (lambda: GaussMeanParams(-1.0, (1.0, 0.1)), InvalidParameterError),
+    (lambda: gauss_mean((np.nan,)), NonFiniteError),
+    (lambda: gauss_mean((1.0, np.inf)), NonFiniteError),
+    (lambda: gauss_mean((0.1, 1.0)), InvalidParameterError),
     (lambda: AxisPair(np.array([np.nan, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])), NotUnitError),
     (lambda: AxisPair(np.array([np.nan, 1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])), NotPureError),
+    (lambda: Net([0.0, np.nan, 1.0], [0.0, 1.0]), NonFiniteError),
+    (lambda: Net([0.0, 1.0], [-np.inf, 1.0]), NonFiniteError),
+    (lambda: Net([0.0, 1.0, 1.0], [0.0, 1.0]), InvalidParameterError),
 ])
 def test_constructors_raise_typed_errors(make, error):
     with pytest.raises(error):

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import qft_bruteforce, qft_fft_reference
+from oracles import property_grids, qft_bruteforce, qft_fft_reference, random_axes
 from qharmonics.errors import (
+    InvalidParameterError,
     InvalidWindowError,
     NonRealInputError,
     ProvenanceMismatchError,
     SideMismatchError,
 )
 from qharmonics.fixtures import gaussian, qgaussian
-from qharmonics.grids import GridSpec, QSignal2D, linf_diff, sample
+from qharmonics.grids import GridSpec, QSignal2D, QSpectrum2D, linf_diff, sample
 from qharmonics.qft import (
     FreqWindow,
     QftKind,
@@ -232,6 +233,30 @@ def test_derivative_multiplier_sided():
     assert np.max(np.abs(got - want)) / np.max(qabs(want)) < 1e-5
 
 
+def test_derivative_multiplier_higher_orders_are_repeated_products():
+    # (mu1 u)^m F (mu2 v)^n with each power built as m (resp. n) qmul factors
+    rng = np.random.default_rng(17)
+    w = FreqWindow(3.0, 2.0, 6, 5)
+    u, v = w.to_grid().s, w.to_grid().t
+    for side, orders in ((Side.TWO_SIDED, [(2, 3), (4, 1), (0, 5), (3, 0)]),
+                         (Side.LEFT_SIDED, [(2, 0), (3, 0), (6, 0)]),
+                         (Side.RIGHT_SIDED, [(0, 2), (0, 3), (0, 7)])):
+        kind = QftKind(side, random_axes(rng))
+        spec = qft_forward(rand_signal(seed=3), kind, w)
+        mu_u = u[:, None, None] * quat(0, *kind.axes.mu1)
+        mu_v = v[None, :, None] * quat(0, *kind.axes.mu2)
+        for m, n in orders:
+            want = spec.data
+            for _ in range(m):
+                want = qmul(mu_u, want)
+            for _ in range(n):
+                want = qmul(want, mu_v)
+            got = derivative_multiplier(spec, m, n).data
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+    with pytest.raises(InvalidParameterError):
+        derivative_multiplier(spec, -1, 0)
+
+
 def test_derivative_multiplier_side_mismatch():
     sig = rand_signal()
     w = FreqWindow.square(2.0, 8)
@@ -266,14 +291,6 @@ def test_fast_path_beats_extrapolated_defining_quadrature():
     assert t_ref > 20.0 * t_fast
 
 
-def random_axes(rng):
-    mu1 = rng.normal(size=3)
-    mu1 /= np.linalg.norm(mu1)
-    mu2 = rng.normal(size=3)
-    mu2 -= (mu2 @ mu1) * mu1
-    return AxisPair(mu1, mu2 / np.linalg.norm(mu2))
-
-
 @pytest.mark.parametrize("side", list(Side))
 @pytest.mark.parametrize("ns, nt", [(15, 22), (9, 9), (2, 13), (16, 7)])
 def test_plancherel_ratio_is_one_on_the_natural_window(side, ns, nt):
@@ -287,3 +304,29 @@ def test_plancherel_ratio_is_one_on_the_natural_window(side, ns, nt):
         ratio = (np.sum(spec.data ** 2) * spec.grid.cell_area
                  / (4 * np.pi ** 2 * np.sum(sig.data ** 2) * sig.grid.cell_area))
         assert abs(ratio - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_forward_and_inverse_are_real_linear(side):
+    rng = np.random.default_rng(41)
+    window = FreqWindow(3.0, 5.0, 12, 9)
+    for grid in property_grids(rng, 15, 22):
+        kind = QftKind(side, random_axes(rng))
+        a, b = rng.normal(size=2)
+        f, g = rng.normal(size=(2, 15, 22, 4))
+        fwd = lambda d: qft_forward(QSignal2D(grid, d), kind, window).data
+        assert np.max(np.abs(fwd(a * f + b * g) - (a * fwd(f) + b * fwd(g)))) < 1e-12
+        F, G = rng.normal(size=(2, 12, 9, 4))
+        inv = lambda d: qft_inverse(QSpectrum2D(window.to_grid(), d, kind, window), kind, grid).data
+        assert np.max(np.abs(inv(a * F + b * G) - (a * inv(F) + b * inv(G)))) < 1e-12
+
+
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize("ns, nt", [(9, 9), (15, 22)])
+def test_inverse_after_forward_recovers_the_input_on_the_natural_window(side, ns, nt):
+    rng = np.random.default_rng(ns * 100 + nt + 7)
+    for grid in property_grids(rng, ns, nt):
+        sig = QSignal2D(grid, rng.normal(size=(ns, nt, 4)))
+        kind = QftKind(side, random_axes(rng))
+        back = qft_inverse(qft_forward(sig, kind, FreqWindow.natural(grid)), kind, grid)
+        assert linf_diff(sig, back) < 1e-12

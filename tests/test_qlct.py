@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import qlct_bruteforce
+from oracles import property_grids, qlct_bruteforce, random_axes
 from qharmonics.errors import (
     DegenerateAngleError,
     DegenerateBError,
@@ -11,7 +11,7 @@ from qharmonics.errors import (
     SideMismatchError,
 )
 from qharmonics.fixtures import gaussian, qgaussian
-from qharmonics.grids import GridSpec, QSignal2D, linf_diff, sample
+from qharmonics.grids import GridSpec, QSignal2D, QSpectrum2D, linf_diff, sample
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward
 from qharmonics.qlct import (
     LctKind,
@@ -339,3 +339,37 @@ def test_phase_corrected_spectrum_refuses_inverse():
     corr = qfrft(sig, 0.7, 0.7, Side.TWO_SIDED, w, phase_corrected=True)
     with pytest.raises(ProvenanceMismatchError):
         qlct_inverse_two_sided(corr, corr.kind, grid)
+
+
+def _inverse(side):
+    return qlct_inverse_two_sided if side is Side.TWO_SIDED else qlct_inverse_sided
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_forward_and_inverse_are_real_linear(side):
+    rng = np.random.default_rng(43)
+    window = FreqWindow(3.0, 5.0, 12, 9)
+    for grid in property_grids(rng, 15, 22):
+        kind = LctKind(side, GENERIC, SHEAR, random_axes(rng))
+        a, b = rng.normal(size=2)
+        f, g = rng.normal(size=(2, 15, 22, 4))
+        fwd = lambda d: qlct_forward(QSignal2D(grid, d), kind, window).data
+        assert np.max(np.abs(fwd(a * f + b * g) - (a * fwd(f) + b * fwd(g)))) < 1e-12
+        F, G = rng.normal(size=(2, 12, 9, 4))
+        inv = lambda d: _inverse(side)(QSpectrum2D(window.to_grid(), d, kind, window),
+                                       kind, grid).data
+        assert np.max(np.abs(inv(a * F + b * G) - (a * inv(F) + b * inv(G)))) < 1e-12
+
+
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize("ns, nt", [(9, 9), (15, 22)])
+def test_inverse_after_forward_recovers_the_input_on_the_scaled_natural_window(side, ns, nt):
+    # with xi = b u the kernel phase -x xi / b is the DFT's, and the chirps cancel
+    rng = np.random.default_rng(ns * 100 + nt + 9)
+    for grid in property_grids(rng, ns, nt):
+        sig = QSignal2D(grid, rng.normal(size=(ns, nt, 4)))
+        kind = LctKind(side, GENERIC, SHEAR, random_axes(rng))
+        natural = FreqWindow.natural(grid)
+        window = FreqWindow(GENERIC.b * natural.u_max, SHEAR.b * natural.v_max, ns, nt)
+        back = _inverse(side)(qlct_forward(sig, kind, window), kind, grid)
+        assert linf_diff(sig, back) < 1e-11  # chirp phases reach ~100 rad

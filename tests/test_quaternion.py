@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import random_axes
 from qharmonics.errors import NotOrthogonalError, NotPureError, NotUnitError
 from qharmonics.quaternion import (
+    CANONICAL_AXES,
     AxisPair,
-    SplitFlavor,
+    axis_components,
     pure_unit,
     qabs,
     qconj,
@@ -12,8 +14,6 @@ from qharmonics.quaternion import (
     qinv,
     qmul,
     quat,
-    recompose,
-    symplectic_split,
 )
 
 ONE = quat(1, 0, 0, 0)
@@ -126,30 +126,39 @@ def test_axis_pair_validation():
     np.testing.assert_array_equal(pair.mu3, [0.0, 0.0, 1.0])
 
 
+def embed(re, im, mu):
+    """re + im mu as a quaternion array, for a pure unit 3-vector mu."""
+    return re[..., None] * ONE + im[..., None] * quat(0, *mu)
+
+
 def test_symplectic_split_examples():
-    q = quat(1, 2, 3, 4)
-    sp = symplectic_split(q, SplitFlavor.RIGHT)
-    assert (sp.a_re, sp.a_im, sp.b_re, sp.b_im) == (1.0, 2.0, 3.0, 4.0)
-    sp_left = symplectic_split(q, SplitFlavor.LEFT)
-    assert (sp_left.a_re, sp_left.a_im) == (1.0, 3.0)
-    assert (sp_left.b_re, sp_left.b_im) == (2.0, 4.0)
-    for flavor in SplitFlavor:
-        sp5 = symplectic_split(quat(5, 0, 0, 0), flavor)
-        assert (sp5.a_re, sp5.a_im, sp5.b_re, sp5.b_im) == (5.0, 0.0, 0.0, 0.0)
+    # on the canonical axes the split is a relabeling: q = (w + x i) + (y + z i) j
+    # and q = (w + y j) + i (x + z j) both read their parts off (a0, a1, a2, a3)
+    parts = axis_components(quat(1, 2, 3, 4), CANONICAL_AXES)
+    assert tuple(float(a) for a in parts) == (1.0, 2.0, 3.0, 4.0)
+    parts = axis_components(quat(5, 0, 0, 0), CANONICAL_AXES)
+    assert tuple(float(a) for a in parts) == (5.0, 0.0, 0.0, 0.0)
+    # tilted axes: q = 1 + 2 mu1 + 3 mu2 + 4 mu1 mu2 with mu1 mu2 = (0, 0.8, -0.6)
+    tilted = AxisPair(np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0]))
+    parts = axis_components(quat(1, 3, 4.4, -0.8), tilted)
+    np.testing.assert_allclose(parts, (1.0, 2.0, 3.0, 4.0), rtol=0, atol=1e-15)
 
 
 def test_symplectic_split_reconstruction_identities():
     qs = rand_quats(100, seed=6)
-    for flavor in SplitFlavor:
-        back = recompose(symplectic_split(qs, flavor))
-        assert back.tolist() == qs.tolist()  # relabeling, bit-exact
-    # RIGHT: q = (a_re + i a_im) + (b_re + i b_im) j, rebuilt with qmul
-    sp = symplectic_split(qs, SplitFlavor.RIGHT)
-    fa = np.stack([sp.a_re, sp.a_im, np.zeros_like(sp.a_re), np.zeros_like(sp.a_re)], -1)
-    fb = np.stack([sp.b_re, sp.b_im, np.zeros_like(sp.b_re), np.zeros_like(sp.b_re)], -1)
-    np.testing.assert_allclose(fa + qmul(fb, J), qs, rtol=0, atol=0)
-    # LEFT: q = (a_re + j a_im) + i (b_re + j b_im)
-    sp = symplectic_split(qs, SplitFlavor.LEFT)
-    fd = np.stack([sp.a_re, np.zeros_like(sp.a_re), sp.a_im, np.zeros_like(sp.a_re)], -1)
-    fe = np.stack([sp.b_re, np.zeros_like(sp.b_re), sp.b_im, np.zeros_like(sp.b_re)], -1)
-    np.testing.assert_allclose(fd + qmul(I, fe), qs, rtol=0, atol=0)
+    a0, a1, a2, a3 = axis_components(qs, CANONICAL_AXES)
+    assert np.stack([a0, a1, a2, a3], axis=-1).tolist() == qs.tolist()  # bit-exact
+    # q = (a0 + a1 i) + (a2 + a3 i) j and q = (a0 + a2 j) + i (a1 + a3 j), rebuilt with qmul
+    i, j = CANONICAL_AXES.mu1, CANONICAL_AXES.mu2
+    np.testing.assert_allclose(embed(a0, a1, i) + qmul(embed(a2, a3, i), J), qs, rtol=0, atol=0)
+    np.testing.assert_allclose(embed(a0, a2, j) + qmul(I, embed(a1, a3, j)), qs, rtol=0, atol=0)
+    # the same two splits over random axis pairs, parts in span{1, mu1} and span{1, mu2}
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        axes = random_axes(rng)
+        mu1, mu2 = axes.mu1, axes.mu2
+        a0, a1, a2, a3 = axis_components(qs, axes)
+        right = embed(a0, a1, mu1) + qmul(embed(a2, a3, mu1), quat(0, *mu2))
+        left = embed(a0, a2, mu2) + qmul(quat(0, *mu1), embed(a1, a3, mu2))
+        np.testing.assert_allclose(right, qs, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(left, qs, rtol=0, atol=1e-14)

@@ -1,19 +1,28 @@
 import numpy as np
 import pytest
 
-from oracles import half_period_panels, si_panels, si_series, sinc_partial_sum_reference
+from oracles import (
+    exp_axis,
+    half_period_panels,
+    random_axes,
+    si_panels,
+    si_series,
+    sinc_partial_sum_reference,
+)
 from qharmonics.errors import (
+    InvalidParameterError,
     InvariantViolationError,
     NoIntegrableSectionError,
     NonConvergentError,
+    NonFiniteError,
     NonPositiveWindowError,
     SideMismatchError,
 )
 from qharmonics.fixtures import gaussian, indicator, qgaussian, sinc_rect
-from qharmonics.grids import GridSpec, l1_norm, sample
+from qharmonics.grids import GridSpec, QSignal2D, l1_norm, sample
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward
+from qharmonics.quaternion import qmul
 from qharmonics.smoothing import (
-    GaussMeanParams,
     dirichlet_partial_inverse_freq,
     dirichlet_partial_inverse_sinc,
     eta_jump_average,
@@ -73,12 +82,60 @@ def test_partial_inverse_error_decays_with_window_doubling():
     assert errs[0] > errs[1] > errs[2]
 
 
+def partial_inverse_reference(spec, point, M, N):
+    """(1/4pi^2) sum over the cells in |u|<=M, |v|<=N of the side-ordered
+    kernel sandwich at the point, one qmul per factor."""
+    keep_u, keep_v = np.abs(spec.grid.s) <= M, np.abs(spec.grid.t) <= N
+    u, v = spec.grid.mesh()
+    K1 = exp_axis(spec.kind.axes.mu1, u[keep_u] * point[0])  # (nu, 1, 4)
+    K2 = exp_axis(spec.kind.axes.mu2, v[:, keep_v] * point[1])  # (1, nv, 4)
+    F = spec.data[np.ix_(keep_u, keep_v)]
+    terms = {Side.TWO_SIDED: lambda: qmul(qmul(K1, F), K2),
+             Side.RIGHT_SIDED: lambda: qmul(qmul(F, K2), K1),
+             Side.LEFT_SIDED: lambda: qmul(qmul(K2, K1), F)}[spec.kind.side]()
+    return terms.sum(axis=(0, 1)) * spec.grid.cell_area / (4 * np.pi ** 2)
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_partial_inverse_freq_matches_windowed_sum(side):
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        kind = QftKind(side, random_axes(rng))
+        sig = QSignal2D(GridSpec.centered(5.0, 17), rng.normal(size=(17, 17, 4)))
+        spec = qft_forward(sig, kind, FreqWindow(6.0, 4.5, 23, 20))
+        point = tuple(rng.uniform(-2, 2, size=2))
+        on_nodes = (abs(spec.grid.s[3]), abs(spec.grid.t[5]))  # |u| <= M keeps the node
+        for M, N in ((8.0, 8.0), (3.1, 2.0), (0.3, 5.0), on_nodes):
+            got = dirichlet_partial_inverse_freq(spec, point, M, N)
+            want = partial_inverse_reference(spec, point, M, N)
+            assert np.max(np.abs(got - want)) < 1e-14
+
+
 def test_partial_inverse_window_validation():
     _, spec = gaussian_spectrum(n=32, wmax=4.0)
     with pytest.raises(NonPositiveWindowError):
         dirichlet_partial_inverse_freq(spec, (0, 0), -1.0, 2.0)
     with pytest.raises(NonPositiveWindowError):
+        dirichlet_partial_inverse_freq(spec, (0, 0), np.nan, 2.0)
+    with pytest.raises(NonPositiveWindowError):
         dirichlet_partial_inverse_sinc(gaussian, (0, 0), 0.0, 1.0, GAUSS_RECT)
+    for point in ((np.nan, 0.0), (0.0, np.inf)):
+        with pytest.raises(NonFiniteError):
+            dirichlet_partial_inverse_freq(spec, point, 2.0, 2.0)
+        with pytest.raises(NonFiniteError):
+            dirichlet_partial_inverse_sinc(gaussian, point, 2.0, 2.0, GAUSS_RECT)
+    with pytest.raises(NonFiniteError):
+        dirichlet_partial_inverse_sinc(gaussian, (0, 0), np.inf, 2.0, GAUSS_RECT)
+    with pytest.raises(NonFiniteError):
+        dirichlet_partial_inverse_sinc(gaussian, (0, 0), 2.0, 2.0, (-np.inf, 8.0, -8.0, 8.0))
+
+
+def test_partial_inverse_freq_empty_window_is_zero():
+    # the first spectrum nodes sit at |u| = |v| = 0.125
+    _, spec = gaussian_spectrum(n=32, wmax=4.0)
+    for M, N in ((0.01, 0.01), (0.01, 4.0), (4.0, 0.1)):
+        got = dirichlet_partial_inverse_freq(spec, (0.3, -0.2), M, N)
+        assert got.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_partial_inverse_freq_requires_qft_spectrum():
@@ -129,6 +186,11 @@ def test_eta_nonconvergent():
         return np.sin(1.0 / (np.abs(S - 1.0) + np.abs(T - 1.0)))
     with pytest.raises(NonConvergentError):
         eta_jump_average(wild, (1.0, 1.0))
+    with pytest.raises(NonConvergentError):  # a NaN extrapolant never settles
+        eta_jump_average(lambda S, T: np.where(S > 1.0, np.nan, 0.0), (1.0, 1.0))
+    for point in ((np.nan, 0.0), (0.0, np.inf)):
+        with pytest.raises(NonFiniteError):
+            eta_jump_average(gaussian, point)
 
 
 def test_sinc_bound_values_against_oracles():
@@ -199,18 +261,21 @@ def test_gauss_mean_scalar_pairing_identity():
     assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
-def test_gauss_mean_params_validation_and_side_check():
-    with pytest.raises(ValueError):
-        GaussMeanParams(1.0, (1.0, 2.0))
-    with pytest.raises(ValueError):
-        GaussMeanParams(-1.0, (1.0, 0.1))
-    GaussMeanParams(0.5, (1.0, 0.1, 0.01))
+def test_gauss_mean_schedule_validation_and_side_check():
     sig = sample(gaussian, GridSpec.centered(4.0, 16))
+    two = qft_forward(sig, QftKind(), FreqWindow.square(3.0, 16))
+    for schedule in ((1.0, 2.0), (0.1, 1.0), (1.0, 1.0), (-0.01,), (0.0,), (1.0, -0.1)):
+        with pytest.raises(InvalidParameterError):
+            gauss_mean_inverse(two, schedule, reference=sig)
+    for schedule in ((np.nan,), (1.0, np.inf), (1.0, np.nan, 0.1)):
+        with pytest.raises(NonFiniteError):
+            gauss_mean_inverse(two, schedule, reference=sig)
+    steps = gauss_mean_inverse(two, (1.0, 0.1, 0.01), reference=sig)
+    assert [step.alpha for step in steps] == [1.0, 0.1, 0.01]
     sided = qft_forward(sig, QftKind(Side.RIGHT_SIDED), FreqWindow.square(3.0, 16))
     with pytest.raises(SideMismatchError):
         gauss_mean_inverse(sided, (1.0,), reference=sig)
-    two = qft_forward(sig, QftKind(), FreqWindow.square(3.0, 16))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         gauss_mean_inverse(two, (1.0,))  # no reference, no grid
 
 
@@ -240,10 +305,14 @@ def test_lc_diagnostic_divergent_section_grows_with_inner_refinement():
 
 
 def test_lc_diagnostic_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         lc_class_diagnostic(gaussian, (0, 0), -0.1, 0.5, 4.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         lc_class_diagnostic(gaussian, (0, 0), 0.5, 0.5, 0.4)
+    for args in (((0, 0), np.nan, 0.5, 4.0), ((0, 0), 0.5, 0.5, np.inf),
+                 ((np.nan, 0), 0.5, 0.5, 4.0)):
+        with pytest.raises(NonFiniteError):
+            lc_class_diagnostic(gaussian, *args)
     bad = lambda S, T: np.inf * np.ones(np.broadcast(S, T).shape)
     with pytest.raises(NoIntegrableSectionError):
         lc_class_diagnostic(bad, (0, 0), 0.5, 0.5, 4.0)
