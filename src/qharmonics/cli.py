@@ -35,12 +35,13 @@ _G17 = "{:.17g}".format
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, message, prog="qharmonics"):
+        super().__init__(f"{prog}: {message}")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise _UsageError(message, self.prog)
 
 
 def finite(text):
@@ -116,7 +117,7 @@ def _signal_grid(args) -> GridSpec:
 def _fixture(args):
     try:
         return fixtures.get_fixture(args.fixture)
-    except KeyError as exc:
+    except QHarmonicsError as exc:
         raise _UsageError(str(exc))
 
 
@@ -418,7 +419,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _COMMANDS[args.command](args, outputs)
     except _UsageError as exc:
-        print(f"qharmonics: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

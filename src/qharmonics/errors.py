@@ -32,8 +32,8 @@ class NonFiniteError(QHarmonicsError, ValueError):
 class InvalidParameterError(QHarmonicsError, ValueError):
     """Argument outside its domain: a non-positive grid spacing or sample
     count, a canonical matrix whose determinant is not 1, net cuts that
-    do not increase, or damping parameters that are not positive and
-    strictly decreasing."""
+    do not increase, damping parameters that are not positive and
+    strictly decreasing, or an unknown fixture name."""
 
 
 class ShapeMismatchError(QHarmonicsError, ValueError):

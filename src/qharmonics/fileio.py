@@ -14,8 +14,10 @@ grid header and the payload::
     | [QLCT tags only] 8 f64 (a1 b1 c1 d1 a2 b2 c2 d2)
 
 Kind tags: 1 two-sided QFT, 2 right QFT, 3 left QFT, 4 two-sided QLCT,
-5 right QLCT, 6 left QLCT.  Flags: bit0 fractional phase corrected,
-bit1/bit2 per-axis matrix sign normalization.  ``encode_*`` and
+5 right QLCT, 6 left QLCT.  Flags: bit0 fractional phase corrected.
+Bits 1 and 2 are written as 0 and ignored on read: older writers set
+them for a b < 0 matrix they had flipped to -A, and the stored matrix
+is the one the data was computed with.  ``encode_*`` and
 ``decode_*`` convert between objects and bytes; ``save_*`` and ``load_*``
 write and read files.  All loads round-trip saves bit-exactly.  Decoding
 raises QsigFormatError for any malformed field, including values the
@@ -126,11 +128,7 @@ def encode_qspectrum(spec: QSpectrum2D) -> bytes:
     kind = spec.kind
     if spec.window is None:
         raise QsigFormatError("spectrum has no window metadata to serialize")
-    flags = 0
-    if getattr(kind, "phase_corrected", False):
-        flags |= 1
-    if kind.family == "qlct":
-        flags |= (kind.A1.sign_flipped << 1) | (kind.A2.sign_flipped << 2)
+    flags = int(getattr(kind, "phase_corrected", False))
     block = bytes([_kind_tag(kind), flags])
     block += np.array(np.concatenate([kind.axes.mu1, kind.axes.mu2]), dtype=_F8).tobytes()
     block += np.array([spec.window.u_max, spec.window.v_max], dtype=_F8).tobytes()
@@ -159,9 +157,8 @@ def decode_qspectrum(buf) -> QSpectrum2D:
         if mats is None:
             kind = QftKind(side, axes)
         else:
-            A1 = LctParams(*mats[:4], sign_flipped=bool(flags & 2), normalize=False)
-            A2 = LctParams(*mats[4:], sign_flipped=bool(flags & 4), normalize=False)
-            kind = LctKind(side, A1, A2, axes, phase_corrected=bool(flags & 1))
+            kind = LctKind(side, LctParams(*mats[:4]), LctParams(*mats[4:]), axes,
+                           phase_corrected=bool(flags & 1))
     except QHarmonicsError as exc:
         raise QsigFormatError(f"invalid spectrum metadata: {exc}") from None
     return QSpectrum2D(grid, data, kind, window)

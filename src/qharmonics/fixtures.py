@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 __all__ = ["gaussian", "scaled_gaussian", "qgaussian", "indicator",
            "FIXTURES", "get_fixture", "sinc_rect"]
 
@@ -58,7 +60,8 @@ def get_fixture(name):
     try:
         return FIXTURES[name]
     except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; choose from {sorted(FIXTURES)}") from None
+        raise InvalidParameterError(
+            f"unknown fixture {name!r}; choose from {sorted(FIXTURES)}") from None
 
 
 def sinc_rect(name, point, decay_radius=8.0):

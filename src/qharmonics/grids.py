@@ -213,19 +213,12 @@ def image_to_qsig(ppm_bytes: bytes) -> QSignal2D:
     return QSignal2D(grid, data)
 
 
-def qsig_to_image(sig: QSignal2D, clamp="clamp"):
+def qsig_to_image(sig: QSignal2D):
     """Encode a signal as binary PPM bytes.
 
     The i, j, k parts become R, G, B after clamping to [0, 1] and scaling
     by 255.  The scalar part cannot be represented; its range is returned
     in a stats dict alongside the bytes.
-
-    Parameters
-    ----------
-    sig : QSignal2D
-    clamp : {"clamp", "strict"}
-        "clamp" saturates out-of-range channels; "strict" raises if any
-        channel leaves [0, 1] by more than 1e-9.
 
     Returns
     -------
@@ -233,11 +226,6 @@ def qsig_to_image(sig: QSignal2D, clamp="clamp"):
         PPM bytes and ``{"scalar_min", "scalar_max", "scalar_max_abs"}``.
     """
     rgb = np.transpose(sig.data[..., 1:], (1, 0, 2))
-    if clamp == "strict":
-        if rgb.min() < -1e-9 or rgb.max() > 1.0 + 1e-9:
-            raise ValueError(f"channel range [{rgb.min()}, {rgb.max()}] outside [0, 1]")
-    elif clamp != "clamp":
-        raise ValueError(f"unknown clamp mode {clamp!r}")
     raster = np.rint(np.clip(rgb, 0.0, 1.0) * 255.0).astype(np.uint8)
     scalar = sig.data[..., 0]
     stats = {

@@ -1,20 +1,22 @@
 """Quaternion linear canonical transforms and their inversion pathways.
 
-Each axis carries a unit-determinant matrix (a, b, c, d) and the kernel
+Each axis carries a unit-determinant matrix (a, b, c, d), used as given,
+and the kernel
 
     K(x, xi) = (1 / sqrt(mu 2 pi b)) e^{mu (a x^2/(2b) - x xi/b + d xi^2/(2b))}
 
 with sqrt(1/(mu 2 pi b)) fixed as e^{-mu pi/4} / sqrt(2 pi b) for b > 0
-and e^{+mu pi/4} / sqrt(2 pi |b|) for b < 0 (the inverse-matrix kernels
-(d, -b, -c, a) need the signed branch).  Inversion carries NO extra
-1/4pi^2 factor: the kernels are already normalized by 1/sqrt(2 pi b),
-and a Gaussian round-trip confirms the choice (including the factor
-leaves an O(1) residual).
+and e^{+mu pi/4} / sqrt(2 pi |b|) for b < 0.  The inverse transform is
+the forward kernel sandwich of the inverse matrices (d, -b, -c, a), its
+stages in reverse order.  Inversion carries NO extra 1/4pi^2 factor: the
+kernels are already normalized by 1/sqrt(2 pi |b|), and a Gaussian
+round-trip confirms the choice (including the factor leaves an O(1)
+residual).
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,33 +55,24 @@ DET_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LctParams:
-    """Per-axis canonical-transform matrix (a, b, c, d), det = 1.
+    """Per-axis canonical-transform matrix (a, b, c, d), det = 1, used as
+    given: b may take either sign.
 
-    Construction normalizes b < 0 by flipping the sign of the whole
-    matrix (`sign_flipped` records it).  Note A and -A do not give the
-    pointwise-identical transform: L_{-A}(f)(xi) = mu * L_A(f)(-xi), a
-    frequency reflection times the axis unit.  Callers who need honest
-    negative-b kernels (the fractional transform at negative angles, the
-    inverse matrices) pass ``normalize=False``.
+    A and -A parameterize different transforms: L_{-A}(f)(xi) =
+    mu * L_A(f)(-xi), a frequency reflection times the axis unit.
     """
 
     a: float
     b: float
     c: float
     d: float
-    sign_flipped: bool = False
-    normalize: InitVar[bool] = True
 
-    def __post_init__(self, normalize):
+    def __post_init__(self):
         if not np.isfinite(self.astuple()).all():
             raise NonFiniteError(f"matrix entries {self.astuple()!r} must be finite")
         det = self.a * self.d - self.b * self.c
         if abs(det - 1.0) > DET_TOL:
             raise InvalidParameterError(f"matrix determinant {det!r} is not 1 within {DET_TOL}")
-        if normalize and self.b < 0:
-            for name, val in zip("abcd", (-self.a, -self.b, -self.c, -self.d)):
-                object.__setattr__(self, name, val)
-            object.__setattr__(self, "sign_flipped", True)
 
     @property
     def is_degenerate(self):
@@ -87,8 +80,8 @@ class LctParams:
 
     @property
     def inverse(self):
-        """The inverse matrix (d, -b, -c, a), kept raw (signed b)."""
-        return LctParams(self.d, -self.b, -self.c, self.a, normalize=False)
+        """The inverse matrix (d, -b, -c, a)."""
+        return LctParams(self.d, -self.b, -self.c, self.a)
 
     @classmethod
     def identity_chirp(cls):
@@ -99,9 +92,8 @@ class LctParams:
         return cls(0.0, 1.0, -1.0, 0.0)
 
     @classmethod
-    def rotation(cls, angle, normalize=True):
-        return cls(np.cos(angle), np.sin(angle), -np.sin(angle), np.cos(angle),
-                   normalize=normalize)
+    def rotation(cls, angle):
+        return cls(np.cos(angle), np.sin(angle), -np.sin(angle), np.cos(angle))
 
     def astuple(self):
         return (self.a, self.b, self.c, self.d)
@@ -128,7 +120,7 @@ def lct_kernel(A: LctParams, axis, x, xi):
     Raises DegenerateBError when b = 0 (that branch is a chirp
     multiplication, not a kernel).
     """
-    a, b, _, d = A.astuple() if isinstance(A, LctParams) else A
+    a, b, _, d = A.astuple()
     if b == 0.0:
         raise DegenerateBError("kernel undefined for b = 0 (chirp branch)")
     x = np.asarray(x, dtype=float)
@@ -137,14 +129,12 @@ def lct_kernel(A: LctParams, axis, x, xi):
     return qexp_pure(axis, phase) / np.sqrt(2.0 * np.pi * abs(b))
 
 
-def _lct_axis_stage(data, A, mu, x, xi, left, axis, weight, inverse=False):
+def _lct_axis_stage(data, A, mu, x, xi, left, axis, weight):
     """One kernel-sandwich quadrature stage along a grid axis (cell width
     `weight`), factored as chirp(x) -> oscillatory contraction -> chirp(xi),
     the output chirp carrying the e^{-sign(b) mu pi/4} / sqrt(2 pi |b|)
     prefactor and the weight."""
     a, b, _, d = A.astuple()
-    if inverse:
-        a, b, d = d, -b, a
     out = chirp_multiply(a * x * x / (2 * b), mu, data, left, axis)
     out = exp_contract(xi, x, -1.0 / b, mu, out, left, axis)
     return chirp_multiply(d * xi * xi / (2 * b) - np.sign(b) * np.pi / 4, mu, out,
@@ -172,25 +162,27 @@ def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow) -> QSpectrum
     take the chirp-scaling branch; their output grid is the input grid
     mapped by xi = x/d and the window is ignored along that axis.
     """
-    fgrid = window.to_grid()
-    mats = (kind.A1, kind.A2)
-    mus = (kind.axes.mu1, kind.axes.mu2)
-    in_coords = (sig.grid.s, sig.grid.t)
-    win_coords = (fgrid.s, fgrid.t)
-    spacing = (sig.grid.ds, sig.grid.dt)
+    data, (u, v) = _sandwich(sig.data, (kind.A1, kind.A2), kind.axes, kind.side.stages,
+                             sig.grid, window.to_grid())
+    return QSpectrum2D(_grid_from_coords(u, v), data, kind, window)
 
-    data = sig.data
-    out_coords = [None, None]
-    for ax, left in kind.side.stages:
+
+def _sandwich(data, mats, axes, stages, src, dst):
+    """Run the kernel stages `stages` of the per-axis matrices `mats` from
+    the nodes of grid `src` onto those of grid `dst`.  A b = 0 axis takes
+    the chirp branch and lands on x/d instead; the output coordinates of
+    each axis are returned with the data."""
+    mus = (axes.mu1, axes.mu2)
+    in_coords, out_coords = (src.s, src.t), [dst.s, dst.t]
+    spacing = (src.ds, src.dt)
+    for ax, left in stages:
         if mats[ax].is_degenerate:
             data, out_coords[ax] = _degenerate_axis(data, mats[ax], mus[ax],
                                                     in_coords[ax], left, ax)
         else:
             data = _lct_axis_stage(data, mats[ax], mus[ax], in_coords[ax],
-                                   win_coords[ax], left, ax, spacing[ax])
-            out_coords[ax] = win_coords[ax]
-    grid = _grid_from_coords(out_coords[0], out_coords[1])
-    return QSpectrum2D(grid, data, kind, window)
+                                   out_coords[ax], left, ax, spacing[ax])
+    return data, out_coords
 
 
 def _grid_from_coords(u, v):
@@ -217,14 +209,9 @@ def _check_inverse_kind(spec, kind, want_sided):
 
 
 def _inverse(spec, kind, out_grid):
-    """Run the inverse-matrix stages of the forward sandwich in reverse."""
-    mats, mus = (kind.A1, kind.A2), (kind.axes.mu1, kind.axes.mu2)
-    coords = ((spec.grid.s, out_grid.s), (spec.grid.t, out_grid.t))
-    spacing = (spec.grid.ds, spec.grid.dt)
-    out = spec.data
-    for ax, left in reversed(kind.side.stages):
-        out = _lct_axis_stage(out, mats[ax], mus[ax], *coords[ax], left, ax, spacing[ax],
-                              inverse=True)
+    """The forward sandwich of the inverse matrices, stages in reverse order."""
+    out, _ = _sandwich(spec.data, (kind.A1.inverse, kind.A2.inverse), kind.axes,
+                       reversed(kind.side.stages), spec.grid, out_grid)
     return QSignal2D(out_grid, out)
 
 
@@ -263,16 +250,16 @@ def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
     transformed by the two-sided QFT, then scaled to (u/b1, v/b2),
     chirped in the output and multiplied by the kernel prefactors.  With
     ``fast=True`` the window is the natural window of the signal grid
-    scaled by (b1, b2), on which the QFT stage is the exact DFT of the
+    scaled by (|b1|, |b2|), on which the QFT stage is the exact DFT of the
     chirped samples; otherwise the window is required.  Either way the
-    result matches qlct_forward node for node.
+    result matches qlct_forward node for node, for b of either sign.
     """
     if kind.side is not Side.TWO_SIDED:
         raise SideMismatchError("the chirp factorization applies to the two-sided QLCT")
     a1, b1, _, d1 = kind.A1.astuple()
     a2, b2, _, d2 = kind.A2.astuple()
-    if b1 <= 0 or b2 <= 0:
-        raise DegenerateBError("chirp factorization needs b1, b2 > 0")
+    if b1 == 0.0 or b2 == 0.0:
+        raise DegenerateBError("chirp factorization needs b1, b2 != 0")
     mu1, mu2 = kind.axes.mu1, kind.axes.mu2
     s, t = sig.grid.s, sig.grid.t
 
@@ -282,18 +269,19 @@ def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
     del p
     if fast:
         natural = FreqWindow.natural(sig.grid)
-        window = FreqWindow(b1 * natural.u_max, b2 * natural.v_max, natural.nu, natural.nv)
+        window = FreqWindow(abs(b1) * natural.u_max, abs(b2) * natural.v_max,
+                            natural.nu, natural.nv)
     elif window is None:
         raise InvalidParameterError("a window is required unless fast=True")
     fgrid = window.to_grid()
     u, v = fgrid.s, fgrid.t
     vals = qft_forward_at(p_sig, QftKind(Side.TWO_SIDED, kind.axes), u / b1, v / b2)
 
-    # output chirps carry the e^{-mu pi/4} / sqrt(2 pi b) prefactors (b > 0)
-    out = chirp_multiply(d1 * u * u / (2 * b1) - np.pi / 4, mu1, vals, left=True, axis=0,
-                         scale=1.0 / np.sqrt(2.0 * np.pi * b1))
-    out = chirp_multiply(d2 * v * v / (2 * b2) - np.pi / 4, mu2, out, left=False, axis=1,
-                         scale=1.0 / np.sqrt(2.0 * np.pi * b2))
+    # output chirps carry the e^{-sign(b) mu pi/4} / sqrt(2 pi |b|) prefactors
+    out = chirp_multiply(d1 * u * u / (2 * b1) - np.sign(b1) * np.pi / 4, mu1, vals,
+                         left=True, axis=0, scale=1.0 / np.sqrt(2.0 * np.pi * abs(b1)))
+    out = chirp_multiply(d2 * v * v / (2 * b2) - np.sign(b2) * np.pi / 4, mu2, out,
+                         left=False, axis=1, scale=1.0 / np.sqrt(2.0 * np.pi * abs(b2)))
     return QSpectrum2D(_grid_from_coords(u, v), out, kind, window)
 
 
@@ -349,17 +337,16 @@ def qfrft(sig: QSignal2D, alpha: float, beta: float, side: Side,
     multiplies them back out (left/right respectively) and is recorded
     in the provenance.  The correction only factors out as a constant
     sandwich for the two-sided transform; sided kinds accept raw output
-    only.  Negative angles keep their signed-b matrices so a forward
-    pass with (-alpha, -beta) inverts the (alpha, beta) pass.
+    only.  A negative angle gives a rotation with b = sin(angle) < 0, used
+    as given, so a forward pass with (-alpha, -beta) inverts the
+    (alpha, beta) pass.
     """
     if abs(np.sin(alpha)) < 1e-12 or abs(np.sin(beta)) < 1e-12:
         raise DegenerateAngleError("sin(angle) = 0: fractional kernel degenerates")
     if phase_corrected and side is not Side.TWO_SIDED:
         raise SideMismatchError(
             "phase correction is a constant sandwich only for the two-sided kind")
-    kind = LctKind(side,
-                   LctParams.rotation(alpha, normalize=False),
-                   LctParams.rotation(beta, normalize=False),
+    kind = LctKind(side, LctParams.rotation(alpha), LctParams.rotation(beta),
                    axes, phase_corrected=phase_corrected)
     spec = qlct_forward(sig, LctKind(side, kind.A1, kind.A2, axes), window)
     data = spec.data

@@ -7,10 +7,11 @@ import pytest
 
 import qharmonics
 import qharmonics.fileio as fileio
+from oracles import qlct_bruteforce
 from qharmonics.cli import main
 from qharmonics.grids import GridSpec, QSignal2D, linf_diff, sample
 from qharmonics.fixtures import gaussian, qgaussian
-from qharmonics.qft import QftKind, Side
+from qharmonics.qft import FreqWindow, QftKind, Side
 from qharmonics.quaternion import AxisPair
 
 
@@ -53,6 +54,20 @@ def test_usage_errors_exit_1(capsys, tmp_path):
 
     code, out, err = run(capsys, "bogus-subcommand")
     assert code == 1
+
+
+def test_usage_errors_name_the_program_once(capsys):
+    cases = [
+        (["jump-demo", "--M", "25", "--mu1", "5,5,5"],
+         "qharmonics: unrecognized arguments: --mu1 5,5,5"),
+        (["bogus-subcommand"], "qharmonics: argument command: invalid choice"),
+        (["qlct", "--a1", "x"], "qharmonics qlct: argument --a1: "),
+        (["roundtrip", "--fixture", "nosuch"], "qharmonics: unknown fixture 'nosuch'"),
+    ]
+    for argv, want in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(want) and err.count("qharmonics") == 1, err
 
 
 def test_runtime_errors_exit_2_nothing_left_behind(capsys, tmp_path):
@@ -288,3 +303,30 @@ def test_axis_flags_are_usage_errors_where_unread(capsys, tmp_path):
             code, stdout, err = run(capsys, *argv, *axes)
             assert code == 1 and stdout == "" and "unrecognized arguments: --mu1" in err
             assert not out.exists()
+
+
+NEG_B_MATRICES = ("--a1", "0.5", "--b1=-2", "--c1", "0.25", "--d1", "1",
+                  "--a2", "1", "--b2", "1", "--c2", "0", "--d2", "1")
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_qlct_uses_a_negative_b_matrix_as_given(capsys, tmp_path, side):
+    grid = GridSpec.centered(8.0, 32)
+    sig = sample(qgaussian, grid)
+    src, spec_path, back_path = tmp_path / "q.qsig", tmp_path / "q.qsp", tmp_path / "b.qsig"
+    fileio.save_qsig(sig, src)
+    natural = FreqWindow.natural(grid)  # scaled by |b1| = 2 and |b2| = 1
+    window = f"{2.0 * natural.u_max!r},{natural.v_max!r}"
+    code, _, err = run(capsys, "qlct", "--in", str(src), "--out", str(spec_path),
+                       "--side", side.value, "--window", window, *NEG_B_MATRICES)
+    assert code == 0 and err == ""
+    spec = fileio.load_qspectrum(spec_path)
+    assert spec.kind.A1.astuple() == (0.5, -2.0, 0.25, 1.0)
+    fgrid = spec.window.to_grid()
+    ref = qlct_bruteforce(sig, side, spec.kind.A1, spec.kind.A2, spec.kind.axes,
+                          fgrid.s, fgrid.t)
+    assert np.max(np.abs(spec.data - ref)) < 1e-13
+    code, _, err = run(capsys, "iqlct", "--in", str(spec_path), "--out", str(back_path),
+                       "--grid", "32", "--extent", "8")
+    assert code == 0 and err == ""
+    assert linf_diff(sig, fileio.load_qsig(back_path)) < 1e-12

@@ -14,7 +14,7 @@ from qharmonics.errors import (
     ShapeMismatchError,
     TruncatedPayloadError,
 )
-from qharmonics.fixtures import gaussian, indicator
+from qharmonics.fixtures import gaussian, get_fixture, indicator
 from qharmonics.grids import (
     GridSpec,
     QSignal2D,
@@ -26,7 +26,7 @@ from qharmonics.grids import (
     sample,
 )
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward
-from qharmonics.qlct import LctKind, LctParams, qlct_forward
+from qharmonics.qlct import LctKind, LctParams, qfrft, qlct_forward
 from qharmonics.smoothing import gauss_mean_inverse
 from qharmonics.quaternion import AxisPair
 from qharmonics.variation import Net
@@ -157,17 +157,42 @@ def test_spectrum_roundtrip_qft_and_qlct(tmp_path):
     assert back.data.tolist() == spec.data.tolist()
 
     lkind = LctKind(Side.TWO_SIDED, LctParams(1.0, 1.0, 0.0, 1.0),
-                    LctParams(0.0, -1.0, 1.0, 0.0))  # second gets sign-normalized
+                    LctParams(0.0, -1.0, 1.0, 0.0))  # negative b, kept as given
     from qharmonics.qlct import qlct_forward
     lspec = qlct_forward(sig, lkind, FreqWindow.square(3.0, 8))
     fileio.save_qspectrum(lspec, path)
     lback = fileio.load_qspectrum(path)
     assert lback.kind == lspec.kind
-    assert lback.kind.A2.sign_flipped
+    assert lback.kind.A2.b == -1.0
     assert lback.data.tolist() == lspec.data.tolist()
 
     with pytest.raises(BadMagicError):
         fileio.load_qsig(path)  # spectra are not signals
+
+
+def test_qsp_sign_flag_bits_are_ignored_on_read():
+    # older writers set flag bits 1-2 for a matrix they had flipped to -A;
+    # the stored matrix is the one the data was computed with
+    sig = rand_signal(8, seed=12)
+    window = FreqWindow.square(3.0, 8)
+    spectra = [
+        qlct_forward(sig, LctKind(Side.LEFT_SIDED, LctParams(1.0, 1.0, 0.0, 1.0),
+                                  LctParams(0.0, -1.0, 1.0, 0.0)), window),
+        qfrft(sig, -0.7, 0.4, Side.TWO_SIDED, window, phase_corrected=True),
+    ]
+    for spec in spectra:
+        raw = bytearray(fileio.encode_qspectrum(spec))
+        assert raw[45] == int(spec.kind.phase_corrected)  # flags byte
+        raw[45] |= 0b110
+        back = fileio.decode_qspectrum(bytes(raw))
+        assert back.kind == spec.kind
+        assert back.data.tobytes() == spec.data.tobytes()
+
+
+def test_get_fixture_unknown_name_is_a_library_error():
+    assert get_fixture("gaussian") is gaussian
+    with pytest.raises(InvalidParameterError, match="unknown fixture 'nosuch'"):
+        get_fixture("nosuch")
 
 
 def test_ppm_decode_encode():
@@ -200,14 +225,11 @@ def test_ppm_errors():
 def test_qsig_to_image_modes():
     g = GridSpec(0.0, 0.0, 1.0, 1.0, 2, 2)
     data = np.zeros((2, 2, 4))
-    data[..., 1] = 1.5  # out of range
+    data[..., 1] = 1.5  # out of range on both sides: clamped
+    data[..., 2] = -0.5
     sig = QSignal2D(g, data)
-    out, _ = qsig_to_image(sig, clamp="clamp")
+    out, _ = qsig_to_image(sig)
     assert out.endswith(bytes([255, 0, 0] * 4))
-    with pytest.raises(ValueError):
-        qsig_to_image(sig, clamp="strict")
-    with pytest.raises(ValueError):
-        qsig_to_image(sig, clamp="bogus")
 
 
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf])

@@ -38,13 +38,12 @@ def rand_signal(n=8, seed=0, extent=2.0):
     return QSignal2D(GridSpec.centered(extent, n), rng.normal(size=(n, n, 4)))
 
 
-def test_params_validation_and_normalization():
+def test_params_validation_keeps_signed_b():
     with pytest.raises(ValueError):
         LctParams(1.0, 1.0, 1.0, 1.0)  # det 0
     p = LctParams(0.0, -1.0, 1.0, 0.0)
-    assert p.sign_flipped and p.b == 1.0 and p.c == -1.0
-    raw = LctParams(0.0, -1.0, 1.0, 0.0, normalize=False)
-    assert raw.b == -1.0 and not raw.sign_flipped
+    assert p.astuple() == (0.0, -1.0, 1.0, 0.0)
+    assert LctParams.rotation(-0.5).b == np.sin(-0.5)
     inv = GENERIC.inverse
     assert inv.astuple() == (1.0, -0.5, -2.0, 2.0)
     assert abs(inv.a * inv.d - inv.b * inv.c - 1.0) == 0.0
@@ -172,6 +171,27 @@ def test_via_qft_fast_path_agrees_and_is_faster():
         qlct_via_qft(sig, LctKind(Side.RIGHT_SIDED, SHEAR, SHEAR), via.window)
 
 
+NEG_B1 = LctParams(0.5, -2.0, 0.25, 1.0)
+NEG_B2 = LctParams(1.0, -0.5, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64])
+@pytest.mark.parametrize("A1, A2", [(NEG_B1, SHEAR), (GENERIC, NEG_B2), (NEG_B1, NEG_B2)],
+                         ids=["b1<0", "b2<0", "both<0"])
+def test_via_qft_takes_negative_b(n, A1, A2):
+    sig = rand_signal(n, seed=50 + n, extent=4.0)
+    kind = LctKind(Side.TWO_SIDED, A1, A2)
+    assert min(kind.A1.b, kind.A2.b) < 0  # used as given, not flipped to -A
+    for window in (FreqWindow(3.0, 5.0, n, n), None):
+        via = qlct_via_qft(sig, kind, window, fast=window is None)
+        direct = qlct_forward(sig, kind, via.window)
+        assert np.max(np.abs(via.data - direct.data)) < 1e-13
+        if n < 10:
+            fgrid = via.window.to_grid()
+            ref = qlct_bruteforce(sig, Side.TWO_SIDED, A1, A2, kind.axes, fgrid.s, fgrid.t)
+            assert np.max(np.abs(via.data - ref)) < 1e-13
+
+
 def test_sided_decomposition_matches_direct():
     w = FreqWindow.square(4.0, 16)
     sig = rand_signal(16, seed=31)
@@ -278,7 +298,7 @@ def test_minus_matrix_convention():
     sig = rand_signal(16, seed=40)
     w = FreqWindow.square(4.0, 16)
     kind_pos = LctKind(Side.TWO_SIDED, GENERIC, SHEAR)
-    neg = LctParams(*(-x for x in GENERIC.astuple()), normalize=False)
+    neg = LctParams(*(-x for x in GENERIC.astuple()))
     kind_neg = LctKind(Side.TWO_SIDED, neg, SHEAR)
     L_pos = qlct_forward(sig, kind_pos, w)
     L_neg = qlct_forward(sig, kind_neg, w)
