@@ -106,6 +106,10 @@ class FreqWindow:
         """Window matching the FFT of `grid`: extent pi/spacing, same counts."""
         return cls(np.pi / grid.ds, np.pi / grid.dt, grid.ns, grid.nt)
 
+    def scaled(self, fu, fv):
+        """The window with its extents multiplied by (fu, fv), same counts."""
+        return FreqWindow(fu * self.u_max, fv * self.v_max, self.nu, self.nv)
+
     def to_grid(self) -> GridSpec:
         return GridSpec(-self.u_max, -self.v_max,
                         2.0 * self.u_max / self.nu, 2.0 * self.v_max / self.nv,
@@ -119,12 +123,13 @@ def qft_forward_at(sig: QSignal2D, kind: QftKind, u, v):
     factorization of the QLCT (``qlct_via_qft``) and matched-grid
     comparisons can request arbitrary frequency nodes.  Returns an ``(len(u), len(v), 4)`` array.
     """
-    coords = ((u, sig.grid.s), (v, sig.grid.t))
+    coords = ((u, sig.grid.s, sig.grid.ds), (v, sig.grid.t, sig.grid.dt))
     mus = (kind.axes.mu1, kind.axes.mu2)
     data = sig.data
     for axis, left in kind.side.stages:
-        data = exp_contract(*coords[axis], -1.0, mus[axis], data, left, axis)
-    return data * sig.grid.cell_area
+        y, x, dx = coords[axis]
+        data = exp_contract(y, x, -1.0, mus[axis], data, left, axis, scale=dx)
+    return data
 
 
 def qft_forward(sig: QSignal2D, kind: QftKind, window: FreqWindow) -> QSpectrum2D:
@@ -140,17 +145,18 @@ def _require_qft(spec: QSpectrum2D):
 
 
 def qft_inverse(spec: QSpectrum2D, kind: QftKind, out_grid: GridSpec) -> QSignal2D:
-    """Inverse QFT quadrature onto `out_grid` (1/4pi^2 normalization)."""
+    """Inverse QFT quadrature onto `out_grid` (1/4pi^2 normalization, one
+    1/2pi in the weight of each stage)."""
     _require_qft(spec)
     if spec.kind != kind:
         raise ProvenanceMismatchError(
             f"spectrum provenance {spec.kind!r} does not match {kind!r}")
-    coords = ((out_grid.s, spec.grid.s), (out_grid.t, spec.grid.t))
+    coords = ((out_grid.s, spec.grid.s, spec.grid.ds), (out_grid.t, spec.grid.t, spec.grid.dt))
     mus = (kind.axes.mu1, kind.axes.mu2)
     out = spec.data
     for axis, left in reversed(kind.side.stages):
-        out = exp_contract(*coords[axis], 1.0, mus[axis], out, left, axis)
-    out *= spec.grid.cell_area / (4.0 * np.pi ** 2)
+        y, x, du = coords[axis]
+        out = exp_contract(y, x, 1.0, mus[axis], out, left, axis, scale=du / (2.0 * np.pi))
     return QSignal2D(out_grid, out)
 
 

@@ -131,14 +131,12 @@ def lct_kernel(A: LctParams, axis, x, xi):
 
 def _lct_axis_stage(data, A, mu, x, xi, left, axis, weight):
     """One kernel-sandwich quadrature stage along a grid axis (cell width
-    `weight`), factored as chirp(x) -> oscillatory contraction -> chirp(xi),
-    the output chirp carrying the e^{-sign(b) mu pi/4} / sqrt(2 pi |b|)
-    prefactor and the weight."""
+    `weight`): chirp(x), contraction and chirp(xi) in one call, the output
+    chirp carrying the e^{-sign(b) mu pi/4} prefactor phase."""
     a, b, _, d = A.astuple()
-    out = chirp_multiply(a * x * x / (2 * b), mu, data, left, axis)
-    out = exp_contract(xi, x, -1.0 / b, mu, out, left, axis)
-    return chirp_multiply(d * xi * xi / (2 * b) - np.sign(b) * np.pi / 4, mu, out,
-                          left, axis, scale=weight / np.sqrt(2.0 * np.pi * abs(b)))
+    return exp_contract(xi, x, -1.0 / b, mu, data, left, axis, pre=a * x * x / (2 * b),
+                        post=d * xi * xi / (2 * b) - np.sign(b) * np.pi / 4,
+                        scale=weight / np.sqrt(2.0 * np.pi * abs(b)))
 
 
 def _degenerate_axis(data, A, mu, x, left, axis):
@@ -264,13 +262,10 @@ def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
     s, t = sig.grid.s, sig.grid.t
 
     p = chirp_multiply(a1 * s * s / (2 * b1), mu1, sig.data, left=True, axis=0)
-    # keep only QSignal2D's C-order copy of the chirped field alive during the QFT
     p_sig = QSignal2D(sig.grid, chirp_multiply(a2 * t * t / (2 * b2), mu2, p, left=False, axis=1))
     del p
     if fast:
-        natural = FreqWindow.natural(sig.grid)
-        window = FreqWindow(abs(b1) * natural.u_max, abs(b2) * natural.v_max,
-                            natural.nu, natural.nv)
+        window = FreqWindow.natural(sig.grid).scaled(abs(b1), abs(b2))
     elif window is None:
         raise InvalidParameterError("a window is required unless fast=True")
     fgrid = window.to_grid()

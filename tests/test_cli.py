@@ -330,3 +330,21 @@ def test_qlct_uses_a_negative_b_matrix_as_given(capsys, tmp_path, side):
                        "--grid", "32", "--extent", "8")
     assert code == 0 and err == ""
     assert linf_diff(sig, fileio.load_qsig(back_path)) < 1e-12
+
+
+LCT_FLAGS = ["--a1", "2", "--b1", "0.5", "--c1", "2", "--d1", "1",
+             "--a2", "1", "--b2", "1", "--c2", "0", "--d2", "1"]
+
+
+def test_roundtrip_default_windows(capsys):
+    """Without --window, the QLCT round trip runs on the natural window
+    scaled by (|b1|, |b2|), where it is exact; the QFT keeps the window 8."""
+    base = ["roundtrip", "--fixture", "qgaussian", "--grid", "32", "--extent", "6"]
+    code, out, err = run(capsys, *base, "--transform", "qlct", *LCT_FLAGS)
+    assert code == 0 and err == ""
+    l1, linf = map(float, out.strip().splitlines()[1].split(",")[3:])
+    assert l1 < 1e-12 and linf < 1e-12
+
+    code, default, _ = run(capsys, *base, "--transform", "qft", *LCT_FLAGS)
+    code8, explicit, _ = run(capsys, *base, "--transform", "qft", "--window", "8", *LCT_FLAGS)
+    assert code == code8 == 0 and default == explicit

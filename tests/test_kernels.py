@@ -5,23 +5,39 @@ are not mirrored and take the dense path, so comparing the two checks
 the fold against an independent evaluation of the same sum.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import qft_bruteforce, qlct_bruteforce
+from qharmonics import _kernels
 from qharmonics._kernels import _mirrored, chirp_multiply, const_multiply, exp_contract
 from qharmonics.grids import GridSpec, QSignal2D
-from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward_at
-from qharmonics.qlct import LctKind, LctParams, qlct_forward
+from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward, qft_forward_at, qft_inverse
+from qharmonics.qlct import LctKind, LctParams, qlct_forward, qlct_inverse_two_sided
 from qharmonics.quaternion import AxisPair, mul_matrix, qexp_pure, qmul
 
 MU = np.array([0.0, 0.6, 0.8])
 
 
-def brute_contract(y, x, c, mu, field, left, axis):
-    """sum_j e^{mu c y_k x_j} f_j by explicit Hamilton products."""
+def _two_sum(a, b):
+    """a + b as an unevaluated sum s + e, exact (Knuth's two-sum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def brute_contract(y, x, c, mu, field, left, axis, pre=0.0, post=0.0, scale=1.0):
+    """scale sum_j e^{mu (c y_k x_j + pre_j + post_k)} f_j by explicit Hamilton
+    products.  The combined phase is carried as an exact sum s + e, so that
+    phases of hundreds of radians keep their low bits."""
+    s, e1 = _two_sum(np.asarray(pre)[None], np.asarray(post)[..., None])
+    s, e2 = _two_sum(s, c * np.outer(y, x))
+    e = e1 + e2
+    cos, sin = np.cos(s) - np.sin(s) * e, np.sin(s) + np.cos(s) * e
+    K = scale * np.stack([cos] + [sin * m for m in mu], axis=-1)  # (n_out, n_in, 4)
     F = np.moveaxis(field, axis, 0)
-    K = qexp_pure(mu, c * np.outer(y, x))  # (n_out, n_in, 4)
     K = K.reshape(K.shape[:2] + (1,) * (F.ndim - 2) + (4,))
     terms = qmul(K, F[None]) if left else qmul(F[None], K)
     return np.moveaxis(terms.sum(axis=1), 0, axis)
@@ -51,6 +67,94 @@ def test_mirrored_and_dense_paths_agree(n_in, n_out, left, axis):
     assert folded.shape == ref.shape
     assert np.max(np.abs(folded - dense)) <= 1e-14 * scale
     assert np.max(np.abs(folded - ref)) <= 1e-14 * scale
+
+
+MIRRORED_CASES = [(8, 8), (7, 7), (8, 5), (5, 12), (1, 3), (9, 2)]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 3 sample rows and of 3 grid columns (12 real columns), so a
+    width of 7 straddles two blocks and ends in a partial one."""
+    monkeypatch.setattr(_kernels, "ROW_BLOCK", 3)
+    monkeypatch.setattr(_kernels, "COL_BLOCK", 12)
+
+
+@pytest.mark.parametrize("n_in,n_out", MIRRORED_CASES)
+@pytest.mark.parametrize("left", [True, False])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_chirped_stage_matches_sandwich_and_brute_sum(n_in, n_out, left, axis, small_blocks):
+    """pre, post and scale against chirp -> contraction -> chirp and against
+    one Hamilton sum with the combined phase, on the folded and the dense
+    path, with chirp phases of hundreds of radians."""
+    rng = np.random.default_rng(n_in * 17 + n_out)
+    x = GridSpec.centered(2.5, n_in).s
+    y = GridSpec.centered(3.0, n_out).s
+    pre = 300.0 + 40.0 * x * x + rng.normal(size=n_in)
+    post = -250.0 - 30.0 * y * y + rng.normal(size=n_out)
+    shape = [7, 7, 4]
+    shape[axis] = n_in
+    field = rng.normal(size=shape)
+    got = exp_contract(y, x, -1.3, MU, field, left, axis, pre=pre, post=post, scale=0.37)
+    assert got.flags.c_contiguous
+
+    sandwich = chirp_multiply(pre, MU, field, left, axis)
+    sandwich = exp_contract(y, x, -1.3, MU, sandwich, left, axis)
+    sandwich = chirp_multiply(post, MU, sandwich, left, axis, scale=0.37)
+    ref = brute_contract(y, x, -1.3, MU, field, left, axis, pre, post, 0.37)
+    px, py = np.roll(np.arange(n_in), 1), np.roll(np.arange(n_out), 1)
+    dense = exp_contract(y[py], x[px], -1.3, MU, np.take(field, px, axis=axis), left, axis,
+                         pre=pre[px], post=post[py], scale=0.37)
+    dense = np.take(dense, np.argsort(py), axis=axis)
+    scale = np.max(np.abs(ref))
+    assert got.shape == ref.shape
+    for other in (sandwich, ref, dense):
+        assert np.max(np.abs(got - other)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("chirped", [False, True])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_stage_reads_any_memory_order(axis, chirped, small_blocks):
+    rng = np.random.default_rng(23)
+    x, y = GridSpec.centered(2.0, 9).s, GridSpec.centered(4.0, 6).s
+    field = rng.normal(size=(9, 8, 4) if axis == 0 else (8, 9, 4))
+    views = [np.asfortranarray(field), field[::-1, ::-1][::-1, ::-1],
+             np.ascontiguousarray(field.transpose(1, 0, 2)).transpose(1, 0, 2)]
+    chirps = dict(pre=0.5 * x * x, post=y + 200.0, scale=0.3) if chirped else {}
+    want = exp_contract(y, x, 0.8, MU, field, False, axis, **chirps)
+    for view in views:
+        got = exp_contract(y, x, 0.8, MU, view, False, axis, **chirps)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("family", ["qft", "qlct"])
+def test_two_sided_transforms_stay_below_four_fields_of_memory(family, direction):
+    """Peak traced allocation of one 512^2 two-sided transform, in units of
+    the field (512*512*4 doubles); its input is allocated beforehand."""
+    n = 512
+    grid = GridSpec.centered(10.0, n)
+    sig = QSignal2D(grid, np.random.default_rng(3).normal(size=(n, n, 4)))
+    window = FreqWindow(8.0, 8.0, n, n)
+    qkind = QftKind(Side.TWO_SIDED)
+    lkind = LctKind(Side.TWO_SIDED, LctParams(0.7, 0.8, (0.7 * -0.4 - 1.0) / 0.8, -0.4),
+                    LctParams(1.0, 1.0, 0.0, 1.0))
+    forward = {"qft": lambda: qft_forward(sig, qkind, window),
+               "qlct": lambda: qlct_forward(sig, lkind, window)}[family]
+    call = forward
+    if direction == "inverse":
+        spec = forward()
+        inverse = qft_inverse if family == "qft" else qlct_inverse_two_sided
+        call = lambda: inverse(spec, spec.kind, grid)  # noqa: E731
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.data.shape == (n, n, 4)
+    assert peak / (n * n * 4 * 8) < 4.0
 
 
 def test_mirror_detection():
