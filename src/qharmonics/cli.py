@@ -300,15 +300,15 @@ def _cmd_roundtrip(args, out: _Outputs):
     fn = _fixture(args)
     side = _side(args)
     grid = _signal_grid(args)
-    window = _window(args, grid)
     sig = sample(fn, grid)
     if args.transform == "qft":
-        window = window if args.window else FreqWindow.square(8.0, grid.ns)
         kind = QftKind(side, axes)
+        window = FreqWindow.square(8.0, grid.ns) if args.window is None else _window(args, grid)
         back = qft_inverse(qft_forward(sig, kind, window), kind, grid)
     else:
-        A1, A2 = _matrices(args)  # without --window: the natural window scaled by |b|
-        window = window if args.window else window.scaled(abs(A1.b) or 1.0, abs(A2.b) or 1.0)
+        A1, A2 = _matrices(args)
+        window = (_window(args, grid) if args.window is not None  # default: natural, scaled by |b|
+                  else FreqWindow.natural(grid).scaled(abs(A1.b) or 1.0, abs(A2.b) or 1.0))
         back = _qlct_inverse(qlct_forward(sig, LctKind(side, A1, A2, axes), window), grid)
     err = sig.data - back.data
     err *= err

@@ -43,33 +43,9 @@ def brute_contract(y, x, c, mu, field, left, axis, pre=0.0, post=0.0, scale=1.0)
     return np.moveaxis(terms.sum(axis=1), 0, axis)
 
 
-@pytest.mark.parametrize("n_in,n_out", [(8, 8), (7, 7), (8, 5), (5, 12), (1, 3), (9, 2)])
-@pytest.mark.parametrize("left", [True, False])
-@pytest.mark.parametrize("axis", [0, 1])
-def test_mirrored_and_dense_paths_agree(n_in, n_out, left, axis):
-    rng = np.random.default_rng(n_in * 31 + n_out)
-    x = GridSpec.centered(2.5, n_in).s
-    y = GridSpec.centered(3.0, n_out).s
-    assert _mirrored(x) and _mirrored(y)
-    shape = [6, 6, 4]
-    shape[axis] = n_in
-    field = rng.normal(size=shape)
-    folded = exp_contract(y, x, -1.3, MU, field, left, axis)
-
-    # rolled nodes are no longer mirrored and take the dense path
-    px, py = np.roll(np.arange(n_in), 1), np.roll(np.arange(n_out), 1)
-    assert not (_mirrored(x[px]) and _mirrored(y[py]))
-    dense = exp_contract(y[py], x[px], -1.3, MU, np.take(field, px, axis=axis), left, axis)
-    dense = np.take(dense, np.argsort(py), axis=axis)
-
-    ref = brute_contract(y, x, -1.3, MU, field, left, axis)
-    scale = np.max(np.abs(ref))
-    assert folded.shape == ref.shape
-    assert np.max(np.abs(folded - dense)) <= 1e-14 * scale
-    assert np.max(np.abs(folded - ref)) <= 1e-14 * scale
-
-
 MIRRORED_CASES = [(8, 8), (7, 7), (8, 5), (5, 12), (1, 3), (9, 2)]
+STAGES = [pytest.param(n_in, n_out, chirped, id=f"{n_in}-{n_out}" + ("-chirped" if chirped else ""))
+          for chirped in (False, True) for n_in, n_out in MIRRORED_CASES]
 
 
 @pytest.fixture
@@ -80,36 +56,45 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(_kernels, "COL_BLOCK", 12)
 
 
-@pytest.mark.parametrize("n_in,n_out", MIRRORED_CASES)
+@pytest.mark.parametrize("n_in,n_out,chirped", STAGES)
 @pytest.mark.parametrize("left", [True, False])
 @pytest.mark.parametrize("axis", [0, 1])
-def test_chirped_stage_matches_sandwich_and_brute_sum(n_in, n_out, left, axis, small_blocks):
-    """pre, post and scale against chirp -> contraction -> chirp and against
-    one Hamilton sum with the combined phase, on the folded and the dense
-    path, with chirp phases of hundreds of radians."""
-    rng = np.random.default_rng(n_in * 17 + n_out)
+def test_mirrored_and_dense_paths_agree(n_in, n_out, chirped, left, axis, small_blocks):
+    """The folded stage against the dense path and the brute Hamilton sum,
+    through straddling and partial blocks.  Chirped stages (pre, post and
+    scale, phases of hundreds of radians) are also checked against
+    chirp -> contraction -> chirp."""
+    rng = np.random.default_rng(n_in * 31 + n_out)
     x = GridSpec.centered(2.5, n_in).s
     y = GridSpec.centered(3.0, n_out).s
-    pre = 300.0 + 40.0 * x * x + rng.normal(size=n_in)
-    post = -250.0 - 30.0 * y * y + rng.normal(size=n_out)
+    assert _mirrored(x) and _mirrored(y)
     shape = [7, 7, 4]
     shape[axis] = n_in
     field = rng.normal(size=shape)
-    got = exp_contract(y, x, -1.3, MU, field, left, axis, pre=pre, post=post, scale=0.37)
-    assert got.flags.c_contiguous
+    chirps = {}
+    if chirped:
+        chirps = dict(pre=300.0 + 40.0 * x * x + rng.normal(size=n_in),
+                      post=-250.0 - 30.0 * y * y + rng.normal(size=n_out), scale=0.37)
+    folded = exp_contract(y, x, -1.3, MU, field, left, axis, **chirps)
+    assert folded.flags.c_contiguous
 
-    sandwich = chirp_multiply(pre, MU, field, left, axis)
-    sandwich = exp_contract(y, x, -1.3, MU, sandwich, left, axis)
-    sandwich = chirp_multiply(post, MU, sandwich, left, axis, scale=0.37)
-    ref = brute_contract(y, x, -1.3, MU, field, left, axis, pre, post, 0.37)
+    # rolled nodes are no longer mirrored and take the dense path
     px, py = np.roll(np.arange(n_in), 1), np.roll(np.arange(n_out), 1)
-    dense = exp_contract(y[py], x[px], -1.3, MU, np.take(field, px, axis=axis), left, axis,
-                         pre=pre[px], post=post[py], scale=0.37)
+    assert not (_mirrored(x[px]) and _mirrored(y[py]))
+    rolled = dict(chirps, pre=chirps["pre"][px], post=chirps["post"][py]) if chirped else {}
+    dense = exp_contract(y[py], x[px], -1.3, MU, np.take(field, px, axis=axis), left, axis, **rolled)
     dense = np.take(dense, np.argsort(py), axis=axis)
+
+    ref = brute_contract(y, x, -1.3, MU, field, left, axis, **chirps)
+    others = [dense, ref]
+    if chirped:
+        sandwich = chirp_multiply(chirps["pre"], MU, field, left, axis)
+        sandwich = exp_contract(y, x, -1.3, MU, sandwich, left, axis)
+        others.append(chirp_multiply(chirps["post"], MU, sandwich, left, axis, scale=0.37))
     scale = np.max(np.abs(ref))
-    assert got.shape == ref.shape
-    for other in (sandwich, ref, dense):
-        assert np.max(np.abs(got - other)) <= 1e-14 * scale
+    assert folded.shape == ref.shape
+    for other in others:
+        assert np.max(np.abs(folded - other)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("chirped", [False, True])
@@ -121,7 +106,7 @@ def test_stage_reads_any_memory_order(axis, chirped, small_blocks):
     views = [np.asfortranarray(field), field[::-1, ::-1][::-1, ::-1],
              np.ascontiguousarray(field.transpose(1, 0, 2)).transpose(1, 0, 2)]
     chirps = dict(pre=0.5 * x * x, post=y + 200.0, scale=0.3) if chirped else {}
-    want = exp_contract(y, x, 0.8, MU, field, False, axis, **chirps)
+    want = brute_contract(y, x, 0.8, MU, field, False, axis, **chirps)
     for view in views:
         got = exp_contract(y, x, 0.8, MU, view, False, axis, **chirps)
         assert got.flags.c_contiguous
