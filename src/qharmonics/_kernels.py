@@ -24,6 +24,11 @@ C-order output.  The chirps act on the actual nodes, before the fold and
 after the unfold: mirrored nodes agree only to an ulp and chirp phases
 reach hundreds of radians, so a chirp shared by mirrored rows loses
 accuracy.
+
+A block reads each input node before it writes the output node in the
+same place, so a stage that keeps the length of its axis can overwrite
+its input (``overwrite=True``).  A transform therefore allocates one
+field, in its first stage, and every later stage contracts in place in it.
 """
 
 from __future__ import annotations
@@ -54,8 +59,9 @@ def _chirp_maps(angles, MT):
     return np.cos(phi) * np.eye(4) + np.sin(phi) * MT
 
 
-def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0):
-    """Contract one grid axis of a quaternion field into a new C-order array,
+def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
+                 overwrite=False):
+    """Contract one grid axis of a quaternion field into a C-order array,
     out_k = scale e^{mu post_k} sum_j e^{mu c y_k x_j} e^{mu pre_j} f_j,
     the contracted axis taking the length of ``y``.
 
@@ -77,6 +83,13 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0)
         Chirp angles at the input nodes ``x`` and at the output nodes ``y``.
     scale : float
         Real factor of the whole stage (a quadrature weight).
+    overwrite : bool
+        The caller owns `field`, and its contents may be destroyed (as
+        ``overwrite_x`` in ``scipy.fft``).  The output is then written into
+        `field` when it is a C-contiguous writeable float64 array and
+        ``len(y) == field.shape[axis]``; otherwise a new array is allocated.
+        Transforms pass it on every stage after the first, so each one
+        allocates a single field.
     """
     y, x, field = (np.asarray(a, dtype=float) for a in (y, x, field))
     MT = mul_matrix(np.concatenate([[0.0], mu]), left).T
@@ -84,7 +97,10 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0)
     folded = _mirrored(x) and _mirrored(y)
     theta = np.outer(c * y[:y.size // 2], x[:x.size // 2]) if folded else np.outer(c * y, x)
     tabs = (scale * np.cos(theta), scale * np.sin(theta))
-    out = np.empty(field.shape[:axis] + (y.size,) + field.shape[axis + 1:])
+    if overwrite and field.flags.carray and y.size == field.shape[axis]:
+        out = field
+    else:
+        out = np.empty(field.shape[:axis] + (y.size,) + field.shape[axis + 1:])
     # here _nodes takes 1.5-1.6x as long on C-order fields (strided node I/O)
     rows = axis == 1 and folded and pre is None and post is None
     bufs = {}
@@ -113,7 +129,8 @@ def _nodes(F, dst, tabs, folded, scale, pre, post, MT, bufs):
     h, m = (n_in // 2, n_out // 2) if folded else (n_in, n_out)
     even = _buffer(bufs, "even", h, k, 4)
     odd = _buffer(bufs, "odd", h, k, 4) if folded else even
-    mid = F[h] if folded and n_in % 2 else 0.0
+    # a copy: `dst` may be `F` itself, and dst[m] is F[h] when n_out == n_in
+    mid = F[h].copy() if folded and n_in % 2 else 0.0
     if not folded:
         even = odd = F if pre is None else np.matmul(F, pre, out=even)
     elif pre is None:

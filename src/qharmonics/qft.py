@@ -126,9 +126,9 @@ def qft_forward_at(sig: QSignal2D, kind: QftKind, u, v):
     coords = ((u, sig.grid.s, sig.grid.ds), (v, sig.grid.t, sig.grid.dt))
     mus = (kind.axes.mu1, kind.axes.mu2)
     data = sig.data
-    for axis, left in kind.side.stages:
+    for i, (axis, left) in enumerate(kind.side.stages):
         y, x, dx = coords[axis]
-        data = exp_contract(y, x, -1.0, mus[axis], data, left, axis, scale=dx)
+        data = exp_contract(y, x, -1.0, mus[axis], data, left, axis, scale=dx, overwrite=i > 0)
     return data
 
 
@@ -154,9 +154,10 @@ def qft_inverse(spec: QSpectrum2D, kind: QftKind, out_grid: GridSpec) -> QSignal
     coords = ((out_grid.s, spec.grid.s, spec.grid.ds), (out_grid.t, spec.grid.t, spec.grid.dt))
     mus = (kind.axes.mu1, kind.axes.mu2)
     out = spec.data
-    for axis, left in reversed(kind.side.stages):
+    for i, (axis, left) in enumerate(reversed(kind.side.stages)):
         y, x, du = coords[axis]
-        out = exp_contract(y, x, 1.0, mus[axis], out, left, axis, scale=du / (2.0 * np.pi))
+        out = exp_contract(y, x, 1.0, mus[axis], out, left, axis,
+                           scale=du / (2.0 * np.pi), overwrite=i > 0)
     return QSignal2D(out_grid, out)
 
 

@@ -129,14 +129,14 @@ def lct_kernel(A: LctParams, axis, x, xi):
     return qexp_pure(axis, phase) / np.sqrt(2.0 * np.pi * abs(b))
 
 
-def _lct_axis_stage(data, A, mu, x, xi, left, axis, weight):
+def _lct_axis_stage(data, A, mu, x, xi, left, axis, weight, overwrite):
     """One kernel-sandwich quadrature stage along a grid axis (cell width
     `weight`): chirp(x), contraction and chirp(xi) in one call, the output
     chirp carrying the e^{-sign(b) mu pi/4} prefactor phase."""
     a, b, _, d = A.astuple()
     return exp_contract(xi, x, -1.0 / b, mu, data, left, axis, pre=a * x * x / (2 * b),
                         post=d * xi * xi / (2 * b) - np.sign(b) * np.pi / 4,
-                        scale=weight / np.sqrt(2.0 * np.pi * abs(b)))
+                        scale=weight / np.sqrt(2.0 * np.pi * abs(b)), overwrite=overwrite)
 
 
 def _degenerate_axis(data, A, mu, x, left, axis):
@@ -173,13 +173,13 @@ def _sandwich(data, mats, axes, stages, src, dst):
     mus = (axes.mu1, axes.mu2)
     in_coords, out_coords = (src.s, src.t), [dst.s, dst.t]
     spacing = (src.ds, src.dt)
-    for ax, left in stages:
+    for i, (ax, left) in enumerate(stages):
         if mats[ax].is_degenerate:
             data, out_coords[ax] = _degenerate_axis(data, mats[ax], mus[ax],
                                                     in_coords[ax], left, ax)
         else:
             data = _lct_axis_stage(data, mats[ax], mus[ax], in_coords[ax],
-                                   out_coords[ax], left, ax, spacing[ax])
+                                   out_coords[ax], left, ax, spacing[ax], overwrite=i > 0)
     return data, out_coords
 
 
@@ -270,10 +270,11 @@ def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
         raise InvalidParameterError("a window is required unless fast=True")
     fgrid = window.to_grid()
     u, v = fgrid.s, fgrid.t
-    vals = qft_forward_at(p_sig, QftKind(Side.TWO_SIDED, kind.axes), u / b1, v / b2)
+    out = qft_forward_at(p_sig, QftKind(Side.TWO_SIDED, kind.axes), u / b1, v / b2)
+    del p_sig
 
     # output chirps carry the e^{-sign(b) mu pi/4} / sqrt(2 pi |b|) prefactors
-    out = chirp_multiply(d1 * u * u / (2 * b1) - np.sign(b1) * np.pi / 4, mu1, vals,
+    out = chirp_multiply(d1 * u * u / (2 * b1) - np.sign(b1) * np.pi / 4, mu1, out,
                          left=True, axis=0, scale=1.0 / np.sqrt(2.0 * np.pi * abs(b1)))
     out = chirp_multiply(d2 * v * v / (2 * b2) - np.sign(b2) * np.pi / 4, mu2, out,
                          left=False, axis=1, scale=1.0 / np.sqrt(2.0 * np.pi * abs(b2)))

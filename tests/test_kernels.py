@@ -15,7 +15,14 @@ from qharmonics import _kernels
 from qharmonics._kernels import _mirrored, chirp_multiply, const_multiply, exp_contract
 from qharmonics.grids import GridSpec, QSignal2D
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward, qft_forward_at, qft_inverse
-from qharmonics.qlct import LctKind, LctParams, qlct_forward, qlct_inverse_two_sided
+from qharmonics.qlct import (
+    LctKind,
+    LctParams,
+    qlct_forward,
+    qlct_inverse_sided,
+    qlct_inverse_two_sided,
+    qlct_via_qft,
+)
 from qharmonics.quaternion import AxisPair, mul_matrix, qexp_pure, qmul
 
 MU = np.array([0.0, 0.6, 0.8])
@@ -44,8 +51,10 @@ def brute_contract(y, x, c, mu, field, left, axis, pre=0.0, post=0.0, scale=1.0)
 
 
 MIRRORED_CASES = [(8, 8), (7, 7), (8, 5), (5, 12), (1, 3), (9, 2)]
-STAGES = [pytest.param(n_in, n_out, chirped, id=f"{n_in}-{n_out}" + ("-chirped" if chirped else ""))
-          for chirped in (False, True) for n_in, n_out in MIRRORED_CASES]
+STAGES = [pytest.param(n_in, n_out, chirped, overwrite,
+                       id=f"{n_in}-{n_out}" + "-chirped" * chirped + "-overwrite" * overwrite)
+          for overwrite in (False, True) for chirped in (False, True)
+          for n_in, n_out in MIRRORED_CASES if n_in == n_out or not overwrite]
 
 
 @pytest.fixture
@@ -56,14 +65,16 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(_kernels, "COL_BLOCK", 12)
 
 
-@pytest.mark.parametrize("n_in,n_out,chirped", STAGES)
+@pytest.mark.parametrize("n_in,n_out,chirped,overwrite", STAGES)
 @pytest.mark.parametrize("left", [True, False])
 @pytest.mark.parametrize("axis", [0, 1])
-def test_mirrored_and_dense_paths_agree(n_in, n_out, chirped, left, axis, small_blocks):
+def test_mirrored_and_dense_paths_agree(n_in, n_out, chirped, overwrite, left, axis, small_blocks):
     """The folded stage against the dense path and the brute Hamilton sum,
     through straddling and partial blocks.  Chirped stages (pre, post and
     scale, phases of hundreds of radians) are also checked against
-    chirp -> contraction -> chirp."""
+    chirp -> contraction -> chirp.  With `overwrite`, both paths run again
+    in place in a copy of their input, and on a Fortran-order copy that
+    they must leave untouched."""
     rng = np.random.default_rng(n_in * 31 + n_out)
     x = GridSpec.centered(2.5, n_in).s
     y = GridSpec.centered(3.0, n_out).s
@@ -82,7 +93,16 @@ def test_mirrored_and_dense_paths_agree(n_in, n_out, chirped, left, axis, small_
     px, py = np.roll(np.arange(n_in), 1), np.roll(np.arange(n_out), 1)
     assert not (_mirrored(x[px]) and _mirrored(y[py]))
     rolled = dict(chirps, pre=chirps["pre"][px], post=chirps["post"][py]) if chirped else {}
-    dense = exp_contract(y[py], x[px], -1.3, MU, np.take(field, px, axis=axis), left, axis, **rolled)
+    rolled_field = np.take(field, px, axis=axis)
+    dense = exp_contract(y[py], x[px], -1.3, MU, rolled_field, left, axis, **rolled)
+    if overwrite:
+        for (ys, xs), src, kw, want in (((y, x), field, chirps, folded),
+                                        ((y[py], x[px]), rolled_field, rolled, dense)):
+            mine, fortran = src.copy(), np.asfortranarray(src)
+            got = exp_contract(ys, xs, -1.3, MU, mine, left, axis, overwrite=True, **kw)
+            assert np.shares_memory(got, mine) and np.array_equal(got, want)
+            got = exp_contract(ys, xs, -1.3, MU, fortran, left, axis, overwrite=True, **kw)
+            assert not np.shares_memory(got, fortran) and np.array_equal(fortran, src)
     dense = np.take(dense, np.argsort(py), axis=axis)
 
     ref = brute_contract(y, x, -1.3, MU, field, left, axis, **chirps)
@@ -113,24 +133,32 @@ def test_stage_reads_any_memory_order(axis, chirped, small_blocks):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("direction", ["forward", "inverse"])
-@pytest.mark.parametrize("family", ["qft", "qlct"])
-def test_two_sided_transforms_stay_below_four_fields_of_memory(family, direction):
-    """Peak traced allocation of one 512^2 two-sided transform, in units of
-    the field (512*512*4 doubles); its input is allocated beforehand."""
+MEMORY_CASES = [pytest.param(family, side, direction, 2.5, id=f"{family}-{side.value}-{direction}")
+                for family in ("qft", "qlct") for side in Side for direction in ("forward", "inverse")]
+
+
+@pytest.mark.parametrize("family,side,direction,bound", MEMORY_CASES + [
+    pytest.param("qlct_via_qft", Side.TWO_SIDED, "forward", 3.5, id="qlct_via_qft")])
+def test_transforms_allocate_one_field(family, side, direction, bound):
+    """Peak traced allocation of one 512^2 transform, in units of the field
+    (512*512*4 doubles); its input is allocated beforehand.  A transform
+    allocates one field, in its first stage, plus the block buffers of a
+    stage; ``qlct_via_qft`` also holds its chirped input through the QFT."""
     n = 512
     grid = GridSpec.centered(10.0, n)
     sig = QSignal2D(grid, np.random.default_rng(3).normal(size=(n, n, 4)))
     window = FreqWindow(8.0, 8.0, n, n)
-    qkind = QftKind(Side.TWO_SIDED)
-    lkind = LctKind(Side.TWO_SIDED, LctParams(0.7, 0.8, (0.7 * -0.4 - 1.0) / 0.8, -0.4),
+    qkind = QftKind(side)
+    lkind = LctKind(side, LctParams(0.7, 0.8, (0.7 * -0.4 - 1.0) / 0.8, -0.4),
                     LctParams(1.0, 1.0, 0.0, 1.0))
     forward = {"qft": lambda: qft_forward(sig, qkind, window),
-               "qlct": lambda: qlct_forward(sig, lkind, window)}[family]
+               "qlct": lambda: qlct_forward(sig, lkind, window),
+               "qlct_via_qft": lambda: qlct_via_qft(sig, lkind, fast=True)}[family]
     call = forward
     if direction == "inverse":
         spec = forward()
-        inverse = qft_inverse if family == "qft" else qlct_inverse_two_sided
+        inverse = (qft_inverse if family == "qft" else
+                   qlct_inverse_two_sided if side is Side.TWO_SIDED else qlct_inverse_sided)
         call = lambda: inverse(spec, spec.kind, grid)  # noqa: E731
     tracemalloc.start()
     try:
@@ -139,7 +167,7 @@ def test_two_sided_transforms_stay_below_four_fields_of_memory(family, direction
     finally:
         tracemalloc.stop()
     assert result.data.shape == (n, n, 4)
-    assert peak / (n * n * 4 * 8) < 4.0
+    assert peak / (n * n * 4 * 8) < bound
 
 
 def test_mirror_detection():
