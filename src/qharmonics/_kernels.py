@@ -25,10 +25,16 @@ after the unfold: mirrored nodes agree only to an ulp and chirp phases
 reach hundreds of radians, so a chirp shared by mirrored rows loses
 accuracy.
 
-A block reads each input node before it writes the output node in the
-same place, so a stage that keeps the length of its axis can overwrite
-its input (``overwrite=True``).  A transform therefore allocates one
-field, in its first stage, and every later stage contracts in place in it.
+Narrow kernels have low rank: cos(c y x) on y in [-Y, 0], |x| <= X, needs
+about w + 10 w^(1/3) Chebyshev points in y, w = |c| X Y / 2, for any n
+(Ruiz-Antolin and Townsend, SIAM J. Sci. Comput. 40, 2018).  Where p
+points beat the fold (``BREAK_EVEN``) and pass their check, a mirrored
+stage with n_out >= n_in folds into its output block, contracts the fold
+to p rows and interpolates them back straight into the output.
+
+A block reads each input node before it writes the output node in the same
+place, so a stage that keeps the length of its axis can overwrite its input
+(``overwrite=True``): a transform allocates one field, in its first stage.
 """
 
 from __future__ import annotations
@@ -46,6 +52,12 @@ MIRROR_ULPS = 4
 ROW_BLOCK = 128
 #: real columns of the (n_in, nt*4) view per block of an axis-0 stage
 COL_BLOCK = 1024
+#: input nodes per chunk of a fold or of an in-place chirp
+CHUNK = 64
+#: low-rank path: p = w + RANK_SLOPE cbrt(w) + RANK_PAD points, checked at the
+#: CHECK_COLUMNS highest frequencies; runs while p (1/h + 1/m) <= BREAK_EVEN[axis]
+RANK_SLOPE, RANK_PAD, CHECK_COLUMNS, CHECK_ULPS = 10.0, 6.0, 8, 16
+BREAK_EVEN = (0.85, 0.55)
 
 
 def _mirrored(x):
@@ -95,21 +107,51 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
     MT = mul_matrix(np.concatenate([[0.0], mu]), left).T
     maps = [None if phi is None else _chirp_maps(phi, MT) for phi in (pre, post)]
     folded = _mirrored(x) and _mirrored(y)
-    theta = np.outer(c * y[:y.size // 2], x[:x.size // 2]) if folded else np.outer(c * y, x)
-    tabs = (scale * np.cos(theta), scale * np.sin(theta))
-    if overwrite and field.flags.carray and y.size == field.shape[axis]:
-        out = field
-    else:
-        out = np.empty(field.shape[:axis] + (y.size,) + field.shape[axis + 1:])
-    # here _nodes takes 1.5-1.6x as long on C-order fields (strided node I/O)
-    rows = axis == 1 and folded and pre is None and post is None
+    tabs = _lowrank_tables(y, x, c, scale, BREAK_EVEN[axis]) if folded else None
+    kernel = _lowrank
+    if tabs is None:
+        theta = np.outer(c * y[:y.size // 2], x[:x.size // 2]) if folded else np.outer(c * y, x)
+        tabs = (scale * np.cos(theta), scale * np.sin(theta))
+        # here _nodes takes 1.5-1.6x as long on C-order fields (strided node I/O)
+        kernel = _rows if axis == 1 and folded and pre is None and post is None else _nodes
+    out = (field if overwrite and field.flags.carray and y.size == field.shape[axis]
+           else np.empty(field.shape[:axis] + (y.size,) + field.shape[axis + 1:]))
     bufs = {}
     step = max(COL_BLOCK // 4, 1) if axis == 0 else ROW_BLOCK
     for lo in range(0, field.shape[1 - axis], step):
         F, dst = ((a[:, lo:lo + step] if axis == 0 else a[lo:lo + step].swapaxes(0, 1))
                   for a in (field, out))
-        (_rows if rows else _nodes)(F, dst, tabs, folded, scale, *maps, MT, bufs)
+        kernel(F, dst, tabs, folded, scale, *maps, MT, bufs)
     return out
+
+
+def _lowrank_tables(y, x, c, scale, break_even):
+    """(L, L[::-1], E_c, E_s) of a low-rank stage, or None.  E_c has a column
+    for an odd middle node (x = 0) and a row for an odd centre row (y = 0);
+    E_s runs over x[:h] reversed, the order of the odd fold in the output."""
+    h, m = x.size // 2, y.size // 2
+    if h == 0 or y.size < x.size:  # the fold must fit in the output block
+        return None
+    lo, hi = y[:m].min(), y[:m].max()
+    xs = np.sort(np.abs(x[:h]))[-CHECK_COLUMNS:]  # the error grows with |c x|
+    w = abs(c) * xs[-1] * (hi - lo) / 2
+    p = int(np.ceil(w + RANK_SLOPE * np.cbrt(w) + RANK_PAD))
+    if p * (h + m) > break_even * h * m:
+        return None
+    theta = np.pi * (np.arange(p) + 0.5) / p
+    t = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(theta)
+    d = y[:m, None] - t
+    d[d == 0] = np.finfo(float).tiny  # an output row on a node: that row of L is e_i
+    L = (-1.0) ** np.arange(p) * np.sin(theta) / d
+    L /= L.sum(axis=1, keepdims=True)
+    err = max(np.max(np.abs(L @ f(c * np.outer(t, xs)) - f(c * np.outer(y[:m], xs))))
+              for f in (np.cos, np.sin))
+    if not err <= CHECK_ULPS * np.finfo(float).eps * (1.0 + abs(c) * xs[-1] * np.max(np.abs(y))):
+        return None
+    Ec = scale * np.cos(c * np.outer(np.append(t, [0.0] * (y.size % 2)),
+                                     np.append(x[:h], [0.0] * (x.size % 2))))
+    Es = scale * np.sin(c * np.outer(t, x[h - 1::-1]))
+    return L, np.ascontiguousarray(L[::-1]), Ec, Es
 
 
 def _buffer(bufs, name, *shape):
@@ -120,31 +162,70 @@ def _buffer(bufs, name, *shape):
     return bufs[name][:size].reshape(shape)
 
 
+def _fold(F, even, odd, pre, bufs):
+    """even_j = g_j + g_{n-1-j}, odd_j = g_j - g_{n-1-j} (j < n // 2) of the
+    nodes g = f chirped by `pre`.  Where even and odd are views of F itself,
+    nodes are read CHUNK at a time into two small buffers."""
+    n, h, alias = len(F), len(F) // 2, np.may_share_memory(even, F)
+    ta, td = (_buffer(bufs, name, min(CHUNK, h), *F.shape[1:]) for name in "ad")
+    for lo in range(0, h, CHUNK):
+        hi = min(lo + CHUNK, h)
+        a, b = F[lo:hi], F[n - hi:n - lo][::-1]
+        ca, cd = (ta[:hi - lo], td[:hi - lo]) if alias else (even[lo:hi], odd[lo:hi])
+        if pre is None:
+            np.subtract(a, b, out=cd)
+            np.add(a, b, out=even[lo:hi])
+        else:
+            a = np.matmul(a, pre[lo:hi], out=ca)
+            np.matmul(b, pre[n - hi:n - lo][::-1], out=cd)
+            np.add(a, cd, out=even[lo:hi])
+            np.multiply(cd, -2.0, out=cd)
+            np.add(cd, even[lo:hi], out=cd)
+        if alias:
+            odd[lo:hi] = cd
+
+
+def _lowrank(F, dst, tabs, folded, scale, pre, post, MT, bufs):
+    """One block of a low-rank stage, node axis first: the fold lands in `dst`
+    (which may be `F`), Cq = E_c even and Sq = E_s odd have p rows, and
+    L (Cq + Sq M^T) and L[::-1] (Cq - Sq M^T) write straight into `dst`."""
+    (L, Lr, Ec, Es), n_in, n_out, p = tabs, len(F), len(dst), len(tabs[3])
+    h, m = n_in // 2, n_out // 2
+    _fold(F, dst[:h], dst[n_out - h:][::-1], pre, bufs)
+    if n_in % 2:
+        dst[h] = F[h] if pre is None else F[h] @ pre[h]
+    # GEMM operands along the nodes: one (n, k*4) matrix on axis 0, k (n, 4) on axis 1
+    B = dst.reshape(n_out, -1)[None] if dst.strides[1] == 4 * dst.itemsize else dst.swapaxes(0, 1)
+    Cq = np.matmul(Ec, B[:, :Ec.shape[1]], out=_buffer(bufs, "C", len(B), len(Ec), B.shape[2]))
+    Sq = np.matmul(Es, B[:, n_out - h:], out=_buffer(bufs, "S", len(B), p, B.shape[2]))
+    S = np.matmul(Sq.reshape(-1, 4), MT, out=_buffer(bufs, "MS", Sq.size // 4, 4)).reshape(Sq.shape)
+    B[:, m:m + n_out % 2], Cq = Cq[:, p:], Cq[:, :p]  # the centre row of odd n_out
+    np.subtract(Cq, S, out=Sq)
+    np.matmul(L, np.add(Cq, S, out=Cq), out=B[:, :m])
+    np.matmul(Lr, Sq, out=B[:, n_out - m:])
+    for lo in range(0, n_out if post is not None else 0, CHUNK):  # the output chirp, in place
+        a = dst[lo:lo + CHUNK]
+        a[...] = np.matmul(a, post[lo:lo + CHUNK], out=_buffer(bufs, "a", *a.shape))
+
+
 def _nodes(F, dst, tabs, folded, scale, pre, post, MT, bufs):
     """One block of a stage, node axis first: (n_in, k, 4) input `F`, (n_out,
-    k, 4) output `dst`.  The GEMMs multiply from the left; a chirp is one
-    (k, 4) x (4, 4) product per node, applied to the nodes themselves as
-    they are read into the fold and written out of the unfold."""
+    k, 4) output `dst`, which may be `F`.  The GEMMs multiply from the left; a
+    chirp is one (k, 4) x (4, 4) product per node, applied to the nodes as
+    they are read into the fold and written out of the unfold.  Unchirped
+    folded blocks on axis 0 write the cos GEMM straight into `dst`."""
     (n_in, k, _), n_out = F.shape, dst.shape[0]
     h, m = (n_in // 2, n_out // 2) if folded else (n_in, n_out)
     even = _buffer(bufs, "even", h, k, 4)
     odd = _buffer(bufs, "odd", h, k, 4) if folded else even
-    # a copy: `dst` may be `F` itself, and dst[m] is F[h] when n_out == n_in
-    mid = F[h].copy() if folded and n_in % 2 else 0.0
+    mid = (F[h].copy() if pre is None else F[h] @ pre[h]) if folded and n_in % 2 else 0.0
     if not folded:
         even = odd = F if pre is None else np.matmul(F, pre, out=even)
-    elif pre is None:
-        np.add(F[:h], F[n_in - h:][::-1], out=even)
-        np.subtract(F[:h], F[n_in - h:][::-1], out=odd)
-    else:  # chirp the actual nodes, then fold in place
-        np.matmul(F[:h], pre[:h], out=even)
-        np.matmul(F[n_in - h:][::-1], pre[n_in - h:][::-1], out=odd)
-        even += odd
-        odd *= -2.0
-        odd += even
-        if n_in % 2:
-            mid = F[h] @ pre[h]
-    C = np.matmul(tabs[0], even.reshape(h, k * 4), out=_buffer(bufs, "C", m, k * 4))
+    else:
+        _fold(F, even, odd, pre, bufs)
+    direct = folded and post is None and dst.strides[1] == 4 * dst.itemsize  # axis 0
+    C = np.matmul(tabs[0], even.reshape(h, k * 4),
+                  out=dst[:m].reshape(m, k * 4) if direct else _buffer(bufs, "C", m, k * 4))
     S0 = np.matmul(tabs[1], odd.reshape(h, k * 4), out=_buffer(bufs, "S", m, k * 4))
     S = np.matmul(S0.reshape(-1, 4), MT, out=_buffer(bufs, "odd", m * k, 4))
     C, S, S0 = C.reshape(m, k, 4), S.reshape(m, k, 4), S0.reshape(m, k, 4)

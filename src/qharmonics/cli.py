@@ -310,9 +310,8 @@ def _cmd_roundtrip(args, out: _Outputs):
         window = (_window(args, grid) if args.window is not None  # default: natural, scaled by |b|
                   else FreqWindow.natural(grid).scaled(abs(A1.b) or 1.0, abs(A2.b) or 1.0))
         back = _qlct_inverse(qlct_forward(sig, LctKind(side, A1, A2, axes), window), grid)
-    err = sig.data - back.data
-    err *= err
-    err = np.sqrt(err.sum(axis=-1))  # qabs(sig - back) without a squared copy
+    err = np.subtract(back.data, sig.data, out=back.data)  # in place: no fourth field
+    err = np.sqrt(np.square(err, out=err).sum(axis=-1))  # qabs(sig - back)
     print("fixture,side,transform,l1_error,linf_error")
     print(",".join([args.fixture, args.side, args.transform,
                     _G17(float(np.sum(err) * grid.cell_area)), _G17(float(np.max(err)))]))

@@ -117,6 +117,66 @@ def test_mirrored_and_dense_paths_agree(n_in, n_out, chirped, overwrite, left, a
         assert np.max(np.abs(folded - other)) <= 1e-14 * scale
 
 
+LOW_RANK_SIZES = [(160, 160), (161, 161), (160, 161), (161, 162)]
+
+
+@pytest.mark.parametrize("n_in,n_out", LOW_RANK_SIZES)
+@pytest.mark.parametrize("chirped", [False, True], ids=["plain", "chirped"])
+@pytest.mark.parametrize("c", [1.0, -1.0, 2.0, -2.0])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_low_rank_stages_match_brute_force(n_in, n_out, chirped, c, axis, small_blocks, monkeypatch):
+    """Narrow kernels (|c| X Y / 2 <= 1.8 here) take the low-rank path, which
+    folds into the output block: through straddling and partial blocks, odd
+    lengths, chirps with phases of hundreds of radians, and in place."""
+    calls = []
+    lowrank = _kernels._lowrank
+    monkeypatch.setattr(_kernels, "_lowrank", lambda *a: calls.append(1) or lowrank(*a))
+    rng = np.random.default_rng(n_in * 7 + n_out + int(10 * c) + 40 * chirped + axis)
+    x = GridSpec.centered(1.0, n_in).s
+    y = GridSpec.centered(0.9, n_out).s
+    shape = [7, 7, 4]
+    shape[axis] = n_in
+    field = rng.normal(size=shape)
+    chirps = {}
+    if chirped:
+        chirps = dict(pre=300.0 + 40.0 * x * x + rng.normal(size=n_in),
+                      post=-250.0 - 30.0 * y * y + rng.normal(size=n_out), scale=0.37)
+    left = c > 0
+    got = exp_contract(y, x, c, MU, field, left, axis, **chirps)
+    assert calls and got.flags.c_contiguous
+    want = brute_contract(y, x, c, MU, field, left, axis, **chirps)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    if n_in == n_out:
+        mine, fortran = field.copy(), np.asfortranarray(field)
+        again = exp_contract(y, x, c, MU, mine, left, axis, overwrite=True, **chirps)
+        assert np.shares_memory(again, mine) and np.array_equal(again, got)
+        again = exp_contract(y, x, c, MU, fortran, left, axis, overwrite=True, **chirps)
+        assert not np.shares_memory(again, fortran) and np.array_equal(fortran, field)
+        assert np.array_equal(again, got)
+
+    # too few Chebyshev points fail the check: the stage falls back to the fold
+    calls.clear()
+    monkeypatch.setattr(_kernels, "RANK_PAD", -8.0)
+    fallback = exp_contract(y, x, c, MU, field, left, axis, **chirps)
+    assert not calls
+    assert np.max(np.abs(fallback - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_path_of_the_bench_windows(axis):
+    """On extent 10 with a window of half-width 8, every 1024^2 stage with
+    |c| = 1/|b| <= 2 (b in [0.5, 1]) is low-rank, forward (y the window) and
+    inverse (y the grid); natural windows are full rank and keep the fold."""
+    for n in (512, 1024):
+        grid = GridSpec.centered(10.0, n)
+        natural = FreqWindow.natural(grid).to_grid().s
+        assert _kernels._lowrank_tables(natural, grid.s, -1.0, 1.0, _kernels.BREAK_EVEN[axis]) is None
+    window = FreqWindow(8.0, 8.0, n, n).to_grid().s
+    for c in (1.0, -1.0, 1.5, 2.0, -2.0):
+        for y, x in ((window, grid.s), (grid.s, window)):
+            assert _kernels._lowrank_tables(y, x, c, 1.0, _kernels.BREAK_EVEN[axis]) is not None
+
+
 @pytest.mark.parametrize("chirped", [False, True])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_stage_reads_any_memory_order(axis, chirped, small_blocks):
@@ -133,24 +193,31 @@ def test_stage_reads_any_memory_order(axis, chirped, small_blocks):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-MEMORY_CASES = [pytest.param(family, side, direction, 2.5, id=f"{family}-{side.value}-{direction}")
+MEMORY_CASES = [pytest.param(family, side, direction, 512, 2.5, id=f"{family}-{side.value}-{direction}")
                 for family in ("qft", "qlct") for side in Side for direction in ("forward", "inverse")]
+# narrow windows at 1024^2 (b = 0.5 on both QLCT axes): every stage is low-rank
+NARROW_CASES = [pytest.param(family, Side.TWO_SIDED, direction, 1024, 1.25,
+                             id=f"{family}-two-{direction}-1024")
+                for family in ("qft", "qlct") for direction in ("forward", "inverse")]
 
 
-@pytest.mark.parametrize("family,side,direction,bound", MEMORY_CASES + [
-    pytest.param("qlct_via_qft", Side.TWO_SIDED, "forward", 3.5, id="qlct_via_qft")])
-def test_transforms_allocate_one_field(family, side, direction, bound):
-    """Peak traced allocation of one 512^2 transform, in units of the field
-    (512*512*4 doubles); its input is allocated beforehand.  A transform
-    allocates one field, in its first stage, plus the block buffers of a
-    stage; ``qlct_via_qft`` also holds its chirped input through the QFT."""
-    n = 512
+@pytest.mark.parametrize("family,side,direction,n,bound", MEMORY_CASES + NARROW_CASES + [
+    pytest.param("qlct_via_qft", Side.TWO_SIDED, "forward", 512, 3.5, id="qlct_via_qft")])
+def test_transforms_allocate_one_field(family, side, direction, n, bound):
+    """Peak traced allocation of one n^2 transform, in units of the field
+    (n*n*4 doubles); its input is allocated beforehand.  A transform
+    allocates one field, in its first stage, plus what a stage holds: the
+    block buffers of the folded path, only p-row tables and intermediates on
+    the low-rank path.  ``qlct_via_qft`` also holds its chirped input
+    through the QFT."""
     grid = GridSpec.centered(10.0, n)
     sig = QSignal2D(grid, np.random.default_rng(3).normal(size=(n, n, 4)))
     window = FreqWindow(8.0, 8.0, n, n)
     qkind = QftKind(side)
-    lkind = LctKind(side, LctParams(0.7, 0.8, (0.7 * -0.4 - 1.0) / 0.8, -0.4),
-                    LctParams(1.0, 1.0, 0.0, 1.0))
+    A1, A2 = ((LctParams(0.7, 0.8, (0.7 * -0.4 - 1.0) / 0.8, -0.4), LctParams(1.0, 1.0, 0.0, 1.0))
+              if n == 512 else (LctParams(0.6, 0.5, (0.6 * -0.4 - 1.0) / 0.5, -0.4),
+                                LctParams(1.0, 0.5, 0.0, 1.0)))
+    lkind = LctKind(side, A1, A2)
     forward = {"qft": lambda: qft_forward(sig, qkind, window),
                "qlct": lambda: qlct_forward(sig, lkind, window),
                "qlct_via_qft": lambda: qlct_via_qft(sig, lkind, fast=True)}[family]
