@@ -171,7 +171,8 @@ def test_path_of_the_bench_windows(axis):
         grid = GridSpec.centered(10.0, n)
         natural = FreqWindow.natural(grid).to_grid().s
         assert _kernels._lowrank_tables(natural, grid.s, -1.0, 1.0, _kernels.BREAK_EVEN[axis]) is None
-    window = FreqWindow(8.0, 8.0, n, n).to_grid().s
+    grid = GridSpec.centered(10.0, 1024)
+    window = FreqWindow(8.0, 8.0, 1024, 1024).to_grid().s
     for c in (1.0, -1.0, 1.5, 2.0, -2.0):
         for y, x in ((window, grid.s), (grid.s, window)):
             assert _kernels._lowrank_tables(y, x, c, 1.0, _kernels.BREAK_EVEN[axis]) is not None
