@@ -10,6 +10,7 @@ this module touches the environment at import time.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 
@@ -125,30 +126,12 @@ def _point(args):
     return _floats(args.point, 2, "--point")
 
 
-class _Outputs:
-    """Output files written atomically (temp file, then rename); rollback
-    removes the ones a failed command already wrote."""
+class _Outputs(list):
+    """Files a command wrote (each atomically, by ``fileio``); removed if it fails later."""
 
-    def __init__(self):
-        self.written = []
-
-    def write(self, path, data: bytes):
-        tmp = f"{path}.tmp-{os.getpid()}"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        self.written.append(path)
-
-    def rollback(self):
-        for path in self.written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+    def write(self, save, obj, path):
+        save(obj, path)
+        self.append(path)
 
 
 def _build_parser():
@@ -256,14 +239,13 @@ def _cmd_qft(args, out: _Outputs):
     sig = fileio.load_qsig(args.inp)
     window = _window(args, sig.grid)
     spec = qft_forward(sig, QftKind(_side(args), axes), window)
-    out.write(args.out, fileio.encode_qspectrum(spec))
+    out.write(fileio.save_qspectrum, spec, args.out)
 
 
 def _cmd_iqft(args, out: _Outputs):
     grid = _signal_grid(args)
     spec = fileio.load_qspectrum(args.inp)
-    sig = qft_inverse(spec, spec.kind, grid)
-    out.write(args.out, fileio.encode_qsig(sig))
+    out.write(fileio.save_qsig, qft_inverse(spec, spec.kind, grid), args.out)
 
 
 def _cmd_qlct(args, out: _Outputs):
@@ -272,7 +254,7 @@ def _cmd_qlct(args, out: _Outputs):
     sig = fileio.load_qsig(args.inp)
     window = _window(args, sig.grid)
     spec = qlct_forward(sig, LctKind(_side(args), A1, A2, axes), window)
-    out.write(args.out, fileio.encode_qspectrum(spec))
+    out.write(fileio.save_qspectrum, spec, args.out)
 
 
 def _qlct_inverse(spec, grid):
@@ -283,7 +265,7 @@ def _qlct_inverse(spec, grid):
 def _cmd_iqlct(args, out: _Outputs):
     grid = _signal_grid(args)
     spec = fileio.load_qspectrum(args.inp)
-    out.write(args.out, fileio.encode_qsig(_qlct_inverse(spec, grid)))
+    out.write(fileio.save_qsig, _qlct_inverse(spec, grid), args.out)
 
 
 def _cmd_qfrft(args, out: _Outputs):
@@ -292,7 +274,7 @@ def _cmd_qfrft(args, out: _Outputs):
     window = _window(args, sig.grid)
     spec = qfrft(sig, args.alpha, args.beta, _side(args), window, axes,
                  phase_corrected=args.phase_corrected)
-    out.write(args.out, fileio.encode_qspectrum(spec))
+    out.write(fileio.save_qspectrum, spec, args.out)
 
 
 def _cmd_roundtrip(args, out: _Outputs):
@@ -376,14 +358,12 @@ def _cmd_lc_diag(args, out: _Outputs):
 
 def _cmd_img2qsig(args, out: _Outputs):
     with open(args.inp, "rb") as fh:
-        sig = image_to_qsig(fh.read())
-    out.write(args.out, fileio.encode_qsig(sig))
+        out.write(fileio.save_qsig, image_to_qsig(fh.read()), args.out)
 
 
 def _cmd_qsig2img(args, out: _Outputs):
-    sig = fileio.load_qsig(args.inp)
-    ppm, stats = qsig_to_image(sig)
-    out.write(args.out, ppm)
+    ppm, stats = qsig_to_image(fileio.load_qsig(args.inp))
+    out.write(fileio._write_atomic, (ppm,), args.out)
     print("scalar_min,scalar_max,scalar_max_abs")
     print(",".join(_G17(stats[k]) for k in ("scalar_min", "scalar_max", "scalar_max_abs")))
 
@@ -393,7 +373,7 @@ def _cmd_fixtures(args, out: _Outputs):
     os.makedirs(args.out_dir, exist_ok=True)
     for name in sorted(fixtures.FIXTURES):
         sig = sample(fixtures.FIXTURES[name], grid)
-        out.write(os.path.join(args.out_dir, f"{name}.qsig"), fileio.encode_qsig(sig))
+        out.write(fileio.save_qsig, sig, os.path.join(args.out_dir, f"{name}.qsig"))
         print(f"wrote {name}.qsig")
 
 
@@ -426,7 +406,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except Exception as exc:  # noqa: BLE001 - boundary of the process
-        outputs.rollback()
+        for path in outputs:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
         print(f"qharmonics: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -19,14 +19,18 @@ Bits 1 and 2 are written as 0 and ignored on read: older writers set
 them for a b < 0 matrix they had flipped to -A, and the stored matrix
 is the one the data was computed with.  ``encode_*`` and
 ``decode_*`` convert between objects and bytes; ``save_*`` and ``load_*``
-write and read files.  All loads round-trip saves bit-exactly.  Decoding
+write and read files, streaming the payload in blocks of t-rows: a save
+holds one block beyond its field, a load the field it returns plus one.
+Saves are atomic (a temp file renamed over the target): a failed save
+leaves no partial file.  All loads round-trip saves bit-exactly.  Decoding
 raises QsigFormatError for any malformed field, including values the
 constructors reject (a non-unit axis, an invalid window or matrix).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+import io
+import os
 
 import numpy as np
 
@@ -37,7 +41,7 @@ from .errors import (
     QsigFormatError,
     TruncatedPayloadError,
 )
-from .grids import GridSpec, QSignal2D, QSpectrum2D
+from .grids import GridSpec, QSignal2D, QSpectrum2D, t_blocks
 from .qft import FreqWindow, QftKind, Side
 from .qlct import LctKind, LctParams
 from .quaternion import AxisPair
@@ -50,73 +54,96 @@ _U4 = np.dtype("<u4")
 _F8 = np.dtype("<f8")
 
 
-def _grid_header(grid: GridSpec) -> bytes:
-    return (np.array([grid.ns, grid.nt], dtype=_U4).tobytes()
+def _grid_header(magic, grid: GridSpec) -> bytes:
+    return (magic + np.array([grid.ns, grid.nt], dtype=_U4).tobytes()
             + np.array([grid.s_min, grid.t_min, grid.ds, grid.dt], dtype=_F8).tobytes())
 
 
-def _payload(data) -> bytes:
-    # t-major rows: serialize with the t index varying slowest
-    return np.ascontiguousarray(data.transpose(1, 0, 2), dtype=_F8).tobytes()
+def _chunks(head, data):
+    """The header, then the payload's t-major rows (t varies slowest) a block at a time."""
+    yield head
+    for rows in t_blocks(data.shape[0], data.shape[1], 32):
+        yield np.ascontiguousarray(data[:, rows].transpose(1, 0, 2), dtype=_F8)
+
+
+def _write_atomic(chunks, path):
+    """Write ``path`` whole or not at all: a temp file, removed on failure, then a rename."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)  # drops each chunk before it takes the next
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 class _Reader:
-    def __init__(self, buf, family):
-        if len(buf) < 4 or buf[:3] != family:
-            raise BadMagicError(f"bad magic {bytes(buf[:4])!r}")
-        if buf[3:4] != b"1":
-            raise BadVersionError(f"unsupported version byte {bytes(buf[3:4])!r}")
-        self.buf = buf
-        self.pos = 4
+    """A container on a binary stream: the file (a pipe is read whole), or BytesIO over a buffer."""
 
-    def take(self, dtype, count):
-        nbytes = dtype.itemsize * count
-        if self.pos + nbytes > len(self.buf):
+    def __init__(self, fh, family):
+        fh = fh if fh.seekable() else io.BytesIO(fh.read())
+        head = fh.read(4)
+        if len(head) < 4 or head[:3] != family:
+            raise BadMagicError(f"bad magic {head!r}")
+        if head[3:4] != b"1":
+            raise BadVersionError(f"unsupported version byte {head[3:4]!r}")
+        self.fh, self.end = fh, fh.seek(0, os.SEEK_END)
+        fh.seek(4)
+        ns, nt = (int(x) for x in self.take(_U4, 2))
+        s_min, t_min, ds, dt = (float(x) for x in self.take(_F8, 4))
+        try:
+            self.grid = GridSpec(s_min, t_min, ds, dt, ns, nt)
+        except QHarmonicsError as exc:
+            raise QsigFormatError(f"invalid grid header: {exc}") from None
+
+    def need(self, nbytes):
+        pos = self.fh.tell()
+        if pos + nbytes > self.end:
             raise TruncatedPayloadError(
-                f"need {nbytes} bytes at offset {self.pos}, have {len(self.buf) - self.pos}")
-        out = np.frombuffer(self.buf, dtype=dtype, count=count, offset=self.pos)
-        if dtype.kind == "f" and not np.isfinite(out).all():
-            raise QsigFormatError(f"non-finite value in the {count} reals at offset {self.pos}")
-        self.pos += nbytes
+                f"need {nbytes} bytes at offset {pos}, have {self.end - pos}")
+        return pos
+
+    def take(self, dtype, shape):
+        out = np.empty(shape, dtype=dtype)
+        pos = self.need(out.nbytes)
+        self.fh.readinto(out)
+        if dtype.kind == "f" and not (np.isfinite(out.min()) and np.isfinite(out.max())):
+            raise QsigFormatError(f"non-finite value in the {out.size} reals at offset {pos}")
         return out
 
-    def done(self):
-        if self.pos != len(self.buf):
-            raise QsigFormatError(f"{len(self.buf) - self.pos} trailing bytes")
+    def payload(self):
+        """The (ns, nt, 4) field that ends the container, read a block of t-rows at a time."""
+        ns, nt = self.grid.ns, self.grid.nt
+        self.need(ns * nt * 32)  # before allocating: a corrupt ns must not ask for GiBs
+        data = np.empty((ns, nt, 4))
+        for rows in t_blocks(ns, nt, 32):
+            data[:, rows] = self.take(_F8, (rows.stop - rows.start, ns, 4)).transpose(1, 0, 2)
+        if self.fh.tell() != self.end:
+            raise QsigFormatError(f"{self.end - self.fh.tell()} trailing bytes")
+        return data
 
 
-def _read_grid(rd: _Reader) -> GridSpec:
-    ns, nt = (int(x) for x in rd.take(_U4, 2))
-    s_min, t_min, ds, dt = (float(x) for x in rd.take(_F8, 4))
-    try:
-        return GridSpec(s_min, t_min, ds, dt, ns, nt)
-    except QHarmonicsError as exc:
-        raise QsigFormatError(f"invalid grid header: {exc}") from None
-
-
-def _read_payload(rd: _Reader, grid: GridSpec):
-    flat = rd.take(_F8, grid.ns * grid.nt * 4)
-    return np.ascontiguousarray(flat.reshape(grid.nt, grid.ns, 4).transpose(1, 0, 2), dtype=float)
+def _read_qsig(fh) -> QSignal2D:
+    rd = _Reader(fh, b"QSG")
+    return QSignal2D(rd.grid, rd.payload())
 
 
 def encode_qsig(sig: QSignal2D) -> bytes:
-    return b"QSG1" + _grid_header(sig.grid) + _payload(sig.data)
+    return b"".join(_chunks(_grid_header(b"QSG1", sig.grid), sig.data))
 
 
 def decode_qsig(buf) -> QSignal2D:
-    rd = _Reader(buf, b"QSG")
-    grid = _read_grid(rd)
-    data = _read_payload(rd, grid)
-    rd.done()
-    return QSignal2D(grid, data)
+    return _read_qsig(io.BytesIO(buf))
 
 
 def save_qsig(sig: QSignal2D, path):
-    Path(path).write_bytes(encode_qsig(sig))
+    _write_atomic(_chunks(_grid_header(b"QSG1", sig.grid), sig.data), path)
 
 
 def load_qsig(path) -> QSignal2D:
-    return decode_qsig(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        return _read_qsig(fh)
 
 
 def _kind_tag(kind) -> int:
@@ -124,7 +151,7 @@ def _kind_tag(kind) -> int:
     return base + _SIDES.index(kind.side)
 
 
-def encode_qspectrum(spec: QSpectrum2D) -> bytes:
+def _qspectrum_head(spec: QSpectrum2D) -> bytes:
     kind = spec.kind
     if spec.window is None:
         raise QsigFormatError("spectrum has no window metadata to serialize")
@@ -135,12 +162,11 @@ def encode_qspectrum(spec: QSpectrum2D) -> bytes:
     block += np.array([spec.window.nu, spec.window.nv], dtype=_U4).tobytes()
     if kind.family == "qlct":
         block += np.array(kind.A1.astuple() + kind.A2.astuple(), dtype=_F8).tobytes()
-    return b"QSP1" + _grid_header(spec.grid) + block + _payload(spec.data)
+    return _grid_header(b"QSP1", spec.grid) + block
 
 
-def decode_qspectrum(buf) -> QSpectrum2D:
-    rd = _Reader(buf, b"QSP")
-    grid = _read_grid(rd)
+def _read_qspectrum(fh) -> QSpectrum2D:
+    rd = _Reader(fh, b"QSP")
     tag, flags = rd.take(np.dtype("u1"), 2)
     if not 1 <= tag <= 6:
         raise QsigFormatError(f"unknown kind tag {tag}")
@@ -148,8 +174,7 @@ def decode_qspectrum(buf) -> QSpectrum2D:
     u_max, v_max = (float(x) for x in rd.take(_F8, 2))
     nu, nv = (int(x) for x in rd.take(_U4, 2))
     mats = [float(x) for x in rd.take(_F8, 8)] if tag > 3 else None
-    data = _read_payload(rd, grid)
-    rd.done()
+    data = rd.payload()
     side = _SIDES[(tag - 1) % 3]
     try:
         axes = AxisPair(axes_vals[:3].copy(), axes_vals[3:].copy())
@@ -161,12 +186,21 @@ def decode_qspectrum(buf) -> QSpectrum2D:
                            phase_corrected=bool(flags & 1))
     except QHarmonicsError as exc:
         raise QsigFormatError(f"invalid spectrum metadata: {exc}") from None
-    return QSpectrum2D(grid, data, kind, window)
+    return QSpectrum2D(rd.grid, data, kind, window)
+
+
+def encode_qspectrum(spec: QSpectrum2D) -> bytes:
+    return b"".join(_chunks(_qspectrum_head(spec), spec.data))
+
+
+def decode_qspectrum(buf) -> QSpectrum2D:
+    return _read_qspectrum(io.BytesIO(buf))
 
 
 def save_qspectrum(spec: QSpectrum2D, path):
-    Path(path).write_bytes(encode_qspectrum(spec))
+    _write_atomic(_chunks(_qspectrum_head(spec), spec.data), path)
 
 
 def load_qspectrum(path) -> QSpectrum2D:
-    return decode_qspectrum(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        return _read_qspectrum(fh)

@@ -158,6 +158,15 @@ def linf_diff(sig_a: QSignal2D, sig_b: QSignal2D) -> float:
     return float(np.max(qabs(sig_a.data - sig_b.data)))
 
 
+BLOCK_BYTES = 1 << 19  # one block of t-rows streamed by the PPM and container codecs
+
+
+def t_blocks(ns, nt, item_bytes):
+    """Slices of t-rows of ``ns`` items, at most BLOCK_BYTES (or one row) each."""
+    step = max(1, BLOCK_BYTES // (ns * item_bytes))
+    return [slice(t0, min(t0 + step, nt)) for t0 in range(0, nt, step)]
+
+
 # -- PPM color images --------------------------------------------------------
 # Pixels map to pure quaternions: (R, G, B) -> (0, R/255, G/255, B/255),
 # image column -> s axis, image row -> t axis (row 0 at t index 0).
@@ -202,15 +211,12 @@ def image_to_qsig(ppm_bytes: bytes) -> QSignal2D:
         raise BadPpmError(f"bad PPM dimensions {width}x{height}")
     if maxval != 255:
         raise BadPpmError(f"only maxval 255 is supported, got {maxval}")
-    raster = ppm_bytes[2 + offset:]
-    if len(raster) < 3 * width * height:
+    if len(ppm_bytes) - 2 - offset < 3 * width * height:
         raise BadPpmError("truncated PPM raster")
-    pix = np.frombuffer(raster[:3 * width * height], dtype=np.uint8)
-    pix = pix.reshape(height, width, 3).astype(float) / 255.0
+    pix = np.frombuffer(ppm_bytes, dtype=np.uint8, count=3 * width * height, offset=2 + offset)
     data = np.zeros((width, height, 4))
-    data[..., 1:] = np.transpose(pix, (1, 0, 2))
-    grid = GridSpec(0.0, 0.0, 1.0, 1.0, width, height)
-    return QSignal2D(grid, data)
+    np.divide(pix.reshape(height, width, 3).transpose(1, 0, 2), 255.0, out=data[..., 1:])
+    return QSignal2D(GridSpec(0.0, 0.0, 1.0, 1.0, width, height), data)
 
 
 def qsig_to_image(sig: QSignal2D):
@@ -225,13 +231,11 @@ def qsig_to_image(sig: QSignal2D):
     (bytes, dict)
         PPM bytes and ``{"scalar_min", "scalar_max", "scalar_max_abs"}``.
     """
-    rgb = np.transpose(sig.data[..., 1:], (1, 0, 2))
-    raster = np.rint(np.clip(rgb, 0.0, 1.0) * 255.0).astype(np.uint8)
-    scalar = sig.data[..., 0]
-    stats = {
-        "scalar_min": float(scalar.min()),
-        "scalar_max": float(scalar.max()),
-        "scalar_max_abs": float(np.abs(scalar).max()),
-    }
-    header = f"P6\n{sig.grid.ns} {sig.grid.nt}\n255\n".encode("ascii")
-    return header + raster.tobytes(), stats
+    ns, nt = sig.grid.ns, sig.grid.nt
+    raster = np.empty((nt, ns, 3), dtype=np.uint8)
+    for rows in t_blocks(ns, nt, 24):
+        rgb = np.clip(sig.data[:, rows, 1:].transpose(1, 0, 2), 0.0, 1.0)
+        raster[rows] = np.rint(np.multiply(rgb, 255.0, out=rgb), out=rgb)
+    lo, hi = float(sig.data[..., 0].min()), float(sig.data[..., 0].max())
+    stats = {"scalar_min": lo, "scalar_max": hi, "scalar_max_abs": max(abs(lo), abs(hi))}
+    return b"".join((f"P6\n{ns} {nt}\n255\n".encode("ascii"), raster)), stats

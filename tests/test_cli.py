@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -254,10 +255,23 @@ def test_failed_write_keeps_existing_output_and_leaves_no_temp(capsys, tmp_path,
     def fail(*args):
         raise OSError("disk full")
 
-    monkeypatch.setattr(fileio, "encode_qspectrum", fail)  # fails before any file opens
+    monkeypatch.setattr(fileio, "save_qspectrum", fail)  # fails before any file opens
     code, _, err = run(capsys, "qft", "--in", str(src), "--out", str(out_path))
     assert code == 2 and "disk full" in err
     assert out_path.read_bytes() == b"previous"
+    monkeypatch.undo()
+
+    chunks = fileio._chunks
+
+    def fail_after_first_block(head, data):
+        yield from itertools.islice(chunks(head, data), 2)  # the header and one block
+        raise OSError("disk full")
+
+    monkeypatch.setattr(fileio, "_chunks", fail_after_first_block)  # fails mid-file
+    code, _, err = run(capsys, "qft", "--in", str(src), "--out", str(out_path))
+    assert code == 2 and "disk full" in err
+    assert out_path.read_bytes() == b"previous"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.qsig", "g.qsp"]
     monkeypatch.undo()
 
     monkeypatch.setattr(os, "replace", fail)  # fails after the temp file is written

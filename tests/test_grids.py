@@ -1,7 +1,12 @@
+import itertools
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import qharmonics.fileio as fileio
+import qharmonics.grids as grids
 from qharmonics.errors import (
     BadMagicError,
     BadPpmError,
@@ -100,6 +105,14 @@ def test_qsig_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "y.qsig"
     fileio.save_qsig(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # a pipe cannot seek: its bytes are read whole
+    read_end, write_end = os.pipe()
+    os.write(write_end, path.read_bytes())
+    os.close(write_end)
+    try:
+        assert fileio.load_qsig(f"/dev/fd/{read_end}").data.tobytes() == sig.data.tobytes()
+    finally:
+        os.close(read_end)
 
 
 def test_qsig_payload_byte_layout(tmp_path):
@@ -118,30 +131,89 @@ def test_qsig_payload_byte_layout(tmp_path):
             assert payload[l, k].tolist() == data[k, l].tolist()
 
 
-def test_qsig_format_errors(tmp_path):
+# blocks of one t-row of a 4-wide field: a 4x4 payload spans four blocks
+ONE_ROW_BLOCKS = 4 * 32
+
+
+def test_qsig_format_errors(tmp_path, monkeypatch):
     sig = rand_signal(4)
     path = tmp_path / "x.qsig"
     fileio.save_qsig(sig, path)
-    raw = bytearray(path.read_bytes())
-
+    raw = path.read_bytes()
+    oversized = bytearray(raw)
+    oversized[7] |= 0x80  # ns with its top bit set declares a 256 GiB payload
+    cases = [
+        (b"NOPE" + raw[4:], BadMagicError),
+        (b"QSG9" + raw[4:], BadVersionError),
+        # header says 4x4 but only 3 quaternions of payload follow
+        (raw[:4 + 8 + 32] + raw[44:44 + 3 * 32], TruncatedPayloadError),
+        (raw[:-40], TruncatedPayloadError),  # the payload ends inside its last t-row
+        (bytes(oversized), TruncatedPayloadError),  # refused before allocating
+        (raw + b"\x00", QsigFormatError),
+    ]
     bad = tmp_path / "bad.qsig"
-    bad.write_bytes(b"NOPE" + bytes(raw[4:]))
-    with pytest.raises(BadMagicError):
-        fileio.load_qsig(bad)
+    for block_bytes in (grids.BLOCK_BYTES, ONE_ROW_BLOCKS):
+        monkeypatch.setattr(grids, "BLOCK_BYTES", block_bytes)
+        for buf, error in cases:
+            bad.write_bytes(buf)
+            with pytest.raises(error):
+                fileio.load_qsig(bad)
+            with pytest.raises(error):
+                fileio.decode_qsig(buf)
 
-    bad.write_bytes(b"QSG9" + bytes(raw[4:]))
-    with pytest.raises(BadVersionError):
-        fileio.load_qsig(bad)
 
-    # header says 4x4 but only 3 quaternions of payload follow
-    header = bytes(raw[:4 + 8 + 32])
-    bad.write_bytes(header + bytes(raw[44:44 + 3 * 32]))
-    with pytest.raises(TruncatedPayloadError):
-        fileio.load_qsig(bad)
+def test_failed_save_keeps_the_previous_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    chunks = fileio._chunks
 
-    bad.write_bytes(bytes(raw) + b"\x00")
-    with pytest.raises(QsigFormatError):
-        fileio.load_qsig(bad)
+    def fail_after_first_block(head, data):
+        yield from itertools.islice(chunks(head, data), 2)  # the header and one block
+        raise OSError("disk full")
+
+    monkeypatch.setattr(fileio, "_chunks", fail_after_first_block)
+    monkeypatch.setattr(grids, "BLOCK_BYTES", 8 * 32)  # one t-row of the 8x8 signal per block
+    path = tmp_path / "x.qsig"
+    path.write_bytes(b"previous")
+    with pytest.raises(OSError, match="disk full"):
+        fileio.save_qsig(rand_signal(), path)
+    assert path.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.qsig"]
+
+
+FILE_IO_CASES = [("save_qsig", 0.25), ("save_qspectrum", 0.25), ("load_qsig", 1.25),
+                 ("load_qspectrum", 1.25), ("image_to_qsig", 1.25), ("qsig_to_image", 0.5)]
+
+
+@pytest.mark.parametrize("name,bound", FILE_IO_CASES, ids=[c[0] for c in FILE_IO_CASES])
+def test_file_io_holds_one_field(tmp_path, name, bound):
+    """Peak traced allocation of one 512^2 file or image call, in units of
+    the field (n*n*4 doubles); its inputs are allocated beforehand.  A save
+    holds one block of t-rows, a load or an image decode the field it
+    returns plus one block, an image encode its raster, the PPM bytes and
+    one block."""
+    n = 512
+    rng = np.random.default_rng(4)
+    sig = QSignal2D(GridSpec.centered(10.0, n), rng.normal(size=(n, n, 4)))
+    window = FreqWindow(8.0, 8.0, n, n)
+    spec = QSpectrum2D(window.to_grid(), rng.normal(size=(n, n, 4)), QftKind(), window)
+    raster = rng.integers(0, 256, size=3 * n * n, dtype=np.uint8)
+    ppm = f"P6\n{n} {n}\n255\n".encode() + raster.tobytes()
+    image = image_to_qsig(ppm)
+    qsig, qsp = tmp_path / "x.qsig", tmp_path / "x.qsp"
+    fileio.save_qsig(sig, qsig)
+    fileio.save_qspectrum(spec, qsp)
+    call = {"save_qsig": lambda: fileio.save_qsig(sig, qsig),
+            "save_qspectrum": lambda: fileio.save_qspectrum(spec, qsp),
+            "load_qsig": lambda: fileio.load_qsig(qsig),
+            "load_qspectrum": lambda: fileio.load_qspectrum(qsp),
+            "image_to_qsig": lambda: image_to_qsig(ppm),
+            "qsig_to_image": lambda: qsig_to_image(image)}[name]
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * n * 4 * 8) < bound
 
 
 def test_spectrum_roundtrip_qft_and_qlct(tmp_path):
@@ -232,8 +304,13 @@ def test_qsig_to_image_modes():
     assert out.endswith(bytes([255, 0, 0] * 4))
 
 
-@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
-def test_loaders_reject_nonfinite_values(tmp_path, bad_value):
+@pytest.mark.parametrize("bad_value,block_bytes", [
+    pytest.param(np.nan, grids.BLOCK_BYTES, id="nan"),
+    pytest.param(np.inf, grids.BLOCK_BYTES, id="inf"),
+    pytest.param(np.nan, ONE_ROW_BLOCKS, id="nan-one-row-blocks"),
+    pytest.param(np.inf, ONE_ROW_BLOCKS, id="inf-one-row-blocks")])
+def test_loaders_reject_nonfinite_values(tmp_path, monkeypatch, bad_value, block_bytes):
+    monkeypatch.setattr(grids, "BLOCK_BYTES", block_bytes)
     sig = rand_signal(4)
     path = tmp_path / "x.qsig"
     fileio.save_qsig(sig, path)
