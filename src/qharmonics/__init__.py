@@ -30,7 +30,7 @@ _EXPORTS = {
     "jordan_split": "variation",
     # qft
     "Side": "qft", "QftKind": "qft", "FreqWindow": "qft",
-    "qft_forward": "qft", "qft_forward_at": "qft", "qft_inverse": "qft",
+    "qft_forward": "qft", "qft_inverse": "qft",
     "ft2d": "qft", "qft_from_ft": "qft", "ft_from_qft": "qft",
     "qft_fast": "qft", "derivative_multiplier": "qft",
     # qlct

@@ -10,11 +10,15 @@ cos(theta) + mu sin(theta)`` and ``mu`` acting as a fixed 4x4 real map
 ``M`` (left or right multiplication), the sum is ``C + S M^T`` with
 ``C = cos(theta) @ f`` and ``S = sin(theta) @ f``: real GEMMs that keep
 the exact placement of each factor, ``scale`` baked into their tables.
-A chirp is the 4x4 map ``cos(phi) I + sin(phi) M`` of one node.  Midpoint
-grids are mirrored about 0, so cos is even and sin odd in x: f is folded
-into ``f_j +- f_{n-1-j}`` and two half-size GEMMs give the first half of
-the output rows, the mirrored rows being ``C - S M^T`` (a quarter of the
-flops of other nodes, which take full-size GEMMs).
+A chirp is the 4x4 map ``cos(phi) I + sin(phi) M`` of one node.
+
+x and y are uniform grid nodes, each its centre plus offsets mirrored
+about 0: with x = x0 + x', y = y0 + y', e^{mu c y x} = e^{mu c y' x'}
+e^{mu c y0 x} e^{mu c x0 y'}, and the last two factors join the ``pre``
+and ``post`` chirps (none on a grid centred on 0).  On mirrored offsets
+cos is even and sin odd in x: f is folded into ``f_j +- f_{n-1-j}`` and
+two half-size GEMMs give the first half of the output rows, the mirrored
+rows being ``C - S M^T`` (a quarter of the flops of the unfolded product).
 
 A stage streams through bounded blocks that reuse their buffers: column
 blocks of the ``(n_in, nt*4)`` view on axis 0, ``ROW_BLOCK`` sample rows
@@ -28,9 +32,9 @@ accuracy.
 Narrow kernels have low rank: cos(c y x) on y in [-Y, 0], |x| <= X, needs
 about w + 10 w^(1/3) Chebyshev points in y, w = |c| X Y / 2, for any n
 (Ruiz-Antolin and Townsend, SIAM J. Sci. Comput. 40, 2018).  Where p
-points beat the fold (``BREAK_EVEN``) and pass their check, a mirrored
-stage with n_out >= n_in folds into its output block, contracts the fold
-to p rows and interpolates them back straight into the output.
+points beat the fold (``BREAK_EVEN``) and pass their check, a stage with
+n_out >= n_in folds into its output block, contracts the fold to p rows
+and interpolates them back straight into the output.
 
 A block reads each input node before it writes the output node in the same
 place, so a stage that keeps the length of its axis can overwrite its input
@@ -65,10 +69,26 @@ def _mirrored(x):
     return bool(np.all(np.abs(x + x[::-1]) <= MIRROR_ULPS * np.finfo(float).eps * scale))
 
 
-def _chirp_maps(angles, MT):
-    """(n, 4, 4) maps ``row -> row @ maps[j]`` of e^{mu angles_j} (MT = M^T)."""
-    phi = np.asarray(angles, dtype=float)[:, None, None]
-    return np.cos(phi) * np.eye(4) + np.sin(phi) * MT
+def _centred(x):
+    """(x0, x - x0) of uniform nodes x, offsets mirrored exactly; (0, x) if mirrored."""
+    if _mirrored(x):
+        return 0.0, x
+    x0 = (x[0] + x[-1]) / 2
+    d = x - x0
+    return x0, (d - d[::-1]) / 2
+
+
+def _chirp_maps(MT, *angles):
+    """(n, 4, 4) maps ``row -> row @ maps[j]`` of the product of e^{mu phi_j}
+    over the angle arrays phi that are not None (MT = M^T), or None.  The
+    maps compose, so each phase keeps its low bits."""
+    maps = None
+    for phi in angles:
+        if phi is not None:
+            phi = np.asarray(phi, dtype=float)[:, None, None]
+            one = np.cos(phi) * np.eye(4) + np.sin(phi) * MT
+            maps = one if maps is None else maps @ one
+    return maps
 
 
 def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
@@ -80,7 +100,8 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
     Parameters
     ----------
     y, x : 1D arrays
-        Output and input coordinates; ``x`` has the length of axis `axis`.
+        Output and input nodes, each a uniform grid; ``x`` has the length
+        of axis `axis`.
     c : float
         Scale of the kernel angle, signs included.
     mu : (3,) array
@@ -104,16 +125,17 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
         allocates a single field.
     """
     y, x, field = (np.asarray(a, dtype=float) for a in (y, x, field))
+    (x0, xc), (y0, yc) = _centred(x), _centred(y)
     MT = mul_matrix(np.concatenate([[0.0], mu]), left).T
-    maps = [None if phi is None else _chirp_maps(phi, MT) for phi in (pre, post)]
-    folded = _mirrored(x) and _mirrored(y)
-    tabs = _lowrank_tables(y, x, c, scale, BREAK_EVEN[axis]) if folded else None
+    maps = (_chirp_maps(MT, pre, c * y0 * x if y0 else None),
+            _chirp_maps(MT, post, c * x0 * yc if x0 else None))
+    tabs = _lowrank_tables(yc, xc, c, scale, BREAK_EVEN[axis])
     kernel = _lowrank
     if tabs is None:
-        theta = np.outer(c * y[:y.size // 2], x[:x.size // 2]) if folded else np.outer(c * y, x)
+        theta = np.outer(c * yc[:yc.size // 2], xc[:xc.size // 2])
         tabs = (scale * np.cos(theta), scale * np.sin(theta))
         # here _nodes takes 1.5-1.6x as long on C-order fields (strided node I/O)
-        kernel = _rows if axis == 1 and folded and pre is None and post is None else _nodes
+        kernel = _rows if axis == 1 and maps[0] is None and maps[1] is None else _nodes
     out = (field if overwrite and field.flags.carray and y.size == field.shape[axis]
            else np.empty(field.shape[:axis] + (y.size,) + field.shape[axis + 1:]))
     bufs = {}
@@ -121,7 +143,7 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
     for lo in range(0, field.shape[1 - axis], step):
         F, dst = ((a[:, lo:lo + step] if axis == 0 else a[lo:lo + step].swapaxes(0, 1))
                   for a in (field, out))
-        kernel(F, dst, tabs, folded, scale, *maps, MT, bufs)
+        kernel(F, dst, tabs, scale, *maps, MT, bufs)
     return out
 
 
@@ -185,7 +207,7 @@ def _fold(F, even, odd, pre, bufs):
             odd[lo:hi] = cd
 
 
-def _lowrank(F, dst, tabs, folded, scale, pre, post, MT, bufs):
+def _lowrank(F, dst, tabs, scale, pre, post, MT, bufs):
     """One block of a low-rank stage, node axis first: the fold lands in `dst`
     (which may be `F`), Cq = E_c even and Sq = E_s odd have p rows, and
     L (Cq + Sq M^T) and L[::-1] (Cq - Sq M^T) write straight into `dst`."""
@@ -208,44 +230,38 @@ def _lowrank(F, dst, tabs, folded, scale, pre, post, MT, bufs):
         a[...] = np.matmul(a, post[lo:lo + CHUNK], out=_buffer(bufs, "a", *a.shape))
 
 
-def _nodes(F, dst, tabs, folded, scale, pre, post, MT, bufs):
+def _nodes(F, dst, tabs, scale, pre, post, MT, bufs):
     """One block of a stage, node axis first: (n_in, k, 4) input `F`, (n_out,
     k, 4) output `dst`, which may be `F`.  The GEMMs multiply from the left; a
     chirp is one (k, 4) x (4, 4) product per node, applied to the nodes as
     they are read into the fold and written out of the unfold.  Unchirped
-    folded blocks on axis 0 write the cos GEMM straight into `dst`."""
+    blocks on axis 0 write the cos GEMM straight into `dst`."""
     (n_in, k, _), n_out = F.shape, dst.shape[0]
-    h, m = (n_in // 2, n_out // 2) if folded else (n_in, n_out)
-    even = _buffer(bufs, "even", h, k, 4)
-    odd = _buffer(bufs, "odd", h, k, 4) if folded else even
-    mid = (F[h].copy() if pre is None else F[h] @ pre[h]) if folded and n_in % 2 else 0.0
-    if not folded:
-        even = odd = F if pre is None else np.matmul(F, pre, out=even)
-    else:
-        _fold(F, even, odd, pre, bufs)
-    direct = folded and post is None and dst.strides[1] == 4 * dst.itemsize  # axis 0
+    h, m = n_in // 2, n_out // 2
+    even, odd = _buffer(bufs, "even", h, k, 4), _buffer(bufs, "odd", h, k, 4)
+    mid = (F[h].copy() if pre is None else F[h] @ pre[h]) if n_in % 2 else 0.0
+    _fold(F, even, odd, pre, bufs)
+    direct = post is None and dst.strides[1] == 4 * dst.itemsize  # axis 0
     C = np.matmul(tabs[0], even.reshape(h, k * 4),
                   out=dst[:m].reshape(m, k * 4) if direct else _buffer(bufs, "C", m, k * 4))
     S0 = np.matmul(tabs[1], odd.reshape(h, k * 4), out=_buffer(bufs, "S", m, k * 4))
     S = np.matmul(S0.reshape(-1, 4), MT, out=_buffer(bufs, "odd", m * k, 4))
     C, S, S0 = C.reshape(m, k, 4), S.reshape(m, k, 4), S0.reshape(m, k, 4)
-    if folded and n_out % 2:
+    if n_out % 2:
         centre = scale * (even.sum(axis=0) + mid)
         dst[m] = centre if post is None else centre @ post[m]
-    if folded and n_in % 2:
+    if n_in % 2:
         C += scale * mid
     if post is None:
-        if folded:
-            np.subtract(C[::-1], S[::-1], out=dst[n_out - m:])
+        np.subtract(C[::-1], S[::-1], out=dst[n_out - m:])
         np.add(C, S, out=dst[:m])
     else:
-        if folded:
-            np.matmul(np.subtract(C[::-1], S[::-1], out=S0), post[n_out - m:], out=dst[n_out - m:])
+        np.matmul(np.subtract(C[::-1], S[::-1], out=S0), post[n_out - m:], out=dst[n_out - m:])
         np.matmul(np.add(C, S, out=C), post[:m], out=dst[:m])
 
 
-def _rows(F, dst, tabs, folded, scale, pre, post, MT, bufs):
-    """A folded axis-1 block without chirps, in row layout: the (k, 4, n)
+def _rows(F, dst, tabs, scale, pre, post, MT, bufs):
+    """An axis-1 block without chirps, in row layout: the (k, 4, n)
     view of its k sample rows stays in cache, and the GEMMs multiply its
     (k*4, n/2) folds from the right."""
     G, V = F.transpose(1, 2, 0), dst.transpose(1, 2, 0)
@@ -275,7 +291,7 @@ def chirp_multiply(angles, mu, field, left, axis, scale=1.0):
     a C-order (n0, n1, 4) array.
     """
     field = np.asarray(field, dtype=float)
-    maps = scale * _chirp_maps(angles, mul_matrix(np.concatenate([[0.0], mu]), left).T)
+    maps = scale * _chirp_maps(mul_matrix(np.concatenate([[0.0], mu]), left).T, angles)
     out = np.empty(field.shape)
     np.matmul(np.moveaxis(field, axis, 0), maps, out=np.moveaxis(out, axis, 0))
     return out

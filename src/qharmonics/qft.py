@@ -13,8 +13,9 @@ factor and the side-specific kernel order
     right-sided f = (1/4pi^2) integral F e^{mu2 v t} e^{mu1 u s} du dv
     left-sided  f = (1/4pi^2) integral e^{mu2 v t} e^{mu1 u s} F du dv
 
-Each kernel factor is one mirror-folded contraction along a grid axis
-(see ``_kernels``).  On a midpoint grid with ``FreqWindow.natural`` the
+Each kernel factor is one mirror-folded contraction along an axis of any
+uniform grid (see ``_kernels``; an image on [0, w] folds about its centre,
+the shift a chirp).  On a midpoint grid with ``FreqWindow.natural`` the
 quadrature is exactly the 2D DFT of the samples; :func:`qft_fast` is that
 case, for any sample counts and any axis pair.
 """
@@ -43,7 +44,6 @@ __all__ = [
     "QftKind",
     "FreqWindow",
     "qft_forward",
-    "qft_forward_at",
     "qft_inverse",
     "ft2d",
     "qft_from_ft",
@@ -116,26 +116,15 @@ class FreqWindow:
                         self.nu, self.nv)
 
 
-def qft_forward_at(sig: QSignal2D, kind: QftKind, u, v):
-    """Forward QFT evaluated on explicit frequency arrays (raw data).
-
-    The workhorse behind :func:`qft_forward`; exposed so the chirp
-    factorization of the QLCT (``qlct_via_qft``) and matched-grid
-    comparisons can request arbitrary frequency nodes.  Returns an ``(len(u), len(v), 4)`` array.
-    """
-    coords = ((u, sig.grid.s, sig.grid.ds), (v, sig.grid.t, sig.grid.dt))
+def qft_forward(sig: QSignal2D, kind: QftKind, window: FreqWindow) -> QSpectrum2D:
+    """Forward QFT on the window's midpoint frequency grid."""
+    fgrid = window.to_grid()
+    coords = ((fgrid.s, sig.grid.s, sig.grid.ds), (fgrid.t, sig.grid.t, sig.grid.dt))
     mus = (kind.axes.mu1, kind.axes.mu2)
     data = sig.data
     for i, (axis, left) in enumerate(kind.side.stages):
         y, x, dx = coords[axis]
         data = exp_contract(y, x, -1.0, mus[axis], data, left, axis, scale=dx, overwrite=i > 0)
-    return data
-
-
-def qft_forward(sig: QSignal2D, kind: QftKind, window: FreqWindow) -> QSpectrum2D:
-    """Forward QFT on the window's midpoint frequency grid."""
-    fgrid = window.to_grid()
-    data = qft_forward_at(sig, kind, fgrid.s, fgrid.t)
     return QSpectrum2D(fgrid, data, kind, window)
 
 

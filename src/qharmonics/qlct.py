@@ -16,7 +16,7 @@ residual).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     SideMismatchError,
 )
 from .grids import GridSpec, QSignal2D, QSpectrum2D
-from .qft import FreqWindow, QftKind, Side, qft_forward_at
+from .qft import FreqWindow, Side
 from .quaternion import (
     CANONICAL_AXES,
     AxisPair,
@@ -148,8 +148,7 @@ def _degenerate_axis(data, A, mu, x, left, axis):
     if A.d <= 0:
         raise DegenerateBError("degenerate branch needs d > 0")
     xi = x / A.d
-    out = chirp_multiply(A.c * A.d * xi * xi / 2.0, mu, data, left, axis, scale=np.sqrt(A.d))
-    return out, xi
+    return chirp_multiply(A.c * A.d * xi * xi / 2.0, mu, data, left, axis, scale=np.sqrt(A.d))
 
 
 def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow) -> QSpectrum2D:
@@ -160,33 +159,30 @@ def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow) -> QSpectrum
     take the chirp-scaling branch; their output grid is the input grid
     mapped by xi = x/d and the window is ignored along that axis.
     """
-    data, (u, v) = _sandwich(sig.data, (kind.A1, kind.A2), kind.axes, kind.side.stages,
-                             sig.grid, window.to_grid())
-    return QSpectrum2D(_grid_from_coords(u, v), data, kind, window)
+    fgrid = window.to_grid()
+    data = _sandwich(sig.data, (kind.A1, kind.A2), kind.axes, kind.side.stages, sig.grid, fgrid)
+    g = sig.grid
+    if kind.A1.is_degenerate:
+        fgrid = replace(fgrid, s_min=g.s_min / kind.A1.d, ds=g.ds / kind.A1.d, ns=g.ns)
+    if kind.A2.is_degenerate:
+        fgrid = replace(fgrid, t_min=g.t_min / kind.A2.d, dt=g.dt / kind.A2.d, nt=g.nt)
+    return QSpectrum2D(fgrid, data, kind, window)
 
 
 def _sandwich(data, mats, axes, stages, src, dst):
     """Run the kernel stages `stages` of the per-axis matrices `mats` from
     the nodes of grid `src` onto those of grid `dst`.  A b = 0 axis takes
-    the chirp branch and lands on x/d instead; the output coordinates of
-    each axis are returned with the data."""
+    the chirp branch and lands on x/d instead."""
     mus = (axes.mu1, axes.mu2)
-    in_coords, out_coords = (src.s, src.t), [dst.s, dst.t]
+    in_coords, out_coords = (src.s, src.t), (dst.s, dst.t)
     spacing = (src.ds, src.dt)
     for i, (ax, left) in enumerate(stages):
         if mats[ax].is_degenerate:
-            data, out_coords[ax] = _degenerate_axis(data, mats[ax], mus[ax],
-                                                    in_coords[ax], left, ax)
+            data = _degenerate_axis(data, mats[ax], mus[ax], in_coords[ax], left, ax)
         else:
             data = _lct_axis_stage(data, mats[ax], mus[ax], in_coords[ax],
                                    out_coords[ax], left, ax, spacing[ax], overwrite=i > 0)
-    return data, out_coords
-
-
-def _grid_from_coords(u, v):
-    du = u[1] - u[0]
-    dv = v[1] - v[0]
-    return GridSpec(u[0] - du / 2, v[0] - dv / 2, du, dv, u.size, v.size)
+    return data
 
 
 def _check_inverse_kind(spec, kind, want_sided):
@@ -208,8 +204,8 @@ def _check_inverse_kind(spec, kind, want_sided):
 
 def _inverse(spec, kind, out_grid):
     """The forward sandwich of the inverse matrices, stages in reverse order."""
-    out, _ = _sandwich(spec.data, (kind.A1.inverse, kind.A2.inverse), kind.axes,
-                       reversed(kind.side.stages), spec.grid, out_grid)
+    out = _sandwich(spec.data, (kind.A1.inverse, kind.A2.inverse), kind.axes,
+                    reversed(kind.side.stages), spec.grid, out_grid)
     return QSignal2D(out_grid, out)
 
 
@@ -242,43 +238,22 @@ def qlct_inverse_sided(spec: QSpectrum2D, kind: LctKind,
 
 def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
                  fast=False) -> QSpectrum2D:
-    """Two-sided QLCT through the chirp-QFT-chirp factorization.
-
-    p(s,t) = e^{mu1 a1 s^2/(2 b1)} f(s,t) e^{mu2 a2 t^2/(2 b2)} is
-    transformed by the two-sided QFT, then scaled to (u/b1, v/b2),
-    chirped in the output and multiplied by the kernel prefactors.  With
+    """Two-sided QLCT through the chirp-QFT-chirp factorization, which is
+    what each :func:`qlct_forward` stage computes: the input chirp, the
+    Fourier kernel at u/b and the output chirp in one contraction.  With
     ``fast=True`` the window is the natural window of the signal grid
-    scaled by (|b1|, |b2|), on which the QFT stage is the exact DFT of the
-    chirped samples; otherwise the window is required.  Either way the
-    result matches qlct_forward node for node, for b of either sign.
+    scaled by (|b1|, |b2|), on which that kernel is the exact DFT of the
+    chirped samples; otherwise the window is required.
     """
     if kind.side is not Side.TWO_SIDED:
         raise SideMismatchError("the chirp factorization applies to the two-sided QLCT")
-    a1, b1, _, d1 = kind.A1.astuple()
-    a2, b2, _, d2 = kind.A2.astuple()
-    if b1 == 0.0 or b2 == 0.0:
+    if kind.A1.is_degenerate or kind.A2.is_degenerate:
         raise DegenerateBError("chirp factorization needs b1, b2 != 0")
-    mu1, mu2 = kind.axes.mu1, kind.axes.mu2
-    s, t = sig.grid.s, sig.grid.t
-
-    p = chirp_multiply(a1 * s * s / (2 * b1), mu1, sig.data, left=True, axis=0)
-    p_sig = QSignal2D(sig.grid, chirp_multiply(a2 * t * t / (2 * b2), mu2, p, left=False, axis=1))
-    del p
     if fast:
-        window = FreqWindow.natural(sig.grid).scaled(abs(b1), abs(b2))
+        window = FreqWindow.natural(sig.grid).scaled(abs(kind.A1.b), abs(kind.A2.b))
     elif window is None:
         raise InvalidParameterError("a window is required unless fast=True")
-    fgrid = window.to_grid()
-    u, v = fgrid.s, fgrid.t
-    out = qft_forward_at(p_sig, QftKind(Side.TWO_SIDED, kind.axes), u / b1, v / b2)
-    del p_sig
-
-    # output chirps carry the e^{-sign(b) mu pi/4} / sqrt(2 pi |b|) prefactors
-    out = chirp_multiply(d1 * u * u / (2 * b1) - np.sign(b1) * np.pi / 4, mu1, out,
-                         left=True, axis=0, scale=1.0 / np.sqrt(2.0 * np.pi * abs(b1)))
-    out = chirp_multiply(d2 * v * v / (2 * b2) - np.sign(b2) * np.pi / 4, mu2, out,
-                         left=False, axis=1, scale=1.0 / np.sqrt(2.0 * np.pi * abs(b2)))
-    return QSpectrum2D(_grid_from_coords(u, v), out, kind, window)
+    return qlct_forward(sig, kind, window)
 
 
 def _embed(re, im, mu):

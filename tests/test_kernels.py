@@ -1,8 +1,9 @@
-"""The contraction primitive: mirrored (folded) and dense paths.
+"""The contraction primitive against dense evaluations of the same sum.
 
-Midpoint grids take the folded path; the same nodes in a rolled order
-are not mirrored and take the dense path, so comparing the two checks
-the fold against an independent evaluation of the same sum.
+Every uniform grid takes the folded path: grids centred on 0 fold as they
+are, and a shifted grid folds about its centre, the shift becoming a
+chirp.  The dense references evaluate each kernel entry on the given
+nodes.
 """
 
 import tracemalloc
@@ -10,11 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import qft_bruteforce, qlct_bruteforce
+from oracles import qlct_bruteforce
 from qharmonics import _kernels
 from qharmonics._kernels import _mirrored, chirp_multiply, const_multiply, exp_contract
 from qharmonics.grids import GridSpec, QSignal2D
-from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward, qft_forward_at, qft_inverse
+from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse
 from qharmonics.qlct import (
     LctKind,
     LctParams,
@@ -23,7 +24,7 @@ from qharmonics.qlct import (
     qlct_inverse_two_sided,
     qlct_via_qft,
 )
-from qharmonics.quaternion import AxisPair, mul_matrix, qexp_pure, qmul
+from qharmonics.quaternion import mul_matrix, qexp_pure, qmul
 
 MU = np.array([0.0, 0.6, 0.8])
 
@@ -35,13 +36,27 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
+def _two_prod(a, b):
+    """a * b as an unevaluated sum p + e, exact (Dekker's product)."""
+    def split(v):
+        t = 134217729.0 * v  # 2^27 + 1
+        hi = t - (t - v)
+        return hi, v - hi
+    p = a * b
+    (a1, a2), (b1, b2) = split(a), split(b)
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
 def brute_contract(y, x, c, mu, field, left, axis, pre=0.0, post=0.0, scale=1.0):
     """scale sum_j e^{mu (c y_k x_j + pre_j + post_k)} f_j by explicit Hamilton
-    products.  The combined phase is carried as an exact sum s + e, so that
-    phases of hundreds of radians keep their low bits."""
+    products.  The combined phase, the kernel product included, is carried as
+    an exact sum s + e, so that phases of thousands of radians keep their low
+    bits."""
+    cy, e0 = _two_prod(c, np.asarray(y, dtype=float))
+    p, e3 = _two_prod(cy[:, None], np.asarray(x, dtype=float)[None])
     s, e1 = _two_sum(np.asarray(pre)[None], np.asarray(post)[..., None])
-    s, e2 = _two_sum(s, c * np.outer(y, x))
-    e = e1 + e2
+    s, e2 = _two_sum(s, p)
+    e = e1 + e2 + e3 + np.outer(e0, x)
     cos, sin = np.cos(s) - np.sin(s) * e, np.sin(s) + np.cos(s) * e
     K = scale * np.stack([cos] + [sin * m for m in mu], axis=-1)  # (n_out, n_in, 4)
     F = np.moveaxis(field, axis, 0)
@@ -50,11 +65,18 @@ def brute_contract(y, x, c, mu, field, left, axis, pre=0.0, post=0.0, scale=1.0)
     return np.moveaxis(terms.sum(axis=1), 0, axis)
 
 
-MIRRORED_CASES = [(8, 8), (7, 7), (8, 5), (5, 12), (1, 3), (9, 2)]
+MIRRORED_CASES = [(8, 8), (7, 7), (8, 5), (5, 12), (1, 3), (9, 2), (6, 1)]
 STAGES = [pytest.param(n_in, n_out, chirped, overwrite,
                        id=f"{n_in}-{n_out}" + "-chirped" * chirped + "-overwrite" * overwrite)
           for overwrite in (False, True) for chirped in (False, True)
           for n_in, n_out in MIRRORED_CASES if n_in == n_out or not overwrite]
+#: (input, output) centres of the shifted grids: offset input, output and both
+SHIFTS = [(1.7, 0.0), (0.0, -2.2), (1.7, -2.2)]
+
+
+def midpoints(centre, extent, n):
+    """n midpoint nodes of [centre - extent, centre + extent]."""
+    return GridSpec(centre - extent, 0.0, 2.0 * extent / n, 1.0, n, 1).s
 
 
 @pytest.fixture
@@ -69,52 +91,77 @@ def small_blocks(monkeypatch):
 @pytest.mark.parametrize("left", [True, False])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_mirrored_and_dense_paths_agree(n_in, n_out, chirped, overwrite, left, axis, small_blocks):
-    """The folded stage against the dense path and the brute Hamilton sum,
-    through straddling and partial blocks.  Chirped stages (pre, post and
-    scale, phases of hundreds of radians) are also checked against
-    chirp -> contraction -> chirp.  With `overwrite`, both paths run again
-    in place in a copy of their input, and on a Fortran-order copy that
-    they must leave untouched."""
+    """The folded stage against the dense brute Hamilton sum, through
+    straddling and partial blocks: on grids centred on 0, and on the same
+    grids shifted off 0 (input, output or both), whose centres become
+    chirps.  Chirped stages (pre, post and scale, phases of hundreds of
+    radians) are also checked against chirp -> contraction -> chirp.  With
+    `overwrite`, each stage runs again in place in a copy of its input, and
+    on a Fortran-order copy that it must leave untouched."""
     rng = np.random.default_rng(n_in * 31 + n_out)
-    x = GridSpec.centered(2.5, n_in).s
-    y = GridSpec.centered(3.0, n_out).s
-    assert _mirrored(x) and _mirrored(y)
     shape = [7, 7, 4]
     shape[axis] = n_in
     field = rng.normal(size=shape)
-    chirps = {}
-    if chirped:
-        chirps = dict(pre=300.0 + 40.0 * x * x + rng.normal(size=n_in),
-                      post=-250.0 - 30.0 * y * y + rng.normal(size=n_out), scale=0.37)
-    folded = exp_contract(y, x, -1.3, MU, field, left, axis, **chirps)
-    assert folded.flags.c_contiguous
+    noise = rng.normal(size=n_in), rng.normal(size=n_out)
+    for x0, y0 in [(0.0, 0.0)] + SHIFTS:
+        x, y = midpoints(x0, 2.5, n_in), midpoints(y0, 3.0, n_out)
+        assert _mirrored(x) == (x0 == 0.0) and _mirrored(y) == (y0 == 0.0)
+        chirps = {}
+        if chirped:
+            chirps = dict(pre=300.0 + 40.0 * (x - x0) ** 2 + noise[0],
+                          post=-250.0 - 30.0 * (y - y0) ** 2 + noise[1], scale=0.37)
+        got = exp_contract(y, x, -1.3, MU, field, left, axis, **chirps)
+        assert got.flags.c_contiguous
+        if overwrite:
+            mine, fortran = field.copy(), np.asfortranarray(field)
+            again = exp_contract(y, x, -1.3, MU, mine, left, axis, overwrite=True, **chirps)
+            assert np.shares_memory(again, mine) and np.array_equal(again, got)
+            again = exp_contract(y, x, -1.3, MU, fortran, left, axis, overwrite=True, **chirps)
+            assert not np.shares_memory(again, fortran) and np.array_equal(fortran, field)
 
-    # rolled nodes are no longer mirrored and take the dense path
-    px, py = np.roll(np.arange(n_in), 1), np.roll(np.arange(n_out), 1)
-    assert not (_mirrored(x[px]) and _mirrored(y[py]))
-    rolled = dict(chirps, pre=chirps["pre"][px], post=chirps["post"][py]) if chirped else {}
-    rolled_field = np.take(field, px, axis=axis)
-    dense = exp_contract(y[py], x[px], -1.3, MU, rolled_field, left, axis, **rolled)
-    if overwrite:
-        for (ys, xs), src, kw, want in (((y, x), field, chirps, folded),
-                                        ((y[py], x[px]), rolled_field, rolled, dense)):
-            mine, fortran = src.copy(), np.asfortranarray(src)
-            got = exp_contract(ys, xs, -1.3, MU, mine, left, axis, overwrite=True, **kw)
-            assert np.shares_memory(got, mine) and np.array_equal(got, want)
-            got = exp_contract(ys, xs, -1.3, MU, fortran, left, axis, overwrite=True, **kw)
-            assert not np.shares_memory(got, fortran) and np.array_equal(fortran, src)
-    dense = np.take(dense, np.argsort(py), axis=axis)
+        ref = brute_contract(y, x, -1.3, MU, field, left, axis, **chirps)
+        others = [ref]
+        if chirped:
+            sandwich = chirp_multiply(chirps["pre"], MU, field, left, axis)
+            sandwich = exp_contract(y, x, -1.3, MU, sandwich, left, axis)
+            others.append(chirp_multiply(chirps["post"], MU, sandwich, left, axis, scale=0.37))
+        assert got.shape == ref.shape
+        for other in others:
+            assert np.max(np.abs(got - other)) <= 1e-14 * np.max(np.abs(ref))
 
-    ref = brute_contract(y, x, -1.3, MU, field, left, axis, **chirps)
-    others = [dense, ref]
-    if chirped:
-        sandwich = chirp_multiply(chirps["pre"], MU, field, left, axis)
-        sandwich = exp_contract(y, x, -1.3, MU, sandwich, left, axis)
-        others.append(chirp_multiply(chirps["post"], MU, sandwich, left, axis, scale=0.37))
-    scale = np.max(np.abs(ref))
-    assert folded.shape == ref.shape
-    for other in others:
-        assert np.max(np.abs(folded - other)) <= 1e-14 * scale
+
+def long_double_contract(y, x, c, mu, field, left, scale):
+    """An axis-0 stage in long double: the unfolded kernel on the given nodes."""
+    theta = np.longdouble(c) * np.asarray(y, np.longdouble)[:, None] * np.asarray(x, np.longdouble)
+    F = field.astype(np.longdouble).reshape(len(x), -1)
+    MT = mul_matrix(np.concatenate([[0.0], mu]), left).T.astype(np.longdouble)
+    C, S = ((f(theta) @ F).reshape(len(y), -1, 4) for f in (np.cos, np.sin))
+    return np.longdouble(scale) * (C + S @ MT)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is double here")
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_image_grid_stage_against_long_double(direction):
+    """The axis-0 QFT stage of a 512^2 image grid on [0, 512] and its natural
+    window: the grid folds about its centre 256, the shift a chirp.  Against
+    a long-double evaluation it stays within twice the error of the dense
+    double-precision product on the same nodes, which rounds each kernel
+    angle c y x once."""
+    grid = GridSpec(0.0, 0.0, 1.0, 1.0, 512, 512)
+    window = FreqWindow.natural(grid).to_grid()
+    y, x, c, scale = ((window.s, grid.s, -1.0, grid.ds) if direction == "forward"
+                      else (grid.s, window.s, 1.0, window.ds / (2.0 * np.pi)))
+    assert not (_mirrored(x) and _mirrored(y))
+    field = np.random.default_rng(0).normal(size=(512, 16, 4))
+    ref = long_double_contract(y, x, c, MU, field, True, scale)
+    theta = c * np.outer(y, x)
+    MT = mul_matrix(np.concatenate([[0.0], MU]), True).T
+    F = field.reshape(512, -1)
+    dense = ((scale * np.cos(theta) @ F).reshape(field.shape)
+             + (scale * np.sin(theta) @ F).reshape(field.shape) @ MT)
+    got = exp_contract(y, x, c, MU, field, True, 0, scale=scale)
+    err, dense_err = (float(np.max(np.abs(a - ref)) / np.max(np.abs(ref))) for a in (got, dense))
+    assert err <= 2.0 * dense_err
 
 
 LOW_RANK_SIZES = [(160, 160), (161, 161), (160, 161), (161, 162)]
@@ -127,7 +174,8 @@ LOW_RANK_SIZES = [(160, 160), (161, 161), (160, 161), (161, 162)]
 def test_low_rank_stages_match_brute_force(n_in, n_out, chirped, c, axis, small_blocks, monkeypatch):
     """Narrow kernels (|c| X Y / 2 <= 1.8 here) take the low-rank path, which
     folds into the output block: through straddling and partial blocks, odd
-    lengths, chirps with phases of hundreds of radians, and in place."""
+    lengths, chirps with phases of hundreds of radians, in place, and on
+    shifted grids."""
     calls = []
     lowrank = _kernels._lowrank
     monkeypatch.setattr(_kernels, "_lowrank", lambda *a: calls.append(1) or lowrank(*a))
@@ -153,6 +201,13 @@ def test_low_rank_stages_match_brute_force(n_in, n_out, chirped, c, axis, small_
         again = exp_contract(y, x, c, MU, fortran, left, axis, overwrite=True, **chirps)
         assert not np.shares_memory(again, fortran) and np.array_equal(fortran, field)
         assert np.array_equal(again, got)
+
+    # on grids shifted off 0 the stage folds about their centres, the shifts chirps
+    calls.clear()
+    xs, ys = x + 0.4, y - 0.3
+    shifted = exp_contract(ys, xs, c, MU, field, left, axis, **chirps)
+    ref = brute_contract(ys, xs, c, MU, field, left, axis, **chirps)
+    assert calls and np.max(np.abs(shifted - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     # too few Chebyshev points fail the check: the stage falls back to the fold
     calls.clear()
@@ -203,14 +258,13 @@ NARROW_CASES = [pytest.param(family, Side.TWO_SIDED, direction, 1024, 1.25,
 
 
 @pytest.mark.parametrize("family,side,direction,n,bound", MEMORY_CASES + NARROW_CASES + [
-    pytest.param("qlct_via_qft", Side.TWO_SIDED, "forward", 512, 3.5, id="qlct_via_qft")])
+    pytest.param("qlct_via_qft", Side.TWO_SIDED, "forward", 512, 2.5, id="qlct_via_qft")])
 def test_transforms_allocate_one_field(family, side, direction, n, bound):
     """Peak traced allocation of one n^2 transform, in units of the field
     (n*n*4 doubles); its input is allocated beforehand.  A transform
     allocates one field, in its first stage, plus what a stage holds: the
     block buffers of the folded path, only p-row tables and intermediates on
-    the low-rank path.  ``qlct_via_qft`` also holds its chirped input
-    through the QFT."""
+    the low-rank path."""
     grid = GridSpec.centered(10.0, n)
     sig = QSignal2D(grid, np.random.default_rng(3).normal(size=(n, n, 4)))
     window = FreqWindow(8.0, 8.0, n, n)
@@ -265,18 +319,6 @@ def test_chirp_and_const_are_4x4_maps(left, axis):
     p = rng.normal(size=4)
     np.testing.assert_allclose(mul_matrix(q, left) @ p, qmul(q, p) if left else qmul(p, q),
                                rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("side", list(Side))
-def test_arbitrary_nodes_match_bruteforce(side):
-    rng = np.random.default_rng(11)
-    sig = QSignal2D(GridSpec(0.3, -1.1, 0.25, 0.2, 7, 9), rng.normal(size=(7, 9, 4)))
-    u = rng.uniform(-4.0, 4.0, size=6)
-    v = rng.uniform(-4.0, 4.0, size=5)
-    axes = AxisPair(np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0]))
-    got = qft_forward_at(sig, QftKind(side, axes), u, v)
-    want = qft_bruteforce(sig, side, axes, u, v)
-    assert np.max(np.abs(got - want)) < 1e-12
 
 
 @pytest.mark.parametrize("side", [Side.RIGHT_SIDED, Side.LEFT_SIDED])

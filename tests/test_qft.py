@@ -48,12 +48,17 @@ def test_freq_window_validation():
 @pytest.mark.parametrize("side", list(Side))
 @pytest.mark.parametrize("axes", [None, TILTED])
 def test_forward_matches_bruteforce_oracle(side, axes):
+    """On a centred grid, and on a shifted odd grid that folds about its
+    centre with the shift as a chirp."""
     kind = QftKind(side) if axes is None else QftKind(side, axes)
-    sig = rand_signal(8, seed=3)
-    w = FreqWindow.square(3.0, 8)
-    got = qft_forward(sig, kind, w)
-    want = qft_bruteforce(sig, side, kind.axes, got.grid.s, got.grid.t)
-    assert np.max(np.abs(got.data - want)) < 1e-12
+    shifted = GridSpec(0.3, -1.1, 0.25, 0.2, 7, 9)
+    cases = [(rand_signal(8, seed=3), FreqWindow.square(3.0, 8)),
+             (QSignal2D(shifted, np.random.default_rng(11).normal(size=(7, 9, 4))),
+              FreqWindow(4.0, 3.5, 6, 5))]
+    for sig, w in cases:
+        got = qft_forward(sig, kind, w)
+        want = qft_bruteforce(sig, side, kind.axes, got.grid.s, got.grid.t)
+        assert np.max(np.abs(got.data - want)) < 1e-12
 
 
 def test_gaussian_closed_form():
