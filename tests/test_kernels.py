@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import qlct_bruteforce
+from oracles import qft_bruteforce, qlct_bruteforce
 from qharmonics import _kernels
 from qharmonics._kernels import _mirrored, chirp_multiply, const_multiply, exp_contract
 from qharmonics.grids import GridSpec, QSignal2D
@@ -24,7 +24,7 @@ from qharmonics.qlct import (
     qlct_inverse_two_sided,
     qlct_via_qft,
 )
-from qharmonics.quaternion import mul_matrix, qexp_pure, qmul
+from qharmonics.quaternion import AxisPair, mul_matrix, qexp_pure, qmul
 
 MU = np.array([0.0, 0.6, 0.8])
 
@@ -319,6 +319,24 @@ def test_chirp_and_const_are_4x4_maps(left, axis):
     p = rng.normal(size=4)
     np.testing.assert_allclose(mul_matrix(q, left) @ p, qmul(q, p) if left else qmul(p, q),
                                rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_arbitrary_nodes_match_bruteforce(side):
+    """The QFT stages of a shifted odd grid at uniform frequency nodes of
+    random start and spacing, neither grid centred on 0."""
+    rng = np.random.default_rng(11)
+    sig = QSignal2D(GridSpec(0.3, -1.1, 0.25, 0.2, 7, 9), rng.normal(size=(7, 9, 4)))
+    u = rng.uniform(-4.0, 0.0) + rng.uniform(0.5, 1.5) * np.arange(6)
+    v = rng.uniform(-4.0, 0.0) + rng.uniform(0.5, 1.5) * np.arange(5)
+    axes = AxisPair(np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0]))
+    coords = ((u, sig.grid.s, sig.grid.ds), (v, sig.grid.t, sig.grid.dt))
+    got = sig.data
+    for axis, left in side.stages:
+        y, x, dx = coords[axis]
+        got = exp_contract(y, x, -1.0, (axes.mu1, axes.mu2)[axis], got, left, axis, scale=dx)
+    want = qft_bruteforce(sig, side, axes, u, v)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 @pytest.mark.parametrize("side", [Side.RIGHT_SIDED, Side.LEFT_SIDED])
