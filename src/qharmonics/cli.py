@@ -80,9 +80,12 @@ def _side(args) -> Side:
             "left": Side.LEFT_SIDED}[args.side]
 
 
-def _window(args, grid) -> FreqWindow:
+def _window(args, grid, b=(1.0, 1.0)) -> FreqWindow:
+    """``--window M[,N]`` on the counts of `grid`; without it, the natural
+    window of `grid` scaled by |b| per axis (1 on a b = 0 axis), from which
+    the QLCT inverse recovers the signal to rounding."""
     if args.window is None:
-        return FreqWindow.natural(grid)
+        return FreqWindow.natural(grid).scaled(abs(b[0]) or 1.0, abs(b[1]) or 1.0)
     vals = _floats(args.window, flag="--window")
     if len(vals) == 1:
         vals = (vals[0], vals[0])
@@ -252,7 +255,7 @@ def _cmd_qlct(args, out: _Outputs):
     axes = _axes(args)
     A1, A2 = _matrices(args)
     sig = fileio.load_qsig(args.inp)
-    window = _window(args, sig.grid)
+    window = _window(args, sig.grid, (A1.b, A2.b))
     spec = qlct_forward(sig, LctKind(_side(args), A1, A2, axes), window)
     out.write(fileio.save_qspectrum, spec, args.out)
 
@@ -271,7 +274,7 @@ def _cmd_iqlct(args, out: _Outputs):
 def _cmd_qfrft(args, out: _Outputs):
     axes = _axes(args)
     sig = fileio.load_qsig(args.inp)
-    window = _window(args, sig.grid)
+    window = _window(args, sig.grid, (np.sin(args.alpha), np.sin(args.beta)))
     spec = qfrft(sig, args.alpha, args.beta, _side(args), window, axes,
                  phase_corrected=args.phase_corrected)
     out.write(fileio.save_qspectrum, spec, args.out)
@@ -289,8 +292,7 @@ def _cmd_roundtrip(args, out: _Outputs):
         back = qft_inverse(qft_forward(sig, kind, window), kind, grid)
     else:
         A1, A2 = _matrices(args)
-        window = (_window(args, grid) if args.window is not None  # default: natural, scaled by |b|
-                  else FreqWindow.natural(grid).scaled(abs(A1.b) or 1.0, abs(A2.b) or 1.0))
+        window = _window(args, grid, (A1.b, A2.b))
         back = _qlct_inverse(qlct_forward(sig, LctKind(side, A1, A2, axes), window), grid)
     err = np.subtract(back.data, sig.data, out=back.data)  # in place: no fourth field
     err = np.sqrt(np.square(err, out=err).sum(axis=-1))  # qabs(sig - back)

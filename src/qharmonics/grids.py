@@ -44,6 +44,8 @@ class GridSpec:
             raise NonFiniteError("grid origin and spacings must be finite")
         if not (self.ds > 0 and self.dt > 0):
             raise InvalidParameterError("grid spacings must be positive")
+        if not (isinstance(self.ns, (int, np.integer)) and isinstance(self.nt, (int, np.integer))):
+            raise InvalidParameterError("grid sample counts must be integers")
         # 1x1 grids are legal so single-pixel images can round-trip
         if not (self.ns >= 1 and self.nt >= 1):
             raise InvalidParameterError("grids need at least 1 sample per axis")

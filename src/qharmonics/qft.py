@@ -15,9 +15,10 @@ factor and the side-specific kernel order
 
 Each kernel factor is one mirror-folded contraction along an axis of any
 uniform grid (see ``_kernels``; an image on [0, w] folds about its centre,
-the shift a chirp).  On a midpoint grid with ``FreqWindow.natural`` the
-quadrature is exactly the 2D DFT of the samples; :func:`qft_fast` is that
-case, for any sample counts and any axis pair.
+the shift a chirp), and one stage loop runs them for the QLCT too.  On a
+midpoint grid with ``FreqWindow.natural`` the quadrature is exactly the 2D
+DFT of the samples; :func:`qft_fast` is that case, for any sample counts
+and any axis pair.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._kernels import const_multiply, exp_contract
+from ._kernels import chirp_multiply, const_multiply, exp_contract
 from .errors import (
     InvalidParameterError,
     InvalidWindowError,
@@ -94,6 +95,8 @@ class FreqWindow:
             raise NonFiniteError("window extents must be finite")
         if not (self.u_max > 0 and self.v_max > 0):
             raise InvalidWindowError("window extents must be positive")
+        if not (isinstance(self.nu, (int, np.integer)) and isinstance(self.nv, (int, np.integer))):
+            raise InvalidWindowError("window sample counts must be integers")
         if self.nu < 2 or self.nv < 2:
             raise InvalidWindowError("windows need at least 2 samples per axis")
 
@@ -119,35 +122,48 @@ class FreqWindow:
 def qft_forward(sig: QSignal2D, kind: QftKind, window: FreqWindow) -> QSpectrum2D:
     """Forward QFT on the window's midpoint frequency grid."""
     fgrid = window.to_grid()
-    coords = ((fgrid.s, sig.grid.s, sig.grid.ds), (fgrid.t, sig.grid.t, sig.grid.dt))
-    mus = (kind.axes.mu1, kind.axes.mu2)
-    data = sig.data
-    for i, (axis, left) in enumerate(kind.side.stages):
-        y, x, dx = coords[axis]
-        data = exp_contract(y, x, -1.0, mus[axis], data, left, axis, scale=dx, overwrite=i > 0)
+    data = _stages(sig.data, kind.side.stages, kind.axes, sig.grid, fgrid,
+                   lambda axis, x, y, dx: (-1.0, None, None, dx))
     return QSpectrum2D(fgrid, data, kind, window)
-
-
-def _require_qft(spec: QSpectrum2D):
-    if getattr(spec.kind, "family", None) != "qft":
-        raise ProvenanceMismatchError(f"not a QFT spectrum: {spec.kind!r}")
 
 
 def qft_inverse(spec: QSpectrum2D, kind: QftKind, out_grid: GridSpec) -> QSignal2D:
     """Inverse QFT quadrature onto `out_grid` (1/4pi^2 normalization, one
     1/2pi in the weight of each stage)."""
-    _require_qft(spec)
+    _require(spec, kind, "qft")
+    out = _stages(spec.data, reversed(kind.side.stages), kind.axes, spec.grid, out_grid,
+                  lambda axis, u, y, du: (1.0, None, None, du / (2.0 * np.pi)))
+    return QSignal2D(out_grid, out)
+
+
+def _stages(data, stages, axes, src, dst, terms):
+    """Run the kernel stages `stages`, (grid axis, kernel on the left) pairs,
+    from the nodes of grid `src` onto those of grid `dst`.
+
+    ``terms(axis, x, y, dx)`` gives the stage's ``(c, pre, post, scale)``
+    for :func:`exp_contract` from the axis's input nodes, output nodes and
+    input spacing.  With c = None the stage is the pointwise chirp
+    ``scale e^{mu pre}`` on the input nodes (a b = 0 QLCT axis).  Every
+    stage after the first owns its input and may overwrite it.
+    """
+    mus, xs, ys, dxs = (axes.mu1, axes.mu2), (src.s, src.t), (dst.s, dst.t), (src.ds, src.dt)
+    for i, (axis, left) in enumerate(stages):
+        c, pre, post, scale = terms(axis, xs[axis], ys[axis], dxs[axis])
+        if c is None:
+            data = chirp_multiply(pre, mus[axis], data, left, axis, scale=scale)
+        else:
+            data = exp_contract(ys[axis], xs[axis], c, mus[axis], data, left, axis,
+                                pre=pre, post=post, scale=scale, overwrite=i > 0)
+    return data
+
+
+def _require(spec: QSpectrum2D, kind, family):
+    """Raise ProvenanceMismatchError unless `spec` is a `family` spectrum of `kind`."""
+    if getattr(spec.kind, "family", None) != family:
+        raise ProvenanceMismatchError(f"not a {family.upper()} spectrum: {spec.kind!r}")
     if spec.kind != kind:
         raise ProvenanceMismatchError(
             f"spectrum provenance {spec.kind!r} does not match {kind!r}")
-    coords = ((out_grid.s, spec.grid.s, spec.grid.ds), (out_grid.t, spec.grid.t, spec.grid.dt))
-    mus = (kind.axes.mu1, kind.axes.mu2)
-    out = spec.data
-    for i, (axis, left) in enumerate(reversed(kind.side.stages)):
-        y, x, du = coords[axis]
-        out = exp_contract(y, x, 1.0, mus[axis], out, left, axis,
-                           scale=du / (2.0 * np.pi), overwrite=i > 0)
-    return QSignal2D(out_grid, out)
 
 
 # -- relations with the complex 2D Fourier transform -------------------------
@@ -223,7 +239,7 @@ def derivative_multiplier(spec: QSpectrum2D, m: int, n: int) -> QSpectrum2D:
     left-sided (mu1 u)^m (n must be 0), right-sided (mu2 v)^n (m must
     be 0); anything else raises SideMismatchError.
     """
-    _require_qft(spec)
+    _require(spec, spec.kind, "qft")
     if not (m >= 0 and n >= 0):
         raise InvalidParameterError("derivative orders must be nonnegative")
     kind = spec.kind

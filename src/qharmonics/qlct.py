@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._kernels import chirp_multiply, const_multiply, exp_contract
+from ._kernels import const_multiply
 from .errors import (
     DegenerateAngleError,
     DegenerateBError,
@@ -30,7 +30,7 @@ from .errors import (
     SideMismatchError,
 )
 from .grids import GridSpec, QSignal2D, QSpectrum2D
-from .qft import FreqWindow, Side
+from .qft import FreqWindow, Side, _require, _stages
 from .quaternion import (
     CANONICAL_AXES,
     AxisPair,
@@ -129,26 +129,24 @@ def lct_kernel(A: LctParams, axis, x, xi):
     return qexp_pure(axis, phase) / np.sqrt(2.0 * np.pi * abs(b))
 
 
-def _lct_axis_stage(data, A, mu, x, xi, left, axis, weight, overwrite):
-    """One kernel-sandwich quadrature stage along a grid axis (cell width
-    `weight`): chirp(x), contraction and chirp(xi) in one call, the output
-    chirp carrying the e^{-sign(b) mu pi/4} prefactor phase."""
-    a, b, _, d = A.astuple()
-    return exp_contract(xi, x, -1.0 / b, mu, data, left, axis, pre=a * x * x / (2 * b),
-                        post=d * xi * xi / (2 * b) - np.sign(b) * np.pi / 4,
-                        scale=weight / np.sqrt(2.0 * np.pi * abs(b)), overwrite=overwrite)
+def _lct_terms(A: LctParams, x, xi, dx):
+    """Stage terms (c, pre, post, scale) of one axis for ``qft._stages``:
+    chirp(x), the Fourier kernel at xi/b and chirp(xi) in one contraction
+    of cell width `dx`, the output chirp carrying the e^{-sign(b) mu pi/4}
+    prefactor phase.
 
-
-def _degenerate_axis(data, A, mu, x, left, axis):
-    """b = 0 branch: sqrt(d) e^{mu c d xi^2 / 2} f(d xi) along one axis.
-
-    The output coordinates are xi = x/d so no resampling is needed;
-    requires d > 0 (det = ad = 1 pins d = 1/a).
+    A b = 0 axis is the pointwise chirp sqrt(d) e^{mu c d xi^2 / 2} f(d xi)
+    (c = None): its output coordinates are xi = x/d, so no resampling is
+    needed; requires d > 0 (det = ad = 1 pins d = 1/a).
     """
-    if A.d <= 0:
-        raise DegenerateBError("degenerate branch needs d > 0")
-    xi = x / A.d
-    return chirp_multiply(A.c * A.d * xi * xi / 2.0, mu, data, left, axis, scale=np.sqrt(A.d))
+    a, b, c, d = A.astuple()
+    if b == 0.0:
+        if d <= 0:
+            raise DegenerateBError("degenerate branch needs d > 0")
+        xi = x / d
+        return None, c * d * xi * xi / 2.0, None, np.sqrt(d)
+    return (-1.0 / b, a * x * x / (2 * b), d * xi * xi / (2 * b) - np.sign(b) * np.pi / 4,
+            dx / np.sqrt(2.0 * np.pi * abs(b)))
 
 
 def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow) -> QSpectrum2D:
@@ -160,7 +158,9 @@ def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow) -> QSpectrum
     mapped by xi = x/d and the window is ignored along that axis.
     """
     fgrid = window.to_grid()
-    data = _sandwich(sig.data, (kind.A1, kind.A2), kind.axes, kind.side.stages, sig.grid, fgrid)
+    mats = (kind.A1, kind.A2)
+    data = _stages(sig.data, kind.side.stages, kind.axes, sig.grid, fgrid,
+                   lambda axis, x, xi, dx: _lct_terms(mats[axis], x, xi, dx))
     g = sig.grid
     if kind.A1.is_degenerate:
         fgrid = replace(fgrid, s_min=g.s_min / kind.A1.d, ds=g.ds / kind.A1.d, ns=g.ns)
@@ -169,28 +169,11 @@ def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow) -> QSpectrum
     return QSpectrum2D(fgrid, data, kind, window)
 
 
-def _sandwich(data, mats, axes, stages, src, dst):
-    """Run the kernel stages `stages` of the per-axis matrices `mats` from
-    the nodes of grid `src` onto those of grid `dst`.  A b = 0 axis takes
-    the chirp branch and lands on x/d instead."""
-    mus = (axes.mu1, axes.mu2)
-    in_coords, out_coords = (src.s, src.t), (dst.s, dst.t)
-    spacing = (src.ds, src.dt)
-    for i, (ax, left) in enumerate(stages):
-        if mats[ax].is_degenerate:
-            data = _degenerate_axis(data, mats[ax], mus[ax], in_coords[ax], left, ax)
-        else:
-            data = _lct_axis_stage(data, mats[ax], mus[ax], in_coords[ax],
-                                   out_coords[ax], left, ax, spacing[ax], overwrite=i > 0)
-    return data
-
-
-def _check_inverse_kind(spec, kind, want_sided):
-    if getattr(spec.kind, "family", None) != "qlct":
-        raise ProvenanceMismatchError(f"not a QLCT spectrum: {spec.kind!r}")
-    if spec.kind != kind:
-        raise ProvenanceMismatchError(
-            f"spectrum provenance {spec.kind!r} does not match {kind!r}")
+def _inverse(spec, kind, out_grid, want_sided):
+    """Check that `spec` is a raw QLCT spectrum of `kind` with the wanted
+    sidedness, then run the forward sandwich of the inverse matrices, stages
+    in reverse order."""
+    _require(spec, kind, "qlct")
     if kind.phase_corrected:
         raise ProvenanceMismatchError(
             "undo the fractional phase factors before inverting")
@@ -200,12 +183,9 @@ def _check_inverse_kind(spec, kind, want_sided):
         raise SideMismatchError("use qlct_inverse_sided for sided spectra")
     if kind.A1.is_degenerate or kind.A2.is_degenerate:
         raise DegenerateBError("inverse through a degenerate (b = 0) axis")
-
-
-def _inverse(spec, kind, out_grid):
-    """The forward sandwich of the inverse matrices, stages in reverse order."""
-    out = _sandwich(spec.data, (kind.A1.inverse, kind.A2.inverse), kind.axes,
-                    reversed(kind.side.stages), spec.grid, out_grid)
+    mats = (kind.A1.inverse, kind.A2.inverse)
+    out = _stages(spec.data, reversed(kind.side.stages), kind.axes, spec.grid, out_grid,
+                  lambda axis, u, x, du: _lct_terms(mats[axis], u, x, du))
     return QSignal2D(out_grid, out)
 
 
@@ -216,8 +196,7 @@ def qlct_inverse_two_sided(spec: QSpectrum2D, kind: LctKind,
     f(x, y) = integral K_{A1^{-1}}(u, x) L(u, v) K_{A2^{-1}}(v, y) du dv,
     with no 1/4pi^2 prefactor (see module docstring).
     """
-    _check_inverse_kind(spec, kind, want_sided=False)
-    return _inverse(spec, kind, out_grid)
+    return _inverse(spec, kind, out_grid, want_sided=False)
 
 
 def qlct_inverse_sided(spec: QSpectrum2D, kind: LctKind,
@@ -232,8 +211,7 @@ def qlct_inverse_sided(spec: QSpectrum2D, kind: LctKind,
     are the rotation by pi/2.  The order is load-bearing: swapping the
     two inverse kernels on a non-real signal does not reconstruct f.
     """
-    _check_inverse_kind(spec, kind, want_sided=True)
-    return _inverse(spec, kind, out_grid)
+    return _inverse(spec, kind, out_grid, want_sided=True)
 
 
 def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,

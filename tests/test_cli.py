@@ -362,3 +362,22 @@ def test_roundtrip_default_windows(capsys):
     code, default, _ = run(capsys, *base, "--transform", "qft", *LCT_FLAGS)
     code8, explicit, _ = run(capsys, *base, "--transform", "qft", "--window", "8", *LCT_FLAGS)
     assert code == code8 == 0 and default == explicit
+
+
+@pytest.mark.parametrize("forward", [
+    *(pytest.param(("qlct", "--side", side.value, *LCT_FLAGS), id=f"qlct-{side.value}")
+      for side in Side),
+    pytest.param(("qfrft", "--alpha", "0.5", "--beta", "0.7"), id="qfrft")])
+def test_file_round_trips_on_default_windows(capsys, tmp_path, forward):
+    """Without --window, qlct and qfrft write their spectra on the natural
+    window scaled by |b| (|sin| of the angles for qfrft), from which iqlct
+    recovers the signal."""
+    code, _, err = run(capsys, "fixtures", "--out-dir", str(tmp_path), "--grid", "33")
+    assert code == 0 and err == ""
+    src, spec, back = tmp_path / "qgaussian.qsig", tmp_path / "q.qsp", tmp_path / "b.qsig"
+    code, _, err = run(capsys, forward[0], "--in", str(src), "--out", str(spec), *forward[1:])
+    assert code == 0 and err == ""
+    code, _, err = run(capsys, "iqlct", "--in", str(spec), "--out", str(back),
+                       "--grid", "33", "--extent", "6")
+    assert code == 0 and err == ""
+    assert linf_diff(fileio.load_qsig(src), fileio.load_qsig(back)) < 1e-12

@@ -47,6 +47,10 @@ def test_gridspec_validation_and_midpoints():
         GridSpec(0, 0, 0.0, 1.0, 4, 4)
     with pytest.raises(ValueError):
         GridSpec(0, 0, 1.0, 1.0, 0, 4)
+    for ns, nt in [(2.5, 3), (3, 3.0), (np.nan, 4), (4, np.float64(4)), ("4", 4)]:
+        with pytest.raises(InvalidParameterError):
+            GridSpec(0, 0, 1.0, 1.0, ns, nt)
+    assert GridSpec(0, 0, 1.0, 1.0, np.int64(3), np.uint32(2)).s.size == 3
     g = GridSpec.centered(2.0, 4)
     np.testing.assert_allclose(g.s, [-1.5, -0.5, 0.5, 1.5])
     np.testing.assert_allclose(g.t, [-1.5, -0.5, 0.5, 1.5])

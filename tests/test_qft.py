@@ -41,6 +41,10 @@ def test_freq_window_validation():
         FreqWindow(-1.0, 1.0, 8, 8)
     with pytest.raises(InvalidWindowError):
         FreqWindow(1.0, 1.0, 1, 8)
+    for nu, nv in [(4.5, 4), (4, 4.0), (np.nan, 4), (4, np.inf), (np.float64(4), 4)]:
+        with pytest.raises(InvalidWindowError):
+            FreqWindow(1.0, 1.0, nu, nv)
+    assert FreqWindow(1.0, 1.0, np.int64(5), np.int32(4)).to_grid().s.size == 5
     w = FreqWindow.square(2.0, 4)
     np.testing.assert_allclose(w.to_grid().s, [-1.5, -0.5, 0.5, 1.5])
 

@@ -13,7 +13,7 @@ from qharmonics.errors import (
 )
 from qharmonics.fixtures import gaussian, qgaussian
 from qharmonics.grids import GridSpec, QSignal2D, QSpectrum2D, linf_diff, sample
-from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward
+from qharmonics.qft import FreqWindow, QftKind, Side, derivative_multiplier, qft_forward, qft_inverse
 from qharmonics.qlct import (
     LctKind,
     LctParams,
@@ -414,3 +414,54 @@ def test_inverse_after_forward_recovers_the_input_on_the_scaled_natural_window(s
         window = FreqWindow(GENERIC.b * natural.u_max, SHEAR.b * natural.v_max, ns, nt)
         back = _inverse(side)(qlct_forward(sig, kind, window), kind, grid)
         assert linf_diff(sig, back) < 1e-11  # chirp phases reach ~100 rad
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_inverses_refuse_the_other_familys_spectrum(side):
+    sig = rand_signal(8, seed=5)
+    window = FreqWindow.square(3.0, 8)
+    qspec = qft_forward(sig, QftKind(side), window)
+    lkind = LctKind(side, GENERIC, SHEAR)
+    lspec = qlct_forward(sig, lkind, window)
+    for call in (lambda: qft_inverse(lspec, lspec.kind, sig.grid),
+                 lambda: qft_inverse(lspec, QftKind(side), sig.grid),
+                 lambda: derivative_multiplier(lspec, 0, 0),
+                 lambda: qlct_inverse_two_sided(qspec, qspec.kind, sig.grid),
+                 lambda: qlct_inverse_two_sided(qspec, lkind, sig.grid),
+                 lambda: qlct_inverse_sided(qspec, qspec.kind, sig.grid),
+                 lambda: qlct_inverse_sided(qspec, lkind, sig.grid)):
+        with pytest.raises(ProvenanceMismatchError):
+            call()
+
+
+B0 = LctParams(2.0, 0.0, 0.3, 0.5)
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_transforms_leave_their_input_untouched(side):
+    """Stages after the first overwrite a buffer the transform owns, never
+    the caller's signal or spectrum, also when the first stage is the b = 0
+    chirp (axis 0 runs first on the two- and right-sided kinds, axis 1 on
+    the left-sided one)."""
+    sig = rand_signal(9, seed=31)
+    window = FreqWindow.natural(sig.grid)
+    qkind, lkind = QftKind(side), LctKind(side, GENERIC, SHEAR)
+    b0_first = LctKind(side, GENERIC, B0) if side is Side.LEFT_SIDED else LctKind(side, B0, SHEAR)
+    qspec = qft_forward(sig, qkind, window)
+    lspec = qlct_forward(sig, lkind, window.scaled(0.5, 1.0))
+    calls = [lambda: qft_forward(sig, qkind, window),
+             lambda: qft_inverse(qspec, qkind, sig.grid),
+             lambda: qlct_forward(sig, lkind, window),
+             lambda: qlct_forward(sig, b0_first, window),
+             lambda: _inverse(side)(lspec, lkind, sig.grid),
+             lambda: qfrft(sig, 0.7, -1.1, side, window)]
+    if side is Side.TWO_SIDED:
+        calls += [lambda: qlct_via_qft(sig, lkind, fast=True),
+                  lambda: qfrft(sig, 0.7, -1.1, side, window, phase_corrected=True)]
+    else:
+        calls.append(lambda: sided_decompose_transform(sig, lkind, window))
+    before = [a.copy() for a in (sig.data, qspec.data, lspec.data)]
+    for call in calls:
+        call()
+        for was, now in zip(before, (sig.data, qspec.data, lspec.data)):
+            assert was.tobytes() == now.tobytes()
