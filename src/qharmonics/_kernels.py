@@ -38,7 +38,8 @@ and interpolates them back straight into the output.
 
 A block reads each input node before it writes the output node in the same
 place, so a stage that keeps the length of its axis can overwrite its input
-(``overwrite=True``): a transform allocates one field, in its first stage.
+(``overwrite=True``): a transform allocates one field, in its first stage,
+and an inverse handed its spectrum none.
 """
 
 from __future__ import annotations
@@ -122,7 +123,9 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
         `field` when it is a C-contiguous writeable float64 array and
         ``len(y) == field.shape[axis]``; otherwise a new array is allocated.
         Transforms pass it on every stage after the first, so each one
-        allocates a single field.
+        allocates a single field, and on the first stage too when the
+        caller hands over the spectrum (an inverse with ``overwrite=True``),
+        which then allocates none.
     """
     y, x, field = (np.asarray(a, dtype=float) for a in (y, x, field))
     (x0, xc), (y0, yc) = _centred(x), _centred(y)

@@ -248,7 +248,7 @@ def _cmd_qft(args, out: _Outputs):
 def _cmd_iqft(args, out: _Outputs):
     grid = _signal_grid(args)
     spec = fileio.load_qspectrum(args.inp)
-    out.write(fileio.save_qsig, qft_inverse(spec, spec.kind, grid), args.out)
+    out.write(fileio.save_qsig, qft_inverse(spec, spec.kind, grid, overwrite=True), args.out)
 
 
 def _cmd_qlct(args, out: _Outputs):
@@ -261,8 +261,10 @@ def _cmd_qlct(args, out: _Outputs):
 
 
 def _qlct_inverse(spec, grid):
+    """The QLCT inverse of `spec` onto `grid`, consuming the spectrum's data."""
     sided = spec.kind.side is not Side.TWO_SIDED
-    return (qlct_inverse_sided if sided else qlct_inverse_two_sided)(spec, spec.kind, grid)
+    inverse = qlct_inverse_sided if sided else qlct_inverse_two_sided
+    return inverse(spec, spec.kind, grid, overwrite=True)
 
 
 def _cmd_iqlct(args, out: _Outputs):
@@ -289,13 +291,16 @@ def _cmd_roundtrip(args, out: _Outputs):
     if args.transform == "qft":
         kind = QftKind(side, axes)
         window = FreqWindow.square(8.0, grid.ns) if args.window is None else _window(args, grid)
-        back = qft_inverse(qft_forward(sig, kind, window), kind, grid)
+        back = qft_inverse(qft_forward(sig, kind, window), kind, grid, overwrite=True)
     else:
         A1, A2 = _matrices(args)
         window = _window(args, grid, (A1.b, A2.b))
         back = _qlct_inverse(qlct_forward(sig, LctKind(side, A1, A2, axes), window), grid)
-    err = np.subtract(back.data, sig.data, out=back.data)  # in place: no fourth field
-    err = np.sqrt(np.square(err, out=err).sum(axis=-1))  # qabs(sig - back)
+    # the residual overwrites back and is then the only field: no third one
+    err = np.subtract(back.data, sig.data, out=back.data)
+    del sig, back
+    err = np.square(err, out=err).sum(axis=-1)
+    err = np.sqrt(err, out=err)  # qabs(sig - back)
     print("fixture,side,transform,l1_error,linf_error")
     print(",".join([args.fixture, args.side, args.transform,
                     _G17(float(np.sum(err) * grid.cell_area)), _G17(float(np.max(err)))]))

@@ -127,16 +127,23 @@ def qft_forward(sig: QSignal2D, kind: QftKind, window: FreqWindow) -> QSpectrum2
     return QSpectrum2D(fgrid, data, kind, window)
 
 
-def qft_inverse(spec: QSpectrum2D, kind: QftKind, out_grid: GridSpec) -> QSignal2D:
+def qft_inverse(spec: QSpectrum2D, kind: QftKind, out_grid: GridSpec,
+                overwrite=False) -> QSignal2D:
     """Inverse QFT quadrature onto `out_grid` (1/4pi^2 normalization, one
-    1/2pi in the weight of each stage)."""
+    1/2pi in the weight of each stage).
+
+    ``overwrite=True`` hands the spectrum over, as ``overwrite_x`` in
+    ``scipy.fft``: its data may be destroyed and the result may share its
+    memory (it does for a C-contiguous spectrum with the counts of
+    `out_grid`), so the inverse allocates no field of its own.
+    """
     _require(spec, kind, "qft")
     out = _stages(spec.data, reversed(kind.side.stages), kind.axes, spec.grid, out_grid,
-                  lambda axis, u, y, du: (1.0, None, None, du / (2.0 * np.pi)))
+                  lambda axis, u, y, du: (1.0, None, None, du / (2.0 * np.pi)), overwrite)
     return QSignal2D(out_grid, out)
 
 
-def _stages(data, stages, axes, src, dst, terms):
+def _stages(data, stages, axes, src, dst, terms, overwrite=False):
     """Run the kernel stages `stages`, (grid axis, kernel on the left) pairs,
     from the nodes of grid `src` onto those of grid `dst`.
 
@@ -144,7 +151,8 @@ def _stages(data, stages, axes, src, dst, terms):
     for :func:`exp_contract` from the axis's input nodes, output nodes and
     input spacing.  With c = None the stage is the pointwise chirp
     ``scale e^{mu pre}`` on the input nodes (a b = 0 QLCT axis).  Every
-    stage after the first owns its input and may overwrite it.
+    stage after the first owns its input and may overwrite it; the first
+    may when `overwrite` is true (the caller hands `data` over).
     """
     mus, xs, ys, dxs = (axes.mu1, axes.mu2), (src.s, src.t), (dst.s, dst.t), (src.ds, src.dt)
     for i, (axis, left) in enumerate(stages):
@@ -153,7 +161,7 @@ def _stages(data, stages, axes, src, dst, terms):
             data = chirp_multiply(pre, mus[axis], data, left, axis, scale=scale)
         else:
             data = exp_contract(ys[axis], xs[axis], c, mus[axis], data, left, axis,
-                                pre=pre, post=post, scale=scale, overwrite=i > 0)
+                                pre=pre, post=post, scale=scale, overwrite=overwrite or i > 0)
     return data
 
 
@@ -240,6 +248,8 @@ def derivative_multiplier(spec: QSpectrum2D, m: int, n: int) -> QSpectrum2D:
     be 0); anything else raises SideMismatchError.
     """
     _require(spec, spec.kind, "qft")
+    if not (isinstance(m, (int, np.integer)) and isinstance(n, (int, np.integer))):
+        raise InvalidParameterError(f"derivative orders ({m!r}, {n!r}) must be integers")
     if not (m >= 0 and n >= 0):
         raise InvalidParameterError("derivative orders must be nonnegative")
     kind = spec.kind

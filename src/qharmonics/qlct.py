@@ -169,10 +169,10 @@ def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow) -> QSpectrum
     return QSpectrum2D(fgrid, data, kind, window)
 
 
-def _inverse(spec, kind, out_grid, want_sided):
+def _inverse(spec, kind, out_grid, want_sided, overwrite):
     """Check that `spec` is a raw QLCT spectrum of `kind` with the wanted
     sidedness, then run the forward sandwich of the inverse matrices, stages
-    in reverse order."""
+    in reverse order (consuming the spectrum's data if `overwrite`)."""
     _require(spec, kind, "qlct")
     if kind.phase_corrected:
         raise ProvenanceMismatchError(
@@ -185,22 +185,24 @@ def _inverse(spec, kind, out_grid, want_sided):
         raise DegenerateBError("inverse through a degenerate (b = 0) axis")
     mats = (kind.A1.inverse, kind.A2.inverse)
     out = _stages(spec.data, reversed(kind.side.stages), kind.axes, spec.grid, out_grid,
-                  lambda axis, u, x, du: _lct_terms(mats[axis], u, x, du))
+                  lambda axis, u, x, du: _lct_terms(mats[axis], u, x, du), overwrite)
     return QSignal2D(out_grid, out)
 
 
 def qlct_inverse_two_sided(spec: QSpectrum2D, kind: LctKind,
-                           out_grid: GridSpec) -> QSignal2D:
+                           out_grid: GridSpec, overwrite=False) -> QSignal2D:
     """Two-sided inversion with A^{-1} = (d, -b, -c, a) kernels.
 
     f(x, y) = integral K_{A1^{-1}}(u, x) L(u, v) K_{A2^{-1}}(v, y) du dv,
-    with no 1/4pi^2 prefactor (see module docstring).
+    with no 1/4pi^2 prefactor (see module docstring).  ``overwrite=True``
+    hands the spectrum over, as for :func:`qft.qft_inverse`: its data may be
+    destroyed and the result may share its memory.
     """
-    return _inverse(spec, kind, out_grid, want_sided=False)
+    return _inverse(spec, kind, out_grid, want_sided=False, overwrite=overwrite)
 
 
 def qlct_inverse_sided(spec: QSpectrum2D, kind: LctKind,
-                       out_grid: GridSpec) -> QSignal2D:
+                       out_grid: GridSpec, overwrite=False) -> QSignal2D:
     """Sided inversions, undoing the forward kernels innermost-first.
 
     right-sided: f = integral L(u,v) K_{A2^{-1}}(v,t) K_{A1^{-1}}(u,s)
@@ -210,8 +212,9 @@ def qlct_inverse_sided(spec: QSpectrum2D, kind: LctKind,
     left-sided Fourier inversion it specializes to when both matrices
     are the rotation by pi/2.  The order is load-bearing: swapping the
     two inverse kernels on a non-real signal does not reconstruct f.
+    ``overwrite`` is as for :func:`qlct_inverse_two_sided`.
     """
-    return _inverse(spec, kind, out_grid, want_sided=True)
+    return _inverse(spec, kind, out_grid, want_sided=True, overwrite=overwrite)
 
 
 def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,

@@ -26,6 +26,7 @@ from .errors import (
     NonConvergentError,
     NonFiniteError,
     NonPositiveWindowError,
+    ShapeMismatchError,
     SideMismatchError,
 )
 from .grids import GridSpec, QSignal2D, QSpectrum2D, l1_norm, sample
@@ -223,8 +224,9 @@ def gauss_mean_inverse(spec: QSpectrum2D, schedule, reference: QSignal2D = None,
     windowed inversion integral evaluated on the output grid; the result
     equals the heat smoothing f * W_alpha up to truncation.  When a
     reference is supplied, the L1 distance to it is reported per step
-    (non-increasing along a decreasing schedule).  The schedule must be
-    finite (NonFiniteError), positive and strictly decreasing
+    (non-increasing along a decreasing schedule); it must live on the
+    output grid (ShapeMismatchError).  The schedule must be finite
+    (NonFiniteError), positive and strictly decreasing
     (InvalidParameterError).
     """
     if getattr(spec.kind, "family", None) != "qft" or spec.kind.side is not Side.TWO_SIDED:
@@ -239,11 +241,13 @@ def gauss_mean_inverse(spec: QSpectrum2D, schedule, reference: QSignal2D = None,
         if reference is None:
             raise InvalidParameterError("need a reference signal or an output grid")
         out_grid = reference.grid
+    elif reference is not None and reference.grid != out_grid:
+        raise ShapeMismatchError("the reference does not live on the output grid")
     U, V = spec.grid.mesh()
     steps = []
     for alpha in schedule:
         damped = spec.scaled(np.exp(-alpha * (U ** 2 + V ** 2)))
-        sig = qft_inverse(damped, spec.kind, out_grid)
+        sig = qft_inverse(damped, spec.kind, out_grid, overwrite=True)  # a fresh copy
         err = None
         if reference is not None:
             err = l1_norm(QSignal2D(out_grid, sig.data - reference.data))

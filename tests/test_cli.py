@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,28 @@ def test_roundtrip_prints_errors_and_succeeds(capsys):
     fields = row.split(",")
     assert fields[:3] == ["gaussian", "two", "qft"]
     assert float(fields[4]) < 1e-4
+
+
+@pytest.mark.parametrize("transform", [
+    ["--transform", "qft"],
+    ["--transform", "qlct", "--a1", "0.6", "--b1", "0.5", "--c1=-2.48", "--d1=-0.4",
+     "--a2", "1", "--b2", "0.5", "--c2", "0", "--d2", "1"]], ids=["qft", "qlct"])
+def test_roundtrip_holds_two_fields(capsys, transform):
+    """Peak traced memory of a 1024^2 round trip, in fields: the inverse
+    consumes the spectrum and the residual is taken in place, so the peak
+    is the signal, the spectrum and one stage's buffers (at 256^2 a
+    stage's bounded block buffers alone exceed two fields)."""
+    n = 1024
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "roundtrip", "--fixture", "qgaussian", "--grid", str(n),
+                             "--extent", "10", "--window", "8", *transform)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert float(out.splitlines()[1].split(",")[4]) < 1e-4
+    assert peak / (n * n * 4 * 8) < 2.3
 
 
 def test_usage_errors_exit_1(capsys, tmp_path):

@@ -249,12 +249,16 @@ def test_stage_reads_any_memory_order(axis, chirped, small_blocks):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-MEMORY_CASES = [pytest.param(family, side, direction, 512, 2.5, id=f"{family}-{side.value}-{direction}")
-                for family in ("qft", "qlct") for side in Side for direction in ("forward", "inverse")]
+# "consume" is the inverse handed its spectrum (overwrite=True): it allocates
+# no field, only what a stage holds
+BOUNDS = {"forward": (2.5, 1.25), "inverse": (2.5, 1.25), "consume": (1.0, 0.5)}
+MEMORY_CASES = [pytest.param(family, side, direction, 512, BOUNDS[direction][0],
+                             id=f"{family}-{side.value}-{direction}")
+                for family in ("qft", "qlct") for side in Side for direction in BOUNDS]
 # narrow windows at 1024^2 (b = 0.5 on both QLCT axes): every stage is low-rank
-NARROW_CASES = [pytest.param(family, Side.TWO_SIDED, direction, 1024, 1.25,
+NARROW_CASES = [pytest.param(family, Side.TWO_SIDED, direction, 1024, BOUNDS[direction][1],
                              id=f"{family}-two-{direction}-1024")
-                for family in ("qft", "qlct") for direction in ("forward", "inverse")]
+                for family in ("qft", "qlct") for direction in BOUNDS]
 
 
 @pytest.mark.parametrize("family,side,direction,n,bound", MEMORY_CASES + NARROW_CASES + [
@@ -263,8 +267,9 @@ def test_transforms_allocate_one_field(family, side, direction, n, bound):
     """Peak traced allocation of one n^2 transform, in units of the field
     (n*n*4 doubles); its input is allocated beforehand.  A transform
     allocates one field, in its first stage, plus what a stage holds: the
-    block buffers of the folded path, only p-row tables and intermediates on
-    the low-rank path."""
+    block buffers of the folded path (about 0.7 field at 512^2), only p-row
+    tables and intermediates on the low-rank path.  An inverse that consumes
+    its spectrum writes into it and holds only what a stage holds."""
     grid = GridSpec.centered(10.0, n)
     sig = QSignal2D(grid, np.random.default_rng(3).normal(size=(n, n, 4)))
     window = FreqWindow(8.0, 8.0, n, n)
@@ -277,11 +282,11 @@ def test_transforms_allocate_one_field(family, side, direction, n, bound):
                "qlct": lambda: qlct_forward(sig, lkind, window),
                "qlct_via_qft": lambda: qlct_via_qft(sig, lkind, fast=True)}[family]
     call = forward
-    if direction == "inverse":
+    if direction != "forward":
         spec = forward()
         inverse = (qft_inverse if family == "qft" else
                    qlct_inverse_two_sided if side is Side.TWO_SIDED else qlct_inverse_sided)
-        call = lambda: inverse(spec, spec.kind, grid)  # noqa: E731
+        call = lambda: inverse(spec, spec.kind, grid, overwrite=direction == "consume")  # noqa: E731
     tracemalloc.start()
     try:
         result = call()
@@ -290,6 +295,8 @@ def test_transforms_allocate_one_field(family, side, direction, n, bound):
         tracemalloc.stop()
     assert result.data.shape == (n, n, 4)
     assert peak / (n * n * 4 * 8) < bound
+    if direction == "consume":
+        assert np.shares_memory(result.data, spec.data)
 
 
 def test_mirror_detection():

@@ -262,8 +262,11 @@ def test_derivative_multiplier_higher_orders_are_repeated_products():
                 want = qmul(want, mu_v)
             got = derivative_multiplier(spec, m, n).data
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
-    with pytest.raises(InvalidParameterError):
-        derivative_multiplier(spec, -1, 0)
+    for m, n in ((-1, 0), (1.5, 0), (0.5, 0), (0, 1.0)):  # orders are nonnegative integers
+        with pytest.raises(InvalidParameterError):
+            derivative_multiplier(spec, m, n)
+    assert derivative_multiplier(spec, 0, np.int64(2)).data.tobytes() == \
+        derivative_multiplier(spec, 0, 2).data.tobytes()
 
 
 def test_derivative_multiplier_side_mismatch():

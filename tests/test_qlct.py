@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import property_grids, qlct_bruteforce, random_axes
+from qharmonics import _kernels
 from qharmonics._kernels import chirp_multiply
 from qharmonics.errors import (
     DegenerateAngleError,
@@ -465,3 +466,35 @@ def test_transforms_leave_their_input_untouched(side):
         call()
         for was, now in zip(before, (sig.data, qspec.data, lspec.data)):
             assert was.tobytes() == now.tobytes()
+
+
+@pytest.mark.parametrize("n", [300, 301])
+@pytest.mark.parametrize("side", list(Side))
+def test_inverses_that_consume_their_spectrum_give_the_same_bytes(side, n):
+    """With overwrite=True an inverse writes into the spectrum's buffer and
+    returns the bytes of the allocating inverse, on natural windows (folded
+    stages) and narrow ones (every stage low-rank); onto a grid whose counts
+    differ from the spectrum's it allocates and leaves the spectrum alone."""
+    grid = GridSpec.centered(4.0, n)
+    sig = QSignal2D(grid, np.random.default_rng(n).normal(size=(n, n, 4)))
+    other = GridSpec.centered(4.0, n // 2)
+    lkind = LctKind(side, GENERIC, LctParams(1.0, -0.5, 0.0, 1.0))
+    narrow = FreqWindow(5.0, 5.0, n, n)
+    low_rank = _kernels._lowrank_tables(grid.s, narrow.to_grid().s, 1.0, 1.0, min(_kernels.BREAK_EVEN))
+    assert low_rank is not None
+    cases = [(QftKind(side), qft_forward, qft_inverse, (1.0, 1.0)),
+             (lkind, qlct_forward, _inverse(side), (GENERIC.b, 0.5))]
+    for kind, forward, inverse, b in cases:
+        for window in (FreqWindow.natural(grid), narrow):
+            spec = forward(sig, kind, window.scaled(*b))
+            want = inverse(spec, kind, grid).data.tobytes()
+            got = inverse(spec, kind, grid, overwrite=True).data
+            assert np.shares_memory(got, spec.data)
+            assert got.tobytes() == want
+
+            spec = forward(sig, kind, window.scaled(*b))
+            before = spec.data.tobytes()
+            got = inverse(spec, kind, other, overwrite=True).data
+            assert not np.shares_memory(got, spec.data)
+            assert spec.data.tobytes() == before
+            assert got.tobytes() == inverse(spec, kind, other).data.tobytes()

@@ -9,6 +9,7 @@ from oracles import (
     si_series,
     sinc_partial_sum_reference,
 )
+from qharmonics import smoothing
 from qharmonics.errors import (
     InvalidParameterError,
     InvariantViolationError,
@@ -16,6 +17,7 @@ from qharmonics.errors import (
     NonConvergentError,
     NonFiniteError,
     NonPositiveWindowError,
+    ShapeMismatchError,
     SideMismatchError,
 )
 from qharmonics.fixtures import gaussian, indicator, qgaussian, sinc_rect
@@ -277,6 +279,15 @@ def test_gauss_mean_schedule_validation_and_side_check():
         gauss_mean_inverse(sided, (1.0,), reference=sig)
     with pytest.raises(InvalidParameterError):
         gauss_mean_inverse(two, (1.0,))  # no reference, no grid
+
+
+def test_gauss_mean_refuses_a_reference_off_the_output_grid(monkeypatch):
+    sig, spec = gaussian_spectrum(n=32, extent=6.0, wmax=6.0)
+    monkeypatch.setattr(smoothing, "qft_inverse", None)  # no transform may run
+    for grid in (GridSpec.centered(6.0, 16),   # other counts: numpy could not broadcast
+                 GridSpec.centered(3.0, 32)):  # same counts, other points
+        with pytest.raises(ShapeMismatchError):
+            gauss_mean_inverse(spec, (1.0, 0.1), reference=sig, out_grid=grid)
 
 
 def test_lc_diagnostic_gaussian_stable_under_radius_doubling():
