@@ -36,6 +36,18 @@ points beat the fold (``BREAK_EVEN``) and pass their check, a stage with
 n_out >= n_in folds into its output block, contracts the fold to p rows
 and interpolates them back straight into the output.
 
+On the natural window of a centred grid a stage is exactly a length-n DFT:
+mirrored nodes on both sides, as many outputs as inputs and c dx dy n =
++-2 pi.  Where n also has no prime factor above 13 (``DFT_PRIMES``), each
+block runs as FFTs (Ell and Sangwine, IEEE Trans. Image Process. 16, 2007):
+an orthogonal 4x4 map P splits each node f = a + b nu, a and b in
+span{1, mu} with nu a pure unit normal to mu, and on each of a and b
+e^{mu theta} is the complex e^{i theta}, so a block is P, input phasors,
+one complex FFT along the nodes, output phasors and P^T.  The phasors take
+the half-sample shifts of the midpoint nodes with their index products
+reduced mod 4n in integers, and the chirps and ``scale``; ``numpy.fft`` is
+loaded by the first such stage.
+
 A block reads each input node before it writes the output node in the same
 place, so a stage that keeps the length of its axis can overwrite its input
 (``overwrite=True``): a transform allocates one field, in its first stage,
@@ -63,6 +75,10 @@ CHUNK = 64
 #: CHECK_COLUMNS highest frequencies; runs while p (1/h + 1/m) <= BREAK_EVEN[axis]
 RANK_SLOPE, RANK_PAD, CHECK_COLUMNS, CHECK_ULPS = 10.0, 6.0, 8, 16
 BREAK_EVEN = (0.85, 0.55)
+#: FFT path: lengths whose prime factors are all in DFT_PRIMES (the FFT of a
+#: length with a larger factor is no faster than the fold), c dx dy n within
+#: DFT_ULPS of +-2 pi, and DFT_BLOCK grid lines per block on either axis
+DFT_PRIMES, DFT_ULPS, DFT_BLOCK = (2, 3, 5, 7, 11, 13), 8, 64
 
 
 def _mirrored(x):
@@ -130,10 +146,14 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
     y, x, field = (np.asarray(a, dtype=float) for a in (y, x, field))
     (x0, xc), (y0, yc) = _centred(x), _centred(y)
     MT = mul_matrix(np.concatenate([[0.0], mu]), left).T
-    maps = (_chirp_maps(MT, pre, c * y0 * x if y0 else None),
-            _chirp_maps(MT, post, c * x0 * yc if x0 else None))
-    tabs = _lowrank_tables(yc, xc, c, scale, BREAK_EVEN[axis])
-    kernel = _lowrank
+    tabs = None if x0 or y0 else _dft_tables(yc, xc, c, mu, left, pre, post, scale)
+    kernel, maps, step = _dft, (None, None), DFT_BLOCK
+    if tabs is None:
+        maps = (_chirp_maps(MT, pre, c * y0 * x if y0 else None),
+                _chirp_maps(MT, post, c * x0 * yc if x0 else None))
+        step = max(COL_BLOCK // 4, 1) if axis == 0 else ROW_BLOCK
+        tabs = _lowrank_tables(yc, xc, c, scale, BREAK_EVEN[axis])
+        kernel = _lowrank
     if tabs is None:
         theta = np.outer(c * yc[:yc.size // 2], xc[:xc.size // 2])
         tabs = (scale * np.cos(theta), scale * np.sin(theta))
@@ -142,12 +162,44 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
     out = (field if overwrite and field.flags.carray and y.size == field.shape[axis]
            else np.empty(field.shape[:axis] + (y.size,) + field.shape[axis + 1:]))
     bufs = {}
-    step = max(COL_BLOCK // 4, 1) if axis == 0 else ROW_BLOCK
     for lo in range(0, field.shape[1 - axis], step):
         F, dst = ((a[:, lo:lo + step] if axis == 0 else a[lo:lo + step].swapaxes(0, 1))
                   for a in (field, out))
         kernel(F, dst, tabs, scale, *maps, MT, bufs)
     return out
+
+
+def _dft_tables(y, x, c, mu, left, pre, post, scale):
+    """(P, inverse, input phasors, output phasors) of a stage that is an exact
+    length-n DFT on mirrored nodes, or None.  Its kernel angle c y_k x_j is
+    +-pi (2k - n + 1)(2j - n + 1) / 2n: the DFT angle +-2 pi k j / n plus
+    terms in j alone and in k alone, each an integer times pi / 2n reduced
+    mod 4n.  The chirps join as unit phasors of their own, so each phase
+    keeps its low bits.  P has the columns 1, mu, nu and mu nu (nu mu for
+    a right-multiplied kernel, the split being f = a + nu b)."""
+    n, rest = x.size, x.size
+    for p in DFT_PRIMES:
+        while rest % p == 0:
+            rest //= p
+    if n < 2 or y.size != n or rest != 1:
+        return None
+    turn = c * (x[-1] - x[0]) * (y[-1] - y[0]) * n / (n - 1) ** 2
+    if not abs(abs(turn) - 2 * np.pi) <= DFT_ULPS * np.finfo(float).eps * 2 * np.pi:
+        return None
+    sign = np.sign(turn)
+    k = np.arange(n, dtype=np.int64)
+    p_in, p_out = (np.exp(1j * sign * np.pi / (2 * n) * ((m + 2 * n) % (4 * n) - 2 * n))
+                   for m in (-2 * (n - 1) * k, (n - 1) ** 2 - 2 * (n - 1) * k))
+    for phasors, phi in ((p_in, pre), (p_out, post)):
+        if phi is not None:
+            phasors *= np.exp(1j * np.asarray(phi, dtype=float))
+    p_out *= scale
+    nu = np.cross(mu, np.eye(3)[np.argmin(np.abs(mu))])
+    nu /= np.sqrt(nu @ nu)
+    P = np.zeros((4, 4))
+    P[0, 0], P[1:, 1], P[1:, 2] = 1.0, mu, nu
+    P[1:, 3] = np.cross(mu, nu) if left else np.cross(nu, mu)
+    return P, sign > 0, p_in, p_out
 
 
 def _lowrank_tables(y, x, c, scale, break_even):
@@ -208,6 +260,25 @@ def _fold(F, even, odd, pre, bufs):
             np.add(cd, even[lo:hi], out=cd)
         if alias:
             odd[lo:hi] = cd
+
+
+def _dft(F, dst, tabs, scale, pre, post, MT, bufs):
+    """One block of an exact-DFT stage, node axis first: the nodes mapped by
+    P into two complex components each, times the input phasors, one FFT
+    along the nodes, times the output phasors (scale and chirps included)
+    and mapped back by P^T into `dst` (which may be `F`).  The buffer keeps
+    the block's memory order: node-major on axis 0, each sample row's nodes
+    contiguous on axis 1."""
+    P, inverse, p_in, p_out = tabs
+    node, shape = 0, (-1, 1, 1)
+    if abs(F.strides[0]) < abs(F.strides[1]):
+        F, dst, node, shape = F.swapaxes(0, 1), dst.swapaxes(0, 1), 1, (1, -1, 1)
+    z = np.matmul(F, P, out=_buffer(bufs, "z", *F.shape)).view(complex)
+    z *= p_in.reshape(shape)
+    z = np.fft.ifft(z, axis=node, norm="forward") if inverse else np.fft.fft(z, axis=node)
+    z *= p_out.reshape(shape)
+    # numpy < 2.0 returns a transposed layout along other axes than the last
+    np.matmul(np.ascontiguousarray(z).view(float), P.T, out=dst)
 
 
 def _lowrank(F, dst, tabs, scale, pre, post, MT, bufs):

@@ -13,12 +13,14 @@ factor and the side-specific kernel order
     right-sided f = (1/4pi^2) integral F e^{mu2 v t} e^{mu1 u s} du dv
     left-sided  f = (1/4pi^2) integral e^{mu2 v t} e^{mu1 u s} F du dv
 
-Each kernel factor is one mirror-folded contraction along an axis of any
-uniform grid (see ``_kernels``; an image on [0, w] folds about its centre,
-the shift a chirp), and one stage loop runs them for the QLCT too.  On a
-midpoint grid with ``FreqWindow.natural`` the quadrature is exactly the 2D
-DFT of the samples; :func:`qft_fast` is that case, for any sample counts
-and any axis pair.
+Each kernel factor is one contraction along an axis of any uniform grid
+(see ``_kernels``), and one stage loop runs them for the QLCT too.  On a
+midpoint grid centred on 0 with ``FreqWindow.natural`` the quadrature is
+exactly the 2D DFT of the samples: a stage whose length has no prime
+factor above 13 runs as complex FFTs on the symplectic split of the
+field, the others (and every stage of an image on [0, w], which folds
+about its centre, the shift a chirp) as mirror-folded GEMMs.
+:func:`qft_fast` is that case, for any sample counts and any axis pair.
 """
 
 from __future__ import annotations
@@ -229,10 +231,11 @@ def ft_from_qft(HT):
 def qft_fast(sig: QSignal2D, kind: QftKind = QftKind()) -> QSpectrum2D:
     """QFT on the natural frequency window of the signal's grid.
 
-    On a midpoint grid this window makes the quadrature exactly the 2D DFT
-    of the samples, so no FFT is needed: the mirror-folded contraction of
-    :func:`qft_forward` is faster at every benchmarked size and takes any
-    sample counts and any axis pair.
+    On a midpoint grid centred on 0 this window makes the quadrature exactly
+    the 2D DFT of the samples, and :func:`qft_forward` runs each stage whose
+    length has no prime factor above 13 as FFTs; other lengths, and grids
+    not centred on 0, take the mirror-folded contraction.  Any sample
+    counts and any axis pair.
     """
     return qft_forward(sig, kind, FreqWindow.natural(sig.grid))
 

@@ -57,6 +57,22 @@ def test_roundtrip_holds_two_fields(capsys, transform):
     assert peak / (n * n * 4 * 8) < 2.3
 
 
+def test_gauss_mean_error_needs_no_difference_field(capsys):
+    """Peak traced memory of a 512^2 three-step Gauss mean, in fields: each
+    step keeps its signal, and its L1 error takes the moduli a block of
+    rows at a time instead of a field-size difference."""
+    n = 512
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "gauss-mean", "--fixture", "gaussian", "--grid", str(n),
+                             "--extent", "10", "--window", "8", "--schedule", "1,0.1,0.01")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == "" and len(out.splitlines()) == 4
+    assert peak / (n * n * 4 * 8) <= 6.2
+
+
 def test_usage_errors_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "qft")
     assert code == 1 and "required" in err and out == ""
@@ -257,6 +273,19 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_numpy_fft():
+    """numpy.fft is reached only by an FFT stage, so CLI runs without one
+    never load it."""
+    src = os.path.dirname(os.path.dirname(qharmonics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, numpy; before = 'numpy.fft' in sys.modules; import qharmonics.cli; "
+             "print(before, 'numpy.fft' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    before, after = out.stdout.split()
+    assert after == before
+
+
 @pytest.mark.parametrize("argv", [
     ["roundtrip", "--grid", "16", "--window", "inf"],
     ["roundtrip", "--grid", "16", "--transform", "qlct", "--a1", "nan", "--b1", "1",
@@ -404,3 +433,19 @@ def test_file_round_trips_on_default_windows(capsys, tmp_path, forward):
                        "--grid", "33", "--extent", "6")
     assert code == 0 and err == ""
     assert linf_diff(fileio.load_qsig(src), fileio.load_qsig(back)) < 1e-12
+
+
+def test_default_windows_take_the_fft_path(capsys, tmp_path, dft_calls):
+    """On their default windows the QLCT round trip and qfrft run every stage
+    as an FFT (one block per stage at 32^2); the QFT round trip, on its
+    window 8, keeps the fold."""
+    base = ["roundtrip", "--fixture", "qgaussian", "--grid", "32", "--extent", "6"]
+    code, _, err = run(capsys, *base, "--transform", "qlct", *LCT_FLAGS)
+    assert code == 0 and err == "" and len(dft_calls) == 4
+    code, _, err = run(capsys, *base, "--transform", "qft")
+    assert code == 0 and err == "" and len(dft_calls) == 4
+    code, _, err = run(capsys, "fixtures", "--out-dir", str(tmp_path), "--grid", "32")
+    src, spec = tmp_path / "qgaussian.qsig", tmp_path / "q.qsp"
+    code, _, err = run(capsys, "qfrft", "--in", str(src), "--out", str(spec),
+                       "--alpha", "0.5", "--beta", "0.7")
+    assert code == 0 and err == "" and len(dft_calls) == 6

@@ -15,7 +15,7 @@ from oracles import qft_bruteforce, qlct_bruteforce
 from qharmonics import _kernels
 from qharmonics._kernels import _mirrored, chirp_multiply, const_multiply, exp_contract
 from qharmonics.grids import GridSpec, QSignal2D
-from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse
+from qharmonics.qft import FreqWindow, QftKind, Side, qft_fast, qft_forward, qft_inverse
 from qharmonics.qlct import (
     LctKind,
     LctParams,
@@ -81,10 +81,12 @@ def midpoints(centre, extent, n):
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Blocks of 3 sample rows and of 3 grid columns (12 real columns), so a
-    width of 7 straddles two blocks and ends in a partial one."""
+    """Blocks of 3 sample rows and of 3 grid columns (12 real columns), on
+    the FFT path 3 grid lines, so a width of 7 straddles two blocks and ends
+    in a partial one."""
     monkeypatch.setattr(_kernels, "ROW_BLOCK", 3)
     monkeypatch.setattr(_kernels, "COL_BLOCK", 12)
+    monkeypatch.setattr(_kernels, "DFT_BLOCK", 3)
 
 
 @pytest.mark.parametrize("n_in,n_out,chirped,overwrite", STAGES)
@@ -133,10 +135,25 @@ def test_mirrored_and_dense_paths_agree(n_in, n_out, chirped, overwrite, left, a
 def long_double_contract(y, x, c, mu, field, left, scale):
     """An axis-0 stage in long double: the unfolded kernel on the given nodes."""
     theta = np.longdouble(c) * np.asarray(y, np.longdouble)[:, None] * np.asarray(x, np.longdouble)
-    F = field.astype(np.longdouble).reshape(len(x), -1)
+    return long_double_sum(theta, mu, field, left, scale)
+
+
+def long_double_sum(theta, mu, field, left, scale):
+    """scale sum_j e^{mu theta_kj} f_j (axis 0) in long double."""
+    F = field.astype(np.longdouble).reshape(theta.shape[1], -1)
     MT = mul_matrix(np.concatenate([[0.0], mu]), left).T.astype(np.longdouble)
-    C, S = ((f(theta) @ F).reshape(len(y), -1, 4) for f in (np.cos, np.sin))
+    C, S = ((f(theta) @ F).reshape(len(theta), -1, 4) for f in (np.cos, np.sin))
     return np.longdouble(scale) * (C + S @ MT)
+
+
+def natural_stage(n, direction, extent=10.0, b=1.0):
+    """(y, x, c, scale) of a QFT (b = 1) or QLCT stage on a centred n-point grid
+    and its natural window scaled by |b|, where the stage is a length-n DFT."""
+    grid = GridSpec.centered(extent, n)
+    window = FreqWindow.natural(grid).scaled(abs(b), abs(b)).to_grid()
+    if direction == "forward":
+        return window.s, grid.s, -1.0 / b, grid.ds
+    return grid.s, window.s, 1.0 / b, window.ds / (2.0 * np.pi)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is double here")
@@ -162,6 +179,122 @@ def test_image_grid_stage_against_long_double(direction):
     got = exp_contract(y, x, c, MU, field, True, 0, scale=scale)
     err, dense_err = (float(np.max(np.abs(a - ref)) / np.max(np.abs(ref))) for a in (got, dense))
     assert err <= 2.0 * dense_err
+
+
+LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                                 reason="long double is double here")
+
+
+@LONG_DOUBLE
+@pytest.mark.parametrize("n", [64, 65, 512, 1024])
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_dft_stage_against_exact_long_double_dft(n, direction, dft_calls):
+    """On the natural window a stage is exactly a length-n DFT, its kernel
+    angles +-pi (2k - n + 1)(2j - n + 1) / 2n: against that DFT in long
+    double, the index products reduced mod 4n in integers, the FFT stage is
+    within 16 eps."""
+    y, x, c, scale = natural_stage(n, direction)
+    field = np.random.default_rng(n).normal(size=(n, 3, 4))
+    got = exp_contract(y, x, c, MU, field, True, 0, scale=scale)
+    assert dft_calls
+    k = np.arange(n)
+    m = np.outer(2 * k - n + 1, 2 * k - n + 1) % (4 * n)
+    pi = 4 * np.arctan(np.longdouble(1))
+    ref = long_double_sum(np.sign(c) * pi * m / (2 * n), MU, field, True, scale)
+    assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 16 * np.finfo(float).eps
+
+
+@LONG_DOUBLE
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_dft_stage_on_float_nodes_against_long_double(n, direction, dft_calls):
+    """The FFT stage against the long-double kernel sum on the float nodes of
+    the centred natural window, which are the DFT nodes only to an ulp each:
+    within n eps (the fold, which rounds each kernel angle on those nodes,
+    is about as far)."""
+    y, x, c, scale = natural_stage(n, direction)
+    field = np.random.default_rng(0).normal(size=(n, 16, 4))
+    got = exp_contract(y, x, c, MU, field, True, 0, scale=scale)
+    assert dft_calls
+    ref = long_double_contract(y, x, c, MU, field, True, scale)
+    assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= n * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [12, 15, 26, 27])
+@pytest.mark.parametrize("chirped", [False, True], ids=["plain", "chirped"])
+@pytest.mark.parametrize("left", [True, False])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_dft_stages_match_brute_force(n, chirped, left, axis, small_blocks, dft_calls):
+    """QFT and QLCT (b = -0.8) stages on natural windows take the FFT path,
+    forward and inverse: through straddling and partial blocks, odd lengths,
+    chirps with phases of hundreds of radians, and in place with the same
+    bytes; a Fortran-order input handed over is left untouched."""
+    rng = np.random.default_rng(n * 4 + 2 * axis + left)
+    shape = [7, 7, 4]
+    shape[axis] = n
+    field = rng.normal(size=shape)
+    for b in (1.0, -0.8):
+        for direction in ("forward", "inverse"):
+            y, x, c, scale = natural_stage(n, direction, extent=2.5, b=b)
+            chirps = dict(scale=scale)
+            if chirped:
+                chirps = dict(pre=300.0 + 40.0 * x * x + rng.normal(size=n),
+                              post=-250.0 - 30.0 * y * y + rng.normal(size=n), scale=0.37)
+            dft_calls.clear()
+            got = exp_contract(y, x, c, MU, field, left, axis, **chirps)
+            assert len(dft_calls) == 3 and got.flags.c_contiguous
+            want = brute_contract(y, x, c, MU, field, left, axis, **chirps)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            mine, fortran = field.copy(), np.asfortranarray(field)
+            again = exp_contract(y, x, c, MU, mine, left, axis, overwrite=True, **chirps)
+            assert np.shares_memory(again, mine) and np.array_equal(again, got)
+            again = exp_contract(y, x, c, MU, fortran, left, axis, overwrite=True, **chirps)
+            assert not np.shares_memory(again, fortran) and np.array_equal(fortran, field)
+            assert np.max(np.abs(again - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_natural_windows_take_the_fft_path(side, dft_calls):
+    """qft_fast and qlct_via_qft(fast=True) run each stage as an FFT (one
+    block per stage at 48^2), and so do their inverses on the same windows."""
+    grid = GridSpec.centered(6.0, 48)
+    sig = QSignal2D(grid, np.random.default_rng(9).normal(size=(48, 48, 4)))
+    spec = qft_fast(sig, QftKind(side))
+    assert len(dft_calls) == 2
+    back = qft_inverse(spec, spec.kind, grid)
+    assert len(dft_calls) == 4 and np.max(np.abs(back.data - sig.data)) < 1e-12
+    if side is Side.TWO_SIDED:
+        kind = LctKind(side, LctParams(2.0, 0.5, 2.0, 1.0), LctParams(1.0, -1.0, 0.0, 1.0))
+        spec = qlct_via_qft(sig, kind, fast=True)
+        assert len(dft_calls) == 6
+        back = qlct_inverse_two_sided(spec, kind, grid)
+        assert len(dft_calls) == 8 and np.max(np.abs(back.data - sig.data)) < 1e-12
+
+
+def test_other_stages_keep_the_fold(dft_calls):
+    """No FFT where a stage is not an exact smooth-length DFT: the windows of
+    the CLI benchmarks (half-width 8 on extent 10 at 512^2 and 1024^2, and 8,
+    10 and 12 on extent 8, for |b| in [0.5, 1]), image grids (not mirrored),
+    lengths with a prime factor above 13, counts that change, and a window
+    64 ulps wider than the natural one."""
+    stages = []
+    for n, extent, half in ((512, 10.0, 8.0), (1024, 10.0, 8.0), (64, 8.0, 8.0),
+                            (256, 8.0, 12.0), (128, 8.0, 10.0)):
+        grid, window = GridSpec.centered(extent, n).s, FreqWindow.square(half, n).to_grid().s
+        stages += [(y, x, c) for c in (1.0, -1.0, 1.5, -2.0, 2.0)
+                   for y, x in ((window, grid), (grid, window))]
+    image = GridSpec(0.0, 0.0, 1.0, 1.0, 64, 64)
+    stages.append((FreqWindow.natural(image).to_grid().s, image.s, -1.0))
+    for n in (257, 509):
+        y, x, c, _ = natural_stage(n, "forward")
+        stages.append((y, x, c))
+    y, x, c, _ = natural_stage(64, "forward")
+    stages.append((y[:-1] + 0.5 * (y[1] - y[0]), x, c))
+    stages.append((y * (1.0 + 64 * np.finfo(float).eps), x, c))
+    for y, x, c in stages:
+        field = np.zeros((len(x), 1, 4))
+        exp_contract(y, x, c, MU, field, True, 0)
+    assert not dft_calls
 
 
 LOW_RANK_SIZES = [(160, 160), (161, 161), (160, 161), (161, 162)]
