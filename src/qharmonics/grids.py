@@ -9,6 +9,7 @@ axis 1 indexing ``t``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,14 +139,19 @@ def sample(fn, grid: GridSpec) -> QSignal2D:
         If any sampled value is NaN or infinite.
     """
     S, T = grid.mesh()
-    vals = np.asarray(fn(S, T), dtype=float)
-    if vals.shape == (grid.ns, grid.nt):
-        out = np.zeros((grid.ns, grid.nt, 4))
+    vals, alone, shape = fn(S, T), object(), (grid.ns, grid.nt, 4)
+    # an array the fixture made for this call (C order, its own data, referenced
+    # from here alone) is used as it is; views and broadcasts are copied
+    if (type(vals) is np.ndarray and vals.shape == shape and vals.dtype == np.float64
+            and vals.flags.owndata and vals.flags.carray
+            and sys.getrefcount(vals) <= sys.getrefcount(alone)):
+        return QSignal2D(grid, vals)
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape == shape[:2]:
+        out = np.zeros(shape)
         out[..., 0] = vals
-        vals = out
-    else:
-        vals = np.broadcast_to(vals, (grid.ns, grid.nt, 4)).copy()
-    return QSignal2D(grid, vals)
+        return QSignal2D(grid, out)
+    return QSignal2D(grid, np.broadcast_to(vals, shape).copy())
 
 
 def l1_norm(sig: QSignal2D) -> float:

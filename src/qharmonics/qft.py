@@ -15,6 +15,8 @@ factor and the side-specific kernel order
 
 Each kernel factor is one contraction along an axis of any uniform grid
 (see ``_kernels``), and one stage loop runs them for the QLCT too.  On a
+narrow window, where a kernel has low rank, a stage contracts onto
+Chebyshev points and the loop interpolates them once at the end.  On a
 midpoint grid centred on 0 with ``FreqWindow.natural`` the quadrature is
 exactly the 2D DFT of the samples: a stage whose length has no prime
 factor above 13 runs as complex FFTs on the symplectic split of the
@@ -25,12 +27,13 @@ about its centre, the shift a chirp) as mirror-folded GEMMs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from ._kernels import chirp_multiply, const_multiply, exp_contract
+from ._kernels import chirp_multiply, const_multiply, exp_contract, interpolate, low_rank
 from .errors import (
     InvalidParameterError,
     InvalidWindowError,
@@ -152,19 +155,32 @@ def _stages(data, stages, axes, src, dst, terms, overwrite=False):
     ``terms(axis, x, y, dx)`` gives the stage's ``(c, pre, post, scale)``
     for :func:`exp_contract` from the axis's input nodes, output nodes and
     input spacing.  With c = None the stage is the pointwise chirp
-    ``scale e^{mu pre}`` on the input nodes (a b = 0 QLCT axis).  Every
-    stage after the first owns its input and may overwrite it; the first
-    may when `overwrite` is true (the caller hands `data` over).
+    ``scale e^{mu pre}`` on the input nodes (a b = 0 QLCT axis).  A
+    low-rank stage contracts onto its Chebyshev points, and its real
+    interpolation and output chirp wait for the end when every later stage
+    multiplies from the other side; else they run right after it.  Every
+    step fills one buffer of the output's size: `data` when `overwrite` is
+    true (the caller hands it over) and it is one, else a new array.
     """
     mus, xs, ys, dxs = (axes.mu1, axes.mu2), (src.s, src.t), (dst.s, dst.t), (src.ds, src.dt)
-    for i, (axis, left) in enumerate(stages):
-        c, pre, post, scale = terms(axis, xs[axis], ys[axis], dxs[axis])
+    stages = [(axis, left) + terms(axis, xs[axis], ys[axis], dxs[axis]) for axis, left in stages]
+    size = 4 * math.prod(len(xs[axis] if c is None else ys[axis]) for axis, _, c, *_ in stages)
+    out = (data if overwrite and data.flags.carray and data.dtype == np.float64
+           and data.size == size else np.empty(size))
+    deferred = [None, None]
+    for i, (axis, left, c, pre, post, scale) in enumerate(stages):
         if c is None:
-            data = chirp_multiply(pre, mus[axis], data, left, axis, scale=scale)
-        else:
-            data = exp_contract(ys[axis], xs[axis], c, mus[axis], data, left, axis,
-                                pre=pre, post=post, scale=scale, overwrite=overwrite or i > 0)
-    return data
+            data = chirp_multiply(pre, mus[axis], data, left, axis, scale=scale, out=out)
+            continue
+        rank = low_rank(ys[axis], xs[axis], c)
+        data = exp_contract(ys[axis] if rank is None else rank[0], xs[axis], c, mus[axis],
+                            data, left, axis, pre=pre, post=post if rank is None else None,
+                            scale=scale, out=out)
+        if rank is not None:
+            deferred[axis] = (rank[1], post, mus[axis], left)
+            if post is not None and any(later == left for _, later, *_ in stages[i + 1:]):
+                data, deferred = interpolate(data, deferred, out), [None, None]
+    return interpolate(data, deferred, out) if any(deferred) else data
 
 
 def _require(spec: QSpectrum2D, kind, family):

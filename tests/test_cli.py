@@ -57,6 +57,34 @@ def test_roundtrip_holds_two_fields(capsys, transform):
     assert peak / (n * n * 4 * 8) < 2.3
 
 
+#: the traced peaks, in fields, of the 512^2 round trips below before the
+#: low-rank axes were interpolated once at the end: the sampled fixture was
+#: copied (two fields), and at |b| = 0.5 the QLCT stages still folded
+PEAKS_BEFORE = {"qft-two": 2.7458, "qlct-two": 3.3799, "qlct-right": 3.3799}
+QLCT_HALF = ["--transform", "qlct", "--a1", "0.5", "--b1", "0.5", "--c1=-1.5", "--d1", "0.5",
+             "--a2", "0.5", "--b2", "0.5", "--c2=-1.5", "--d2", "0.5"]
+
+
+@pytest.mark.parametrize("case", list(PEAKS_BEFORE))
+def test_narrow_window_roundtrip_peaks_no_higher(capsys, case):
+    """Peak traced memory of a 512^2 `roundtrip --window 8`, every stage
+    low-rank: the sample is the fixture's own array, and the compressed
+    stages and the interpolation write into the one output buffer."""
+    transform, side = case.split("-")
+    n = 512
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "roundtrip", "--fixture", "qgaussian", "--side", side,
+                             "--grid", str(n), "--extent", "10", "--window", "8",
+                             *(QLCT_HALF if transform == "qlct" else []))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert float(out.splitlines()[1].split(",")[4]) < (1e-14 if transform == "qlct" else 1e-4)
+    assert peak / (n * n * 4 * 8) <= PEAKS_BEFORE[case]
+
+
 def test_gauss_mean_error_needs_no_difference_field(capsys):
     """Peak traced memory of a 512^2 three-step Gauss mean, in fields: each
     step keeps its signal, and its L1 error takes the moduli a block of

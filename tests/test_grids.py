@@ -19,7 +19,7 @@ from qharmonics.errors import (
     ShapeMismatchError,
     TruncatedPayloadError,
 )
-from qharmonics.fixtures import gaussian, get_fixture, indicator
+from qharmonics.fixtures import gaussian, get_fixture, indicator, qgaussian
 from qharmonics.grids import (
     GridSpec,
     QSignal2D,
@@ -62,6 +62,34 @@ def test_sample_constant_and_symmetry():
     assert np.all(ones.data[..., 0] == 1.0) and np.all(ones.data[..., 1:] == 0.0)
     gs = sample(gaussian, g)
     np.testing.assert_array_equal(gs.data, gs.data[::-1, ::-1])
+
+
+def test_sample_keeps_a_fresh_fixture_array_and_copies_the_rest():
+    """A fresh (ns, nt, 4) float64 array the fixture made for the call is
+    the signal's data as it is; a view of caller memory, an array the
+    fixture keeps a reference to, and a broadcast each give the signal an
+    array of its own."""
+    g = GridSpec.centered(3.0, 8)
+    made = []
+
+    def fresh(S, T):
+        out = qgaussian(S, T)
+        made.append(id(out))
+        return out
+
+    assert id(sample(fresh, g).data) == made[0]
+    caller = np.random.default_rng(1).normal(size=(2, 8, 8, 4))
+    kept = caller[1].copy()
+    broadcast = np.broadcast_to(np.array([1.0, 2.0, 3.0, 4.0]), (8, 8, 4))
+    for fn, source in ((lambda S, T: caller[0], caller), (lambda S, T: kept, kept),
+                       (lambda S, T: broadcast, broadcast)):
+        before = source.copy()
+        sig = sample(fn, g)
+        assert not np.shares_memory(sig.data, source) and sig.data.flags.owndata
+        np.testing.assert_array_equal(sig.data, np.broadcast_to(before[0] if source is caller
+                                                                else before, (8, 8, 4)))
+        sig.data[...] = 0.0
+        np.testing.assert_array_equal(source, before)
 
 
 def test_sample_indicator_interior_count():

@@ -15,7 +15,8 @@ from oracles import qft_bruteforce, qlct_bruteforce
 from qharmonics import _kernels
 from qharmonics._kernels import _mirrored, chirp_multiply, const_multiply, exp_contract
 from qharmonics.grids import GridSpec, QSignal2D
-from qharmonics.qft import FreqWindow, QftKind, Side, qft_fast, qft_forward, qft_inverse
+from qharmonics import qft as qft_module
+from qharmonics.qft import FreqWindow, QftKind, Side, _stages, qft_fast, qft_forward, qft_inverse
 from qharmonics.qlct import (
     LctKind,
     LctParams,
@@ -116,9 +117,9 @@ def test_mirrored_and_dense_paths_agree(n_in, n_out, chirped, overwrite, left, a
         assert got.flags.c_contiguous
         if overwrite:
             mine, fortran = field.copy(), np.asfortranarray(field)
-            again = exp_contract(y, x, -1.3, MU, mine, left, axis, overwrite=True, **chirps)
+            again = exp_contract(y, x, -1.3, MU, mine, left, axis, out=mine, **chirps)
             assert np.shares_memory(again, mine) and np.array_equal(again, got)
-            again = exp_contract(y, x, -1.3, MU, fortran, left, axis, overwrite=True, **chirps)
+            again = exp_contract(y, x, -1.3, MU, fortran, left, axis, out=fortran, **chirps)
             assert not np.shares_memory(again, fortran) and np.array_equal(fortran, field)
 
         ref = brute_contract(y, x, -1.3, MU, field, left, axis, **chirps)
@@ -246,9 +247,9 @@ def test_dft_stages_match_brute_force(n, chirped, left, axis, small_blocks, dft_
             want = brute_contract(y, x, c, MU, field, left, axis, **chirps)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
             mine, fortran = field.copy(), np.asfortranarray(field)
-            again = exp_contract(y, x, c, MU, mine, left, axis, overwrite=True, **chirps)
+            again = exp_contract(y, x, c, MU, mine, left, axis, out=mine, **chirps)
             assert np.shares_memory(again, mine) and np.array_equal(again, got)
-            again = exp_contract(y, x, c, MU, fortran, left, axis, overwrite=True, **chirps)
+            again = exp_contract(y, x, c, MU, fortran, left, axis, out=fortran, **chirps)
             assert not np.shares_memory(again, fortran) and np.array_equal(fortran, field)
             assert np.max(np.abs(again - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -297,7 +298,19 @@ def test_other_stages_keep_the_fold(dft_calls):
     assert not dft_calls
 
 
-LOW_RANK_SIZES = [(160, 160), (161, 161), (160, 161), (161, 162)]
+#: (n_in, n_out): even, odd, growing and shrinking axes
+LOW_RANK_SIZES = [(160, 160), (161, 161), (160, 161), (161, 162), (161, 120), (160, 97)]
+
+
+def low_rank_stage(y, x, c, field, left, axis, pre=None, post=None, scale=1.0, overwrite=False):
+    """One stage the way a transform runs a low-rank axis: contract onto the
+    Chebyshev points, then interpolate and chirp."""
+    t, L = _kernels.low_rank(y, x, c)
+    plans = [None, None]
+    plans[axis] = (L, post, MU, left)
+    out = field if overwrite else None
+    z = exp_contract(t, x, c, MU, field, left, axis, pre=pre, scale=scale, out=out)
+    return _kernels.interpolate(z, plans, out)
 
 
 @pytest.mark.parametrize("n_in,n_out", LOW_RANK_SIZES)
@@ -305,13 +318,12 @@ LOW_RANK_SIZES = [(160, 160), (161, 161), (160, 161), (161, 162)]
 @pytest.mark.parametrize("c", [1.0, -1.0, 2.0, -2.0])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_low_rank_stages_match_brute_force(n_in, n_out, chirped, c, axis, small_blocks, monkeypatch):
-    """Narrow kernels (|c| X Y / 2 <= 1.8 here) take the low-rank path, which
-    folds into the output block: through straddling and partial blocks, odd
-    lengths, chirps with phases of hundreds of radians, in place, and on
-    shifted grids."""
-    calls = []
-    lowrank = _kernels._lowrank
-    monkeypatch.setattr(_kernels, "_lowrank", lambda *a: calls.append(1) or lowrank(*a))
+    """Narrow kernels (|c| X Y / 2 <= 1.8 here) have low rank: the stage onto
+    the Chebyshev points, then the interpolation and output chirp, through
+    straddling and partial blocks (3 output columns per block of the
+    interpolation), odd lengths, chirps with phases of hundreds of radians,
+    in place, and on shifted grids."""
+    monkeypatch.setattr(_kernels, "COL_BLOCK", 48)
     rng = np.random.default_rng(n_in * 7 + n_out + int(10 * c) + 40 * chirped + axis)
     x = GridSpec.centered(1.0, n_in).s
     y = GridSpec.centered(0.9, n_out).s
@@ -323,47 +335,126 @@ def test_low_rank_stages_match_brute_force(n_in, n_out, chirped, c, axis, small_
         chirps = dict(pre=300.0 + 40.0 * x * x + rng.normal(size=n_in),
                       post=-250.0 - 30.0 * y * y + rng.normal(size=n_out), scale=0.37)
     left = c > 0
-    got = exp_contract(y, x, c, MU, field, left, axis, **chirps)
-    assert calls and got.flags.c_contiguous
+    got = low_rank_stage(y, x, c, field, left, axis, **chirps)
+    assert got.flags.c_contiguous and got.shape[axis] == n_out
     want = brute_contract(y, x, c, MU, field, left, axis, **chirps)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    if n_in == n_out:
-        mine, fortran = field.copy(), np.asfortranarray(field)
-        again = exp_contract(y, x, c, MU, mine, left, axis, overwrite=True, **chirps)
-        assert np.shares_memory(again, mine) and np.array_equal(again, got)
-        again = exp_contract(y, x, c, MU, fortran, left, axis, overwrite=True, **chirps)
-        assert not np.shares_memory(again, fortran) and np.array_equal(fortran, field)
-        assert np.array_equal(again, got)
+    # in the buffer of a copy, with the same bytes; a Fortran-order input is left alone
+    mine, fortran = field.copy(), np.asfortranarray(field)
+    again = low_rank_stage(y, x, c, mine, left, axis, overwrite=True, **chirps)
+    assert np.shares_memory(again, mine) == (n_out <= n_in) and np.array_equal(again, got)
+    again = low_rank_stage(y, x, c, fortran, left, axis, overwrite=True, **chirps)
+    assert not np.shares_memory(again, fortran) and np.array_equal(fortran, field)
+    assert np.array_equal(again, got)
 
-    # on grids shifted off 0 the stage folds about their centres, the shifts chirps
-    calls.clear()
+    # on grids shifted off 0 the points fold about their centres, the shifts chirps
     xs, ys = x + 0.4, y - 0.3
-    shifted = exp_contract(ys, xs, c, MU, field, left, axis, **chirps)
+    shifted = low_rank_stage(ys, xs, c, field, left, axis, **chirps)
     ref = brute_contract(ys, xs, c, MU, field, left, axis, **chirps)
-    assert calls and np.max(np.abs(shifted - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(shifted - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    # too few Chebyshev points fail the check: the stage falls back to the fold
-    calls.clear()
+    # too few Chebyshev points fail the check: the stage folds onto y
     monkeypatch.setattr(_kernels, "RANK_PAD", -8.0)
+    assert _kernels.low_rank(y, x, c) is None
     fallback = exp_contract(y, x, c, MU, field, left, axis, **chirps)
-    assert not calls
     assert np.max(np.abs(fallback - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+#: a 160 x 161 grid on extent 3 and a 161 x 160 window of half-width 4: every
+#: QFT stage and every QLCT stage with |b| >= 0.5 is low-rank (p = 41 at most)
+NARROW = GridSpec(-3.0, -3.0, 6.0 / 160, 6.0 / 161, 160, 161), FreqWindow(4.0, 4.0, 161, 160)
+#: QLCT matrices with every sign pattern of (b1, b2)
+SIGN_PATTERNS = [(b1, b2) for b1 in (0.5, -0.5) for b2 in (0.8, -0.8)]
+
+
+def narrow_kinds(side, b1, b2):
+    return (QftKind(side, AxisPair(MU, np.array([1.0, 0.0, 0.0]))),
+            LctKind(side, LctParams(0.7, b1, (0.7 * -0.4 - 1.0) / b1, -0.4),
+                    LctParams(1.0, b2, 0.0, 1.0), AxisPair(MU, np.array([1.0, 0.0, 0.0]))))
+
+
+@pytest.mark.parametrize("b1,b2", SIGN_PATTERNS)
+@pytest.mark.parametrize("side", list(Side))
+def test_low_rank_transforms_match_the_oracles(side, b1, b2):
+    """QFT and QLCT spectra on a narrow window, every stage low-rank, against
+    the brute-force quadratures of tests/oracles.py at every 8th frequency
+    of both axes (both halves, odd centre rows and the ends included)."""
+    grid, window = NARROW
+    sig = QSignal2D(grid, np.random.default_rng(len(side.value) + 4 * (b1 > 0) + 2 * (b2 > 0))
+                    .normal(size=(grid.ns, grid.nt, 4)))
+    qkind, lkind = narrow_kinds(side, b1, b2)
+    rows, cols = np.r_[0:161:8, 80, 160], np.r_[0:160:8, 159]
+    spectra = [(qlct_forward(sig, lkind, window), lambda u, v: qlct_bruteforce(
+        sig, side, lkind.A1, lkind.A2, lkind.axes, u, v))]
+    if b1 == 0.5 and b2 == 0.8:  # the QFT has no matrices
+        spectra.append((qft_forward(sig, qkind, window),
+                        lambda u, v: qft_bruteforce(sig, side, qkind.axes, u, v)))
+    for spec, oracle in spectra:
+        got = spec.data[rows][:, cols]
+        want = oracle(spec.grid.s[rows], spec.grid.t[cols])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_low_rank_axes_interpolate_after_their_last_stage(side, monkeypatch):
+    """Every QFT, forward and inverse, and the two-sided QLCT contract both
+    axes onto their points and interpolate both at the end; a sided QLCT
+    interpolates its first stage right after it (its output chirp does not
+    commute with the second stage's kernel on the same side) and defers its
+    last."""
+    calls = []
+    contract, interpolate = qft_module.exp_contract, qft_module.interpolate
+    monkeypatch.setattr(qft_module, "exp_contract",
+                        lambda *a, **k: calls.append(a[6]) or contract(*a, **k))
+    monkeypatch.setattr(qft_module, "interpolate", lambda field, plans, out: calls.append(
+        tuple(i for i, plan in enumerate(plans) if plan)) or interpolate(field, plans, out))
+    grid, window = NARROW
+    sig = QSignal2D(grid, np.random.default_rng(2).normal(size=(grid.ns, grid.nt, 4)))
+    qkind, lkind = narrow_kinds(side, 0.5, -0.8)
+    first, last = (axis for axis, _ in side.stages)
+    spec = qft_forward(sig, qkind, window)
+    qft_inverse(spec, qkind, grid, overwrite=True)
+    assert calls == [first, last, (0, 1), last, first, (0, 1)]
+    calls.clear()
+    spec = qlct_forward(sig, lkind, window)
+    (qlct_inverse_two_sided if side is Side.TWO_SIDED else qlct_inverse_sided)(spec, lkind, grid)
+    if side is Side.TWO_SIDED:
+        assert calls == [first, last, (0, 1), last, first, (0, 1)]
+    else:
+        assert calls == [first, (first,), last, (last,), last, (last,), first, (first,)]
+
+
+def along(axis, nodes):
+    """The grid with the uniform midpoints `nodes` on `axis`, 3 on the other."""
+    start, step, count = [-1.0, -1.0], [2.0 / 3, 2.0 / 3], [3, 3]
+    step[axis] = nodes[1] - nodes[0]
+    start[axis], count[axis] = nodes[0] - step[axis] / 2, len(nodes)
+    return GridSpec(start[0], start[1], step[0], step[1], count[0], count[1])
+
+
 @pytest.mark.parametrize("axis", [0, 1])
-def test_path_of_the_bench_windows(axis):
-    """On extent 10 with a window of half-width 8, every 1024^2 stage with
-    |c| = 1/|b| <= 2 (b in [0.5, 1]) is low-rank, forward (y the window) and
-    inverse (y the grid); natural windows are full rank and keep the fold."""
+def test_path_of_the_bench_windows(axis, monkeypatch):
+    """On extent 10 with a window of half-width 8, every 512^2 and 1024^2
+    stage with |c| = 1/|b| <= 2 (b in [0.5, 1]) is low-rank, forward (y the
+    window) and inverse (y the grid), and a transform stage on either axis
+    contracts it onto its points; natural windows are full rank."""
+    lengths = []
+    contract = qft_module.exp_contract
+    monkeypatch.setattr(qft_module, "exp_contract",
+                        lambda y, *a, **k: lengths.append(len(y)) or contract(y, *a, **k))
     for n in (512, 1024):
         grid = GridSpec.centered(10.0, n)
         natural = FreqWindow.natural(grid).to_grid().s
-        assert _kernels._lowrank_tables(natural, grid.s, -1.0, 1.0, _kernels.BREAK_EVEN[axis]) is None
-    grid = GridSpec.centered(10.0, 1024)
-    window = FreqWindow(8.0, 8.0, 1024, 1024).to_grid().s
-    for c in (1.0, -1.0, 1.5, 2.0, -2.0):
-        for y, x in ((window, grid.s), (grid.s, window)):
-            assert _kernels._lowrank_tables(y, x, c, 1.0, _kernels.BREAK_EVEN[axis]) is not None
+        assert _kernels.low_rank(natural, grid.s, -1.0) is None
+        window = FreqWindow(8.0, 8.0, n, n).to_grid().s
+        for c in (1.0, -1.0, 1.5, -1.5, 2.0, -2.0):
+            for y, x in ((window, grid.s), (grid.s, window)):
+                assert _kernels.low_rank(y, x, c) is not None
+                src, dst = along(axis, x), along(axis, y)
+                lengths.clear()
+                out = _stages(np.zeros((src.ns, src.nt, 4)), [(axis, True)], QftKind().axes,
+                              src, dst, lambda ax, x, y, dx: (c, None, None, dx))
+                assert lengths[0] < n and out.shape == (dst.ns, dst.nt, 4)
 
 
 @pytest.mark.parametrize("chirped", [False, True])

@@ -480,8 +480,7 @@ def test_inverses_that_consume_their_spectrum_give_the_same_bytes(side, n):
     other = GridSpec.centered(4.0, n // 2)
     lkind = LctKind(side, GENERIC, LctParams(1.0, -0.5, 0.0, 1.0))
     narrow = FreqWindow(5.0, 5.0, n, n)
-    low_rank = _kernels._lowrank_tables(grid.s, narrow.to_grid().s, 1.0, 1.0, min(_kernels.BREAK_EVEN))
-    assert low_rank is not None
+    assert _kernels.low_rank(grid.s, narrow.to_grid().s, 1.0) is not None
     cases = [(QftKind(side), qft_forward, qft_inverse, (1.0, 1.0)),
              (lkind, qlct_forward, _inverse(side), (GENERIC.b, 0.5))]
     for kind, forward, inverse, b in cases:
