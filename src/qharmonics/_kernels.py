@@ -22,12 +22,14 @@ rows being ``C - S M^T`` (a quarter of the flops of the unfolded product).
 
 A stage streams through bounded blocks that reuse their buffers: column
 blocks of the ``(n_in, nt*4)`` view on axis 0, ``ROW_BLOCK`` sample rows
-on axis 1.  Each block runs the input chirp, the fold, the GEMMs, the mu
-map, the unfold and the output chirp, and writes straight into the
-C-order output.  The chirps act on the actual nodes, before the fold and
-after the unfold: mirrored nodes agree only to an ulp and chirp phases
-reach hundreds of radians, so a chirp shared by mirrored rows loses
-accuracy.
+on axis 1, narrowed in proportion on a stage that shrinks its axis and
+else to at most a quarter of the field's lines (on small fields a block
+would otherwise hold buffers of twice the field).  Each block runs the
+input chirp, the fold, the GEMMs, the mu map, the unfold and the output
+chirp, and writes straight into the C-order output.  The chirps act on
+the actual nodes, before the fold and after the unfold: mirrored nodes
+agree only to an ulp and chirp phases reach hundreds of radians, so a
+chirp shared by mirrored rows loses accuracy.
 
 Narrow kernels have low rank: cos(c y x) on y in [-Y, 0], |x| <= X, is
 interpolated to the ulp by a barycentric matrix L from about w + 10 w^(1/3)
@@ -54,8 +56,8 @@ loaded by the first such stage.
 A block reads all of its input before it writes its output, so a stage can
 write into the front of its input's memory (``out=field``), also when it
 shrinks its axis.  A transform hands every stage and the interpolation one
-buffer of its output's size: it allocates one field, and an inverse handed
-its spectrum none.
+buffer of its output's size: it allocates one field, and a transform
+handed its input (a forward its signal, an inverse its spectrum) none.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ MIRROR_ULPS = 4
 ROW_BLOCK = 128
 #: real columns of the (n_in, nt*4) view per block of an axis-0 stage
 COL_BLOCK = 1024
+#: a block spans at most 1 / BLOCK_SHARE of the grid lines across its axis
+BLOCK_SHARE = 4
 #: input nodes per chunk of a fold or of an in-place chirp
 CHUNK = 64
 #: low-rank path: p = w + RANK_SLOPE cbrt(w) + RANK_PAD points per half axis,
@@ -155,8 +159,11 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
     if tabs is None:
         maps = (_chirp_maps(MT, pre, c * y0 * x if y0 else None),
                 _chirp_maps(MT, post, c * x0 * yc if x0 else None))
-        # a stage that shrinks its axis narrows its blocks, and with them its buffers
-        step = max((COL_BLOCK // 4 if axis == 0 else ROW_BLOCK) * min(y.size, x.size) // x.size, 1)
+        # a stage that shrinks its axis narrows its blocks, and with them its buffers;
+        # any other spans at most 1 / BLOCK_SHARE of the field's lines
+        lines = COL_BLOCK // 4 if axis == 0 else ROW_BLOCK
+        step = (max(lines * y.size // x.size, 1) if y.size < x.size
+                else _lines(lines, field.shape[1 - axis]))
         theta = np.outer(c * yc[:yc.size // 2], xc[:xc.size // 2])
         tabs = (scale * np.cos(theta), scale * np.sin(theta))
         # here _nodes takes 1.5-1.6x as long on C-order fields (strided node I/O)
@@ -233,6 +240,13 @@ def low_rank(y, x, c):
     if not err <= CHECK_ULPS * np.finfo(float).eps * (1.0 + abs(c) * xs[-1] * np.max(np.abs(yc))):
         return None
     return y0 + np.concatenate([t, [0.0] * (len(y) % 2), -t[::-1]]), L
+
+
+def _lines(limit, across):
+    """Grid lines per block of a field `across` lines wide: `limit`, and no
+    more than 1 / BLOCK_SHARE of the lines, so that on small fields the block
+    buffers stay a share of the field."""
+    return max(min(limit, -(-across // BLOCK_SHARE)), 1)
 
 
 def _buffer(bufs, name, *shape):
@@ -348,10 +362,11 @@ def _rows(F, dst, tabs, scale, pre, post, MT, bufs):
 def interpolate(field, plans, out=None):
     """Take the axes that low-rank stages left on their points to the output
     nodes: ``plans[axis]`` is None or ``(L, post, mu, left)``, the output
-    chirp acting after L.  Column blocks of COL_BLOCK / 16 grid columns run
-    axis 1 and its chirp on the compressed rows, then one axis-0 GEMM into
-    the C-order output, whose whole rows then take the axis-0 chirp in place
-    (1.7x faster than on a block's short rows).  The output fills `out` as in
+    chirp acting after L.  Column blocks of COL_BLOCK / 16 grid columns (at
+    most a quarter of the output's) run axis 1 and its chirp on the
+    compressed rows, then one axis-0 GEMM into the C-order output, whose
+    whole rows then take the axis-0 chirp in place (1.7x faster than on a
+    block's short rows).  The output fills `out` as in
     :func:`exp_contract`, and `field` may sit there: it is read through
     copies, transposed for axis 1, else one column block at a time.
     """
@@ -367,7 +382,7 @@ def interpolate(field, plans, out=None):
         rows = np.empty((a1, a0, 4))
         for (d1, s1), (d0, s0) in itertools.product(_halves(a1, p1), _halves(a0, p0)):
             rows[d1, d0] = field[s0, s1].swapaxes(0, 1)
-    step, bufs = max(COL_BLOCK // 16, 1), {}
+    step, bufs = _lines(COL_BLOCK // 16, n1), {}
     for lo in range(0, n1, step):
         k = min(step, n1 - lo)
         dst = out[:, lo:lo + k]
@@ -424,14 +439,17 @@ def chirp_multiply(angles, mu, field, left, axis, scale=1.0, out=None):
 
     `angles` is 1D with the length of grid axis `axis`.  Each line of the
     field is mapped by the 4x4 real matrix ``scale (cos(phi) I + sin(phi) M)``,
-    M being left or right multiplication by ``mu``: one batched product into
-    a C-order (n0, n1, 4) array, the front of `out` when it holds it (see
-    :func:`exp_contract`).
+    M being left or right multiplication by ``mu``: batched products of CHUNK
+    lines into a C-order (n0, n1, 4) array, the front of `out` when it holds
+    it (see :func:`exp_contract`).  In place, numpy copies the input of one
+    product, so a chunk and not the field.
     """
     field = np.asarray(field, dtype=float)
     maps = scale * _chirp_maps(mul_matrix(np.concatenate([[0.0], mu]), left).T, angles)
     out = _reuse(out, field.shape)
-    np.matmul(np.moveaxis(field, axis, 0), maps, out=np.moveaxis(out, axis, 0))
+    src, dst = np.moveaxis(field, axis, 0), np.moveaxis(out, axis, 0)
+    for lo in range(0, len(src), CHUNK):
+        np.matmul(src[lo:lo + CHUNK], maps[lo:lo + CHUNK], out=dst[lo:lo + CHUNK])
     return out
 
 

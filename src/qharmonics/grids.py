@@ -138,20 +138,26 @@ def sample(fn, grid: GridSpec) -> QSignal2D:
     NonFiniteError
         If any sampled value is NaN or infinite.
     """
-    S, T = grid.mesh()
-    vals, alone, shape = fn(S, T), object(), (grid.ns, grid.nt, 4)
+    return QSignal2D(grid, evaluate(fn, *grid.mesh()))
+
+
+def evaluate(fn, S, T):
+    """``fn(S, T)`` on an (n0, 1) and a (1, n1) coordinate array as an (n0,
+    n1, 4) C-order float64 array, a real field promoted to the scalar part:
+    the values :func:`sample` takes, also on slices of ``grid.mesh()``."""
+    vals, alone, shape = fn(S, T), object(), (S.shape[0], T.shape[1], 4)
     # an array the fixture made for this call (C order, its own data, referenced
     # from here alone) is used as it is; views and broadcasts are copied
     if (type(vals) is np.ndarray and vals.shape == shape and vals.dtype == np.float64
             and vals.flags.owndata and vals.flags.carray
             and sys.getrefcount(vals) <= sys.getrefcount(alone)):
-        return QSignal2D(grid, vals)
+        return vals
     vals = np.asarray(vals, dtype=float)
     if vals.shape == shape[:2]:
         out = np.zeros(shape)
         out[..., 0] = vals
-        return QSignal2D(grid, out)
-    return QSignal2D(grid, np.broadcast_to(vals, shape).copy())
+        return out
+    return np.broadcast_to(vals, shape).copy()
 
 
 def l1_norm(sig: QSignal2D) -> float:
@@ -173,6 +179,17 @@ def t_blocks(ns, nt, item_bytes):
     """Slices of t-rows of ``ns`` items, at most BLOCK_BYTES (or one row) each."""
     step = max(1, BLOCK_BYTES // (ns * item_bytes))
     return [slice(t0, min(t0 + step, nt)) for t0 in range(0, nt, step)]
+
+
+def residual_moduli(data, reference):
+    """The (ns, nt) moduli |data - reference(rows)| of an (ns, nt, 4) field,
+    filled a block of t-rows at a time: ``reference(rows)`` gives the
+    reference values of the t-rows ``rows`` (a slice), so no field-size
+    difference or reference is held."""
+    mod = np.empty(data.shape[:2])
+    for rows in t_blocks(*mod.shape, 32):
+        mod[:, rows] = qabs(data[:, rows] - reference(rows))
+    return mod
 
 
 # -- PPM color images --------------------------------------------------------

@@ -124,11 +124,18 @@ class FreqWindow:
                         self.nu, self.nv)
 
 
-def qft_forward(sig: QSignal2D, kind: QftKind, window: FreqWindow) -> QSpectrum2D:
-    """Forward QFT on the window's midpoint frequency grid."""
+def qft_forward(sig: QSignal2D, kind: QftKind, window: FreqWindow,
+                overwrite=False) -> QSpectrum2D:
+    """Forward QFT on the window's midpoint frequency grid.
+
+    ``overwrite=True`` hands the signal over, as for :func:`qft_inverse`:
+    its data may be destroyed and the spectrum may share its memory (it
+    does for a C-contiguous signal with the counts of the window), so the
+    transform allocates no field of its own.
+    """
     fgrid = window.to_grid()
     data = _stages(sig.data, kind.side.stages, kind.axes, sig.grid, fgrid,
-                   lambda axis, x, y, dx: (-1.0, None, None, dx))
+                   lambda axis, x, y, dx: (-1.0, None, None, dx), overwrite)
     return QSpectrum2D(fgrid, data, kind, window)
 
 

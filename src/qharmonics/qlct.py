@@ -149,18 +149,22 @@ def _lct_terms(A: LctParams, x, xi, dx):
             dx / np.sqrt(2.0 * np.pi * abs(b)))
 
 
-def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow) -> QSpectrum2D:
+def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow,
+                 overwrite=False) -> QSpectrum2D:
     """Forward QLCT by midpoint quadrature of the kernel sandwich.
 
     Kernel placement per side matches the defining integrals: two-sided
     K1 f K2, right-sided f K1 K2, left-sided K1 K2 f.  Axes with b = 0
     take the chirp-scaling branch; their output grid is the input grid
     mapped by xi = x/d and the window is ignored along that axis.
+    ``overwrite=True`` hands the signal over, as for
+    :func:`qft.qft_forward`: its data may be destroyed and the spectrum
+    may share its memory.
     """
     fgrid = window.to_grid()
     mats = (kind.A1, kind.A2)
     data = _stages(sig.data, kind.side.stages, kind.axes, sig.grid, fgrid,
-                   lambda axis, x, xi, dx: _lct_terms(mats[axis], x, xi, dx))
+                   lambda axis, x, xi, dx: _lct_terms(mats[axis], x, xi, dx), overwrite)
     g = sig.grid
     if kind.A1.is_degenerate:
         fgrid = replace(fgrid, s_min=g.s_min / kind.A1.d, ds=g.ds / kind.A1.d, ns=g.ns)

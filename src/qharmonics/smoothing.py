@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatchError,
     SideMismatchError,
 )
-from .grids import GridSpec, QSignal2D, QSpectrum2D, sample, t_blocks
+from .grids import GridSpec, QSignal2D, QSpectrum2D, residual_moduli, sample
 from .qft import Side, qft_inverse
 from .quaternion import qabs
 
@@ -254,11 +254,8 @@ def gauss_mean_inverse(spec: QSpectrum2D, schedule, reference: QSignal2D = None,
 
 
 def _l1_distance(a: QSignal2D, b: QSignal2D) -> float:
-    """``l1_norm`` of a - b, bit for bit, without a field-size difference:
-    the moduli fill an (ns, nt) array a block of t-rows at a time."""
-    mod = np.empty(a.data.shape[:2])
-    for rows in t_blocks(*mod.shape, 32):
-        mod[:, rows] = qabs(a.data[:, rows] - b.data[:, rows])
+    """``l1_norm`` of a - b, bit for bit, without a field-size difference."""
+    mod = residual_moduli(a.data, lambda rows: b.data[:, rows])
     return float(np.sum(mod) * a.grid.cell_area)
 
 

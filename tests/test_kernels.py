@@ -473,44 +473,59 @@ def test_stage_reads_any_memory_order(axis, chirped, small_blocks):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-# "consume" is the inverse handed its spectrum (overwrite=True): it allocates
-# no field, only what a stage holds
-BOUNDS = {"forward": (2.5, 1.25), "inverse": (2.5, 1.25), "consume": (1.0, 0.5)}
-MEMORY_CASES = [pytest.param(family, side, direction, 512, BOUNDS[direction][0],
+# "consume" is the inverse handed its spectrum (overwrite=True) and "hand-over"
+# the forward transform handed its signal: each allocates no field, only what
+# a stage holds.  Bounds: the measured peaks (low-rank stages at 512^2 and
+# 1024^2, folded ones at 256^2) and a margin of about 5%.
+BOUNDS = {"forward": (1.7, 1.25, 1.9), "inverse": (1.7, 1.25, 1.9),
+          "consume": (0.7, 0.25, 0.9), "hand-over": (0.7, 0.25, 0.9)}
+MEMORY_CASES = [pytest.param(family, side, direction, 512, 8.0, BOUNDS[direction][0],
                              id=f"{family}-{side.value}-{direction}")
                 for family in ("qft", "qlct") for side in Side for direction in BOUNDS]
 # narrow windows at 1024^2 (b = 0.5 on both QLCT axes): every stage is low-rank
-NARROW_CASES = [pytest.param(family, Side.TWO_SIDED, direction, 1024, BOUNDS[direction][1],
+NARROW_CASES = [pytest.param(family, Side.TWO_SIDED, direction, 1024, 8.0, BOUNDS[direction][1],
                              id=f"{family}-two-{direction}-1024")
+                for family in ("qft", "qlct") for direction in BOUNDS]
+# a wide window at 256^2: every stage is folded, its blocks a quarter of the field
+FOLDED_CASES = [pytest.param(family, Side.TWO_SIDED, direction, 256, 40.0, BOUNDS[direction][2],
+                             id=f"{family}-two-{direction}-256")
                 for family in ("qft", "qlct") for direction in BOUNDS]
 
 
-@pytest.mark.parametrize("family,side,direction,n,bound", MEMORY_CASES + NARROW_CASES + [
-    pytest.param("qlct_via_qft", Side.TWO_SIDED, "forward", 512, 2.5, id="qlct_via_qft")])
-def test_transforms_allocate_one_field(family, side, direction, n, bound):
+@pytest.mark.parametrize("family,side,direction,n,width,bound",
+                         MEMORY_CASES + NARROW_CASES + FOLDED_CASES + [
+                             pytest.param("qlct_via_qft", Side.TWO_SIDED, "forward", 512, None,
+                                          1.4, id="qlct_via_qft"),
+                             pytest.param("qlct_b0", Side.TWO_SIDED, "hand-over", 512, None,
+                                          0.3, id="qlct_b0-two-hand-over")])
+def test_transforms_allocate_one_field(family, side, direction, n, width, bound):
     """Peak traced allocation of one n^2 transform, in units of the field
     (n*n*4 doubles); its input is allocated beforehand.  A transform
     allocates one field, in its first stage, plus what a stage holds: the
-    block buffers of the folded path (about 0.7 field at 512^2), only p-row
-    tables and intermediates on the low-rank path.  An inverse that consumes
-    its spectrum writes into it and holds only what a stage holds."""
+    block buffers of the folded path (about 0.8 field at 256^2), only p-row
+    tables and intermediates on the low-rank path.  A transform handed its
+    input writes into it and holds only what a stage holds, also when its
+    first stage is the in-place chirp of a b = 0 axis."""
     grid = GridSpec.centered(10.0, n)
     sig = QSignal2D(grid, np.random.default_rng(3).normal(size=(n, n, 4)))
-    window = FreqWindow(8.0, 8.0, n, n)
+    window = FreqWindow.natural(grid) if width is None else FreqWindow(width, width, n, n)
     qkind = QftKind(side)
     A1, A2 = ((LctParams(0.7, 0.8, (0.7 * -0.4 - 1.0) / 0.8, -0.4), LctParams(1.0, 1.0, 0.0, 1.0))
               if n == 512 else (LctParams(0.6, 0.5, (0.6 * -0.4 - 1.0) / 0.5, -0.4),
                                 LctParams(1.0, 0.5, 0.0, 1.0)))
     lkind = LctKind(side, A1, A2)
-    forward = {"qft": lambda: qft_forward(sig, qkind, window),
-               "qlct": lambda: qlct_forward(sig, lkind, window),
-               "qlct_via_qft": lambda: qlct_via_qft(sig, lkind, fast=True)}[family]
-    call = forward
-    if direction != "forward":
-        spec = forward()
+    handover = direction == "hand-over"
+    forward = {"qft": lambda: qft_forward(sig, qkind, window, overwrite=handover),
+               "qlct": lambda: qlct_forward(sig, lkind, window, overwrite=handover),
+               "qlct_via_qft": lambda: qlct_via_qft(sig, lkind, fast=True),
+               "qlct_b0": lambda: qlct_forward(sig, LctKind(side, LctParams(2.0, 0.0, 0.3, 0.5), A2),
+                                               window, overwrite=handover)}[family]
+    call, given = forward, sig
+    if direction in ("inverse", "consume"):
+        given = forward()
         inverse = (qft_inverse if family == "qft" else
                    qlct_inverse_two_sided if side is Side.TWO_SIDED else qlct_inverse_sided)
-        call = lambda: inverse(spec, spec.kind, grid, overwrite=direction == "consume")  # noqa: E731
+        call = lambda: inverse(given, given.kind, grid, overwrite=direction == "consume")  # noqa: E731
     tracemalloc.start()
     try:
         result = call()
@@ -519,8 +534,7 @@ def test_transforms_allocate_one_field(family, side, direction, n, bound):
         tracemalloc.stop()
     assert result.data.shape == (n, n, 4)
     assert peak / (n * n * 4 * 8) < bound
-    if direction == "consume":
-        assert np.shares_memory(result.data, spec.data)
+    assert np.shares_memory(result.data, given.data) == (direction in ("consume", "hand-over"))
 
 
 def test_mirror_detection():

@@ -14,10 +14,11 @@ from qharmonics.errors import (
 )
 from qharmonics.fixtures import gaussian, qgaussian
 from qharmonics.grids import GridSpec, QSignal2D, QSpectrum2D, linf_diff, sample
-from qharmonics.qft import FreqWindow, QftKind, Side, derivative_multiplier, qft_forward, qft_inverse
+from qharmonics.qft import FreqWindow, QftKind, Side, _stages, derivative_multiplier, qft_forward, qft_inverse
 from qharmonics.qlct import (
     LctKind,
     LctParams,
+    _lct_terms,
     lct_kernel,
     qfrft,
     qlct_forward,
@@ -497,3 +498,63 @@ def test_inverses_that_consume_their_spectrum_give_the_same_bytes(side, n):
             assert not np.shares_memory(got, spec.data)
             assert spec.data.tobytes() == before
             assert got.tobytes() == inverse(spec, kind, other).data.tobytes()
+
+
+def _forward_cases(side, n):
+    """(kind, forward, window) of the QFT and of the QLCT with every sign
+    pattern of (b1, b2) and with a b = 0 axis, on the natural window (scaled
+    by |b|) and on a narrow one."""
+    grid = GridSpec.centered(4.0, n)
+    kinds = [(QftKind(side), qft_forward, (1.0, 1.0))]
+    kinds += [(LctKind(side, LctParams(0.7, b1, (0.7 * -0.4 - 1.0) / b1, -0.4),
+                       LctParams(1.0, b2, 0.0, 1.0)), qlct_forward, (abs(b1), abs(b2)))
+              for b1 in (0.5, -0.5) for b2 in (0.8, -0.8)]
+    kinds.append((LctKind(side, GENERIC, B0), qlct_forward, (GENERIC.b, 1.0)))
+    return [(kind, forward, window.scaled(*b)) for kind, forward, b in kinds
+            for window in (FreqWindow.natural(grid), FreqWindow(5.0, 5.0, n, n))]
+
+
+@pytest.mark.parametrize("n", [64, 301])
+@pytest.mark.parametrize("side", list(Side))
+def test_forwards_that_consume_their_signal_give_the_same_bytes(side, n):
+    """With overwrite=True a forward transform writes into the signal's
+    buffer and returns the bytes of the allocating transform: at 64 (2^6) the
+    natural window takes the FFT and the narrow one the fold, at 301 (7 * 43)
+    the natural window folds and every narrow stage is low-rank, the first
+    stage of a sided QLCT interpolated right after it."""
+    grid = GridSpec.centered(4.0, n)
+    data = np.random.default_rng(n).normal(size=(n, n, 4))
+    narrow = FreqWindow(5.0, 5.0, n, n).to_grid().s
+    assert (_kernels.low_rank(narrow, grid.s, -1.0) is None) == (n == 64)
+    for kind, forward, window in _forward_cases(side, n):
+        want = forward(QSignal2D(grid, data), kind, window)
+        sig = QSignal2D(grid, data.copy())
+        got = forward(sig, kind, window, overwrite=True)
+        assert np.shares_memory(got.data, sig.data)
+        assert got.data.tobytes() == want.data.tobytes() and got.grid == want.grid
+
+
+def test_forward_shares_the_signal_only_when_it_can_hold_the_spectrum():
+    """overwrite=True writes into a C-contiguous float64 signal with the
+    counts of the window; onto other counts, and from a Fortran-order, strided
+    or float32 array of the right size, the transform allocates and leaves its
+    input as it was."""
+    sig = rand_signal(9, seed=41)
+    kind = LctKind(Side.RIGHT_SIDED, GENERIC, SHEAR)
+    want = qlct_forward(sig, kind, FreqWindow(3.0, 2.0, 7, 11)).data.tobytes()
+    other = QSignal2D(sig.grid, sig.data.copy())
+    got = qlct_forward(other, kind, FreqWindow(3.0, 2.0, 7, 11), overwrite=True)
+    assert not np.shares_memory(got.data, other.data)
+    assert other.data.tobytes() == sig.data.tobytes() and got.data.tobytes() == want
+
+    window = FreqWindow(3.0, 2.0, 9, 9)
+    want = qlct_forward(sig, kind, window).data
+    mats = (kind.A1, kind.A2)
+    for given in (np.asfortranarray(sig.data), np.repeat(sig.data, 2, axis=1)[:, ::2],
+                  sig.data.astype(np.float32)):
+        before = given.copy()
+        got = _stages(given, kind.side.stages, kind.axes, sig.grid, window.to_grid(),
+                      lambda axis, x, xi, dx: _lct_terms(mats[axis], x, xi, dx), overwrite=True)
+        assert not np.shares_memory(got, given)
+        assert np.array_equal(given, before)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 if given.dtype == np.float32 else 0)

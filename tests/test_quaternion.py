@@ -61,6 +61,34 @@ def test_conj_and_abs_examples():
     np.testing.assert_array_equal(qconj(qmul(I, J)), qmul(qconj(J), qconj(I)))
 
 
+def _awkward_values(rng, size):
+    """Random values spanning 1e-+26, with subnormals, huge values whose
+    squares overflow, +-inf and NaN mixed in."""
+    vals = rng.normal(size=size) * 10.0 ** rng.uniform(-26, 26, size=size)
+    special = [5e-324, -2.5e-310, 1e-160, 1.5e154, -1e200, np.inf, -np.inf, np.nan, 0.0, -0.0]
+    picks = rng.random(size) < 0.2
+    vals[picks] = rng.choice(special, size=int(picks.sum()))
+    return vals
+
+
+@pytest.mark.parametrize("shape", [(4,), (257, 4), (33, 17, 4)])
+def test_qabs_is_the_summed_square_bit_for_bit(shape):
+    """The component sum matches sqrt(np.sum(q * q, axis=-1)), NaNs included,
+    on contiguous arrays and on strided and transposed views."""
+    rng = np.random.default_rng(len(shape))
+    q = _awkward_values(rng, shape)
+    wide = _awkward_values(rng, shape[:-1] + (8,))
+    views = [q, wide[..., ::2], q[::-1]]
+    if len(shape) == 3:
+        views.append(np.asfortranarray(q))
+        views.append(np.ascontiguousarray(q.transpose(1, 0, 2)).transpose(1, 0, 2))
+    for view in views:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = qabs(view), np.sqrt(np.sum(view * view, axis=-1))
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_conj_antihomomorphism_random():
     p, q = rand_quats(2, seed=2)
     np.testing.assert_allclose(qconj(qmul(p, q)), qmul(qconj(q), qconj(p)),
