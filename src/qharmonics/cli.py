@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 usage error (message on stderr, nothing
 written), 2 runtime error (partial outputs deleted).  All numeric output
 uses 17 significant digits with '.' decimals so identical inputs give
-byte-identical output.  QH_THREADS caps BLAS parallelism (default 1 for
-reproducibility); it must be applied before numpy loads, which is why
-this module touches the environment at import time.
+byte-identical output on one BLAS build, CPU and set of block shapes
+(BLAS picks its GEMM kernel by shape, which moves the last digits).
+QH_THREADS caps BLAS parallelism (default 1 for reproducibility); it
+must be applied before numpy loads, which is why this module touches the
+environment at import time.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np  # noqa: E402
 from . import fileio, fixtures, smoothing, variation  # noqa: E402
 from .errors import QHarmonicsError  # noqa: E402
 from .grids import GridSpec, evaluate, image_to_qsig, qsig_to_image, residual_moduli, sample  # noqa: E402
-from .qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse  # noqa: E402
-from .qlct import LctKind, LctParams, qfrft, qlct_forward, qlct_inverse_sided, qlct_inverse_two_sided  # noqa: E402
+from .qft import FreqWindow, QftKind, Side, _require, qft_forward, qft_inverse  # noqa: E402
+from .qlct import LctKind, LctParams, _invert, qfrft, qlct_forward  # noqa: E402
 from .quaternion import CANONICAL_AXES, AxisPair  # noqa: E402
 from .variation import Net  # noqa: E402
 
@@ -260,17 +262,11 @@ def _cmd_qlct(args, out: _Outputs):
     out.write(fileio.save_qspectrum, spec, args.out)
 
 
-def _qlct_inverse(spec, grid):
-    """The QLCT inverse of `spec` onto `grid`, consuming the spectrum's data."""
-    sided = spec.kind.side is not Side.TWO_SIDED
-    inverse = qlct_inverse_sided if sided else qlct_inverse_two_sided
-    return inverse(spec, spec.kind, grid, overwrite=True)
-
-
 def _cmd_iqlct(args, out: _Outputs):
     grid = _signal_grid(args)
     spec = fileio.load_qspectrum(args.inp)
-    out.write(fileio.save_qsig, _qlct_inverse(spec, grid), args.out)
+    _require(spec, spec.kind, "qlct")  # refuse a QFT spectrum, as iqft refuses a QLCT one
+    out.write(fileio.save_qsig, _invert(spec, grid, overwrite=True), args.out)
 
 
 def _cmd_qfrft(args, out: _Outputs):
@@ -290,15 +286,13 @@ def _cmd_roundtrip(args, out: _Outputs):
     # the forward transform consumes the sample and the inverse the spectrum, and
     # the residual evaluates the fixture again a block at a time: one field
     if args.transform == "qft":
-        kind = QftKind(side, axes)
         window = FreqWindow.square(8.0, grid.ns) if args.window is None else _window(args, grid)
-        back = qft_inverse(qft_forward(sample(fn, grid), kind, window, overwrite=True),
-                           kind, grid, overwrite=True)
+        spec = qft_forward(sample(fn, grid), QftKind(side, axes), window, overwrite=True)
     else:
         A1, A2 = _matrices(args)
         window = _window(args, grid, (A1.b, A2.b))
-        back = _qlct_inverse(qlct_forward(sample(fn, grid), LctKind(side, A1, A2, axes), window,
-                                          overwrite=True), grid)
+        spec = qlct_forward(sample(fn, grid), LctKind(side, A1, A2, axes), window, overwrite=True)
+    back = _invert(spec, grid, overwrite=True)
     S, T = grid.mesh()
     err = residual_moduli(back.data, lambda rows: evaluate(fn, S, T[:, rows]))  # |back - f|
     print("fixture,side,transform,l1_error,linf_error")
@@ -330,10 +324,10 @@ def _cmd_gauss_mean(args, out: _Outputs):
         raise _UsageError("--schedule must be strictly decreasing positives")
     sig = sample(fn, grid)
     spec = qft_forward(sig, QftKind(Side.TWO_SIDED), window)
-    steps = smoothing.gauss_mean_inverse(spec, schedule, reference=sig)
+    errors = smoothing.gauss_mean_inverse(spec, schedule, sig)
     print("alpha,l1_error")
-    for step in steps:
-        print(f"{_G17(step.alpha)},{_G17(step.l1_error)}")
+    for alpha, error in errors:
+        print(f"{_G17(alpha)},{_G17(error)}")
 
 
 def _cmd_variation(args, out: _Outputs):

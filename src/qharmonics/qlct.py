@@ -30,7 +30,7 @@ from .errors import (
     SideMismatchError,
 )
 from .grids import GridSpec, QSignal2D, QSpectrum2D
-from .qft import FreqWindow, Side, _require, _stages
+from .qft import FreqWindow, Side, _require, _stages, qft_inverse
 from .quaternion import (
     CANONICAL_AXES,
     AxisPair,
@@ -219,6 +219,21 @@ def qlct_inverse_sided(spec: QSpectrum2D, kind: LctKind,
     ``overwrite`` is as for :func:`qlct_inverse_two_sided`.
     """
     return _inverse(spec, kind, out_grid, want_sided=True, overwrite=overwrite)
+
+
+def _invert(spec: QSpectrum2D, out_grid: GridSpec, overwrite=False) -> QSignal2D:
+    """Invert `spec` onto `out_grid` by the inverse of its own kind:
+    :func:`qft.qft_inverse`, :func:`qlct_inverse_two_sided` or
+    :func:`qlct_inverse_sided`, which refuse what they cannot invert (a kind
+    of neither family, the QLCT inverses).  ``overwrite`` is as for the
+    inverses.
+    """
+    kind = spec.kind
+    if getattr(kind, "family", None) == "qft":
+        return qft_inverse(spec, kind, out_grid, overwrite=overwrite)
+    two_sided = getattr(kind, "side", None) is Side.TWO_SIDED
+    inverse = qlct_inverse_two_sided if two_sided else qlct_inverse_sided
+    return inverse(spec, kind, out_grid, overwrite=overwrite)
 
 
 def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,

@@ -1,7 +1,7 @@
 """Convergence machinery for the pointwise and L1 inversion results.
 
 Two routes to the truncated inversion value at a point are provided: the
-inverse QFT of the spectrum cropped to the window |u| <= M, |v| <= N,
+inverse of the spectrum cropped to the window |u| <= M, |v| <= N,
 evaluated at the point, and the signal-domain double sinc convolution
 
     I(x0, y0, M, N) = integral f(x0-s, y0-t) sin(Ms)/(pi s) sin(Nt)/(pi t) ds dt
@@ -11,6 +11,11 @@ average eta at jumps.  The sinc quadrature splits the domain at the
 kernel zeros (half-period panels) with a Gauss-Legendre rule per panel;
 uniform panels lose several digits once M is large because of
 oscillatory cancellation.
+
+Partial sums and Gauss means take any raw QFT or QLCT spectrum, of any
+side: each crops or damps the spectrum and inverts it by its own kind's
+inverse.  A two-sided QLCT partial sum at (M, N) is the de-chirped QFT
+partial sum of the chirped signal at (M/|b1|, N/|b2|).
 """
 
 from __future__ import annotations
@@ -26,16 +31,13 @@ from .errors import (
     NonConvergentError,
     NonFiniteError,
     NonPositiveWindowError,
-    ShapeMismatchError,
-    SideMismatchError,
 )
 from .grids import GridSpec, QSignal2D, QSpectrum2D, residual_moduli, sample
-from .qft import Side, qft_inverse
+from .qlct import _invert
 from .quaternion import qabs
 
 __all__ = [
     "JumpAverage",
-    "GaussMeanStep",
     "dirichlet_partial_inverse_freq",
     "dirichlet_partial_inverse_sinc",
     "eta_jump_average",
@@ -49,17 +51,16 @@ __all__ = [
 # -- truncated inversion at a point ------------------------------------------
 
 def dirichlet_partial_inverse_freq(spec: QSpectrum2D, point, M, N):
-    """Windowed inversion integral at one point, from a QFT spectrum.
+    """Windowed inversion integral at one point, from a QFT or QLCT spectrum.
 
-    (1/4pi^2) integral over |u|<=M, |v|<=N of the side-ordered kernel
-    sandwich: the inverse QFT of the spectrum cropped to the cells whose
-    midpoints lie in the window, evaluated at the point.  A window that
-    holds no cell gives the empty sum 0.  Returns a single quaternion (4,).
+    The integral over |u|<=M, |v|<=N of the side-ordered inverse kernel
+    sandwich: the spectrum cropped to the cells whose midpoints lie in the
+    window, inverted by its own kind's inverse at the point (which refuses
+    the spectra that inverse refuses).  A window that holds no cell gives
+    the empty sum 0 and runs no inverse.  Returns a single quaternion (4,).
     """
     if not (M > 0 and N > 0):  # written so that NaN fails
         raise NonPositiveWindowError(f"window ({M}, {N}) must be positive")
-    if getattr(spec.kind, "family", None) != "qft":
-        raise SideMismatchError("partial-sum inversion expects a QFT spectrum")
     # one cell narrower than any ulp: its midpoint x0 + ds/2 rounds to x0
     tiny = np.finfo(float).smallest_subnormal
     at = GridSpec(point[0], point[1], tiny, tiny, 1, 1)
@@ -70,7 +71,7 @@ def dirichlet_partial_inverse_freq(spec: QSpectrum2D, point, M, N):
         return np.zeros(4)
     crop = GridSpec(g.s_min + u[0] * g.ds, g.t_min + v[0] * g.dt, g.ds, g.dt, u.size, v.size)
     cropped = QSpectrum2D(crop, spec.data[u[0]:u[-1] + 1, v[0]:v[-1] + 1], spec.kind)
-    return qft_inverse(cropped, spec.kind, at).data[0, 0]
+    return _invert(cropped, at).data[0, 0]
 
 
 def _panel_nodes(lo, hi, rate, breakpoints=(), order=8):
@@ -209,48 +210,29 @@ def gauss_weierstrass_kernel(alpha, grid: GridSpec) -> QSignal2D:
                   / (4.0 * np.pi * alpha), grid)
 
 
-@dataclass(frozen=True)
-class GaussMeanStep:
-    alpha: float
-    signal: QSignal2D
-    l1_error: float | None
+def gauss_mean_inverse(spec: QSpectrum2D, schedule, reference: QSignal2D):
+    """L1 errors of the damped (Gauss-mean) inversion along a schedule of alphas.
 
-
-def gauss_mean_inverse(spec: QSpectrum2D, schedule, reference: QSignal2D = None,
-                       out_grid: GridSpec = None):
-    """Damped (Gauss-mean) inversion along a schedule of alphas.
-
-    For each alpha the spectrum is damped by e^{-alpha(u^2+v^2)} and the
-    windowed inversion integral evaluated on the output grid; the result
-    equals the heat smoothing f * W_alpha up to truncation.  When a
-    reference is supplied, the L1 distance to it is reported per step
-    (non-increasing along a decreasing schedule); it must live on the
-    output grid (ShapeMismatchError).  The schedule must be finite
-    (NonFiniteError), positive and strictly decreasing
+    For each alpha the spectrum, of any raw QFT or QLCT kind, is damped by
+    e^{-alpha(u^2+v^2)} and inverted by its own kind's inverse onto the
+    reference's grid; for a two-sided QFT spectrum that is the heat
+    smoothing f * W_alpha up to truncation.  Returns the (alpha, L1
+    distance to the reference) pairs, non-increasing along a decreasing
+    schedule, and holds one inverted field at a time.  The schedule must
+    be finite (NonFiniteError), positive and strictly decreasing
     (InvalidParameterError).
     """
-    if getattr(spec.kind, "family", None) != "qft" or spec.kind.side is not Side.TWO_SIDED:
-        raise SideMismatchError("Gauss means are defined for two-sided QFT spectra")
     schedule = tuple(float(a) for a in schedule)
     if not np.isfinite(schedule).all():
         raise NonFiniteError(f"schedule {schedule!r} must be finite")
     if not (all(a > 0 for a in schedule) and np.all(np.diff(schedule) < 0)):
         raise InvalidParameterError(
             f"schedule {schedule!r} must be strictly decreasing and positive")
-    if out_grid is None:
-        if reference is None:
-            raise InvalidParameterError("need a reference signal or an output grid")
-        out_grid = reference.grid
-    elif reference is not None and reference.grid != out_grid:
-        raise ShapeMismatchError("the reference does not live on the output grid")
     U, V = spec.grid.mesh()
-    steps = []
-    for alpha in schedule:
-        damped = spec.scaled(np.exp(-alpha * (U ** 2 + V ** 2)))
-        sig = qft_inverse(damped, spec.kind, out_grid, overwrite=True)  # a fresh copy
-        err = None if reference is None else _l1_distance(sig, reference)
-        steps.append(GaussMeanStep(float(alpha), sig, err))
-    return steps
+    # each damped copy is the inverse's own buffer, freed once its error is taken
+    return [(alpha, _l1_distance(_invert(spec.scaled(np.exp(-alpha * (U ** 2 + V ** 2))),
+                                         reference.grid, overwrite=True), reference))
+            for alpha in schedule]
 
 
 def _l1_distance(a: QSignal2D, b: QSignal2D) -> float:

@@ -364,12 +364,12 @@ def test_loaders_reject_nonfinite_values(tmp_path, monkeypatch, bad_value, block
 
 
 NAN_DATA = np.full((4, 4, 4), np.nan)
-GAUSS_SPEC = qft_forward(QSignal2D(GridSpec.centered(1.0, 4), np.ones((4, 4, 4))), QftKind(),
-                         FreqWindow.square(2.0, 4))
+GAUSS_SIG = QSignal2D(GridSpec.centered(1.0, 4), np.ones((4, 4, 4)))
+GAUSS_SPEC = qft_forward(GAUSS_SIG, QftKind(), FreqWindow.square(2.0, 4))
 
 
 def gauss_mean(schedule):
-    return gauss_mean_inverse(GAUSS_SPEC, schedule, out_grid=GAUSS_SPEC.grid)
+    return gauss_mean_inverse(GAUSS_SPEC, schedule, reference=GAUSS_SIG)
 
 
 @pytest.mark.parametrize("make,error", [

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,21 +11,22 @@ from oracles import (
     si_series,
     sinc_partial_sum_reference,
 )
-from qharmonics import smoothing
 from qharmonics.errors import (
+    DegenerateBError,
     InvalidParameterError,
     InvariantViolationError,
     NoIntegrableSectionError,
     NonConvergentError,
     NonFiniteError,
     NonPositiveWindowError,
-    ShapeMismatchError,
-    SideMismatchError,
+    ProvenanceMismatchError,
+    QHarmonicsError,
 )
 from qharmonics.fixtures import gaussian, indicator, qgaussian, sinc_rect
-from qharmonics.grids import GridSpec, QSignal2D, l1_norm, sample
-from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward
-from qharmonics.quaternion import qmul
+from qharmonics.grids import GridSpec, QSignal2D, QSpectrum2D, l1_norm, sample
+from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse
+from qharmonics.qlct import LctKind, LctParams, qfrft, qlct_forward, qlct_inverse_two_sided
+from qharmonics.quaternion import qabs, qmul
 from qharmonics.smoothing import (
     dirichlet_partial_inverse_freq,
     dirichlet_partial_inverse_sinc,
@@ -40,6 +43,31 @@ GAUSS_RECT = (-8.0, 8.0, -8.0, 8.0)
 def gaussian_spectrum(n=128, extent=10.0, wmax=8.0):
     sig = sample(gaussian, GridSpec.centered(extent, n))
     return sig, qft_forward(sig, QftKind(), FreqWindow.square(wmax, n))
+
+
+def damped(spec, alpha):
+    """The spectrum times e^{-alpha(u^2+v^2)}."""
+    U, V = spec.grid.mesh()
+    return spec.scaled(np.exp(-alpha * (U ** 2 + V ** 2)))
+
+
+def lct_params(a, b, d):
+    """The unit-determinant matrix (a, b, (ad - 1)/b, d)."""
+    return LctParams(a, b, (a * d - 1) / b, d)
+
+
+#: a two-sided QLCT with b = (0.8, -0.6)
+KIND = LctKind(Side.TWO_SIDED, lct_params(0.5, 0.8, 1.2), lct_params(-0.4, -0.6, 0.9))
+
+
+def chirped(value, kind, x, y, sign=1.0):
+    """e^{sign mu1 a1 x^2/2b1} value e^{sign mu2 a2 y^2/2b2}.  With sign = 1
+    it takes f to the signal whose QFT at (u/b1, v/b2) each two-sided QLCT
+    stage computes between unit chirps; with sign = -1 it takes that
+    signal's partial sums and Gauss means back to the QLCT's."""
+    A1, A2, axes = kind.A1, kind.A2, kind.axes
+    return qmul(qmul(exp_axis(axes.mu1, sign * A1.a * x ** 2 / (2 * A1.b)), value),
+                exp_axis(axes.mu2, sign * A2.a * y ** 2 / (2 * A2.b)))
 
 
 def test_partial_inverse_gaussian_center():
@@ -140,14 +168,61 @@ def test_partial_inverse_freq_empty_window_is_zero():
         assert got.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
-def test_partial_inverse_freq_requires_qft_spectrum():
-    from qharmonics.qlct import LctKind, LctParams, qlct_forward
-    sig = sample(gaussian, GridSpec.centered(4.0, 16))
-    spec = qlct_forward(sig, LctKind(Side.TWO_SIDED, LctParams(1, 1, 0, 1),
-                                     LctParams(1, 1, 0, 1)),
-                        FreqWindow.square(3.0, 16))
-    with pytest.raises(SideMismatchError):
-        dirichlet_partial_inverse_freq(spec, (0, 0), 2.0, 2.0)
+def test_qlct_partial_sum_is_the_dechirped_qft_partial_sum():
+    """Cropped to |u| <= M, |v| <= N and inverted at a point, a two-sided
+    QLCT spectrum gives e^{-mu1 a1 x0^2/2b1} I e^{-mu2 a2 y0^2/2b2}, where I
+    is the QFT partial sum of the chirped signal at (M/|b1|, N/|b2|), for
+    every sign pattern of b and random axes."""
+    rng = np.random.default_rng(43)
+    grid = GridSpec.centered(4.0, 64)
+    sig = sample(qgaussian, grid)
+    window = FreqWindow(9.0, 7.0, 96, 96)
+    S, T = grid.mesh()
+    for sign1, sign2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        kind = LctKind(Side.TWO_SIDED,
+                       lct_params(rng.uniform(-1, 1), sign1 * rng.uniform(0.5, 1.5), rng.uniform(-1, 1)),
+                       lct_params(rng.uniform(-1, 1), sign2 * rng.uniform(0.5, 1.5), rng.uniform(-1, 1)),
+                       random_axes(rng))
+        b1, b2 = abs(kind.A1.b), abs(kind.A2.b)
+        spec = qlct_forward(sig, kind, window)
+        twin = qft_forward(QSignal2D(grid, chirped(sig.data, kind, S, T)),
+                           QftKind(Side.TWO_SIDED, kind.axes), window.scaled(1 / b1, 1 / b2))
+        for M, N in ((2.0, 3.0), (3.5, 5.2), (5.0, 1.3)):
+            for x0, y0 in ((0.3, -0.2), (-1.1, 0.7)):
+                got = dirichlet_partial_inverse_freq(spec, (x0, y0), M, N)
+                want = chirped(dirichlet_partial_inverse_freq(twin, (x0, y0), M / b1, N / b2),
+                               kind, x0, y0, sign=-1.0)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_qlct_partial_sums_converge_on_every_side(side):
+    """The crop route on a smooth fixture: the natural window scaled by |b|
+    holds the whole spectrum, and the partial sums reach f(x0) to rounding."""
+    grid = GridSpec.centered(8.0, 256)
+    kind = LctKind(side, KIND.A1, KIND.A2)
+    spec = qlct_forward(sample(qgaussian, grid), kind, FreqWindow.natural(grid).scaled(0.8, 0.6))
+    point = (0.3, -0.2)
+    errs = [np.max(np.abs(dirichlet_partial_inverse_freq(spec, point, M, M) - qgaussian(*point)))
+            for M in (1.0, 2.0, 4.0, 8.0, 16.0)]
+    assert all(a > b for a, b in zip(errs, errs[1:]))
+    assert errs[-1] < 1e-14
+
+
+def test_qlct_partial_sums_at_jumps():
+    """The two-sided QLCT twin of acceptance test 10, through the crop route:
+    at a corner, an edge and the interior of the indicator the partial sums
+    approach 1/4, 1/2 and 1 (the chirps are continuous there), with test
+    10's tolerances.  The window |u| <= M |b1|, |v| <= M |b2| is the QFT
+    window M of the chirped signal; the jumps lie on cell edges."""
+    grid = GridSpec.centered(2.0, 512)
+    spec = qlct_forward(sample(indicator, grid), KIND, FreqWindow.natural(grid).scaled(0.8, 0.6))
+    for point, eta, bound in (((1.0, 1.0), 0.25, 0.03), ((1.0, 0.0), 0.5, 0.03),
+                              ((0.0, 0.0), 1.0, 0.02)):
+        errs = [qabs(dirichlet_partial_inverse_freq(spec, point, 0.8 * M, 0.6 * M) - [eta, 0, 0, 0])
+                for M in (25.0, 50.0, 100.0)]
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] < bound
 
 
 def test_sinc_product_normalization():
@@ -230,23 +305,94 @@ def test_gauss_weierstrass_kernel():
 
 def test_gauss_mean_inverse_decreasing_and_closed_form():
     sig, spec = gaussian_spectrum()
-    steps = gauss_mean_inverse(spec, (1.0, 0.1, 0.01), reference=sig)
-    errs = [s.l1_error for s in steps]
+    pairs = gauss_mean_inverse(spec, (1.0, 0.1, 0.01), reference=sig)
+    errs = [err for _, err in pairs]
     assert errs[0] > errs[1] > errs[2]
     # damped integral equals the heat smoothing: closed form for the Gaussian
-    for step in steps:
-        c = 1.0 + 4.0 * step.alpha
-        S, T = sig.grid.mesh()
+    S, T = sig.grid.mesh()
+    for alpha, err in pairs:
+        mean = qft_inverse(damped(spec, alpha), spec.kind, sig.grid)
+        c = 1.0 + 4.0 * alpha
         heat = np.exp(-(S ** 2 + T ** 2) / c) / c
-        assert np.max(np.abs(step.signal.data[..., 0] - heat)) < 1e-6
-        assert np.max(np.abs(step.signal.data[..., 1:])) < 1e-9
+        assert np.max(np.abs(mean.data[..., 0] - heat)) < 1e-6
+        assert np.max(np.abs(mean.data[..., 1:])) < 1e-9
+        assert err == l1_norm(QSignal2D(sig.grid, mean.data - sig.data))
 
 
 def test_gauss_mean_large_alpha_kills_signal():
+    # the damping leaves nothing to invert: the error is the reference's norm
     sig, spec = gaussian_spectrum(n=64, wmax=6.0)
-    (step,) = gauss_mean_inverse(spec, (400.0,), out_grid=sig.grid)
-    assert np.max(np.abs(step.signal.data)) < 1e-3
-    assert step.l1_error is None
+    ((alpha, err),) = gauss_mean_inverse(spec, (400.0,), sig)
+    assert alpha == 400.0
+    assert abs(err - l1_norm(sig)) < 1e-3 * l1_norm(sig)
+
+
+@pytest.mark.parametrize("b", [0.8, -0.6, 1.5])
+def test_qlct_gauss_mean_is_the_dechirped_qft_gauss_mean(b):
+    """With |b1| = |b2| = b, the QLCT Gauss mean at alpha is the de-chirped
+    QFT Gauss mean of the chirped signal at alpha b^2, and its L1 error
+    against f is that mean's error against the chirped signal (the chirps
+    are unit quaternions)."""
+    grid = GridSpec.centered(10.0, 128)
+    sig = sample(qgaussian, grid)
+    S, T = grid.mesh()
+    kind = LctKind(Side.TWO_SIDED, lct_params(0.7, b, -0.3), lct_params(-0.5, -b, 1.1),
+                   random_axes(np.random.default_rng(47)))
+    spec = qlct_forward(sig, kind, FreqWindow.natural(grid).scaled(abs(b), abs(b)))
+    twin_sig = QSignal2D(grid, chirped(sig.data, kind, S, T))
+    twin = qft_forward(twin_sig, QftKind(Side.TWO_SIDED, kind.axes), FreqWindow.natural(grid))
+    schedule = (1.0, 0.1, 0.01)
+    for alpha in schedule:
+        mean = qlct_inverse_two_sided(damped(spec, alpha), kind, grid).data
+        want = chirped(qft_inverse(damped(twin, alpha * b * b), twin.kind, grid).data,
+                       kind, S, T, sign=-1.0)
+        assert np.max(np.abs(mean - want)) <= 1e-14 * np.max(np.abs(want))
+    got = gauss_mean_inverse(spec, schedule, sig)
+    want = gauss_mean_inverse(twin, [alpha * b * b for alpha in schedule], twin_sig)
+    assert [alpha for alpha, _ in got] == list(schedule)
+    for (_, err), (_, twin_err) in zip(got, want):
+        assert abs(err - twin_err) <= 1e-14 * l1_norm(sig)
+
+
+@pytest.mark.parametrize("family", ["qft", "qlct"])
+@pytest.mark.parametrize("side", list(Side))
+def test_gauss_means_converge_on_every_side(family, side):
+    """The damping is real, so it commutes with every kernel placement: the
+    L1 errors fall along the schedule for sided spectra too."""
+    grid = GridSpec.centered(10.0, 128)
+    sig = sample(qgaussian, grid)
+    window = FreqWindow.natural(grid)
+    if family == "qft":
+        spec = qft_forward(sig, QftKind(side), window)
+    else:
+        spec = qlct_forward(sig, LctKind(side, KIND.A1, KIND.A2), window.scaled(0.8, 0.6))
+    errs = [err for _, err in gauss_mean_inverse(spec, (1.0, 0.1, 0.01, 0.001), sig)]
+    assert all(a > b for a, b in zip(errs, errs[1:]))
+
+
+def test_smoothing_refuses_what_the_inverses_refuse():
+    """Phase-corrected and b = 0 QLCT spectra raise as the QLCT inverse
+    does, and a spectrum of neither family raises a library error."""
+    grid = GridSpec.centered(4.0, 16)
+    sig = sample(qgaussian, grid)
+    window = FreqWindow.square(3.0, 16)
+    corrected = qfrft(sig, 0.7, 0.9, Side.TWO_SIDED, window, phase_corrected=True)
+    degenerate = qlct_forward(sig, LctKind(Side.TWO_SIDED, LctParams(1.0, 0.0, 0.5, 1.0), KIND.A2),
+                              window)
+    for spec, error in ((corrected, ProvenanceMismatchError), (degenerate, DegenerateBError)):
+        with pytest.raises(error) as inverse:
+            qlct_inverse_two_sided(spec, spec.kind, grid)
+        for call in (lambda: dirichlet_partial_inverse_freq(spec, (0.1, 0.2), 2.0, 2.0),
+                     lambda: gauss_mean_inverse(spec, (1.0,), sig)):
+            with pytest.raises(error) as got:
+                call()
+            assert str(got.value) == str(inverse.value)
+    for kind in (SimpleNamespace(side=Side.TWO_SIDED, family="ft"), object()):
+        foreign = QSpectrum2D(window.to_grid(), np.ones((16, 16, 4)), kind)
+        with pytest.raises(QHarmonicsError):
+            dirichlet_partial_inverse_freq(foreign, (0.1, 0.2), 2.0, 2.0)
+        with pytest.raises(QHarmonicsError):
+            gauss_mean_inverse(foreign, (1.0,), sig)
 
 
 def test_gauss_mean_scalar_pairing_identity():
@@ -272,22 +418,10 @@ def test_gauss_mean_schedule_validation_and_side_check():
     for schedule in ((np.nan,), (1.0, np.inf), (1.0, np.nan, 0.1)):
         with pytest.raises(NonFiniteError):
             gauss_mean_inverse(two, schedule, reference=sig)
-    steps = gauss_mean_inverse(two, (1.0, 0.1, 0.01), reference=sig)
-    assert [step.alpha for step in steps] == [1.0, 0.1, 0.01]
+    pairs = gauss_mean_inverse(two, (1.0, 0.1, 0.01), reference=sig)
+    assert [alpha for alpha, _ in pairs] == [1.0, 0.1, 0.01]
     sided = qft_forward(sig, QftKind(Side.RIGHT_SIDED), FreqWindow.square(3.0, 16))
-    with pytest.raises(SideMismatchError):
-        gauss_mean_inverse(sided, (1.0,), reference=sig)
-    with pytest.raises(InvalidParameterError):
-        gauss_mean_inverse(two, (1.0,))  # no reference, no grid
-
-
-def test_gauss_mean_refuses_a_reference_off_the_output_grid(monkeypatch):
-    sig, spec = gaussian_spectrum(n=32, extent=6.0, wmax=6.0)
-    monkeypatch.setattr(smoothing, "qft_inverse", None)  # no transform may run
-    for grid in (GridSpec.centered(6.0, 16),   # other counts: numpy could not broadcast
-                 GridSpec.centered(3.0, 32)):  # same counts, other points
-        with pytest.raises(ShapeMismatchError):
-            gauss_mean_inverse(spec, (1.0, 0.1), reference=sig, out_grid=grid)
+    assert [alpha for alpha, _ in gauss_mean_inverse(sided, (1.0,), reference=sig)] == [1.0]
 
 
 def test_lc_diagnostic_gaussian_stable_under_radius_doubling():
