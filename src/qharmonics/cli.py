@@ -283,8 +283,8 @@ def _cmd_roundtrip(args, out: _Outputs):
     fn = _fixture(args)
     side = _side(args)
     grid = _signal_grid(args)
-    # the forward transform consumes the sample and the inverse the spectrum, and
-    # the residual evaluates the fixture again a block at a time: one field
+    # the forward transform consumes the sample, the inverse the spectrum, and the
+    # residual (a block of s-rows at a time) the inverse's field: one field
     if args.transform == "qft":
         window = FreqWindow.square(8.0, grid.ns) if args.window is None else _window(args, grid)
         spec = qft_forward(sample(fn, grid), QftKind(side, axes), window, overwrite=True)
@@ -294,7 +294,7 @@ def _cmd_roundtrip(args, out: _Outputs):
         spec = qlct_forward(sample(fn, grid), LctKind(side, A1, A2, axes), window, overwrite=True)
     back = _invert(spec, grid, overwrite=True)
     S, T = grid.mesh()
-    err = residual_moduli(back.data, lambda rows: evaluate(fn, S, T[:, rows]))  # |back - f|
+    err = residual_moduli(back.data, lambda rows: evaluate(fn, S[rows], T))  # |back - f|
     print("fixture,side,transform,l1_error,linf_error")
     print(",".join([args.fixture, args.side, args.transform,
                     _G17(float(np.sum(err) * grid.cell_area)), _G17(float(np.max(err)))]))

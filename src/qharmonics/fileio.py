@@ -41,7 +41,7 @@ from .errors import (
     QsigFormatError,
     TruncatedPayloadError,
 )
-from .grids import GridSpec, QSignal2D, QSpectrum2D, t_blocks
+from .grids import GridSpec, QSignal2D, QSpectrum2D, row_blocks
 from .qft import FreqWindow, QftKind, Side
 from .qlct import LctKind, LctParams
 from .quaternion import AxisPair
@@ -62,7 +62,7 @@ def _grid_header(magic, grid: GridSpec) -> bytes:
 def _chunks(head, data):
     """The header, then the payload's t-major rows (t varies slowest) a block at a time."""
     yield head
-    for rows in t_blocks(data.shape[0], data.shape[1], 32):
+    for rows in row_blocks(data.shape[1], data.shape[0] * 32):
         yield np.ascontiguousarray(data[:, rows].transpose(1, 0, 2), dtype=_F8)
 
 
@@ -117,7 +117,7 @@ class _Reader:
         ns, nt = self.grid.ns, self.grid.nt
         self.need(ns * nt * 32)  # before allocating: a corrupt ns must not ask for GiBs
         data = np.empty((ns, nt, 4))
-        for rows in t_blocks(ns, nt, 32):
+        for rows in row_blocks(nt, ns * 32):
             data[:, rows] = self.take(_F8, (rows.stop - rows.start, ns, 4)).transpose(1, 0, 2)
         if self.fh.tell() != self.end:
             raise QsigFormatError(f"{self.end - self.fh.tell()} trailing bytes")

@@ -38,7 +38,10 @@ def scaled_gaussian(alpha=0.5, amplitude=1.0 / (4.0 * np.pi ** 2)):
 def qgaussian(S, T):
     """Quaternion constant times the unit Gaussian (all four parts active)."""
     g = gaussian(S, T)
-    return g[..., None] * QGAUSS_COEFF
+    out = np.empty(g.shape + (4,))
+    for k in range(4):
+        np.multiply(g, QGAUSS_COEFF[k], out=out[..., k])
+    return out
 
 
 def indicator(S, T):

@@ -9,7 +9,6 @@ axis 1 indexing ``t``.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,37 +126,34 @@ class QSpectrum2D:
 
 
 def sample(fn, grid: GridSpec) -> QSignal2D:
-    """Sample an analytic quaternion function at the grid midpoints.
-
-    ``fn(S, T)`` receives broadcastable coordinate arrays and may return
-    either a quaternion array ``(ns, nt, 4)`` or a real field ``(ns, nt)``
-    (promoted to the scalar part).
-
-    Raises
-    ------
-    NonFiniteError
-        If any sampled value is NaN or infinite.
-    """
-    return QSignal2D(grid, evaluate(fn, *grid.mesh()))
+    """Sample a pointwise quaternion function at the grid midpoints: one
+    (ns, nt, 4) field, filled by :func:`evaluate` a block of s-rows at a
+    time, so ``fn`` is called once per block on slices of ``grid.mesh()``.
+    Raises NonFiniteError if any sampled value is NaN or infinite."""
+    (S, T), data = grid.mesh(), np.empty((grid.ns, grid.nt, 4))
+    for rows in row_blocks(grid.ns, grid.nt * 32):
+        evaluate(fn, S[rows], T, data[rows])
+    return QSignal2D(grid, data)
 
 
-def evaluate(fn, S, T):
-    """``fn(S, T)`` on an (n0, 1) and a (1, n1) coordinate array as an (n0,
-    n1, 4) C-order float64 array, a real field promoted to the scalar part:
-    the values :func:`sample` takes, also on slices of ``grid.mesh()``."""
-    vals, alone, shape = fn(S, T), object(), (S.shape[0], T.shape[1], 4)
-    # an array the fixture made for this call (C order, its own data, referenced
-    # from here alone) is used as it is; views and broadcasts are copied
-    if (type(vals) is np.ndarray and vals.shape == shape and vals.dtype == np.float64
-            and vals.flags.owndata and vals.flags.carray
-            and sys.getrefcount(vals) <= sys.getrefcount(alone)):
-        return vals
-    vals = np.asarray(vals, dtype=float)
-    if vals.shape == shape[:2]:
-        out = np.zeros(shape)
-        out[..., 0] = vals
-        return out
-    return np.broadcast_to(vals, shape).copy()
+def evaluate(fn, S, T, out=None):
+    """``fn(S, T)`` on an (n0, 1) and a (1, n1) coordinate array (a block of
+    s-rows, so ``fn`` must be pointwise), written into ``out`` (by default a
+    new (n0, n1, 4) array).  A result of ndim <= 2 is real, broadcast to (n0,
+    n1) into the scalar part; one of ndim 3 is a quaternion, broadcast to
+    (n0, n1, 4); any other raises ShapeMismatchError."""
+    vals = np.asarray(fn(S, T), dtype=float)
+    out = np.empty((S.shape[0], T.shape[1], 4)) if out is None else out
+    try:
+        vals = np.broadcast_to(vals, out.shape[:max(vals.ndim, 2)])
+    except ValueError:
+        raise ShapeMismatchError(f"fixture value of shape {vals.shape} fits no block "
+                                 f"{out.shape[:2]} or {out.shape}") from None
+    if vals.ndim == 2:
+        out[..., 0], out[..., 1:] = vals, 0.0
+    else:
+        out[...] = vals
+    return out
 
 
 def l1_norm(sig: QSignal2D) -> float:
@@ -172,23 +168,23 @@ def linf_diff(sig_a: QSignal2D, sig_b: QSignal2D) -> float:
     return float(np.max(qabs(sig_a.data - sig_b.data)))
 
 
-BLOCK_BYTES = 1 << 19  # one block of t-rows streamed by the PPM and container codecs
+BLOCK_BYTES = 1 << 19  # the rows of one block: sampling, the residual, the PPM and container codecs
 
 
-def t_blocks(ns, nt, item_bytes):
-    """Slices of t-rows of ``ns`` items, at most BLOCK_BYTES (or one row) each."""
-    step = max(1, BLOCK_BYTES // (ns * item_bytes))
-    return [slice(t0, min(t0 + step, nt)) for t0 in range(0, nt, step)]
+def row_blocks(n, row_bytes):
+    """Slices of ``n`` rows of ``row_bytes`` each, at most BLOCK_BYTES (or one row) a slice."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return [slice(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
 
 
 def residual_moduli(data, reference):
-    """The (ns, nt) moduli |data - reference(rows)| of an (ns, nt, 4) field,
-    filled a block of t-rows at a time: ``reference(rows)`` gives the
-    reference values of the t-rows ``rows`` (a slice), so no field-size
-    difference or reference is held."""
-    mod = np.empty(data.shape[:2])
-    for rows in t_blocks(*mod.shape, 32):
-        mod[:, rows] = qabs(data[:, rows] - reference(rows))
+    """The (ns, nt) moduli |data - reference(rows)| of a C-order (ns, nt, 4)
+    field, a slice ``rows`` of s-rows at a time, written into the front of
+    ``data`` (consumed: a block's moduli end before its unread rows)."""
+    ns, nt = data.shape[:2]
+    mod = data.reshape(-1)[:ns * nt].reshape(ns, nt)
+    for rows in row_blocks(ns, nt * 32):
+        mod[rows] = qabs(data[rows] - reference(rows))
     return mod
 
 
@@ -258,7 +254,7 @@ def qsig_to_image(sig: QSignal2D):
     """
     ns, nt = sig.grid.ns, sig.grid.nt
     raster = np.empty((nt, ns, 3), dtype=np.uint8)
-    for rows in t_blocks(ns, nt, 24):
+    for rows in row_blocks(nt, ns * 24):
         rgb = np.clip(sig.data[:, rows, 1:].transpose(1, 0, 2), 0.0, 1.0)
         raster[rows] = np.rint(np.multiply(rgb, 255.0, out=rgb), out=rgb)
     lo, hi = float(sig.data[..., 0].min()), float(sig.data[..., 0].max())

@@ -236,8 +236,8 @@ def gauss_mean_inverse(spec: QSpectrum2D, schedule, reference: QSignal2D):
 
 
 def _l1_distance(a: QSignal2D, b: QSignal2D) -> float:
-    """``l1_norm`` of a - b, bit for bit, without a field-size difference."""
-    mod = residual_moduli(a.data, lambda rows: b.data[:, rows])
+    """``l1_norm`` of a - b, bit for bit, in ``a``'s memory (consumed)."""
+    mod = residual_moduli(a.data, lambda rows: b.data[rows])
     return float(np.sum(mod) * a.grid.cell_area)
 
 

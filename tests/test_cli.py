@@ -2,7 +2,6 @@ import itertools
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ import qharmonics
 import qharmonics.fileio as fileio
 from oracles import qlct_bruteforce
 from qharmonics.cli import main
-from qharmonics.grids import BLOCK_BYTES, GridSpec, QSignal2D, linf_diff, sample
+from qharmonics.grids import GridSpec, QSignal2D, linf_diff, row_blocks, sample
 from qharmonics.fixtures import FIXTURES, gaussian, qgaussian
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse
 from qharmonics.qlct import LctKind, LctParams, qlct_forward, qlct_inverse_two_sided
@@ -40,20 +39,19 @@ def test_roundtrip_prints_errors_and_succeeds(capsys):
     ["--transform", "qft"],
     ["--transform", "qlct", "--a1", "0.6", "--b1", "0.5", "--c1=-2.48", "--d1=-0.4",
      "--a2", "1", "--b2", "0.5", "--c2", "0", "--d2", "1"]], ids=["qft", "qlct"])
-def test_roundtrip_holds_one_field(capsys, transform):
-    """Peak traced memory of a round trip, in fields: the forward transform
-    consumes the sample, the inverse the spectrum, and the residual evaluates
-    the fixture a block of rows at a time, so the peak is one field plus a
-    stage's buffers (1.29 measured at 1024^2).  At 256^2 every stage folds,
-    its blocks a quarter of the field (1.92 measured)."""
-    for n, bound in ((1024, 1.4), (256, 2.1)):
-        tracemalloc.start()
-        try:
-            code, out, err = run(capsys, "roundtrip", "--fixture", "qgaussian", "--grid", str(n),
-                                 "--extent", "10", "--window", "8", *transform)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+def test_roundtrip_holds_one_field(capsys, traced_peak, transform):
+    """Peak traced memory of a round trip, in fields: the sample is filled a
+    block of s-rows at a time, the forward transform consumes it, the
+    inverse the spectrum, and the residual the inverse's field, its moduli
+    written a block of s-rows at a time into the field's front against the
+    fixture evaluated again on that block.  So the peak is one field plus a
+    stage's buffers, or the interpolation's scratch for the QLCT (1.11 and
+    1.20 measured at 1024^2).  At 256^2 every stage folds, its blocks a
+    quarter of the field (1.83 measured)."""
+    for n, bound in ((1024, 1.24), (256, 2.1)):
+        (code, out, err), peak = traced_peak(lambda: run(
+            capsys, "roundtrip", "--fixture", "qgaussian", "--grid", str(n),
+            "--extent", "10", "--window", "8", *transform))
         assert code == 0 and err == ""
         assert float(out.splitlines()[1].split(",")[4]) < 1e-4
         assert peak / (n * n * 4 * 8) <= bound
@@ -63,26 +61,22 @@ def test_roundtrip_holds_one_field(capsys, transform):
 #: margin of about 3%: one field, handed from stage to stage, and the
 #: buffers of a stage or of the interpolation that follows a sided QLCT's
 #: first stage
-PEAKS = {"qft-two": 1.44, "qlct-two": 1.68, "qlct-right": 1.9}
+PEAKS = {"qft-two": 1.36, "qlct-two": 1.68, "qlct-right": 1.9}
 QLCT_HALF = ["--transform", "qlct", "--a1", "0.5", "--b1", "0.5", "--c1=-1.5", "--d1", "0.5",
              "--a2", "0.5", "--b2", "0.5", "--c2=-1.5", "--d2", "0.5"]
 
 
 @pytest.mark.parametrize("case", list(PEAKS))
-def test_narrow_window_roundtrip_peaks_no_higher(capsys, case):
+def test_narrow_window_roundtrip_peaks_no_higher(capsys, traced_peak, case):
     """Peak traced memory of a 512^2 `roundtrip --window 8`, every stage
-    low-rank: the sample is the fixture's own array, the transforms run in
-    it, and the compressed stages and the interpolation write into it."""
+    low-rank: the sample is filled in place a block of s-rows at a time,
+    the transforms run in it, the compressed stages and the interpolation
+    write into it, and the residual's moduli take its front."""
     transform, side = case.split("-")
     n = 512
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, "roundtrip", "--fixture", "qgaussian", "--side", side,
-                             "--grid", str(n), "--extent", "10", "--window", "8",
-                             *(QLCT_HALF if transform == "qlct" else []))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (code, out, err), peak = traced_peak(lambda: run(
+        capsys, "roundtrip", "--fixture", "qgaussian", "--side", side, "--grid", str(n),
+        "--extent", "10", "--window", "8", *(QLCT_HALF if transform == "qlct" else [])))
     assert code == 0 and err == ""
     assert float(out.splitlines()[1].split(",")[4]) < (1e-14 if transform == "qlct" else 1e-4)
     assert peak / (n * n * 4 * 8) <= PEAKS[case]
@@ -91,12 +85,13 @@ def test_narrow_window_roundtrip_peaks_no_higher(capsys, case):
 @pytest.mark.parametrize("fixture", ["gaussian", "indicator", "qgaussian"])
 @pytest.mark.parametrize("transform", [[], QLCT_HALF], ids=["qft", "qlct"])
 def test_roundtrip_csv_is_the_library_residual(capsys, fixture, transform):
-    """The CSV residual, taken against the fixture a block of t-rows at a
+    """The CSV residual, taken against the fixture a block of s-rows at a
     time (the last of the 300 rows a partial block), equals to the digit the
     residual of a separately sampled signal against the library's round
     trip, real fixtures promoted as `sample` promotes them."""
     n, grid, window = 300, GridSpec.centered(4.0, 300), FreqWindow(6.0, 6.0, 300, 300)
-    assert 300 % max(1, BLOCK_BYTES // (n * 32)) != 0
+    blocks = row_blocks(n, n * 32)
+    assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
     code, out, err = run(capsys, "roundtrip", "--fixture", fixture, "--grid", str(n),
                          "--extent", "4", "--window", "6", *transform)
     assert code == 0 and err == ""
@@ -115,20 +110,16 @@ def test_roundtrip_csv_is_the_library_residual(capsys, fixture, transform):
 
 @pytest.mark.parametrize("schedule", ["1", "1,0.1,0.01", "1,0.3,0.1,0.03,0.01,0.003"],
                          ids=["1-alpha", "3-alphas", "6-alphas"])
-def test_gauss_mean_error_needs_no_difference_field(capsys, schedule):
+def test_gauss_mean_error_needs_no_difference_field(capsys, traced_peak, schedule):
     """Peak traced memory of a 512^2 Gauss mean, in fields, flat in the
     schedule's length: the sample, its spectrum, one damped copy that the
-    inverse consumes, dropped once its L1 error is taken, and the moduli of
-    that error a block of rows at a time instead of a field-size difference
-    (3.39 measured for one alpha)."""
+    inverse consumes, and the moduli of that copy's error written into its
+    front a block of rows at a time instead of a field-size difference
+    (3.31 measured for one alpha)."""
     n = 512
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, "gauss-mean", "--fixture", "gaussian", "--grid", str(n),
-                             "--extent", "10", "--window", "8", "--schedule", schedule)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (code, out, err), peak = traced_peak(lambda: run(
+        capsys, "gauss-mean", "--fixture", "gaussian", "--grid", str(n), "--extent", "10",
+        "--window", "8", "--schedule", schedule))
     assert code == 0 and err == "" and len(out.splitlines()) == 1 + len(schedule.split(","))
     assert peak / (n * n * 4 * 8) <= 3.6
 

@@ -1,6 +1,5 @@
 import itertools
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from qharmonics.grids import (
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward
 from qharmonics.qlct import LctKind, LctParams, qfrft, qlct_forward
 from qharmonics.smoothing import gauss_mean_inverse
-from qharmonics.quaternion import AxisPair
+from qharmonics.quaternion import AxisPair, qabs
 from qharmonics.variation import Net
 
 
@@ -64,20 +63,28 @@ def test_sample_constant_and_symmetry():
     np.testing.assert_array_equal(gs.data, gs.data[::-1, ::-1])
 
 
-def test_sample_keeps_a_fresh_fixture_array_and_copies_the_rest():
-    """A fresh (ns, nt, 4) float64 array the fixture made for the call is
-    the signal's data as it is; a view of caller memory, an array the
-    fixture keeps a reference to, and a broadcast each give the signal an
-    array of its own."""
+def test_sample_shares_no_fixture_memory_and_copies_the_rest(traced_peak):
+    """The signal's data is one array that `sample` fills a block of s-rows
+    at a time: it shares memory with nothing the fixture returned, and a
+    512^2 `qgaussian` sample traces at most one field plus two blocks.  A
+    view of caller memory, an array the fixture keeps a reference to, and a
+    broadcast each give the signal an array of its own."""
     g = GridSpec.centered(3.0, 8)
     made = []
 
     def fresh(S, T):
-        out = qgaussian(S, T)
-        made.append(id(out))
-        return out
+        made.append(qgaussian(S, T))
+        return made[-1]
 
-    assert id(sample(fresh, g).data) == made[0]
+    for n in (8, 300):  # one block, and six with a partial last one
+        made.clear()
+        sig = sample(fresh, GridSpec.centered(3.0, n))
+        assert len(made) == len(grids.row_blocks(n, n * 32))
+        assert not any(np.shares_memory(sig.data, out) for out in made)
+        np.testing.assert_array_equal(sig.data, qgaussian(*sig.grid.mesh()))
+    n = 512
+    sig, peak = traced_peak(lambda: sample(qgaussian, GridSpec.centered(10.0, n)))
+    assert peak <= sig.data.nbytes + 2 * grids.BLOCK_BYTES
     caller = np.random.default_rng(1).normal(size=(2, 8, 8, 4))
     kept = caller[1].copy()
     broadcast = np.broadcast_to(np.array([1.0, 2.0, 3.0, 4.0]), (8, 8, 4))
@@ -90,6 +97,48 @@ def test_sample_keeps_a_fresh_fixture_array_and_copies_the_rest():
                                                                 else before, (8, 8, 4)))
         sig.data[...] = 0.0
         np.testing.assert_array_equal(source, before)
+
+
+def test_sample_puts_real_results_in_the_scalar_part():
+    """A result of ndim <= 2 is real and goes, broadcast over the block, into
+    the scalar part: a Python scalar, and a field that ignores a coordinate
+    (even on a t axis of 4 points); one of ndim 3 is a quaternion; any other
+    shape raises ShapeMismatchError."""
+    g = GridSpec.centered(2.0, 4)
+    S, T = g.mesh()
+    want = np.zeros((4, 4, 4))
+    for fn, real in ((lambda S, T: 2.0, 2.0), (lambda S, T: np.exp(-S ** 2), np.exp(-S ** 2)),
+                     (lambda S, T: np.exp(-T ** 2), np.exp(-T ** 2)),
+                     (lambda S, T: np.exp(-T[0] ** 2), np.exp(-T ** 2))):
+        want[..., 0] = real
+        np.testing.assert_array_equal(sample(fn, g).data, want)
+    quat = np.array([1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(sample(lambda S, T: quat[None, None], g).data,
+                                  np.broadcast_to(quat, (4, 4, 4)))
+    g3 = GridSpec.centered(2.0, 4, nt=3)
+    np.testing.assert_array_equal(sample(lambda S, T: np.exp(-T ** 2), g3).data[..., 0],
+                                  np.broadcast_to(np.exp(-g3.t ** 2), (4, 3)))
+    for bad in (np.ones(3), np.ones((4, 4, 3)), np.ones((1, 4, 4, 4)), np.ones((5, 4))):
+        with pytest.raises(ShapeMismatchError):
+            sample(lambda S, T: bad, g)
+
+
+@pytest.mark.parametrize("ns,nt,rows", [(300, 300, 54), (3, 20000, 1)], ids=["300x300", "3x20000"])
+def test_residual_moduli_consumes_the_field_a_block_of_s_rows_at_a_time(ns, nt, rows):
+    """The moduli |data - ref| of a 300x300 field (54 s-rows a block, the
+    last block partial) and of a 3x20000 one (a row larger than a block,
+    one row a block), bit for bit the whole-field moduli, with the same sum
+    and max, written into the front of ``data``."""
+    assert grids.row_blocks(ns, nt * 32)[0] == slice(0, rows)
+    rng = np.random.default_rng(6)
+    data, ref = rng.normal(size=(ns, nt, 4)), rng.normal(size=(ns, nt, 4))
+    whole = qabs(data - ref)
+    asked = []
+    mod = grids.residual_moduli(data, lambda r: asked.append(r) or ref[r])
+    assert asked == grids.row_blocks(ns, nt * 32)
+    assert mod.shape == (ns, nt) and np.shares_memory(mod, data)
+    np.testing.assert_array_equal(mod, whole)
+    assert np.sum(mod) == np.sum(whole) and np.max(mod) == np.max(whole)
 
 
 def test_sample_indicator_interior_count():
@@ -216,7 +265,7 @@ FILE_IO_CASES = [("save_qsig", 0.25), ("save_qspectrum", 0.25), ("load_qsig", 1.
 
 
 @pytest.mark.parametrize("name,bound", FILE_IO_CASES, ids=[c[0] for c in FILE_IO_CASES])
-def test_file_io_holds_one_field(tmp_path, name, bound):
+def test_file_io_holds_one_field(tmp_path, traced_peak, name, bound):
     """Peak traced allocation of one 512^2 file or image call, in units of
     the field (n*n*4 doubles); its inputs are allocated beforehand.  A save
     holds one block of t-rows, a load or an image decode the field it
@@ -239,12 +288,7 @@ def test_file_io_holds_one_field(tmp_path, name, bound):
             "load_qspectrum": lambda: fileio.load_qspectrum(qsp),
             "image_to_qsig": lambda: image_to_qsig(ppm),
             "qsig_to_image": lambda: qsig_to_image(image)}[name]
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(call)[1]
     assert peak / (n * n * 4 * 8) < bound
 
 

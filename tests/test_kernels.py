@@ -6,7 +6,6 @@ chirp.  The dense references evaluate each kernel entry on the given
 nodes.
 """
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -498,7 +497,7 @@ FOLDED_CASES = [pytest.param(family, Side.TWO_SIDED, direction, 256, 40.0, BOUND
                                           1.4, id="qlct_via_qft"),
                              pytest.param("qlct_b0", Side.TWO_SIDED, "hand-over", 512, None,
                                           0.3, id="qlct_b0-two-hand-over")])
-def test_transforms_allocate_one_field(family, side, direction, n, width, bound):
+def test_transforms_allocate_one_field(traced_peak, family, side, direction, n, width, bound):
     """Peak traced allocation of one n^2 transform, in units of the field
     (n*n*4 doubles); its input is allocated beforehand.  A transform
     allocates one field, in its first stage, plus what a stage holds: the
@@ -526,12 +525,7 @@ def test_transforms_allocate_one_field(family, side, direction, n, width, bound)
         inverse = (qft_inverse if family == "qft" else
                    qlct_inverse_two_sided if side is Side.TWO_SIDED else qlct_inverse_sided)
         call = lambda: inverse(given, given.kind, grid, overwrite=direction == "consume")  # noqa: E731
-    tracemalloc.start()
-    try:
-        result = call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(call)
     assert result.data.shape == (n, n, 4)
     assert peak / (n * n * 4 * 8) < bound
     assert np.shares_memory(result.data, given.data) == (direction in ("consume", "hand-over"))
