@@ -35,8 +35,8 @@ _EXPORTS = {
     "qft_fast": "qft", "derivative_multiplier": "qft",
     # qlct
     "LctParams": "qlct", "LctKind": "qlct", "lct_kernel": "qlct",
-    "qlct_forward": "qlct", "qlct_inverse_two_sided": "qlct",
-    "qlct_inverse_sided": "qlct", "qlct_via_qft": "qlct",
+    "qlct_forward": "qlct", "qlct_inverse": "qlct",
+    "qlct_inverse_two_sided": "qlct", "qlct_inverse_sided": "qlct", "qlct_via_qft": "qlct",
     "sided_decompose_transform": "qlct", "qfrft": "qlct",
     # smoothing
     "JumpAverage": "smoothing",

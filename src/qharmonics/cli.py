@@ -7,7 +7,10 @@ byte-identical output on one BLAS build, CPU and set of block shapes
 (BLAS picks its GEMM kernel by shape, which moves the last digits).
 QH_THREADS caps BLAS parallelism (default 1 for reproducibility); it
 must be applied before numpy loads, which is why this module touches the
-environment at import time.
+environment at import time.  It applies only to the CLI: `import
+qharmonics` leaves threading alone, so a library call gives the CLI's
+last digits only if the BLAS thread variables are set before numpy loads,
+or if this module is imported first.
 """
 
 from __future__ import annotations
@@ -27,14 +30,15 @@ import numpy as np  # noqa: E402
 from . import fileio, fixtures, smoothing, variation  # noqa: E402
 from .errors import QHarmonicsError  # noqa: E402
 from .grids import GridSpec, evaluate, image_to_qsig, qsig_to_image, residual_moduli, sample  # noqa: E402
-from .qft import FreqWindow, QftKind, Side, _require, qft_forward, qft_inverse  # noqa: E402
-from .qlct import LctKind, LctParams, _invert, qfrft, qlct_forward  # noqa: E402
+from .qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse  # noqa: E402
+from .qlct import LctKind, LctParams, _invert, qfrft, qlct_forward, qlct_inverse  # noqa: E402
 from .quaternion import CANONICAL_AXES, AxisPair  # noqa: E402
 from .variation import Net  # noqa: E402
 
 __all__ = ["main"]
 
 _G17 = "{:.17g}".format
+_SIDES = [side.value for side in Side]
 
 
 class _UsageError(Exception):
@@ -75,11 +79,6 @@ def _axes(args) -> AxisPair:
                         np.array(_floats(args.mu2, 3, "--mu2")))
     except QHarmonicsError as exc:
         raise _UsageError(f"invalid axes: {exc}")
-
-
-def _side(args) -> Side:
-    return {"two": Side.TWO_SIDED, "right": Side.RIGHT_SIDED,
-            "left": Side.LEFT_SIDED}[args.side]
 
 
 def _window(args, grid, b=(1.0, 1.0)) -> FreqWindow:
@@ -166,7 +165,7 @@ def _build_parser():
 
     p = add("qft", axes=True, help="forward QFT of a QSIG file")
     io_flags(p)
-    p.add_argument("--side", choices=("two", "right", "left"), default="two")
+    p.add_argument("--side", choices=_SIDES, default="two")
     p.add_argument("--window", default=None)
 
     p = add("iqft", help="inverse QFT of a spectrum file")
@@ -175,7 +174,7 @@ def _build_parser():
 
     p = add("qlct", axes=True, help="forward QLCT of a QSIG file")
     io_flags(p)
-    p.add_argument("--side", choices=("two", "right", "left"), default="two")
+    p.add_argument("--side", choices=_SIDES, default="two")
     p.add_argument("--window", default=None)
     matrix_flags(p)
 
@@ -185,7 +184,7 @@ def _build_parser():
 
     p = add("qfrft", axes=True, help="fractional transform of a QSIG file")
     io_flags(p)
-    p.add_argument("--side", choices=("two", "right", "left"), default="two")
+    p.add_argument("--side", choices=_SIDES, default="two")
     p.add_argument("--alpha", type=finite, required=True)
     p.add_argument("--beta", type=finite, required=True)
     p.add_argument("--window", default=None)
@@ -193,7 +192,7 @@ def _build_parser():
 
     p = add("roundtrip", axes=True, help="forward+inverse reconstruction errors on a fixture")
     p.add_argument("--fixture", default="gaussian")
-    p.add_argument("--side", choices=("two", "right", "left"), default="two")
+    p.add_argument("--side", choices=_SIDES, default="two")
     grid_flags(p)
     p.add_argument("--window", default=None)
     p.add_argument("--transform", choices=("qft", "qlct"), default="qft")
@@ -243,7 +242,7 @@ def _cmd_qft(args, out: _Outputs):
     axes = _axes(args)
     sig = fileio.load_qsig(args.inp)
     window = _window(args, sig.grid)
-    spec = qft_forward(sig, QftKind(_side(args), axes), window, overwrite=True)
+    spec = qft_forward(sig, QftKind(Side(args.side), axes), window, overwrite=True)
     out.write(fileio.save_qspectrum, spec, args.out)
 
 
@@ -258,22 +257,21 @@ def _cmd_qlct(args, out: _Outputs):
     A1, A2 = _matrices(args)
     sig = fileio.load_qsig(args.inp)
     window = _window(args, sig.grid, (A1.b, A2.b))
-    spec = qlct_forward(sig, LctKind(_side(args), A1, A2, axes), window, overwrite=True)
+    spec = qlct_forward(sig, LctKind(Side(args.side), A1, A2, axes), window, overwrite=True)
     out.write(fileio.save_qspectrum, spec, args.out)
 
 
 def _cmd_iqlct(args, out: _Outputs):
     grid = _signal_grid(args)
     spec = fileio.load_qspectrum(args.inp)
-    _require(spec, spec.kind, "qlct")  # refuse a QFT spectrum, as iqft refuses a QLCT one
-    out.write(fileio.save_qsig, _invert(spec, grid, overwrite=True), args.out)
+    out.write(fileio.save_qsig, qlct_inverse(spec, spec.kind, grid, overwrite=True), args.out)
 
 
 def _cmd_qfrft(args, out: _Outputs):
     axes = _axes(args)
     sig = fileio.load_qsig(args.inp)
     window = _window(args, sig.grid, (np.sin(args.alpha), np.sin(args.beta)))
-    spec = qfrft(sig, args.alpha, args.beta, _side(args), window, axes,
+    spec = qfrft(sig, args.alpha, args.beta, Side(args.side), window, axes,
                  phase_corrected=args.phase_corrected)
     out.write(fileio.save_qspectrum, spec, args.out)
 
@@ -281,7 +279,7 @@ def _cmd_qfrft(args, out: _Outputs):
 def _cmd_roundtrip(args, out: _Outputs):
     axes = _axes(args)
     fn = _fixture(args)
-    side = _side(args)
+    side = Side(args.side)
     grid = _signal_grid(args)
     # the forward transform consumes the sample, the inverse the spectrum, and the
     # residual (a block of s-rows at a time) the inverse's field: one field

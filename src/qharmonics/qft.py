@@ -119,9 +119,7 @@ class FreqWindow:
         return FreqWindow(fu * self.u_max, fv * self.v_max, self.nu, self.nv)
 
     def to_grid(self) -> GridSpec:
-        return GridSpec(-self.u_max, -self.v_max,
-                        2.0 * self.u_max / self.nu, 2.0 * self.v_max / self.nv,
-                        self.nu, self.nv)
+        return GridSpec.centered(self.u_max, self.nu, self.v_max, self.nv)
 
 
 def qft_forward(sig: QSignal2D, kind: QftKind, window: FreqWindow,

@@ -43,6 +43,7 @@ __all__ = [
     "LctKind",
     "lct_kernel",
     "qlct_forward",
+    "qlct_inverse",
     "qlct_inverse_two_sided",
     "qlct_inverse_sided",
     "qlct_via_qft",
@@ -173,18 +174,27 @@ def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow,
     return QSpectrum2D(fgrid, data, kind, window)
 
 
-def _inverse(spec, kind, out_grid, want_sided, overwrite):
-    """Check that `spec` is a raw QLCT spectrum of `kind` with the wanted
-    sidedness, then run the forward sandwich of the inverse matrices, stages
-    in reverse order (consuming the spectrum's data if `overwrite`)."""
+def qlct_inverse(spec: QSpectrum2D, kind: LctKind, out_grid: GridSpec,
+                 overwrite=False) -> QSignal2D:
+    """Invert a raw QLCT spectrum of `kind`, of any side: the forward
+    sandwich of the inverse matrices A^{-1} = (d, -b, -c, a), its stages
+    in reverse order, with no 1/4pi^2 prefactor (see module docstring).
+
+    two-sided:   f = integral K_{A1^{-1}}(u,s) L(u,v) K_{A2^{-1}}(v,t)
+    right-sided: f = integral L(u,v) K_{A2^{-1}}(v,t) K_{A1^{-1}}(u,s)
+    left-sided:  f = integral K_{A2^{-1}}(v,t) K_{A1^{-1}}(u,s) L(u,v)
+
+    The sided orders undo the forward kernels innermost-first; swapping
+    the two inverse kernels on a non-real signal does not reconstruct f.
+    Refuses a spectrum of another kind, a phase-corrected one and a b = 0
+    axis.  ``overwrite=True`` hands the spectrum over, as for
+    :func:`qft.qft_inverse`: its data may be destroyed and the result may
+    share its memory.
+    """
     _require(spec, kind, "qlct")
     if kind.phase_corrected:
         raise ProvenanceMismatchError(
             "undo the fractional phase factors before inverting")
-    if want_sided and kind.side is Side.TWO_SIDED:
-        raise SideMismatchError("use qlct_inverse_two_sided for two-sided spectra")
-    if not want_sided and kind.side is not Side.TWO_SIDED:
-        raise SideMismatchError("use qlct_inverse_sided for sided spectra")
     if kind.A1.is_degenerate or kind.A2.is_degenerate:
         raise DegenerateBError("inverse through a degenerate (b = 0) axis")
     mats = (kind.A1.inverse, kind.A2.inverse)
@@ -193,60 +203,28 @@ def _inverse(spec, kind, out_grid, want_sided, overwrite):
     return QSignal2D(out_grid, out)
 
 
-def qlct_inverse_two_sided(spec: QSpectrum2D, kind: LctKind,
-                           out_grid: GridSpec, overwrite=False) -> QSignal2D:
-    """Two-sided inversion with A^{-1} = (d, -b, -c, a) kernels.
-
-    f(x, y) = integral K_{A1^{-1}}(u, x) L(u, v) K_{A2^{-1}}(v, y) du dv,
-    with no 1/4pi^2 prefactor (see module docstring).  ``overwrite=True``
-    hands the spectrum over, as for :func:`qft.qft_inverse`: its data may be
-    destroyed and the result may share its memory.
-    """
-    return _inverse(spec, kind, out_grid, want_sided=False, overwrite=overwrite)
-
-
-def qlct_inverse_sided(spec: QSpectrum2D, kind: LctKind,
-                       out_grid: GridSpec, overwrite=False) -> QSignal2D:
-    """Sided inversions, undoing the forward kernels innermost-first.
-
-    right-sided: f = integral L(u,v) K_{A2^{-1}}(v,t) K_{A1^{-1}}(u,s)
-    left-sided:  f = integral K_{A2^{-1}}(v,t) K_{A1^{-1}}(u,s) L(u,v)
-
-    The left-sided order puts the v-kernel leftmost, matching the
-    left-sided Fourier inversion it specializes to when both matrices
-    are the rotation by pi/2.  The order is load-bearing: swapping the
-    two inverse kernels on a non-real signal does not reconstruct f.
-    ``overwrite`` is as for :func:`qlct_inverse_two_sided`.
-    """
-    return _inverse(spec, kind, out_grid, want_sided=True, overwrite=overwrite)
+# bench/spans.py wraps the two old names; they go when it reads a stage trace (ROADMAP item 1)
+qlct_inverse_two_sided = qlct_inverse_sided = qlct_inverse
 
 
 def _invert(spec: QSpectrum2D, out_grid: GridSpec, overwrite=False) -> QSignal2D:
-    """Invert `spec` onto `out_grid` by the inverse of its own kind:
-    :func:`qft.qft_inverse`, :func:`qlct_inverse_two_sided` or
-    :func:`qlct_inverse_sided`, which refuse what they cannot invert (a kind
-    of neither family, the QLCT inverses).  ``overwrite`` is as for the
-    inverses.
+    """Invert `spec` onto `out_grid` by its own family's inverse,
+    :func:`qft.qft_inverse` or :func:`qlct_inverse`, which refuses what it
+    cannot invert.  ``overwrite`` is as for the inverses.
     """
-    kind = spec.kind
-    if getattr(kind, "family", None) == "qft":
-        return qft_inverse(spec, kind, out_grid, overwrite=overwrite)
-    two_sided = getattr(kind, "side", None) is Side.TWO_SIDED
-    inverse = qlct_inverse_two_sided if two_sided else qlct_inverse_sided
-    return inverse(spec, kind, out_grid, overwrite=overwrite)
+    inverse = qft_inverse if getattr(spec.kind, "family", None) == "qft" else qlct_inverse
+    return inverse(spec, spec.kind, out_grid, overwrite=overwrite)
 
 
 def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
                  fast=False) -> QSpectrum2D:
-    """Two-sided QLCT through the chirp-QFT-chirp factorization, which is
-    what each :func:`qlct_forward` stage computes: the input chirp, the
+    """QLCT, of any side, through the chirp-QFT-chirp factorization, which
+    is what each :func:`qlct_forward` stage computes: the input chirp, the
     Fourier kernel at u/b and the output chirp in one contraction.  With
     ``fast=True`` the window is the natural window of the signal grid
     scaled by (|b1|, |b2|), on which that kernel is the exact DFT of the
     chirped samples; otherwise the window is required.
     """
-    if kind.side is not Side.TWO_SIDED:
-        raise SideMismatchError("the chirp factorization applies to the two-sided QLCT")
     if kind.A1.is_degenerate or kind.A2.is_degenerate:
         raise DegenerateBError("chirp factorization needs b1, b2 != 0")
     if fast:

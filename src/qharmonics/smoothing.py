@@ -173,6 +173,8 @@ def eta_jump_average(fn, point, h0=0.5, levels=11, tol=1e-6) -> JumpAverage:
     x0, y0 = point
     if not np.isfinite([x0, y0, h0]).all():
         raise NonFiniteError("point and h0 must be finite")
+    if not (h0 > 0 and levels >= 2):
+        raise InvalidParameterError("h0 must be positive and levels at least 2")
     h = h0 * 2.0 ** (-np.arange(levels))
     quadrants = []
     for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
@@ -293,6 +295,8 @@ def lc_class_diagnostic(fn, point, eps1, eps2, radius,
         raise InvalidParameterError("strip half-widths must be positive")
     if not radius > max(eps1, eps2):
         raise InvalidParameterError("radius must exceed the strip half-widths")
+    if not (n_inner >= 1 and n_outer >= 1):
+        raise InvalidParameterError("n_inner and n_outer must be at least 1")
     val1 = _lc_strip(fn, x0, y0, eps1, eps2, radius, n_inner, n_outer, swap=False)
     val2 = _lc_strip(fn, x0, y0, eps2, eps1, radius, n_inner, n_outer, swap=True)
     return val1, val2

@@ -150,19 +150,21 @@ def hardy_bvf_check(f, net: Net, bound=1e6, t_index=None, s_index=None) -> Varia
     overrides.
     """
     f = _as_field(f, net)
+    ti = f.shape[1] // 2 if t_index is None else t_index
+    si = f.shape[0] // 2 if s_index is None else s_index
+    if not (0 <= ti < f.shape[1] and 0 <= si < f.shape[0]):
+        raise IndexOutOfRangeError(f"section (s {si}, t {ti}) outside field of shape {f.shape}")
     vit = vitali_variation(f)
     nets = 1
     step = 2
     while min(net.shape) // step >= 2:
-        _, si, ti = net.coarsened(step)
-        sub = f[np.ix_(si, ti)]
+        _, rows, cols = net.coarsened(step)
+        sub = f[np.ix_(rows, cols)]
         # refinement can only grow the sum (triangle inequality on d11)
         nets += 1
         if np.sum(np.abs(_d11(sub))) > vit + 1e-12:
             raise InvariantViolationError("coarsening increased the Vitali sum")
         step *= 2
-    ti = f.shape[1] // 2 if t_index is None else t_index
-    si = f.shape[0] // 2 if s_index is None else s_index
     line_s = _line_variation(f[:, ti])   # function of s at fixed t
     line_t = _line_variation(f[si, :])   # function of t at fixed s
     finite = all(np.isfinite([vit, line_s, line_t]))

@@ -34,8 +34,7 @@ from qharmonics.qlct import (
     LctParams,
     lct_kernel,
     qlct_forward,
-    qlct_inverse_sided,
-    qlct_inverse_two_sided,
+    qlct_inverse,
     qlct_via_qft,
     sided_decompose_transform,
 )
@@ -162,7 +161,7 @@ def test_06_two_sided_qlct_inversion_prefactor_decision():
     sig = sample(gaussian, grid)
     kind = LctKind(Side.TWO_SIDED, SHEAR, SHEAR)
     spec = qlct_forward(sig, kind, FreqWindow.square(8.0, 256))
-    back = qlct_inverse_two_sided(spec, kind, grid)
+    back = qlct_inverse(spec, kind, grid)
     err = linf_diff(sig, back)
     with_prefactor = QSignal2D(grid, back.data / (4.0 * np.pi ** 2))
     err_pref = linf_diff(sig, with_prefactor)
@@ -192,7 +191,7 @@ def test_08_sided_qlct_inversion_with_order_control():
     for side in (Side.RIGHT_SIDED, Side.LEFT_SIDED):
         kind = LctKind(side, SHEAR, SHEAR)
         spec = qlct_forward(sig, kind, window)
-        errs[side.value] = linf_diff(sig, qlct_inverse_sided(spec, kind, grid))
+        errs[side.value] = linf_diff(sig, qlct_inverse(spec, kind, grid))
 
     # negative control at 64^2: right-sided with the two inverse kernels
     # applied in the wrong order (u-kernel before v-kernel)

@@ -13,7 +13,7 @@ from qharmonics.cli import main
 from qharmonics.grids import GridSpec, QSignal2D, linf_diff, row_blocks, sample
 from qharmonics.fixtures import FIXTURES, gaussian, qgaussian
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse
-from qharmonics.qlct import LctKind, LctParams, qlct_forward, qlct_inverse_two_sided
+from qharmonics.qlct import LctKind, LctParams, qlct_forward, qlct_inverse
 from qharmonics.quaternion import AxisPair, qabs
 
 
@@ -99,7 +99,7 @@ def test_roundtrip_csv_is_the_library_residual(capsys, fixture, transform):
     if transform:
         A = LctParams(0.5, 0.5, -1.5, 0.5)
         kind = LctKind(Side.TWO_SIDED, A, A)
-        back = qlct_inverse_two_sided(qlct_forward(sig, kind, window), kind, grid)
+        back = qlct_inverse(qlct_forward(sig, kind, window), kind, grid)
     else:
         back = qft_inverse(qft_forward(sig, QftKind(), window), QftKind(), grid)
     err = qabs(back.data - sig.data)

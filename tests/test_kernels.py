@@ -20,8 +20,7 @@ from qharmonics.qlct import (
     LctKind,
     LctParams,
     qlct_forward,
-    qlct_inverse_sided,
-    qlct_inverse_two_sided,
+    qlct_inverse,
     qlct_via_qft,
 )
 from qharmonics.quaternion import AxisPair, mul_matrix, qexp_pure, qmul
@@ -263,12 +262,11 @@ def test_natural_windows_take_the_fft_path(side, dft_calls):
     assert len(dft_calls) == 2
     back = qft_inverse(spec, spec.kind, grid)
     assert len(dft_calls) == 4 and np.max(np.abs(back.data - sig.data)) < 1e-12
-    if side is Side.TWO_SIDED:
-        kind = LctKind(side, LctParams(2.0, 0.5, 2.0, 1.0), LctParams(1.0, -1.0, 0.0, 1.0))
-        spec = qlct_via_qft(sig, kind, fast=True)
-        assert len(dft_calls) == 6
-        back = qlct_inverse_two_sided(spec, kind, grid)
-        assert len(dft_calls) == 8 and np.max(np.abs(back.data - sig.data)) < 1e-12
+    kind = LctKind(side, LctParams(2.0, 0.5, 2.0, 1.0), LctParams(1.0, -1.0, 0.0, 1.0))
+    spec = qlct_via_qft(sig, kind, fast=True)
+    assert len(dft_calls) == 6
+    back = qlct_inverse(spec, kind, grid)
+    assert len(dft_calls) == 8 and np.max(np.abs(back.data - sig.data)) < 1e-12
 
 
 def test_other_stages_keep_the_fold(dft_calls):
@@ -416,7 +414,7 @@ def test_low_rank_axes_interpolate_after_their_last_stage(side, monkeypatch):
     assert calls == [first, last, (0, 1), last, first, (0, 1)]
     calls.clear()
     spec = qlct_forward(sig, lkind, window)
-    (qlct_inverse_two_sided if side is Side.TWO_SIDED else qlct_inverse_sided)(spec, lkind, grid)
+    qlct_inverse(spec, lkind, grid)
     if side is Side.TWO_SIDED:
         assert calls == [first, last, (0, 1), last, first, (0, 1)]
     else:
@@ -522,8 +520,7 @@ def test_transforms_allocate_one_field(traced_peak, family, side, direction, n, 
     call, given = forward, sig
     if direction in ("inverse", "consume"):
         given = forward()
-        inverse = (qft_inverse if family == "qft" else
-                   qlct_inverse_two_sided if side is Side.TWO_SIDED else qlct_inverse_sided)
+        inverse = qft_inverse if family == "qft" else qlct_inverse
         call = lambda: inverse(given, given.kind, grid, overwrite=direction == "consume")  # noqa: E731
     result, peak = traced_peak(call)
     assert result.data.shape == (n, n, 4)

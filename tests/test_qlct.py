@@ -22,6 +22,7 @@ from qharmonics.qlct import (
     lct_kernel,
     qfrft,
     qlct_forward,
+    qlct_inverse,
     qlct_inverse_sided,
     qlct_inverse_two_sided,
     qlct_via_qft,
@@ -191,8 +192,12 @@ def test_via_qft_fast_path_agrees_and_is_faster():
     with pytest.raises(DegenerateBError):
         qlct_via_qft(sig, LctKind(Side.TWO_SIDED, LctParams.identity_chirp(), SHEAR),
                      FreqWindow.square(2.0, 8))
-    with pytest.raises(SideMismatchError):
-        qlct_via_qft(sig, LctKind(Side.RIGHT_SIDED, SHEAR, SHEAR), via.window)
+    # every side's stages are the chirp-Fourier-chirp contraction it names
+    for side in (Side.RIGHT_SIDED, Side.LEFT_SIDED):
+        sided = LctKind(side, SHEAR, GENERIC)
+        for window in (via.window, None):
+            got = qlct_via_qft(sig, sided, window, fast=window is None)
+            assert np.array_equal(got.data, qlct_forward(sig, sided, got.window).data)
 
 
 NEG_B1 = LctParams(0.5, -2.0, 0.25, 1.0)
@@ -255,42 +260,39 @@ def test_two_sided_inverse_round_trip():
     kind = LctKind(Side.TWO_SIDED, SHEAR, SHEAR)
     w = FreqWindow.square(8.0, 128)
     spec = qlct_forward(sig, kind, w)
-    back = qlct_inverse_two_sided(spec, kind, grid)
+    back = qlct_inverse(spec, kind, grid)
     assert linf_diff(sig, back) < 1e-4
-    zero = qlct_inverse_two_sided(spec.scaled(0.0), kind, grid)
+    zero = qlct_inverse(spec.scaled(0.0), kind, grid)
     assert np.all(zero.data == 0.0)
     # special matrix round trip agrees with the QFT round trip
     kf = LctKind(Side.TWO_SIDED, FOURIER, FOURIER)
     fspec = qlct_forward(sig, kf, w)
-    fback = qlct_inverse_two_sided(fspec, kf, grid)
-    from qharmonics.qft import qft_inverse
+    fback = qlct_inverse(fspec, kf, grid)
     qback = qft_inverse(qft_forward(sig, QftKind(), w), QftKind(), grid)
     assert np.max(np.abs(fback.data - qback.data)) < 1e-10
 
 
 def test_sided_inverse_round_trip_and_errors():
+    # one inverse for every side; the old names are the same function
+    assert qlct_inverse_two_sided is qlct_inverse_sided is qlct_inverse
     grid = GridSpec.centered(10.0, 128)
     sig = sample(qgaussian, grid)
     w = FreqWindow.square(8.0, 128)
-    for side in (Side.RIGHT_SIDED, Side.LEFT_SIDED):
+    for side in Side:
         kind = LctKind(side, SHEAR, SHEAR)
         spec = qlct_forward(sig, kind, w)
-        back = qlct_inverse_sided(spec, kind, grid)
+        back = qlct_inverse(spec, kind, grid)
         assert linf_diff(sig, back) < 1e-4
     kind = LctKind(Side.RIGHT_SIDED, SHEAR, SHEAR)
     spec = qlct_forward(sig, kind, w)
-    with pytest.raises(SideMismatchError):
-        qlct_inverse_two_sided(spec, kind, grid)
     with pytest.raises(ProvenanceMismatchError):
-        qlct_inverse_sided(spec, LctKind(Side.RIGHT_SIDED, GENERIC, SHEAR), grid)
-    two = LctKind(Side.TWO_SIDED, SHEAR, SHEAR)
-    tspec = qlct_forward(sig, two, w)
-    with pytest.raises(SideMismatchError):
-        qlct_inverse_sided(tspec, two, grid)
+        qlct_inverse(spec, LctKind(Side.RIGHT_SIDED, GENERIC, SHEAR), grid)
+    with pytest.raises(ProvenanceMismatchError):  # the spectrum's own side, not another
+        qlct_inverse(spec, LctKind(Side.TWO_SIDED, SHEAR, SHEAR), grid)
     degen = LctKind(Side.TWO_SIDED, LctParams.identity_chirp(), SHEAR)
     dspec = qlct_forward(sig, degen, w)
     with pytest.raises(DegenerateBError):
-        qlct_inverse_two_sided(dspec, degen, grid)
+        qlct_inverse(dspec, degen, grid)
 
 
 def test_sided_routes_on_real_input():
@@ -302,14 +304,14 @@ def test_sided_routes_on_real_input():
     w = FreqWindow.square(8.0, 64)
     two = LctKind(Side.TWO_SIDED, SHEAR, SHEAR)
     spec_two = qlct_forward(sig, two, w)
-    ref = qlct_inverse_two_sided(spec_two, two, grid)
+    ref = qlct_inverse(spec_two, two, grid)
     err_two = linf_diff(sig, ref)
     assert err_two < 1e-4
     for side in (Side.RIGHT_SIDED, Side.LEFT_SIDED):
         kind = LctKind(side, SHEAR, SHEAR)
         spec = qlct_forward(sig, kind, w)
         np.testing.assert_allclose(spec.data, spec_two.data, rtol=0, atol=1e-13)
-        back = qlct_inverse_sided(spec, kind, grid)
+        back = qlct_inverse(spec, kind, grid)
         err = linf_diff(sig, back)
         assert err < 1e-4
         route_gap = np.max(np.abs(back.data - ref.data))
@@ -381,11 +383,7 @@ def test_phase_corrected_spectrum_refuses_inverse():
     w = FreqWindow.square(4.0, 16)
     corr = qfrft(sig, 0.7, 0.7, Side.TWO_SIDED, w, phase_corrected=True)
     with pytest.raises(ProvenanceMismatchError):
-        qlct_inverse_two_sided(corr, corr.kind, grid)
-
-
-def _inverse(side):
-    return qlct_inverse_two_sided if side is Side.TWO_SIDED else qlct_inverse_sided
+        qlct_inverse(corr, corr.kind, grid)
 
 
 @pytest.mark.parametrize("side", list(Side))
@@ -399,8 +397,8 @@ def test_forward_and_inverse_are_real_linear(side):
         fwd = lambda d: qlct_forward(QSignal2D(grid, d), kind, window).data
         assert np.max(np.abs(fwd(a * f + b * g) - (a * fwd(f) + b * fwd(g)))) < 1e-12
         F, G = rng.normal(size=(2, 12, 9, 4))
-        inv = lambda d: _inverse(side)(QSpectrum2D(window.to_grid(), d, kind, window),
-                                       kind, grid).data
+        inv = lambda d: qlct_inverse(QSpectrum2D(window.to_grid(), d, kind, window),
+                                     kind, grid).data
         assert np.max(np.abs(inv(a * F + b * G) - (a * inv(F) + b * inv(G)))) < 1e-12
 
 
@@ -414,7 +412,7 @@ def test_inverse_after_forward_recovers_the_input_on_the_scaled_natural_window(s
         kind = LctKind(side, GENERIC, SHEAR, random_axes(rng))
         natural = FreqWindow.natural(grid)
         window = FreqWindow(GENERIC.b * natural.u_max, SHEAR.b * natural.v_max, ns, nt)
-        back = _inverse(side)(qlct_forward(sig, kind, window), kind, grid)
+        back = qlct_inverse(qlct_forward(sig, kind, window), kind, grid)
         assert linf_diff(sig, back) < 1e-11  # chirp phases reach ~100 rad
 
 
@@ -428,10 +426,8 @@ def test_inverses_refuse_the_other_familys_spectrum(side):
     for call in (lambda: qft_inverse(lspec, lspec.kind, sig.grid),
                  lambda: qft_inverse(lspec, QftKind(side), sig.grid),
                  lambda: derivative_multiplier(lspec, 0, 0),
-                 lambda: qlct_inverse_two_sided(qspec, qspec.kind, sig.grid),
-                 lambda: qlct_inverse_two_sided(qspec, lkind, sig.grid),
-                 lambda: qlct_inverse_sided(qspec, qspec.kind, sig.grid),
-                 lambda: qlct_inverse_sided(qspec, lkind, sig.grid)):
+                 lambda: qlct_inverse(qspec, qspec.kind, sig.grid),
+                 lambda: qlct_inverse(qspec, lkind, sig.grid)):
         with pytest.raises(ProvenanceMismatchError):
             call()
 
@@ -455,11 +451,11 @@ def test_transforms_leave_their_input_untouched(side):
              lambda: qft_inverse(qspec, qkind, sig.grid),
              lambda: qlct_forward(sig, lkind, window),
              lambda: qlct_forward(sig, b0_first, window),
-             lambda: _inverse(side)(lspec, lkind, sig.grid),
+             lambda: qlct_inverse(lspec, lkind, sig.grid),
+             lambda: qlct_via_qft(sig, lkind, fast=True),
              lambda: qfrft(sig, 0.7, -1.1, side, window)]
     if side is Side.TWO_SIDED:
-        calls += [lambda: qlct_via_qft(sig, lkind, fast=True),
-                  lambda: qfrft(sig, 0.7, -1.1, side, window, phase_corrected=True)]
+        calls.append(lambda: qfrft(sig, 0.7, -1.1, side, window, phase_corrected=True))
     else:
         calls.append(lambda: sided_decompose_transform(sig, lkind, window))
     before = [a.copy() for a in (sig.data, qspec.data, lspec.data)]
@@ -483,7 +479,7 @@ def test_inverses_that_consume_their_spectrum_give_the_same_bytes(side, n):
     narrow = FreqWindow(5.0, 5.0, n, n)
     assert _kernels.low_rank(grid.s, narrow.to_grid().s, 1.0) is not None
     cases = [(QftKind(side), qft_forward, qft_inverse, (1.0, 1.0)),
-             (lkind, qlct_forward, _inverse(side), (GENERIC.b, 0.5))]
+             (lkind, qlct_forward, qlct_inverse, (GENERIC.b, 0.5))]
     for kind, forward, inverse, b in cases:
         for window in (FreqWindow.natural(grid), narrow):
             spec = forward(sig, kind, window.scaled(*b))

@@ -25,7 +25,7 @@ from qharmonics.errors import (
 from qharmonics.fixtures import gaussian, indicator, qgaussian, sinc_rect
 from qharmonics.grids import GridSpec, QSignal2D, QSpectrum2D, l1_norm, sample
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse
-from qharmonics.qlct import LctKind, LctParams, qfrft, qlct_forward, qlct_inverse_two_sided
+from qharmonics.qlct import LctKind, LctParams, qfrft, qlct_forward, qlct_inverse
 from qharmonics.quaternion import qabs, qmul
 from qharmonics.smoothing import (
     dirichlet_partial_inverse_freq,
@@ -268,6 +268,10 @@ def test_eta_nonconvergent():
     for point in ((np.nan, 0.0), (0.0, np.inf)):
         with pytest.raises(NonFiniteError):
             eta_jump_average(gaussian, point)
+    # a tableau needs two levels; h0 <= 0 would evaluate at or across the point
+    for kw in ({"levels": 0}, {"levels": 1}, {"h0": 0.0}, {"h0": -0.5}):
+        with pytest.raises(InvalidParameterError):
+            eta_jump_average(indicator, (1.0, 1.0), **kw)
 
 
 def test_sinc_bound_values_against_oracles():
@@ -343,7 +347,7 @@ def test_qlct_gauss_mean_is_the_dechirped_qft_gauss_mean(b):
     twin = qft_forward(twin_sig, QftKind(Side.TWO_SIDED, kind.axes), FreqWindow.natural(grid))
     schedule = (1.0, 0.1, 0.01)
     for alpha in schedule:
-        mean = qlct_inverse_two_sided(damped(spec, alpha), kind, grid).data
+        mean = qlct_inverse(damped(spec, alpha), kind, grid).data
         want = chirped(qft_inverse(damped(twin, alpha * b * b), twin.kind, grid).data,
                        kind, S, T, sign=-1.0)
         assert np.max(np.abs(mean - want)) <= 1e-14 * np.max(np.abs(want))
@@ -381,7 +385,7 @@ def test_smoothing_refuses_what_the_inverses_refuse():
                               window)
     for spec, error in ((corrected, ProvenanceMismatchError), (degenerate, DegenerateBError)):
         with pytest.raises(error) as inverse:
-            qlct_inverse_two_sided(spec, spec.kind, grid)
+            qlct_inverse(spec, spec.kind, grid)
         for call in (lambda: dirichlet_partial_inverse_freq(spec, (0.1, 0.2), 2.0, 2.0),
                      lambda: gauss_mean_inverse(spec, (1.0,), sig)):
             with pytest.raises(error) as got:
@@ -454,6 +458,9 @@ def test_lc_diagnostic_errors():
         lc_class_diagnostic(gaussian, (0, 0), -0.1, 0.5, 4.0)
     with pytest.raises(InvalidParameterError):
         lc_class_diagnostic(gaussian, (0, 0), 0.5, 0.5, 0.4)
+    for kw in ({"n_inner": 0}, {"n_outer": 0}, {"n_inner": -3}):
+        with pytest.raises(InvalidParameterError):
+            lc_class_diagnostic(gaussian, (0, 0), 0.5, 0.5, 4.0, **kw)
     for args in (((0, 0), np.nan, 0.5, 4.0), ((0, 0), 0.5, 0.5, np.inf),
                  ((np.nan, 0), 0.5, 0.5, 4.0)):
         with pytest.raises(NonFiniteError):

@@ -80,6 +80,11 @@ def test_hardy_check_gaussian_and_constant():
     assert (rep0.vitali, rep0.line_var_s, rep0.line_var_t) == (0.0, 0.0, 0.0)
     row = rep0.to_csv_row()
     assert row.split(",")[3] == "true"
+    # sections are indices of the 65 x 65 field, never wrapped
+    assert hardy_bvf_check(np.ones((65, 65)), net, t_index=64, s_index=0).is_hardy_bvf
+    for kw in ({"t_index": 65}, {"s_index": 65}, {"t_index": -1}, {"s_index": -65}):
+        with pytest.raises(IndexOutOfRangeError):
+            hardy_bvf_check(np.ones((65, 65)), net, **kw)
 
 
 def test_hardy_check_oscillatory_section_grows():
