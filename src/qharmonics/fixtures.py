@@ -1,9 +1,10 @@
 """Built-in analytic test signals.
 
-Each fixture is a callable ``fn(S, T)`` over broadcastable coordinate
-arrays, returning either a real field or a quaternion ``(..., 4)``
-array, suitable for :func:`qharmonics.grids.sample` and for the
-pointwise machinery that needs off-grid evaluations.
+Each fixture is a pointwise callable ``fn(S, T)`` over broadcastable
+coordinate arrays.  Every consumer (sampling, the partial sums, the jump
+average, the LC-class diagnostic, the variation nets) reads its result
+by :func:`qharmonics.grids.fixture_values`: broadcast to the coordinates'
+shape, real if of ndim <= 2, a quaternion ``(..., 4)`` if of ndim 3.
 """
 
 from __future__ import annotations
@@ -67,14 +68,12 @@ def get_fixture(name):
             f"unknown fixture {name!r}; choose from {sorted(FIXTURES)}") from None
 
 
-def sinc_rect(name, point, decay_radius=8.0):
+def sinc_rect(name, point):
     """Truncation rectangle for the sinc-convolution path at a point.
 
     The indicator has exact support, so the rectangle is tight; smooth
-    fixtures get a decay radius where their tails are negligible.
+    fixtures get a decay radius of 8, where their tails are negligible.
     """
     x0, y0 = point
-    if name == "indicator":
-        return (x0 - 1.0, x0 + 1.0, y0 - 1.0, y0 + 1.0)
-    return (x0 - decay_radius, x0 + decay_radius,
-            y0 - decay_radius, y0 + decay_radius)
+    r = 1.0 if name == "indicator" else 8.0
+    return (x0 - r, x0 + r, y0 - r, y0 + r)

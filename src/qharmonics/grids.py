@@ -136,19 +136,26 @@ def sample(fn, grid: GridSpec) -> QSignal2D:
     return QSignal2D(grid, data)
 
 
-def evaluate(fn, S, T, out=None):
-    """``fn(S, T)`` on an (n0, 1) and a (1, n1) coordinate array (a block of
-    s-rows, so ``fn`` must be pointwise), written into ``out`` (by default a
-    new (n0, n1, 4) array).  A result of ndim <= 2 is real, broadcast to (n0,
-    n1) into the scalar part; one of ndim 3 is a quaternion, broadcast to
-    (n0, n1, 4); any other raises ShapeMismatchError."""
+def fixture_values(fn, S, T):
+    """``fn(S, T)`` broadcast to the shape of the coordinate arrays S and T,
+    which ``fn`` must treat pointwise: the one rule for reading a fixture.  A
+    result of ndim <= 2 stays real; one of ndim 3 is a quaternion, (..., 4);
+    any other raises ShapeMismatchError."""
     vals = np.asarray(fn(S, T), dtype=float)
-    out = np.empty((S.shape[0], T.shape[1], 4)) if out is None else out
+    shape = np.broadcast(S, T).shape
     try:
-        vals = np.broadcast_to(vals, out.shape[:max(vals.ndim, 2)])
+        return np.broadcast_to(vals, shape + (4,) * (vals.ndim > 2))
     except ValueError:
         raise ShapeMismatchError(f"fixture value of shape {vals.shape} fits no block "
-                                 f"{out.shape[:2]} or {out.shape}") from None
+                                 f"{shape} or {shape + (4,)}") from None
+
+
+def evaluate(fn, S, T, out=None):
+    """:func:`fixture_values` on coordinates that broadcast to (n0, n1),
+    written into ``out`` (by default a new (n0, n1, 4) array): a real result
+    into the scalar part, a quaternion into all four."""
+    vals = fixture_values(fn, S, T)
+    out = np.empty(vals.shape[:2] + (4,)) if out is None else out
     if vals.ndim == 2:
         out[..., 0], out[..., 1:] = vals, 0.0
     else:

@@ -32,7 +32,8 @@ from .errors import (
     NonFiniteError,
     NonPositiveWindowError,
 )
-from .grids import GridSpec, QSignal2D, QSpectrum2D, residual_moduli, sample
+from .grids import (GridSpec, QSignal2D, QSpectrum2D, evaluate, fixture_values,
+                    residual_moduli, sample)
 from .qlct import _invert
 from .quaternion import qabs
 
@@ -74,17 +75,13 @@ def dirichlet_partial_inverse_freq(spec: QSpectrum2D, point, M, N):
     return _invert(cropped, at).data[0, 0]
 
 
-def _panel_nodes(lo, hi, rate, breakpoints=(), order=8):
-    """Gauss-Legendre nodes/weights on panels cut at the zeros of sin(rate*x)."""
+def _panel_nodes(lo, hi, rate):
+    """8-point Gauss-Legendre nodes/weights on panels cut at the zeros of sin(rate*x)."""
     k_lo = int(np.ceil(lo * rate / np.pi))
     k_hi = int(np.floor(hi * rate / np.pi))
-    edges = np.unique(np.concatenate([
-        [lo, hi],
-        np.arange(k_lo, k_hi + 1) * np.pi / rate,
-        np.asarray(breakpoints, dtype=float),
-    ]))
+    edges = np.unique(np.concatenate([[lo, hi], np.arange(k_lo, k_hi + 1) * np.pi / rate]))
     edges = edges[(edges >= lo) & (edges <= hi)]
-    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx, gw = np.polynomial.legendre.leggauss(8)
     half = np.diff(edges) / 2
     mid = (edges[:-1] + edges[1:]) / 2
     nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
@@ -92,20 +89,18 @@ def _panel_nodes(lo, hi, rate, breakpoints=(), order=8):
     return nodes, weights
 
 
-def dirichlet_partial_inverse_sinc(fn, point, M, N, rect,
-                                   breakpoints_s=(), breakpoints_t=(), order=8):
+def dirichlet_partial_inverse_sinc(fn, point, M, N, rect):
     """Signal-domain double sinc convolution for the same partial sum.
 
     Parameters
     ----------
     fn : callable
-        Analytic handle ``fn(S, T) -> (..., 4)`` (or a real field).
+        Pointwise fixture ``fn(S, T)``, read by :func:`grids.fixture_values`:
+        a real field or a quaternion ``(..., 4)``.
     point : (x0, y0)
     M, N : positive window extents.
     rect : (s_lo, s_hi, t_lo, t_hi)
         Truncation rectangle for the shifted integrand f(x0-s, y0-t).
-    breakpoints_s, breakpoints_t : extra panel cuts (e.g. at the edge of
-        an indicator's support) so discontinuities fall on panel edges.
 
     Each block of 256 s nodes is two matrix-vector products (s kernel,
     then t kernel); a real field stays real.  Returns a quaternion (4,).
@@ -116,20 +111,18 @@ def dirichlet_partial_inverse_sinc(fn, point, M, N, rect,
     s_lo, s_hi, t_lo, t_hi = rect
     if not np.isfinite([M, N, x0, y0, s_lo, s_hi, t_lo, t_hi]).all():
         raise NonFiniteError("window, point and rectangle must be finite")
-    s, ws = _panel_nodes(s_lo, s_hi, M, breakpoints_s, order)
-    t, wt = _panel_nodes(t_lo, t_hi, N, breakpoints_t, order)
+    s, ws = _panel_nodes(s_lo, s_hi, M)
+    t, wt = _panel_nodes(t_lo, t_hi, N)
     ker_s = ws * (M / np.pi) * np.sinc(M * s / np.pi)
     ker_t = wt * (N / np.pi) * np.sinc(N * t / np.pi)
     total = np.zeros(4)
     for block in range(0, s.size, 256):
         sb = s[block:block + 256]
-        vals = np.asarray(fn(x0 - sb[:, None], y0 - t[None, :]), dtype=float)
-        vals = np.broadcast_to(vals, (sb.size, t.size) + vals.shape[2:])
+        # contiguous, so a broadcast result takes the same BLAS product as a full one
+        vals = np.ascontiguousarray(fixture_values(fn, x0 - sb[:, None], y0 - t[None, :]))
         row = ker_s[block:block + 256] @ vals.reshape(sb.size, -1)
-        if vals.ndim == 2:
-            total[0] += row @ ker_t
-        else:
-            total += ker_t @ row.reshape(t.size, 4)
+        part = ker_t @ row.reshape(t.size, -1)  # the scalar part of a real field, or all four
+        total[:part.size] += part
     return total
 
 
@@ -144,17 +137,16 @@ class JumpAverage:
     h_sequence: np.ndarray
 
 
-def _richardson(values, max_cols=6):
+def _richardson(values):
     """Iterated Richardson extrapolation for a dyadic h-sequence.
 
-    values[k] = g(h0 2^-k); column m removes the h^m error term.
-    Returns (limit, settle) where settle is the movement between the
-    last two tableau corners.
+    values[k] = g(h0 2^-k); column m (at most 6) removes the h^m error
+    term.  Returns (limit, settle) where settle is the movement between
+    the last two tableau corners.
     """
     T = np.asarray(values, dtype=float)
-    cols = min(max_cols, T.shape[0] - 1)
     corners = [T[-1]]
-    for m in range(1, cols + 1):
+    for m in range(1, min(6, T.shape[0] - 1) + 1):
         fac = 2.0 ** m
         T = (fac * T[1:] - T[:-1]) / (fac - 1.0)
         corners.append(T[-1])
@@ -173,14 +165,13 @@ def eta_jump_average(fn, point, h0=0.5, levels=11, tol=1e-6) -> JumpAverage:
     x0, y0 = point
     if not np.isfinite([x0, y0, h0]).all():
         raise NonFiniteError("point and h0 must be finite")
-    if not (h0 > 0 and levels >= 2):
-        raise InvalidParameterError("h0 must be positive and levels at least 2")
+    if not (h0 > 0 and isinstance(levels, (int, np.integer)) and levels >= 2):
+        raise InvalidParameterError("h0 must be positive and levels an integer of at least 2")
     h = h0 * 2.0 ** (-np.arange(levels))
     quadrants = []
     for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        vals = np.asarray(fn(x0 + sx * h, y0 + sy * h), dtype=float)
-        if vals.ndim == 1:
-            vals = np.stack([vals] + [np.zeros_like(vals)] * 3, axis=-1)
+        # one column of coordinates: (levels, 1, 4) quaternions
+        vals = evaluate(fn, (x0 + sx * h)[:, None], (y0 + sy * h)[:, None])[:, 0]
         limit, settle = _richardson(vals)
         if not settle <= tol:  # written so that NaN fails
             raise NonConvergentError(
@@ -247,31 +238,24 @@ def _l1_distance(a: QSignal2D, b: QSignal2D) -> float:
 
 def _quadrant_sum(fn, x0, y0, S, T):
     """f(x0-s,y0-t) + f(x0+s,y0+t) + f(x0-s,y0+t) + f(x0+s,y0-t)."""
-    vals = (np.asarray(fn(x0 - S, y0 - T), dtype=float)
-            + np.asarray(fn(x0 + S, y0 + T), dtype=float)
-            + np.asarray(fn(x0 - S, y0 + T), dtype=float)
-            + np.asarray(fn(x0 + S, y0 - T), dtype=float))
-    return vals
+    return (fixture_values(fn, x0 - S, y0 - T) + fixture_values(fn, x0 + S, y0 + T)
+            + fixture_values(fn, x0 - S, y0 + T) + fixture_values(fn, x0 + S, y0 - T))
 
 
 def _lc_strip(fn, x0, y0, eps_inner, eps_outer, radius, n_inner, n_outer, swap):
-    inner = (np.arange(n_inner) + 0.5) * (eps_inner / n_inner)
-    outer = eps_outer + (np.arange(n_outer) + 0.5) * ((radius - eps_outer) / n_outer)
-    d_in = eps_inner / n_inner
-    d_out = (radius - eps_outer) / n_outer
-    if swap:  # inner variable is t, outer is s
-        S, T = outer[None, :], inner[:, None]
-    else:     # inner variable is s, outer is t
-        S, T = inner[:, None], outer[None, :]
-    G = _quadrant_sum(fn, x0, y0, S, T)
-    if G.ndim == 2:
-        G = G[..., None]
-    mass = np.sum(qabs(G) if G.shape[-1] == 4 else np.abs(G[..., 0]), axis=1) * d_out
+    d_in, d_out = eps_inner / n_inner, (radius - eps_outer) / n_outer
+    inner = (np.arange(n_inner) + 0.5) * d_in
+    outer = eps_outer + (np.arange(n_outer) + 0.5) * d_out
+    # the inner variable is s, or t when swapped; either way G is (n_inner, n_outer)
+    S, T = (outer[None, :], inner[:, None]) if swap else (inner[:, None], outer[None, :])
+    G = _quadrant_sum(fn, x0, y0, S, T).reshape(n_inner, n_outer, -1)  # a real sum: one part
+    # finite exactly where each section's mass of moduli is: |g| <= sum |parts| <= 2 |g|
+    mass = np.sum(np.abs(G.reshape(n_inner, -1)), axis=1) * d_out
     finite = np.isfinite(mass)
     if not finite.any():
         raise NoIntegrableSectionError("no section with finite truncated mass")
     anchor = int(np.argmax(finite))  # nearest-to-zero finite section
-    diff = G - G[anchor][None, :, :]
+    diff = G - G[anchor]
     integrand = np.sqrt(np.sum(diff * diff, axis=-1)) / inner[:, None]
     return float(np.sum(integrand) * d_in * d_out)
 
@@ -295,8 +279,8 @@ def lc_class_diagnostic(fn, point, eps1, eps2, radius,
         raise InvalidParameterError("strip half-widths must be positive")
     if not radius > max(eps1, eps2):
         raise InvalidParameterError("radius must exceed the strip half-widths")
-    if not (n_inner >= 1 and n_outer >= 1):
-        raise InvalidParameterError("n_inner and n_outer must be at least 1")
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (n_inner, n_outer)):
+        raise InvalidParameterError("n_inner and n_outer must be integers of at least 1")
     val1 = _lc_strip(fn, x0, y0, eps1, eps2, radius, n_inner, n_outer, swap=False)
     val2 = _lc_strip(fn, x0, y0, eps2, eps1, radius, n_inner, n_outer, swap=True)
     return val1, val2

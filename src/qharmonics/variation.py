@@ -26,6 +26,7 @@ from .errors import (
     InvariantViolationError,
     NonFiniteError,
 )
+from .grids import fixture_values
 
 __all__ = [
     "Net",
@@ -68,10 +69,9 @@ class Net:
         return cls(np.linspace(s_lo, s_hi, m + 1), np.linspace(t_lo, t_hi, n + 1))
 
     def coarsened(self, step):
-        """Sub-net keeping every `step`-th cut (endpoints always kept)."""
-        si = sorted(set(range(0, self.s_cuts.size, step)) | {self.s_cuts.size - 1})
-        ti = sorted(set(range(0, self.t_cuts.size, step)) | {self.t_cuts.size - 1})
-        return Net(self.s_cuts[si], self.t_cuts[ti]), np.array(si), np.array(ti)
+        """Indices (s, t) of the cuts of the sub-net keeping every `step`-th
+        cut (endpoints always kept)."""
+        return tuple(np.unique(np.append(np.arange(0, n, step), n - 1)) for n in self.shape)
 
     @property
     def shape(self):
@@ -95,8 +95,8 @@ class VariationReport:
 
 
 def eval_on_net(fn, net: Net):
-    """Evaluate a callable f(s, t) at all net nodes."""
-    return np.asarray(fn(net.s_cuts[:, None], net.t_cuts[None, :]), dtype=float)
+    """Evaluate a callable f(s, t) at all net nodes, by :func:`grids.fixture_values`."""
+    return fixture_values(fn, net.s_cuts[:, None], net.t_cuts[None, :])
 
 
 def _as_field(f, net=None):
@@ -158,7 +158,7 @@ def hardy_bvf_check(f, net: Net, bound=1e6, t_index=None, s_index=None) -> Varia
     nets = 1
     step = 2
     while min(net.shape) // step >= 2:
-        _, rows, cols = net.coarsened(step)
+        rows, cols = net.coarsened(step)
         sub = f[np.ix_(rows, cols)]
         # refinement can only grow the sum (triangle inequality on d11)
         nets += 1

@@ -31,9 +31,14 @@ from qharmonics.grids import (
 )
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward
 from qharmonics.qlct import LctKind, LctParams, qfrft, qlct_forward
-from qharmonics.smoothing import gauss_mean_inverse
+from qharmonics.smoothing import (
+    dirichlet_partial_inverse_sinc,
+    eta_jump_average,
+    gauss_mean_inverse,
+    lc_class_diagnostic,
+)
 from qharmonics.quaternion import AxisPair, qabs
-from qharmonics.variation import Net
+from qharmonics.variation import Net, vitali_variation
 
 
 def rand_signal(n=8, seed=0, extent=2.0):
@@ -121,6 +126,55 @@ def test_sample_puts_real_results_in_the_scalar_part():
     for bad in (np.ones(3), np.ones((4, 4, 3)), np.ones((1, 4, 4, 4)), np.ones((5, 4))):
         with pytest.raises(ShapeMismatchError):
             sample(lambda S, T: bad, g)
+
+
+#: the pointwise consumers of a fixture beside ``sample`` (whose cases are the
+#: table above), on small inputs
+FIXTURE_CONSUMERS = {
+    "sinc": lambda fn: dirichlet_partial_inverse_sinc(fn, (0.3, -0.2), 5.0, 5.0,
+                                                      (-1.5, 1.5, -1.5, 1.5)),
+    "eta": lambda fn: eta_jump_average(fn, (0.3, -0.2)).quadrant_values,
+    "lc": lambda fn: lc_class_diagnostic(fn, (0.2, -0.1), 0.5, 0.5, 4.0, n_inner=8, n_outer=16),
+    "vitali": lambda fn: vitali_variation(fn, Net.uniform(-1.0, 1.0, 5, -1.0, 1.0, 6)),
+}
+
+#: fixture results of every shape: the accepted ones, then the refused ones
+FIXTURE_SHAPES = {
+    "scalar": lambda S, T: 2.0,
+    "s_only": lambda S, T: np.exp(-S ** 2),
+    "t_only": lambda S, T: np.exp(-T ** 2),
+    "quaternion_constant": lambda S, T: np.array([1.0, 2.0, 3.0, 4.0])[None, None],
+    "bad_3": lambda S, T: np.ones(3),
+    "bad_quaternion_3": lambda S, T: np.ones(np.broadcast(S, T).shape + (3,)),
+    "bad_ndim_4": lambda S, T: np.ones((1, 1, 1, 4)),
+}
+
+
+def _broadcast_twin(fn):
+    """``fn`` with its result complete: the coordinates' full shape (and (4,))."""
+    def full(S, T):
+        vals = np.asarray(fn(S, T), dtype=float)
+        return np.broadcast_to(vals, np.broadcast(S, T).shape + vals.shape[2:]).copy()
+    return full
+
+
+@pytest.mark.parametrize("shape", sorted(FIXTURE_SHAPES))
+@pytest.mark.parametrize("consumer", sorted(FIXTURE_CONSUMERS))
+def test_every_fixture_consumer_reads_results_by_one_rule(consumer, shape):
+    """Each consumer reads a scalar, a field that ignores a coordinate and a
+    quaternion constant as their broadcast-complete twins (the variation
+    nets refuse the quaternion, whose field is not real, both ways); a
+    result of shape (3,), (..., 3) or ndim 4 raises ShapeMismatchError."""
+    run, fn = FIXTURE_CONSUMERS[consumer], FIXTURE_SHAPES[shape]
+    if shape.startswith("bad"):
+        with pytest.raises(ShapeMismatchError):
+            run(fn)
+    elif consumer == "vitali" and shape == "quaternion_constant":
+        for f in (fn, _broadcast_twin(fn)):
+            with pytest.raises(InvalidParameterError):
+                run(f)
+    else:
+        np.testing.assert_array_equal(run(fn), run(_broadcast_twin(fn)))
 
 
 @pytest.mark.parametrize("ns,nt,rows", [(300, 300, 54), (3, 20000, 1)], ids=["300x300", "3x20000"])

@@ -269,7 +269,7 @@ def test_eta_nonconvergent():
         with pytest.raises(NonFiniteError):
             eta_jump_average(gaussian, point)
     # a tableau needs two levels; h0 <= 0 would evaluate at or across the point
-    for kw in ({"levels": 0}, {"levels": 1}, {"h0": 0.0}, {"h0": -0.5}):
+    for kw in ({"levels": 0}, {"levels": 1}, {"levels": 2.5}, {"h0": 0.0}, {"h0": -0.5}):
         with pytest.raises(InvalidParameterError):
             eta_jump_average(indicator, (1.0, 1.0), **kw)
 
@@ -458,7 +458,8 @@ def test_lc_diagnostic_errors():
         lc_class_diagnostic(gaussian, (0, 0), -0.1, 0.5, 4.0)
     with pytest.raises(InvalidParameterError):
         lc_class_diagnostic(gaussian, (0, 0), 0.5, 0.5, 0.4)
-    for kw in ({"n_inner": 0}, {"n_outer": 0}, {"n_inner": -3}):
+    for kw in ({"n_inner": 0}, {"n_outer": 0}, {"n_inner": -3}, {"n_inner": 2.5},
+               {"n_outer": 96.0}):
         with pytest.raises(InvalidParameterError):
             lc_class_diagnostic(gaussian, (0, 0), 0.5, 0.5, 4.0, **kw)
     for args in (((0, 0), np.nan, 0.5, 4.0), ((0, 0), 0.5, 0.5, np.inf),
