@@ -50,8 +50,11 @@ span{1, mu} with nu a pure unit normal to mu, and on each of a and b
 e^{mu theta} is the complex e^{i theta}, so a block is P, input phasors,
 one complex FFT along the nodes, output phasors and P^T.  The phasors take
 the half-sample shifts of the midpoint nodes with their index products
-reduced mod 4n in integers, and the chirps and ``scale``; ``numpy.fft`` is
-loaded by the first such stage.
+reduced mod 4n in integers, and the chirps and ``scale``.  A phasor on
+both components is the chirp map cos I + sin M^T, so node-major blocks
+(axis 0) fold the phasors into P and P^T as one 4x4 map per node on each
+side; row-layout blocks (axis 1) keep P and the phasor multiplies.  The
+FFT runs in the block's buffer (``out=``, numpy >= 2.0).
 
 A block reads all of its input before it writes its output, so a stage can
 write into the front of its input's memory (``out=field``), also when it
@@ -180,13 +183,16 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
 
 
 def _dft_tables(y, x, c, mu, left, pre, post, scale):
-    """(P, inverse, input phasors, output phasors) of a stage that is an exact
-    length-n DFT on mirrored nodes, or None.  Its kernel angle c y_k x_j is
-    +-pi (2k - n + 1)(2j - n + 1) / 2n: the DFT angle +-2 pi k j / n plus
-    terms in j alone and in k alone, each an integer times pi / 2n reduced
-    mod 4n.  The chirps join as unit phasors of their own, so each phase
-    keeps its low bits.  P has the columns 1, mu, nu and mu nu (nu mu for
-    a right-multiplied kernel, the split being f = a + nu b)."""
+    """(P, inverse, input phasors, output phasors, input maps, output maps)
+    of a stage that is an exact length-n DFT on mirrored nodes, or None.
+    Its kernel angle c y_k x_j is +-pi (2k - n + 1)(2j - n + 1) / 2n: the
+    DFT angle +-2 pi k j / n plus terms in j alone and in k alone, each an
+    integer times pi / 2n reduced mod 4n.  The chirps join as unit phasors
+    of their own, so each phase keeps its low bits.  P has the columns 1,
+    mu, nu and mu nu (nu mu for a right-multiplied kernel, the split being
+    f = a + nu b).  The phasors come twice each, once per component, and
+    the (n, 4, 4) maps are P then the input phasor, the output phasor then
+    P^T."""
     n, rest = x.size, x.size
     for p in DFT_PRIMES:
         while rest % p == 0:
@@ -209,7 +215,13 @@ def _dft_tables(y, x, c, mu, left, pre, post, scale):
     P = np.zeros((4, 4))
     P[0, 0], P[1:, 1], P[1:, 2] = 1.0, mu, nu
     P[1:, 3] = np.cross(mu, nu) if left else np.cross(nu, mu)
-    return P, sign > 0, np.repeat(p_in, 2), np.repeat(p_out, 2)
+    # row @ (Re p I + Im p J) multiplies each complex pair of the split by p,
+    # and P J P^T = M^T, so P @ that map is the chirp map of p followed by P
+    J = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    maps_in, maps_out = (p.real[:, None, None] * np.eye(4) + p.imag[:, None, None] * J
+                         for p in (p_in, p_out))
+    return (P, sign > 0, np.repeat(p_in, 2), np.repeat(p_out, 2),
+            P @ maps_in, maps_out @ P.T)
 
 
 def low_rank(y, x, c):
@@ -285,24 +297,28 @@ def _fold(F, even, odd, pre):
 
 
 def _dft(F, dst, tabs, scale, pre, post, MT, bufs):
-    """One block of an exact-DFT stage, node axis first: the nodes mapped by
-    P into two complex components each, times the input phasors, one FFT
-    along the nodes, times the output phasors (scale and chirps included)
-    and mapped back by P^T into `dst` (which may be `F`).  The buffer keeps
-    the block's memory order: node-major on axis 0, each sample row's nodes
-    contiguous on axis 1."""
-    P, inverse, p_in, p_out = tabs  # each phasor twice, once per component
+    """One block of an exact-DFT stage, node axis first, into `dst` (which
+    may be `F`), in the block's memory order.  Node-major (axis 0), one
+    per-node 4x4 map (P and the input phasors) takes the nodes into two
+    complex components each, one FFT along the nodes runs in the buffer, and
+    one per-node map (the output phasors, scale and chirps included, and
+    P^T) writes `dst`.  In row layout (axis 1, each sample row's nodes
+    contiguous), P and P^T map all nodes alike and the phasors multiply each
+    sample row's flat nodes: per-node maps are slower in that layout."""
+    P, inverse, p_in, p_out, maps_in, maps_out = tabs
     node = 0
     if abs(F.strides[0]) < abs(F.strides[1]):
         F, dst, node = F.swapaxes(0, 1), dst.swapaxes(0, 1), 1
-    z = np.matmul(F, P, out=_buffer(bufs, "z", *F.shape)).view(complex)
-    # flat rows: (n, 2k) times a phasor each on axis 0, (k, 2n) times all on axis 1
-    z.reshape(len(z), -1)[...] *= p_in[::2, None] if node == 0 else p_in
-    z = np.fft.ifft(z, axis=node, norm="forward") if inverse else np.fft.fft(z, axis=node)
-    # numpy < 2.0 returns a transposed layout along other axes than the last
-    z = np.ascontiguousarray(z)
-    z.reshape(len(z), -1)[...] *= p_out[::2, None] if node == 0 else p_out
-    np.matmul(z.view(float), P.T, out=dst)
+    z = np.matmul(F, P if node else maps_in, out=_buffer(bufs, "z", *F.shape)).view(complex)
+    if node:
+        z.reshape(len(z), -1)[...] *= p_in
+    if inverse:
+        np.fft.ifft(z, axis=node, norm="forward", out=z)
+    else:
+        np.fft.fft(z, axis=node, out=z)
+    if node:
+        z.reshape(len(z), -1)[...] *= p_out
+    np.matmul(z.view(float), P.T if node else maps_out, out=dst)
 
 
 def _nodes(F, dst, tabs, scale, pre, post, MT, bufs):

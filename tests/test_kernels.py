@@ -185,22 +185,40 @@ LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
 
 
 @LONG_DOUBLE
-@pytest.mark.parametrize("n", [64, 65, 512, 1024])
+@pytest.mark.parametrize("n", [64, 65, 360, 512, 1024])
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
 def test_dft_stage_against_exact_long_double_dft(n, direction, dft_calls):
     """On the natural window a stage is exactly a length-n DFT, its kernel
     angles +-pi (2k - n + 1)(2j - n + 1) / 2n: against that DFT in long
     double, the index products reduced mod 4n in integers, the FFT stage is
-    within 16 eps."""
-    y, x, c, scale = natural_stage(n, direction)
-    field = np.random.default_rng(n).normal(size=(n, 3, 4))
-    got = exp_contract(y, x, c, MU, field, True, 0, scale=scale)
-    assert dft_calls
+    within 16 eps, on axis 0 (node-major blocks, the phasors in per-node
+    maps) and on axis 1 (row layout) alike, and the two agree to 4 eps on a
+    field and its transpose.  The QLCT stage (b = -0.8) carries chirps of
+    60 to 2e4 rad; at n = 360 (13-smooth, not a power of two) the field is
+    136 lines wide, two full DFT_BLOCKs and a partial one."""
+    field = np.random.default_rng(n).normal(size=(n, 136 if n == 360 else 3, 4))
     k = np.arange(n)
     m = np.outer(2 * k - n + 1, 2 * k - n + 1) % (4 * n)
     pi = 4 * np.arctan(np.longdouble(1))
-    ref = long_double_sum(np.sign(c) * pi * m / (2 * n), MU, field, True, scale)
-    assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 16 * np.finfo(float).eps
+    eps = np.finfo(float).eps
+    for b in (1.0, -0.8):
+        y, x, c, scale = natural_stage(n, direction, b=b)
+        chirps = dict(scale=scale)
+        if b != 1.0:
+            chirps.update(pre=x * x / b, post=y * y / (2.0 * b))
+        dft_calls.clear()
+        got = exp_contract(y, x, c, MU, field, True, 0, **chirps)
+        across = exp_contract(y, x, c, MU, np.ascontiguousarray(field.swapaxes(0, 1)), True, 1,
+                              **chirps).swapaxes(0, 1)
+        assert len(dft_calls) == 2 * -(-field.shape[1] // _kernels.DFT_BLOCK)
+        theta = np.sign(c) * pi * m / (2 * n)
+        if b != 1.0:
+            theta = (theta + np.asarray(chirps["pre"], np.longdouble)
+                     + np.asarray(chirps["post"], np.longdouble)[:, None])
+        ref = long_double_sum(theta, MU, field, True, scale)
+        for stage in (got, across):
+            assert np.max(np.abs(stage - ref)) / np.max(np.abs(ref)) <= 16 * eps
+        assert np.max(np.abs(got - across)) <= 4 * eps * np.max(np.abs(got))
 
 
 @LONG_DOUBLE
