@@ -54,7 +54,8 @@ reduced mod 4n in integers, and the chirps and ``scale``.  A phasor on
 both components is the chirp map cos I + sin M^T, so node-major blocks
 (axis 0) fold the phasors into P and P^T as one 4x4 map per node on each
 side; row-layout blocks (axis 1) keep P and the phasor multiplies.  The
-FFT runs in the block's buffer (``out=``, numpy >= 2.0).
+FFT runs in the block's buffer (``out=``, numpy >= 2.0); ``numpy.fft`` is
+loaded by the first such stage.
 
 A block reads all of its input before it writes its output, so a stage can
 write into the front of its input's memory (``out=field``), also when it
