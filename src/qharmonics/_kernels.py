@@ -111,16 +111,20 @@ def _centred(x):
     return x0, (d - d[::-1]) / 2
 
 
-def _chirp_maps(MT, *angles):
+def _angles(*chirps):
+    """The angles of `chirps`, each None, an array or a tuple of arrays and constants."""
+    return [a for c in chirps if c is not None for a in (c if isinstance(c, tuple) else (c,))]
+
+
+def _chirp_maps(MT, *chirps):
     """(n, 4, 4) maps ``row -> row @ maps[j]`` of the product of e^{mu phi_j}
-    over the angle arrays phi that are not None (MT = M^T), or None.  The
-    maps compose, so each phase keeps its low bits."""
+    over the :func:`_angles` of `chirps`, the first an array (MT = M^T), or
+    None.  The maps compose, so each phase keeps its low bits."""
     maps = None
-    for phi in angles:
-        if phi is not None:
-            phi = np.asarray(phi, dtype=float)[:, None, None]
-            one = np.cos(phi) * np.eye(4) + np.sin(phi) * MT
-            maps = one if maps is None else maps @ one
+    for phi in _angles(*chirps):
+        phi = np.asarray(phi, dtype=float)[..., None, None]
+        one = np.cos(phi) * np.eye(4) + np.sin(phi) * MT
+        maps = one if maps is None else maps @ one
     return maps
 
 
@@ -145,7 +149,8 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
     axis : int
         Which grid axis of `field` to contract (0 or 1).
     pre, post : 1D arrays, optional
-        Chirp angles at the input nodes ``x`` and at the output nodes ``y``.
+        Chirp angles at the input nodes ``x`` and at the output nodes ``y``,
+        or tuples of such arrays and constant angles, each its own factor.
     scale : float
         Real factor of the whole stage (a quadrature weight).
     out : array, optional
@@ -208,8 +213,8 @@ def _dft_tables(y, x, c, mu, left, pre, post, scale):
     p_in, p_out = (np.exp(1j * sign * np.pi / (2 * n) * ((m + 2 * n) % (4 * n) - 2 * n))
                    for m in (-2 * (n - 1) * k, (n - 1) ** 2 - 2 * (n - 1) * k))
     for phasors, phi in ((p_in, pre), (p_out, post)):
-        if phi is not None:
-            phasors *= np.exp(1j * np.asarray(phi, dtype=float))
+        for angle in _angles(phi):
+            phasors *= np.exp(1j * np.asarray(angle, dtype=float))
     p_out *= scale
     nu = np.cross(mu, np.eye(3)[np.argmin(np.abs(mu))])
     nu /= np.sqrt(nu @ nu)

@@ -133,8 +133,8 @@ def lct_kernel(A: LctParams, axis, x, xi):
 def _lct_terms(A: LctParams, x, xi, dx):
     """Stage terms (c, pre, post, scale) of one axis for ``qft._stages``:
     chirp(x), the Fourier kernel at xi/b and chirp(xi) in one contraction
-    of cell width `dx`, the output chirp carrying the e^{-sign(b) mu pi/4}
-    prefactor phase.
+    of cell width `dx`, the output chirp carrying the prefactor phase
+    -sign(b) pi/4 as its own factor (d xi^2/(2b) reaches 1e4 rad).
 
     A b = 0 axis is the pointwise chirp sqrt(d) e^{mu c d xi^2 / 2} f(d xi)
     (c = None): its output coordinates are xi = x/d, so no resampling is
@@ -146,7 +146,7 @@ def _lct_terms(A: LctParams, x, xi, dx):
             raise DegenerateBError("degenerate branch needs d > 0")
         xi = x / d
         return None, c * d * xi * xi / 2.0, None, np.sqrt(d)
-    return (-1.0 / b, a * x * x / (2 * b), d * xi * xi / (2 * b) - np.sign(b) * np.pi / 4,
+    return (-1.0 / b, a * x * x / (2 * b), (d * xi * xi / (2 * b), -np.sign(b) * np.pi / 4),
             dx / np.sqrt(2.0 * np.pi * abs(b)))
 
 

@@ -20,6 +20,7 @@ partial sum of the chirped signal at (M/|b1|, N/|b2|).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,17 +76,26 @@ def dirichlet_partial_inverse_freq(spec: QSpectrum2D, point, M, N):
     return _invert(cropped, at).data[0, 0]
 
 
+#: the 8-point Gauss-Legendre rule, leggauss(8) to the bit, without loading numpy.polynomial
+_GL8_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                       -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                       0.7966664774136267, 0.9602898564975362])
+_GL8_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                         0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                         0.22238103445337443, 0.10122853629037706])
+
+
 def _panel_nodes(lo, hi, rate):
     """8-point Gauss-Legendre nodes/weights on panels cut at the zeros of sin(rate*x)."""
     k_lo = int(np.ceil(lo * rate / np.pi))
     k_hi = int(np.floor(hi * rate / np.pi))
-    edges = np.unique(np.concatenate([[lo, hi], np.arange(k_lo, k_hi + 1) * np.pi / rate]))
-    edges = edges[(edges >= lo) & (edges <= hi)]
-    gx, gw = np.polynomial.legendre.leggauss(8)
+    edges = np.sort(np.concatenate([[lo, hi], np.arange(k_lo, k_hi + 1) * np.pi / rate]))
+    # inside [lo, hi], equal neighbours dropped (np.unique would load numpy.ma)
+    edges = edges[(edges >= lo) & (edges <= hi) & np.append(True, edges[1:] != edges[:-1])]
     half = np.diff(edges) / 2
     mid = (edges[:-1] + edges[1:]) / 2
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    weights = (half[:, None] * gw[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _GL8_NODES[None, :]).ravel()
+    weights = (half[:, None] * _GL8_WEIGHTS[None, :]).ravel()
     return nodes, weights
 
 
@@ -183,11 +193,26 @@ def eta_jump_average(fn, point, h0=0.5, levels=11, tol=1e-6) -> JumpAverage:
 
 # -- sinc integral bound ------------------------------------------------------
 
-def sinc_integral_bound_check(a, b) -> float:
-    """|integral_a^b sin(t)/t dt| via the sine integral; always <= 6."""
-    from scipy.special import sici  # here, so importing the CLI does not load scipy
+def _sine_integral(x):
+    """Si(x) = integral of sin(t)/t over [0, x] to a few ulps, x not NaN: the series
+    (Abramowitz and Stegun 5.2.14) for |x| <= 4, else pi/2 + Im E1(ix) with E1(z)
+    = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...))) from depth 60 up."""
+    a, series, tail = np.abs(x), 0.0, 0.0
+    s = np.minimum(a, 4.0)
+    for k in range(20, -1, -1):  # Horner form: (-1)^k / ((2k + 1) (2k + 1)!) at x^(2k+1)
+        series = series * (s * s) + (-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1))
+    z = 1j * np.clip(a, 4.0, 1e30)  # beyond 1e30, and at +-inf, Si rounds to +-pi/2
+    for k in range(60, 0, -1):
+        tail = k * k / (z + (2 * k + 1) - tail)
+    large = np.pi / 2 + (np.exp(-z) / (z + 1 - tail)).imag
+    return np.copysign(np.where(a <= 4.0, s * series, large), x)
 
-    val = float(abs(sici(b)[0] - sici(a)[0]))
+
+def sinc_integral_bound_check(a, b) -> float:
+    """|integral_a^b sin(t)/t dt| via the sine integral; always <= 6.  Ends may be infinite."""
+    if np.isnan([a, b]).any():
+        raise NonFiniteError(f"sine-integral ends ({a}, {b}) must not be NaN")
+    val = float(abs(_sine_integral(b) - _sine_integral(a)))
     if not val <= 6.0:
         raise InvariantViolationError(f"sine-integral bound violated: {val}")
     return val

@@ -71,7 +71,7 @@ class Net:
     def coarsened(self, step):
         """Indices (s, t) of the cuts of the sub-net keeping every `step`-th
         cut (endpoints always kept)."""
-        return tuple(np.unique(np.append(np.arange(0, n, step), n - 1)) for n in self.shape)
+        return tuple(np.append(np.arange(0, n - 1, step), n - 1) for n in self.shape)
 
     @property
     def shape(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qharmonics
+import qharmonics.cli as cli
 import qharmonics.fileio as fileio
 from oracles import qlct_bruteforce
 from qharmonics.cli import main
@@ -322,6 +323,37 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_every_subcommand_runs_on_numpys_core(tmp_path):
+    """With scipy's import blocked, each subcommand runs in one process that
+    loads neither numpy.ma nor numpy.polynomial."""
+    src = os.path.dirname(os.path.dirname(qharmonics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    mats = ["--a1", "2", "--b1", "0.5", "--c1", "2", "--d1", "1",
+            "--a2", "1", "--b2=-1", "--c2", "0", "--d2", "1"]
+    runs = [["fixtures", "--out-dir", "fx", "--grid", "16"],
+            ["qft", "--in", "fx/qgaussian.qsig", "--out", "f.qsp"],
+            ["iqft", "--in", "f.qsp", "--out", "f.qsig", "--grid", "16", "--extent", "6"],
+            ["qlct", "--side", "left", "--in", "fx/qgaussian.qsig", "--out", "l.qsp", *mats],
+            ["iqlct", "--in", "l.qsp", "--out", "l.qsig", "--grid", "16", "--extent", "6"],
+            ["qfrft", "--in", "fx/qgaussian.qsig", "--out", "r.qsp", "--alpha", "0.5",
+             "--beta", "0.7", "--phase-corrected"],
+            ["roundtrip", "--transform", "qlct", "--grid", "16", *mats],
+            ["jump-demo", "--M", "25,50"],
+            ["gauss-mean", "--grid", "16", "--schedule", "1,0.1"],
+            ["variation", "--fixture", "heatgauss", "--grid", "16"],
+            ["lc-diag", "--fixture", "qgaussian", "--point", "0.2,-0.1"],
+            ["qsig2img", "--in", "fx/qgaussian.qsig", "--out", "q.ppm"],
+            ["img2qsig", "--in", "q.ppm", "--out", "q.qsig"]]
+    assert sorted(run[0] for run in runs) == sorted(cli._COMMANDS)
+    probe = ("import sys; sys.modules['scipy'] = None; import qharmonics.cli; "
+             f"codes = [qharmonics.cli.main(argv) for argv in {runs!r}]; "
+             "print(codes, sorted(m for m in ('scipy', 'numpy.ma', 'numpy.polynomial') "
+             "if sys.modules.get(m) is not None), file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env, cwd=tmp_path)
+    assert out.stderr.strip() == f"{[0] * len(runs)} []"
 
 
 def test_cli_import_does_not_load_numpy_fft():

@@ -413,7 +413,39 @@ def test_inverse_after_forward_recovers_the_input_on_the_scaled_natural_window(s
         natural = FreqWindow.natural(grid)
         window = FreqWindow(GENERIC.b * natural.u_max, SHEAR.b * natural.v_max, ns, nt)
         back = qlct_inverse(qlct_forward(sig, kind, window), kind, grid)
-        assert linf_diff(sig, back) < 1e-11  # chirp phases reach ~100 rad
+        assert linf_diff(sig, back) < 1e-13
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_round_trip_at_512_is_as_accurate_as_the_qft(side):
+    # the output chirp angle d xi^2 / (2b) reaches ~2e4 rad here: the constant
+    # -sign(b) pi/4 of the prefactor, added to it, would be rounded at its ulp
+    # (l-inf ~1.4e-12, against ~4e-15 for the QFT)
+    grid = GridSpec.centered(6.0, 512)
+    sig = QSignal2D(grid, np.random.default_rng(0).normal(size=(512, 512, 4)))
+    kind = LctKind(side, GENERIC, LctParams(1.0, -1.0, 0.0, 1.0))
+    back = qlct_inverse(qlct_via_qft(sig, kind, fast=True), kind, grid)
+    qkind = QftKind(side)
+    qback = qft_inverse(qft_forward(sig, qkind, FreqWindow.natural(grid)), qkind, grid)
+    assert linf_diff(sig, back) <= 2 * linf_diff(sig, qback)
+
+
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize("ns, nt", [(9, 9), (15, 22), (64, 64)])
+def test_plancherel_ratio_is_one_on_the_scaled_natural_window(side, ns, nt):
+    # ||L||^2 du dv / (||f||^2 ds dt) = 1: with |b| in the kernels' weights and
+    # the window scaled by |b|, each stage is a unitary DFT between unit chirps
+    rng = np.random.default_rng(ns * 100 + nt + 3)
+    for grid in property_grids(rng, ns, nt):
+        sig = QSignal2D(grid, rng.normal(size=(ns, nt, 4)))
+        a, c = rng.uniform(0.5, 2.0, size=2), rng.normal(size=2)
+        b = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.3, 2.0, size=2)
+        mats = [LctParams(a[i], b[i], c[i], (1.0 + b[i] * c[i]) / a[i]) for i in range(2)]
+        kind = LctKind(side, *mats, random_axes(rng))
+        spec = qlct_via_qft(sig, kind, fast=True)
+        ratio = (np.sum(spec.data ** 2) * spec.grid.cell_area
+                 / (np.sum(sig.data ** 2) * sig.grid.cell_area))
+        assert abs(ratio - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("side", list(Side))

@@ -1,3 +1,4 @@
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,7 @@ from qharmonics.grids import GridSpec, QSignal2D, QSpectrum2D, l1_norm, sample
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse
 from qharmonics.qlct import LctKind, LctParams, qfrft, qlct_forward, qlct_inverse
 from qharmonics.quaternion import qabs, qmul
+from qharmonics import smoothing
 from qharmonics.smoothing import (
     dirichlet_partial_inverse_freq,
     dirichlet_partial_inverse_sinc,
@@ -472,8 +474,49 @@ def test_lc_diagnostic_errors():
 
 
 def test_sinc_bound_violation_raises_typed_error(monkeypatch):
-    import scipy.special
-
-    monkeypatch.setattr(scipy.special, "sici", lambda x: (10.0 * x, 0.0))
+    monkeypatch.setattr(smoothing, "_sine_integral", lambda x: 10.0 * x)
     with pytest.raises(InvariantViolationError):
         sinc_integral_bound_check(0.0, 1.0)
+
+
+def test_sinc_bound_nan_and_infinite_ends():
+    # a NaN end is not a violated bound; infinite ends take Si(+-inf) = +-pi/2
+    for a, b in ((np.nan, 1.0), (0.0, np.nan), (np.nan, np.inf)):
+        with pytest.raises(NonFiniteError):
+            sinc_integral_bound_check(a, b)
+    assert sinc_integral_bound_check(-np.inf, np.inf) == np.pi
+    assert sinc_integral_bound_check(0.0, np.inf) == np.pi / 2
+    assert sinc_integral_bound_check(-np.inf, 0.0) == np.pi / 2
+    assert sinc_integral_bound_check(np.inf, np.inf) == 0.0
+
+
+def test_sine_integral_within_4_ulp_of_mpmath():
+    # 4000 points over +-[1e-8, 1e6], both sides of the series/continued-fraction
+    # switch at |x| = 4 among them; the table's header says how it was made
+    x, want = np.loadtxt(Path(__file__).parent / "data" / "sine_integral_mpmath.txt",
+                         unpack=True)
+    assert x.size >= 4000 and np.any(x < 0) and np.any(x > 0)
+    got = smoothing._sine_integral(x)
+    assert np.max(np.abs(got - want) / np.spacing(np.abs(want))) <= 4
+    assert all(smoothing._sine_integral(v) == g for v, g in zip(x[::400], got[::400]))
+    assert smoothing._sine_integral(0.0) == 0.0
+
+
+def test_gauss_legendre_literals_are_leggauss_8():
+    gx, gw = np.polynomial.legendre.leggauss(8)
+    np.testing.assert_array_equal(smoothing._GL8_NODES, gx)
+    np.testing.assert_array_equal(smoothing._GL8_WEIGHTS, gw)
+
+
+@pytest.mark.parametrize("lo, hi, rate", [(-8.0, 8.0, 25.0), (-np.pi, 2 * np.pi, 1.0),
+                                          (0.0, 3.0, 1.0), (1.0, 1.5, 0.5), (-2.5, 7.25, 100.0)])
+def test_panel_edges_are_np_unique(lo, hi, rate):
+    # the sort that drops equal neighbours cuts the panels np.unique cut
+    nodes, weights = smoothing._panel_nodes(lo, hi, rate)
+    k_lo, k_hi = int(np.ceil(lo * rate / np.pi)), int(np.floor(hi * rate / np.pi))
+    edges = np.unique(np.concatenate([[lo, hi], np.arange(k_lo, k_hi + 1) * np.pi / rate]))
+    edges = edges[(edges >= lo) & (edges <= hi)]
+    half, mid = np.diff(edges) / 2, (edges[:-1] + edges[1:]) / 2
+    gx, gw = np.polynomial.legendre.leggauss(8)
+    np.testing.assert_array_equal(nodes, (mid[:, None] + half[:, None] * gx).ravel())
+    np.testing.assert_array_equal(weights, (half[:, None] * gw).ravel())

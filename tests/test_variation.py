@@ -25,6 +25,15 @@ def test_net_validation():
         Net(np.array([0.0]), np.array([0.0, 1.0]))
 
 
+def test_coarsened_keeps_every_step_th_cut_and_the_last():
+    for m, n in ((2, 3), (7, 12), (33, 40)):
+        net = Net.uniform(0, 1, m - 1, 0, 1, n - 1)
+        for step in range(1, 14):
+            for got, size in zip(net.coarsened(step), (m, n)):
+                np.testing.assert_array_equal(
+                    got, np.unique(np.append(np.arange(0, size, step), size - 1)))
+
+
 def test_mixed_difference_examples():
     unit = Net.uniform(0, 1, 1, 0, 1, 1)
     f = eval_on_net(product_st, unit)
