@@ -126,34 +126,21 @@ def _fixture(args):
         raise _UsageError(str(exc))
 
 
-def _point(args):
-    return _floats(args.point, 2, "--point")
-
-
-class _Outputs(list):
-    """Files a command wrote (each atomically, by ``fileio``); removed if it fails later."""
-
-    def write(self, save, obj, path):
-        save(obj, path)
-        self.append(path)
-
-
 def _build_parser():
     top = _Parser(prog="qharmonics", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, axes=False, **kw):
-        p = sub.add_parser(name, prog=f"qharmonics {name}", **kw)
+    def add(name, run, help, axes=False):
+        p = sub.add_parser(name, prog=f"qharmonics {name}", help=help)
+        p.set_defaults(run=run)
         if axes:  # only the commands that read _axes take the axis flags
             p.add_argument("--mu1", default=None)
             p.add_argument("--mu2", default=None)
         return p
 
-    def io_flags(p, inp=True, out=True):
-        if inp:
-            p.add_argument("--in", dest="inp", required=True)
-        if out:
-            p.add_argument("--out", required=True)
+    def io_flags(p):
+        p.add_argument("--in", dest="inp", required=True)
+        p.add_argument("--out", required=True)
 
     def grid_flags(p, grid=256, extent=10.0):
         p.add_argument("--grid", type=int, default=grid)
@@ -163,34 +150,32 @@ def _build_parser():
         for k in ("a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2"):
             p.add_argument(f"--{k}", type=finite, default=None)
 
-    p = add("qft", axes=True, help="forward QFT of a QSIG file")
-    io_flags(p)
-    p.add_argument("--side", choices=_SIDES, default="two")
-    p.add_argument("--window", default=None)
+    def forward(name, run, help, *angles):
+        """A transform of a QSIG file to a spectrum file; `angles` are
+        required reals that come before --window."""
+        p = add(name, run, help, axes=True)
+        io_flags(p)
+        p.add_argument("--side", choices=_SIDES, default="two")
+        for flag in angles:
+            p.add_argument(flag, type=finite, required=True)
+        p.add_argument("--window", default=None)
+        return p
 
-    p = add("iqft", help="inverse QFT of a spectrum file")
-    io_flags(p)
-    grid_flags(p)
+    def inverse(name, fn, help):
+        p = add(name, _cmd_inverse, help)
+        p.set_defaults(inverse=fn)
+        io_flags(p)
+        grid_flags(p)
 
-    p = add("qlct", axes=True, help="forward QLCT of a QSIG file")
-    io_flags(p)
-    p.add_argument("--side", choices=_SIDES, default="two")
-    p.add_argument("--window", default=None)
-    matrix_flags(p)
-
-    p = add("iqlct", help="inverse QLCT of a spectrum file")
-    io_flags(p)
-    grid_flags(p)
-
-    p = add("qfrft", axes=True, help="fractional transform of a QSIG file")
-    io_flags(p)
-    p.add_argument("--side", choices=_SIDES, default="two")
-    p.add_argument("--alpha", type=finite, required=True)
-    p.add_argument("--beta", type=finite, required=True)
-    p.add_argument("--window", default=None)
+    forward("qft", _cmd_qft, "forward QFT of a QSIG file")
+    inverse("iqft", qft_inverse, "inverse QFT of a spectrum file")
+    matrix_flags(forward("qlct", _cmd_qlct, "forward QLCT of a QSIG file"))
+    inverse("iqlct", qlct_inverse, "inverse QLCT of a spectrum file")
+    p = forward("qfrft", _cmd_qfrft, "fractional transform of a QSIG file", "--alpha", "--beta")
     p.add_argument("--phase-corrected", action="store_true")
 
-    p = add("roundtrip", axes=True, help="forward+inverse reconstruction errors on a fixture")
+    p = add("roundtrip", _cmd_roundtrip, "forward+inverse reconstruction errors on a fixture",
+            axes=True)
     p.add_argument("--fixture", default="gaussian")
     p.add_argument("--side", choices=_SIDES, default="two")
     grid_flags(p)
@@ -198,38 +183,35 @@ def _build_parser():
     p.add_argument("--transform", choices=("qft", "qlct"), default="qft")
     matrix_flags(p)
 
-    p = add("jump-demo", help="partial-sum sweep at a point (CSV)")
+    p = add("jump-demo", _cmd_jump_demo, "partial-sum sweep at a point (CSV)")
     p.add_argument("--M", default="25,50,100")
     p.add_argument("--point", default="1,1")
     p.add_argument("--fixture", default="indicator")
 
-    p = add("gauss-mean", help="damped-inversion error sweep (CSV)")
+    p = add("gauss-mean", _cmd_gauss_mean, "damped-inversion error sweep (CSV)")
     p.add_argument("--fixture", default="gaussian")
     p.add_argument("--schedule", default="1,0.1,0.01")
     grid_flags(p, grid=128, extent=6.0)
     p.add_argument("--window", default="8")
 
-    p = add("variation", help="bounded-variation report for a fixture or file (CSV)")
+    p = add("variation", _cmd_variation, "bounded-variation report for a fixture or file (CSV)")
     p.add_argument("--fixture", default=None)
     p.add_argument("--in", dest="inp", default=None)
     p.add_argument("--component", choices=("w", "x", "y", "z"), default="w")
     p.add_argument("--bound", type=finite, default=1e6)
     grid_flags(p, grid=64, extent=3.0)
 
-    p = add("lc-diag", help="cross-neighborhood strip integral estimates (CSV)")
+    p = add("lc-diag", _cmd_lc_diag, "cross-neighborhood strip integral estimates (CSV)")
     p.add_argument("--fixture", default="gaussian")
     p.add_argument("--point", default="0,0")
     p.add_argument("--eps1", type=finite, default=0.5)
     p.add_argument("--eps2", type=finite, default=0.5)
     p.add_argument("--radius", type=finite, default=8.0)
 
-    p = add("img2qsig", help="PPM image to QSIG")
-    io_flags(p)
+    io_flags(add("img2qsig", _cmd_img2qsig, "PPM image to QSIG"))
+    io_flags(add("qsig2img", _cmd_qsig2img, "QSIG to PPM image (scalar-part stats on stdout)"))
 
-    p = add("qsig2img", help="QSIG to PPM image (scalar-part stats on stdout)")
-    io_flags(p)
-
-    p = add("fixtures", help="write the built-in fixtures as QSIG files")
+    p = add("fixtures", _cmd_fixtures, "write the built-in fixtures as QSIG files")
     p.add_argument("--out-dir", required=True)
     grid_flags(p, grid=64, extent=6.0)
 
@@ -238,45 +220,40 @@ def _build_parser():
 
 # -- subcommand bodies --------------------------------------------------------
 
-def _cmd_qft(args, out: _Outputs):
+def _cmd_qft(args):
     axes = _axes(args)
     sig = fileio.load_qsig(args.inp)
     window = _window(args, sig.grid)
     spec = qft_forward(sig, QftKind(Side(args.side), axes), window, overwrite=True)
-    out.write(fileio.save_qspectrum, spec, args.out)
+    fileio.save_qspectrum(spec, args.out)
 
 
-def _cmd_iqft(args, out: _Outputs):
+def _cmd_inverse(args):
+    """``iqft`` and ``iqlct``: ``args.inverse`` refuses the other family's spectrum."""
     grid = _signal_grid(args)
     spec = fileio.load_qspectrum(args.inp)
-    out.write(fileio.save_qsig, qft_inverse(spec, spec.kind, grid, overwrite=True), args.out)
+    fileio.save_qsig(args.inverse(spec, spec.kind, grid, overwrite=True), args.out)
 
 
-def _cmd_qlct(args, out: _Outputs):
+def _cmd_qlct(args):
     axes = _axes(args)
     A1, A2 = _matrices(args)
     sig = fileio.load_qsig(args.inp)
     window = _window(args, sig.grid, (A1.b, A2.b))
     spec = qlct_forward(sig, LctKind(Side(args.side), A1, A2, axes), window, overwrite=True)
-    out.write(fileio.save_qspectrum, spec, args.out)
+    fileio.save_qspectrum(spec, args.out)
 
 
-def _cmd_iqlct(args, out: _Outputs):
-    grid = _signal_grid(args)
-    spec = fileio.load_qspectrum(args.inp)
-    out.write(fileio.save_qsig, qlct_inverse(spec, spec.kind, grid, overwrite=True), args.out)
-
-
-def _cmd_qfrft(args, out: _Outputs):
+def _cmd_qfrft(args):
     axes = _axes(args)
     sig = fileio.load_qsig(args.inp)
     window = _window(args, sig.grid, (np.sin(args.alpha), np.sin(args.beta)))
     spec = qfrft(sig, args.alpha, args.beta, Side(args.side), window, axes,
                  phase_corrected=args.phase_corrected)
-    out.write(fileio.save_qspectrum, spec, args.out)
+    fileio.save_qspectrum(spec, args.out)
 
 
-def _cmd_roundtrip(args, out: _Outputs):
+def _cmd_roundtrip(args):
     axes = _axes(args)
     fn = _fixture(args)
     side = Side(args.side)
@@ -288,6 +265,9 @@ def _cmd_roundtrip(args, out: _Outputs):
         spec = qft_forward(sample(fn, grid), QftKind(side, axes), window, overwrite=True)
     else:
         A1, A2 = _matrices(args)
+        if A1.is_degenerate or A2.is_degenerate:
+            raise _UsageError("--b1 and --b2 must be nonzero: the QLCT inverse "
+                              "does not run through a degenerate (b = 0) axis")
         window = _window(args, grid, (A1.b, A2.b))
         spec = qlct_forward(sample(fn, grid), LctKind(side, A1, A2, axes), window, overwrite=True)
     back = _invert(spec, grid, overwrite=True)
@@ -298,9 +278,9 @@ def _cmd_roundtrip(args, out: _Outputs):
                     _G17(float(np.sum(err) * grid.cell_area)), _G17(float(np.max(err)))]))
 
 
-def _cmd_jump_demo(args, out: _Outputs):
+def _cmd_jump_demo(args):
     fn = _fixture(args)
-    point = _point(args)
+    point = _floats(args.point, 2, "--point")
     sweep = _floats(args.M, flag="--M")
     if any(m <= 0 for m in sweep):
         raise _UsageError("--M entries must be positive")
@@ -313,7 +293,7 @@ def _cmd_jump_demo(args, out: _Outputs):
         print(",".join([_G17(m), _G17(m)] + [_G17(x) for x in val] + [_G17(err)]))
 
 
-def _cmd_gauss_mean(args, out: _Outputs):
+def _cmd_gauss_mean(args):
     fn = _fixture(args)
     grid = _signal_grid(args)
     window = _window(args, grid)
@@ -328,7 +308,7 @@ def _cmd_gauss_mean(args, out: _Outputs):
         print(f"{_G17(alpha)},{_G17(error)}")
 
 
-def _cmd_variation(args, out: _Outputs):
+def _cmd_variation(args):
     if (args.fixture is None) == (args.inp is None):
         raise _UsageError("give exactly one of --fixture or --in")
     if args.inp is not None:
@@ -343,71 +323,62 @@ def _cmd_variation(args, out: _Outputs):
     print(report.to_csv_row())
 
 
-def _cmd_lc_diag(args, out: _Outputs):
+def _cmd_lc_diag(args):
     fn = _fixture(args)
     if args.eps1 <= 0 or args.eps2 <= 0:
         raise _UsageError("--eps1/--eps2 must be positive")
     if args.radius <= max(args.eps1, args.eps2):
         raise _UsageError("--radius must exceed the strip half-widths")
     val1, val2 = smoothing.lc_class_diagnostic(
-        fn, _point(args), args.eps1, args.eps2, args.radius)
+        fn, _floats(args.point, 2, "--point"), args.eps1, args.eps2, args.radius)
     print("val_s,val_t")
     print(f"{_G17(val1)},{_G17(val2)}")
 
 
-def _cmd_img2qsig(args, out: _Outputs):
+def _cmd_img2qsig(args):
     with open(args.inp, "rb") as fh:
-        out.write(fileio.save_qsig, image_to_qsig(fh.read()), args.out)
+        fileio.save_qsig(image_to_qsig(fh.read()), args.out)
 
 
-def _cmd_qsig2img(args, out: _Outputs):
+def _cmd_qsig2img(args):
     ppm, stats = qsig_to_image(fileio.load_qsig(args.inp))
-    out.write(fileio._write_atomic, (ppm,), args.out)
+    fileio._write_atomic((ppm,), args.out)
     print("scalar_min,scalar_max,scalar_max_abs")
     print(",".join(_G17(stats[k]) for k in ("scalar_min", "scalar_max", "scalar_max_abs")))
 
 
-def _cmd_fixtures(args, out: _Outputs):
+def _cmd_fixtures(args):
+    """The one command that writes more than one file: each is written
+    atomically, and if a later one fails the ones already written go too."""
     grid = _signal_grid(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    for name in sorted(fixtures.FIXTURES):
-        sig = sample(fixtures.FIXTURES[name], grid)
-        out.write(fileio.save_qsig, sig, os.path.join(args.out_dir, f"{name}.qsig"))
-        print(f"wrote {name}.qsig")
-
-
-_COMMANDS = {
-    "qft": _cmd_qft,
-    "iqft": _cmd_iqft,
-    "qlct": _cmd_qlct,
-    "iqlct": _cmd_iqlct,
-    "qfrft": _cmd_qfrft,
-    "roundtrip": _cmd_roundtrip,
-    "jump-demo": _cmd_jump_demo,
-    "gauss-mean": _cmd_gauss_mean,
-    "variation": _cmd_variation,
-    "lc-diag": _cmd_lc_diag,
-    "img2qsig": _cmd_img2qsig,
-    "qsig2img": _cmd_qsig2img,
-    "fixtures": _cmd_fixtures,
-}
+    written = []
+    try:
+        for name in sorted(fixtures.FIXTURES):
+            path = os.path.join(args.out_dir, f"{name}.qsig")
+            fileio.save_qsig(sample(fixtures.FIXTURES[name], grid), path)
+            written.append(path)
+            print(f"wrote {name}.qsig")
+    except Exception:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; return its exit code.  Exit 2 leaves no partial output:
+    `fixtures` removes the files it wrote, every other command writes one file atomically."""
     parser = _build_parser()
-    outputs = _Outputs()
     try:
         args = parser.parse_args(argv)
-        _COMMANDS[args.command](args, outputs)
+        args.run(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except Exception as exc:  # noqa: BLE001 - boundary of the process
-        for path in outputs:
-            with contextlib.suppress(OSError):
-                os.unlink(path)
         print(f"qharmonics: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -9,6 +9,7 @@ axis 1 indexing ``t``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,20 @@ __all__ = [
 ]
 
 
+def _require_reals(values, what, error=InvalidParameterError):
+    """Raise `error` unless every value is a real number (not a string, None or complex)."""
+    if not all(isinstance(v, numbers.Real) for v in values):
+        raise error(f"{what} must be real numbers, got {tuple(values)!r}")
+
+
+def _require_counts(ns, nt):
+    if not (isinstance(ns, (int, np.integer)) and isinstance(nt, (int, np.integer))):
+        raise InvalidParameterError("grid sample counts must be integers")
+    # 1x1 grids are legal so single-pixel images can round-trip
+    if not (ns >= 1 and nt >= 1):
+        raise InvalidParameterError("grids need at least 1 sample per axis")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform 2D sampling geometry (midpoint convention)."""
@@ -40,21 +55,20 @@ class GridSpec:
     nt: int
 
     def __post_init__(self):
+        _require_reals((self.s_min, self.t_min, self.ds, self.dt), "grid origin and spacings")
         if not np.isfinite([self.s_min, self.t_min, self.ds, self.dt]).all():
             raise NonFiniteError("grid origin and spacings must be finite")
         if not (self.ds > 0 and self.dt > 0):
             raise InvalidParameterError("grid spacings must be positive")
-        if not (isinstance(self.ns, (int, np.integer)) and isinstance(self.nt, (int, np.integer))):
-            raise InvalidParameterError("grid sample counts must be integers")
-        # 1x1 grids are legal so single-pixel images can round-trip
-        if not (self.ns >= 1 and self.nt >= 1):
-            raise InvalidParameterError("grids need at least 1 sample per axis")
+        _require_counts(self.ns, self.nt)
 
     @classmethod
     def centered(cls, extent, n, extent_t=None, nt=None):
         """Square/rectangular grid over [-extent, extent]^2 with n^2 cells."""
         extent_t = extent if extent_t is None else extent_t
         nt = n if nt is None else nt
+        _require_reals((extent, extent_t), "grid extents")
+        _require_counts(n, nt)  # before they divide
         return cls(-extent, -extent_t, 2.0 * extent / n, 2.0 * extent_t / nt, n, nt)
 
     @property
@@ -75,6 +89,9 @@ class GridSpec:
 
 
 def _check_data(grid, data):
+    dtype = np.asarray(data).dtype
+    if dtype.kind not in "biuf":  # a float cast would drop a complex part
+        raise InvalidParameterError(f"data of dtype {dtype} is not real")
     data = np.ascontiguousarray(data, dtype=float)
     if data.shape != (grid.ns, grid.nt, 4):
         raise ShapeMismatchError(

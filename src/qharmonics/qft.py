@@ -42,7 +42,7 @@ from .errors import (
     ProvenanceMismatchError,
     SideMismatchError,
 )
-from .grids import GridSpec, QSignal2D, QSpectrum2D
+from .grids import GridSpec, QSignal2D, QSpectrum2D, _require_reals
 from .quaternion import CANONICAL_AXES, AxisPair
 
 __all__ = [
@@ -96,6 +96,7 @@ class FreqWindow:
     nv: int
 
     def __post_init__(self):
+        _require_reals((self.u_max, self.v_max), "window extents", InvalidWindowError)
         if not np.isfinite([self.u_max, self.v_max]).all():
             raise NonFiniteError("window extents must be finite")
         if not (self.u_max > 0 and self.v_max > 0):

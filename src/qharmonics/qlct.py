@@ -29,7 +29,7 @@ from .errors import (
     ProvenanceMismatchError,
     SideMismatchError,
 )
-from .grids import GridSpec, QSignal2D, QSpectrum2D
+from .grids import GridSpec, QSignal2D, QSpectrum2D, _require_reals
 from .qft import FreqWindow, Side, _require, _stages, qft_inverse
 from .quaternion import (
     CANONICAL_AXES,
@@ -69,6 +69,7 @@ class LctParams:
     d: float
 
     def __post_init__(self):
+        _require_reals(self.astuple(), "matrix entries")
         if not np.isfinite(self.astuple()).all():
             raise NonFiniteError(f"matrix entries {self.astuple()!r} must be finite")
         det = self.a * self.d - self.b * self.c

@@ -85,8 +85,12 @@ _GL8_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.31370664587
                          0.22238103445337443, 0.10122853629037706])
 
 
-def _panel_nodes(lo, hi, rate):
+def _panel_nodes(lo, hi, rate, name="M"):
     """8-point Gauss-Legendre nodes/weights on panels cut at the zeros of sin(rate*x)."""
+    count = (hi - lo) * rate / np.pi  # numpy caps an array at intp-max bytes, 64 a panel
+    if not (np.isfinite(count) and count <= np.iinfo(np.intp).max // 64):
+        raise InvalidParameterError(f"{name} = {rate!r} on [{lo!r}, {hi!r}] needs "
+                                    f"{count:.3g} sinc panels, more than an array holds")
     k_lo = int(np.ceil(lo * rate / np.pi))
     k_hi = int(np.floor(hi * rate / np.pi))
     edges = np.sort(np.concatenate([[lo, hi], np.arange(k_lo, k_hi + 1) * np.pi / rate]))
@@ -122,7 +126,7 @@ def dirichlet_partial_inverse_sinc(fn, point, M, N, rect):
     if not np.isfinite([M, N, x0, y0, s_lo, s_hi, t_lo, t_hi]).all():
         raise NonFiniteError("window, point and rectangle must be finite")
     s, ws = _panel_nodes(s_lo, s_hi, M)
-    t, wt = _panel_nodes(t_lo, t_hi, N)
+    t, wt = _panel_nodes(t_lo, t_hi, N, "N")
     ker_s = ws * (M / np.pi) * np.sinc(M * s / np.pi)
     ker_t = wt * (N / np.pi) * np.sinc(N * t / np.pi)
     total = np.zeros(4)

@@ -113,11 +113,15 @@ def _as_field(f, net=None):
     return f
 
 
+def _in_range(index, n):
+    return isinstance(index, (int, np.integer)) and 0 <= index < n
+
+
 def mixed_difference(f, cell):
     """The triple (d11, d10, d01) at one cell (i, j)."""
     f = _as_field(f)
     i, j = cell
-    if not (0 <= i < f.shape[0] - 1 and 0 <= j < f.shape[1] - 1):
+    if not (_in_range(i, f.shape[0] - 1) and _in_range(j, f.shape[1] - 1)):
         raise IndexOutOfRangeError(f"cell {cell} outside field of shape {f.shape}")
     d10 = f[i + 1, j] - f[i, j]
     d01 = f[i, j + 1] - f[i, j]
@@ -152,7 +156,7 @@ def hardy_bvf_check(f, net: Net, bound=1e6, t_index=None, s_index=None) -> Varia
     f = _as_field(f, net)
     ti = f.shape[1] // 2 if t_index is None else t_index
     si = f.shape[0] // 2 if s_index is None else s_index
-    if not (0 <= ti < f.shape[1] and 0 <= si < f.shape[0]):
+    if not (_in_range(ti, f.shape[1]) and _in_range(si, f.shape[0])):
         raise IndexOutOfRangeError(f"section (s {si}, t {ti}) outside field of shape {f.shape}")
     vit = vitali_variation(f)
     nets = 1

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import os
 import subprocess
@@ -144,6 +145,11 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "gauss-mean", "--schedule", "0.1,1")
     assert code == 1 and "decreasing" in err
 
+    code, out, err = run(capsys, "roundtrip", "--transform", "qlct", "--a1", "1", "--b1", "0",
+                         "--c1", "0", "--d1", "1", "--a2", "1", "--b2", "1", "--c2", "0",
+                         "--d2", "1")
+    assert code == 1 and "degenerate (b = 0)" in err and out == ""
+
     code, out, err = run(capsys, "bogus-subcommand")
     assert code == 1
 
@@ -181,6 +187,30 @@ def test_runtime_errors_exit_2_nothing_left_behind(capsys, tmp_path):
                        "--out", str(tmp_path / "x.qsig"))
     assert code == 2
     assert not (tmp_path / "x.qsig").exists()
+
+
+def test_fixtures_failing_save_removes_the_files_it_wrote(capsys, tmp_path, monkeypatch):
+    """fixtures writes one file per fixture; when the third save fails it
+    exits 2 and removes the two it wrote, leaving other files alone."""
+    fx = tmp_path / "fx"
+    fx.mkdir()
+    (fx / "qgaussian.qsig").write_bytes(b"previous")
+    save, calls = fileio.save_qsig, []
+
+    def third_fails(sig, path):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        save(sig, path)
+
+    monkeypatch.setattr(fileio, "save_qsig", third_fails)
+    code, out, err = run(capsys, "fixtures", "--out-dir", str(fx), "--grid", "8")
+    assert code == 2 and "disk full" in err
+    assert out == "wrote gaussian.qsig\nwrote heatgauss.qsig\n"
+    assert [os.path.basename(p) for p in calls] == [
+        "gaussian.qsig", "heatgauss.qsig", "indicator.qsig"]
+    assert sorted(p.name for p in fx.iterdir()) == ["qgaussian.qsig"]
+    assert (fx / "qgaussian.qsig").read_bytes() == b"previous"
 
 
 def test_fixtures_and_transform_pipeline(capsys, tmp_path):
@@ -346,7 +376,9 @@ def test_every_subcommand_runs_on_numpys_core(tmp_path):
             ["lc-diag", "--fixture", "qgaussian", "--point", "0.2,-0.1"],
             ["qsig2img", "--in", "fx/qgaussian.qsig", "--out", "q.ppm"],
             ["img2qsig", "--in", "q.ppm", "--out", "q.qsig"]]
-    assert sorted(run[0] for run in runs) == sorted(cli._COMMANDS)
+    subcommands = next(action.choices for action in cli._build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert sorted(run[0] for run in runs) == sorted(subcommands)
     probe = ("import sys; sys.modules['scipy'] = None; import qharmonics.cli; "
              f"codes = [qharmonics.cli.main(argv) for argv in {runs!r}]; "
              "print(codes, sorted(m for m in ('scipy', 'numpy.ma', 'numpy.polynomial') "

@@ -11,6 +11,7 @@ from qharmonics.errors import (
     BadPpmError,
     BadVersionError,
     InvalidParameterError,
+    InvalidWindowError,
     NonFiniteError,
     NotPureError,
     NotUnitError,
@@ -462,6 +463,7 @@ def test_loaders_reject_nonfinite_values(tmp_path, monkeypatch, bad_value, block
 
 
 NAN_DATA = np.full((4, 4, 4), np.nan)
+COMPLEX_DATA = np.full((4, 4, 4), 1 + 2j)
 GAUSS_SIG = QSignal2D(GridSpec.centered(1.0, 4), np.ones((4, 4, 4)))
 GAUSS_SPEC = qft_forward(GAUSS_SIG, QftKind(), FreqWindow.square(2.0, 4))
 
@@ -489,6 +491,20 @@ def gauss_mean(schedule):
     (lambda: Net([0.0, np.nan, 1.0], [0.0, 1.0]), NonFiniteError),
     (lambda: Net([0.0, 1.0], [-np.inf, 1.0]), NonFiniteError),
     (lambda: Net([0.0, 1.0, 1.0], [0.0, 1.0]), InvalidParameterError),
+    # refused before numpy converts (or divides by) them; a ComplexWarning is an error here
+    (lambda: QSignal2D(GridSpec.centered(1.0, 4), COMPLEX_DATA), InvalidParameterError),
+    (lambda: QSpectrum2D(GridSpec.centered(1.0, 4), COMPLEX_DATA, QftKind()),
+     InvalidParameterError),
+    (lambda: GridSpec.centered(1.0, 0), InvalidParameterError),
+    (lambda: GridSpec.centered(1.0, 4, nt=0), InvalidParameterError),
+    (lambda: GridSpec.centered(1.0, None), InvalidParameterError),
+    (lambda: GridSpec.centered("1", 4), InvalidParameterError),
+    (lambda: GridSpec("0", 0, 1.0, 1.0, 4, 4), InvalidParameterError),
+    (lambda: GridSpec(0, 0, None, 1.0, 4, 4), InvalidParameterError),
+    (lambda: FreqWindow("1", 1.0, 4, 4), InvalidWindowError),
+    (lambda: FreqWindow(1.0, None, 4, 4), InvalidWindowError),
+    (lambda: LctParams("1", 1.0, 0.0, 1.0), InvalidParameterError),
+    (lambda: LctParams(1.0, None, 0.0, 1.0), InvalidParameterError),
 ])
 def test_constructors_raise_typed_errors(make, error):
     with pytest.raises(error):

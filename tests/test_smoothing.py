@@ -162,6 +162,17 @@ def test_partial_inverse_window_validation():
         dirichlet_partial_inverse_sinc(gaussian, (0, 0), 2.0, 2.0, (-np.inf, 8.0, -8.0, 8.0))
 
 
+@pytest.mark.parametrize("M,N,name", [(1e308, 2.0, "M"), (1e20, 2.0, "M"), (2.0, 1e17, "N")])
+def test_sinc_panel_count_past_an_array_is_refused_before_allocating(traced_peak, M, N, name):
+    """A panel count (hi - lo) * M / pi that is not finite or past numpy's
+    array size limit is a typed error raised before any node array exists."""
+    def call():
+        with pytest.raises(InvalidParameterError, match=f"{name} = .* on \\[-8.0, 8.0\\]"):
+            dirichlet_partial_inverse_sinc(gaussian, (0, 0), M, N, GAUSS_RECT)
+    _, peak = traced_peak(call)
+    assert peak < 64 * 1024
+
+
 def test_partial_inverse_freq_empty_window_is_zero():
     # the first spectrum nodes sit at |u| = |v| = 0.125
     _, spec = gaussian_spectrum(n=32, wmax=4.0)

@@ -49,8 +49,9 @@ def test_mixed_difference_examples():
             for i in range(5) for j in range(6)]
     assert np.max(np.abs(d11s)) < 1e-12
 
-    with pytest.raises(IndexOutOfRangeError):
-        mixed_difference(const, (3, 0))
+    for cell in ((3, 0), (1.5, 0), (0, 1.5)):
+        with pytest.raises(IndexOutOfRangeError):
+            mixed_difference(const, cell)
 
 
 def test_vitali_product_and_constant():
@@ -91,7 +92,8 @@ def test_hardy_check_gaussian_and_constant():
     assert row.split(",")[3] == "true"
     # sections are indices of the 65 x 65 field, never wrapped
     assert hardy_bvf_check(np.ones((65, 65)), net, t_index=64, s_index=0).is_hardy_bvf
-    for kw in ({"t_index": 65}, {"s_index": 65}, {"t_index": -1}, {"s_index": -65}):
+    for kw in ({"t_index": 65}, {"s_index": 65}, {"t_index": -1}, {"s_index": -65},
+               {"t_index": 1.5}, {"s_index": 1.5}):
         with pytest.raises(IndexOutOfRangeError):
             hardy_bvf_check(np.ones((65, 65)), net, **kw)
 
