@@ -28,7 +28,7 @@ import argparse  # noqa: E402
 import numpy as np  # noqa: E402
 
 from . import fileio, fixtures, smoothing, variation  # noqa: E402
-from .errors import QHarmonicsError  # noqa: E402
+from .errors import QHarmonicsError, _require_real  # noqa: E402
 from .grids import GridSpec, evaluate, image_to_qsig, qsig_to_image, residual_moduli, sample  # noqa: E402
 from .qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse  # noqa: E402
 from .qlct import LctKind, LctParams, _invert, qfrft, qlct_forward, qlct_inverse  # noqa: E402
@@ -52,11 +52,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def finite(text):
-    """A finite real; the argparse type of the real-valued flags."""
-    val = float(text)
-    if not np.isfinite(val):
-        raise ValueError(f"{text!r} is not finite")
-    return val
+    """A finite real; the argparse type of the real-valued flags (a ValueError otherwise)."""
+    return float(_require_real(float(text), "value"))
 
 
 def _floats(text, n=None, flag=""):
@@ -104,11 +101,10 @@ def _matrices(args):
     if missing:
         raise _UsageError(f"missing matrix flags: {', '.join(missing)}")
     try:
-        A1 = LctParams(args.a1, args.b1, args.c1, args.d1)
-        A2 = LctParams(args.a2, args.b2, args.c2, args.d2)
-    except (ValueError, QHarmonicsError) as exc:
+        return (LctParams(args.a1, args.b1, args.c1, args.d1),
+                LctParams(args.a2, args.b2, args.c2, args.d2))
+    except QHarmonicsError as exc:
         raise _UsageError(f"invalid canonical matrix: {exc}")
-    return A1, A2
 
 
 def _signal_grid(args) -> GridSpec:

@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one argument rule."""
+
+import numbers
+
+import numpy as np
 
 
 class QHarmonicsError(Exception):
@@ -104,3 +108,39 @@ class NonConvergentError(QHarmonicsError, ValueError):
 
 class NoIntegrableSectionError(QHarmonicsError, ValueError):
     """No grid section with finite truncated 1D mass was found."""
+
+
+def _require_real(value, name, error=InvalidParameterError, shape=(), allow_inf=False):
+    """`value` as a float64 array if it is a real number, reals of `shape` (any
+    with None), or one real per name of a comma-separated `name`; else `error`
+    (a string, None, a complex part), or NonFiniteError for NaN and, unless
+    `allow_inf`, an infinity.  The one argument rule of every boundary."""
+    names = name.split(", ")
+    shape = (len(names),) if len(names) > 1 else shape
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat):
+            arr = arr.astype(float)  # a Fraction, or an int past int64
+    except (ValueError, OverflowError):  # a ragged nesting; an int past the float range
+        arr = np.asarray(None)
+    # a float cast would drop a complex part and parse a string
+    if arr.dtype.kind not in "biuf" or shape is not None and arr.shape != shape:
+        want = "a real number" if shape == () else f"reals of shape {shape}" if shape else "reals"
+        shown = repr(value) if arr.size <= 8 else f"an array of dtype {arr.dtype}"
+        raise error(f"{name} must be {want}, got {shown}")
+    arr = arr.astype(float, copy=False)
+    # min and max propagate NaN and expose inf without a mask the size of the array
+    lo, hi = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
+    if np.isnan(lo) or not (allow_inf or np.isfinite(lo) and np.isfinite(hi)):
+        bad = np.isnan(arr) if allow_inf else ~np.isfinite(arr)
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        name, where = (names[at[0]], "") if len(names) > 1 else (name, f" at index {at}" * bool(at))
+        raise NonFiniteError(f"{name} must {'not be NaN' if allow_inf else 'be finite'}, "
+                             f"got non-finite {float(arr[at])!r}{where}")
+    return arr
+
+
+def _require_counts(counts, names, least=1, error=InvalidParameterError):
+    """Raise `error` unless each of `counts` (`names`) is an integer of at least `least`."""
+    if not all(isinstance(n, (int, np.integer)) and n >= least for n in counts):
+        raise error(f"{names} must be integers of at least {least}, got {tuple(counts)!r}")

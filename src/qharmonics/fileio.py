@@ -78,6 +78,16 @@ def _write_atomic(chunks, path):
             os.unlink(tmp)
 
 
+def _decoded(read, fh):
+    """``read(fh)``, reporting a constructor's rejection of a decoded value as a QsigFormatError."""
+    try:
+        return read(fh)
+    except QsigFormatError:
+        raise
+    except QHarmonicsError as exc:
+        raise QsigFormatError(f"malformed container: {exc}") from None
+
+
 class _Reader:
     """A container on a binary stream: the file (a pipe is read whole), or BytesIO over a buffer."""
 
@@ -90,26 +100,19 @@ class _Reader:
             raise BadVersionError(f"unsupported version byte {head[3:4]!r}")
         self.fh, self.end = fh, fh.seek(0, os.SEEK_END)
         fh.seek(4)
-        ns, nt = (int(x) for x in self.take(_U4, 2))
-        s_min, t_min, ds, dt = (float(x) for x in self.take(_F8, 4))
-        try:
-            self.grid = GridSpec(s_min, t_min, ds, dt, ns, nt)
-        except QHarmonicsError as exc:
-            raise QsigFormatError(f"invalid grid header: {exc}") from None
+        ns, nt = self.take(_U4, 2).tolist()
+        self.grid = GridSpec(*self.take(_F8, 4).tolist(), ns, nt)
 
     def need(self, nbytes):
         pos = self.fh.tell()
         if pos + nbytes > self.end:
             raise TruncatedPayloadError(
                 f"need {nbytes} bytes at offset {pos}, have {self.end - pos}")
-        return pos
 
     def take(self, dtype, shape):
         out = np.empty(shape, dtype=dtype)
-        pos = self.need(out.nbytes)
+        self.need(out.nbytes)
         self.fh.readinto(out)
-        if dtype.kind == "f" and not (np.isfinite(out.min()) and np.isfinite(out.max())):
-            raise QsigFormatError(f"non-finite value in the {out.size} reals at offset {pos}")
         return out
 
     def payload(self):
@@ -134,7 +137,7 @@ def encode_qsig(sig: QSignal2D) -> bytes:
 
 
 def decode_qsig(buf) -> QSignal2D:
-    return _read_qsig(io.BytesIO(buf))
+    return _decoded(_read_qsig, io.BytesIO(buf))
 
 
 def save_qsig(sig: QSignal2D, path):
@@ -143,7 +146,7 @@ def save_qsig(sig: QSignal2D, path):
 
 def load_qsig(path) -> QSignal2D:
     with open(path, "rb") as fh:
-        return _read_qsig(fh)
+        return _decoded(_read_qsig, fh)
 
 
 def _kind_tag(kind) -> int:
@@ -170,23 +173,12 @@ def _read_qspectrum(fh) -> QSpectrum2D:
     tag, flags = rd.take(np.dtype("u1"), 2)
     if not 1 <= tag <= 6:
         raise QsigFormatError(f"unknown kind tag {tag}")
-    axes_vals = rd.take(_F8, 6)
-    u_max, v_max = (float(x) for x in rd.take(_F8, 2))
-    nu, nv = (int(x) for x in rd.take(_U4, 2))
-    mats = [float(x) for x in rd.take(_F8, 8)] if tag > 3 else None
-    data = rd.payload()
-    side = _SIDES[(tag - 1) % 3]
-    try:
-        axes = AxisPair(axes_vals[:3].copy(), axes_vals[3:].copy())
-        window = FreqWindow(u_max, v_max, nu, nv)
-        if mats is None:
-            kind = QftKind(side, axes)
-        else:
-            kind = LctKind(side, LctParams(*mats[:4]), LctParams(*mats[4:]), axes,
-                           phase_corrected=bool(flags & 1))
-    except QHarmonicsError as exc:
-        raise QsigFormatError(f"invalid spectrum metadata: {exc}") from None
-    return QSpectrum2D(rd.grid, data, kind, window)
+    side, axes = _SIDES[(tag - 1) % 3], AxisPair(*rd.take(_F8, (2, 3)))
+    window = FreqWindow(*rd.take(_F8, 2).tolist(), *rd.take(_U4, 2).tolist())
+    kind = QftKind(side, axes) if tag <= 3 else LctKind(
+        side, *(LctParams(*m) for m in rd.take(_F8, (2, 4)).tolist()), axes,
+        phase_corrected=bool(flags & 1))
+    return QSpectrum2D(rd.grid, rd.payload(), kind, window)
 
 
 def encode_qspectrum(spec: QSpectrum2D) -> bytes:
@@ -194,7 +186,7 @@ def encode_qspectrum(spec: QSpectrum2D) -> bytes:
 
 
 def decode_qspectrum(buf) -> QSpectrum2D:
-    return _read_qspectrum(io.BytesIO(buf))
+    return _decoded(_read_qspectrum, io.BytesIO(buf))
 
 
 def save_qspectrum(spec: QSpectrum2D, path):
@@ -203,4 +195,4 @@ def save_qspectrum(spec: QSpectrum2D, path):
 
 def load_qspectrum(path) -> QSpectrum2D:
     with open(path, "rb") as fh:
-        return _read_qspectrum(fh)
+        return _decoded(_read_qspectrum, fh)

@@ -9,12 +9,12 @@ axis 1 indexing ``t``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadPpmError, InvalidParameterError, NonFiniteError, ShapeMismatchError
+from .errors import (BadPpmError, InvalidParameterError, ShapeMismatchError, _require_counts,
+                     _require_real)
 from .quaternion import qabs
 
 __all__ = [
@@ -29,20 +29,6 @@ __all__ = [
 ]
 
 
-def _require_reals(values, what, error=InvalidParameterError):
-    """Raise `error` unless every value is a real number (not a string, None or complex)."""
-    if not all(isinstance(v, numbers.Real) for v in values):
-        raise error(f"{what} must be real numbers, got {tuple(values)!r}")
-
-
-def _require_counts(ns, nt):
-    if not (isinstance(ns, (int, np.integer)) and isinstance(nt, (int, np.integer))):
-        raise InvalidParameterError("grid sample counts must be integers")
-    # 1x1 grids are legal so single-pixel images can round-trip
-    if not (ns >= 1 and nt >= 1):
-        raise InvalidParameterError("grids need at least 1 sample per axis")
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform 2D sampling geometry (midpoint convention)."""
@@ -55,20 +41,18 @@ class GridSpec:
     nt: int
 
     def __post_init__(self):
-        _require_reals((self.s_min, self.t_min, self.ds, self.dt), "grid origin and spacings")
-        if not np.isfinite([self.s_min, self.t_min, self.ds, self.dt]).all():
-            raise NonFiniteError("grid origin and spacings must be finite")
+        _require_real((self.s_min, self.t_min, self.ds, self.dt), "s_min, t_min, ds, dt")
         if not (self.ds > 0 and self.dt > 0):
             raise InvalidParameterError("grid spacings must be positive")
-        _require_counts(self.ns, self.nt)
+        _require_counts((self.ns, self.nt), "ns, nt")  # 1x1 grids round-trip single pixels
 
     @classmethod
     def centered(cls, extent, n, extent_t=None, nt=None):
         """Square/rectangular grid over [-extent, extent]^2 with n^2 cells."""
         extent_t = extent if extent_t is None else extent_t
         nt = n if nt is None else nt
-        _require_reals((extent, extent_t), "grid extents")
-        _require_counts(n, nt)  # before they divide
+        _require_real((extent, extent_t), "extent, extent_t")
+        _require_counts((n, nt), "n, nt")  # before they divide
         return cls(-extent, -extent_t, 2.0 * extent / n, 2.0 * extent_t / nt, n, nt)
 
     @property
@@ -89,17 +73,10 @@ class GridSpec:
 
 
 def _check_data(grid, data):
-    dtype = np.asarray(data).dtype
-    if dtype.kind not in "biuf":  # a float cast would drop a complex part
-        raise InvalidParameterError(f"data of dtype {dtype} is not real")
-    data = np.ascontiguousarray(data, dtype=float)
+    data = np.ascontiguousarray(_require_real(data, "data", shape=None))
     if data.shape != (grid.ns, grid.nt, 4):
         raise ShapeMismatchError(
             f"data shape {data.shape} does not match grid ({grid.ns}, {grid.nt}, 4)")
-    # min and max propagate NaN and expose inf without a mask the size of the data
-    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
-        bad = np.argwhere(~np.isfinite(data))[0]
-        raise NonFiniteError(f"non-finite value at data index {tuple(bad)}")
     return data
 
 

@@ -35,14 +35,14 @@ import numpy as np
 
 from ._kernels import chirp_multiply, const_multiply, exp_contract, interpolate, low_rank
 from .errors import (
-    InvalidParameterError,
     InvalidWindowError,
-    NonFiniteError,
     NonRealInputError,
     ProvenanceMismatchError,
     SideMismatchError,
+    _require_counts,
+    _require_real,
 )
-from .grids import GridSpec, QSignal2D, QSpectrum2D, _require_reals
+from .grids import GridSpec, QSignal2D, QSpectrum2D
 from .quaternion import CANONICAL_AXES, AxisPair
 
 __all__ = [
@@ -96,15 +96,10 @@ class FreqWindow:
     nv: int
 
     def __post_init__(self):
-        _require_reals((self.u_max, self.v_max), "window extents", InvalidWindowError)
-        if not np.isfinite([self.u_max, self.v_max]).all():
-            raise NonFiniteError("window extents must be finite")
+        _require_real((self.u_max, self.v_max), "u_max, v_max", InvalidWindowError)
         if not (self.u_max > 0 and self.v_max > 0):
             raise InvalidWindowError("window extents must be positive")
-        if not (isinstance(self.nu, (int, np.integer)) and isinstance(self.nv, (int, np.integer))):
-            raise InvalidWindowError("window sample counts must be integers")
-        if self.nu < 2 or self.nv < 2:
-            raise InvalidWindowError("windows need at least 2 samples per axis")
+        _require_counts((self.nu, self.nv), "nu, nv", 2, InvalidWindowError)
 
     @classmethod
     def square(cls, extent, n):
@@ -117,6 +112,7 @@ class FreqWindow:
 
     def scaled(self, fu, fv):
         """The window with its extents multiplied by (fu, fv), same counts."""
+        _require_real((fu, fv), "fu, fv", InvalidWindowError)
         return FreqWindow(fu * self.u_max, fv * self.v_max, self.nu, self.nv)
 
     def to_grid(self) -> GridSpec:
@@ -273,10 +269,7 @@ def derivative_multiplier(spec: QSpectrum2D, m: int, n: int) -> QSpectrum2D:
     be 0); anything else raises SideMismatchError.
     """
     _require(spec, spec.kind, "qft")
-    if not (isinstance(m, (int, np.integer)) and isinstance(n, (int, np.integer))):
-        raise InvalidParameterError(f"derivative orders ({m!r}, {n!r}) must be integers")
-    if not (m >= 0 and n >= 0):
-        raise InvalidParameterError("derivative orders must be nonnegative")
+    _require_counts((m, n), "derivative orders m, n", 0)
     kind = spec.kind
     if kind.side is Side.LEFT_SIDED and n != 0:
         raise SideMismatchError("left-sided spectra only admit the u-multiplier")

@@ -25,11 +25,11 @@ from .errors import (
     DegenerateAngleError,
     DegenerateBError,
     InvalidParameterError,
-    NonFiniteError,
     ProvenanceMismatchError,
     SideMismatchError,
+    _require_real,
 )
-from .grids import GridSpec, QSignal2D, QSpectrum2D, _require_reals
+from .grids import GridSpec, QSignal2D, QSpectrum2D
 from .qft import FreqWindow, Side, _require, _stages, qft_inverse
 from .quaternion import (
     CANONICAL_AXES,
@@ -69,9 +69,7 @@ class LctParams:
     d: float
 
     def __post_init__(self):
-        _require_reals(self.astuple(), "matrix entries")
-        if not np.isfinite(self.astuple()).all():
-            raise NonFiniteError(f"matrix entries {self.astuple()!r} must be finite")
+        _require_real(self.astuple(), "a, b, c, d")
         det = self.a * self.d - self.b * self.c
         if abs(det - 1.0) > DET_TOL:
             raise InvalidParameterError(f"matrix determinant {det!r} is not 1 within {DET_TOL}")
@@ -95,6 +93,7 @@ class LctParams:
 
     @classmethod
     def rotation(cls, angle):
+        _require_real(angle, "angle")
         return cls(np.cos(angle), np.sin(angle), -np.sin(angle), np.cos(angle))
 
     def astuple(self):
@@ -291,6 +290,7 @@ def qfrft(sig: QSignal2D, alpha: float, beta: float, side: Side,
     as given, so a forward pass with (-alpha, -beta) inverts the
     (alpha, beta) pass.
     """
+    _require_real((alpha, beta), "alpha, beta")
     if abs(np.sin(alpha)) < 1e-12 or abs(np.sin(beta)) < 1e-12:
         raise DegenerateAngleError("sin(angle) = 0: fractional kernel degenerates")
     if phase_corrected and side is not Side.TWO_SIDED:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOrthogonalError, NotPureError, NotUnitError
+from .errors import NotOrthogonalError, NotPureError, NotUnitError, _require_real
 
 __all__ = [
     "quat",
@@ -135,15 +135,15 @@ def pure_unit(v):
     NotUnitError
         Norm differs from 1 by more than the normalization slack.
     """
-    v = np.asarray(v, dtype=float)
+    v = _require_real(v, "axis", shape=None)
     if v.shape == (4,):
-        if not abs(v[0]) <= AXIS_TOL:  # written so that NaN fails
+        if abs(v[0]) > AXIS_TOL:
             raise NotPureError(f"scalar part {v[0]!r} is nonzero")
         v = v[1:]
     if v.shape != (3,):
         raise NotPureError(f"expected 3 or 4 components, got shape {v.shape}")
     n = float(np.sqrt(v @ v))
-    if not abs(n - 1.0) <= UNIT_SLACK:
+    if abs(n - 1.0) > UNIT_SLACK:
         raise NotUnitError(f"axis norm {n!r} is not 1 within {UNIT_SLACK}")
     return v / n
 

@@ -30,8 +30,9 @@ from .errors import (
     InvariantViolationError,
     NoIntegrableSectionError,
     NonConvergentError,
-    NonFiniteError,
     NonPositiveWindowError,
+    _require_counts,
+    _require_real,
 )
 from .grids import (GridSpec, QSignal2D, QSpectrum2D, evaluate, fixture_values,
                     residual_moduli, sample)
@@ -61,7 +62,9 @@ def dirichlet_partial_inverse_freq(spec: QSpectrum2D, point, M, N):
     the spectra that inverse refuses).  A window that holds no cell gives
     the empty sum 0 and runs no inverse.  Returns a single quaternion (4,).
     """
-    if not (M > 0 and N > 0):  # written so that NaN fails
+    _require_real(point, "point", shape=(2,))
+    _require_real((M, N), "M, N")
+    if not (M > 0 and N > 0):
         raise NonPositiveWindowError(f"window ({M}, {N}) must be positive")
     # one cell narrower than any ulp: its midpoint x0 + ds/2 rounds to x0
     tiny = np.finfo(float).smallest_subnormal
@@ -119,12 +122,11 @@ def dirichlet_partial_inverse_sinc(fn, point, M, N, rect):
     Each block of 256 s nodes is two matrix-vector products (s kernel,
     then t kernel); a real field stays real.  Returns a quaternion (4,).
     """
+    x0, y0 = _require_real(point, "point", shape=(2,)).tolist()
+    _require_real((M, N), "M, N")
+    s_lo, s_hi, t_lo, t_hi = _require_real(rect, "rect", shape=(4,)).tolist()
     if not (M > 0 and N > 0):
         raise NonPositiveWindowError(f"window ({M}, {N}) must be positive")
-    x0, y0 = point
-    s_lo, s_hi, t_lo, t_hi = rect
-    if not np.isfinite([M, N, x0, y0, s_lo, s_hi, t_lo, t_hi]).all():
-        raise NonFiniteError("window, point and rectangle must be finite")
     s, ws = _panel_nodes(s_lo, s_hi, M)
     t, wt = _panel_nodes(t_lo, t_hi, N, "N")
     ker_s = ws * (M / np.pi) * np.sinc(M * s / np.pi)
@@ -176,9 +178,8 @@ def eta_jump_average(fn, point, h0=0.5, levels=11, tol=1e-6) -> JumpAverage:
     artifact choice).  Raises NonConvergentError when the extrapolant
     still moves by more than `tol` at the last level.
     """
-    x0, y0 = point
-    if not np.isfinite([x0, y0, h0]).all():
-        raise NonFiniteError("point and h0 must be finite")
+    x0, y0 = _require_real(point, "point", shape=(2,)).tolist()
+    _require_real((h0, tol), "h0, tol")
     if not (h0 > 0 and isinstance(levels, (int, np.integer)) and levels >= 2):
         raise InvalidParameterError("h0 must be positive and levels an integer of at least 2")
     h = h0 * 2.0 ** (-np.arange(levels))
@@ -214,8 +215,7 @@ def _sine_integral(x):
 
 def sinc_integral_bound_check(a, b) -> float:
     """|integral_a^b sin(t)/t dt| via the sine integral; always <= 6.  Ends may be infinite."""
-    if np.isnan([a, b]).any():
-        raise NonFiniteError(f"sine-integral ends ({a}, {b}) must not be NaN")
+    _require_real((a, b), "a, b", allow_inf=True)
     val = float(abs(_sine_integral(b) - _sine_integral(a)))
     if not val <= 6.0:
         raise InvariantViolationError(f"sine-integral bound violated: {val}")
@@ -226,6 +226,7 @@ def sinc_integral_bound_check(a, b) -> float:
 
 def gauss_weierstrass_kernel(alpha, grid: GridSpec) -> QSignal2D:
     """Heat kernel (1/(4 pi alpha)) e^{-(s^2+t^2)/(4 alpha)} sampled on grid."""
+    _require_real(alpha, "alpha")
     if not alpha > 0:
         raise InvalidParameterError("alpha must be positive")
     return sample(lambda S, T: np.exp(-(S ** 2 + T ** 2) / (4.0 * alpha))
@@ -244,9 +245,7 @@ def gauss_mean_inverse(spec: QSpectrum2D, schedule, reference: QSignal2D):
     be finite (NonFiniteError), positive and strictly decreasing
     (InvalidParameterError).
     """
-    schedule = tuple(float(a) for a in schedule)
-    if not np.isfinite(schedule).all():
-        raise NonFiniteError(f"schedule {schedule!r} must be finite")
+    schedule = tuple(_require_real(schedule, "schedule", shape=None).reshape(-1).tolist())
     if not (all(a > 0 for a in schedule) and np.all(np.diff(schedule) < 0)):
         raise InvalidParameterError(
             f"schedule {schedule!r} must be strictly decreasing and positive")
@@ -301,15 +300,13 @@ def lc_class_diagnostic(fn, point, eps1, eps2, radius,
     underlying condition is asymptotic and not decidable from finite
     data.
     """
-    x0, y0 = point
-    if not np.isfinite([x0, y0, eps1, eps2, radius]).all():
-        raise NonFiniteError("point, strip half-widths and radius must be finite")
+    x0, y0 = _require_real(point, "point", shape=(2,)).tolist()
+    _require_real((eps1, eps2, radius), "eps1, eps2, radius")
     if not (eps1 > 0 and eps2 > 0):
         raise InvalidParameterError("strip half-widths must be positive")
     if not radius > max(eps1, eps2):
         raise InvalidParameterError("radius must exceed the strip half-widths")
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (n_inner, n_outer)):
-        raise InvalidParameterError("n_inner and n_outer must be integers of at least 1")
+    _require_counts((n_inner, n_outer), "n_inner, n_outer")
     val1 = _lc_strip(fn, x0, y0, eps1, eps2, radius, n_inner, n_outer, swap=False)
     val2 = _lc_strip(fn, x0, y0, eps2, eps1, radius, n_inner, n_outer, swap=True)
     return val1, val2

@@ -24,7 +24,8 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidParameterError,
     InvariantViolationError,
-    NonFiniteError,
+    _require_counts,
+    _require_real,
 )
 from .grids import fixture_values
 
@@ -52,10 +53,8 @@ class Net:
     t_cuts: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s_cuts, dtype=float)
-        t = np.asarray(self.t_cuts, dtype=float)
-        if not (np.isfinite(s).all() and np.isfinite(t).all()):
-            raise NonFiniteError("net cuts must be finite")
+        s = _require_real(self.s_cuts, "s_cuts", shape=None)
+        t = _require_real(self.t_cuts, "t_cuts", shape=None)
         if s.size < 2 or t.size < 2:
             raise InvalidParameterError("a net needs at least 2 cuts per axis")
         if not (np.all(np.diff(s) > 0) and np.all(np.diff(t) > 0)):
@@ -66,6 +65,8 @@ class Net:
     @classmethod
     def uniform(cls, s_lo, s_hi, m, t_lo, t_hi, n):
         """Net with m (resp. n) equal cells per axis."""
+        _require_real((s_lo, s_hi, t_lo, t_hi), "s_lo, s_hi, t_lo, t_hi")
+        _require_counts((m, n), "m, n")
         return cls(np.linspace(s_lo, s_hi, m + 1), np.linspace(t_lo, t_hi, n + 1))
 
     def coarsened(self, step):
@@ -153,6 +154,7 @@ def hardy_bvf_check(f, net: Net, bound=1e6, t_index=None, s_index=None) -> Varia
     middle cuts, deterministically, with ``t_index``/``s_index``
     overrides.
     """
+    _require_real(bound, "bound")
     f = _as_field(f, net)
     ti = f.shape[1] // 2 if t_index is None else t_index
     si = f.shape[0] // 2 if s_index is None else s_index

@@ -13,8 +13,6 @@ from qharmonics.errors import (
     InvalidParameterError,
     InvalidWindowError,
     NonFiniteError,
-    NotPureError,
-    NotUnitError,
     QsigFormatError,
     ShapeMismatchError,
     TruncatedPayloadError,
@@ -33,13 +31,16 @@ from qharmonics.grids import (
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward
 from qharmonics.qlct import LctKind, LctParams, qfrft, qlct_forward
 from qharmonics.smoothing import (
+    dirichlet_partial_inverse_freq,
     dirichlet_partial_inverse_sinc,
     eta_jump_average,
     gauss_mean_inverse,
+    gauss_weierstrass_kernel,
     lc_class_diagnostic,
+    sinc_integral_bound_check,
 )
 from qharmonics.quaternion import AxisPair, qabs
-from qharmonics.variation import Net, vitali_variation
+from qharmonics.variation import Net, hardy_bvf_check, vitali_variation
 
 
 def rand_signal(n=8, seed=0, extent=2.0):
@@ -462,6 +463,32 @@ def test_loaders_reject_nonfinite_values(tmp_path, monkeypatch, bad_value, block
             fileio.load_qspectrum(bad)
 
 
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_every_float_field_of_a_container_refuses_non_finite_values(bad_value):
+    """A non-finite value in any float field of a QSIG or a QLCT QSP is a
+    QsigFormatError, raised where the decoded value meets the constructor
+    that checks it; the payload's names the sample."""
+    sig = rand_signal(4)
+    kind = LctKind(Side.TWO_SIDED, LctParams(2.0, 0.5, 2.0, 1.0), LctParams(1.0, 1.0, 0.0, 1.0))
+    spec = qlct_forward(sig, kind, FreqWindow.square(3.0, 4))
+    # byte offsets of the f64 fields: the grid header after magic and counts,
+    # then (QSP) axes after the tag and flag bytes, window extents, matrices
+    grid_fields = list(range(12, 44, 8))
+    qsp_fields = grid_fields + list(range(46, 110, 8)) + list(range(118, 182, 8))
+    sample = 8 * ((2 * 4 + 1) * 4 + 3)  # data[1, 2, 3], in rows of t
+    for raw, decode, fields, payload in ((fileio.encode_qsig(sig), fileio.decode_qsig,
+                                          grid_fields, 44),
+                                         (fileio.encode_qspectrum(spec), fileio.decode_qspectrum,
+                                          qsp_fields, 182)):
+        assert len(raw) == payload + 4 * 4 * 32
+        for offset in fields + [payload + sample]:
+            buf = raw[:offset] + np.float64(bad_value).tobytes() + raw[offset + 8:]
+            with pytest.raises(QsigFormatError) as info:
+                decode(buf)
+            if offset == payload + sample:
+                assert "index (1, 2, 3)" in str(info.value)
+
+
 NAN_DATA = np.full((4, 4, 4), np.nan)
 COMPLEX_DATA = np.full((4, 4, 4), 1 + 2j)
 GAUSS_SIG = QSignal2D(GridSpec.centered(1.0, 4), np.ones((4, 4, 4)))
@@ -486,8 +513,6 @@ def gauss_mean(schedule):
     (lambda: gauss_mean((np.nan,)), NonFiniteError),
     (lambda: gauss_mean((1.0, np.inf)), NonFiniteError),
     (lambda: gauss_mean((0.1, 1.0)), InvalidParameterError),
-    (lambda: AxisPair(np.array([np.nan, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])), NotUnitError),
-    (lambda: AxisPair(np.array([np.nan, 1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])), NotPureError),
     (lambda: Net([0.0, np.nan, 1.0], [0.0, 1.0]), NonFiniteError),
     (lambda: Net([0.0, 1.0], [-np.inf, 1.0]), NonFiniteError),
     (lambda: Net([0.0, 1.0, 1.0], [0.0, 1.0]), InvalidParameterError),
@@ -509,6 +534,78 @@ def gauss_mean(schedule):
 def test_constructors_raise_typed_errors(make, error):
     with pytest.raises(error):
         make()
+
+
+RECT = (-4.0, 4.0, -4.0, 4.0)
+WINDOW = FreqWindow.square(2.0, 4)
+I_AXIS, J_AXIS = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+
+#: id: (the argument's name in the messages, a call with the bad value `v` in
+#: that argument, as an entry where it is a sequence, the parameter-error class)
+BOUNDARY_ARGUMENTS = {
+    "sinc-M": ("M", lambda v: dirichlet_partial_inverse_sinc(gaussian, (0, 0), v, 2.0, RECT),
+               InvalidParameterError),
+    "sinc-N": ("N", lambda v: dirichlet_partial_inverse_sinc(gaussian, (0, 0), 2.0, v, RECT),
+               InvalidParameterError),
+    "sinc-point": ("point", lambda v: dirichlet_partial_inverse_sinc(gaussian, (0, v), 2.0, 2.0,
+                                                                     RECT),
+                   InvalidParameterError),
+    "sinc-rect": ("rect", lambda v: dirichlet_partial_inverse_sinc(gaussian, (0, 0), 2.0, 2.0,
+                                                                   (-4.0, v, -4.0, 4.0)),
+                  InvalidParameterError),
+    "freq-M": ("M", lambda v: dirichlet_partial_inverse_freq(GAUSS_SPEC, (0, 0), v, 2.0),
+               InvalidParameterError),
+    "freq-N": ("N", lambda v: dirichlet_partial_inverse_freq(GAUSS_SPEC, (0, 0), 2.0, v),
+               InvalidParameterError),
+    "freq-point": ("point", lambda v: dirichlet_partial_inverse_freq(GAUSS_SPEC, (v, 0), 2.0, 2.0),
+                   InvalidParameterError),
+    "eta-point": ("point", lambda v: eta_jump_average(gaussian, (v, 0)), InvalidParameterError),
+    "eta-h0": ("h0", lambda v: eta_jump_average(gaussian, (0, 0), h0=v), InvalidParameterError),
+    "lc-point": ("point", lambda v: lc_class_diagnostic(gaussian, (0, v), 0.5, 0.5, 4.0),
+                 InvalidParameterError),
+    "lc-eps1": ("eps1", lambda v: lc_class_diagnostic(gaussian, (0, 0), v, 0.5, 4.0),
+                InvalidParameterError),
+    "lc-radius": ("radius", lambda v: lc_class_diagnostic(gaussian, (0, 0), 0.5, 0.5, v),
+                  InvalidParameterError),
+    "gauss_mean-schedule": ("schedule", lambda v: gauss_mean((1.0, v)), InvalidParameterError),
+    "kernel-alpha": ("alpha", lambda v: gauss_weierstrass_kernel(v, GridSpec.centered(1.0, 4)),
+                     InvalidParameterError),
+    "sinc_bound-a": ("a", lambda v: sinc_integral_bound_check(v, 1.0), InvalidParameterError),
+    "sinc_bound-b": ("b", lambda v: sinc_integral_bound_check(0.0, v), InvalidParameterError),
+    "hardy-bound": ("bound", lambda v: hardy_bvf_check(np.zeros((3, 3)),
+                                                       Net.uniform(0, 1, 2, 0, 1, 2), bound=v),
+                    InvalidParameterError),
+    "Net-s_cuts": ("s_cuts", lambda v: Net([0.0, v, 2.0], [0.0, 1.0]), InvalidParameterError),
+    "Net.uniform-s_lo": ("s_lo", lambda v: Net.uniform(v, 1.0, 2, 0.0, 1.0, 2),
+                         InvalidParameterError),
+    "qfrft-alpha": ("alpha", lambda v: qfrft(GAUSS_SIG, v, 0.7, Side.TWO_SIDED, WINDOW),
+                    InvalidParameterError),
+    "qfrft-beta": ("beta", lambda v: qfrft(GAUSS_SIG, 0.7, v, Side.TWO_SIDED, WINDOW),
+                   InvalidParameterError),
+    "rotation-angle": ("angle", lambda v: LctParams.rotation(v), InvalidParameterError),
+    "AxisPair-vector": ("axis", lambda v: AxisPair([v, 0.0, 0.0], J_AXIS), InvalidParameterError),
+    "AxisPair-quaternion": ("axis", lambda v: AxisPair(I_AXIS, [v, 0.0, 1.0, 0.0]),
+                            InvalidParameterError),
+    "scaled-fu": ("fu", lambda v: WINDOW.scaled(v, 1.0), InvalidWindowError),
+    "scaled-fv": ("fv", lambda v: WINDOW.scaled(1.0, v), InvalidWindowError),
+}
+
+
+@pytest.mark.parametrize("value", ["1", None, 1 + 2j, np.nan, np.inf, -np.inf],
+                         ids=["str", "None", "complex", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", list(BOUNDARY_ARGUMENTS))
+def test_every_boundary_refuses_non_real_and_non_finite_arguments(case, value):
+    """One rule at every boundary, before any comparison or numpy call on the
+    argument: a string, None or a complex raises the boundary's parameter
+    error, NaN or an infinity NonFiniteError (the sine integral takes
+    infinite ends), and each message names the argument."""
+    name, call, error = BOUNDARY_ARGUMENTS[case]
+    if case.startswith("sinc_bound") and value in (np.inf, -np.inf):
+        assert call(value) <= 6.0
+        return
+    with pytest.raises(NonFiniteError if isinstance(value, float) else error,
+                       match=rf"\b{name}\b"):
+        call(value)
 
 
 def _corruptions(raw):

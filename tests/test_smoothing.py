@@ -147,7 +147,7 @@ def test_partial_inverse_window_validation():
     _, spec = gaussian_spectrum(n=32, wmax=4.0)
     with pytest.raises(NonPositiveWindowError):
         dirichlet_partial_inverse_freq(spec, (0, 0), -1.0, 2.0)
-    with pytest.raises(NonPositiveWindowError):
+    with pytest.raises(NonFiniteError):  # NaN is refused as non-finite before any comparison
         dirichlet_partial_inverse_freq(spec, (0, 0), np.nan, 2.0)
     with pytest.raises(NonPositiveWindowError):
         dirichlet_partial_inverse_sinc(gaussian, (0, 0), 0.0, 1.0, GAUSS_RECT)
