@@ -31,12 +31,17 @@ from . import fileio, fixtures, smoothing, variation  # noqa: E402
 from .errors import QHarmonicsError, _require_real  # noqa: E402
 from .grids import GridSpec, evaluate, image_to_qsig, qsig_to_image, residual_moduli, sample  # noqa: E402
 from .qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse  # noqa: E402
-from .qlct import LctKind, LctParams, _invert, qfrft, qlct_forward, qlct_inverse  # noqa: E402
+from .qlct import (LctKind, LctParams, _invert, _require_angles, qfrft, qlct_forward,  # noqa: E402
+                   qlct_inverse)
 from .quaternion import CANONICAL_AXES, AxisPair  # noqa: E402
 from .variation import Net  # noqa: E402
 
 __all__ = ["main"]
 
+_DESCRIPTION = ("Quaternion Fourier and linear canonical transforms of QSIG signals, their "
+                "inverses, and the paper's inversion and variation diagnostics on built-in "
+                "fixtures. Exit codes: 0 success, 1 usage error (nothing written), 2 runtime "
+                "error (no partial output).")
 _G17 = "{:.17g}".format
 _SIDES = [side.value for side in Side]
 
@@ -49,6 +54,15 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message, self.prog)
+
+
+@contextlib.contextmanager
+def _usage(prefix=""):
+    """Report the library's refusal of a flag value as a usage error."""
+    try:
+        yield
+    except QHarmonicsError as exc:
+        raise _UsageError(f"{prefix}{exc}") from None
 
 
 def finite(text):
@@ -71,11 +85,9 @@ def _axes(args) -> AxisPair:
         return CANONICAL_AXES
     if args.mu1 is None or args.mu2 is None:
         raise _UsageError("--mu1 and --mu2 must be given together")
-    try:
+    with _usage("invalid axes: "):
         return AxisPair(np.array(_floats(args.mu1, 3, "--mu1")),
                         np.array(_floats(args.mu2, 3, "--mu2")))
-    except QHarmonicsError as exc:
-        raise _UsageError(f"invalid axes: {exc}")
 
 
 def _window(args, grid, b=(1.0, 1.0)) -> FreqWindow:
@@ -89,10 +101,8 @@ def _window(args, grid, b=(1.0, 1.0)) -> FreqWindow:
         vals = (vals[0], vals[0])
     elif len(vals) != 2:
         raise _UsageError("--window takes M or M,N")
-    try:
+    with _usage("invalid window: "):
         return FreqWindow(vals[0], vals[1], grid.ns, grid.nt)
-    except QHarmonicsError as exc:
-        raise _UsageError(f"invalid window: {exc}")
 
 
 def _matrices(args):
@@ -100,11 +110,9 @@ def _matrices(args):
                if getattr(args, k) is None]
     if missing:
         raise _UsageError(f"missing matrix flags: {', '.join(missing)}")
-    try:
+    with _usage("invalid canonical matrix: "):
         return (LctParams(args.a1, args.b1, args.c1, args.d1),
                 LctParams(args.a2, args.b2, args.c2, args.d2))
-    except QHarmonicsError as exc:
-        raise _UsageError(f"invalid canonical matrix: {exc}")
 
 
 def _signal_grid(args) -> GridSpec:
@@ -116,14 +124,12 @@ def _signal_grid(args) -> GridSpec:
 
 
 def _fixture(args):
-    try:
+    with _usage():
         return fixtures.get_fixture(args.fixture)
-    except QHarmonicsError as exc:
-        raise _UsageError(str(exc))
 
 
 def _build_parser():
-    top = _Parser(prog="qharmonics", description=__doc__)
+    top = _Parser(prog="qharmonics", description=_DESCRIPTION)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, run, help, axes=False):
@@ -242,6 +248,8 @@ def _cmd_qlct(args):
 
 def _cmd_qfrft(args):
     axes = _axes(args)
+    with _usage("invalid angles: "):
+        _require_angles(args.alpha, args.beta)
     sig = fileio.load_qsig(args.inp)
     window = _window(args, sig.grid, (np.sin(args.alpha), np.sin(args.beta)))
     spec = qfrft(sig, args.alpha, args.beta, Side(args.side), window, axes,
@@ -281,6 +289,9 @@ def _cmd_jump_demo(args):
     if any(m <= 0 for m in sweep):
         raise _UsageError("--M entries must be positive")
     rect = fixtures.sinc_rect(args.fixture, point)
+    with _usage("invalid --M: "):
+        for m in sweep:
+            smoothing._require_panels(m, m, rect)
     eta = smoothing.eta_jump_average(fn, point).value
     print("M,N,I_re,I_i,I_j,I_k,abs_err")
     for m in sweep:

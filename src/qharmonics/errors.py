@@ -111,10 +111,13 @@ class NoIntegrableSectionError(QHarmonicsError, ValueError):
 
 
 def _require_real(value, name, error=InvalidParameterError, shape=(), allow_inf=False):
-    """`value` as a float64 array if it is a real number, reals of `shape` (any
-    with None), or one real per name of a comma-separated `name`; else `error`
-    (a string, None, a complex part), or NonFiniteError for NaN and, unless
-    `allow_inf`, an infinity.  The one argument rule of every boundary."""
+    """The one argument rule of every boundary: `value` as a float64 array.
+
+    `value` is a real number, an array-like of reals of `shape` (any shape
+    with None), or, when `name` lists comma-separated names, one real per
+    name.  Anything else (a string, None, a complex part) raises `error`;
+    NaN, and an infinity unless `allow_inf`, raise NonFiniteError.  Each
+    message names the argument (the entry, for a list of names)."""
     names = name.split(", ")
     shape = (len(names),) if len(names) > 1 else shape
     try:
@@ -141,6 +144,6 @@ def _require_real(value, name, error=InvalidParameterError, shape=(), allow_inf=
 
 
 def _require_counts(counts, names, least=1, error=InvalidParameterError):
-    """Raise `error` unless each of `counts` (`names`) is an integer of at least `least`."""
+    """Raise `error`, naming `names`, unless each of `counts` is an integer of at least `least`."""
     if not all(isinstance(n, (int, np.integer)) and n >= least for n in counts):
         raise error(f"{names} must be integers of at least {least}, got {tuple(counts)!r}")

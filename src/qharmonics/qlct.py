@@ -276,6 +276,16 @@ def sided_decompose_transform(sig: QSignal2D, kind: LctKind,
     return QSpectrum2D(term1.grid, data, kind, window)
 
 
+def _require_angles(alpha, beta):
+    """The angle rule of :func:`qfrft`, which the CLI applies before it loads
+    anything: real, finite, and |sin| of at least 1e-12, below which the
+    fractional kernel degenerates (DegenerateAngleError)."""
+    _require_real((alpha, beta), "alpha, beta")
+    for name, angle in (("alpha", alpha), ("beta", beta)):
+        if abs(np.sin(angle)) < 1e-12:
+            raise DegenerateAngleError(f"sin({name}) = 0: fractional kernel degenerates")
+
+
 def qfrft(sig: QSignal2D, alpha: float, beta: float, side: Side,
           window: FreqWindow, axes: AxisPair = CANONICAL_AXES,
           phase_corrected=False) -> QSpectrum2D:
@@ -290,9 +300,7 @@ def qfrft(sig: QSignal2D, alpha: float, beta: float, side: Side,
     as given, so a forward pass with (-alpha, -beta) inverts the
     (alpha, beta) pass.
     """
-    _require_real((alpha, beta), "alpha, beta")
-    if abs(np.sin(alpha)) < 1e-12 or abs(np.sin(beta)) < 1e-12:
-        raise DegenerateAngleError("sin(angle) = 0: fractional kernel degenerates")
+    _require_angles(alpha, beta)
     if phase_corrected and side is not Side.TWO_SIDED:
         raise SideMismatchError(
             "phase correction is a constant sandwich only for the two-sided kind")

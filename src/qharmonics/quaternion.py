@@ -130,6 +130,8 @@ def pure_unit(v):
 
     Raises
     ------
+    InvalidParameterError, NonFiniteError
+        A component that is not a real number, or not finite.
     NotPureError
         4-component input with |scalar part| > 1e-12.
     NotUnitError

@@ -88,12 +88,28 @@ _GL8_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.31370664587
                          0.22238103445337443, 0.10122853629037706])
 
 
-def _panel_nodes(lo, hi, rate, name="M"):
-    """8-point Gauss-Legendre nodes/weights on panels cut at the zeros of sin(rate*x)."""
-    count = (hi - lo) * rate / np.pi  # numpy caps an array at intp-max bytes, 64 a panel
-    if not (np.isfinite(count) and count <= np.iinfo(np.intp).max // 64):
-        raise InvalidParameterError(f"{name} = {rate!r} on [{lo!r}, {hi!r}] needs "
-                                    f"{count:.3g} sinc panels, more than an array holds")
+#: most half-period panels per axis, (hi - lo) * rate / pi, in a sinc partial
+#: sum: one block of 256 s nodes then takes at most 256 x 8 x 1024 quaternion
+#: fixture values, 64 MiB (the bench's largest, M = 400 on the indicator's
+#: rectangle, is 255 panels)
+MAX_SINC_PANELS = 1024
+
+
+def _require_panels(M, N, rect):
+    """Raise InvalidParameterError, before any array exists, unless M on the
+    s sides of `rect` (s_lo, s_hi, t_lo, t_hi) and N on its t sides each
+    cut at most MAX_SINC_PANELS panels."""
+    s_lo, s_hi, t_lo, t_hi = rect
+    for name, rate, lo, hi in (("M", M, s_lo, s_hi), ("N", N, t_lo, t_hi)):
+        count = (hi - lo) * rate / np.pi
+        if not count <= MAX_SINC_PANELS:
+            raise InvalidParameterError(f"{name} = {rate!r} on [{lo!r}, {hi!r}] needs "
+                                        f"{count:.3g} sinc panels, more than {MAX_SINC_PANELS}")
+
+
+def _panel_nodes(lo, hi, rate):
+    """8-point Gauss-Legendre nodes/weights on panels cut at the zeros of
+    sin(rate*x), at most MAX_SINC_PANELS of them (:func:`_require_panels`)."""
     k_lo = int(np.ceil(lo * rate / np.pi))
     k_hi = int(np.floor(hi * rate / np.pi))
     edges = np.sort(np.concatenate([[lo, hi], np.arange(k_lo, k_hi + 1) * np.pi / rate]))
@@ -124,11 +140,13 @@ def dirichlet_partial_inverse_sinc(fn, point, M, N, rect):
     """
     x0, y0 = _require_real(point, "point", shape=(2,)).tolist()
     _require_real((M, N), "M, N")
-    s_lo, s_hi, t_lo, t_hi = _require_real(rect, "rect", shape=(4,)).tolist()
+    rect = _require_real(rect, "rect", shape=(4,)).tolist()
     if not (M > 0 and N > 0):
         raise NonPositiveWindowError(f"window ({M}, {N}) must be positive")
+    _require_panels(M, N, rect)
+    s_lo, s_hi, t_lo, t_hi = rect
     s, ws = _panel_nodes(s_lo, s_hi, M)
-    t, wt = _panel_nodes(t_lo, t_hi, N, "N")
+    t, wt = _panel_nodes(t_lo, t_hi, N)
     ker_s = ws * (M / np.pi) * np.sinc(M * s / np.pi)
     ker_t = wt * (N / np.pi) * np.sinc(N * t / np.pi)
     total = np.zeros(4)

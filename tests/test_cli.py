@@ -153,6 +153,24 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "bogus-subcommand")
     assert code == 1
 
+    # qfrft's own angle rule, applied before the input is loaded
+    src = tmp_path / "g.qsig"
+    fileio.save_qsig(sample(gaussian, GridSpec.centered(4.0, 8)), src)
+    for alpha, beta in (("0", "0.7"), ("0.7", "3.141592653589793"), ("1e-13", "0.7")):
+        out_path = tmp_path / "fr.qsp"
+        code, out, err = run(capsys, "qfrft", "--in", str(src), "--out", str(out_path),
+                             "--alpha", alpha, "--beta", beta)
+        assert code == 1 and out == "" and "fractional kernel degenerates" in err
+        assert not out_path.exists()
+    code, out, err = run(capsys, "qfrft", "--in", str(tmp_path / "missing.qsig"), "--out",
+                         str(tmp_path / "fr.qsp"), "--alpha", "0", "--beta", "0.7")
+    assert code == 1 and "sin(alpha) = 0" in err
+
+    # a sweep entry past the sinc panel cap, refused before the CSV header
+    code, out, err = run(capsys, "jump-demo", "--M", "25,1e17")
+    assert code == 1 and out == ""
+    assert err.startswith("qharmonics: invalid --M: M = 1e+17 on [0.0, 2.0]") and "1024" in err
+
 
 def test_usage_errors_name_the_program_once(capsys):
     cases = [
@@ -331,6 +349,13 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "subcommand" in out or "qharmonics" in out
+
+
+def test_top_level_help_is_the_short_description(capsys):
+    """The module's developer notes stay in its docstring, out of ``--help``."""
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and cli._DESCRIPTION.split()[0] in out and "Exit codes" in out
+    assert "QH_THREADS" in cli.__doc__ and "QH_THREADS" not in out and "BLAS" not in out
 
 
 def test_nonfinite_input_exit_2_nothing_written(capsys, tmp_path):

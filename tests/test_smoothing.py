@@ -173,6 +173,22 @@ def test_sinc_panel_count_past_an_array_is_refused_before_allocating(traced_peak
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("panels", [smoothing.MAX_SINC_PANELS + 1, 6.4e16], ids=["cap+1", "M=1e17"])
+def test_sinc_panel_cap_is_refused_before_allocating(traced_peak, panels):
+    """Past MAX_SINC_PANELS panels on an axis of the indicator's rectangle
+    (width 2), M is refused naming M, the rectangle and the cap, before any
+    node array exists; one panel under the cap passes the same check."""
+    rect = sinc_rect("indicator", (1.0, 1.0))
+    M = panels * np.pi / 2.0
+
+    def call():
+        with pytest.raises(InvalidParameterError, match=r"M = .* on \[0.0, 2.0\].* 1024$"):
+            dirichlet_partial_inverse_sinc(indicator, (1.0, 1.0), M, 2.0, rect)
+    _, peak = traced_peak(call)
+    assert peak < 64 * 1024
+    smoothing._require_panels((smoothing.MAX_SINC_PANELS - 1) * np.pi / 2.0, 2.0, rect)
+
+
 def test_partial_inverse_freq_empty_window_is_zero():
     # the first spectrum nodes sit at |u| = |v| = 0.125
     _, spec = gaussian_spectrum(n=32, wmax=4.0)
