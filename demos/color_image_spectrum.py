@@ -13,7 +13,7 @@ import numpy as np
 from qharmonics import (
     QftKind,
     image_to_qsig,
-    qft_fast,
+    qft_forward,
     qft_inverse,
     qsig_to_image,
 )
@@ -39,7 +39,7 @@ with open(os.path.join(OUT_DIR, "card.ppm"), "wb") as fh:
     fh.write(ppm)
 
 sig = image_to_qsig(ppm)
-spec = qft_fast(sig)
+spec = qft_forward(sig)
 mags = np.sqrt(np.sum(spec.data ** 2, axis=-1))
 peak = tuple(int(i) for i in np.unravel_index(mags.argmax(), mags.shape))
 print(f"spectrum peak magnitude {mags.max():.1f} at the low-frequency center: "

@@ -32,11 +32,10 @@ _EXPORTS = {
     "Side": "qft", "QftKind": "qft", "FreqWindow": "qft",
     "qft_forward": "qft", "qft_inverse": "qft",
     "ft2d": "qft", "qft_from_ft": "qft", "ft_from_qft": "qft",
-    "qft_fast": "qft", "derivative_multiplier": "qft",
+    "derivative_multiplier": "qft",
     # qlct
     "LctParams": "qlct", "LctKind": "qlct", "lct_kernel": "qlct",
     "qlct_forward": "qlct", "qlct_inverse": "qlct",
-    "qlct_inverse_two_sided": "qlct", "qlct_inverse_sided": "qlct", "qlct_via_qft": "qlct",
     "sided_decompose_transform": "qlct", "qfrft": "qlct",
     # smoothing
     "JumpAverage": "smoothing",

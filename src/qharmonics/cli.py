@@ -90,12 +90,11 @@ def _axes(args) -> AxisPair:
                         np.array(_floats(args.mu2, 3, "--mu2")))
 
 
-def _window(args, grid, b=(1.0, 1.0)) -> FreqWindow:
-    """``--window M[,N]`` on the counts of `grid`; without it, the natural
-    window of `grid` scaled by |b| per axis (1 on a b = 0 axis), from which
-    the QLCT inverse recovers the signal to rounding."""
+def _window(args, grid) -> FreqWindow | None:
+    """``--window M[,N]`` on the counts of `grid`; without it None, the
+    transform's own default window."""
     if args.window is None:
-        return FreqWindow.natural(grid).scaled(abs(b[0]) or 1.0, abs(b[1]) or 1.0)
+        return None
     vals = _floats(args.window, flag="--window")
     if len(vals) == 1:
         vals = (vals[0], vals[0])
@@ -241,7 +240,7 @@ def _cmd_qlct(args):
     axes = _axes(args)
     A1, A2 = _matrices(args)
     sig = fileio.load_qsig(args.inp)
-    window = _window(args, sig.grid, (A1.b, A2.b))
+    window = _window(args, sig.grid)
     spec = qlct_forward(sig, LctKind(Side(args.side), A1, A2, axes), window, overwrite=True)
     fileio.save_qspectrum(spec, args.out)
 
@@ -251,7 +250,7 @@ def _cmd_qfrft(args):
     with _usage("invalid angles: "):
         _require_angles(args.alpha, args.beta)
     sig = fileio.load_qsig(args.inp)
-    window = _window(args, sig.grid, (np.sin(args.alpha), np.sin(args.beta)))
+    window = _window(args, sig.grid)
     spec = qfrft(sig, args.alpha, args.beta, Side(args.side), window, axes,
                  phase_corrected=args.phase_corrected)
     fileio.save_qspectrum(spec, args.out)
@@ -272,7 +271,7 @@ def _cmd_roundtrip(args):
         if A1.is_degenerate or A2.is_degenerate:
             raise _UsageError("--b1 and --b2 must be nonzero: the QLCT inverse "
                               "does not run through a degenerate (b = 0) axis")
-        window = _window(args, grid, (A1.b, A2.b))
+        window = _window(args, grid)
         spec = qlct_forward(sample(fn, grid), LctKind(side, A1, A2, axes), window, overwrite=True)
     back = _invert(spec, grid, overwrite=True)
     S, T = grid.mesh()

@@ -113,8 +113,12 @@ class QSpectrum2D:
         return QSignal2D(self.grid, self.data)
 
     def scaled(self, factor):
-        """Pointwise real scaling (scalar or (ns, nt) field); provenance kept."""
-        factor = np.asarray(factor, dtype=float)
+        """Pointwise real scaling (scalar or (ns, nt) field); provenance kept.
+        Any other shape raises ShapeMismatchError."""
+        factor = _require_real(factor, "factor", shape=None)
+        if factor.shape not in ((), self.data.shape[:2]):
+            raise ShapeMismatchError(f"factor of shape {factor.shape} is neither a scalar "
+                                     f"nor the spectrum's {self.data.shape[:2]}")
         data = self.data * (factor[..., None] if factor.ndim == 2 else factor)
         return QSpectrum2D(self.grid, data, self.kind, self.window)
 

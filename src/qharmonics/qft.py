@@ -17,12 +17,12 @@ Each kernel factor is one contraction along an axis of any uniform grid
 (see ``_kernels``), and one stage loop runs them for the QLCT too.  On a
 narrow window, where a kernel has low rank, a stage contracts onto
 Chebyshev points and the loop interpolates them once at the end.  On a
-midpoint grid centred on 0 with ``FreqWindow.natural`` the quadrature is
-exactly the 2D DFT of the samples: a stage whose length has no prime
-factor above 13 runs as complex FFTs on the symplectic split of the
-field, the others (and every stage of an image on [0, w], which folds
-about its centre, the shift a chirp) as mirror-folded GEMMs.
-:func:`qft_fast` is that case, for any sample counts and any axis pair.
+midpoint grid centred on 0 with ``FreqWindow.natural``, the forward
+transforms' default window, the quadrature is exactly the 2D DFT of the
+samples: a stage whose length has no prime factor above 13 runs as
+complex FFTs on the symplectic split of the field, the others (and every
+stage of an image on [0, w], which folds about its centre, the shift a
+chirp) as mirror-folded GEMMs, for any sample counts and any axis pair.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "ft2d",
     "qft_from_ft",
     "ft_from_qft",
-    "qft_fast",
     "derivative_multiplier",
 ]
 
@@ -119,15 +118,18 @@ class FreqWindow:
         return GridSpec.centered(self.u_max, self.nu, self.v_max, self.nv)
 
 
-def qft_forward(sig: QSignal2D, kind: QftKind, window: FreqWindow,
+def qft_forward(sig: QSignal2D, kind: QftKind = QftKind(), window: FreqWindow = None,
                 overwrite=False) -> QSpectrum2D:
-    """Forward QFT on the window's midpoint frequency grid.
+    """Forward QFT on the window's midpoint frequency grid; by default
+    ``FreqWindow.natural(sig.grid)``, on which the inverse recovers the
+    signal to rounding.  The spectrum records the window it ran on.
 
     ``overwrite=True`` hands the signal over, as for :func:`qft_inverse`:
     its data may be destroyed and the spectrum may share its memory (it
     does for a C-contiguous signal with the counts of the window), so the
     transform allocates no field of its own.
     """
+    window = FreqWindow.natural(sig.grid) if window is None else window
     fgrid = window.to_grid()
     data = _stages(sig.data, kind.side.stages, kind.axes, sig.grid, fgrid,
                    lambda axis, x, y, dx: (-1.0, None, None, dx), overwrite)
@@ -246,16 +248,10 @@ def ft_from_qft(HT):
     return re + 1j * im
 
 
-def qft_fast(sig: QSignal2D, kind: QftKind = QftKind()) -> QSpectrum2D:
-    """QFT on the natural frequency window of the signal's grid.
-
-    On a midpoint grid centred on 0 this window makes the quadrature exactly
-    the 2D DFT of the samples, and :func:`qft_forward` runs each stage whose
-    length has no prime factor above 13 as FFTs; other lengths, and grids
-    not centred on 0, take the mirror-folded contraction.  Any sample
-    counts and any axis pair.
-    """
-    return qft_forward(sig, kind, FreqWindow.natural(sig.grid))
+# bench/spans.py wraps this name and bench/worker.py calls it; it goes when the
+# bench reads a stage trace (ROADMAP 1b)
+def qft_fast(sig, kind):
+    return qft_forward(sig, kind)
 
 
 # -- derivative multipliers ---------------------------------------------------

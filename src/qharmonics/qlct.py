@@ -44,9 +44,6 @@ __all__ = [
     "lct_kernel",
     "qlct_forward",
     "qlct_inverse",
-    "qlct_inverse_two_sided",
-    "qlct_inverse_sided",
-    "qlct_via_qft",
     "sided_decompose_transform",
     "qfrft",
 ]
@@ -150,18 +147,24 @@ def _lct_terms(A: LctParams, x, xi, dx):
             dx / np.sqrt(2.0 * np.pi * abs(b)))
 
 
-def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow,
+def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
                  overwrite=False) -> QSpectrum2D:
     """Forward QLCT by midpoint quadrature of the kernel sandwich.
 
     Kernel placement per side matches the defining integrals: two-sided
-    K1 f K2, right-sided f K1 K2, left-sided K1 K2 f.  Axes with b = 0
-    take the chirp-scaling branch; their output grid is the input grid
-    mapped by xi = x/d and the window is ignored along that axis.
+    K1 f K2, right-sided f K1 K2, left-sided K1 K2 f; each b != 0 stage is
+    the chirp-QFT-chirp factorization in one contraction.  The default
+    window, recorded in the spectrum, is the natural window of the signal
+    grid scaled by (|b1|, |b2|): there each stage is the exact DFT of the
+    chirped samples.  Axes with b = 0 take the chirp-scaling branch; their
+    output grid is the input grid mapped by xi = x/d and the window is
+    ignored (its scale is 1) along that axis.
     ``overwrite=True`` hands the signal over, as for
     :func:`qft.qft_forward`: its data may be destroyed and the spectrum
     may share its memory.
     """
+    if window is None:
+        window = FreqWindow.natural(sig.grid).scaled(abs(kind.A1.b) or 1.0, abs(kind.A2.b) or 1.0)
     fgrid = window.to_grid()
     mats = (kind.A1, kind.A2)
     data = _stages(sig.data, kind.side.stages, kind.axes, sig.grid, fgrid,
@@ -203,10 +206,6 @@ def qlct_inverse(spec: QSpectrum2D, kind: LctKind, out_grid: GridSpec,
     return QSignal2D(out_grid, out)
 
 
-# bench/spans.py wraps the two old names; they go when it reads a stage trace (ROADMAP item 1)
-qlct_inverse_two_sided = qlct_inverse_sided = qlct_inverse
-
-
 def _invert(spec: QSpectrum2D, out_grid: GridSpec, overwrite=False) -> QSignal2D:
     """Invert `spec` onto `out_grid` by its own family's inverse,
     :func:`qft.qft_inverse` or :func:`qlct_inverse`, which refuses what it
@@ -216,22 +215,13 @@ def _invert(spec: QSpectrum2D, out_grid: GridSpec, overwrite=False) -> QSignal2D
     return inverse(spec, spec.kind, out_grid, overwrite=overwrite)
 
 
-def qlct_via_qft(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
-                 fast=False) -> QSpectrum2D:
-    """QLCT, of any side, through the chirp-QFT-chirp factorization, which
-    is what each :func:`qlct_forward` stage computes: the input chirp, the
-    Fourier kernel at u/b and the output chirp in one contraction.  With
-    ``fast=True`` the window is the natural window of the signal grid
-    scaled by (|b1|, |b2|), on which that kernel is the exact DFT of the
-    chirped samples; otherwise the window is required.
-    """
-    if kind.A1.is_degenerate or kind.A2.is_degenerate:
-        raise DegenerateBError("chirp factorization needs b1, b2 != 0")
-    if fast:
-        window = FreqWindow.natural(sig.grid).scaled(abs(kind.A1.b), abs(kind.A2.b))
-    elif window is None:
-        raise InvalidParameterError("a window is required unless fast=True")
-    return qlct_forward(sig, kind, window)
+# bench/spans.py wraps these names and bench/worker.py calls qlct_via_qft; they
+# go when the bench reads a stage trace (ROADMAP 1b)
+qlct_inverse_two_sided = qlct_inverse_sided = qlct_inverse
+
+
+def qlct_via_qft(sig, kind, fast=True):
+    return qlct_forward(sig, kind)
 
 
 def _embed(re, im, mu):
@@ -243,7 +233,7 @@ def _embed(re, im, mu):
 
 
 def sided_decompose_transform(sig: QSignal2D, kind: LctKind,
-                              window: FreqWindow) -> QSpectrum2D:
+                              window: FreqWindow = None) -> QSpectrum2D:
     """Sided QLCT as a sum of two two-sided QLCTs of symplectic parts.
 
     right-sided: L_R(f) = L_T^{mu1,mu2}(f_a) + L_T^{-mu1,mu2}(f_b) mu2
@@ -251,6 +241,7 @@ def sided_decompose_transform(sig: QSignal2D, kind: LctKind,
 
     where f = f_a + f_b mu2 = f_d + mu1 f_e with the parts living in the
     commuting subalgebras span{1, mu1} and span{1, mu2} respectively.
+    The window defaults as for :func:`qlct_forward`.
     """
     if kind.side is Side.TWO_SIDED:
         raise SideMismatchError("decomposition computes the sided transforms")
@@ -273,7 +264,7 @@ def sided_decompose_transform(sig: QSignal2D, kind: LctKind,
         term1 = qlct_forward(f_d, two(axes), window)
         term2 = qlct_forward(f_e, two(AxisPair(mu1, -mu2)), window)
         data = term1.data + const_multiply(np.concatenate([[0.0], mu1]), term2.data, left=True)
-    return QSpectrum2D(term1.grid, data, kind, window)
+    return QSpectrum2D(term1.grid, data, kind, term1.window)
 
 
 def _require_angles(alpha, beta):
@@ -287,7 +278,7 @@ def _require_angles(alpha, beta):
 
 
 def qfrft(sig: QSignal2D, alpha: float, beta: float, side: Side,
-          window: FreqWindow, axes: AxisPair = CANONICAL_AXES,
+          window: FreqWindow = None, axes: AxisPair = CANONICAL_AXES,
           phase_corrected=False) -> QSpectrum2D:
     """Fractional transform: QLCT with rotation matrices A(alpha), A(beta).
 
@@ -298,7 +289,8 @@ def qfrft(sig: QSignal2D, alpha: float, beta: float, side: Side,
     sandwich for the two-sided transform; sided kinds accept raw output
     only.  A negative angle gives a rotation with b = sin(angle) < 0, used
     as given, so a forward pass with (-alpha, -beta) inverts the
-    (alpha, beta) pass.
+    (alpha, beta) pass.  The window defaults as for :func:`qlct_forward`:
+    the natural window scaled by (|sin alpha|, |sin beta|).
     """
     _require_angles(alpha, beta)
     if phase_corrected and side is not Side.TWO_SIDED:
@@ -311,4 +303,4 @@ def qfrft(sig: QSignal2D, alpha: float, beta: float, side: Side,
     if phase_corrected:
         data = const_multiply(qexp_pure(axes.mu1, alpha / 2), data, left=True)
         data = const_multiply(qexp_pure(axes.mu2, beta / 2), data, left=False)
-    return QSpectrum2D(spec.grid, data, kind, window)
+    return QSpectrum2D(spec.grid, data, kind, spec.window)

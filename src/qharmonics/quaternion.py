@@ -22,7 +22,6 @@ __all__ = [
     "qabs",
     "qinv",
     "qexp_pure",
-    "mul_pure",
     "mul_matrix",
     "pure_unit",
     "AxisPair",
@@ -110,12 +109,9 @@ def mul_matrix(q, left=True):
     return np.array([[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]])
 
 
+# bench/spans.py wraps this name, which nothing calls; it goes when the bench
+# reads a stage trace (ROADMAP 1b)
 def mul_pure(mu, q, left=True):
-    """Product of a pure unit ``mu`` with a quaternion array.
-
-    ``left=True`` gives ``mu * q``; ``left=False`` gives ``q * mu``.  One
-    (N, 4) x (4, 4) product through :func:`mul_matrix`.
-    """
     q = np.asarray(q, dtype=float)
     M = mul_matrix(np.concatenate([[0.0], mu]), left)
     return (q.reshape(-1, 4) @ M.T).reshape(q.shape)

@@ -94,6 +94,11 @@ _GL8_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.31370664587
 #: rectangle, is 255 panels)
 MAX_SINC_PANELS = 1024
 
+#: most levels h0 2^-k of :func:`eta_jump_average` (x0 + h0 2^-k rounds to
+#: x0 of order 1 before k = 64) and nodes n_inner * n_outer of a
+#: :func:`lc_class_diagnostic` strip (a quaternion per node is 32 MiB at 2^20)
+MAX_ETA_LEVELS, MAX_LC_NODES = 64, 1 << 20
+
 
 def _require_panels(M, N, rect):
     """Raise InvalidParameterError, before any array exists, unless M on the
@@ -193,13 +198,15 @@ def eta_jump_average(fn, point, h0=0.5, levels=11, tol=1e-6) -> JumpAverage:
     Evaluates along the dyadic approach h_k = h0 2^-k into each open
     quadrant and extrapolates with an iterated Richardson tableau (the
     limits are only asserted to exist, so the tableau depth is an
-    artifact choice).  Raises NonConvergentError when the extrapolant
-    still moves by more than `tol` at the last level.
+    artifact choice), at most MAX_ETA_LEVELS levels.  Raises
+    NonConvergentError when the extrapolant still moves by more than `tol`
+    at the last level.
     """
     x0, y0 = _require_real(point, "point", shape=(2,)).tolist()
     _require_real((h0, tol), "h0, tol")
-    if not (h0 > 0 and isinstance(levels, (int, np.integer)) and levels >= 2):
-        raise InvalidParameterError("h0 must be positive and levels an integer of at least 2")
+    if not (h0 > 0 and isinstance(levels, (int, np.integer)) and 2 <= levels <= MAX_ETA_LEVELS):
+        raise InvalidParameterError(
+            f"h0 must be positive and levels an integer from 2 to {MAX_ETA_LEVELS}")
     h = h0 * 2.0 ** (-np.arange(levels))
     quadrants = []
     for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
@@ -314,9 +321,9 @@ def lc_class_diagnostic(fn, point, eps1, eps2, radius,
     |(ftilde(s,t) - ftilde(a,t)) / s|; second is the mirrored t-strip.
     ftilde is the four-quadrant sum around the point; the sections a, b
     are the quadrature nodes closest to zero with finite truncated 1D
-    mass.  Raw numbers are returned for the caller to judge: the
-    underlying condition is asymptotic and not decidable from finite
-    data.
+    mass; a strip has at most MAX_LC_NODES nodes.  Raw numbers are
+    returned for the caller to judge: the underlying condition is
+    asymptotic and not decidable from finite data.
     """
     x0, y0 = _require_real(point, "point", shape=(2,)).tolist()
     _require_real((eps1, eps2, radius), "eps1, eps2, radius")
@@ -325,6 +332,9 @@ def lc_class_diagnostic(fn, point, eps1, eps2, radius,
     if not radius > max(eps1, eps2):
         raise InvalidParameterError("radius must exceed the strip half-widths")
     _require_counts((n_inner, n_outer), "n_inner, n_outer")
+    if int(n_inner) * int(n_outer) > MAX_LC_NODES:
+        raise InvalidParameterError(f"n_inner * n_outer = {int(n_inner) * int(n_outer)} "
+                                    f"strip nodes, more than {MAX_LC_NODES}")
     val1 = _lc_strip(fn, x0, y0, eps1, eps2, radius, n_inner, n_outer, swap=False)
     val2 = _lc_strip(fn, x0, y0, eps2, eps1, radius, n_inner, n_outer, swap=True)
     return val1, val2

@@ -105,7 +105,7 @@ def _as_field(f, net=None):
         if net is None:
             raise InvalidParameterError("a net is required to evaluate a callable field")
         f = eval_on_net(f, net)
-    f = np.asarray(f, dtype=float)
+    f = _require_real(f, "f", shape=None, allow_inf=True)
     if f.ndim != 2:
         raise InvalidParameterError(f"expected a 2D field, got shape {f.shape}")
     if net is not None and f.shape != net.shape:

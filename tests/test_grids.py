@@ -588,6 +588,7 @@ BOUNDARY_ARGUMENTS = {
                             InvalidParameterError),
     "scaled-fu": ("fu", lambda v: WINDOW.scaled(v, 1.0), InvalidWindowError),
     "scaled-fv": ("fv", lambda v: WINDOW.scaled(1.0, v), InvalidWindowError),
+    "spectrum-factor": ("factor", lambda v: GAUSS_SPEC.scaled(v), InvalidParameterError),
 }
 
 
@@ -606,6 +607,19 @@ def test_every_boundary_refuses_non_real_and_non_finite_arguments(case, value):
     with pytest.raises(NonFiniteError if isinstance(value, float) else error,
                        match=rf"\b{name}\b"):
         call(value)
+
+
+def test_spectrum_scaled_takes_a_scalar_or_a_field_of_its_own_shape():
+    """A factor of shape () or (ns, nt) scales every part of each sample; any
+    other shape, one numpy would broadcast against the parts, raises."""
+    field = np.arange(16.0).reshape(4, 4)
+    scaled = GAUSS_SPEC.scaled(field)
+    assert np.array_equal(scaled.data, GAUSS_SPEC.data * field[..., None])
+    assert (scaled.kind, scaled.window) == (GAUSS_SPEC.kind, GAUSS_SPEC.window)
+    assert np.array_equal(GAUSS_SPEC.scaled(2).data, 2.0 * GAUSS_SPEC.data)
+    for shape in ((4,), (4, 1), (1, 4), (4, 5), (4, 4, 4), (1,)):
+        with pytest.raises(ShapeMismatchError, match=r"\bfactor\b"):
+            GAUSS_SPEC.scaled(np.ones(shape))
 
 
 def _corruptions(raw):

@@ -15,14 +15,8 @@ from qharmonics import _kernels
 from qharmonics._kernels import _mirrored, chirp_multiply, const_multiply, exp_contract
 from qharmonics.grids import GridSpec, QSignal2D
 from qharmonics import qft as qft_module
-from qharmonics.qft import FreqWindow, QftKind, Side, _stages, qft_fast, qft_forward, qft_inverse
-from qharmonics.qlct import (
-    LctKind,
-    LctParams,
-    qlct_forward,
-    qlct_inverse,
-    qlct_via_qft,
-)
+from qharmonics.qft import FreqWindow, QftKind, Side, _stages, qft_forward, qft_inverse
+from qharmonics.qlct import LctKind, LctParams, qlct_forward, qlct_inverse
 from qharmonics.quaternion import AxisPair, mul_matrix, qexp_pure, qmul
 
 MU = np.array([0.0, 0.6, 0.8])
@@ -272,16 +266,16 @@ def test_dft_stages_match_brute_force(n, chirped, left, axis, small_blocks, dft_
 
 @pytest.mark.parametrize("side", list(Side))
 def test_natural_windows_take_the_fft_path(side, dft_calls):
-    """qft_fast and qlct_via_qft(fast=True) run each stage as an FFT (one
-    block per stage at 48^2), and so do their inverses on the same windows."""
+    """qft_forward and qlct_forward on their default windows run each stage
+    as an FFT (one block per stage at 48^2), and so do their inverses."""
     grid = GridSpec.centered(6.0, 48)
     sig = QSignal2D(grid, np.random.default_rng(9).normal(size=(48, 48, 4)))
-    spec = qft_fast(sig, QftKind(side))
+    spec = qft_forward(sig, QftKind(side))
     assert len(dft_calls) == 2
     back = qft_inverse(spec, spec.kind, grid)
     assert len(dft_calls) == 4 and np.max(np.abs(back.data - sig.data)) < 1e-12
     kind = LctKind(side, LctParams(2.0, 0.5, 2.0, 1.0), LctParams(1.0, -1.0, 0.0, 1.0))
-    spec = qlct_via_qft(sig, kind, fast=True)
+    spec = qlct_forward(sig, kind)
     assert len(dft_calls) == 6
     back = qlct_inverse(spec, kind, grid)
     assert len(dft_calls) == 8 and np.max(np.abs(back.data - sig.data)) < 1e-12
@@ -509,8 +503,8 @@ FOLDED_CASES = [pytest.param(family, Side.TWO_SIDED, direction, 256, 40.0, BOUND
 
 @pytest.mark.parametrize("family,side,direction,n,width,bound",
                          MEMORY_CASES + NARROW_CASES + FOLDED_CASES + [
-                             pytest.param("qlct_via_qft", Side.TWO_SIDED, "forward", 512, None,
-                                          1.4, id="qlct_via_qft"),
+                             pytest.param("qlct_default", Side.TWO_SIDED, "forward", 512, None,
+                                          1.4, id="qlct_default_window"),
                              pytest.param("qlct_b0", Side.TWO_SIDED, "hand-over", 512, None,
                                           0.3, id="qlct_b0-two-hand-over")])
 def test_transforms_allocate_one_field(traced_peak, family, side, direction, n, width, bound):
@@ -532,7 +526,7 @@ def test_transforms_allocate_one_field(traced_peak, family, side, direction, n, 
     handover = direction == "hand-over"
     forward = {"qft": lambda: qft_forward(sig, qkind, window, overwrite=handover),
                "qlct": lambda: qlct_forward(sig, lkind, window, overwrite=handover),
-               "qlct_via_qft": lambda: qlct_via_qft(sig, lkind, fast=True),
+               "qlct_default": lambda: qlct_forward(sig, lkind),
                "qlct_b0": lambda: qlct_forward(sig, LctKind(side, LctParams(2.0, 0.0, 0.3, 0.5), A2),
                                                window, overwrite=handover)}[family]
     call, given = forward, sig

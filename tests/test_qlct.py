@@ -5,6 +5,8 @@ import pytest
 
 from oracles import property_grids, qlct_bruteforce, random_axes
 from qharmonics import _kernels
+from qharmonics import qft as qft_module
+from qharmonics import qlct as qlct_module
 from qharmonics._kernels import chirp_multiply
 from qharmonics.errors import (
     DegenerateAngleError,
@@ -23,9 +25,6 @@ from qharmonics.qlct import (
     qfrft,
     qlct_forward,
     qlct_inverse,
-    qlct_inverse_sided,
-    qlct_inverse_two_sided,
-    qlct_via_qft,
     sided_decompose_transform,
 )
 from qharmonics.quaternion import qabs, qexp_pure, qmul, quat
@@ -160,16 +159,16 @@ def test_via_qft_matches_direct():
         sig = rand_signal(32, seed=20 + seed, extent=4.0)
         kind = LctKind(Side.TWO_SIDED, mats, mats)
         composed = chirp_qft_chirp(sig, kind, w)
-        via = qlct_via_qft(sig, kind, w)
+        via = qlct_forward(sig, kind, w)
         assert np.max(np.abs(composed - via.data)) < 1e-8
 
 
 def test_via_qft_fast_path_agrees_and_is_faster():
     sig = sample(gaussian, GridSpec.centered(10.0, 256))
     kind = LctKind(Side.TWO_SIDED, SHEAR, SHEAR)
-    qlct_via_qft(sig, kind, fast=True)  # warm-up
+    qlct_forward(sig, kind)  # warm-up
     t0 = time.perf_counter()
-    via = qlct_via_qft(sig, kind, fast=True)
+    via = qlct_forward(sig, kind)
     t_fast = time.perf_counter() - t0
     t0 = time.perf_counter()
     composed = chirp_qft_chirp(sig, kind, via.window)
@@ -185,18 +184,15 @@ def test_via_qft_fast_path_agrees_and_is_faster():
     qlct_bruteforce(small, Side.TWO_SIDED, SHEAR, SHEAR, kind.axes,
                     w16.to_grid().s, w16.to_grid().t)
     t_ref = (time.perf_counter() - t0) * (256 / 16) ** 4
-    print(f"\nvia-qft fast {t_fast * 1e3:.1f} ms; chirp-QFT-chirp "
+    print(f"\nQLCT on its default window {t_fast * 1e3:.1f} ms; chirp-QFT-chirp "
           f"{t_composed * 1e3:.1f} ms; extrapolated defining quadrature {t_ref:.1f} s")
     assert t_ref > 5.0 * t_fast
 
-    with pytest.raises(DegenerateBError):
-        qlct_via_qft(sig, LctKind(Side.TWO_SIDED, LctParams.identity_chirp(), SHEAR),
-                     FreqWindow.square(2.0, 8))
     # every side's stages are the chirp-Fourier-chirp contraction it names
     for side in (Side.RIGHT_SIDED, Side.LEFT_SIDED):
         sided = LctKind(side, SHEAR, GENERIC)
         for window in (via.window, None):
-            got = qlct_via_qft(sig, sided, window, fast=window is None)
+            got = qlct_forward(sig, sided, window)
             assert np.array_equal(got.data, qlct_forward(sig, sided, got.window).data)
 
 
@@ -212,7 +208,7 @@ def test_via_qft_takes_negative_b(n, A1, A2):
     kind = LctKind(Side.TWO_SIDED, A1, A2)
     assert min(kind.A1.b, kind.A2.b) < 0  # used as given, not flipped to -A
     for window in (FreqWindow(3.0, 5.0, n, n), None):
-        via = qlct_via_qft(sig, kind, window, fast=window is None)
+        via = qlct_forward(sig, kind, window)
         assert via.window == (window or FreqWindow.natural(sig.grid).scaled(abs(A1.b), abs(A2.b)))
         if n < 10:
             fgrid = via.window.to_grid()
@@ -273,8 +269,7 @@ def test_two_sided_inverse_round_trip():
 
 
 def test_sided_inverse_round_trip_and_errors():
-    # one inverse for every side; the old names are the same function
-    assert qlct_inverse_two_sided is qlct_inverse_sided is qlct_inverse
+    # one inverse for every side
     grid = GridSpec.centered(10.0, 128)
     sig = sample(qgaussian, grid)
     w = FreqWindow.square(8.0, 128)
@@ -424,7 +419,7 @@ def test_round_trip_at_512_is_as_accurate_as_the_qft(side):
     grid = GridSpec.centered(6.0, 512)
     sig = QSignal2D(grid, np.random.default_rng(0).normal(size=(512, 512, 4)))
     kind = LctKind(side, GENERIC, LctParams(1.0, -1.0, 0.0, 1.0))
-    back = qlct_inverse(qlct_via_qft(sig, kind, fast=True), kind, grid)
+    back = qlct_inverse(qlct_forward(sig, kind), kind, grid)
     qkind = QftKind(side)
     qback = qft_inverse(qft_forward(sig, qkind, FreqWindow.natural(grid)), qkind, grid)
     assert linf_diff(sig, back) <= 2 * linf_diff(sig, qback)
@@ -442,7 +437,7 @@ def test_plancherel_ratio_is_one_on_the_scaled_natural_window(side, ns, nt):
         b = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.3, 2.0, size=2)
         mats = [LctParams(a[i], b[i], c[i], (1.0 + b[i] * c[i]) / a[i]) for i in range(2)]
         kind = LctKind(side, *mats, random_axes(rng))
-        spec = qlct_via_qft(sig, kind, fast=True)
+        spec = qlct_forward(sig, kind)
         ratio = (np.sum(spec.data ** 2) * spec.grid.cell_area
                  / (np.sum(sig.data ** 2) * sig.grid.cell_area))
         assert abs(ratio - 1.0) < 1e-12
@@ -468,6 +463,39 @@ B0 = LctParams(2.0, 0.0, 0.3, 0.5)
 
 
 @pytest.mark.parametrize("side", list(Side))
+def test_default_windows_bit_for_bit(side):
+    """Without a window each forward runs, bit for bit, on the natural window
+    of the signal grid: as given for the QFT, scaled by (|b1|, |b2|) for the
+    QLCT (1 on a b = 0 axis) and by |sin| of the angles for qfrft, and it
+    records that window.  The names the bench calls, qft_fast and
+    qlct_via_qft, are those defaults."""
+    sig = rand_signal(9, seed=61)
+    natural = FreqWindow.natural(sig.grid)
+    qkind = QftKind(side)
+    pairs = [(qft_forward(sig, qkind), qft_forward(sig, qkind, natural), natural),
+             (qft_module.qft_fast(sig, qkind), qft_forward(sig, qkind), natural)]
+    for A1, A2, window in ((NEG_B1, GENERIC, natural.scaled(2.0, 0.5)),
+                           (GENERIC, B0, natural.scaled(0.5, 1.0))):
+        kind = LctKind(side, A1, A2)
+        pairs.append((qlct_forward(sig, kind), qlct_forward(sig, kind, window), window))
+        if side is not Side.TWO_SIDED:
+            pairs.append((sided_decompose_transform(sig, kind),
+                          sided_decompose_transform(sig, kind, window), window))
+    kind = LctKind(side, NEG_B1, GENERIC)
+    pairs.append((qlct_module.qlct_via_qft(sig, kind, fast=True), qlct_forward(sig, kind),
+                  natural.scaled(2.0, 0.5)))
+    window = natural.scaled(abs(np.sin(0.7)), abs(np.sin(-1.1)))
+    for corrected in (False, True) if side is Side.TWO_SIDED else (False,):
+        pairs.append((qfrft(sig, 0.7, -1.1, side, phase_corrected=corrected),
+                      qfrft(sig, 0.7, -1.1, side, window, phase_corrected=corrected), window))
+    for default, explicit, window in pairs:
+        assert default.data.tobytes() == explicit.data.tobytes()
+        assert (default.grid, default.kind) == (explicit.grid, explicit.kind)
+        assert default.window == explicit.window == window
+    assert qlct_module.qlct_inverse_two_sided is qlct_module.qlct_inverse_sided is qlct_inverse
+
+
+@pytest.mark.parametrize("side", list(Side))
 def test_transforms_leave_their_input_untouched(side):
     """Stages after the first overwrite a buffer the transform owns, never
     the caller's signal or spectrum, also when the first stage is the b = 0
@@ -484,7 +512,7 @@ def test_transforms_leave_their_input_untouched(side):
              lambda: qlct_forward(sig, lkind, window),
              lambda: qlct_forward(sig, b0_first, window),
              lambda: qlct_inverse(lspec, lkind, sig.grid),
-             lambda: qlct_via_qft(sig, lkind, fast=True),
+             lambda: qlct_forward(sig, lkind),
              lambda: qfrft(sig, 0.7, -1.1, side, window)]
     if side is Side.TWO_SIDED:
         calls.append(lambda: qfrft(sig, 0.7, -1.1, side, window, phase_corrected=True))

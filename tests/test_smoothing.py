@@ -298,7 +298,9 @@ def test_eta_nonconvergent():
         with pytest.raises(NonFiniteError):
             eta_jump_average(gaussian, point)
     # a tableau needs two levels; h0 <= 0 would evaluate at or across the point
-    for kw in ({"levels": 0}, {"levels": 1}, {"levels": 2.5}, {"h0": 0.0}, {"h0": -0.5}):
+    # past MAX_ETA_LEVELS levels, before any array exists
+    for kw in ({"levels": 0}, {"levels": 1}, {"levels": 2.5}, {"h0": 0.0}, {"h0": -0.5},
+               {"levels": smoothing.MAX_ETA_LEVELS + 1}, {"levels": 10 ** 15}):
         with pytest.raises(InvalidParameterError):
             eta_jump_average(indicator, (1.0, 1.0), **kw)
 
@@ -487,8 +489,10 @@ def test_lc_diagnostic_errors():
         lc_class_diagnostic(gaussian, (0, 0), -0.1, 0.5, 4.0)
     with pytest.raises(InvalidParameterError):
         lc_class_diagnostic(gaussian, (0, 0), 0.5, 0.5, 0.4)
+    # past MAX_LC_NODES strip nodes, before any array exists
     for kw in ({"n_inner": 0}, {"n_outer": 0}, {"n_inner": -3}, {"n_inner": 2.5},
-               {"n_outer": 96.0}):
+               {"n_outer": 96.0}, {"n_inner": 10 ** 15}, {"n_inner": 4096, "n_outer": 257},
+               {"n_inner": np.int64(2) ** 62, "n_outer": 192}):
         with pytest.raises(InvalidParameterError):
             lc_class_diagnostic(gaussian, (0, 0), 0.5, 0.5, 4.0, **kw)
     for args in (((0, 0), np.nan, 0.5, 4.0), ((0, 0), 0.5, 0.5, np.inf),

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import qharmonics.variation as variation
-from qharmonics.errors import IndexOutOfRangeError, InvariantViolationError
+from qharmonics.errors import (
+    IndexOutOfRangeError,
+    InvalidParameterError,
+    InvariantViolationError,
+    NonFiniteError,
+)
 from qharmonics.variation import (
     Net,
     eval_on_net,
@@ -151,3 +156,22 @@ def test_hardy_check_coarsening_violation_raises_typed_error(monkeypatch):
     monkeypatch.setattr(variation, "vitali_variation", lambda f: 0.0)
     with pytest.raises(InvariantViolationError):
         hardy_bvf_check(lambda S, T: np.exp(-(S ** 2 + T ** 2)), net)
+
+
+@pytest.mark.parametrize("value", ["3", 3 + 5j, np.nan, np.inf, -np.inf],
+                         ids=["str", "complex", "nan", "inf", "-inf"])
+def test_fields_follow_the_argument_rule(value):
+    """A field is reals: a string or complex entry raises InvalidParameterError
+    and NaN NonFiniteError, where numpy would parse the strings or drop the
+    imaginary part; an infinity is kept, and the field is not of bounded
+    variation."""
+    f = np.array([[0, 1, 2], [1, 3, 4], [2, 4, value]])
+    net = Net.uniform(0, 1, 2, 0, 1, 2)
+    for call in (lambda: vitali_variation(f), lambda: hardy_bvf_check(f, net)):
+        if isinstance(value, float) and np.isinf(value):
+            result = call()
+            assert result == np.inf if isinstance(result, float) else not result.is_hardy_bvf
+            continue
+        error = NonFiniteError if isinstance(value, float) else InvalidParameterError
+        with pytest.raises(error, match=r"\bf\b"):
+            call()
