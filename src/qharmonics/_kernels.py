@@ -459,12 +459,12 @@ def _interpolate(L, Lr, src, dst, lo=0):
 def chirp_multiply(angles, mu, field, left, axis, scale=1.0, out=None):
     """Multiply elementwise along one grid axis by scale * e^{mu*angles}.
 
-    `angles` is 1D with the length of grid axis `axis`.  Each line of the
-    field is mapped by the 4x4 real matrix ``scale (cos(phi) I + sin(phi) M)``,
-    M being left or right multiplication by ``mu``: batched products of CHUNK
-    lines into a C-order (n0, n1, 4) array, the front of `out` when it holds
-    it (see :func:`exp_contract`).  In place, numpy copies the input of one
-    product, so a chunk and not the field.
+    `angles` (1D, of the length of grid axis `axis`, or a tuple of such arrays
+    and constants, each its own factor) maps each line of the field by the 4x4
+    map ``scale (cos(phi) I + sin(phi) M)``, M being left or right multiplication
+    by ``mu``: batched products of CHUNK lines into a C-order (n0, n1, 4) array,
+    the front of `out` when it holds it (see :func:`exp_contract`).  In place,
+    numpy copies the input of one product, so a chunk and not the field.
     """
     field = np.asarray(field, dtype=float)
     maps = scale * _chirp_maps(mul_matrix(np.concatenate([[0.0], mu]), left).T, angles)

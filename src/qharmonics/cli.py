@@ -117,9 +117,8 @@ def _matrices(args):
 def _signal_grid(args) -> GridSpec:
     if args.grid < 2:
         raise _UsageError("--grid must be at least 2")
-    if args.extent <= 0:
-        raise _UsageError("--extent must be positive")
-    return GridSpec.centered(args.extent, args.grid)
+    with _usage("invalid --extent: "):
+        return GridSpec.centered(args.extent, args.grid)
 
 
 def _fixture(args):
@@ -285,8 +284,6 @@ def _cmd_jump_demo(args):
     fn = _fixture(args)
     point = _floats(args.point, 2, "--point")
     sweep = _floats(args.M, flag="--M")
-    if any(m <= 0 for m in sweep):
-        raise _UsageError("--M entries must be positive")
     rect = fixtures.sinc_rect(args.fixture, point)
     with _usage("invalid --M: "):
         for m in sweep:

@@ -148,8 +148,13 @@ def qft_inverse(spec: QSpectrum2D, kind: QftKind, out_grid: GridSpec,
     """
     _require(spec, kind, "qft")
     out = _stages(spec.data, reversed(kind.side.stages), kind.axes, spec.grid, out_grid,
-                  lambda axis, u, y, du: (1.0, None, None, du / (2.0 * np.pi)), overwrite)
+                  _inverse_terms, overwrite)
     return QSignal2D(out_grid, out)
+
+
+def _inverse_terms(axis, u, y, du):
+    """Stage terms (c, pre, post, scale) of the inverse QFT for :func:`_stages`."""
+    return 1.0, None, None, du / (2.0 * np.pi)
 
 
 def _stages(data, stages, axes, src, dst, terms, overwrite=False):

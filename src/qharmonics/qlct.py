@@ -30,7 +30,7 @@ from .errors import (
     _require_real,
 )
 from .grids import GridSpec, QSignal2D, QSpectrum2D
-from .qft import FreqWindow, Side, _require, _stages, qft_inverse
+from .qft import FreqWindow, Side, _inverse_terms, _require, _stages, qft_inverse
 from .quaternion import (
     CANONICAL_AXES,
     AxisPair,
@@ -195,22 +195,30 @@ def qlct_inverse(spec: QSpectrum2D, kind: LctKind, out_grid: GridSpec,
     share its memory.
     """
     _require(spec, kind, "qlct")
+    stages, terms = _inverse_plan(spec)
+    return QSignal2D(out_grid, _stages(spec.data, stages, kind.axes, spec.grid, out_grid, terms,
+                                       overwrite))
+
+
+def _inverse_plan(spec: QSpectrum2D):
+    """(stages, terms) for ``qft._stages`` of the inverse of `spec`'s own
+    family, after the refusals of :func:`qlct_inverse` for a QLCT one."""
+    kind = spec.kind
+    if getattr(kind, "family", None) == "qft":
+        return tuple(reversed(kind.side.stages)), _inverse_terms
+    _require(spec, kind, "qlct")
     if kind.phase_corrected:
-        raise ProvenanceMismatchError(
-            "undo the fractional phase factors before inverting")
+        raise ProvenanceMismatchError("undo the fractional phase factors before inverting")
     if kind.A1.is_degenerate or kind.A2.is_degenerate:
         raise DegenerateBError("inverse through a degenerate (b = 0) axis")
     mats = (kind.A1.inverse, kind.A2.inverse)
-    out = _stages(spec.data, reversed(kind.side.stages), kind.axes, spec.grid, out_grid,
-                  lambda axis, u, x, du: _lct_terms(mats[axis], u, x, du), overwrite)
-    return QSignal2D(out_grid, out)
+    return (tuple(reversed(kind.side.stages)),
+            lambda axis, u, x, du: _lct_terms(mats[axis], u, x, du))
 
 
 def _invert(spec: QSpectrum2D, out_grid: GridSpec, overwrite=False) -> QSignal2D:
-    """Invert `spec` onto `out_grid` by its own family's inverse,
-    :func:`qft.qft_inverse` or :func:`qlct_inverse`, which refuses what it
-    cannot invert.  ``overwrite`` is as for the inverses.
-    """
+    """Invert `spec` onto `out_grid` by its own family's inverse, which refuses
+    what it cannot invert; ``overwrite`` is as for the inverses."""
     inverse = qft_inverse if getattr(spec.kind, "family", None) == "qft" else qlct_inverse
     return inverse(spec, spec.kind, out_grid, overwrite=overwrite)
 
@@ -245,25 +253,17 @@ def sided_decompose_transform(sig: QSignal2D, kind: LctKind,
     """
     if kind.side is Side.TWO_SIDED:
         raise SideMismatchError("decomposition computes the sided transforms")
-    axes = kind.axes
-    a0, a1c, a2c, a3c = axis_components(sig.data, axes)
+    axes, right = kind.axes, kind.side is Side.RIGHT_SIDED
+    a0, a1, a2, a3 = axis_components(sig.data, axes)
     mu1, mu2 = axes.mu1, axes.mu2
-
-    def two(ax):
-        return LctKind(Side.TWO_SIDED, kind.A1, kind.A2, ax)
-
-    if kind.side is Side.RIGHT_SIDED:
-        f_a = QSignal2D(sig.grid, _embed(a0, a1c, mu1))
-        f_b = QSignal2D(sig.grid, _embed(a2c, a3c, mu1))
-        term1 = qlct_forward(f_a, two(axes), window)
-        term2 = qlct_forward(f_b, two(AxisPair(-mu1, mu2)), window)
-        data = term1.data + const_multiply(np.concatenate([[0.0], mu2]), term2.data, left=False)
-    else:
-        f_d = QSignal2D(sig.grid, _embed(a0, a2c, mu2))
-        f_e = QSignal2D(sig.grid, _embed(a1c, a3c, mu2))
-        term1 = qlct_forward(f_d, two(axes), window)
-        term2 = qlct_forward(f_e, two(AxisPair(mu1, -mu2)), window)
-        data = term1.data + const_multiply(np.concatenate([[0.0], mu1]), term2.data, left=True)
+    # right: f_a = a0 + a1 mu1, f_b = a2 + a3 mu1; left: f_d = a0 + a2 mu2, f_e = a1 + a3 mu2
+    (p0, p1), (q0, q1), mu = ((a0, a1), (a2, a3), mu1) if right else ((a0, a2), (a1, a3), mu2)
+    flipped = AxisPair(-mu1, mu2) if right else AxisPair(mu1, -mu2)
+    term1, term2 = (qlct_forward(QSignal2D(sig.grid, _embed(re, im, mu)),
+                                 LctKind(Side.TWO_SIDED, kind.A1, kind.A2, ax), window)
+                    for re, im, ax in ((p0, p1, axes), (q0, q1, flipped)))
+    unit = np.concatenate([[0.0], mu2 if right else mu1])
+    data = term1.data + const_multiply(unit, term2.data, left=not right)
     return QSpectrum2D(term1.grid, data, kind, term1.window)
 
 

@@ -1,8 +1,9 @@
 """Convergence machinery for the pointwise and L1 inversion results.
 
 Two routes to the truncated inversion value at a point are provided: the
-inverse of the spectrum cropped to the window |u| <= M, |v| <= N,
-evaluated at the point, and the signal-domain double sinc convolution
+spectrum's inverse kernel sandwich at the point summed over |u| <= M,
+|v| <= N (every window of a table in one pass), and the double sinc
+convolution
 
     I(x0, y0, M, N) = integral f(x0-s, y0-t) sin(Ms)/(pi s) sin(Nt)/(pi t) ds dt
 
@@ -13,9 +14,9 @@ uniform panels lose several digits once M is large because of
 oscillatory cancellation.
 
 Partial sums and Gauss means take any raw QFT or QLCT spectrum, of any
-side: each crops or damps the spectrum and inverts it by its own kind's
-inverse.  A two-sided QLCT partial sum at (M, N) is the de-chirped QFT
-partial sum of the chirped signal at (M/|b1|, N/|b2|).
+side: each sums or damps and inverts it by its own kind's inverse.  A
+two-sided QLCT partial sum at (M, N) is the de-chirped QFT partial sum
+of the chirped signal at (M/|b1|, N/|b2|).
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from .errors import (
     _require_counts,
     _require_real,
 )
+from ._kernels import _angles, chirp_multiply
 from .grids import (GridSpec, QSignal2D, QSpectrum2D, evaluate, fixture_values,
                     residual_moduli, sample)
-from .qlct import _invert
+from .qlct import _inverse_plan, _invert
 from .quaternion import qabs
 
 __all__ = [
@@ -54,29 +56,35 @@ __all__ = [
 # -- truncated inversion at a point ------------------------------------------
 
 def dirichlet_partial_inverse_freq(spec: QSpectrum2D, point, M, N):
-    """Windowed inversion integral at one point, from a QFT or QLCT spectrum.
+    """Windowed inversion integrals at one point, from a QFT or QLCT spectrum.
 
-    The integral over |u|<=M, |v|<=N of the side-ordered inverse kernel
-    sandwich: the spectrum cropped to the cells whose midpoints lie in the
-    window, inverted by its own kind's inverse at the point (which refuses
-    the spectra that inverse refuses).  A window that holds no cell gives
-    the empty sum 0 and runs no inverse.  Returns a single quaternion (4,).
+    The sums over the cells with |u| <= M, |v| <= N of the side-ordered
+    inverse kernel sandwich at the point, of shape M.shape + N.shape + (4,):
+    a quaternion for scalars, the table of every window for sequences.  One
+    copy of the largest window's cells, ordered by |u| and by |v|, takes a
+    chirp per stage of its family's inverse at the point (refusing what
+    that inverse refuses); its 2D prefix sum then holds every window.  A
+    window that holds no cell gives the empty sum 0.
     """
-    _require_real(point, "point", shape=(2,))
-    _require_real((M, N), "M, N")
-    if not (M > 0 and N > 0):
-        raise NonPositiveWindowError(f"window ({M}, {N}) must be positive")
-    # one cell narrower than any ulp: its midpoint x0 + ds/2 rounds to x0
-    tiny = np.finfo(float).smallest_subnormal
-    at = GridSpec(point[0], point[1], tiny, tiny, 1, 1)
-    g = spec.grid
-    u = np.flatnonzero(np.abs(g.s) <= M)
-    v = np.flatnonzero(np.abs(g.t) <= N)
-    if not (u.size and v.size):
-        return np.zeros(4)
-    crop = GridSpec(g.s_min + u[0] * g.ds, g.t_min + v[0] * g.dt, g.ds, g.dt, u.size, v.size)
-    cropped = QSpectrum2D(crop, spec.data[u[0]:u[-1] + 1, v[0]:v[-1] + 1], spec.kind)
-    return _invert(cropped, at).data[0, 0]
+    p = _require_real(point, "point", shape=(2,))
+    M, N = _require_real(M, "M", shape=None), _require_real(N, "N", shape=None)
+    if not (np.all(M > 0) and np.all(N > 0)):
+        raise NonPositiveWindowError(f"windows M = {M}, N = {N} must be positive")
+    stages, terms = _inverse_plan(spec)
+    g, mus = spec.grid, (spec.kind.axes.mu1, spec.kind.axes.mu2)
+    orders = [np.argsort(np.abs(x), kind="stable") for x in (g.s, g.t)]
+    counts = [np.sort(np.abs(x)).searchsorted(w.ravel(), "right") for x, w in ((g.s, M), (g.t, N))]
+    # each window's cells are a prefix of that order; at least one cell is copied
+    keep = [order[:n.max(initial=1)] for order, n in zip(orders, counts)]
+    cells, nodes = spec.data[np.ix_(*keep)], (g.s[keep[0]], g.t[keep[1]])
+    for axis, left in stages:
+        c, pre, post, scale = terms(axis, nodes[axis], p[axis:axis + 1], (g.ds, g.dt)[axis])
+        angles = (c * p[axis] * nodes[axis], *_angles(pre, post))
+        cells = chirp_multiply(angles, mus[axis], cells, left, axis, scale=scale, out=cells)
+    np.cumsum(np.cumsum(cells, axis=0, out=cells), axis=1, out=cells)
+    table = cells[np.ix_(counts[0] - 1, counts[1] - 1)]
+    table[counts[0] == 0] = table[:, counts[1] == 0] = 0.0  # the empty windows
+    return table.reshape(M.shape + N.shape + (4,))
 
 
 #: the 8-point Gauss-Legendre rule, leggauss(8) to the bit, without loading numpy.polynomial
@@ -101,11 +109,12 @@ MAX_ETA_LEVELS, MAX_LC_NODES = 64, 1 << 20
 
 
 def _require_panels(M, N, rect):
-    """Raise InvalidParameterError, before any array exists, unless M on the
-    s sides of `rect` (s_lo, s_hi, t_lo, t_hi) and N on its t sides each
-    cut at most MAX_SINC_PANELS panels."""
-    s_lo, s_hi, t_lo, t_hi = rect
-    for name, rate, lo, hi in (("M", M, s_lo, s_hi), ("N", N, t_lo, t_hi)):
+    """Raise, before any array exists, NonPositiveWindowError unless M, N > 0
+    and InvalidParameterError unless M on the s sides of `rect` (s_lo,
+    s_hi, t_lo, t_hi) and N on its t sides each cut at most MAX_SINC_PANELS."""
+    if not (M > 0 and N > 0):
+        raise NonPositiveWindowError(f"window ({M}, {N}) must be positive")
+    for name, rate, lo, hi in (("M", M, *rect[:2]), ("N", N, *rect[2:])):
         count = (hi - lo) * rate / np.pi
         if not count <= MAX_SINC_PANELS:
             raise InvalidParameterError(f"{name} = {rate!r} on [{lo!r}, {hi!r}] needs "
@@ -146,12 +155,9 @@ def dirichlet_partial_inverse_sinc(fn, point, M, N, rect):
     x0, y0 = _require_real(point, "point", shape=(2,)).tolist()
     _require_real((M, N), "M, N")
     rect = _require_real(rect, "rect", shape=(4,)).tolist()
-    if not (M > 0 and N > 0):
-        raise NonPositiveWindowError(f"window ({M}, {N}) must be positive")
     _require_panels(M, N, rect)
-    s_lo, s_hi, t_lo, t_hi = rect
-    s, ws = _panel_nodes(s_lo, s_hi, M)
-    t, wt = _panel_nodes(t_lo, t_hi, N)
+    s, ws = _panel_nodes(*rect[:2], M)
+    t, wt = _panel_nodes(*rect[2:], N)
     ker_s = ws * (M / np.pi) * np.sinc(M * s / np.pi)
     ker_t = wt * (N / np.pi) * np.sinc(N * t / np.pi)
     total = np.zeros(4)

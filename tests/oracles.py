@@ -191,3 +191,45 @@ def sinc_partial_sum_reference(fn, point, M, N, rect, order=8):
     if vals.ndim == 2:
         return np.array([np.sum(weight * vals), 0.0, 0.0, 0.0])
     return np.sum(weight[..., None] * vals, axis=(0, 1))
+
+
+def _qmul_long_double(p, q):
+    """Hamilton product of long-double quaternion arrays, written out."""
+    pw, px, py, pz = np.moveaxis(p, -1, 0)
+    qw, qx, qy, qz = np.moveaxis(q, -1, 0)
+    return np.stack([pw * qw - px * qx - py * qy - pz * qz,
+                     pw * qx + px * qw + py * qz - pz * qy,
+                     pw * qy - px * qz + py * qw + pz * qx,
+                     pw * qz + px * qy - py * qx + pz * qw], axis=-1)
+
+
+def partial_sum_long_double(spec, point, Ms, Ns):
+    """Every window (Ms[i], Ns[j]) of a QFT or QLCT spectrum's inversion
+    integral at the point, in long double: the cells with |u| <= M, |v| <= N
+    of the side-ordered kernel sandwich, each axis kernel one exponential
+    whose whole angle is taken in long double from the double nodes and
+    parameters.  The QFT kernel is e^{mu u x} du / 2pi, the QLCT's that of
+    the inverse matrix (d, -b, -c, a)."""
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    g, kind = spec.grid, spec.kind
+    kernels = []
+    for nodes, width, x, mu, A in ((g.s, g.ds, point[0], kind.axes.mu1, getattr(kind, "A1", None)),
+                                   (g.t, g.dt, point[1], kind.axes.mu2, getattr(kind, "A2", None))):
+        u, x, width = np.asarray(nodes, ld), ld(x), ld(width)
+        if A is None:
+            theta, weight = u * x, width / (2 * pi)
+        else:
+            a, b, _, d = (ld(v) for v in A.astuple())
+            theta = -(d * u * u - 2 * u * x + a * x * x) / (2 * b) + np.sign(b) * pi / 4
+            weight = width / np.sqrt(2 * pi * abs(b))
+        K = np.empty(u.shape + (4,), ld)
+        K[:, 0] = np.cos(theta)
+        K[:, 1:] = np.sin(theta)[:, None] * np.asarray(mu, ld)
+        kernels.append(K * weight)
+    K1, K2, F = kernels[0][:, None], kernels[1][None, :], np.asarray(spec.data, ld)
+    terms = {"two": lambda: _qmul_long_double(_qmul_long_double(K1, F), K2),
+             "right": lambda: _qmul_long_double(_qmul_long_double(F, K2), K1),
+             "left": lambda: _qmul_long_double(K2, _qmul_long_double(K1, F))}[kind.side.value]()
+    return np.array([[terms[np.abs(g.s) <= M][:, np.abs(g.t) <= N].sum(axis=(0, 1)) for N in Ns]
+                     for M in Ms])

@@ -172,6 +172,25 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     assert err.startswith("qharmonics: invalid --M: M = 1e+17 on [0.0, 2.0]") and "1024" in err
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["roundtrip", "--extent", "0"], "invalid --extent: grid spacings must be positive"),
+    (["iqft", "--in", "x.qsp", "--out", "y.qsig", "--extent", "-1"], "invalid --extent: "),
+    (["gauss-mean", "--extent", "-2"], "invalid --extent: "),
+    (["variation", "--fixture", "gaussian", "--extent", "0"], "invalid --extent: "),
+    (["fixtures", "--out-dir", "{tmp}/fx", "--extent", "0"], "invalid --extent: "),
+    (["jump-demo", "--M", "25,0"], "invalid --M: window (0.0, 0.0) must be positive"),
+    (["jump-demo", "--M", "-1"], "invalid --M: window (-1.0, -1.0) must be positive"),
+], ids=["roundtrip-extent", "iqft-extent", "gauss-mean-extent", "variation-extent",
+        "fixtures-extent", "jump-demo-M-zero", "jump-demo-M-negative"])
+def test_flags_the_library_refuses_exit_1_before_any_output(capsys, tmp_path, argv, want):
+    """The library's own check of --extent (GridSpec) and of --M (the sinc
+    panel rule) is the usage error, raised before anything is read,
+    printed or written."""
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 1 and out == "" and not (tmp_path / "fx").exists()
+    assert err.startswith(f"qharmonics: {want}")
+
+
 def test_usage_errors_name_the_program_once(capsys):
     cases = [
         (["jump-demo", "--M", "25", "--mu1", "5,5,5"],

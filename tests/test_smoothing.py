@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import pytest
 from oracles import (
     exp_axis,
     half_period_panels,
+    partial_sum_long_double,
     random_axes,
     si_panels,
     si_series,
@@ -27,7 +29,7 @@ from qharmonics.fixtures import gaussian, indicator, qgaussian, sinc_rect
 from qharmonics.grids import GridSpec, QSignal2D, QSpectrum2D, l1_norm, sample
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse
 from qharmonics.qlct import LctKind, LctParams, qfrft, qlct_forward, qlct_inverse
-from qharmonics.quaternion import qabs, qmul
+from qharmonics.quaternion import CANONICAL_AXES, qabs, qmul
 from qharmonics import smoothing
 from qharmonics.smoothing import (
     dirichlet_partial_inverse_freq,
@@ -75,6 +77,7 @@ def chirped(value, kind, x, y, sign=1.0):
 def test_partial_inverse_gaussian_center():
     sig, spec = gaussian_spectrum()
     got = dirichlet_partial_inverse_freq(spec, (0.0, 0.0), 8.0, 8.0)
+    assert got.shape == (4,)
     assert abs(got[0] - 1.0) < 1e-5
     assert np.max(np.abs(got[1:])) < 1e-12
 
@@ -107,10 +110,8 @@ def test_partial_inverse_error_decays_with_window_doubling():
     sig, spec = gaussian_spectrum(wmax=16.0)
     point = (0.5, 0.25)
     truth = gaussian(*point)
-    errs = []
-    for M in (2.0, 4.0, 8.0):
-        val = dirichlet_partial_inverse_freq(spec, point, M, M)
-        errs.append(abs(val[0] - truth))
+    table = dirichlet_partial_inverse_freq(spec, point, (2.0, 4.0, 8.0), (2.0, 4.0, 8.0))
+    errs = [abs(table[k, k, 0] - truth) for k in range(3)]
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -137,16 +138,22 @@ def test_partial_inverse_freq_matches_windowed_sum(side):
         spec = qft_forward(sig, kind, FreqWindow(6.0, 4.5, 23, 20))
         point = tuple(rng.uniform(-2, 2, size=2))
         on_nodes = (abs(spec.grid.s[3]), abs(spec.grid.t[5]))  # |u| <= M keeps the node
-        for M, N in ((8.0, 8.0), (3.1, 2.0), (0.3, 5.0), on_nodes):
-            got = dirichlet_partial_inverse_freq(spec, point, M, N)
+        Ms, Ns = zip((8.0, 8.0), (3.1, 2.0), (0.3, 5.0), on_nodes)
+        table = dirichlet_partial_inverse_freq(spec, point, Ms, Ns)
+        assert table.shape == (4, 4, 4)
+        for (i, M), (j, N) in itertools.product(enumerate(Ms), enumerate(Ns)):
             want = partial_inverse_reference(spec, point, M, N)
-            assert np.max(np.abs(got - want)) < 1e-14
+            assert np.max(np.abs(table[i, j] - want)) < 1e-14
 
 
 def test_partial_inverse_window_validation():
     _, spec = gaussian_spectrum(n=32, wmax=4.0)
     with pytest.raises(NonPositiveWindowError):
         dirichlet_partial_inverse_freq(spec, (0, 0), -1.0, 2.0)
+    with pytest.raises(NonPositiveWindowError):  # any extent of a sequence
+        dirichlet_partial_inverse_freq(spec, (0, 0), (1.0, 2.0), (2.0, 0.0))
+    with pytest.raises(NonFiniteError):
+        dirichlet_partial_inverse_freq(spec, (0, 0), 2.0, (1.0, np.inf))
     with pytest.raises(NonFiniteError):  # NaN is refused as non-finite before any comparison
         dirichlet_partial_inverse_freq(spec, (0, 0), np.nan, 2.0)
     with pytest.raises(NonPositiveWindowError):
@@ -192,14 +199,82 @@ def test_sinc_panel_cap_is_refused_before_allocating(traced_peak, panels):
 def test_partial_inverse_freq_empty_window_is_zero():
     # the first spectrum nodes sit at |u| = |v| = 0.125
     _, spec = gaussian_spectrum(n=32, wmax=4.0)
-    for M, N in ((0.01, 0.01), (0.01, 4.0), (4.0, 0.1)):
-        got = dirichlet_partial_inverse_freq(spec, (0.3, -0.2), M, N)
-        assert got.tolist() == [0.0, 0.0, 0.0, 0.0]
+    table = dirichlet_partial_inverse_freq(spec, (0.3, -0.2), (0.01, 4.0), (0.01, 0.1, 4.0))
+    assert table[1, 2, 0] != 0.0
+    table[1, 2] = 0.0  # every other window is empty
+    assert table.tolist() == np.zeros((2, 3, 4)).tolist()
+    assert dirichlet_partial_inverse_freq(spec, (0.3, -0.2), 0.01, 4.0).tolist() == [0.0] * 4
+
+
+def test_partial_sum_shapes_follow_the_extents():
+    """Scalars give a quaternion, sequences the table and a scalar with a
+    sequence a row; every entry is the value of its single window."""
+    _, spec = gaussian_spectrum(n=64, wmax=6.0)
+    point, Ms, Ns = (0.4, -0.3), (1.0, 2.5, 6.0), (0.7, 3.0)
+    table = dirichlet_partial_inverse_freq(spec, point, Ms, Ns)
+    assert table.shape == (3, 2, 4)
+    assert np.array_equal(dirichlet_partial_inverse_freq(spec, point, 2.5, Ns), table[1])
+    for (i, M), (j, N) in itertools.product(enumerate(Ms), enumerate(Ns)):
+        one = dirichlet_partial_inverse_freq(spec, point, M, N)
+        assert one.shape == (4,)
+        assert np.max(np.abs(one - table[i, j])) <= 4 * np.finfo(float).eps * np.max(np.abs(table))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is double here")
+@pytest.mark.parametrize("tilted", [False, True], ids=["canonical", "tilted"])
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize("family", ["qft", "qlct"])
+def test_partial_sum_table_against_long_double(family, side, tilted):
+    """Every entry of a table at the indicator's corner is within 3e-14 of
+    the table's largest of a long-double sum of the same cells: a 192^2
+    natural-window spectrum (scaled by |b| = (0.8, 0.6) for the QLCT, whose
+    chirps reach about 3e3 rad on the largest window), windows up to half
+    its extent, and one window edge on a node along each axis."""
+    n = 192
+    sig = sample(indicator, GridSpec.centered(2.0, n))
+    axes = random_axes(np.random.default_rng(5)) if tilted else CANONICAL_AXES
+    spec = (qft_forward(sig, QftKind(side, axes)) if family == "qft"
+            else qlct_forward(sig, LctKind(side, KIND.A1, KIND.A2, axes)))
+    u, v = np.abs(spec.grid.s), np.abs(spec.grid.t)
+    Ms = np.append(np.array([0.05, 0.2, 0.5]) * u.max(), u[n // 2 + n // 5])
+    Ns = np.append(np.array([0.1, 0.3, 0.5]) * v.max(), v[n // 2 + n // 7])
+    table = dirichlet_partial_inverse_freq(spec, (1.0, 1.0), Ms, Ns)
+    want = partial_sum_long_double(spec, (1.0, 1.0), Ms, Ns)
+    assert np.max(np.abs(table - want)) <= 3e-14 * np.max(np.abs(table))
+
+
+@pytest.mark.parametrize("point", [(1.0, 1.0), (1.0, 0.0)], ids=["corner", "edge"])
+def test_partial_sums_have_the_double_limit_eta_at_jumps(point):
+    """Pringsheim convergence, M and N growing independently, at a corner
+    and an edge of the indicator (a 512^2 QFT spectrum on its natural
+    window, |u| up to 402): the worst entry with both extents at least K
+    approaches eta from eta_jump_average as K grows, while the entries with
+    one extent at 1 (a cell either side of 0) stay away from it however
+    large the other."""
+    spec = qft_forward(sample(indicator, GridSpec.centered(2.0, 512)), QftKind())
+    eta = eta_jump_average(indicator, point).value
+    Ms = (1.0, 25.0, 50.0, 100.0, 200.0)
+    err = qabs(dirichlet_partial_inverse_freq(spec, point, Ms, Ms) - eta)
+    tails = [np.max(err[k:, k:]) for k in range(1, len(Ms))]
+    assert all(a > b for a, b in zip(tails, tails[1:]))
+    assert tails[0] < 0.03 and tails[-1] < 0.01
+    assert min(np.min(err[0, 1:]), np.min(err[1:, 0])) > 0.04
+
+
+def test_partial_sum_table_holds_one_field_beyond_the_spectrum(traced_peak):
+    """An 8 x 8 table over a 256^2 spectrum whose largest window holds every
+    cell: the call's traced peak stays below 1.5 spectra (the reordered
+    copy, and one chunk of it while a stage multiplies in place)."""
+    _, spec = gaussian_spectrum(n=256, wmax=8.0)
+    Ms = np.linspace(1.0, 9.0, 8)
+    table, peak = traced_peak(lambda: dirichlet_partial_inverse_freq(spec, (0.4, -0.3), Ms, Ms))
+    assert table.shape == (8, 8, 4)
+    assert peak < 1.5 * spec.data.nbytes
 
 
 def test_qlct_partial_sum_is_the_dechirped_qft_partial_sum():
-    """Cropped to |u| <= M, |v| <= N and inverted at a point, a two-sided
-    QLCT spectrum gives e^{-mu1 a1 x0^2/2b1} I e^{-mu2 a2 y0^2/2b2}, where I
+    """Summed over |u| <= M, |v| <= N at a point, a two-sided QLCT spectrum
+    gives e^{-mu1 a1 x0^2/2b1} I e^{-mu2 a2 y0^2/2b2}, where I
     is the QFT partial sum of the chirped signal at (M/|b1|, N/|b2|), for
     every sign pattern of b and random axes."""
     rng = np.random.default_rng(43)
@@ -216,30 +291,33 @@ def test_qlct_partial_sum_is_the_dechirped_qft_partial_sum():
         spec = qlct_forward(sig, kind, window)
         twin = qft_forward(QSignal2D(grid, chirped(sig.data, kind, S, T)),
                            QftKind(Side.TWO_SIDED, kind.axes), window.scaled(1 / b1, 1 / b2))
-        for M, N in ((2.0, 3.0), (3.5, 5.2), (5.0, 1.3)):
-            for x0, y0 in ((0.3, -0.2), (-1.1, 0.7)):
-                got = dirichlet_partial_inverse_freq(spec, (x0, y0), M, N)
-                want = chirped(dirichlet_partial_inverse_freq(twin, (x0, y0), M / b1, N / b2),
-                               kind, x0, y0, sign=-1.0)
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        Ms, Ns = np.array([2.0, 3.5, 5.0]), np.array([3.0, 5.2, 1.3])
+        for x0, y0 in ((0.3, -0.2), (-1.1, 0.7)):
+            got = dirichlet_partial_inverse_freq(spec, (x0, y0), Ms, Ns)
+            want = chirped(dirichlet_partial_inverse_freq(twin, (x0, y0), Ms / b1, Ns / b2),
+                           kind, x0, y0, sign=-1.0)
+            assert np.all(np.max(np.abs(got - want), axis=-1)
+                          <= 1e-14 * np.max(np.abs(want), axis=-1))
 
 
 @pytest.mark.parametrize("side", list(Side))
 def test_qlct_partial_sums_converge_on_every_side(side):
-    """The crop route on a smooth fixture: the natural window scaled by |b|
-    holds the whole spectrum, and the partial sums reach f(x0) to rounding."""
+    """Frequency partial sums on a smooth fixture: the natural window scaled
+    by |b| holds the whole spectrum, and the partial sums reach f(x0) to
+    rounding."""
     grid = GridSpec.centered(8.0, 256)
     kind = LctKind(side, KIND.A1, KIND.A2)
     spec = qlct_forward(sample(qgaussian, grid), kind, FreqWindow.natural(grid).scaled(0.8, 0.6))
     point = (0.3, -0.2)
-    errs = [np.max(np.abs(dirichlet_partial_inverse_freq(spec, point, M, M) - qgaussian(*point)))
-            for M in (1.0, 2.0, 4.0, 8.0, 16.0)]
+    Ms = (1.0, 2.0, 4.0, 8.0, 16.0)
+    table = dirichlet_partial_inverse_freq(spec, point, Ms, Ms)
+    errs = [np.max(np.abs(table[k, k] - qgaussian(*point))) for k in range(len(Ms))]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-14
 
 
 def test_qlct_partial_sums_at_jumps():
-    """The two-sided QLCT twin of acceptance test 10, through the crop route:
+    """The two-sided QLCT twin of acceptance test 10, in frequency:
     at a corner, an edge and the interior of the indicator the partial sums
     approach 1/4, 1/2 and 1 (the chirps are continuous there), with test
     10's tolerances.  The window |u| <= M |b1|, |v| <= M |b2| is the QFT
@@ -248,8 +326,9 @@ def test_qlct_partial_sums_at_jumps():
     spec = qlct_forward(sample(indicator, grid), KIND, FreqWindow.natural(grid).scaled(0.8, 0.6))
     for point, eta, bound in (((1.0, 1.0), 0.25, 0.03), ((1.0, 0.0), 0.5, 0.03),
                               ((0.0, 0.0), 1.0, 0.02)):
-        errs = [qabs(dirichlet_partial_inverse_freq(spec, point, 0.8 * M, 0.6 * M) - [eta, 0, 0, 0])
-                for M in (25.0, 50.0, 100.0)]
+        Ms = np.array([25.0, 50.0, 100.0])
+        table = dirichlet_partial_inverse_freq(spec, point, 0.8 * Ms, 0.6 * Ms)
+        errs = [qabs(table[k, k] - [eta, 0, 0, 0]) for k in range(len(Ms))]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < bound
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,17 +163,30 @@ def test_hardy_check_coarsening_violation_raises_typed_error(monkeypatch):
 @pytest.mark.parametrize("value", ["3", 3 + 5j, np.nan, np.inf, -np.inf],
                          ids=["str", "complex", "nan", "inf", "-inf"])
 def test_fields_follow_the_argument_rule(value):
-    """A field is reals: a string or complex entry raises InvalidParameterError
-    and NaN NonFiniteError, where numpy would parse the strings or drop the
-    imaginary part; an infinity is kept, and the field is not of bounded
-    variation."""
+    """A field is finite reals: a string or complex entry raises
+    InvalidParameterError, and NaN or an infinity NonFiniteError, where
+    numpy would parse the strings, drop the imaginary part or take
+    inf - inf."""
     f = np.array([[0, 1, 2], [1, 3, 4], [2, 4, value]])
     net = Net.uniform(0, 1, 2, 0, 1, 2)
     for call in (lambda: vitali_variation(f), lambda: hardy_bvf_check(f, net)):
-        if isinstance(value, float) and np.isinf(value):
-            result = call()
-            assert result == np.inf if isinstance(result, float) else not result.is_hardy_bvf
-            continue
         error = NonFiniteError if isinstance(value, float) else InvalidParameterError
         with pytest.raises(error, match=r"\bf\b"):
             call()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["inf", "-inf"])
+@pytest.mark.parametrize("name", ["hardy_bvf_check", "vitali_variation", "quasi_monotone_check",
+                                  "jordan_split"])
+def test_infinite_fields_are_refused_before_any_difference(name, sign):
+    """A 5 x 5 field of ones with an infinity at [2, 2] and [2, 3], where a
+    mixed difference would be inf - inf: each function raises
+    NonFiniteError naming the first one, with no RuntimeWarning."""
+    f = np.ones((5, 5))
+    f[2, 2:4] = sign * np.inf
+    net = Net.uniform(0, 1, 4, 0, 1, 4)
+    call = getattr(variation, name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"\bf\b.* at index \(2, 2\)"):
+            call(f, net)
