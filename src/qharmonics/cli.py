@@ -31,8 +31,7 @@ from . import fileio, fixtures, smoothing, variation  # noqa: E402
 from .errors import QHarmonicsError, _require_real  # noqa: E402
 from .grids import GridSpec, evaluate, image_to_qsig, qsig_to_image, residual_moduli, sample  # noqa: E402
 from .qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse  # noqa: E402
-from .qlct import (LctKind, LctParams, _invert, _require_angles, qfrft, qlct_forward,  # noqa: E402
-                   qlct_inverse)
+from .qlct import LctKind, LctParams, _require_angles, qfrft, qlct_forward, qlct_inverse  # noqa: E402
 from .quaternion import CANONICAL_AXES, AxisPair  # noqa: E402
 from .variation import Net  # noqa: E402
 
@@ -260,19 +259,18 @@ def _cmd_roundtrip(args):
     fn = _fixture(args)
     side = Side(args.side)
     grid = _signal_grid(args)
+    if args.transform == "qft":
+        kind, forward, inverse = QftKind(side, axes), qft_forward, qft_inverse
+    else:
+        kind, forward, inverse = LctKind(side, *_matrices(args), axes), qlct_forward, qlct_inverse
+    with _usage("invalid canonical matrix: "):
+        kind.plan(inverse=True)
+    window = (FreqWindow.square(8.0, grid.ns) if args.transform == "qft" and args.window is None
+              else _window(args, grid))
     # the forward transform consumes the sample, the inverse the spectrum, and the
     # residual (a block of s-rows at a time) the inverse's field: one field
-    if args.transform == "qft":
-        window = FreqWindow.square(8.0, grid.ns) if args.window is None else _window(args, grid)
-        spec = qft_forward(sample(fn, grid), QftKind(side, axes), window, overwrite=True)
-    else:
-        A1, A2 = _matrices(args)
-        if A1.is_degenerate or A2.is_degenerate:
-            raise _UsageError("--b1 and --b2 must be nonzero: the QLCT inverse "
-                              "does not run through a degenerate (b = 0) axis")
-        window = _window(args, grid)
-        spec = qlct_forward(sample(fn, grid), LctKind(side, A1, A2, axes), window, overwrite=True)
-    back = _invert(spec, grid, overwrite=True)
+    spec = forward(sample(fn, grid), kind, window, overwrite=True)
+    back = inverse(spec, kind, grid, overwrite=True)
     S, T = grid.mesh()
     err = residual_moduli(back.data, lambda rows: evaluate(fn, S[rows], T))  # |back - f|
     print("fixture,side,transform,l1_error,linf_error")
@@ -300,9 +298,8 @@ def _cmd_gauss_mean(args):
     fn = _fixture(args)
     grid = _signal_grid(args)
     window = _window(args, grid)
-    schedule = _floats(args.schedule, flag="--schedule")
-    if any(a <= 0 for a in schedule) or any(np.diff(schedule) >= 0):
-        raise _UsageError("--schedule must be strictly decreasing positives")
+    with _usage("invalid --schedule: "):
+        schedule = smoothing._require_schedule(_floats(args.schedule, flag="--schedule"))
     sig = sample(fn, grid)
     spec = qft_forward(sig, QftKind(Side.TWO_SIDED), window)
     errors = smoothing.gauss_mean_inverse(spec, schedule, sig)
@@ -328,10 +325,8 @@ def _cmd_variation(args):
 
 def _cmd_lc_diag(args):
     fn = _fixture(args)
-    if args.eps1 <= 0 or args.eps2 <= 0:
-        raise _UsageError("--eps1/--eps2 must be positive")
-    if args.radius <= max(args.eps1, args.eps2):
-        raise _UsageError("--radius must exceed the strip half-widths")
+    with _usage("invalid --eps1, --eps2, --radius: "):
+        smoothing._require_strips(args.eps1, args.eps2, args.radius)
     val1, val2 = smoothing.lc_class_diagnostic(
         fn, _floats(args.point, 2, "--point"), args.eps1, args.eps2, args.radius)
     print("val_s,val_t")

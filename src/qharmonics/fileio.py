@@ -46,8 +46,7 @@ from .qft import FreqWindow, QftKind, Side
 from .qlct import LctKind, LctParams
 from .quaternion import AxisPair
 
-__all__ = ["encode_qsig", "decode_qsig", "save_qsig", "load_qsig",
-           "encode_qspectrum", "decode_qspectrum", "save_qspectrum", "load_qspectrum"]
+__all__ = ["save_qsig", "load_qsig", "save_qspectrum", "load_qspectrum"]
 
 _SIDES = (Side.TWO_SIDED, Side.RIGHT_SIDED, Side.LEFT_SIDED)
 _U4 = np.dtype("<u4")

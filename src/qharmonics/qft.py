@@ -14,15 +14,16 @@ factor and the side-specific kernel order
     left-sided  f = (1/4pi^2) integral e^{mu2 v t} e^{mu1 u s} F du dv
 
 Each kernel factor is one contraction along an axis of any uniform grid
-(see ``_kernels``), and one stage loop runs them for the QLCT too.  On a
-narrow window, where a kernel has low rank, a stage contracts onto
-Chebyshev points and the loop interpolates them once at the end.  On a
-midpoint grid centred on 0 with ``FreqWindow.natural``, the forward
-transforms' default window, the quadrature is exactly the 2D DFT of the
-samples: a stage whose length has no prime factor above 13 runs as
-complex FFTs on the symplectic split of the field, the others (and every
-stage of an image on [0, w], which folds about its centre, the shift a
-chirp) as mirror-folded GEMMs, for any sample counts and any axis pair.
+(see ``_kernels``); a kind's ``plan`` lists them, forward or inverse, and
+one stage loop runs the plans of both families.  On a narrow window,
+where a kernel has low rank, a stage contracts onto Chebyshev points and
+the loop interpolates them once at the end.  On a midpoint grid centred
+on 0 with ``FreqWindow.natural``, the forward transforms' default
+window, the quadrature is exactly the 2D DFT of the samples: a stage
+whose length has no prime factor above 13 runs as complex FFTs on the
+symplectic split of the field, the others (and every stage of an image
+on [0, w], which folds about its centre, the shift a chirp) as
+mirror-folded GEMMs, for any sample counts and any axis pair.
 """
 
 from __future__ import annotations
@@ -84,6 +85,15 @@ class QftKind:
 
     family = "qft"
 
+    def plan(self, inverse=False):
+        """(stages, terms) for :func:`_stages`: the forward kernels
+        e^{-mu x y} on the cells, or the inverse's e^{+mu y x} with one 1/2pi
+        per stage, its stages in reverse order."""
+        if inverse:
+            return (tuple(reversed(self.side.stages)),
+                    lambda axis, u, y, du: (1.0, None, None, du / (2.0 * np.pi)))
+        return self.side.stages, lambda axis, x, y, dx: (-1.0, None, None, dx)
+
 
 @dataclass(frozen=True)
 class FreqWindow:
@@ -131,8 +141,8 @@ def qft_forward(sig: QSignal2D, kind: QftKind = QftKind(), window: FreqWindow = 
     """
     window = FreqWindow.natural(sig.grid) if window is None else window
     fgrid = window.to_grid()
-    data = _stages(sig.data, kind.side.stages, kind.axes, sig.grid, fgrid,
-                   lambda axis, x, y, dx: (-1.0, None, None, dx), overwrite)
+    stages, terms = kind.plan()
+    data = _stages(sig.data, stages, kind.axes, sig.grid, fgrid, terms, overwrite)
     return QSpectrum2D(fgrid, data, kind, window)
 
 
@@ -147,14 +157,21 @@ def qft_inverse(spec: QSpectrum2D, kind: QftKind, out_grid: GridSpec,
     `out_grid`), so the inverse allocates no field of its own.
     """
     _require(spec, kind, "qft")
-    out = _stages(spec.data, reversed(kind.side.stages), kind.axes, spec.grid, out_grid,
-                  _inverse_terms, overwrite)
-    return QSignal2D(out_grid, out)
+    return _invert(spec, out_grid, overwrite)
 
 
-def _inverse_terms(axis, u, y, du):
-    """Stage terms (c, pre, post, scale) of the inverse QFT for :func:`_stages`."""
-    return 1.0, None, None, du / (2.0 * np.pi)
+def _inverse_plan(spec: QSpectrum2D):
+    """`spec`'s own kind's inverse plan; ProvenanceMismatchError for a kind without one."""
+    if not callable(getattr(spec.kind, "plan", None)):
+        raise ProvenanceMismatchError(f"no inverse for a spectrum of kind {spec.kind!r}")
+    return spec.kind.plan(inverse=True)
+
+
+def _invert(spec: QSpectrum2D, out_grid: GridSpec, overwrite=False) -> QSignal2D:
+    """Run :func:`_inverse_plan` onto `out_grid`; ``overwrite`` as for the inverses."""
+    stages, terms = _inverse_plan(spec)
+    return QSignal2D(out_grid, _stages(spec.data, stages, spec.kind.axes, spec.grid, out_grid,
+                                       terms, overwrite))
 
 
 def _stages(data, stages, axes, src, dst, terms, overwrite=False):

@@ -30,7 +30,7 @@ from .errors import (
     _require_real,
 )
 from .grids import GridSpec, QSignal2D, QSpectrum2D
-from .qft import FreqWindow, Side, _inverse_terms, _require, _stages, qft_inverse
+from .qft import FreqWindow, Side, _invert, _require, _stages
 from .quaternion import (
     CANONICAL_AXES,
     AxisPair,
@@ -109,6 +109,20 @@ class LctKind:
 
     family = "qlct"
 
+    def plan(self, inverse=False):
+        """(stages, terms) for ``qft._stages``: the kernel sandwich of (A1,
+        A2), or the inverse's, the sandwich of the inverse matrices with its
+        stages in reverse order.  The inverse refuses a phase-corrected kind
+        (ProvenanceMismatchError) and a b = 0 axis (DegenerateBError)."""
+        stages, mats = self.side.stages, (self.A1, self.A2)
+        if inverse:
+            if self.phase_corrected:
+                raise ProvenanceMismatchError("undo the fractional phase factors before inverting")
+            if self.A1.is_degenerate or self.A2.is_degenerate:
+                raise DegenerateBError("inverse through a degenerate (b = 0) axis")
+            stages, mats = tuple(reversed(stages)), (self.A1.inverse, self.A2.inverse)
+        return stages, lambda axis, x, xi, dx: _lct_terms(mats[axis], x, xi, dx)
+
 
 def lct_kernel(A: LctParams, axis, x, xi):
     """Evaluate the canonical kernel K_A(x, xi) on broadcastable arrays.
@@ -166,9 +180,8 @@ def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
     if window is None:
         window = FreqWindow.natural(sig.grid).scaled(abs(kind.A1.b) or 1.0, abs(kind.A2.b) or 1.0)
     fgrid = window.to_grid()
-    mats = (kind.A1, kind.A2)
-    data = _stages(sig.data, kind.side.stages, kind.axes, sig.grid, fgrid,
-                   lambda axis, x, xi, dx: _lct_terms(mats[axis], x, xi, dx), overwrite)
+    stages, terms = kind.plan()
+    data = _stages(sig.data, stages, kind.axes, sig.grid, fgrid, terms, overwrite)
     g = sig.grid
     if kind.A1.is_degenerate:
         fgrid = replace(fgrid, s_min=g.s_min / kind.A1.d, ds=g.ds / kind.A1.d, ns=g.ns)
@@ -189,38 +202,13 @@ def qlct_inverse(spec: QSpectrum2D, kind: LctKind, out_grid: GridSpec,
 
     The sided orders undo the forward kernels innermost-first; swapping
     the two inverse kernels on a non-real signal does not reconstruct f.
-    Refuses a spectrum of another kind, a phase-corrected one and a b = 0
-    axis.  ``overwrite=True`` hands the spectrum over, as for
-    :func:`qft.qft_inverse`: its data may be destroyed and the result may
-    share its memory.
+    Refuses a spectrum of another kind; :meth:`LctKind.plan` refuses a
+    phase-corrected one and a b = 0 axis.  ``overwrite=True`` hands the
+    spectrum over, as for :func:`qft.qft_inverse`: its data may be
+    destroyed and the result may share its memory.
     """
     _require(spec, kind, "qlct")
-    stages, terms = _inverse_plan(spec)
-    return QSignal2D(out_grid, _stages(spec.data, stages, kind.axes, spec.grid, out_grid, terms,
-                                       overwrite))
-
-
-def _inverse_plan(spec: QSpectrum2D):
-    """(stages, terms) for ``qft._stages`` of the inverse of `spec`'s own
-    family, after the refusals of :func:`qlct_inverse` for a QLCT one."""
-    kind = spec.kind
-    if getattr(kind, "family", None) == "qft":
-        return tuple(reversed(kind.side.stages)), _inverse_terms
-    _require(spec, kind, "qlct")
-    if kind.phase_corrected:
-        raise ProvenanceMismatchError("undo the fractional phase factors before inverting")
-    if kind.A1.is_degenerate or kind.A2.is_degenerate:
-        raise DegenerateBError("inverse through a degenerate (b = 0) axis")
-    mats = (kind.A1.inverse, kind.A2.inverse)
-    return (tuple(reversed(kind.side.stages)),
-            lambda axis, u, x, du: _lct_terms(mats[axis], u, x, du))
-
-
-def _invert(spec: QSpectrum2D, out_grid: GridSpec, overwrite=False) -> QSignal2D:
-    """Invert `spec` onto `out_grid` by its own family's inverse, which refuses
-    what it cannot invert; ``overwrite`` is as for the inverses."""
-    inverse = qft_inverse if getattr(spec.kind, "family", None) == "qft" else qlct_inverse
-    return inverse(spec, spec.kind, out_grid, overwrite=overwrite)
+    return _invert(spec, out_grid, overwrite)
 
 
 # bench/spans.py wraps these names and bench/worker.py calls qlct_via_qft; they

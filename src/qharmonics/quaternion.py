@@ -22,11 +22,9 @@ __all__ = [
     "qabs",
     "qinv",
     "qexp_pure",
-    "mul_matrix",
     "pure_unit",
     "AxisPair",
     "CANONICAL_AXES",
-    "axis_components",
 ]
 
 #: slack within which an axis vector is silently renormalized to unit length

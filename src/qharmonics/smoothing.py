@@ -38,7 +38,7 @@ from .errors import (
 from ._kernels import _angles, chirp_multiply
 from .grids import (GridSpec, QSignal2D, QSpectrum2D, evaluate, fixture_values,
                     residual_moduli, sample)
-from .qlct import _inverse_plan, _invert
+from .qft import _inverse_plan, _invert
 from .quaternion import qabs
 
 __all__ = [
@@ -62,7 +62,7 @@ def dirichlet_partial_inverse_freq(spec: QSpectrum2D, point, M, N):
     inverse kernel sandwich at the point, of shape M.shape + N.shape + (4,):
     a quaternion for scalars, the table of every window for sequences.  One
     copy of the largest window's cells, ordered by |u| and by |v|, takes a
-    chirp per stage of its family's inverse at the point (refusing what
+    chirp per stage of its kind's inverse plan at the point (refusing what
     that inverse refuses); its 2D prefix sum then holds every window.  A
     window that holds no cell gives the empty sum 0.
     """
@@ -264,6 +264,16 @@ def gauss_weierstrass_kernel(alpha, grid: GridSpec) -> QSignal2D:
                   / (4.0 * np.pi * alpha), grid)
 
 
+def _require_schedule(schedule):
+    """The alphas of :func:`gauss_mean_inverse` as a tuple of floats: finite
+    (NonFiniteError), positive and strictly decreasing (InvalidParameterError)."""
+    schedule = tuple(_require_real(schedule, "schedule", shape=None).reshape(-1).tolist())
+    if not (all(a > 0 for a in schedule) and np.all(np.diff(schedule) < 0)):
+        raise InvalidParameterError(
+            f"schedule {schedule!r} must be strictly decreasing and positive")
+    return schedule
+
+
 def gauss_mean_inverse(spec: QSpectrum2D, schedule, reference: QSignal2D):
     """L1 errors of the damped (Gauss-mean) inversion along a schedule of alphas.
 
@@ -273,13 +283,9 @@ def gauss_mean_inverse(spec: QSpectrum2D, schedule, reference: QSignal2D):
     smoothing f * W_alpha up to truncation.  Returns the (alpha, L1
     distance to the reference) pairs, non-increasing along a decreasing
     schedule, and holds one inverted field at a time.  The schedule must
-    be finite (NonFiniteError), positive and strictly decreasing
-    (InvalidParameterError).
+    pass :func:`_require_schedule`.
     """
-    schedule = tuple(_require_real(schedule, "schedule", shape=None).reshape(-1).tolist())
-    if not (all(a > 0 for a in schedule) and np.all(np.diff(schedule) < 0)):
-        raise InvalidParameterError(
-            f"schedule {schedule!r} must be strictly decreasing and positive")
+    schedule = _require_schedule(schedule)
     U, V = spec.grid.mesh()
     # each damped copy is the inverse's own buffer, freed once its error is taken
     return [(alpha, _l1_distance(_invert(spec.scaled(np.exp(-alpha * (U ** 2 + V ** 2))),
@@ -319,6 +325,16 @@ def _lc_strip(fn, x0, y0, eps_inner, eps_outer, radius, n_inner, n_outer, swap):
     return float(np.sum(integrand) * d_in * d_out)
 
 
+def _require_strips(eps1, eps2, radius):
+    """The strips of :func:`lc_class_diagnostic`: finite (NonFiniteError), positive
+    half-widths and a radius beyond both (InvalidParameterError)."""
+    _require_real((eps1, eps2, radius), "eps1, eps2, radius")
+    if not (eps1 > 0 and eps2 > 0):
+        raise InvalidParameterError("strip half-widths must be positive")
+    if not radius > max(eps1, eps2):
+        raise InvalidParameterError("radius must exceed the strip half-widths")
+
+
 def lc_class_diagnostic(fn, point, eps1, eps2, radius,
                         n_inner=96, n_outer=192):
     """Truncated estimates of the two cross-neighborhood strip integrals.
@@ -332,11 +348,7 @@ def lc_class_diagnostic(fn, point, eps1, eps2, radius,
     asymptotic and not decidable from finite data.
     """
     x0, y0 = _require_real(point, "point", shape=(2,)).tolist()
-    _require_real((eps1, eps2, radius), "eps1, eps2, radius")
-    if not (eps1 > 0 and eps2 > 0):
-        raise InvalidParameterError("strip half-widths must be positive")
-    if not radius > max(eps1, eps2):
-        raise InvalidParameterError("radius must exceed the strip half-widths")
+    _require_strips(eps1, eps2, radius)
     _require_counts((n_inner, n_outer), "n_inner, n_outer")
     if int(n_inner) * int(n_outer) > MAX_LC_NODES:
         raise InvalidParameterError(f"n_inner * n_outer = {int(n_inner) * int(n_outer)} "

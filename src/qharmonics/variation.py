@@ -32,7 +32,6 @@ from .grids import fixture_values
 __all__ = [
     "Net",
     "VariationReport",
-    "eval_on_net",
     "mixed_difference",
     "vitali_variation",
     "hardy_bvf_check",

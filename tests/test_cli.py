@@ -180,15 +180,62 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     (["fixtures", "--out-dir", "{tmp}/fx", "--extent", "0"], "invalid --extent: "),
     (["jump-demo", "--M", "25,0"], "invalid --M: window (0.0, 0.0) must be positive"),
     (["jump-demo", "--M", "-1"], "invalid --M: window (-1.0, -1.0) must be positive"),
+    (["lc-diag", "--eps1", "0"],
+     "invalid --eps1, --eps2, --radius: strip half-widths must be positive\n"),
+    (["lc-diag", "--eps2", "0.5", "--radius", "0.5"],
+     "invalid --eps1, --eps2, --radius: radius must exceed the strip half-widths\n"),
+    (["gauss-mean", "--schedule", "1,2"],
+     "invalid --schedule: schedule (1.0, 2.0) must be strictly decreasing and positive\n"),
+    (["gauss-mean", "--schedule", "0.1,-1"],
+     "invalid --schedule: schedule (0.1, -1.0) must be strictly decreasing and positive\n"),
+    (["roundtrip", "--transform", "qlct", "--a1", "1", "--b1", "0", "--c1", "0", "--d1", "1",
+      "--a2", "1", "--b2", "1", "--c2", "0", "--d2", "1"],
+     "invalid canonical matrix: inverse through a degenerate (b = 0) axis\n"),
 ], ids=["roundtrip-extent", "iqft-extent", "gauss-mean-extent", "variation-extent",
-        "fixtures-extent", "jump-demo-M-zero", "jump-demo-M-negative"])
-def test_flags_the_library_refuses_exit_1_before_any_output(capsys, tmp_path, argv, want):
-    """The library's own check of --extent (GridSpec) and of --M (the sinc
-    panel rule) is the usage error, raised before anything is read,
-    printed or written."""
+        "fixtures-extent", "jump-demo-M-zero", "jump-demo-M-negative", "lc-diag-eps",
+        "lc-diag-radius", "gauss-mean-increasing", "gauss-mean-negative", "roundtrip-qlct-b0"])
+def test_flags_the_library_refuses_exit_1_before_any_output(capsys, tmp_path, monkeypatch,
+                                                            argv, want):
+    """The library's own check of --extent (GridSpec), --M (the sinc panel
+    rule), lc-diag's strips (``smoothing._require_strips``), the Gauss-mean
+    schedule (``smoothing._require_schedule``) and the QLCT inverse
+    (``LctKind.plan(inverse=True)``) is the usage error, raised before
+    anything is sampled, evaluated, read, printed or written."""
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the flags were checked")
+
+    monkeypatch.setattr(cli, "sample", never)
+    monkeypatch.setattr(cli.smoothing, "lc_class_diagnostic", never)
     code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 1 and out == "" and not (tmp_path / "fx").exists()
     assert err.startswith(f"qharmonics: {want}")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["jump-demo", "--point", "1,2,3"], "--point: expected 2 comma-separated reals, got 3"),
+    (["lc-diag", "--point", "1"], "--point: expected 2 comma-separated reals, got 1"),
+    (["qft", "--in", "{tmp}/missing.qsig", "--out", "{tmp}/x.qsp", "--mu1", "1,0,0"],
+     "--mu1 and --mu2 must be given together"),
+    (["roundtrip", "--mu2", "0,1,0"], "--mu1 and --mu2 must be given together"),
+    (["roundtrip", "--window", "1,2,3"], "--window takes M or M,N"),
+], ids=["point-count", "point-short", "mu1-alone", "mu2-alone", "window-three"])
+def test_flag_shapes_are_usage_errors(capsys, tmp_path, argv, want):
+    """A wrong count of comma-separated reals or half an axis pair exits 1
+    with nothing printed or written."""
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert (code, out, err) == (1, "", f"qharmonics: {want}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_variation_of_a_file_is_the_variation_of_its_fixture(capsys, tmp_path):
+    path = tmp_path / "g.qsig"
+    fileio.save_qsig(sample(qgaussian, GridSpec.centered(3.0, 40)), path)
+    for component in "wxyz":
+        code, from_file, err = run(capsys, "variation", "--in", str(path), "--component", component)
+        assert code == 0 and err == ""
+        code, from_fixture, _ = run(capsys, "variation", "--fixture", "qgaussian", "--grid", "40",
+                                    "--extent", "3", "--component", component)
+        assert code == 0 and from_file == from_fixture
 
 
 def test_usage_errors_name_the_program_once(capsys):

@@ -705,3 +705,30 @@ def test_ppm_roundtrip_bit_for_bit_through_qsig(width, height):
     assert (sig.grid.ns, sig.grid.nt) == (width, height)
     out, _ = qsig_to_image(sig)
     assert out == ppm
+
+
+def test_data_of_the_wrong_shape_is_refused():
+    grid = GridSpec.centered(1.0, 4, 1.0, 3)
+    for data in (np.zeros((3, 4, 4)), np.zeros((4, 3)), np.zeros((4, 3, 3))):
+        with pytest.raises(ShapeMismatchError):
+            QSignal2D(grid, data)
+
+
+@pytest.mark.parametrize("ppm, message", [
+    (b"P6\n3 ", "truncated PPM header"),
+    (b"P6\n1 1 # comment\n", "truncated PPM header"),
+    (b"P6\n1 1\n255", "missing separator before raster"),
+    (b"P6\n0 1\n255\n", "bad PPM dimensions 0x1"),
+    (b"P6\n2 0\n255\n", "bad PPM dimensions 2x0"),
+], ids=["truncated", "truncated-after-comment", "no-separator", "zero-width", "zero-height"])
+def test_malformed_ppm_headers_are_refused(ppm, message):
+    with pytest.raises(BadPpmError, match=message):
+        image_to_qsig(ppm)
+
+
+def test_a_spectrum_without_a_window_is_not_saved(tmp_path):
+    spec = QSpectrum2D(GridSpec.centered(1.0, 4), np.zeros((4, 4, 4)), QftKind())
+    path = tmp_path / "nowindow.qsp"
+    with pytest.raises(QsigFormatError, match="no window"):
+        fileio.save_qspectrum(spec, path)
+    assert os.listdir(tmp_path) == []

@@ -596,3 +596,10 @@ def test_sided_qlct_odd_grid_matches_bruteforce(side):
     got = qlct_forward(sig, kind, FreqWindow(3.0, 2.5, 7, 11))
     want = qlct_bruteforce(sig, side, A1, A2, kind.axes, got.grid.s, got.grid.t)
     assert np.max(np.abs(got.data - want)) < 1e-12
+
+
+def test_low_rank_declines_an_axis_shorter_than_two():
+    """A one-node input or output axis has no half to interpolate: full rank."""
+    many = np.linspace(-3.0, 3.0, 64)
+    for y, x in ((many, np.array([0.5])), (np.array([0.5]), many), (np.array([0.0]),) * 2):
+        assert _kernels.low_rank(y, x, -1.0) is None

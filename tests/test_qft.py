@@ -15,6 +15,7 @@ from qharmonics.qft import (
     FreqWindow,
     QftKind,
     Side,
+    _invert,
     derivative_multiplier,
     ft2d,
     ft_from_qft,
@@ -341,3 +342,23 @@ def test_inverse_after_forward_recovers_the_input_on_the_natural_window(side, ns
         kind = QftKind(side, random_axes(rng))
         back = qft_inverse(qft_forward(sig, kind, FreqWindow.natural(grid)), kind, grid)
         assert linf_diff(sig, back) < 1e-12
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_plan_is_the_forward_and_inverse_stage_terms(side):
+    """``QftKind.plan`` lists the forward's stages with e^{-mu x y} dx, and the
+    inverse's in reverse order with e^{+mu y x} dx / 2pi."""
+    kind = QftKind(side)
+    x, y = np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 5)
+    stages, terms = kind.plan()
+    assert tuple(stages) == side.stages and terms(0, x, y, 0.5) == (-1.0, None, None, 0.5)
+    stages, terms = kind.plan(inverse=True)
+    assert tuple(stages) == side.stages[::-1]
+    assert terms(1, x, y, 0.5) == (1.0, None, None, 0.5 / (2.0 * np.pi))
+
+
+def test_a_spectrum_kind_without_a_plan_has_no_inverse():
+    grid = GridSpec.centered(2.0, 8)
+    spec = QSpectrum2D(grid, np.ones((8, 8, 4)), object())
+    with pytest.raises(ProvenanceMismatchError, match="no inverse"):
+        _invert(spec, grid)

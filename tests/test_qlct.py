@@ -614,3 +614,34 @@ def test_forward_shares_the_signal_only_when_it_can_hold_the_spectrum():
         assert not np.shares_memory(got, given)
         assert np.array_equal(given, before)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 if given.dtype == np.float32 else 0)
+
+
+def test_b0_axis_with_nonpositive_d_is_refused():
+    """A b = 0 matrix with d <= 0 (det = ad = 1 holds) has no chirp-scaling branch."""
+    grid = GridSpec.centered(2.0, 8)
+    sig = sample(gaussian, grid)
+    flip = LctParams(-1.0, 0.0, 0.3, -1.0)
+    for side in Side:
+        with pytest.raises(DegenerateBError, match="needs d > 0"):
+            qlct_forward(sig, LctKind(side, flip, LctParams.fourier()))
+
+
+def test_plan_of_the_inverse_is_the_forward_plan_of_the_inverse_matrices():
+    """``LctKind.plan(inverse=True)`` runs the forward stages in reverse, each
+    with the terms of the inverse matrix, and refuses what has no inverse."""
+    A1, A2 = LctParams(2.0, 0.5, 2.0, 1.0), LctParams(0.5, -2.0, 0.25, 1.0)
+    x, y = np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 5)
+    for side in Side:
+        stages, terms = LctKind(side, A1, A2).plan(inverse=True)
+        undo_stages, undo_terms = LctKind(side, A1.inverse, A2.inverse).plan()
+        assert tuple(stages) == side.stages[::-1] == tuple(undo_stages)[::-1]
+        for axis in (0, 1):
+            got, want = terms(axis, x, y, 0.5), undo_terms(axis, x, y, 0.5)
+            assert got[0] == want[0] and got[3] == want[3]
+            np.testing.assert_array_equal(got[1], want[1])
+            np.testing.assert_array_equal(got[2][0], want[2][0])
+    with pytest.raises(ProvenanceMismatchError):
+        LctKind(Side.TWO_SIDED, A1, A2, phase_corrected=True).plan(inverse=True)
+    with pytest.raises(DegenerateBError):
+        LctKind(Side.LEFT_SIDED, A1, LctParams.identity_chirp()).plan(inverse=True)
+    LctKind(Side.LEFT_SIDED, A1, LctParams.identity_chirp()).plan()  # the forward has a b = 0 stage

@@ -190,3 +190,16 @@ def test_symplectic_split_reconstruction_identities():
         left = embed(a0, a2, mu2) + qmul(quat(0, *mu1), embed(a1, a3, mu2))
         np.testing.assert_allclose(right, qs, rtol=0, atol=1e-14)
         np.testing.assert_allclose(left, qs, rtol=0, atol=1e-14)
+
+
+def test_pure_unit_takes_a_pure_quaternion_and_refuses_other_shapes():
+    np.testing.assert_array_equal(pure_unit([0.0, 0.0, 1.0, 0.0]), [0.0, 1.0, 0.0])
+    for v in ([1.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0], [[1.0, 0.0, 0.0]]):
+        with pytest.raises(NotPureError, match="expected 3 or 4 components"):
+            pure_unit(v)
+
+
+def test_axis_pairs_compare_unequal_to_other_objects():
+    assert (CANONICAL_AXES == object()) is False
+    assert CANONICAL_AXES != (CANONICAL_AXES.mu1, CANONICAL_AXES.mu2)
+    assert CANONICAL_AXES == AxisPair([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])

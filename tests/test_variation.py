@@ -190,3 +190,14 @@ def test_infinite_fields_are_refused_before_any_difference(name, sign):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match=r"\bf\b.* at index \(2, 2\)"):
             call(f, net)
+
+
+def test_callable_fields_need_a_net_and_fields_must_match_theirs():
+    net = Net(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4))
+    fn = lambda S, T: S * T  # noqa: E731
+    for check in (vitali_variation, quasi_monotone_check, jordan_split):
+        with pytest.raises(InvalidParameterError, match="a net is required"):
+            check(fn)
+        with pytest.raises(IndexOutOfRangeError, match=r"does not match net shape \(5, 4\)"):
+            check(np.zeros((4, 5)), net)
+    assert vitali_variation(fn, net) == pytest.approx(1.0)
