@@ -13,9 +13,10 @@ the exact placement of each factor, ``scale`` baked into their tables.
 A chirp is the 4x4 map ``cos(phi) I + sin(phi) M`` of one node.
 
 x and y are uniform grid nodes, each its centre plus offsets mirrored
-about 0: with x = x0 + x', y = y0 + y', e^{mu c y x} = e^{mu c y' x'}
-e^{mu c y0 x} e^{mu c x0 y'}, and the last two factors join the ``pre``
-and ``post`` chirps (none on a grid centred on 0).  On mirrored offsets
+about 0 (exactly on a ``GridSpec`` centred on 0, else once symmetrized):
+with x = x0 + x', y = y0 + y', e^{mu c y x} = e^{mu c y' x'} e^{mu c y0 x}
+e^{mu c x0 y'}, and the last two factors join ``pre`` and ``post`` before
+the stage picks its route, the fold or the FFT.  On mirrored offsets
 cos is even and sin odd in x: f is folded into ``f_j +- f_{n-1-j}`` and
 two half-size GEMMs give the first half of the output rows, the mirrored
 rows being ``C - S M^T`` (a quarter of the flops of the unfolded product).
@@ -27,9 +28,9 @@ else to at most a quarter of the field's lines (on small fields a block
 would otherwise hold buffers of twice the field).  Each block runs the
 input chirp, the fold, the GEMMs, the mu map, the unfold and the output
 chirp, and writes straight into the C-order output.  The chirps act on
-the actual nodes, before the fold and after the unfold: mirrored nodes
-agree only to an ulp and chirp phases reach hundreds of radians, so a
-chirp shared by mirrored rows loses accuracy.
+the actual nodes, before the fold and after the unfold: a chirp need not
+be even (a centre's factor is odd in the offsets), and its phases reach
+hundreds of radians.
 
 Narrow kernels have low rank: cos(c y x) on y in [-Y, 0], |x| <= X, is
 interpolated to the ulp by a barycentric matrix L from about w + 10 w^(1/3)
@@ -41,21 +42,21 @@ commutes with every later stage and :func:`interpolate` applies it, with
 the output chirp, to an axis or two at once: the first stage shrinks its
 axis, and the next runs on the compressed field.
 
-On the natural window of a centred grid a stage is exactly a length-n DFT:
-mirrored nodes on both sides, as many outputs as inputs and c dx dy n =
-+-2 pi.  Where n also has no prime factor above 13 (``DFT_PRIMES``), each
-block runs as FFTs (Ell and Sangwine, IEEE Trans. Image Process. 16, 2007):
-an orthogonal 4x4 map P splits each node f = a + b nu, a and b in
-span{1, mu} with nu a pure unit normal to mu, and on each of a and b
-e^{mu theta} is the complex e^{i theta}, so a block is P, input phasors,
-one complex FFT along the nodes, output phasors and P^T.  The phasors take
-the half-sample shifts of the midpoint nodes with their index products
-reduced mod 4n in integers, and the chirps and ``scale``.  A phasor on
-both components is the chirp map cos I + sin M^T, so node-major blocks
-(axis 0) fold the phasors into P and P^T as one 4x4 map per node on each
-side; row-layout blocks (axis 1) keep P and the phasor multiplies.  The
-FFT runs in the block's buffer (``out=``, numpy >= 2.0); ``numpy.fft`` is
-loaded by the first such stage.
+On the natural window a stage is exactly a length-n DFT about the centres
+of its grids: mirrored offsets on both sides, as many outputs as inputs
+and c dx dy n = +-2 pi.  Where n also has no prime factor above 13
+(``DFT_PRIMES``), each block runs as FFTs (Ell and Sangwine, IEEE Trans.
+Image Process. 16, 2007): an orthogonal 4x4 map P splits each node
+f = a + b nu, a and b in span{1, mu} with nu a pure unit normal to mu, and
+on each of a and b e^{mu theta} is the complex e^{i theta}, so a block is
+P, input phasors, one complex FFT along the nodes, output phasors and P^T.
+The phasors take the half-sample shifts of the midpoint nodes with their
+index products reduced mod 4n in integers, the chirps (a centre's factors
+too) and ``scale``.  A phasor on both components is the chirp map
+cos I + sin M^T, so node-major blocks (axis 0) fold the phasors into P and
+P^T as one 4x4 map per node on each side; row-layout blocks (axis 1) keep
+P and the phasor multiplies.  The FFT runs in the block's buffer (``out=``,
+numpy >= 2.0); ``numpy.fft`` is loaded by the first such stage.
 
 A block reads all of its input before it writes its output, so a stage can
 write into the front of its input's memory (``out=field``), also when it
@@ -75,8 +76,6 @@ from .quaternion import mul_matrix
 
 __all__ = ["exp_contract", "low_rank", "interpolate", "chirp_multiply", "const_multiply"]
 
-#: tolerance, in ulps of max|x|, within which x[::-1] == -x counts as mirrored
-MIRROR_ULPS = 4
 #: sample rows per block of an axis-1 stage.  OpenBLAS packs about 2 KB of
 #: work buffer per GEMM output row of the row layout (4 per sample row).
 ROW_BLOCK = 128
@@ -97,15 +96,8 @@ BREAK_EVEN = 1.2
 DFT_PRIMES, DFT_ULPS, DFT_BLOCK = (2, 3, 5, 7, 11, 13), 8, 64
 
 
-def _mirrored(x):
-    scale = np.max(np.abs(x), initial=0.0)
-    return bool(np.all(np.abs(x + x[::-1]) <= MIRROR_ULPS * np.finfo(float).eps * scale))
-
-
 def _centred(x):
-    """(x0, x - x0) of uniform nodes x, offsets mirrored exactly; (0, x) if mirrored."""
-    if _mirrored(x):
-        return 0.0, x
+    """(x0, x - x0) of uniform nodes x, offsets mirrored exactly; (0, x) on mirrored x."""
     x0 = (x[0] + x[-1]) / 2
     d = x - x0
     return x0, (d - d[::-1]) / 2
@@ -163,11 +155,12 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
     y, x, field = (np.asarray(a, dtype=float) for a in (y, x, field))
     (x0, xc), (y0, yc) = _centred(x), _centred(y)
     MT = mul_matrix(np.concatenate([[0.0], mu]), left).T
-    tabs = None if x0 or y0 else _dft_tables(yc, xc, c, mu, left, pre, post, scale)
+    pre, post = ((*_angles(pre), c * y0 * x) if y0 else pre,
+                 (*_angles(post), c * x0 * yc) if x0 else post)
+    tabs = _dft_tables(yc, xc, c, mu, left, pre, post, scale)
     kernel, maps, step = _dft, (None, None), DFT_BLOCK
     if tabs is None:
-        maps = (_chirp_maps(MT, pre, c * y0 * x if y0 else None),
-                _chirp_maps(MT, post, c * x0 * yc if x0 else None))
+        maps = _chirp_maps(MT, pre), _chirp_maps(MT, post)
         # a stage that shrinks its axis narrows its blocks, and with them its buffers;
         # any other spans at most 1 / BLOCK_SHARE of the field's lines
         lines = COL_BLOCK // 4 if axis == 0 else ROW_BLOCK

@@ -1,10 +1,11 @@
 """Sampled quaternion signals on uniform rectangular grids.
 
-The midpoint convention is used throughout: sample ``k`` along the first
-axis sits at ``s_min + (k + 1/2) * ds``.  That keeps constant-function
-quadrature exact and avoids double-counting domain edges.  Signal data is
-stored as an ``(ns, nt, 4)`` float64 array, axis 0 indexing ``s`` and
-axis 1 indexing ``t``.
+The midpoint convention is used throughout: sample ``k`` of ``n`` along the
+first axis sits at ``s_min + (k + 1/2) ds = c + (k - (n-1)/2) ds``, computed
+about the centre ``c = s_min + n ds / 2`` (exact negatives when c is 0).
+That keeps constant-function quadrature exact and avoids double-counting
+domain edges.  Signal data is stored as an ``(ns, nt, 4)`` float64 array,
+axis 0 indexing ``s`` and axis 1 indexing ``t``.
 """
 
 from __future__ import annotations
@@ -53,15 +54,16 @@ class GridSpec:
         nt = n if nt is None else nt
         _require_real((extent, extent_t), "extent, extent_t")
         _require_counts((n, nt), "n, nt")  # before they divide
-        return cls(-extent, -extent_t, 2.0 * extent / n, 2.0 * extent_t / nt, n, nt)
+        ds, dt = 2.0 * extent / n, 2.0 * extent_t / nt
+        return cls(-(n * ds) / 2, -(nt * dt) / 2, ds, dt, n, nt)  # centres exactly 0
 
     @property
     def s(self):
-        return self.s_min + (np.arange(self.ns) + 0.5) * self.ds
+        return _midpoints(self.s_min, self.ds, self.ns)
 
     @property
     def t(self):
-        return self.t_min + (np.arange(self.nt) + 0.5) * self.dt
+        return _midpoints(self.t_min, self.dt, self.nt)
 
     def mesh(self):
         """Broadcastable (ns,1) and (1,nt) coordinate arrays."""
@@ -70,6 +72,10 @@ class GridSpec:
     @property
     def cell_area(self):
         return self.ds * self.dt
+
+
+def _midpoints(lo, d, n):  # the node rule of the module docstring
+    return (lo + n * d / 2) + (np.arange(n) - (n - 1) / 2) * d
 
 
 def _check_data(grid, data):

@@ -17,13 +17,13 @@ Each kernel factor is one contraction along an axis of any uniform grid
 (see ``_kernels``); a kind's ``plan`` lists them, forward or inverse, and
 one stage loop runs the plans of both families.  On a narrow window,
 where a kernel has low rank, a stage contracts onto Chebyshev points and
-the loop interpolates them once at the end.  On a midpoint grid centred
-on 0 with ``FreqWindow.natural``, the forward transforms' default
-window, the quadrature is exactly the 2D DFT of the samples: a stage
-whose length has no prime factor above 13 runs as complex FFTs on the
-symplectic split of the field, the others (and every stage of an image
-on [0, w], which folds about its centre, the shift a chirp) as
-mirror-folded GEMMs, for any sample counts and any axis pair.
+the loop interpolates them once at the end.  On any midpoint grid with
+``FreqWindow.natural``, the forward transforms' default window, the
+quadrature is exactly the 2D DFT of the samples about the grid's centre
+(a grid off 0, such as an image on [0, w], adds its centre as a chirp):
+a stage whose length has no prime factor above 13 runs as complex FFTs
+on the symplectic split of the field, the others as mirror-folded GEMMs,
+for any sample counts and any axis pair.
 """
 
 from __future__ import annotations

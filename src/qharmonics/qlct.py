@@ -182,11 +182,12 @@ def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
     fgrid = window.to_grid()
     stages, terms = kind.plan()
     data = _stages(sig.data, stages, kind.axes, sig.grid, fgrid, terms, overwrite)
-    g = sig.grid
-    if kind.A1.is_degenerate:
-        fgrid = replace(fgrid, s_min=g.s_min / kind.A1.d, ds=g.ds / kind.A1.d, ns=g.ns)
-    if kind.A2.is_degenerate:
-        fgrid = replace(fgrid, t_min=g.t_min / kind.A2.d, dt=g.dt / kind.A2.d, nt=g.nt)
+    g = sig.grid  # a b = 0 axis: the input's, centre and spacing over d (a centre 0 stays 0)
+    for A, lo, step, n, keys in ((kind.A1, g.s_min, g.ds, g.ns, ("s_min", "ds", "ns")),
+                                 (kind.A2, g.t_min, g.dt, g.nt, ("t_min", "dt", "nt"))):
+        if A.is_degenerate:
+            lo, step = (lo + n * step / 2) / A.d - n * (step / A.d) / 2, step / A.d
+            fgrid = replace(fgrid, **dict(zip(keys, (lo, step, n))))
     return QSpectrum2D(fgrid, data, kind, window)
 
 

@@ -62,6 +62,61 @@ def test_gridspec_validation_and_midpoints():
     np.testing.assert_allclose(g.t, [-1.5, -0.5, 0.5, 1.5])
 
 
+def _exactly_mirrored(grid):
+    return np.array_equal(grid.s, -grid.s[::-1]) and np.array_equal(grid.t, -grid.t[::-1])
+
+
+def test_centred_grids_have_exactly_mirrored_nodes(tmp_path):
+    """Every grid centred on 0 has nodes that are exact negatives of each
+    other, with no tolerance: centred signal grids (odd and even counts,
+    non-dyadic extents, rectangles), natural windows as they are and scaled
+    by |b|, a natural-window spectrum after a QSP save and load, and the
+    output grid of a QLCT b = 0 axis (the input grid over d = 3)."""
+    shapes = [(7.3, 999, 5.1, 998), (10.0 / 3, 21, 0.1, 20), (10.0, 1021, 10.0, 1021),
+              (1.0, 2, 3.7, 3), (6.0, 33, 6.0, 33), (np.pi, 360, np.e, 337)]
+    for extent, n, extent_t, nt in shapes:
+        grid = GridSpec.centered(extent, n, extent_t, nt)
+        assert grid.s_min + grid.ns * grid.ds / 2 == 0.0 and grid.s.size == n
+        assert abs(grid.s_min + extent) <= 4e-16 * extent  # the cells still span the extent
+        natural = FreqWindow.natural(grid)
+        for g in (grid, natural.to_grid(), natural.scaled(0.7, 1.3).to_grid(),
+                  natural.scaled(abs(-2.5), 0.5).to_grid()):
+            assert _exactly_mirrored(g)
+    sig = QSignal2D(GridSpec.centered(7.3, 21, 5.1, 18),
+                    np.random.default_rng(2).normal(size=(21, 18, 4)))
+    spec = qft_forward(sig, QftKind(Side.RIGHT_SIDED))
+    fileio.save_qspectrum(spec, tmp_path / "n.qsp")
+    loaded = fileio.load_qspectrum(tmp_path / "n.qsp")
+    assert loaded.grid == spec.grid and _exactly_mirrored(loaded.grid)
+    sig = QSignal2D(GridSpec.centered(10.0 / 3, 21, 6.0, 33), np.ones((21, 33, 4)))
+    kind = LctKind(Side.TWO_SIDED, LctParams(1.0 / 3.0, 0.0, 0.4, 3.0),
+                   LctParams(1.0 / 0.7, 0.0, -1.0, 0.7))
+    out = qlct_forward(sig, kind).grid
+    assert _exactly_mirrored(out)
+    np.testing.assert_allclose(out.s, sig.grid.s / 3.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out.t, sig.grid.t / 0.7, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (231, 195), (360, 336), (1024, 768)])
+def test_image_grids_keep_their_half_integer_nodes(shape):
+    """An image on [0, w] x [0, h] samples k + 1/2, bit for bit."""
+    grid = GridSpec(0.0, 0.0, 1.0, 1.0, *shape)
+    assert np.array_equal(grid.s, np.arange(shape[0]) + 0.5)
+    assert np.array_equal(grid.t, np.arange(shape[1]) + 0.5)
+
+
+def test_benchmark_grids_keep_their_nodes():
+    """The signal grids and windows of the CLI benchmarks, all dyadic, keep
+    -extent + (k + 1/2) * ds bit for bit, and their stored s_min = -extent."""
+    for extent in (8.0, 10.0, 12.0):
+        for n in (64, 128, 256, 512, 1024):
+            ds = 2.0 * extent / n
+            for grid in (GridSpec.centered(extent, n), FreqWindow.square(extent, n).to_grid()):
+                assert grid.s_min == grid.t_min == -extent and grid.ds == ds
+                assert np.array_equal(grid.s, -extent + (np.arange(n) + 0.5) * ds)
+                assert np.array_equal(grid.t, grid.s)
+
+
 def test_sample_constant_and_symmetry():
     g = GridSpec.centered(3.0, 16)
     ones = sample(lambda S, T: np.ones(np.broadcast(S, T).shape), g)

@@ -1,9 +1,9 @@
 """The contraction primitive against dense evaluations of the same sum.
 
-Every uniform grid takes the folded path: grids centred on 0 fold as they
-are, and a shifted grid folds about its centre, the shift becoming a
-chirp.  The dense references evaluate each kernel entry on the given
-nodes.
+Every uniform grid takes the folded path, or the FFT where a stage is an
+exact smooth-length DFT: grids centred on 0 run as they are, and a shifted
+grid runs about its centre, the shift becoming a chirp.  The dense
+references evaluate each kernel entry on the given nodes.
 """
 
 
@@ -12,7 +12,8 @@ import pytest
 
 from oracles import qft_bruteforce, qlct_bruteforce
 from qharmonics import _kernels
-from qharmonics._kernels import _mirrored, chirp_multiply, const_multiply, exp_contract
+from qharmonics.fixtures import qgaussian
+from qharmonics._kernels import _centred, chirp_multiply, const_multiply, exp_contract
 from qharmonics.grids import GridSpec, QSignal2D
 from qharmonics import qft as qft_module
 from qharmonics.qft import FreqWindow, QftKind, Side, _stages, qft_forward, qft_inverse
@@ -38,6 +39,12 @@ def _two_prod(a, b):
     p = a * b
     (a1, a2), (b1, b2) = split(a), split(b)
     return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def mirrored(x):
+    """Whether a stage runs on nodes x as they are: centre 0, the offsets x itself."""
+    x0, offsets = _centred(x)
+    return x0 == 0.0 and np.array_equal(offsets, x)
 
 
 def brute_contract(y, x, c, mu, field, left, axis, pre=0.0, post=0.0, scale=1.0):
@@ -100,7 +107,7 @@ def test_mirrored_and_dense_paths_agree(n_in, n_out, chirped, overwrite, left, a
     noise = rng.normal(size=n_in), rng.normal(size=n_out)
     for x0, y0 in [(0.0, 0.0)] + SHIFTS:
         x, y = midpoints(x0, 2.5, n_in), midpoints(y0, 3.0, n_out)
-        assert _mirrored(x) == (x0 == 0.0) and _mirrored(y) == (y0 == 0.0)
+        assert mirrored(x) == (x0 == 0.0) and mirrored(y) == (y0 == 0.0)
         chirps = {}
         if chirped:
             chirps = dict(pre=300.0 + 40.0 * (x - x0) ** 2 + noise[0],
@@ -139,11 +146,13 @@ def long_double_sum(theta, mu, field, left, scale):
     return np.longdouble(scale) * (C + S @ MT)
 
 
-def natural_stage(n, direction, extent=10.0, b=1.0):
+def natural_stage(n, direction, extent=10.0, b=1.0, half=None):
     """(y, x, c, scale) of a QFT (b = 1) or QLCT stage on a centred n-point grid
-    and its natural window scaled by |b|, where the stage is a length-n DFT."""
+    and its natural window scaled by |b|, where the stage is a length-n DFT,
+    or else the square window of half-width `half`."""
     grid = GridSpec.centered(extent, n)
-    window = FreqWindow.natural(grid).scaled(abs(b), abs(b)).to_grid()
+    window = (FreqWindow.natural(grid).scaled(abs(b), abs(b)) if half is None
+              else FreqWindow.square(half, n)).to_grid()
     if direction == "forward":
         return window.s, grid.s, -1.0 / b, grid.ds
     return grid.s, window.s, 1.0 / b, window.ds / (2.0 * np.pi)
@@ -153,7 +162,7 @@ def natural_stage(n, direction, extent=10.0, b=1.0):
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
 def test_image_grid_stage_against_long_double(direction):
     """The axis-0 QFT stage of a 512^2 image grid on [0, 512] and its natural
-    window: the grid folds about its centre 256, the shift a chirp.  Against
+    window: an FFT about the grid's centre 256, the centre a chirp.  Against
     a long-double evaluation it stays within twice the error of the dense
     double-precision product on the same nodes, which rounds each kernel
     angle c y x once."""
@@ -161,7 +170,7 @@ def test_image_grid_stage_against_long_double(direction):
     window = FreqWindow.natural(grid).to_grid()
     y, x, c, scale = ((window.s, grid.s, -1.0, grid.ds) if direction == "forward"
                       else (grid.s, window.s, 1.0, window.ds / (2.0 * np.pi)))
-    assert not (_mirrored(x) and _mirrored(y))
+    assert not (mirrored(x) and mirrored(y))
     field = np.random.default_rng(0).normal(size=(512, 16, 4))
     ref = long_double_contract(y, x, c, MU, field, True, scale)
     theta = c * np.outer(y, x)
@@ -231,6 +240,83 @@ def test_dft_stage_on_float_nodes_against_long_double(n, direction, dft_calls):
     assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= n * np.finfo(float).eps
 
 
+def both_axes(y, x, c, field, left, scale):
+    """The stage of `field` along axis 0, and along axis 1 of its transpose
+    (transposed back)."""
+    across = np.ascontiguousarray(field.swapaxes(0, 1))
+    return (exp_contract(y, x, c, MU, field, left, 0, scale=scale),
+            exp_contract(y, x, c, MU, across, left, 1, scale=scale).swapaxes(0, 1))
+
+
+#: (n, extent, window half-width, None for the natural window, and the bound)
+FOLD_GATES = [(1021, 10.0, None, 6e-14), (1021, 10.0, 8.0, 3e-15), (999, 7.3, 5.1, 3e-15)]
+
+
+@LONG_DOUBLE
+@pytest.mark.parametrize("n,extent,half,bound", FOLD_GATES)
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_fold_stages_on_exact_nodes_against_long_double(n, extent, half, bound, direction):
+    """A folded stage at a prime n (1021, on the natural window and on window
+    8) and at an odd non-dyadic grid (999 on extent 7.3, window 5.1), on both
+    axes with left and right kernels, against the long-double kernel sum on
+    the same nodes: the nodes are exact negatives of each other, so each
+    mirrored output row is the row of its own node."""
+    y, x, c, scale = natural_stage(n, direction, extent, half=half)
+    field = np.random.default_rng(n).normal(size=(n, 8, 4))
+    for left in (True, False):
+        ref = long_double_contract(y, x, c, MU, field, left, scale)
+        for got in both_axes(y, x, c, field, left, scale):
+            assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= bound
+
+
+def test_natural_window_round_trip_on_a_prime_grid():
+    """qgaussian on a 1021^2 grid (prime: every stage folds) through the QFT
+    on its natural window and back, on tilted axes: within 1e-14 on every
+    side."""
+    grid = GridSpec.centered(10.0, 1021)
+    sig = QSignal2D(grid, qgaussian(*grid.mesh()))
+    for side in Side:
+        kind = QftKind(side, AxisPair(MU, np.array([1.0, 0.0, 0.0])))
+        back = qft_inverse(qft_forward(sig, kind), kind, grid)
+        assert np.max(np.abs(back.data - sig.data)) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(512, 512), (360, 336), (231, 195)])
+@pytest.mark.parametrize("side", list(Side))
+def test_image_grids_take_the_fft_path(shape, side, dft_calls):
+    """An image on [0, w] x [0, h] of 13-smooth counts runs every stage of the
+    forward and of the inverse as FFTs, its centre a chirp on the FFT path:
+    the round trip within 1e-14 and Plancherel within 1e-13."""
+    grid = GridSpec(0.0, 0.0, 1.0, 1.0, *shape)
+    sig = QSignal2D(grid, np.random.default_rng(shape[1]).uniform(size=shape + (4,)))
+    blocks = sum(-(-lines // _kernels.DFT_BLOCK) for lines in shape)
+    spec = qft_forward(sig, QftKind(side))
+    assert len(dft_calls) == blocks
+    back = qft_inverse(spec, spec.kind, grid)
+    assert len(dft_calls) == 2 * blocks
+    assert np.max(np.abs(back.data - sig.data)) <= 1e-14
+    ratio = (np.sum(spec.data ** 2) * spec.grid.cell_area
+             / (4 * np.pi ** 2 * np.sum(sig.data ** 2) * grid.cell_area))
+    assert abs(ratio - 1.0) <= 1e-13
+
+
+@LONG_DOUBLE
+@pytest.mark.parametrize("n", [360, 336])
+def test_image_grid_fft_stage_against_long_double(n, dft_calls):
+    """The forward stage of an image axis of n nodes k + 1/2 onto its natural
+    window, an FFT with the centre n/2 a chirp on the output nodes: within
+    6e-14 of the long-double kernel sum, on both axes with left and right
+    kernels."""
+    grid = GridSpec(0.0, 0.0, 1.0, 1.0, n, 2)
+    y, x = FreqWindow.natural(grid).to_grid().s, grid.s
+    field = np.random.default_rng(n).normal(size=(n, 8, 4))
+    for left in (True, False):
+        ref = long_double_contract(y, x, -1.0, MU, field, left, 1.0)
+        for got in both_axes(y, x, -1.0, field, left, 1.0):
+            assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 6e-14
+    assert len(dft_calls) == 4
+
+
 @pytest.mark.parametrize("n", [12, 15, 26, 27])
 @pytest.mark.parametrize("chirped", [False, True], ids=["plain", "chirped"])
 @pytest.mark.parametrize("left", [True, False])
@@ -284,17 +370,15 @@ def test_natural_windows_take_the_fft_path(side, dft_calls):
 def test_other_stages_keep_the_fold(dft_calls):
     """No FFT where a stage is not an exact smooth-length DFT: the windows of
     the CLI benchmarks (half-width 8 on extent 10 at 512^2 and 1024^2, and 8,
-    10 and 12 on extent 8, for |b| in [0.5, 1]), image grids (not mirrored),
-    lengths with a prime factor above 13, counts that change, and a window
-    64 ulps wider than the natural one."""
+    10 and 12 on extent 8, for |b| in [0.5, 1]), lengths with a prime factor
+    above 13, counts that change, and a window 64 ulps wider than the natural
+    one.  (Image grids take the FFT: see test_image_grids_take_the_fft_path.)"""
     stages = []
     for n, extent, half in ((512, 10.0, 8.0), (1024, 10.0, 8.0), (64, 8.0, 8.0),
                             (256, 8.0, 12.0), (128, 8.0, 10.0)):
         grid, window = GridSpec.centered(extent, n).s, FreqWindow.square(half, n).to_grid().s
         stages += [(y, x, c) for c in (1.0, -1.0, 1.5, -2.0, 2.0)
                    for y, x in ((window, grid), (grid, window))]
-    image = GridSpec(0.0, 0.0, 1.0, 1.0, 64, 64)
-    stages.append((FreqWindow.natural(image).to_grid().s, image.s, -1.0))
     for n in (257, 509):
         y, x, c, _ = natural_stage(n, "forward")
         stages.append((y, x, c))
@@ -541,11 +625,19 @@ def test_transforms_allocate_one_field(traced_peak, family, side, direction, n, 
 
 
 def test_mirror_detection():
+    """Centred grids and their windows run as they are; nodes off 0, even by
+    one ulp, run about their centre with offsets mirrored exactly."""
     for n in (2, 7, 256, 1024):
-        assert _mirrored(GridSpec.centered(10.0, n).s)
-        assert _mirrored(FreqWindow.natural(GridSpec.centered(10.0, n)).to_grid().s)
-    assert not _mirrored(GridSpec(0.0, 0.0, 1.0, 1.0, 8, 8).s)
-    assert not _mirrored(GridSpec.centered(10.0, 8).s + 1e-9)
+        assert mirrored(GridSpec.centered(10.0, n).s)
+        assert mirrored(FreqWindow.natural(GridSpec.centered(10.0, n)).to_grid().s)
+    assert not mirrored(GridSpec(0.0, 0.0, 1.0, 1.0, 8, 8).s)
+    assert not mirrored(GridSpec.centered(10.0, 8).s + 1e-9)
+    off = GridSpec.centered(10.0, 7).s
+    off[0] = np.nextafter(off[0], 0.0)  # one ulp: mirrored means exactly mirrored
+    assert not mirrored(off)
+    for x in (off, GridSpec(0.0, 0.0, 1.0, 1.0, 8, 8).s):
+        x0, offsets = _centred(x)
+        assert x0 != 0.0 and np.array_equal(offsets, -offsets[::-1])
 
 
 @pytest.mark.parametrize("left", [True, False])
