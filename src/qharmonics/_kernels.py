@@ -44,12 +44,12 @@ axis, and the next runs on the compressed field.
 
 On the natural window a stage is exactly a length-n DFT about the centres
 of its grids: mirrored offsets on both sides, as many outputs as inputs
-and c dx dy n = +-2 pi.  Where n also has no prime factor above 13
-(``DFT_PRIMES``), each block runs as FFTs (Ell and Sangwine, IEEE Trans.
-Image Process. 16, 2007): an orthogonal 4x4 map P splits each node
-f = a + b nu, a and b in span{1, mu} with nu a pure unit normal to mu, and
-on each of a and b e^{mu theta} is the complex e^{i theta}, so a block is
-P, input phasors, one complex FFT along the nodes, output phasors and P^T.
+and c dx dy n = +-2 pi.  On any n each block of such a stage runs as FFTs
+(Ell and Sangwine, IEEE Trans. Image Process. 16, 2007): an orthogonal 4x4
+map P splits each node f = a + b nu, a and b in span{1, mu} with nu a pure
+unit normal to mu, and on each of a and b e^{mu theta} is the complex
+e^{i theta}, so a block is P, input phasors, one complex FFT along the
+nodes, output phasors and P^T.
 The phasors take the half-sample shifts of the midpoint nodes with their
 index products reduced mod 4n in integers, the chirps (a centre's factors
 too) and ``scale``.  A phasor on both components is the chirp map
@@ -90,10 +90,9 @@ CHUNK = 64
 #: p (1/h + 1/m) <= BREAK_EVEN, h and m the input and output half lengths
 RANK_SLOPE, RANK_PAD, CHECK_COLUMNS, CHECK_ULPS = 10.0, 6.0, 8, 16
 BREAK_EVEN = 1.2
-#: FFT path: lengths whose prime factors are all in DFT_PRIMES (the FFT of a
-#: length with a larger factor is no faster than the fold), c dx dy n within
-#: DFT_ULPS of +-2 pi, and DFT_BLOCK grid lines per block on either axis
-DFT_PRIMES, DFT_ULPS, DFT_BLOCK = (2, 3, 5, 7, 11, 13), 8, 64
+#: FFT path: stages of any length with c dx dy n within DFT_ULPS of +-2 pi,
+#: and DFT_BLOCK grid lines per block on either axis
+DFT_ULPS, DFT_BLOCK = 8, 64
 
 
 def _centred(x):
@@ -192,11 +191,8 @@ def _dft_tables(y, x, c, mu, left, pre, post, scale):
     f = a + nu b).  The phasors come twice each, once per component, and
     the (n, 4, 4) maps are P then the input phasor, the output phasor then
     P^T."""
-    n, rest = x.size, x.size
-    for p in DFT_PRIMES:
-        while rest % p == 0:
-            rest //= p
-    if n < 2 or y.size != n or rest != 1:
+    n = x.size
+    if n < 2 or y.size != n:
         return None
     turn = c * (x[-1] - x[0]) * (y[-1] - y[0]) * n / (n - 1) ** 2
     if not abs(abs(turn) - 2 * np.pi) <= DFT_ULPS * np.finfo(float).eps * 2 * np.pi:

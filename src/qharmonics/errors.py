@@ -132,10 +132,11 @@ def _require_real(value, name, error=InvalidParameterError, shape=(), allow_inf=
         shown = repr(value) if arr.size <= 8 else f"an array of dtype {arr.dtype}"
         raise error(f"{name} must be {want}, got {shown}")
     arr = arr.astype(float, copy=False)
-    # min and max propagate NaN and expose inf without a mask the size of the array
-    lo, hi = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
-    if np.isnan(lo) or not (allow_inf or np.isfinite(lo) and np.isfinite(hi)):
-        bad = np.isnan(arr) if allow_inf else ~np.isfinite(arr)
+    # one pass and no mask when the sum is finite; else the entries decide, as
+    # finite entries may overflow the sum and an allowed infinity makes it inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = not np.isfinite(arr.sum()) and (np.isnan(arr) if allow_inf else ~np.isfinite(arr))
+    if np.any(bad):
         at = tuple(int(i) for i in np.argwhere(bad)[0])
         name, where = (names[at[0]], "") if len(names) > 1 else (name, f" at index {at}" * bool(at))
         raise NonFiniteError(f"{name} must {'not be NaN' if allow_inf else 'be finite'}, "

@@ -20,10 +20,9 @@ where a kernel has low rank, a stage contracts onto Chebyshev points and
 the loop interpolates them once at the end.  On any midpoint grid with
 ``FreqWindow.natural``, the forward transforms' default window, the
 quadrature is exactly the 2D DFT of the samples about the grid's centre
-(a grid off 0, such as an image on [0, w], adds its centre as a chirp):
-a stage whose length has no prime factor above 13 runs as complex FFTs
-on the symplectic split of the field, the others as mirror-folded GEMMs,
-for any sample counts and any axis pair.
+(a grid off 0, such as an image on [0, w], adds its centre as a chirp),
+and every stage runs as complex FFTs on the symplectic split of the
+field, for any sample counts and any axis pair.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qharmonics.errors import InvalidParameterError, _require_real
+from qharmonics.errors import InvalidParameterError, NonFiniteError, _require_real
 
 
 @pytest.mark.parametrize("value, want", [
@@ -32,3 +32,18 @@ def test_the_refusal_names_the_argument_and_takes_the_callers_error():
 
     with pytest.raises(Custom, match="^point must be reals of shape"):
         _require_real([[1.0], [2.0, 3.0]], "point", Custom, shape=(2,))
+
+
+def test_finite_entries_whose_sum_overflows_pass_and_infinities_pass_when_allowed():
+    """The finite check sums the array once; a sum that is not finite hands
+    the decision to the entries, so finite entries past half the float range
+    pass, an infinity passes under allow_inf, and NaN never does."""
+    big = np.full((3, 2), np.finfo(float).max)
+    big[1, 0] = -big[1, 0]
+    assert np.array_equal(_require_real(big, "x", shape=None), big)
+    both = np.array([1.0, np.inf, -np.inf, 2.0])
+    assert np.array_equal(_require_real(both, "x", shape=None, allow_inf=True), both)
+    with pytest.raises(NonFiniteError, match=r"^x must be finite, got non-finite inf at index"):
+        _require_real(both, "x", shape=None)
+    with pytest.raises(NonFiniteError, match=r"^x must not be NaN, got non-finite nan at index"):
+        _require_real([1.0, np.inf, np.nan], "x", shape=None, allow_inf=True)

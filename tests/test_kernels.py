@@ -1,9 +1,9 @@
 """The contraction primitive against dense evaluations of the same sum.
 
 Every uniform grid takes the folded path, or the FFT where a stage is an
-exact smooth-length DFT: grids centred on 0 run as they are, and a shifted
-grid runs about its centre, the shift becoming a chirp.  The dense
-references evaluate each kernel entry on the given nodes.
+exact DFT: grids centred on 0 run as they are, and a shifted grid runs
+about its centre, the shift becoming a chirp.  The dense references
+evaluate each kernel entry on the given nodes.
 """
 
 
@@ -188,17 +188,19 @@ LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
 
 
 @LONG_DOUBLE
-@pytest.mark.parametrize("n", [64, 65, 360, 512, 1024])
+@pytest.mark.parametrize("n", [64, 65, 257, 333, 360, 509, 512, 1021, 1024])
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
 def test_dft_stage_against_exact_long_double_dft(n, direction, dft_calls):
     """On the natural window a stage is exactly a length-n DFT, its kernel
     angles +-pi (2k - n + 1)(2j - n + 1) / 2n: against that DFT in long
     double, the index products reduced mod 4n in integers, the FFT stage is
     within 16 eps, on axis 0 (node-major blocks, the phasors in per-node
-    maps) and on axis 1 (row layout) alike, and the two agree to 4 eps on a
-    field and its transpose.  The QLCT stage (b = -0.8) carries chirps of
-    60 to 2e4 rad; at n = 360 (13-smooth, not a power of two) the field is
-    136 lines wide, two full DFT_BLOCKs and a partial one."""
+    maps) and on axis 1 (row layout) alike, with left and right kernels,
+    and the two axes agree to 4 eps on a field and its transpose.  The
+    lengths include primes (257, 509, 1021) and 333 = 9 * 37, lengths with
+    a prime factor above 13.  The QLCT stage (b = -0.8) carries chirps of 60 to
+    2e4 rad; at n = 360 (not a power of two) the field is 136 lines wide,
+    two full DFT_BLOCKs and a partial one."""
     field = np.random.default_rng(n).normal(size=(n, 136 if n == 360 else 3, 4))
     k = np.arange(n)
     m = np.outer(2 * k - n + 1, 2 * k - n + 1) % (4 * n)
@@ -209,19 +211,20 @@ def test_dft_stage_against_exact_long_double_dft(n, direction, dft_calls):
         chirps = dict(scale=scale)
         if b != 1.0:
             chirps.update(pre=x * x / b, post=y * y / (2.0 * b))
-        dft_calls.clear()
-        got = exp_contract(y, x, c, MU, field, True, 0, **chirps)
-        across = exp_contract(y, x, c, MU, np.ascontiguousarray(field.swapaxes(0, 1)), True, 1,
-                              **chirps).swapaxes(0, 1)
-        assert len(dft_calls) == 2 * -(-field.shape[1] // _kernels.DFT_BLOCK)
         theta = np.sign(c) * pi * m / (2 * n)
         if b != 1.0:
             theta = (theta + np.asarray(chirps["pre"], np.longdouble)
                      + np.asarray(chirps["post"], np.longdouble)[:, None])
-        ref = long_double_sum(theta, MU, field, True, scale)
-        for stage in (got, across):
-            assert np.max(np.abs(stage - ref)) / np.max(np.abs(ref)) <= 16 * eps
-        assert np.max(np.abs(got - across)) <= 4 * eps * np.max(np.abs(got))
+        for left in (True, False):
+            dft_calls.clear()
+            got = exp_contract(y, x, c, MU, field, left, 0, **chirps)
+            across = exp_contract(y, x, c, MU, np.ascontiguousarray(field.swapaxes(0, 1)), left,
+                                  1, **chirps).swapaxes(0, 1)
+            assert len(dft_calls) == 2 * -(-field.shape[1] // _kernels.DFT_BLOCK)
+            ref = long_double_sum(theta, MU, field, left, scale)
+            for stage in (got, across):
+                assert np.max(np.abs(stage - ref)) / np.max(np.abs(ref)) <= 16 * eps
+            assert np.max(np.abs(got - across)) <= 4 * eps * np.max(np.abs(got))
 
 
 @LONG_DOUBLE
@@ -248,19 +251,20 @@ def both_axes(y, x, c, field, left, scale):
             exp_contract(y, x, c, MU, across, left, 1, scale=scale).swapaxes(0, 1))
 
 
-#: (n, extent, window half-width, None for the natural window, and the bound)
-FOLD_GATES = [(1021, 10.0, None, 6e-14), (1021, 10.0, 8.0, 3e-15), (999, 7.3, 5.1, 3e-15)]
+#: (n, extent, window half-width, and the bound); natural windows take the
+#: FFT and are gated in test_dft_stage_against_exact_long_double_dft
+FOLD_GATES = [(1021, 10.0, 8.0, 3e-15), (999, 7.3, 5.1, 3e-15)]
 
 
 @LONG_DOUBLE
 @pytest.mark.parametrize("n,extent,half,bound", FOLD_GATES)
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
 def test_fold_stages_on_exact_nodes_against_long_double(n, extent, half, bound, direction):
-    """A folded stage at a prime n (1021, on the natural window and on window
-    8) and at an odd non-dyadic grid (999 on extent 7.3, window 5.1), on both
-    axes with left and right kernels, against the long-double kernel sum on
-    the same nodes: the nodes are exact negatives of each other, so each
-    mirrored output row is the row of its own node."""
+    """A folded stage at a prime n (1021, on window 8) and at an odd
+    non-dyadic grid (999 on extent 7.3, window 5.1), on both axes with left
+    and right kernels, against the long-double kernel sum on the same nodes:
+    the nodes are exact negatives of each other, so each mirrored output row
+    is the row of its own node."""
     y, x, c, scale = natural_stage(n, direction, extent, half=half)
     field = np.random.default_rng(n).normal(size=(n, 8, 4))
     for left in (True, False):
@@ -270,23 +274,24 @@ def test_fold_stages_on_exact_nodes_against_long_double(n, extent, half, bound, 
 
 
 def test_natural_window_round_trip_on_a_prime_grid():
-    """qgaussian on a 1021^2 grid (prime: every stage folds) through the QFT
-    on its natural window and back, on tilted axes: within 1e-14 on every
-    side."""
+    """qgaussian on a 1021^2 grid (prime: every stage takes the FFT)
+    through the QFT on its natural window and back, on tilted axes: within
+    4e-15 on every side."""
     grid = GridSpec.centered(10.0, 1021)
     sig = QSignal2D(grid, qgaussian(*grid.mesh()))
     for side in Side:
         kind = QftKind(side, AxisPair(MU, np.array([1.0, 0.0, 0.0])))
         back = qft_inverse(qft_forward(sig, kind), kind, grid)
-        assert np.max(np.abs(back.data - sig.data)) <= 1e-14
+        assert np.max(np.abs(back.data - sig.data)) <= 4e-15
 
 
-@pytest.mark.parametrize("shape", [(512, 512), (360, 336), (231, 195)])
+@pytest.mark.parametrize("shape", [(512, 512), (360, 336), (231, 195), (333, 257)])
 @pytest.mark.parametrize("side", list(Side))
 def test_image_grids_take_the_fft_path(shape, side, dft_calls):
-    """An image on [0, w] x [0, h] of 13-smooth counts runs every stage of the
-    forward and of the inverse as FFTs, its centre a chirp on the FFT path:
-    the round trip within 1e-14 and Plancherel within 1e-13."""
+    """An image on [0, w] x [0, h] runs every stage of the forward and of the
+    inverse as FFTs, its centre a chirp on the FFT path, on 13-smooth counts
+    and on 333 x 257 (factors 37 and 257) alike: the round trip within 1e-14
+    and Plancherel within 1e-13."""
     grid = GridSpec(0.0, 0.0, 1.0, 1.0, *shape)
     sig = QSignal2D(grid, np.random.default_rng(shape[1]).uniform(size=shape + (4,)))
     blocks = sum(-(-lines // _kernels.DFT_BLOCK) for lines in shape)
@@ -317,15 +322,16 @@ def test_image_grid_fft_stage_against_long_double(n, dft_calls):
     assert len(dft_calls) == 4
 
 
-@pytest.mark.parametrize("n", [12, 15, 26, 27])
+@pytest.mark.parametrize("n", [12, 15, 17, 26, 27, 37])
 @pytest.mark.parametrize("chirped", [False, True], ids=["plain", "chirped"])
 @pytest.mark.parametrize("left", [True, False])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_dft_stages_match_brute_force(n, chirped, left, axis, small_blocks, dft_calls):
     """QFT and QLCT (b = -0.8) stages on natural windows take the FFT path,
-    forward and inverse: through straddling and partial blocks, odd lengths,
-    chirps with phases of hundreds of radians, and in place with the same
-    bytes; a Fortran-order input handed over is left untouched."""
+    forward and inverse: through straddling and partial blocks, odd and
+    prime lengths, chirps with phases of hundreds of radians, and in place
+    with the same bytes; a Fortran-order input handed over is left
+    untouched."""
     rng = np.random.default_rng(n * 4 + 2 * axis + left)
     shape = [7, 7, 4]
     shape[axis] = n
@@ -368,20 +374,17 @@ def test_natural_windows_take_the_fft_path(side, dft_calls):
 
 
 def test_other_stages_keep_the_fold(dft_calls):
-    """No FFT where a stage is not an exact smooth-length DFT: the windows of
-    the CLI benchmarks (half-width 8 on extent 10 at 512^2 and 1024^2, and 8,
-    10 and 12 on extent 8, for |b| in [0.5, 1]), lengths with a prime factor
-    above 13, counts that change, and a window 64 ulps wider than the natural
-    one.  (Image grids take the FFT: see test_image_grids_take_the_fft_path.)"""
+    """No FFT where a stage is not an exact DFT: the windows of the CLI
+    benchmarks (half-width 8 on extent 10 at 512^2 and 1024^2, and 8, 10
+    and 12 on extent 8, for |b| in [0.5, 1]), counts that change, and a
+    window 64 ulps wider than the natural one.  (Image grids take the FFT:
+    see test_image_grids_take_the_fft_path.)"""
     stages = []
     for n, extent, half in ((512, 10.0, 8.0), (1024, 10.0, 8.0), (64, 8.0, 8.0),
                             (256, 8.0, 12.0), (128, 8.0, 10.0)):
         grid, window = GridSpec.centered(extent, n).s, FreqWindow.square(half, n).to_grid().s
         stages += [(y, x, c) for c in (1.0, -1.0, 1.5, -2.0, 2.0)
                    for y, x in ((window, grid), (grid, window))]
-    for n in (257, 509):
-        y, x, c, _ = natural_stage(n, "forward")
-        stages.append((y, x, c))
     y, x, c, _ = natural_stage(64, "forward")
     stages.append((y[:-1] + 0.5 * (y[1] - y[0]), x, c))
     stages.append((y * (1.0 + 64 * np.finfo(float).eps), x, c))

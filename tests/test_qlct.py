@@ -574,10 +574,10 @@ def _forward_cases(side, n):
 @pytest.mark.parametrize("side", list(Side))
 def test_forwards_that_consume_their_signal_give_the_same_bytes(side, n):
     """With overwrite=True a forward transform writes into the signal's
-    buffer and returns the bytes of the allocating transform: at 64 (2^6) the
-    natural window takes the FFT and the narrow one the fold, at 301 (7 * 43)
-    the natural window folds and every narrow stage is low-rank, the first
-    stage of a sided QLCT interpolated right after it."""
+    buffer and returns the bytes of the allocating transform: the natural
+    window takes the FFT, and the narrow one the fold at 64 (2^6); at 301
+    (7 * 43) every narrow stage is low-rank, the first stage of a sided QLCT
+    interpolated right after it."""
     grid = GridSpec.centered(4.0, n)
     data = np.random.default_rng(n).normal(size=(n, n, 4))
     narrow = FreqWindow(5.0, 5.0, n, n).to_grid().s
