@@ -56,7 +56,21 @@ too) and ``scale``.  A phasor on both components is the chirp map
 cos I + sin M^T, so node-major blocks (axis 0) fold the phasors into P and
 P^T as one 4x4 map per node on each side; row-layout blocks (axis 1) keep
 P and the phasor multiplies.  The FFT runs in the block's buffer (``out=``,
-numpy >= 2.0); ``numpy.fft`` is loaded by the first such stage.
+numpy >= 2.0); ``numpy.fft`` is loaded by the first such stage.  A block
+spans DFT_BLOCK = 48 grid lines: at n = 1024 its buffer and its output are
+1.5 MiB each, about a core's L2 cache (2 MiB), where 64 lines spill it.
+
+Every stage checks the blocks it writes, and transforms do not rescan their
+output.  Right after its last write to a block, while the block is in
+cache, a stage reduces it once (a dot product on a contiguous block, a sum
+on a strided one); only when that is not finite does it test the block
+elementwise, and it raises NonFiniteError naming the stage (``contract``,
+``interpolate`` or ``chirp``) and the axis.  An FFT block reduces its
+contiguous buffer instead, just before the output map: that map is the
+stage's scale times an orthogonal map per node, so a finite energy
+(scale^2 times the buffer's sum of squares) bounds every output value near
+the square root of the largest double, and only a block whose energy is
+not finite is tested elementwise.
 
 A block reads all of its input before it writes its output, so a stage can
 write into the front of its input's memory (``out=field``), also when it
@@ -72,6 +86,7 @@ import math
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .quaternion import mul_matrix
 
 __all__ = ["exp_contract", "low_rank", "interpolate", "chirp_multiply", "const_multiply"]
@@ -91,8 +106,9 @@ CHUNK = 64
 RANK_SLOPE, RANK_PAD, CHECK_COLUMNS, CHECK_ULPS = 10.0, 6.0, 8, 16
 BREAK_EVEN = 1.2
 #: FFT path: stages of any length with c dx dy n within DFT_ULPS of +-2 pi,
-#: and DFT_BLOCK grid lines per block on either axis
-DFT_ULPS, DFT_BLOCK = 8, 64
+#: and DFT_BLOCK grid lines per block on either axis (48: of 32 to 64 lines,
+#: 40 to 56 ran 1024^2 and 512^2 natural forwards fastest)
+DFT_ULPS, DFT_BLOCK = 8, 48
 
 
 def _centred(x):
@@ -150,6 +166,9 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
         fills its memory from the front when it is a C-contiguous writeable
         float64 array that holds it (and, sharing memory with `field`,
         ``len(y) <= field.shape[axis]``); otherwise a new array is allocated.
+
+    Raises NonFiniteError, naming the stage, when a block of the output is
+    not finite (an overflow, or a non-finite input).
     """
     y, x, field = (np.asarray(a, dtype=float) for a in (y, x, field))
     (x0, xc), (y0, yc) = _centred(x), _centred(y)
@@ -176,7 +195,8 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
     for lo in range(0, field.shape[1 - axis], step):
         F, dst = ((a[:, lo:lo + step] if axis == 0 else a[lo:lo + step].swapaxes(0, 1))
                   for a in (field, out))
-        kernel(F, dst, tabs, scale, *maps, MT, bufs)
+        if not kernel(F, dst, tabs, scale, *maps, MT, bufs):  # True: _dft proved it finite
+            _check(out[:, lo:lo + step] if axis == 0 else out[lo:lo + step], "contract", axis)
     return out
 
 
@@ -249,6 +269,23 @@ def low_rank(y, x, c):
     return y0 + np.concatenate([t, [0.0] * (len(y) % 2), -t[::-1]]), L
 
 
+def _check(block, stage, axis=None):
+    """Raise NonFiniteError naming `stage` unless every value of `block`, an
+    output block just written and still in cache, is finite: one reduction
+    (a dot product on a contiguous block), and the elementwise test only
+    when that is not finite, as finite values may overflow it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if block.flags.c_contiguous:
+            flat = block.reshape(-1)
+            total = np.dot(flat, flat)
+        else:
+            total = np.add.reduce(block, axis=None)
+    if not np.isfinite(total) and not np.isfinite(block).all():
+        where = "" if axis is None else f" on axis {axis}"
+        raise NonFiniteError(f"{stage}{where} gave non-finite values (an overflow, or a "
+                             "non-finite input)")
+
+
 def _lines(limit, across):
     """Grid lines per block of a field `across` lines wide: `limit`, and no
     more than 1 / BLOCK_SHARE of the lines, so that on small fields the block
@@ -299,7 +336,9 @@ def _dft(F, dst, tabs, scale, pre, post, MT, bufs):
     one per-node map (the output phasors, scale and chirps included, and
     P^T) writes `dst`.  In row layout (axis 1, each sample row's nodes
     contiguous), P and P^T map all nodes alike and the phasors multiply each
-    sample row's flat nodes: per-node maps are slower in that layout."""
+    sample row's flat nodes: per-node maps are slower in that layout.
+    Returns whether the block's energy is finite, which proves every value
+    of `dst` finite (see the module docstring)."""
     P, inverse, p_in, p_out, maps_in, maps_out = tabs
     node = 0
     if abs(F.strides[0]) < abs(F.strides[1]):
@@ -313,7 +352,11 @@ def _dft(F, dst, tabs, scale, pre, post, MT, bufs):
         np.fft.fft(z, axis=node, out=z)
     if node:
         z.reshape(len(z), -1)[...] *= p_out
+    zf = z.view(float).reshape(-1)
+    with np.errstate(over="ignore"):
+        energy = float(np.dot(zf, zf)) * (1.0 if node else scale * scale)
     np.matmul(z.view(float), P.T if node else maps_out, out=dst)
+    return math.isfinite(energy)
 
 
 def _nodes(F, dst, tabs, scale, pre, post, MT, bufs):
@@ -388,7 +431,7 @@ def interpolate(field, plans, out=None):
     (a0, a1), (p0, p1) = field.shape[:2], (plan[0].shape[1] if plan else 0 for plan in plans)
     n0, n1 = (a if plan is None else 2 * len(plan[0]) + a % 2 for a, plan in zip((a0, a1), plans))
     out = _reuse(out, (n0, n1, 4))
-    rows = None
+    rows, chirp0 = None, None if plans[0] is None else plans[0][2]
     if plans[1] is not None:
         rows = np.empty((a1, a0, 4))
         for (d1, s1), (d0, s0) in itertools.product(_halves(a1, p1), _halves(a0, p0)):
@@ -411,10 +454,13 @@ def interpolate(field, plans, out=None):
             W.swapaxes(0, 1)[...] = Wt
         if plans[0] is not None:
             _interpolate(*plans[0][:2], W.reshape(a0, -1), dst.reshape(n0, -1))
-    maps, chunk = None if plans[0] is None else plans[0][2], CHUNK // 4
-    for r in range(0, n0 if maps is not None else 0, chunk):  # the axis-0 chirp, in place
+        if chirp0 is None:  # else the axis-0 chirp writes the block last
+            _check(dst, "interpolate")
+    chunk = CHUNK // 4
+    for r in range(0, n0 if chirp0 is not None else 0, chunk):  # the axis-0 chirp, in place
         a = out[r:r + chunk]
-        a[...] = np.matmul(a, maps[r:r + chunk], out=_buffer(bufs, "a", *a.shape))
+        a[...] = np.matmul(a, chirp0[r:r + chunk], out=_buffer(bufs, "a", *a.shape))
+        _check(a, "interpolate")
     return out
 
 
@@ -461,6 +507,7 @@ def chirp_multiply(angles, mu, field, left, axis, scale=1.0, out=None):
     src, dst = np.moveaxis(field, axis, 0), np.moveaxis(out, axis, 0)
     for lo in range(0, len(src), CHUNK):
         np.matmul(src[lo:lo + CHUNK], maps[lo:lo + CHUNK], out=dst[lo:lo + CHUNK])
+        _check(dst[lo:lo + CHUNK], "chirp", axis)
     return out
 
 

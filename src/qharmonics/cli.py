@@ -265,8 +265,7 @@ def _cmd_roundtrip(args):
         kind, forward, inverse = LctKind(side, *_matrices(args), axes), qlct_forward, qlct_inverse
     with _usage("invalid canonical matrix: "):
         kind.plan(inverse=True)
-    window = (FreqWindow.square(8.0, grid.ns) if args.transform == "qft" and args.window is None
-              else _window(args, grid))
+    window = _window(args, grid)
     # the forward transform consumes the sample, the inverse the spectrum, and the
     # residual (a block of s-rows at a time) the inverse's field: one field
     spec = forward(sample(fn, grid), kind, window, overwrite=True)

@@ -10,7 +10,7 @@ axis 0 indexing ``s`` and axis 1 indexing ``t``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -78,12 +78,26 @@ def _midpoints(lo, d, n):  # the node rule of the module docstring
     return (lo + n * d / 2) + (np.arange(n) - (n - 1) / 2) * d
 
 
-def _check_data(grid, data):
-    data = np.ascontiguousarray(_require_real(data, "data", shape=None))
+def _check_data(grid, data, finite=False):
+    """`data` as a C-order float64 field of `grid`'s shape; a field not known
+    to be `finite` is scanned once (NonFiniteError)."""
+    if not finite:
+        data = np.ascontiguousarray(_require_real(data, "data", shape=None))
     if data.shape != (grid.ns, grid.nt, 4):
         raise ShapeMismatchError(
             f"data shape {data.shape} does not match grid ({grid.ns}, {grid.nt}, 4)")
     return data
+
+
+def _checked(cls, grid, data, *rest):
+    """``cls(grid, data, *rest)`` (QSignal2D or QSpectrum2D) on the C-order
+    float64 field of a transform, whose stages checked every block finite as
+    they wrote it (see ``_kernels``): the shape is checked, and the field is
+    not scanned again."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), (grid, _check_data(grid, data, finite=True), *rest)):
+        object.__setattr__(obj, f.name, value)
+    return obj
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .errors import (
     _require_counts,
     _require_real,
 )
-from .grids import GridSpec, QSignal2D, QSpectrum2D
+from .grids import GridSpec, QSignal2D, QSpectrum2D, _checked
 from .quaternion import CANONICAL_AXES, AxisPair
 
 __all__ = [
@@ -142,7 +142,7 @@ def qft_forward(sig: QSignal2D, kind: QftKind = QftKind(), window: FreqWindow = 
     fgrid = window.to_grid()
     stages, terms = kind.plan()
     data = _stages(sig.data, stages, kind.axes, sig.grid, fgrid, terms, overwrite)
-    return QSpectrum2D(fgrid, data, kind, window)
+    return _checked(QSpectrum2D, fgrid, data, kind, window)
 
 
 def qft_inverse(spec: QSpectrum2D, kind: QftKind, out_grid: GridSpec,
@@ -169,8 +169,8 @@ def _inverse_plan(spec: QSpectrum2D):
 def _invert(spec: QSpectrum2D, out_grid: GridSpec, overwrite=False) -> QSignal2D:
     """Run :func:`_inverse_plan` onto `out_grid`; ``overwrite`` as for the inverses."""
     stages, terms = _inverse_plan(spec)
-    return QSignal2D(out_grid, _stages(spec.data, stages, spec.kind.axes, spec.grid, out_grid,
-                                       terms, overwrite))
+    return _checked(QSignal2D, out_grid, _stages(spec.data, stages, spec.kind.axes, spec.grid,
+                                                 out_grid, terms, overwrite))
 
 
 def _stages(data, stages, axes, src, dst, terms, overwrite=False):

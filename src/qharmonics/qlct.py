@@ -29,7 +29,7 @@ from .errors import (
     SideMismatchError,
     _require_real,
 )
-from .grids import GridSpec, QSignal2D, QSpectrum2D
+from .grids import GridSpec, QSignal2D, QSpectrum2D, _checked
 from .qft import FreqWindow, Side, _invert, _require, _stages
 from .quaternion import (
     CANONICAL_AXES,
@@ -188,7 +188,7 @@ def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
         if A.is_degenerate:
             lo, step = (lo + n * step / 2) / A.d - n * (step / A.d) / 2, step / A.d
             fgrid = replace(fgrid, **dict(zip(keys, (lo, step, n))))
-    return QSpectrum2D(fgrid, data, kind, window)
+    return _checked(QSpectrum2D, fgrid, data, kind, window)
 
 
 def qlct_inverse(spec: QSpectrum2D, kind: LctKind, out_grid: GridSpec,
@@ -285,11 +285,10 @@ def qfrft(sig: QSignal2D, alpha: float, beta: float, side: Side,
     if phase_corrected and side is not Side.TWO_SIDED:
         raise SideMismatchError(
             "phase correction is a constant sandwich only for the two-sided kind")
-    kind = LctKind(side, LctParams.rotation(alpha), LctParams.rotation(beta),
-                   axes, phase_corrected=phase_corrected)
-    spec = qlct_forward(sig, LctKind(side, kind.A1, kind.A2, axes), window)
-    data = spec.data
-    if phase_corrected:
-        data = const_multiply(qexp_pure(axes.mu1, alpha / 2), data, left=True)
-        data = const_multiply(qexp_pure(axes.mu2, beta / 2), data, left=False)
-    return QSpectrum2D(spec.grid, data, kind, spec.window)
+    kind = LctKind(side, LctParams.rotation(alpha), LctParams.rotation(beta), axes)
+    spec = qlct_forward(sig, kind, window)
+    if not phase_corrected:
+        return spec
+    data = const_multiply(qexp_pure(axes.mu1, alpha / 2), spec.data, left=True)
+    data = const_multiply(qexp_pure(axes.mu2, beta / 2), data, left=False)
+    return QSpectrum2D(spec.grid, data, replace(kind, phase_corrected=True), spec.window)

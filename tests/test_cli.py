@@ -628,17 +628,22 @@ LCT_FLAGS = ["--a1", "2", "--b1", "0.5", "--c1", "2", "--d1", "1",
 
 
 def test_roundtrip_default_windows(capsys):
-    """Without --window, the QLCT round trip runs on the natural window
-    scaled by (|b1|, |b2|), where it is exact; the QFT keeps the window 8."""
+    """Without --window, both round trips run on the library's default
+    window, where they are exact: the QLCT on the natural window scaled by
+    (|b1|, |b2|), the QFT on the natural window, byte for byte the output
+    with that window given."""
     base = ["roundtrip", "--fixture", "qgaussian", "--grid", "32", "--extent", "6"]
-    code, out, err = run(capsys, *base, "--transform", "qlct", *LCT_FLAGS)
-    assert code == 0 and err == ""
-    l1, linf = map(float, out.strip().splitlines()[1].split(",")[3:])
-    assert l1 < 1e-12 and linf < 1e-12
+    for transform in ("qlct", "qft"):
+        code, out, err = run(capsys, *base, "--transform", transform, *LCT_FLAGS)
+        assert code == 0 and err == ""
+        l1, linf = map(float, out.strip().splitlines()[1].split(",")[3:])
+        assert l1 < 1e-12 and linf < 1e-12
 
+    natural = FreqWindow.natural(GridSpec.centered(6.0, 32))
     code, default, _ = run(capsys, *base, "--transform", "qft", *LCT_FLAGS)
-    code8, explicit, _ = run(capsys, *base, "--transform", "qft", "--window", "8", *LCT_FLAGS)
-    assert code == code8 == 0 and default == explicit
+    code_n, explicit, _ = run(capsys, *base, "--transform", "qft",
+                              f"--window={natural.u_max!r}", *LCT_FLAGS)
+    assert code == code_n == 0 and default == explicit
 
 
 @pytest.mark.parametrize("forward", [
@@ -661,16 +666,82 @@ def test_file_round_trips_on_default_windows(capsys, tmp_path, forward):
 
 
 def test_default_windows_take_the_fft_path(capsys, tmp_path, dft_calls):
-    """On their default windows the QLCT round trip and qfrft run every stage
-    as an FFT (one block per stage at 32^2); the QFT round trip, on its
-    window 8, keeps the fold."""
+    """On their default windows the QLCT and QFT round trips and qfrft run
+    every stage as an FFT (one block per stage at 32^2); the QFT round trip
+    on a window 8 keeps the fold."""
     base = ["roundtrip", "--fixture", "qgaussian", "--grid", "32", "--extent", "6"]
     code, _, err = run(capsys, *base, "--transform", "qlct", *LCT_FLAGS)
     assert code == 0 and err == "" and len(dft_calls) == 4
     code, _, err = run(capsys, *base, "--transform", "qft")
-    assert code == 0 and err == "" and len(dft_calls) == 4
+    assert code == 0 and err == "" and len(dft_calls) == 8
+    code, _, err = run(capsys, *base, "--transform", "qft", "--window", "8")
+    assert code == 0 and err == "" and len(dft_calls) == 8
     code, _, err = run(capsys, "fixtures", "--out-dir", str(tmp_path), "--grid", "32")
     src, spec = tmp_path / "qgaussian.qsig", tmp_path / "q.qsp"
     code, _, err = run(capsys, "qfrft", "--in", str(src), "--out", str(spec),
                        "--alpha", "0.5", "--beta", "0.7")
-    assert code == 0 and err == "" and len(dft_calls) == 6
+    assert code == 0 and err == "" and len(dft_calls) == 10
+
+
+# -- console-script checks on the FFT route (formerly CI steps) ---------------
+
+def console(cwd, *argv):
+    """``python -m qharmonics.cli argv`` in `cwd`, as the console script runs
+    it; fails on a nonzero exit and returns stdout."""
+    src = os.path.dirname(os.path.dirname(qharmonics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "qharmonics.cli", *argv], capture_output=True,
+                         text=True, env=env, cwd=cwd)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def plancherel_ratio(sig, spec):
+    """||F||^2 du dv / (4 pi^2 ||f||^2 ds dt), 1 for a QFT on the natural window."""
+    return (np.sum(spec.data ** 2) * spec.grid.cell_area
+            / (4 * np.pi ** 2 * np.sum(sig.data ** 2) * sig.grid.cell_area))
+
+
+@pytest.fixture(scope="module")
+def fixtures_360(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("fx360")
+    console(cwd, "fixtures", "--out-dir", "fx360", "--grid", "360")
+    return cwd
+
+
+@pytest.mark.parametrize("side", [side.value for side in Side])
+def test_console_qft_file_round_trip_on_a_360_grid(fixtures_360, side):
+    """`qft` on its default window and `iqft` through files on a 360^2
+    qgaussian (360 = 2^3 3^2 5 takes the FFT in eight blocks a stage, the
+    last partial): Plancherel within 1e-12 and the round trip within 1e-12
+    in l-infinity, on every side."""
+    console(fixtures_360, "qft", "--side", side, "--in", "fx360/qgaussian.qsig",
+            "--out", f"m-{side}.qsp")
+    f = fileio.load_qsig(fixtures_360 / "fx360" / "qgaussian.qsig")
+    assert abs(plancherel_ratio(f, fileio.load_qspectrum(fixtures_360 / f"m-{side}.qsp")) - 1) <= 1e-12
+    console(fixtures_360, "iqft", "--in", f"m-{side}.qsp", "--out", f"mback-{side}.qsig",
+            "--grid", "360", "--extent", "6")
+    assert linf_diff(f, fileio.load_qsig(fixtures_360 / f"mback-{side}.qsig")) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def smooth_image(tmp_path_factory):
+    """A 13-smooth odd non-square image, 231 x 195, as PPM and as QSIG."""
+    cwd = tmp_path_factory.mktemp("smooth")
+    r = np.random.default_rng(11).integers(0, 256, size=(195, 231, 3), dtype=np.uint8)
+    (cwd / "smooth.ppm").write_bytes(b"P6\n231 195\n255\n" + r.tobytes())
+    console(cwd, "img2qsig", "--in", "smooth.ppm", "--out", "smooth.qsig")
+    return cwd
+
+
+@pytest.mark.parametrize("side", [side.value for side in Side])
+def test_console_image_qft_on_its_own_grid(smooth_image, side):
+    """`qft` of the 231 x 195 image QSIG (its grid on [0, w] takes the FFT,
+    the centre a chirp): Plancherel within 1e-12, and the library's
+    `qft_inverse` back onto the image's grid within 1e-12 (the CLI `iqft`
+    writes only centred square grids), on every side."""
+    console(smooth_image, "qft", "--side", side, "--in", "smooth.qsig", "--out", f"{side}.qsp")
+    f = fileio.load_qsig(smooth_image / "smooth.qsig")
+    F = fileio.load_qspectrum(smooth_image / f"{side}.qsp")
+    assert abs(plancherel_ratio(f, F) - 1) <= 1e-12
+    assert linf_diff(f, qft_inverse(F, F.kind, f.grid)) <= 1e-12

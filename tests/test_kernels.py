@@ -7,14 +7,17 @@ evaluate each kernel entry on the given nodes.
 """
 
 
+import re
+
 import numpy as np
 import pytest
 
 from oracles import qft_bruteforce, qlct_bruteforce
 from qharmonics import _kernels
 from qharmonics.fixtures import qgaussian
-from qharmonics._kernels import _centred, chirp_multiply, const_multiply, exp_contract
-from qharmonics.grids import GridSpec, QSignal2D
+from qharmonics._kernels import _centred, chirp_multiply, const_multiply, exp_contract, interpolate
+from qharmonics.errors import NonFiniteError
+from qharmonics.grids import GridSpec, QSignal2D, QSpectrum2D
 from qharmonics import qft as qft_module
 from qharmonics.qft import FreqWindow, QftKind, Side, _stages, qft_forward, qft_inverse
 from qharmonics.qlct import LctKind, LctParams, qlct_forward, qlct_inverse
@@ -586,10 +589,15 @@ NARROW_CASES = [pytest.param(family, Side.TWO_SIDED, direction, 1024, 8.0, BOUND
 FOLDED_CASES = [pytest.param(family, Side.TWO_SIDED, direction, 256, 40.0, BOUNDS[direction][2],
                              id=f"{family}-two-{direction}-256")
                 for family in ("qft", "qlct") for direction in BOUNDS]
+# natural windows at 1024^2 (the QLCT's scaled by |b| = 0.5), every stage an FFT:
+# 1.062-1.066 fields measured, where a second field-sized buffer would show
+NATURAL_CASES = [pytest.param(family, side, "forward", 1024, None, 1.10,
+                              id=f"{family}-{side.value}-natural-1024")
+                 for family in ("qft", "qlct_default") for side in Side]
 
 
 @pytest.mark.parametrize("family,side,direction,n,width,bound",
-                         MEMORY_CASES + NARROW_CASES + FOLDED_CASES + [
+                         MEMORY_CASES + NARROW_CASES + FOLDED_CASES + NATURAL_CASES + [
                              pytest.param("qlct_default", Side.TWO_SIDED, "forward", 512, None,
                                           1.4, id="qlct_default_window"),
                              pytest.param("qlct_b0", Side.TWO_SIDED, "hand-over", 512, None,
@@ -625,6 +633,87 @@ def test_transforms_allocate_one_field(traced_peak, family, side, direction, n, 
     assert result.data.shape == (n, n, 4)
     assert peak / (n * n * 4 * 8) < bound
     assert np.shares_memory(result.data, given.data) == (direction in ("consume", "hand-over"))
+
+
+HUGE = 1e306
+#: the error of a stage's own check, which names the stage
+STAGE_CHECK = r"^(contract|chirp) on axis \d gave non-finite values"
+#: route: (n, (extent, window) of the forward, of the inverse), None the natural
+#: window.  Odd n put a node on 0, where the first stage's sum of 1e306 values
+#: overflows (by 2 extent, or 2 window / 2 pi, the inverse's weights); 511
+#: nodes on extent 10 or 0.01 are narrow enough for low-rank stages.
+OVERFLOW_ROUTES = {"fft": (65, (1000.0, None), (1e-3, None)),
+                   "fold": (65, (1000.0, 8.0), (1.0, 1e4)),
+                   "low-rank": (511, (10.0, 8.0), (0.01, 1e3)),
+                   "partial-fft": (101, (1000.0, None), (1e-3, None)),
+                   "partial-fold": (101, (1000.0, 8.0), (1.0, 1e4))}
+
+
+@pytest.mark.parametrize("route", list(OVERFLOW_ROUTES))
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("side", list(Side))
+def test_overflow_is_refused_by_the_stage_that_writes_it(route, direction, side, dft_calls):
+    """A field of 1e306 values whose transform overflows raises
+    NonFiniteError from the check of the stage that wrote the non-finite
+    block, with overflow warnings off, and returns nothing: on the FFT,
+    fold and low-rank routes, forward and inverse, every side.  On the
+    "partial" routes the 1e306 values fill only the last lines across the
+    first stage's axis, which on n = 101 are its partial last block (96-100
+    of FFT blocks of 48 lines, 78-100 of fold blocks of 26): the message
+    names that stage."""
+    n, *setups = OVERFLOW_ROUTES[route]
+    extent, width = setups[direction == "inverse"]
+    grid = GridSpec.centered(extent, n)
+    window = FreqWindow.natural(grid) if width is None else FreqWindow(width, width, n, n)
+    kind = QftKind(side)
+    first = (side.stages if direction == "forward" else side.stages[::-1])[0][0]
+    data = np.full((n, n, 4), HUGE)
+    if route.startswith("partial"):
+        data[...] = 1.0
+        data[(slice(None), slice(96, None)) if first == 0 else slice(96, None)] = HUGE
+    if direction == "forward":
+        x, y, call = grid.s, window.to_grid().s, lambda: qft_forward(QSignal2D(grid, data), kind,
+                                                                      window)
+    else:
+        spec = QSpectrum2D(window.to_grid(), data, kind, window)
+        x, y, call = window.to_grid().s, grid.s, lambda: qft_inverse(spec, kind, grid)
+    assert (_kernels.low_rank(y, x, -1.0) is not None) == (route == "low-rank")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as err:
+        call()
+    assert re.match(STAGE_CHECK, str(err.value))
+    assert bool(dft_calls) == (width is None)
+    if route.startswith("partial"):
+        assert str(err.value).startswith(f"contract on axis {first} ")
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_overflow_in_a_b0_chirp_is_refused(side):
+    """A b = 0 QLCT axis with d = 1e5 scales a field of 1e306 by sqrt(d)
+    past the largest double: its pointwise chirp, the first stage, refuses
+    it (NonFiniteError naming the chirp), with overflow warnings off."""
+    grid = GridSpec.centered(1000.0, 101)
+    sig = QSignal2D(grid, np.full((101, 101, 4), HUGE))
+    b0, plain = LctParams(1e-5, 0.0, 0.0, 1e5), LctParams(1.0, 1.0, 0.0, 1.0)
+    first = side.stages[0][0]
+    kind = LctKind(side, *((b0, plain) if first == 0 else (plain, b0)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteError, match=f"^chirp on axis {first} gave non-finite values"):
+        qlct_forward(sig, kind)
+
+
+@pytest.mark.parametrize("chirped", [False, True])
+def test_interpolation_checks_the_blocks_it_writes(chirped):
+    """`interpolate` checks each column block it writes, or, with an axis-0
+    output chirp, each run of rows that chirp writes last: a non-finite
+    value in the last column of its input raises NonFiniteError naming it."""
+    L = np.random.default_rng(2).normal(size=(4, 2))
+    field = np.ones((4, 9, 4))
+    field[1, -1, 2] = np.nan
+    post = np.linspace(-2.0, 2.0, 8) if chirped else None
+    with pytest.raises(NonFiniteError, match="^interpolate gave non-finite values"):
+        interpolate(field, [(L, post, MU, True), None])
+    field[1, -1, 2] = 1.0
+    assert np.all(np.isfinite(interpolate(field, [(L, post, MU, True), None])))
 
 
 def test_mirror_detection():
