@@ -185,7 +185,9 @@ def _stages(data, stages, axes, src, dst, terms, overwrite=False):
     interpolation and output chirp wait for the end when every later stage
     multiplies from the other side; else they run right after it.  Every
     step fills one buffer of the output's size: `data` when `overwrite` is
-    true (the caller hands it over) and it is one, else a new array.
+    true (the caller hands it over) and it is one, else a new array.  Every
+    step checks the blocks it writes (NonFiniteError, naming it), so the
+    field returned is finite and the transforms do not scan it again.
     """
     mus, xs, ys, dxs = (axes.mu1, axes.mu2), (src.s, src.t), (dst.s, dst.t), (src.ds, src.dt)
     stages = [(axis, left) + terms(axis, xs[axis], ys[axis], dxs[axis]) for axis, left in stages]

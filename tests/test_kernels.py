@@ -202,8 +202,8 @@ def test_dft_stage_against_exact_long_double_dft(n, direction, dft_calls):
     and the two axes agree to 4 eps on a field and its transpose.  The
     lengths include primes (257, 509, 1021) and 333 = 9 * 37, lengths with
     a prime factor above 13.  The QLCT stage (b = -0.8) carries chirps of 60 to
-    2e4 rad; at n = 360 (not a power of two) the field is 136 lines wide,
-    two full DFT_BLOCKs and a partial one."""
+    2e4 rad; at n = 360 (not a power of two) the field is 136 = 2 * 48 + 40
+    lines wide, two full DFT_BLOCKs of 48 lines and a partial one."""
     field = np.random.default_rng(n).normal(size=(n, 136 if n == 360 else 3, 4))
     k = np.arange(n)
     m = np.outer(2 * k - n + 1, 2 * k - n + 1) % (4 * n)
@@ -671,12 +671,14 @@ def test_overflow_is_refused_by_the_stage_that_writes_it(route, direction, side,
     if route.startswith("partial"):
         data[...] = 1.0
         data[(slice(None), slice(96, None)) if first == 0 else slice(96, None)] = HUGE
+    fgrid = window.to_grid()
     if direction == "forward":
-        x, y, call = grid.s, window.to_grid().s, lambda: qft_forward(QSignal2D(grid, data), kind,
-                                                                      window)
+        x, y = grid.s, fgrid.s
+        call = lambda: qft_forward(QSignal2D(grid, data), kind, window)  # noqa: E731
     else:
-        spec = QSpectrum2D(window.to_grid(), data, kind, window)
-        x, y, call = window.to_grid().s, grid.s, lambda: qft_inverse(spec, kind, grid)
+        x, y = fgrid.s, grid.s
+        spec = QSpectrum2D(fgrid, data, kind, window)
+        call = lambda: qft_inverse(spec, kind, grid)  # noqa: E731
     assert (_kernels.low_rank(y, x, -1.0) is not None) == (route == "low-rank")
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as err:
         call()
