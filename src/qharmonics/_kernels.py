@@ -2,22 +2,22 @@
 
 Every transform stage is one call of :func:`exp_contract`,
 
-    out_k = scale e^{mu post_k} sum_j e^{mu c y_k x_j} e^{mu pre_j} f_j
+    out_k = scale sum_j e^{mu (c y_k x_j + pre(x_j) + post(y_k))} f_j
 
-along one grid axis (all on the right of f for a right-multiplied
-kernel; the factors of one axis commute).  With ``e^{mu theta} =
-cos(theta) + mu sin(theta)`` and ``mu`` acting as a fixed 4x4 real map
-``M`` (left or right multiplication), the sum is ``C + S M^T`` with
-``C = cos(theta) @ f`` and ``S = sin(theta) @ f``: real GEMMs that keep
-the exact placement of each factor, ``scale`` baked into their tables.
-A chirp is the 4x4 map ``cos(phi) I + sin(phi) M`` of one node.
+along one grid axis (on the right of f for a right-multiplied kernel).
+With ``e^{mu theta} = cos(theta) + mu sin(theta)`` and ``mu`` acting as a
+fixed 4x4 real map ``M`` (left or right multiplication), the sum is ``C +
+S M^T`` with ``C = cos(theta) @ f`` and ``S = sin(theta) @ f``: real GEMMs
+that keep the exact placement of each factor, ``scale`` in their tables.
 
-x and y are uniform grid nodes, each its centre plus offsets mirrored
-about 0 (exactly on a ``GridSpec`` centred on 0, else once symmetrized):
-with x = x0 + x', y = y0 + y', e^{mu c y x} = e^{mu c y' x'} e^{mu c y0 x}
-e^{mu c x0 y'}, and the last two factors join ``pre`` and ``post`` before
-the stage picks its route, the fold or the FFT.  On mirrored offsets
-cos is even and sin odd in x: f is folded into ``f_j +- f_{n-1-j}`` and
+x and y are grid axes (centre, spacing, m), nodes centre + m spacing / 2 at
+the integers m = 2k - n + 1, so every angle is in_j + out_k + K m_k m_j, K =
+c dy dx / 4, in_j holding pre and y's centre's terms, out_k post and x's
+centre's; a chirp is (q2, q1, q0) of q2 z^2 + q1 z + q0.  :func:`_chirp`
+forms each angle hi + lo in double-double from the given doubles and the
+exact index products (Dekker, Numer. Math. 18, 1971), and it applies once,
+as the 4x4 map ``cos I + sin M`` of the phasor e^{i hi} (1 + i lo).
+The m are mirrored about 0, so f is folded into ``f_j +- f_{n-1-j}`` and
 two half-size GEMMs give the first half of the output rows, the mirrored
 rows being ``C - S M^T`` (a quarter of the flops of the unfolded product).
 
@@ -28,34 +28,32 @@ else to at most a quarter of the field's lines (on small fields a block
 would otherwise hold buffers of twice the field).  Each block runs the
 input chirp, the fold, the GEMMs, the mu map, the unfold and the output
 chirp, and writes straight into the C-order output.  The chirps act on
-the actual nodes, before the fold and after the unfold: a chirp need not
-be even (a centre's factor is odd in the offsets), and its phases reach
-hundreds of radians.
+the actual nodes, before the fold and after the unfold: they need not be
+even (a centre's term is odd in m), and their angles reach 1e4 rad.
 
 Narrow kernels have low rank: cos(c y x) on y in [-Y, 0], |x| <= X, is
 interpolated to the ulp by a barycentric matrix L from about w + 10 w^(1/3)
 Chebyshev points t in y, w = |c| X Y / 2, for any n (Ruiz-Antolin and
-Townsend, SIAM J. Sci. Comput. 40, 2018).  :func:`low_rank` gives the
-points, mirrored (t, -t and the centre of an odd axis), and L; a stage onto
-them is an ordinary folded stage of 2p (+1) outputs.  Its real map L
-commutes with every later stage and :func:`interpolate` applies it, with
-the output chirp, to an axis or two at once: the first stage shrinks its
-axis, and the next runs on the compressed field.
+Townsend, SIAM J. Sci. Comput. 40, 2018).  :func:`low_rank` gives L and the
+points as an axis, their m mirrored (t, -t and the centre of an odd axis); a
+stage onto them is an ordinary folded stage of 2p (+1) outputs.  Its real
+map L commutes with every later stage and :func:`interpolate` applies it,
+with the output chirp, to an axis or two at once: the first stage shrinks
+its axis, and the next runs on the compressed field.
 
 On the natural window a stage is exactly a length-n DFT about the centres
-of its grids: mirrored offsets on both sides, as many outputs as inputs
-and c dx dy n = +-2 pi.  On any n each block of such a stage runs as FFTs
-(Ell and Sangwine, IEEE Trans. Image Process. 16, 2007): an orthogonal 4x4
-map P splits each node f = a + b nu, a and b in span{1, mu} with nu a pure
-unit normal to mu, and on each of a and b e^{mu theta} is the complex
-e^{i theta}, so a block is P, input phasors, one complex FFT along the
-nodes, output phasors and P^T.
-The phasors take the half-sample shifts of the midpoint nodes with their
-index products reduced mod 4n in integers, the chirps (a centre's factors
-too) and ``scale``.  A phasor on both components is the chirp map
-cos I + sin M^T, so node-major blocks (axis 0) fold the phasors into P and
-P^T as one 4x4 map per node on each side; row-layout blocks (axis 1) keep
-P and the phasor multiplies.  The FFT runs in the block's buffer (``out=``,
+of its grids: as many outputs as inputs and c dx dy n = +-2 pi.  On any n
+each block of such a stage runs as FFTs (Ell and Sangwine, IEEE Trans.
+Image Process. 16, 2007): an orthogonal 4x4 map P splits each node f = a +
+b nu, a and b in span{1, mu} with nu a pure unit normal to mu, and on each
+of a and b e^{mu theta} is the complex e^{i theta}, so a block is P, input
+phasors, one complex FFT along the nodes, output phasors and P^T.  The
+phasors take the half-sample shifts of the midpoint nodes with their index
+products reduced mod 4n in integers, the angles in_j and out_k and
+``scale``.  A phasor on both components is the chirp map cos I + sin M^T,
+so node-major blocks (axis 0) fold the phasors into P and P^T as one 4x4
+map per node on each side; row-layout blocks (axis 1) keep P and the
+phasor multiplies.  The FFT runs in the block's buffer (``out=``,
 numpy >= 2.0); ``numpy.fft`` is loaded by the first such stage.  A block
 spans DFT_BLOCK = 48 grid lines: at n = 1024 its buffer and its output are
 1.5 MiB each, about a core's L2 cache (2 MiB), where 64 lines spill it.
@@ -111,85 +109,98 @@ BREAK_EVEN = 1.2
 DFT_ULPS, DFT_BLOCK = 8, 48
 
 
-def _centred(x):
-    """(x0, x - x0) of uniform nodes x, offsets mirrored exactly; (0, x) on mirrored x."""
-    x0 = (x[0] + x[-1]) / 2
-    d = x - x0
-    return x0, (d - d[::-1]) / 2
+def _two_sum(a, b):
+    """(s, e), s + e = a + b exactly (Knuth's two-sum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
 
 
-def _angles(*chirps):
-    """The angles of `chirps`, each None, an array or a tuple of arrays and constants."""
-    return [a for c in chirps if c is not None for a in (c if isinstance(c, tuple) else (c,))]
+def _mul_add(x, b, y=0.0):
+    """x b + y of double-doubles x and y, (hi, lo) or doubles, and doubles b,
+    to about 2^-104: Dekker's exact product of hi and b, which needs no FMA
+    (each factor split into halves of its mantissa by 2^27 + 1), and exact sums."""
+    (xh, xl), (yh, yl) = (v if isinstance(v, tuple) else (v, 0.0) for v in (x, y))
+    ta, tb = 134217729.0 * xh, 134217729.0 * b
+    a1, b1 = ta - (ta - xh), tb - (tb - b)
+    a2, b2, p = xh - a1, b - b1, xh * b
+    s, e = _two_sum(p, yh)
+    return _two_sum(s, e + (((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + xl * b + yl))
 
 
-def _chirp_maps(MT, *chirps):
-    """(n, 4, 4) maps ``row -> row @ maps[j]`` of the product of e^{mu phi_j}
-    over the :func:`_angles` of `chirps`, the first an array (MT = M^T), or
-    None.  The maps compose, so each phase keeps its low bits."""
-    maps = None
-    for phi in _angles(*chirps):
-        phi = np.asarray(phi, dtype=float)[..., None, None]
-        one = np.cos(phi) * np.eye(4) + np.sin(phi) * MT
-        maps = one if maps is None else maps @ one
-    return maps
+def _ratio(a, b):
+    """a / b of doubles as a double-double (an exact chirp coefficient)."""
+    q = a / b
+    p, e = _mul_add(q, b)
+    return q, ((a - p) - e) / b
+
+
+def _chirp(z, chirp, slope=0.0):
+    """The angles chirp(v) + slope (v - z0) at the nodes v = z0 + m d / 2 of
+    the axis z = (z0, d, m), as double-doubles (hi, lo) by Horner in m."""
+    (z0, d, m), h = z, z[1] / 2
+    q2, q1, q0 = chirp or (0.0, 0.0, 0.0)
+    a1 = _mul_add(_mul_add(_mul_add(q2, 2.0 * z0, q1), 1.0, slope), h)
+    a0 = _mul_add(_mul_add(q2, z0, q1), z0, q0)
+    return _mul_add(_mul_add(_mul_add(_mul_add(q2, h), h), m, a1), m, a0)
+
+
+def _point_chirp(p, c, pre=None, post=None):
+    """The chirp in x of c p x + pre(x) + post(p), a stage onto the node p."""
+    q2, q1, q0 = pre or (0.0, 0.0, 0.0)
+    return q2, _mul_add(c, p, q1), q0 if post is None else _mul_add(_chirp((p, 0, 0), post), 1, q0)
+
+
+def _phasor(a):
+    """e^{i a} of angles a = hi + lo as e^{i hi} (1 + i lo): libm reduces hi,
+    and the lo^2 / 2 left out is below 1e-24 for angles up to 1e4 rad."""
+    return np.exp(1j * a[0]) * (1.0 + 1j * a[1])
+
+
+def _maps(mu, left, a):
+    """(n, 4, 4) maps ``row -> row @ maps[j]`` of e^{mu a_j}, or None."""
+    if a is None:
+        return None
+    z = _phasor(a)[..., None, None]
+    return z.real * np.eye(4) + z.imag * mul_matrix(np.concatenate([[0.0], mu]), left).T
 
 
 def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0, out=None):
-    """Contract one grid axis of a quaternion field into a C-order array,
-    out_k = scale e^{mu post_k} sum_j e^{mu c y_k x_j} e^{mu pre_j} f_j,
-    the contracted axis taking the length of ``y``.
-
-    Parameters
-    ----------
-    y, x : 1D arrays
-        Output and input nodes, each a uniform grid; ``x`` has the length
-        of axis `axis`.
-    c : float
-        Scale of the kernel angle, signs included.
-    mu : (3,) array
-        Pure unit axis of the exponential.
-    field : (n0, n1, 4) array
-        Quaternion field, in any memory order.
-    left : bool
-        Kernel and chirps multiply from the left (True) or the right (False).
-    axis : int
-        Which grid axis of `field` to contract (0 or 1).
-    pre, post : 1D arrays, optional
-        Chirp angles at the input nodes ``x`` and at the output nodes ``y``,
-        or tuples of such arrays and constant angles, each its own factor.
-    scale : float
-        Real factor of the whole stage (a quadrature weight).
-    out : array, optional
-        A buffer the caller owns and whose contents may be destroyed, `field`
-        itself included (as ``overwrite_x`` in ``scipy.fft``).  The output
-        fills its memory from the front when it is a C-contiguous writeable
-        float64 array that holds it (and, sharing memory with `field`,
-        ``len(y) <= field.shape[axis]``); otherwise a new array is allocated.
-
+    """Contract grid axis `axis` (0 or 1) of a quaternion field (n0, n1, 4),
+    in any memory order, into a C-order array, out_k = scale sum_j
+    e^{mu (c y_k x_j + pre(x_j) + post(y_k))} f_j, on the output and input
+    axes y and x (``GridSpec.axes``, or the points of :func:`low_rank`), x
+    of the field's length; c (a double or a double-double) scales the
+    kernel angle, signs included, and the kernel and the chirps multiply
+    from the left or not.  `out` is a buffer the caller owns and whose
+    contents may be destroyed, `field` included (as ``overwrite_x`` in
+    ``scipy.fft``): the output fills its memory from the front when it is a
+    C-contiguous writeable float64 array that holds it (and, sharing memory
+    with `field`, y has no more nodes than the axis), else a new array.
     Raises NonFiniteError, naming the stage, when a block of the output is
     not finite (an overflow, or a non-finite input).
     """
-    y, x, field = (np.asarray(a, dtype=float) for a in (y, x, field))
-    (x0, xc), (y0, yc) = _centred(x), _centred(y)
+    field = np.asarray(field, dtype=float)
+    (y0, dy, my), (x0, dx, mx) = y, x
+    a_in = None if pre is None and not y0 else _chirp(x, _point_chirp(y0, c, pre))
+    a_out = None if post is None and not x0 else _chirp(y, post, _mul_add(c, x0))
+    K = _mul_add(_mul_add(c, dy / 2), dx / 2)
     MT = mul_matrix(np.concatenate([[0.0], mu]), left).T
-    pre, post = ((*_angles(pre), c * y0 * x) if y0 else pre,
-                 (*_angles(post), c * x0 * yc) if x0 else post)
-    tabs = _dft_tables(yc, xc, c, mu, left, pre, post, scale)
+    tabs = _dft_tables(my.size, mx.size, 4 * mx.size * K[0], mu, left, a_in, a_out, scale)
     kernel, maps, step = _dft, (None, None), DFT_BLOCK
     if tabs is None:
-        maps = _chirp_maps(MT, pre), _chirp_maps(MT, post)
+        maps = _maps(mu, left, a_in), _maps(mu, left, a_out)
         # a stage that shrinks its axis narrows its blocks, and with them its buffers;
         # any other spans at most 1 / BLOCK_SHARE of the field's lines
         lines = COL_BLOCK // 4 if axis == 0 else ROW_BLOCK
-        step = (max(lines * y.size // x.size, 1) if y.size < x.size
+        step = (max(lines * my.size // mx.size, 1) if my.size < mx.size
                 else _lines(lines, field.shape[1 - axis]))
-        theta = np.outer(c * yc[:yc.size // 2], xc[:xc.size // 2])
-        tabs = (scale * np.cos(theta), scale * np.sin(theta))
+        tabs = _phasor(_mul_add(_mul_add(K, my[:my.size // 2, None]), mx[:mx.size // 2]))
+        tabs = (scale * tabs.real, scale * tabs.imag)  # the GEMMs' contiguous tables
         # here _nodes takes 1.5-1.6x as long on C-order fields (strided node I/O)
         kernel = _rows if axis == 1 and maps[0] is None and maps[1] is None else _nodes
-    shape = field.shape[:axis] + (y.size,) + field.shape[axis + 1:]
-    out = _reuse(None if y.size > field.shape[axis] and np.may_share_memory(out, field) else out,
+    shape = field.shape[:axis] + (my.size,) + field.shape[axis + 1:]
+    out = _reuse(None if my.size > field.shape[axis] and np.may_share_memory(out, field) else out,
                  shape)
     bufs = {}
     for lo in range(0, field.shape[1 - axis], step):
@@ -200,30 +211,25 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
     return out
 
 
-def _dft_tables(y, x, c, mu, left, pre, post, scale):
+def _dft_tables(n_out, n, turn, mu, left, a_in, a_out, scale):
     """(P, inverse, input phasors, output phasors, input maps, output maps)
-    of a stage that is an exact length-n DFT on mirrored nodes, or None.
-    Its kernel angle c y_k x_j is +-pi (2k - n + 1)(2j - n + 1) / 2n: the
-    DFT angle +-2 pi k j / n plus terms in j alone and in k alone, each an
-    integer times pi / 2n reduced mod 4n.  The chirps join as unit phasors
-    of their own, so each phase keeps its low bits.  P has the columns 1,
-    mu, nu and mu nu (nu mu for a right-multiplied kernel, the split being
-    f = a + nu b).  The phasors come twice each, once per component, and
-    the (n, 4, 4) maps are P then the input phasor, the output phasor then
-    P^T."""
-    n = x.size
-    if n < 2 or y.size != n:
-        return None
-    turn = c * (x[-1] - x[0]) * (y[-1] - y[0]) * n / (n - 1) ** 2
-    if not abs(abs(turn) - 2 * np.pi) <= DFT_ULPS * np.finfo(float).eps * 2 * np.pi:
+    of a stage that is an exact length-n DFT (n_out = n, c dx dy n = `turn`
+    = +-2 pi), or None.  Its angle K m_k m_j is +-pi (2k - n + 1)(2j - n +
+    1) / 2n: the DFT angle +-2 pi k j / n plus terms in j alone and in k
+    alone, integers times pi / 2n reduced mod 4n, the phasors that in_j and
+    out_k multiply.  P has the columns 1, mu, nu and mu nu (nu mu for a
+    right-multiplied kernel, the split being f = a + nu b).  The phasors
+    come twice each, once per component, and the (n, 4, 4) maps are P then
+    the input phasor, the output phasor then P^T."""
+    if n < 2 or n_out != n or not (abs(abs(turn) - 2 * np.pi)
+                                   <= DFT_ULPS * np.finfo(float).eps * 2 * np.pi):
         return None
     sign = np.sign(turn)
     k = np.arange(n, dtype=np.int64)
     p_in, p_out = (np.exp(1j * sign * np.pi / (2 * n) * ((m + 2 * n) % (4 * n) - 2 * n))
                    for m in (-2 * (n - 1) * k, (n - 1) ** 2 - 2 * (n - 1) * k))
-    for phasors, phi in ((p_in, pre), (p_out, post)):
-        for angle in _angles(phi):
-            phasors *= np.exp(1j * np.asarray(angle, dtype=float))
+    for phasors, a in ((p_in, a_in), (p_out, a_out)):
+        phasors *= 1.0 if a is None else _phasor(a)
     p_out *= scale
     nu = np.cross(mu, np.eye(3)[np.argmin(np.abs(mu))])
     nu /= np.sqrt(nu @ nu)
@@ -240,33 +246,33 @@ def _dft_tables(y, x, c, mu, left, pre, post, scale):
 
 
 def low_rank(y, x, c):
-    """(t, L) of a stage onto y whose kernel e^{mu c y x} has low rank in y, or
-    None: t are p Chebyshev points on the first half of y's offsets from its
-    centre, mirrored (with the centre of an odd axis), and L (len(y) // 2, p)
-    interpolates that half from them (see :func:`interpolate`).  w takes
-    max |x|: on shifted x the shift's chirp is applied at the points."""
-    h, m = len(x) // 2, len(y) // 2
+    """(points, L) of a stage onto axis y whose kernel e^{mu c y x} has low
+    rank in y, or None: points is y with its m p Chebyshev points on the
+    first half of y's m, mirrored (with 0 on an odd axis), and L (len(m) //
+    2, p) interpolates that half from them (see :func:`interpolate`).  w
+    takes max |x|: on shifted x the centre's term acts at the points."""
+    (y0, dy, my), (x0, dx, mx) = y, x
+    h, m = mx.size // 2, my.size // 2
     if h == 0 or m == 0:
         return None
-    # the rule first, from the ends of the uniform nodes: full-rank stages allocate nothing
-    w = abs(c) * max(abs(x[0]), abs(x[-1])) * abs(y[m - 1] - y[0]) / 2
+    cy = _mul_add(c, 1.0)[0] * dy / 2
+    # the rule first, from the ends of the axes: full-rank stages allocate nothing
+    w = abs(cy) * (abs(x0) + dx / 2 * mx[-1]) * (my[m - 1] - my[0]) / 2
     p = int(np.ceil(w + RANK_SLOPE * np.cbrt(w) + RANK_PAD))
     if p * (h + m) > BREAK_EVEN * h * m:
         return None
-    y0, yc = _centred(np.asarray(y, dtype=float))
-    lo, hi = yc[:m].min(), yc[:m].max()
-    xs = np.sort(np.abs(x))[-CHECK_COLUMNS:]  # the error grows with |c x|
     theta = np.pi * (np.arange(p) + 0.5) / p
-    t = (lo + hi) / 2 - (hi - lo) / 2 * np.cos(theta)
-    d = yc[:m, None] - t
+    t = (my[0] + my[m - 1]) / 2 - (my[m - 1] - my[0]) / 2 * np.cos(theta)
+    d = my[:m, None] - t
     d[d == 0] = np.finfo(float).tiny  # an output node on a point: that row of L is e_i
     L = (-1.0) ** np.arange(p) * np.sin(theta) / d
     L /= L.sum(axis=1, keepdims=True)
-    err = max(np.max(np.abs(L @ f(c * np.outer(t, xs)) - f(c * np.outer(yc[:m], xs))))
+    xs = np.sort(np.abs(x0 + dx / 2 * mx))[-CHECK_COLUMNS:]  # the error grows with |c x|
+    err = max(np.max(np.abs(L @ f(cy * np.outer(t, xs)) - f(cy * np.outer(my[:m], xs))))
               for f in (np.cos, np.sin))
-    if not err <= CHECK_ULPS * np.finfo(float).eps * (1.0 + abs(c) * xs[-1] * np.max(np.abs(yc))):
+    if not err <= CHECK_ULPS * np.finfo(float).eps * (1.0 + abs(cy) * xs[-1] * abs(my[0])):
         return None
-    return y0 + np.concatenate([t, [0.0] * (len(y) % 2), -t[::-1]]), L
+    return (y0, dy, np.concatenate([t, [0.0] * (my.size % 2), -t[::-1]])), L
 
 
 def _check(block, stage, axis=None):
@@ -415,7 +421,7 @@ def _rows(F, dst, tabs, scale, pre, post, MT, bufs):
 
 def interpolate(field, plans, out=None):
     """Take the axes that low-rank stages left on their points to the output
-    nodes: ``plans[axis]`` is None or ``(L, post, mu, left)``, the output
+    axes y: ``plans[axis]`` is None or ``(L, y, post, mu, left)``, the output
     chirp acting after L.  Column blocks of COL_BLOCK / 16 grid columns (at
     most a quarter of the output's) run axis 1 and its chirp on the
     compressed rows, then one axis-0 GEMM into the C-order output, whose
@@ -425,8 +431,8 @@ def interpolate(field, plans, out=None):
     copies, transposed for axis 1, else one column block at a time.
     """
     plans = [None if plan is None else
-             (plan[0], np.ascontiguousarray(plan[0][::-1]),
-              _chirp_maps(mul_matrix(np.concatenate([[0.0], plan[2]]), plan[3]).T, plan[1]))
+             (plan[0], np.ascontiguousarray(plan[0][::-1]), _maps(
+                 *plan[3:], None if plan[2] is None else _chirp(*plan[1:3])))
              for plan in plans]
     (a0, a1), (p0, p1) = field.shape[:2], (plan[0].shape[1] if plan else 0 for plan in plans)
     n0, n1 = (a if plan is None else 2 * len(plan[0]) + a % 2 for a, plan in zip((a0, a1), plans))
@@ -491,18 +497,16 @@ def _interpolate(L, Lr, src, dst, lo=0):
         dst[m - lo] = src[p]
 
 
-def chirp_multiply(angles, mu, field, left, axis, scale=1.0, out=None):
-    """Multiply elementwise along one grid axis by scale * e^{mu*angles}.
-
-    `angles` (1D, of the length of grid axis `axis`, or a tuple of such arrays
-    and constants, each its own factor) maps each line of the field by the 4x4
-    map ``scale (cos(phi) I + sin(phi) M)``, M being left or right multiplication
-    by ``mu``: batched products of CHUNK lines into a C-order (n0, n1, 4) array,
-    the front of `out` when it holds it (see :func:`exp_contract`).  In place,
-    numpy copies the input of one product, so a chunk and not the field.
+def chirp_multiply(x, chirp, mu, field, left, axis, scale=1.0, out=None):
+    """Multiply elementwise along grid axis `axis`, its axis `x`, by scale
+    e^{mu chirp(x)}: the 4x4 map ``scale (cos(phi) I + sin(phi) M)`` of each
+    line, M being left or right multiplication by ``mu``, in batched
+    products of CHUNK lines into a C-order (n0, n1, 4) array, the front of
+    `out` when it holds it (see :func:`exp_contract`).  In place, numpy
+    copies the input of one product, so a chunk and not the field.
     """
     field = np.asarray(field, dtype=float)
-    maps = scale * _chirp_maps(mul_matrix(np.concatenate([[0.0], mu]), left).T, angles)
+    maps = scale * _maps(mu, left, _chirp(x, chirp))
     out = _reuse(out, field.shape)
     src, dst = np.moveaxis(field, axis, 0), np.moveaxis(out, axis, 0)
     for lo in range(0, len(src), CHUNK):

@@ -58,12 +58,18 @@ class GridSpec:
         return cls(-(n * ds) / 2, -(nt * dt) / 2, ds, dt, n, nt)  # centres exactly 0
 
     @property
+    def axes(self):
+        """(centre, spacing, m) of each axis: nodes centre + m spacing / 2, m = 2k - n + 1."""
+        return tuple((lo + n * d / 2, d, np.arange(1.0 - n, n, 2.0)) for lo, d, n in
+                     ((self.s_min, self.ds, self.ns), (self.t_min, self.dt, self.nt)))
+
+    @property
     def s(self):
-        return _midpoints(self.s_min, self.ds, self.ns)
+        return _nodes(*self.axes[0])
 
     @property
     def t(self):
-        return _midpoints(self.t_min, self.dt, self.nt)
+        return _nodes(*self.axes[1])
 
     def mesh(self):
         """Broadcastable (ns,1) and (1,nt) coordinate arrays."""
@@ -74,8 +80,8 @@ class GridSpec:
         return self.ds * self.dt
 
 
-def _midpoints(lo, d, n):  # the node rule of the module docstring
-    return (lo + n * d / 2) + (np.arange(n) - (n - 1) / 2) * d
+def _nodes(centre, d, m):  # the node rule of the module docstring
+    return centre + m * (d / 2)
 
 
 def _check_data(grid, data, finite=False):

@@ -14,13 +14,13 @@ factor and the side-specific kernel order
     left-sided  f = (1/4pi^2) integral e^{mu2 v t} e^{mu1 u s} F du dv
 
 Each kernel factor is one contraction along an axis of any uniform grid
-(see ``_kernels``); a kind's ``plan`` lists them, forward or inverse, and
-one stage loop runs the plans of both families.  On a narrow window,
+(see ``_kernels``); a kind's ``plan`` lists their records, forward or
+inverse, and one stage loop runs the plans of both families.  On a narrow window,
 where a kernel has low rank, a stage contracts onto Chebyshev points and
 the loop interpolates them once at the end.  On any midpoint grid with
 ``FreqWindow.natural``, the forward transforms' default window, the
 quadrature is exactly the 2D DFT of the samples about the grid's centre
-(a grid off 0, such as an image on [0, w], adds its centre as a chirp),
+(a grid off 0, such as an image on [0, w], adds its centre's terms),
 and every stage runs as complex FFTs on the symplectic split of the
 field, for any sample counts and any axis pair.
 """
@@ -85,13 +85,12 @@ class QftKind:
     family = "qft"
 
     def plan(self, inverse=False):
-        """(stages, terms) for :func:`_stages`: the forward kernels
-        e^{-mu x y} on the cells, or the inverse's e^{+mu y x} with one 1/2pi
-        per stage, its stages in reverse order."""
-        if inverse:
-            return (tuple(reversed(self.side.stages)),
-                    lambda axis, u, y, du: (1.0, None, None, du / (2.0 * np.pi)))
-        return self.side.stages, lambda axis, x, y, dx: (-1.0, None, None, dx)
+        """Stage records (axis, left, c, pre, post, scale) for :func:`_stages`:
+        the forward kernels e^{-mu x y} on the cells, or the inverse's
+        e^{+mu y x} with one 1/2pi per stage, its stages in reverse order."""
+        stages, c, scale = ((reversed(self.side.stages), 1.0, 2.0 * np.pi) if inverse
+                            else (self.side.stages, -1.0, 1.0))
+        return tuple((axis, left, c, None, None, scale) for axis, left in stages)
 
 
 @dataclass(frozen=True)
@@ -140,8 +139,7 @@ def qft_forward(sig: QSignal2D, kind: QftKind = QftKind(), window: FreqWindow = 
     """
     window = FreqWindow.natural(sig.grid) if window is None else window
     fgrid = window.to_grid()
-    stages, terms = kind.plan()
-    data = _stages(sig.data, stages, kind.axes, sig.grid, fgrid, terms, overwrite)
+    data = _stages(sig.data, kind.plan(), kind.axes, sig.grid, fgrid, overwrite)
     return _checked(QSpectrum2D, fgrid, data, kind, window)
 
 
@@ -168,44 +166,41 @@ def _inverse_plan(spec: QSpectrum2D):
 
 def _invert(spec: QSpectrum2D, out_grid: GridSpec, overwrite=False) -> QSignal2D:
     """Run :func:`_inverse_plan` onto `out_grid`; ``overwrite`` as for the inverses."""
-    stages, terms = _inverse_plan(spec)
-    return _checked(QSignal2D, out_grid, _stages(spec.data, stages, spec.kind.axes, spec.grid,
-                                                 out_grid, terms, overwrite))
+    return _checked(QSignal2D, out_grid, _stages(spec.data, _inverse_plan(spec), spec.kind.axes,
+                                                 spec.grid, out_grid, overwrite))
 
 
-def _stages(data, stages, axes, src, dst, terms, overwrite=False):
-    """Run the kernel stages `stages`, (grid axis, kernel on the left) pairs,
-    from the nodes of grid `src` onto those of grid `dst`.
-
-    ``terms(axis, x, y, dx)`` gives the stage's ``(c, pre, post, scale)``
-    for :func:`exp_contract` from the axis's input nodes, output nodes and
-    input spacing.  With c = None the stage is the pointwise chirp
+def _stages(data, plan, axes, src, dst, overwrite=False):
+    """Run the stage records `plan`, a kind's ``plan``, from the nodes of grid
+    `src` onto those of grid `dst`.  A record ``(axis, left, c, pre, post,
+    scale)`` is the :func:`exp_contract` of grid axis `axis` with the weight
+    dx / scale, dx its input spacing; with c = None it is the pointwise chirp
     ``scale e^{mu pre}`` on the input nodes (a b = 0 QLCT axis).  A
     low-rank stage contracts onto its Chebyshev points, and its real
     interpolation and output chirp wait for the end when every later stage
     multiplies from the other side; else they run right after it.  Every
     step fills one buffer of the output's size: `data` when `overwrite` is
-    true (the caller hands it over) and it is one, else a new array.  Every
-    step checks the blocks it writes (NonFiniteError, naming it), so the
-    field returned is finite and the transforms do not scan it again.
+    true (the caller hands it over) and it is one, else a new array, and
+    checks the blocks it writes (NonFiniteError, naming it), so the field
+    returned is finite and the transforms do not scan it again.
     """
-    mus, xs, ys, dxs = (axes.mu1, axes.mu2), (src.s, src.t), (dst.s, dst.t), (src.ds, src.dt)
-    stages = [(axis, left) + terms(axis, xs[axis], ys[axis], dxs[axis]) for axis, left in stages]
-    size = 4 * math.prod(len(xs[axis] if c is None else ys[axis]) for axis, _, c, *_ in stages)
+    mus, xs, ys = (axes.mu1, axes.mu2), src.axes, dst.axes
+    size = 4 * math.prod((xs if c is None else ys)[axis][2].size for axis, _, c, *_ in plan)
     out = (data if overwrite and data.flags.carray and data.dtype == np.float64
            and data.size == size else np.empty(size))
     deferred = [None, None]
-    for i, (axis, left, c, pre, post, scale) in enumerate(stages):
+    for i, (axis, left, c, pre, post, scale) in enumerate(plan):
+        x, y = xs[axis], ys[axis]
         if c is None:
-            data = chirp_multiply(pre, mus[axis], data, left, axis, scale=scale, out=out)
+            data = chirp_multiply(x, pre, mus[axis], data, left, axis, scale=scale, out=out)
             continue
-        rank = low_rank(ys[axis], xs[axis], c)
-        data = exp_contract(ys[axis] if rank is None else rank[0], xs[axis], c, mus[axis],
-                            data, left, axis, pre=pre, post=post if rank is None else None,
-                            scale=scale, out=out)
+        rank = low_rank(y, x, c)
+        data = exp_contract(y if rank is None else rank[0], x, c, mus[axis], data, left, axis,
+                            pre=pre, post=post if rank is None else None, scale=x[1] / scale,
+                            out=out)
         if rank is not None:
-            deferred[axis] = (rank[1], post, mus[axis], left)
-            if post is not None and any(later == left for _, later, *_ in stages[i + 1:]):
+            deferred[axis] = (rank[1], y, post, mus[axis], left)
+            if post is not None and any(later == left for _, later, *_ in plan[i + 1:]):
                 data, deferred = interpolate(data, deferred, out), [None, None]
     return interpolate(data, deferred, out) if any(deferred) else data
 

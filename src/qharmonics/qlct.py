@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._kernels import const_multiply
+from ._kernels import _ratio, const_multiply
 from .errors import (
     DegenerateAngleError,
     DegenerateBError,
@@ -110,8 +110,8 @@ class LctKind:
     family = "qlct"
 
     def plan(self, inverse=False):
-        """(stages, terms) for ``qft._stages``: the kernel sandwich of (A1,
-        A2), or the inverse's, the sandwich of the inverse matrices with its
+        """Stage records for ``qft._stages``: the kernel sandwich of (A1, A2),
+        or the inverse's, the sandwich of the inverse matrices with its
         stages in reverse order.  The inverse refuses a phase-corrected kind
         (ProvenanceMismatchError) and a b = 0 axis (DegenerateBError)."""
         stages, mats = self.side.stages, (self.A1, self.A2)
@@ -121,7 +121,7 @@ class LctKind:
             if self.A1.is_degenerate or self.A2.is_degenerate:
                 raise DegenerateBError("inverse through a degenerate (b = 0) axis")
             stages, mats = tuple(reversed(stages)), (self.A1.inverse, self.A2.inverse)
-        return stages, lambda axis, x, xi, dx: _lct_terms(mats[axis], x, xi, dx)
+        return tuple((axis, left, *_lct_stage(mats[axis])) for axis, left in stages)
 
 
 def lct_kernel(A: LctParams, axis, x, xi):
@@ -141,24 +141,21 @@ def lct_kernel(A: LctParams, axis, x, xi):
     return qexp_pure(axis, phase) / np.sqrt(2.0 * np.pi * abs(b))
 
 
-def _lct_terms(A: LctParams, x, xi, dx):
-    """Stage terms (c, pre, post, scale) of one axis for ``qft._stages``:
-    chirp(x), the Fourier kernel at xi/b and chirp(xi) in one contraction
-    of cell width `dx`, the output chirp carrying the prefactor phase
-    -sign(b) pi/4 as its own factor (d xi^2/(2b) reaches 1e4 rad).
-
-    A b = 0 axis is the pointwise chirp sqrt(d) e^{mu c d xi^2 / 2} f(d xi)
-    (c = None): its output coordinates are xi = x/d, so no resampling is
-    needed; requires d > 0 (det = ad = 1 pins d = 1/a).
+def _lct_stage(A: LctParams):
+    """(c, pre, post, scale) of one axis's stage record: chirp(x), the
+    Fourier kernel at xi/b and chirp(xi) in one contraction of weight dx /
+    sqrt(2 pi |b|); c = -1/b and the chirps a x^2/(2b) and d xi^2/(2b) -
+    sign(b) pi/4 (up to 1e4 rad) are exact double-doubles of a, b and d.
+    A b = 0 axis is the pointwise chirp sqrt(d) e^{mu c x^2 / (2d)} f(x)
+    at xi = x/d (c = None); requires d > 0 (det = ad = 1 pins d = 1/a).
     """
     a, b, c, d = A.astuple()
     if b == 0.0:
         if d <= 0:
             raise DegenerateBError("degenerate branch needs d > 0")
-        xi = x / d
-        return None, c * d * xi * xi / 2.0, None, np.sqrt(d)
-    return (-1.0 / b, a * x * x / (2 * b), (d * xi * xi / (2 * b), -np.sign(b) * np.pi / 4),
-            dx / np.sqrt(2.0 * np.pi * abs(b)))
+        return None, (_ratio(c, 2.0 * d), 0.0, 0.0), None, np.sqrt(d)
+    return (_ratio(-1.0, b), (_ratio(a, 2.0 * b), 0.0, 0.0),
+            (_ratio(d, 2.0 * b), 0.0, -np.sign(b) * np.pi / 4), np.sqrt(2.0 * np.pi * abs(b)))
 
 
 def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
@@ -180,8 +177,7 @@ def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
     if window is None:
         window = FreqWindow.natural(sig.grid).scaled(abs(kind.A1.b) or 1.0, abs(kind.A2.b) or 1.0)
     fgrid = window.to_grid()
-    stages, terms = kind.plan()
-    data = _stages(sig.data, stages, kind.axes, sig.grid, fgrid, terms, overwrite)
+    data = _stages(sig.data, kind.plan(), kind.axes, sig.grid, fgrid, overwrite)
     g = sig.grid  # a b = 0 axis: the input's, centre and spacing over d (a centre 0 stays 0)
     for A, lo, step, n, keys in ((kind.A1, g.s_min, g.ds, g.ns, ("s_min", "ds", "ns")),
                                  (kind.A2, g.t_min, g.dt, g.nt, ("t_min", "dt", "nt"))):

@@ -35,7 +35,7 @@ from .errors import (
     _require_counts,
     _require_real,
 )
-from ._kernels import _angles, chirp_multiply
+from ._kernels import _point_chirp, chirp_multiply
 from .grids import (GridSpec, QSignal2D, QSpectrum2D, evaluate, fixture_values,
                     residual_moduli, sample)
 from .qft import _inverse_plan, _invert
@@ -70,17 +70,16 @@ def dirichlet_partial_inverse_freq(spec: QSpectrum2D, point, M, N):
     M, N = _require_real(M, "M", shape=None), _require_real(N, "N", shape=None)
     if not (np.all(M > 0) and np.all(N > 0)):
         raise NonPositiveWindowError(f"windows M = {M}, N = {N} must be positive")
-    stages, terms = _inverse_plan(spec)
-    g, mus = spec.grid, (spec.kind.axes.mu1, spec.kind.axes.mu2)
+    plan, g, mus = _inverse_plan(spec), spec.grid, (spec.kind.axes.mu1, spec.kind.axes.mu2)
     orders = [np.argsort(np.abs(x), kind="stable") for x in (g.s, g.t)]
     counts = [np.sort(np.abs(x)).searchsorted(w.ravel(), "right") for x, w in ((g.s, M), (g.t, N))]
     # each window's cells are a prefix of that order; at least one cell is copied
     keep = [order[:n.max(initial=1)] for order, n in zip(orders, counts)]
-    cells, nodes = spec.data[np.ix_(*keep)], (g.s[keep[0]], g.t[keep[1]])
-    for axis, left in stages:
-        c, pre, post, scale = terms(axis, nodes[axis], p[axis:axis + 1], (g.ds, g.dt)[axis])
-        angles = (c * p[axis] * nodes[axis], *_angles(pre, post))
-        cells = chirp_multiply(angles, mus[axis], cells, left, axis, scale=scale, out=cells)
+    cells = spec.data[np.ix_(*keep)]
+    for axis, left, c, pre, post, scale in plan:
+        x0, dx, m = g.axes[axis]
+        cells = chirp_multiply((x0, dx, m[keep[axis]]), _point_chirp(p[axis], c, pre, post),
+                               mus[axis], cells, left, axis, scale=dx / scale, out=cells)
     np.cumsum(np.cumsum(cells, axis=0, out=cells), axis=1, out=cells)
     table = cells[np.ix_(counts[0] - 1, counts[1] - 1)]
     table[counts[0] == 0] = table[:, counts[1] == 0] = 0.0  # the empty windows

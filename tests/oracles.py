@@ -207,16 +207,19 @@ def partial_sum_long_double(spec, point, Ms, Ns):
     """Every window (Ms[i], Ns[j]) of a QFT or QLCT spectrum's inversion
     integral at the point, in long double: the cells with |u| <= M, |v| <= N
     of the side-ordered kernel sandwich, each axis kernel one exponential
-    whose whole angle is taken in long double from the double nodes and
-    parameters.  The QFT kernel is e^{mu u x} du / 2pi, the QLCT's that of
-    the inverse matrix (d, -b, -c, a)."""
+    whose whole angle is taken in long double from the double parameters
+    and the nodes defined by their indices, centre + m du / 2 (as
+    ``GridSpec.axes``).  The QFT kernel is e^{mu u x} du / 2pi, the QLCT's
+    that of the inverse matrix (d, -b, -c, a)."""
     ld = np.longdouble
     pi = 4 * np.arctan(ld(1))
     g, kind = spec.grid, spec.kind
     kernels = []
-    for nodes, width, x, mu, A in ((g.s, g.ds, point[0], kind.axes.mu1, getattr(kind, "A1", None)),
-                                   (g.t, g.dt, point[1], kind.axes.mu2, getattr(kind, "A2", None))):
-        u, x, width = np.asarray(nodes, ld), ld(x), ld(width)
+    for (centre, width, m), x, mu, A in (
+            (g.axes[0], point[0], kind.axes.mu1, getattr(kind, "A1", None)),
+            (g.axes[1], point[1], kind.axes.mu2, getattr(kind, "A2", None))):
+        x, width = ld(x), ld(width)
+        u = ld(centre) + np.asarray(m, ld) * width / 2
         if A is None:
             theta, weight = u * x, width / (2 * pi)
         else:

@@ -685,14 +685,14 @@ def test_default_windows_take_the_fft_path(capsys, tmp_path, dft_calls):
 
 # -- console-script checks on the FFT route (formerly CI steps) ---------------
 
-def console(cwd, *argv):
+def console(cwd, *argv, status=0):
     """``python -m qharmonics.cli argv`` in `cwd`, as the console script runs
-    it; fails on a nonzero exit and returns stdout."""
+    it; fails unless it exits with `status` and returns stdout."""
     src = os.path.dirname(os.path.dirname(qharmonics.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-m", "qharmonics.cli", *argv], capture_output=True,
                          text=True, env=env, cwd=cwd)
-    assert out.returncode == 0, out.stderr
+    assert out.returncode == status, out.stderr
     return out.stdout
 
 
@@ -738,7 +738,7 @@ def smooth_image(tmp_path_factory):
 @pytest.mark.parametrize("side", [side.value for side in Side])
 def test_console_image_qft_on_its_own_grid(smooth_image, side):
     """`qft` of the 231 x 195 image QSIG (its grid on [0, w] takes the FFT,
-    the centre a chirp): Plancherel within 1e-12, and the library's
+    the centre's terms in the angles at the nodes): Plancherel within 1e-12, and the library's
     `qft_inverse` back onto the image's grid within 1e-12 (the CLI `iqft`
     writes only centred square grids), on every side."""
     console(smooth_image, "qft", "--side", side, "--in", "smooth.qsig", "--out", f"{side}.qsp")
@@ -746,3 +746,80 @@ def test_console_image_qft_on_its_own_grid(smooth_image, side):
     F = fileio.load_qspectrum(smooth_image / f"{side}.qsp")
     assert abs(plancherel_ratio(f, F) - 1) <= 1e-12
     assert linf_diff(f, qft_inverse(F, F.kind, f.grid)) <= 1e-12
+
+
+# -- console-script checks of the QLCT phases (formerly CI steps) -------------
+
+#: the matrices of the CI's QLCT round trips: A1 with b = 0.5, A2 the shear
+GENERIC_FLAGS = ("--a1", "2", "--b1", "0.5", "--c1", "2", "--d1", "1",
+                 "--a2", "1", "--b2", "1", "--c2", "0", "--d2", "1")
+
+
+def roundtrip_linf(out):
+    """The linf_error of a one-line `roundtrip` CSV."""
+    header, line = out.strip().splitlines()
+    return float(dict(zip(header.split(","), line.split(",")))["linf_error"])
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("--grid", "32", "--extent", "8", "--window",
+                  "12.566370614359172,6.283185307179586", "--a1", "0.5", "--b1=-2", "--c1",
+                  "0.25", "--d1", "1", "--a2", "1", "--b2", "1", "--c2", "0", "--d2", "1"),
+                 id="negative-b"),
+    pytest.param(("--grid", "32", "--extent", "6") + GENERIC_FLAGS, id="default-window"),
+    pytest.param(("--side", "left", "--grid", "33", "--extent", "6") + GENERIC_FLAGS,
+                 id="sided-odd-grid")])
+def test_console_qlct_roundtrips(tmp_path, argv):
+    """`roundtrip --transform qlct` on qgaussian: with a negative b on a
+    window of 4 pi by 2 pi, on its default window, and sided on an odd grid
+    (in-place stages, odd n), each exits 0 with a finite error."""
+    out = console(tmp_path, "roundtrip", "--transform", "qlct", "--fixture", "qgaussian", *argv)
+    assert np.isfinite(roundtrip_linf(out))
+
+
+def test_console_sided_qlct_on_a_narrow_window(tmp_path):
+    """A right-sided QLCT round trip at 512^2 on window 8 (its first stage
+    is interpolated before the second runs): linf within 1e-6 relative of
+    4.1886112491731141e-07."""
+    out = console(tmp_path, "roundtrip", "--transform", "qlct", "--side", "right", "--fixture",
+                  "qgaussian", "--grid", "512", "--extent", "10", "--window", "8", "--a1", "1",
+                  "--b1", "1", "--c1", "0", "--d1", "1", "--a2", "0.5", "--b2=-1", "--c2", "1",
+                  "--d2", "0")
+    assert abs(roundtrip_linf(out) / 4.1886112491731141e-07 - 1) <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def fixtures_33(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("fx33")
+    console(cwd, "fixtures", "--out-dir", "fx", "--grid", "33")
+    return cwd
+
+
+def test_console_qlct_file_round_trip_on_every_side(fixtures_33):
+    """`qlct` on its default window and `iqlct` through files on the 33^2
+    qgaussian, every side within 1e-12 in l-infinity; `iqft` refuses the
+    QLCT spectrum (exit 2) and writes nothing."""
+    f = fileio.load_qsig(fixtures_33 / "fx" / "qgaussian.qsig")
+    for side in (side.value for side in Side):
+        console(fixtures_33, "qlct", "--side", side, "--in", "fx/qgaussian.qsig", "--out", "q.qsp",
+                *GENERIC_FLAGS)
+        console(fixtures_33, "iqlct", "--in", "q.qsp", "--out", "back.qsig", "--grid", "33",
+                "--extent", "6")
+        assert linf_diff(f, fileio.load_qsig(fixtures_33 / "back.qsig")) < 1e-12
+    console(fixtures_33, "iqft", "--in", "q.qsp", "--out", "wrong.qsig", status=2)
+    assert not (fixtures_33 / "wrong.qsig").exists()
+
+
+def test_console_qlct_default_window_is_the_library_rule(fixtures_33):
+    """`qlct` of a b < 0 matrix pair on the 33^2 fixture writes the same
+    bytes without --window as with --window the natural window scaled by
+    (|b1|, |b2|), as the library gives it."""
+    m = ("--a1", "0.5", "--b1=-2", "--c1", "0.25", "--d1", "1", "--a2", "1", "--b2=-0.5", "--c2",
+         "0", "--d2", "1")
+    console(fixtures_33, "qlct", "--in", "fx/qgaussian.qsig", "--out", "default.qsp", *m)
+    grid = fileio.load_qsig(fixtures_33 / "fx" / "qgaussian.qsig").grid
+    w = FreqWindow.natural(grid).scaled(abs(-2.0), abs(-0.5))
+    console(fixtures_33, "qlct", "--in", "fx/qgaussian.qsig", "--out", "explicit.qsp",
+            "--window", f"{w.u_max!r},{w.v_max!r}", *m)
+    assert ((fixtures_33 / "default.qsp").read_bytes()
+            == (fixtures_33 / "explicit.qsp").read_bytes())

@@ -1,9 +1,10 @@
 """The contraction primitive against dense evaluations of the same sum.
 
-Every uniform grid takes the folded path, or the FFT where a stage is an
-exact DFT: grids centred on 0 run as they are, and a shifted grid runs
-about its centre, the shift becoming a chirp.  The dense references
-evaluate each kernel entry on the given nodes.
+Every grid axis takes the folded path, or the FFT where a stage is an exact
+DFT; a shifted axis runs about its centre, the centre's terms joining the
+angles at the nodes.  The dense references take each node from its index,
+centre + m spacing / 2, and each kernel entry's whole angle as an exact sum
+(or in long double).
 """
 
 
@@ -15,7 +16,7 @@ import pytest
 from oracles import qft_bruteforce, qlct_bruteforce
 from qharmonics import _kernels
 from qharmonics.fixtures import qgaussian
-from qharmonics._kernels import _centred, chirp_multiply, const_multiply, exp_contract, interpolate
+from qharmonics._kernels import chirp_multiply, const_multiply, exp_contract, interpolate
 from qharmonics.errors import NonFiniteError
 from qharmonics.grids import GridSpec, QSignal2D, QSpectrum2D
 from qharmonics import qft as qft_module
@@ -44,22 +45,57 @@ def _two_prod(a, b):
     return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
 
 
-def mirrored(x):
-    """Whether a stage runs on nodes x as they are: centre 0, the offsets x itself."""
-    x0, offsets = _centred(x)
-    return x0 == 0.0 and np.array_equal(offsets, x)
+def _pair(v):
+    return v if isinstance(v, tuple) else (v, 0.0)
 
 
-def brute_contract(y, x, c, mu, field, left, axis, pre=0.0, post=0.0, scale=1.0):
-    """scale sum_j e^{mu (c y_k x_j + pre_j + post_k)} f_j by explicit Hamilton
-    products.  The combined phase, the kernel product included, is carried as
-    an exact sum s + e, so that phases of thousands of radians keep their low
-    bits."""
-    cy, e0 = _two_prod(c, np.asarray(y, dtype=float))
-    p, e3 = _two_prod(cy[:, None], np.asarray(x, dtype=float)[None])
-    s, e1 = _two_sum(np.asarray(pre)[None], np.asarray(post)[..., None])
-    s, e2 = _two_sum(s, p)
-    e = e1 + e2 + e3 + np.outer(e0, x)
+def _mul(a, b):
+    """a b of exact sums (hi, lo) or doubles, to about 2^-100 relative."""
+    (a0, a1), (b0, b1) = _pair(a), _pair(b)
+    p, e = _two_prod(a0, b0)
+    return _two_sum(p, e + (a0 * b1 + a1 * b0))
+
+
+def _add(*terms):
+    s, e = _pair(terms[0])
+    for t0, t1 in map(_pair, terms[1:]):
+        s, e2 = _two_sum(s, t0)
+        e = e + e2 + t1
+    return _two_sum(s, e)
+
+
+def exact_nodes(axis):
+    """The nodes centre + m spacing / 2 of a grid axis as exact sums (hi, lo)."""
+    centre, spacing, m = axis
+    return _add(centre, _two_prod(m, spacing / 2))
+
+
+def exact_chirp(chirp, z):
+    """q2 z^2 + q1 z + q0 at the exact sums z (None: 0)."""
+    q2, q1, q0 = chirp or (0.0, 0.0, 0.0)
+    return _add(_mul(_mul(q2, z), z), _mul(q1, z), q0)
+
+
+def grid_axis(centre, extent, n):
+    """The axis of n midpoint nodes of [centre - extent, centre + extent]."""
+    return GridSpec(centre - extent, 0.0, 2.0 * extent / n, 1.0, n, 1).axes[0]
+
+
+def nodes(axis):
+    """The double nodes of an axis, as ``GridSpec.s`` gives them."""
+    return axis[0] + axis[2] * (axis[1] / 2)
+
+
+def brute_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0):
+    """scale sum_j e^{mu (c y_k x_j + pre(x_j) + post(y_k))} f_j by explicit
+    Hamilton products, on axes y and x with chirps (q2, q1, q0).  Each
+    node and the whole angle, the kernel product included, are carried as
+    exact sums s + e from the indices, so that angles of thousands of
+    radians keep their low bits."""
+    ys, xs = exact_nodes(y), exact_nodes(x)
+    cy = _mul(c, ys)
+    row, col = (lambda a: tuple(v[None] for v in a)), (lambda a: tuple(v[:, None] for v in a))
+    s, e = _add(_mul(col(cy), row(xs)), row(exact_chirp(pre, xs)), col(exact_chirp(post, ys)))
     cos, sin = np.cos(s) - np.sin(s) * e, np.sin(s) + np.cos(s) * e
     K = scale * np.stack([cos] + [sin * m for m in mu], axis=-1)  # (n_out, n_in, 4)
     F = np.moveaxis(field, axis, 0)
@@ -75,11 +111,8 @@ STAGES = [pytest.param(n_in, n_out, chirped, overwrite,
           for n_in, n_out in MIRRORED_CASES if n_in == n_out or not overwrite]
 #: (input, output) centres of the shifted grids: offset input, output and both
 SHIFTS = [(1.7, 0.0), (0.0, -2.2), (1.7, -2.2)]
-
-
-def midpoints(centre, extent, n):
-    """n midpoint nodes of [centre - extent, centre + extent]."""
-    return GridSpec(centre - extent, 0.0, 2.0 * extent / n, 1.0, n, 1).s
+#: chirps of hundreds of radians on the tests' axes, linear terms included
+PRE, POST = (40.0, 7.3, 300.0), (-30.0, -5.1, -250.0)
 
 
 @pytest.fixture
@@ -98,23 +131,20 @@ def small_blocks(monkeypatch):
 def test_mirrored_and_dense_paths_agree(n_in, n_out, chirped, overwrite, left, axis, small_blocks):
     """The folded stage against the dense brute Hamilton sum, through
     straddling and partial blocks: on grids centred on 0, and on the same
-    grids shifted off 0 (input, output or both), whose centres become
-    chirps.  Chirped stages (pre, post and scale, phases of hundreds of
-    radians) are also checked against chirp -> contraction -> chirp.  With
-    `overwrite`, each stage runs again in place in a copy of its input, and
-    on a Fortran-order copy that it must leave untouched."""
+    grids shifted off 0 (input, output or both), whose centres' terms join
+    the angles at the nodes.  Chirped stages (quadratic pre and post of
+    hundreds of radians, and scale) are also checked against chirp ->
+    contraction -> chirp.  With `overwrite`, each stage runs again in place
+    in a copy of its input, and on a Fortran-order copy that it must leave
+    untouched."""
     rng = np.random.default_rng(n_in * 31 + n_out)
     shape = [7, 7, 4]
     shape[axis] = n_in
     field = rng.normal(size=shape)
-    noise = rng.normal(size=n_in), rng.normal(size=n_out)
     for x0, y0 in [(0.0, 0.0)] + SHIFTS:
-        x, y = midpoints(x0, 2.5, n_in), midpoints(y0, 3.0, n_out)
-        assert mirrored(x) == (x0 == 0.0) and mirrored(y) == (y0 == 0.0)
-        chirps = {}
-        if chirped:
-            chirps = dict(pre=300.0 + 40.0 * (x - x0) ** 2 + noise[0],
-                          post=-250.0 - 30.0 * (y - y0) ** 2 + noise[1], scale=0.37)
+        x, y = grid_axis(x0, 2.5, n_in), grid_axis(y0, 3.0, n_out)
+        assert np.array_equal(x[2], -x[2][::-1]) and (x[0] == 0.0) == (x0 == 0.0)
+        chirps = dict(pre=PRE, post=POST, scale=0.37) if chirped else {}
         got = exp_contract(y, x, -1.3, MU, field, left, axis, **chirps)
         assert got.flags.c_contiguous
         if overwrite:
@@ -127,16 +157,23 @@ def test_mirrored_and_dense_paths_agree(n_in, n_out, chirped, overwrite, left, a
         ref = brute_contract(y, x, -1.3, MU, field, left, axis, **chirps)
         others = [ref]
         if chirped:
-            sandwich = chirp_multiply(chirps["pre"], MU, field, left, axis)
+            sandwich = chirp_multiply(x, PRE, MU, field, left, axis)
             sandwich = exp_contract(y, x, -1.3, MU, sandwich, left, axis)
-            others.append(chirp_multiply(chirps["post"], MU, sandwich, left, axis, scale=0.37))
+            others.append(chirp_multiply(y, POST, MU, sandwich, left, axis, scale=0.37))
         assert got.shape == ref.shape
         for other in others:
             assert np.max(np.abs(got - other)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def long_double_nodes(axis):
+    """The nodes centre + m spacing / 2 of an axis in long double."""
+    ld = np.longdouble
+    return ld(axis[0]) + np.asarray(axis[2], ld) * ld(axis[1]) / 2
+
+
 def long_double_contract(y, x, c, mu, field, left, scale):
-    """An axis-0 stage in long double: the unfolded kernel on the given nodes."""
+    """An axis-0 stage in long double: the unfolded kernel on the node
+    arrays y and x (``long_double_nodes``, or double nodes)."""
     theta = np.longdouble(c) * np.asarray(y, np.longdouble)[:, None] * np.asarray(x, np.longdouble)
     return long_double_sum(theta, mu, field, left, scale)
 
@@ -150,33 +187,36 @@ def long_double_sum(theta, mu, field, left, scale):
 
 
 def natural_stage(n, direction, extent=10.0, b=1.0, half=None):
-    """(y, x, c, scale) of a QFT (b = 1) or QLCT stage on a centred n-point grid
-    and its natural window scaled by |b|, where the stage is a length-n DFT,
-    or else the square window of half-width `half`."""
+    """(y, x, c, scale) of a QFT (b = 1) or QLCT stage on the axes of a
+    centred n-point grid and its natural window scaled by |b|, where the
+    stage is a length-n DFT, or else the square window of half-width
+    `half`."""
     grid = GridSpec.centered(extent, n)
     window = (FreqWindow.natural(grid).scaled(abs(b), abs(b)) if half is None
               else FreqWindow.square(half, n)).to_grid()
     if direction == "forward":
-        return window.s, grid.s, -1.0 / b, grid.ds
-    return grid.s, window.s, 1.0 / b, window.ds / (2.0 * np.pi)
+        return window.axes[0], grid.axes[0], -1.0 / b, grid.ds
+    return grid.axes[0], window.axes[0], 1.0 / b, window.ds / (2.0 * np.pi)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double is double here")
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
 def test_image_grid_stage_against_long_double(direction):
     """The axis-0 QFT stage of a 512^2 image grid on [0, 512] and its natural
-    window: an FFT about the grid's centre 256, the centre a chirp.  Against
-    a long-double evaluation it stays within twice the error of the dense
-    double-precision product on the same nodes, which rounds each kernel
-    angle c y x once."""
+    window: an FFT about the grid's centre 256, the centre's terms in the
+    angles at the nodes.  Against a long-double evaluation on the nodes
+    defined by their indices it stays within twice the error of the dense
+    double-precision product on the double nodes, which rounds each node and
+    each kernel angle c y x once."""
     grid = GridSpec(0.0, 0.0, 1.0, 1.0, 512, 512)
     window = FreqWindow.natural(grid).to_grid()
-    y, x, c, scale = ((window.s, grid.s, -1.0, grid.ds) if direction == "forward"
-                      else (grid.s, window.s, 1.0, window.ds / (2.0 * np.pi)))
-    assert not (mirrored(x) and mirrored(y))
+    y, x, c, scale = ((window.axes[0], grid.axes[0], -1.0, grid.ds) if direction == "forward"
+                      else (grid.axes[0], window.axes[0], 1.0, window.ds / (2.0 * np.pi)))
+    assert (x[0], y[0]) != (0.0, 0.0)
     field = np.random.default_rng(0).normal(size=(512, 16, 4))
-    ref = long_double_contract(y, x, c, MU, field, True, scale)
-    theta = c * np.outer(y, x)
+    ref = long_double_contract(long_double_nodes(y), long_double_nodes(x), c, MU, field, True,
+                               scale)
+    theta = c * np.outer(nodes(y), nodes(x))
     MT = mul_matrix(np.concatenate([[0.0], MU]), True).T
     F = field.reshape(512, -1)
     dense = ((scale * np.cos(theta) @ F).reshape(field.shape)
@@ -201,9 +241,11 @@ def test_dft_stage_against_exact_long_double_dft(n, direction, dft_calls):
     maps) and on axis 1 (row layout) alike, with left and right kernels,
     and the two axes agree to 4 eps on a field and its transpose.  The
     lengths include primes (257, 509, 1021) and 333 = 9 * 37, lengths with
-    a prime factor above 13.  The QLCT stage (b = -0.8) carries chirps of 60 to
-    2e4 rad; at n = 360 (not a power of two) the field is 136 = 2 * 48 + 40
-    lines wide, two full DFT_BLOCKs of 48 lines and a partial one."""
+    a prime factor above 13.  The QLCT stage (b = -0.8) carries chirps x^2/b
+    and y^2/2b of 60 to 2e4 rad, taken in long double on the nodes defined
+    by their indices; at n = 360 (not a power of two) the field is 136 = 2 *
+    48 + 40 lines wide, two full DFT_BLOCKs of 48 lines and a partial
+    one."""
     field = np.random.default_rng(n).normal(size=(n, 136 if n == 360 else 3, 4))
     k = np.arange(n)
     m = np.outer(2 * k - n + 1, 2 * k - n + 1) % (4 * n)
@@ -212,12 +254,12 @@ def test_dft_stage_against_exact_long_double_dft(n, direction, dft_calls):
     for b in (1.0, -0.8):
         y, x, c, scale = natural_stage(n, direction, b=b)
         chirps = dict(scale=scale)
-        if b != 1.0:
-            chirps.update(pre=x * x / b, post=y * y / (2.0 * b))
         theta = np.sign(c) * pi * m / (2 * n)
         if b != 1.0:
-            theta = (theta + np.asarray(chirps["pre"], np.longdouble)
-                     + np.asarray(chirps["post"], np.longdouble)[:, None])
+            chirps.update(pre=(_kernels._ratio(1.0, b), 0.0, 0.0),
+                          post=(_kernels._ratio(1.0, 2.0 * b), 0.0, 0.0))
+            ys, xs, lb = long_double_nodes(y), long_double_nodes(x), np.longdouble(b)
+            theta = theta + xs * xs / lb + (ys * ys / (2 * lb))[:, None]
         for left in (True, False):
             dft_calls.clear()
             got = exp_contract(y, x, c, MU, field, left, 0, **chirps)
@@ -242,16 +284,16 @@ def test_dft_stage_on_float_nodes_against_long_double(n, direction, dft_calls):
     field = np.random.default_rng(0).normal(size=(n, 16, 4))
     got = exp_contract(y, x, c, MU, field, True, 0, scale=scale)
     assert dft_calls
-    ref = long_double_contract(y, x, c, MU, field, True, scale)
+    ref = long_double_contract(nodes(y), nodes(x), c, MU, field, True, scale)
     assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= n * np.finfo(float).eps
 
 
-def both_axes(y, x, c, field, left, scale):
+def both_axes(y, x, c, field, left, scale, **chirps):
     """The stage of `field` along axis 0, and along axis 1 of its transpose
     (transposed back)."""
     across = np.ascontiguousarray(field.swapaxes(0, 1))
-    return (exp_contract(y, x, c, MU, field, left, 0, scale=scale),
-            exp_contract(y, x, c, MU, across, left, 1, scale=scale).swapaxes(0, 1))
+    return (exp_contract(y, x, c, MU, field, left, 0, scale=scale, **chirps),
+            exp_contract(y, x, c, MU, across, left, 1, scale=scale, **chirps).swapaxes(0, 1))
 
 
 #: (n, extent, window half-width, and the bound); natural windows take the
@@ -265,14 +307,68 @@ FOLD_GATES = [(1021, 10.0, 8.0, 3e-15), (999, 7.3, 5.1, 3e-15)]
 def test_fold_stages_on_exact_nodes_against_long_double(n, extent, half, bound, direction):
     """A folded stage at a prime n (1021, on window 8) and at an odd
     non-dyadic grid (999 on extent 7.3, window 5.1), on both axes with left
-    and right kernels, against the long-double kernel sum on the same nodes:
-    the nodes are exact negatives of each other, so each mirrored output row
-    is the row of its own node."""
+    and right kernels, against the long-double kernel sum on the nodes
+    defined by their indices: each angle is K m_k m_j, K = c dy dx / 4
+    taken in double-double, and each mirrored output row is the row of its
+    own node."""
     y, x, c, scale = natural_stage(n, direction, extent, half=half)
     field = np.random.default_rng(n).normal(size=(n, 8, 4))
     for left in (True, False):
-        ref = long_double_contract(y, x, c, MU, field, left, scale)
+        ref = long_double_contract(long_double_nodes(y), long_double_nodes(x), c, MU, field,
+                                   left, scale)
         for got in both_axes(y, x, c, field, left, scale):
+            assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= bound
+
+
+@LONG_DOUBLE
+@pytest.mark.parametrize("n,b", [(512, 0.5), (1021, 1.0), (1024, 1.0)])
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_default_window_qlct_stages_against_long_double(n, b, direction, dft_calls):
+    """A QLCT stage of A = (0.7, b, c, -0.4) on its default window (the
+    natural window of a centred n-point grid on extent 10, scaled by |b|):
+    an FFT whose chirps a x^2/2b and d xi^2/2b - sign(b) pi/4 reach 5e3 rad.
+    Against the long-double sum whose kernel angles are the index-reduced
+    DFT's and whose chirps come from the nodes' indices and the double a, b
+    and d, it is within 4 eps (3.24 eps measured) on both axes, with left
+    and right kernels; with each chirp rounded in double on the double
+    nodes it was 3.2e-14 to 1.2e-12 off."""
+    A = LctParams(0.7, b, (0.7 * -0.4 - 1.0) / b, -0.4)
+    grid = GridSpec.centered(10.0, n)
+    window = FreqWindow.natural(grid).scaled(b, b).to_grid()
+    mat, x, y = (A, grid, window) if direction == "forward" else (A.inverse, window, grid)
+    c, pre, post, scale = LctKind(Side.TWO_SIDED, mat, mat).plan()[0][2:]
+    ld = np.longdouble
+    pi, (a, bb, _, d) = 4 * np.arctan(ld(1)), (ld(v) for v in mat.astuple())
+    xs, ys, k = long_double_nodes(x.axes[0]), long_double_nodes(y.axes[0]), np.arange(n)
+    theta = (-np.sign(bb) * pi * (np.outer(2 * k - n + 1, 2 * k - n + 1) % (4 * n)) / (2 * n)
+             + a * xs * xs / (2 * bb) + (d * ys * ys / (2 * bb) - np.sign(bb) * pi / 4)[:, None])
+    field = np.random.default_rng(n).normal(size=(n, 3, 4))
+    for left in (True, False):
+        ref = long_double_sum(theta, MU, field, left, ld(x.ds) / np.sqrt(2 * pi * abs(bb)))
+        for got in both_axes(y.axes[0], x.axes[0], c, field, left, x.ds / scale, pre=pre,
+                             post=post):
+            assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 4 * np.finfo(float).eps
+    assert len(dft_calls) == 4
+
+
+@LONG_DOUBLE
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_low_rank_stage_against_long_double(direction):
+    """A 512-point stage on extent 10 and window 8 at c = -2, against the
+    long-double kernel sum on the nodes defined by their indices: low-rank,
+    its kernel c t_i dy dx / 4 a double-double at each Chebyshev point,
+    within 4e-15 (3.5e-15 measured; 4.8e-15 with the points rounded to
+    double); folded, within 1.2e-15 (9.6e-16 measured).  The gap between
+    the two is the interpolation's rounding, not the phases'."""
+    grid, window = (g.axes[0] for g in (GridSpec.centered(10.0, 512),
+                                        FreqWindow(8.0, 8.0, 512, 512).to_grid()))
+    y, x = (window, grid) if direction == "forward" else (grid, window)
+    field = np.random.default_rng(7).normal(size=(512, 8, 4))
+    for left in (True, False):
+        ref = long_double_contract(long_double_nodes(y), long_double_nodes(x), -2.0, MU, field,
+                                   left, x[1])
+        for got, bound in ((low_rank_stage(y, x, -2.0, field, left, 0, scale=x[1]), 4e-15),
+                           (exp_contract(y, x, -2.0, MU, field, left, 0, scale=x[1]), 1.2e-15)):
             assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= bound
 
 
@@ -312,14 +408,15 @@ def test_image_grids_take_the_fft_path(shape, side, dft_calls):
 @pytest.mark.parametrize("n", [360, 336])
 def test_image_grid_fft_stage_against_long_double(n, dft_calls):
     """The forward stage of an image axis of n nodes k + 1/2 onto its natural
-    window, an FFT with the centre n/2 a chirp on the output nodes: within
-    6e-14 of the long-double kernel sum, on both axes with left and right
-    kernels."""
+    window, an FFT with the centre n/2's terms in the angles at the output
+    nodes: within 6e-14 of the long-double kernel sum on the nodes defined
+    by their indices, on both axes with left and right kernels."""
     grid = GridSpec(0.0, 0.0, 1.0, 1.0, n, 2)
-    y, x = FreqWindow.natural(grid).to_grid().s, grid.s
+    y, x = FreqWindow.natural(grid).to_grid().axes[0], grid.axes[0]
     field = np.random.default_rng(n).normal(size=(n, 8, 4))
     for left in (True, False):
-        ref = long_double_contract(y, x, -1.0, MU, field, left, 1.0)
+        ref = long_double_contract(long_double_nodes(y), long_double_nodes(x), -1.0, MU, field,
+                                   left, 1.0)
         for got in both_axes(y, x, -1.0, field, left, 1.0):
             assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 6e-14
     assert len(dft_calls) == 4
@@ -332,7 +429,7 @@ def test_image_grid_fft_stage_against_long_double(n, dft_calls):
 def test_dft_stages_match_brute_force(n, chirped, left, axis, small_blocks, dft_calls):
     """QFT and QLCT (b = -0.8) stages on natural windows take the FFT path,
     forward and inverse: through straddling and partial blocks, odd and
-    prime lengths, chirps with phases of hundreds of radians, and in place
+    prime lengths, quadratic chirps of hundreds of radians, and in place
     with the same bytes; a Fortran-order input handed over is left
     untouched."""
     rng = np.random.default_rng(n * 4 + 2 * axis + left)
@@ -342,10 +439,7 @@ def test_dft_stages_match_brute_force(n, chirped, left, axis, small_blocks, dft_
     for b in (1.0, -0.8):
         for direction in ("forward", "inverse"):
             y, x, c, scale = natural_stage(n, direction, extent=2.5, b=b)
-            chirps = dict(scale=scale)
-            if chirped:
-                chirps = dict(pre=300.0 + 40.0 * x * x + rng.normal(size=n),
-                              post=-250.0 - 30.0 * y * y + rng.normal(size=n), scale=0.37)
+            chirps = dict(pre=PRE, post=POST, scale=0.37) if chirped else dict(scale=scale)
             dft_calls.clear()
             got = exp_contract(y, x, c, MU, field, left, axis, **chirps)
             assert len(dft_calls) == 3 and got.flags.c_contiguous
@@ -385,14 +479,15 @@ def test_other_stages_keep_the_fold(dft_calls):
     stages = []
     for n, extent, half in ((512, 10.0, 8.0), (1024, 10.0, 8.0), (64, 8.0, 8.0),
                             (256, 8.0, 12.0), (128, 8.0, 10.0)):
-        grid, window = GridSpec.centered(extent, n).s, FreqWindow.square(half, n).to_grid().s
+        grid, window = (g.axes[0] for g in (GridSpec.centered(extent, n),
+                                            FreqWindow.square(half, n).to_grid()))
         stages += [(y, x, c) for c in (1.0, -1.0, 1.5, -2.0, 2.0)
                    for y, x in ((window, grid), (grid, window))]
-    y, x, c, _ = natural_stage(64, "forward")
-    stages.append((y[:-1] + 0.5 * (y[1] - y[0]), x, c))
-    stages.append((y * (1.0 + 64 * np.finfo(float).eps), x, c))
+    (y0, dy, m), x, c, _ = natural_stage(64, "forward")
+    stages.append(((y0 + dy / 2, dy, m[1:] - 1.0), x, c))
+    stages.append(((y0, dy * (1.0 + 64 * np.finfo(float).eps), m), x, c))
     for y, x, c in stages:
-        field = np.zeros((len(x), 1, 4))
+        field = np.zeros((len(x[2]), 1, 4))
         exp_contract(y, x, c, MU, field, True, 0)
     assert not dft_calls
 
@@ -406,7 +501,7 @@ def low_rank_stage(y, x, c, field, left, axis, pre=None, post=None, scale=1.0, o
     Chebyshev points, then interpolate and chirp."""
     t, L = _kernels.low_rank(y, x, c)
     plans = [None, None]
-    plans[axis] = (L, post, MU, left)
+    plans[axis] = (L, y, post, MU, left)
     out = field if overwrite else None
     z = exp_contract(t, x, c, MU, field, left, axis, pre=pre, scale=scale, out=out)
     return _kernels.interpolate(z, plans, out)
@@ -420,19 +515,16 @@ def test_low_rank_stages_match_brute_force(n_in, n_out, chirped, c, axis, small_
     """Narrow kernels (|c| X Y / 2 <= 1.8 here) have low rank: the stage onto
     the Chebyshev points, then the interpolation and output chirp, through
     straddling and partial blocks (3 output columns per block of the
-    interpolation), odd lengths, chirps with phases of hundreds of radians,
+    interpolation), odd lengths, quadratic chirps of hundreds of radians,
     in place, and on shifted grids."""
     monkeypatch.setattr(_kernels, "COL_BLOCK", 48)
     rng = np.random.default_rng(n_in * 7 + n_out + int(10 * c) + 40 * chirped + axis)
-    x = GridSpec.centered(1.0, n_in).s
-    y = GridSpec.centered(0.9, n_out).s
+    x = GridSpec.centered(1.0, n_in).axes[0]
+    y = GridSpec.centered(0.9, n_out).axes[0]
     shape = [7, 7, 4]
     shape[axis] = n_in
     field = rng.normal(size=shape)
-    chirps = {}
-    if chirped:
-        chirps = dict(pre=300.0 + 40.0 * x * x + rng.normal(size=n_in),
-                      post=-250.0 - 30.0 * y * y + rng.normal(size=n_out), scale=0.37)
+    chirps = dict(pre=PRE, post=POST, scale=0.37) if chirped else {}
     left = c > 0
     got = low_rank_stage(y, x, c, field, left, axis, **chirps)
     assert got.flags.c_contiguous and got.shape[axis] == n_out
@@ -446,8 +538,9 @@ def test_low_rank_stages_match_brute_force(n_in, n_out, chirped, c, axis, small_
     assert not np.shares_memory(again, fortran) and np.array_equal(fortran, field)
     assert np.array_equal(again, got)
 
-    # on grids shifted off 0 the points fold about their centres, the shifts chirps
-    xs, ys = x + 0.4, y - 0.3
+    # on grids shifted off 0 the points fold about their centres, the centres'
+    # terms joining the angles at the nodes and at the points
+    xs, ys = (0.4, *x[1:]), (-0.3, *y[1:])
     shifted = low_rank_stage(ys, xs, c, field, left, axis, **chirps)
     ref = brute_contract(ys, xs, c, MU, field, left, axis, **chirps)
     assert np.max(np.abs(shifted - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -523,11 +616,10 @@ def test_low_rank_axes_interpolate_after_their_last_stage(side, monkeypatch):
         assert calls == [first, (first,), last, (last,), last, (last,), first, (first,)]
 
 
-def along(axis, nodes):
-    """The grid with the uniform midpoints `nodes` on `axis`, 3 on the other."""
+def along(axis, grid):
+    """The grid with `grid`'s first axis on `axis`, 3 nodes on the other."""
     start, step, count = [-1.0, -1.0], [2.0 / 3, 2.0 / 3], [3, 3]
-    step[axis] = nodes[1] - nodes[0]
-    start[axis], count[axis] = nodes[0] - step[axis] / 2, len(nodes)
+    start[axis], step[axis], count[axis] = grid.s_min, grid.ds, grid.ns
     return GridSpec(start[0], start[1], step[0], step[1], count[0], count[1])
 
 
@@ -540,19 +632,19 @@ def test_path_of_the_bench_windows(axis, monkeypatch):
     lengths = []
     contract = qft_module.exp_contract
     monkeypatch.setattr(qft_module, "exp_contract",
-                        lambda y, *a, **k: lengths.append(len(y)) or contract(y, *a, **k))
+                        lambda y, *a, **k: lengths.append(len(y[2])) or contract(y, *a, **k))
     for n in (512, 1024):
         grid = GridSpec.centered(10.0, n)
-        natural = FreqWindow.natural(grid).to_grid().s
-        assert _kernels.low_rank(natural, grid.s, -1.0) is None
-        window = FreqWindow(8.0, 8.0, n, n).to_grid().s
+        natural = FreqWindow.natural(grid).to_grid()
+        assert _kernels.low_rank(natural.axes[0], grid.axes[0], -1.0) is None
+        window = FreqWindow(8.0, 8.0, n, n).to_grid()
         for c in (1.0, -1.0, 1.5, -1.5, 2.0, -2.0):
-            for y, x in ((window, grid.s), (grid.s, window)):
-                assert _kernels.low_rank(y, x, c) is not None
+            for y, x in ((window, grid), (grid, window)):
+                assert _kernels.low_rank(y.axes[0], x.axes[0], c) is not None
                 src, dst = along(axis, x), along(axis, y)
                 lengths.clear()
-                out = _stages(np.zeros((src.ns, src.nt, 4)), [(axis, True)], QftKind().axes,
-                              src, dst, lambda ax, x, y, dx: (c, None, None, dx))
+                out = _stages(np.zeros((src.ns, src.nt, 4)), ((axis, True, c, None, None, 1.0),),
+                              QftKind().axes, src, dst)
                 assert lengths[0] < n and out.shape == (dst.ns, dst.nt, 4)
 
 
@@ -560,11 +652,11 @@ def test_path_of_the_bench_windows(axis, monkeypatch):
 @pytest.mark.parametrize("axis", [0, 1])
 def test_stage_reads_any_memory_order(axis, chirped, small_blocks):
     rng = np.random.default_rng(23)
-    x, y = GridSpec.centered(2.0, 9).s, GridSpec.centered(4.0, 6).s
+    x, y = GridSpec.centered(2.0, 9).axes[0], GridSpec.centered(4.0, 6).axes[0]
     field = rng.normal(size=(9, 8, 4) if axis == 0 else (8, 9, 4))
     views = [np.asfortranarray(field), field[::-1, ::-1][::-1, ::-1],
              np.ascontiguousarray(field.transpose(1, 0, 2)).transpose(1, 0, 2)]
-    chirps = dict(pre=0.5 * x * x, post=y + 200.0, scale=0.3) if chirped else {}
+    chirps = dict(pre=(0.5, 0.0, 0.0), post=(0.0, 1.0, 200.0), scale=0.3) if chirped else {}
     want = brute_contract(y, x, 0.8, MU, field, False, axis, **chirps)
     for view in views:
         got = exp_contract(y, x, 0.8, MU, view, False, axis, **chirps)
@@ -673,10 +765,10 @@ def test_overflow_is_refused_by_the_stage_that_writes_it(route, direction, side,
         data[(slice(None), slice(96, None)) if first == 0 else slice(96, None)] = HUGE
     fgrid = window.to_grid()
     if direction == "forward":
-        x, y = grid.s, fgrid.s
+        x, y = grid.axes[0], fgrid.axes[0]
         call = lambda: qft_forward(QSignal2D(grid, data), kind, window)  # noqa: E731
     else:
-        x, y = fgrid.s, grid.s
+        x, y = fgrid.axes[0], grid.axes[0]
         spec = QSpectrum2D(fgrid, data, kind, window)
         call = lambda: qft_inverse(spec, kind, grid)  # noqa: E731
     assert (_kernels.low_rank(y, x, -1.0) is not None) == (route == "low-rank")
@@ -711,27 +803,30 @@ def test_interpolation_checks_the_blocks_it_writes(chirped):
     L = np.random.default_rng(2).normal(size=(4, 2))
     field = np.ones((4, 9, 4))
     field[1, -1, 2] = np.nan
-    post = np.linspace(-2.0, 2.0, 8) if chirped else None
+    y, post = GridSpec.centered(2.0, 8).axes[0], (0.3, 1.0, 0.5) if chirped else None
     with pytest.raises(NonFiniteError, match="^interpolate gave non-finite values"):
-        interpolate(field, [(L, post, MU, True), None])
+        interpolate(field, [(L, y, post, MU, True), None])
     field[1, -1, 2] = 1.0
-    assert np.all(np.isfinite(interpolate(field, [(L, post, MU, True), None])))
+    assert np.all(np.isfinite(interpolate(field, [(L, y, post, MU, True), None])))
 
 
 def test_mirror_detection():
-    """Centred grids and their windows run as they are; nodes off 0, even by
-    one ulp, run about their centre with offsets mirrored exactly."""
+    """A grid's axes are (centre, spacing, m) with m = 2k - n + 1 mirrored
+    exactly, and their nodes are the grid's, byte for byte: centred grids
+    and their windows have the centre 0; a grid off 0, even by one ulp of
+    its start, has its centre, and its stages run about it."""
     for n in (2, 7, 256, 1024):
-        assert mirrored(GridSpec.centered(10.0, n).s)
-        assert mirrored(FreqWindow.natural(GridSpec.centered(10.0, n)).to_grid().s)
-    assert not mirrored(GridSpec(0.0, 0.0, 1.0, 1.0, 8, 8).s)
-    assert not mirrored(GridSpec.centered(10.0, 8).s + 1e-9)
-    off = GridSpec.centered(10.0, 7).s
-    off[0] = np.nextafter(off[0], 0.0)  # one ulp: mirrored means exactly mirrored
-    assert not mirrored(off)
-    for x in (off, GridSpec(0.0, 0.0, 1.0, 1.0, 8, 8).s):
-        x0, offsets = _centred(x)
-        assert x0 != 0.0 and np.array_equal(offsets, -offsets[::-1])
+        grid = GridSpec.centered(10.0, n, 3.0, n + 1)
+        for g in (grid, FreqWindow.natural(grid).to_grid()):
+            for axis, want in zip(g.axes, (g.s, g.t)):
+                assert axis[0] == 0.0 and np.array_equal(axis[2], -axis[2][::-1])
+                assert np.array_equal(axis[2], np.arange(1 - len(want), len(want), 2))
+                assert nodes(axis).tobytes() == want.tobytes()
+    image = GridSpec(0.0, 0.0, 1.0, 1.0, 8, 8)
+    off = GridSpec.centered(10.0, 7)
+    off = GridSpec(np.nextafter(off.s_min, 0.0), 0.0, off.ds, 1.0, 7, 1)  # one ulp
+    for g, centre in ((image, 4.0), (off, off.s_min + 3.5 * off.ds)):
+        assert g.axes[0][0] == centre != 0.0 and nodes(g.axes[0]).tobytes() == g.s.tobytes()
 
 
 @pytest.mark.parametrize("left", [True, False])
@@ -739,8 +834,10 @@ def test_mirror_detection():
 def test_chirp_and_const_are_4x4_maps(left, axis):
     rng = np.random.default_rng(5)
     field = rng.normal(size=(5, 6, 4))
-    angles = rng.normal(size=field.shape[axis])
-    got = chirp_multiply(angles, MU, field, left, axis, scale=0.7)
+    x = GridSpec(-0.7, -0.7, 0.3, 0.3, 5, 6).axes[axis]
+    chirp = tuple(rng.normal(size=3))
+    angles = chirp[0] * nodes(x) ** 2 + chirp[1] * nodes(x) + chirp[2]
+    got = chirp_multiply(x, chirp, MU, field, left, axis, scale=0.7)
     shape = [1, 1, 1]
     shape[axis] = -1
     chirp = 0.7 * qexp_pure(MU, angles.reshape(shape[:2]))
@@ -761,15 +858,15 @@ def test_arbitrary_nodes_match_bruteforce(side):
     random start and spacing, neither grid centred on 0."""
     rng = np.random.default_rng(11)
     sig = QSignal2D(GridSpec(0.3, -1.1, 0.25, 0.2, 7, 9), rng.normal(size=(7, 9, 4)))
-    u = rng.uniform(-4.0, 0.0) + rng.uniform(0.5, 1.5) * np.arange(6)
-    v = rng.uniform(-4.0, 0.0) + rng.uniform(0.5, 1.5) * np.arange(5)
+    u = GridSpec(rng.uniform(-4.0, 0.0), 0.0, rng.uniform(0.5, 1.5), 1.0, 6, 1).axes[0]
+    v = GridSpec(rng.uniform(-4.0, 0.0), 0.0, rng.uniform(0.5, 1.5), 1.0, 5, 1).axes[0]
     axes = AxisPair(np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0]))
-    coords = ((u, sig.grid.s, sig.grid.ds), (v, sig.grid.t, sig.grid.dt))
+    coords = ((u, sig.grid.axes[0]), (v, sig.grid.axes[1]))
     got = sig.data
     for axis, left in side.stages:
-        y, x, dx = coords[axis]
-        got = exp_contract(y, x, -1.0, (axes.mu1, axes.mu2)[axis], got, left, axis, scale=dx)
-    want = qft_bruteforce(sig, side, axes, u, v)
+        y, x = coords[axis]
+        got = exp_contract(y, x, -1.0, (axes.mu1, axes.mu2)[axis], got, left, axis, scale=x[1])
+    want = qft_bruteforce(sig, side, axes, nodes(u), nodes(v))
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -786,6 +883,6 @@ def test_sided_qlct_odd_grid_matches_bruteforce(side):
 
 def test_low_rank_declines_an_axis_shorter_than_two():
     """A one-node input or output axis has no half to interpolate: full rank."""
-    many = np.linspace(-3.0, 3.0, 64)
-    for y, x in ((many, np.array([0.5])), (np.array([0.5]), many), (np.array([0.0]),) * 2):
+    many, one = GridSpec.centered(3.0, 64).axes[0], (0.5, 1.0, np.zeros(1))
+    for y, x in ((many, one), (one, many), (one, one)):
         assert _kernels.low_rank(y, x, -1.0) is None

@@ -346,15 +346,13 @@ def test_inverse_after_forward_recovers_the_input_on_the_natural_window(side, ns
 
 @pytest.mark.parametrize("side", list(Side))
 def test_plan_is_the_forward_and_inverse_stage_terms(side):
-    """``QftKind.plan`` lists the forward's stages with e^{-mu x y} dx, and the
-    inverse's in reverse order with e^{+mu y x} dx / 2pi."""
+    """``QftKind.plan`` lists the forward's stage records with e^{-mu x y} and
+    the weight dx, and the inverse's in reverse order with e^{+mu y x} and
+    dx / 2pi (the records' scale divides the spacing)."""
     kind = QftKind(side)
-    x, y = np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 5)
-    stages, terms = kind.plan()
-    assert tuple(stages) == side.stages and terms(0, x, y, 0.5) == (-1.0, None, None, 0.5)
-    stages, terms = kind.plan(inverse=True)
-    assert tuple(stages) == side.stages[::-1]
-    assert terms(1, x, y, 0.5) == (1.0, None, None, 0.5 / (2.0 * np.pi))
+    assert kind.plan() == tuple((axis, left, -1.0, None, None, 1.0) for axis, left in side.stages)
+    assert kind.plan(inverse=True) == tuple((axis, left, 1.0, None, None, 2.0 * np.pi)
+                                            for axis, left in side.stages[::-1])
 
 
 def test_a_spectrum_kind_without_a_plan_has_no_inverse():

@@ -20,7 +20,6 @@ from qharmonics.qft import FreqWindow, QftKind, Side, _stages, derivative_multip
 from qharmonics.qlct import (
     LctKind,
     LctParams,
-    _lct_terms,
     lct_kernel,
     qfrft,
     qlct_forward,
@@ -141,15 +140,15 @@ def chirp_qft_chirp(sig, kind, window):
     chirp by d u^2/2b with the e^{-mu pi/4} / sqrt(2 pi b) prefactors."""
     (a1, b1, _, d1), (a2, b2, _, d2) = kind.A1.astuple(), kind.A2.astuple()
     mu1, mu2 = kind.axes.mu1, kind.axes.mu2
-    s, t = sig.grid.s, sig.grid.t
-    p = chirp_multiply(a1 * s * s / (2 * b1), mu1, sig.data, left=True, axis=0)
-    p = chirp_multiply(a2 * t * t / (2 * b2), mu2, p, left=False, axis=1)
+    s, t = sig.grid.axes
+    p = chirp_multiply(s, (a1 / (2 * b1), 0.0, 0.0), mu1, sig.data, left=True, axis=0)
+    p = chirp_multiply(t, (a2 / (2 * b2), 0.0, 0.0), mu2, p, left=False, axis=1)
     spec = qft_forward(QSignal2D(sig.grid, p), QftKind(Side.TWO_SIDED, kind.axes),
                        window.scaled(1.0 / b1, 1.0 / b2))
-    u, v = window.to_grid().s, window.to_grid().t
-    out = chirp_multiply(d1 * u * u / (2 * b1) - np.pi / 4, mu1, spec.data, left=True, axis=0,
+    u, v = window.to_grid().axes
+    out = chirp_multiply(u, (d1 / (2 * b1), 0.0, -np.pi / 4), mu1, spec.data, left=True, axis=0,
                          scale=1.0 / np.sqrt(2.0 * np.pi * b1))
-    return chirp_multiply(d2 * v * v / (2 * b2) - np.pi / 4, mu2, out, left=False, axis=1,
+    return chirp_multiply(v, (d2 / (2 * b2), 0.0, -np.pi / 4), mu2, out, left=False, axis=1,
                           scale=1.0 / np.sqrt(2.0 * np.pi * b2))
 
 
@@ -537,7 +536,7 @@ def test_inverses_that_consume_their_spectrum_give_the_same_bytes(side, n):
     other = GridSpec.centered(4.0, n // 2)
     lkind = LctKind(side, GENERIC, LctParams(1.0, -0.5, 0.0, 1.0))
     narrow = FreqWindow(5.0, 5.0, n, n)
-    assert _kernels.low_rank(grid.s, narrow.to_grid().s, 1.0) is not None
+    assert _kernels.low_rank(grid.axes[0], narrow.to_grid().axes[0], 1.0) is not None
     cases = [(QftKind(side), qft_forward, qft_inverse, (1.0, 1.0)),
              (lkind, qlct_forward, qlct_inverse, (GENERIC.b, 0.5))]
     for kind, forward, inverse, b in cases:
@@ -580,8 +579,8 @@ def test_forwards_that_consume_their_signal_give_the_same_bytes(side, n):
     interpolated right after it."""
     grid = GridSpec.centered(4.0, n)
     data = np.random.default_rng(n).normal(size=(n, n, 4))
-    narrow = FreqWindow(5.0, 5.0, n, n).to_grid().s
-    assert (_kernels.low_rank(narrow, grid.s, -1.0) is None) == (n == 64)
+    narrow = FreqWindow(5.0, 5.0, n, n).to_grid().axes[0]
+    assert (_kernels.low_rank(narrow, grid.axes[0], -1.0) is None) == (n == 64)
     for kind, forward, window in _forward_cases(side, n):
         want = forward(QSignal2D(grid, data), kind, window)
         sig = QSignal2D(grid, data.copy())
@@ -605,12 +604,10 @@ def test_forward_shares_the_signal_only_when_it_can_hold_the_spectrum():
 
     window = FreqWindow(3.0, 2.0, 9, 9)
     want = qlct_forward(sig, kind, window).data
-    mats = (kind.A1, kind.A2)
     for given in (np.asfortranarray(sig.data), np.repeat(sig.data, 2, axis=1)[:, ::2],
                   sig.data.astype(np.float32)):
         before = given.copy()
-        got = _stages(given, kind.side.stages, kind.axes, sig.grid, window.to_grid(),
-                      lambda axis, x, xi, dx: _lct_terms(mats[axis], x, xi, dx), overwrite=True)
+        got = _stages(given, kind.plan(), kind.axes, sig.grid, window.to_grid(), overwrite=True)
         assert not np.shares_memory(got, given)
         assert np.array_equal(given, before)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 if given.dtype == np.float32 else 0)
@@ -628,18 +625,20 @@ def test_b0_axis_with_nonpositive_d_is_refused():
 
 def test_plan_of_the_inverse_is_the_forward_plan_of_the_inverse_matrices():
     """``LctKind.plan(inverse=True)`` runs the forward stages in reverse, each
-    with the terms of the inverse matrix, and refuses what has no inverse."""
+    with the record of the inverse matrix, and refuses what has no inverse.
+    A record's c, a x^2/2b and d xi^2/2b are double-doubles (hi, lo) of the
+    given a, b and d, the output chirp's constant is -sign(b) pi/4, and the
+    scale divides the input spacing by sqrt(2 pi |b|)."""
     A1, A2 = LctParams(2.0, 0.5, 2.0, 1.0), LctParams(0.5, -2.0, 0.25, 1.0)
-    x, y = np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 5)
     for side in Side:
-        stages, terms = LctKind(side, A1, A2).plan(inverse=True)
-        undo_stages, undo_terms = LctKind(side, A1.inverse, A2.inverse).plan()
-        assert tuple(stages) == side.stages[::-1] == tuple(undo_stages)[::-1]
-        for axis in (0, 1):
-            got, want = terms(axis, x, y, 0.5), undo_terms(axis, x, y, 0.5)
-            assert got[0] == want[0] and got[3] == want[3]
-            np.testing.assert_array_equal(got[1], want[1])
-            np.testing.assert_array_equal(got[2][0], want[2][0])
+        stages = LctKind(side, A1, A2).plan(inverse=True)
+        undo = LctKind(side, A1.inverse, A2.inverse).plan()
+        assert stages == undo[::-1] and tuple(s[:2] for s in stages) == side.stages[::-1]
+        for axis, left, c, pre, post, scale in LctKind(side, A1, A2).plan():
+            a, b, _, d = (A1, A2)[axis].astuple()
+            assert c == (-1.0 / b, 0.0) and pre == ((a / (2 * b), 0.0), 0.0, 0.0)
+            assert post == ((d / (2 * b), 0.0), 0.0, -np.sign(b) * np.pi / 4)
+            assert scale == np.sqrt(2.0 * np.pi * abs(b))
     with pytest.raises(ProvenanceMismatchError):
         LctKind(Side.TWO_SIDED, A1, A2, phase_corrected=True).plan(inverse=True)
     with pytest.raises(DegenerateBError):

@@ -226,21 +226,23 @@ def test_partial_sum_shapes_follow_the_extents():
 @pytest.mark.parametrize("family", ["qft", "qlct"])
 def test_partial_sum_table_against_long_double(family, side, tilted):
     """Every entry of a table at the indicator's corner is within 3e-14 of
-    the table's largest of a long-double sum of the same cells: a 192^2
-    natural-window spectrum (scaled by |b| = (0.8, 0.6) for the QLCT, whose
-    chirps reach about 3e3 rad on the largest window), windows up to half
-    its extent, and one window edge on a node along each axis."""
-    n = 192
-    sig = sample(indicator, GridSpec.centered(2.0, n))
+    the table's largest of a long-double sum of the same cells, whose angles
+    come from the nodes' indices: a 192^2 natural-window spectrum (scaled by
+    |b| = (0.8, 0.6) for the QLCT, whose chirps reach about 3e3 rad on the
+    largest window), windows up to half its extent, and one window edge on a
+    node along each axis; and a 512^2 one, windows up to the whole spectrum
+    (QLCT chirps of 2e4 rad)."""
     axes = random_axes(np.random.default_rng(5)) if tilted else CANONICAL_AXES
-    spec = (qft_forward(sig, QftKind(side, axes)) if family == "qft"
-            else qlct_forward(sig, LctKind(side, KIND.A1, KIND.A2, axes)))
-    u, v = np.abs(spec.grid.s), np.abs(spec.grid.t)
-    Ms = np.append(np.array([0.05, 0.2, 0.5]) * u.max(), u[n // 2 + n // 5])
-    Ns = np.append(np.array([0.1, 0.3, 0.5]) * v.max(), v[n // 2 + n // 7])
-    table = dirichlet_partial_inverse_freq(spec, (1.0, 1.0), Ms, Ns)
-    want = partial_sum_long_double(spec, (1.0, 1.0), Ms, Ns)
-    assert np.max(np.abs(table - want)) <= 3e-14 * np.max(np.abs(table))
+    for n, shares in ((192, ([0.05, 0.2, 0.5], [0.1, 0.3, 0.5])), (512, ([0.3, 1.0], [1.0]))):
+        sig = sample(indicator, GridSpec.centered(2.0, n))
+        spec = (qft_forward(sig, QftKind(side, axes)) if family == "qft"
+                else qlct_forward(sig, LctKind(side, KIND.A1, KIND.A2, axes)))
+        u, v = np.abs(spec.grid.s), np.abs(spec.grid.t)
+        Ms = np.append(np.array(shares[0]) * u.max(), u[n // 2 + n // 5])
+        Ns = np.append(np.array(shares[1]) * v.max(), v[n // 2 + n // 7])
+        table = dirichlet_partial_inverse_freq(spec, (1.0, 1.0), Ms, Ns)
+        want = partial_sum_long_double(spec, (1.0, 1.0), Ms, Ns)
+        assert np.max(np.abs(table - want)) <= 3e-14 * np.max(np.abs(table))
 
 
 @pytest.mark.parametrize("point", [(1.0, 1.0), (1.0, 0.0)], ids=["corner", "edge"])
