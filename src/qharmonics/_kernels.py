@@ -116,15 +116,15 @@ def _two_sum(a, b):
     return s, (a - (s - t)) + (b - t)
 
 
-def _mul_add(x, b, y=0.0):
+def _mul_add(x, b, y=None):
     """x b + y of double-doubles x and y, (hi, lo) or doubles, and doubles b,
     to about 2^-104: Dekker's exact product of hi and b, which needs no FMA
     (each factor split into halves of its mantissa by 2^27 + 1), and exact sums."""
-    (xh, xl), (yh, yl) = (v if isinstance(v, tuple) else (v, 0.0) for v in (x, y))
+    (xh, xl), (yh, yl) = (v if isinstance(v, tuple) else (v, 0.0) for v in (x, y or 0.0))
     ta, tb = 134217729.0 * xh, 134217729.0 * b
     a1, b1 = ta - (ta - xh), tb - (tb - b)
     a2, b2, p = xh - a1, b - b1, xh * b
-    s, e = _two_sum(p, yh)
+    s, e = (p, 0.0) if y is None else _two_sum(p, yh)
     return _two_sum(s, e + (((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + xl * b + yl))
 
 
