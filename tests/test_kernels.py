@@ -8,6 +8,7 @@ centre + m spacing / 2, and each kernel entry's whole angle as an exact sum
 """
 
 
+import itertools
 import re
 
 import numpy as np
@@ -318,6 +319,28 @@ def test_fold_stages_on_exact_nodes_against_long_double(n, extent, half, bound, 
                                    left, scale)
         for got in both_axes(y, x, c, field, left, scale):
             assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= bound
+
+
+def test_chirp_angles_are_exact_to_the_given_doubles():
+    """Every angle hi + lo of ``_kernels._chirp`` (Horner in m on
+    double-double products) and of the kernel table (K m_k) m_j equals the
+    rational value of the given doubles to 2^-100 of the angle: shifted
+    non-dyadic axes, a double-double coefficient (``_ratio``), a slope, and
+    angles up to 1e4 rad."""
+    from fractions import Fraction as Q
+    axis = grid_axis(1.3, 7.3, 999)
+    chirp, slope = (_kernels._ratio(-140.0, 2 * 0.7), 0.3, -np.pi / 4), 2.1  # to 7.4e3 rad
+    hi, lo = _kernels._chirp(axis, chirp, slope)
+    q2, (z0, d, m) = Q(chirp[0][0]) + Q(chirp[0][1]), axis
+    for j in range(0, 999, 37):
+        z = Q(z0) + Q(m[j]) * Q(d) / 2
+        want = q2 * z * z + Q(chirp[1]) * z + Q(chirp[2]) + Q(slope) * (z - Q(z0))
+        assert abs(Q(hi[j]) + Q(lo[j]) - want) <= abs(want) * Q(2) ** -100
+    K = _kernels._mul_add(_kernels._mul_add(_kernels._ratio(-1.0, 0.7), 0.37 / 2), d / 2)
+    hi, lo = _kernels._mul_add(_kernels._mul_add(K, m[::111, None]), m[::37])
+    for (k, mk), (j, mj) in itertools.product(enumerate(m[::111]), enumerate(m[::37])):
+        want = Q(-1) / Q(0.7) * Q(0.37) / 2 * Q(d) / 2 * Q(mk) * Q(mj)
+        assert abs(Q(hi[k, j]) + Q(lo[k, j]) - want) <= abs(want) * Q(2) ** -100 + Q(2) ** -200
 
 
 @LONG_DOUBLE
