@@ -11,12 +11,11 @@ S M^T`` with ``C = cos(theta) @ f`` and ``S = sin(theta) @ f``: real GEMMs
 that keep the exact placement of each factor, ``scale`` in their tables.
 
 x and y are grid axes (centre, spacing, m), nodes centre + m spacing / 2 at
-the integers m = 2k - n + 1, so every angle is in_j + out_k + K m_k m_j, K =
-c dy dx / 4, in_j holding pre and y's centre's terms, out_k post and x's
-centre's; a chirp is (q2, q1, q0) of q2 z^2 + q1 z + q0.  :func:`_chirp`
-forms each angle hi + lo in double-double from the given doubles and the
-exact index products (Dekker, Numer. Math. 18, 1971), and it applies once,
-as the 4x4 map ``cos I + sin M`` of the phasor e^{i hi} (1 + i lo).
+the integers m = 2k - n + 1: every angle is in_j + out_k + K m_k m_j, K = c
+dy dx / 4, in_j holding pre and y's centre's terms, out_k post and x's.  A
+chirp is (q2, q1, q0) of q2 z^2 + q1 z + q0; each angle hi + lo is formed in
+double-double from the given doubles and the exact index products (Dekker,
+Numer. Math. 18, 1971) and applied once, as the phasor e^{i hi} (1 + i lo).
 The m are mirrored about 0, so f is folded into ``f_j +- f_{n-1-j}`` and
 two half-size GEMMs give the first half of the output rows, the mirrored
 rows being ``C - S M^T`` (a quarter of the flops of the unfolded product).
@@ -27,36 +26,33 @@ on axis 1, narrowed in proportion on a stage that shrinks its axis and
 else to at most a quarter of the field's lines (on small fields a block
 would otherwise hold buffers of twice the field).  Each block runs the
 input chirp, the fold, the GEMMs, the mu map, the unfold and the output
-chirp, and writes straight into the C-order output.  The chirps act on
-the actual nodes, before the fold and after the unfold: they need not be
-even (a centre's term is odd in m), and their angles reach 1e4 rad.
+chirp, and writes straight into the C-order output.  The chirps act on the
+nodes before the fold and after the unfold: they need not be even in m.
 
 Narrow kernels have low rank: cos(c y x) on y in [-Y, 0], |x| <= X, is
 interpolated to the ulp by a barycentric matrix L from about w + 10 w^(1/3)
 Chebyshev points t in y, w = |c| X Y / 2, for any n (Ruiz-Antolin and
 Townsend, SIAM J. Sci. Comput. 40, 2018).  :func:`low_rank` gives L and the
-points as an axis, their m mirrored (t, -t and the centre of an odd axis); a
-stage onto them is an ordinary folded stage of 2p (+1) outputs.  Its real
-map L commutes with every later stage and :func:`interpolate` applies it,
-with the output chirp, to an axis or two at once: the first stage shrinks
-its axis, and the next runs on the compressed field.
+points as an axis (m = t, -t and 0 on an odd axis), onto which a stage is an
+ordinary folded stage of 2p (+1) outputs.  L commutes with every later stage,
+and :func:`interpolate` applies it with the output chirp to an axis or two at
+once: the first stage shrinks its axis, the next runs on the compressed field.
 
-On the natural window a stage is exactly a length-n DFT about the centres
-of its grids: as many outputs as inputs and c dx dy n = +-2 pi.  On any n
-each block of such a stage runs as FFTs (Ell and Sangwine, IEEE Trans.
-Image Process. 16, 2007): an orthogonal 4x4 map P splits each node f = a +
-b nu, a and b in span{1, mu} with nu a pure unit normal to mu, and on each
-of a and b e^{mu theta} is the complex e^{i theta}, so a block is P, input
-phasors, one complex FFT along the nodes, output phasors and P^T.  The
-phasors take the half-sample shifts of the midpoint nodes with their index
-products reduced mod 4n in integers, the angles in_j and out_k and
-``scale``.  A phasor on both components is the chirp map cos I + sin M^T,
-so node-major blocks (axis 0) fold the phasors into P and P^T as one 4x4
-map per node on each side; row-layout blocks (axis 1) keep P and the
-phasor multiplies.  The FFT runs in the block's buffer (``out=``,
-numpy >= 2.0); ``numpy.fft`` is loaded by the first such stage.  A block
-spans DFT_BLOCK = 48 grid lines: at n = 1024 its buffer and its output are
-1.5 MiB each, about a core's L2 cache (2 MiB), where 64 lines spill it.
+On the natural window a stage is exactly a length-n DFT about the centres of
+its grids: as many outputs as inputs and c dx dy n = +-2 pi.  On any n each
+block of such a stage runs as FFTs (Ell and Sangwine, IEEE Trans. Image
+Process. 16, 2007): an orthogonal 4x4 map P splits each node f = a + b nu, a
+and b in span{1, mu} with nu a pure unit normal to mu, and on each of a and
+b e^{mu theta} is the complex e^{i theta}, so a block is P, input phasors,
+one complex FFT along the nodes, output phasors and P^T.  The phasors hold
+the half-sample shifts (index products reduced mod 4n), in_j, out_k and
+``scale``.  A phasor on both components is the chirp map cos I + sin M^T, so
+node-major blocks (axis 0) fold the phasors into P and P^T as one 4x4 map
+per node on each side; row-layout blocks (axis 1) keep P and the phasor
+multiplies.  The FFT runs in the block's buffer (``out=``, numpy >= 2.0);
+``numpy.fft`` is loaded by the first such stage.  A block spans DFT_BLOCK =
+48 grid lines: at n = 1024 its buffer and its output are 1.5 MiB each, about
+a core's L2 cache (2 MiB), where 64 lines spill it.
 
 Every stage checks the blocks it writes, and transforms do not rescan their
 output.  Right after its last write to a block, while the block is in
@@ -96,7 +92,7 @@ ROW_BLOCK = 128
 COL_BLOCK = 1024
 #: a block spans at most 1 / BLOCK_SHARE of the grid lines across its axis
 BLOCK_SHARE = 4
-#: input nodes per chunk of a fold or of an in-place chirp
+#: input nodes per chunk of a fold or of an in-place chirp (CHUNK / 4 rows of a kernel table)
 CHUNK = 64
 #: low-rank path: p = w + RANK_SLOPE cbrt(w) + RANK_PAD points per half axis,
 #: checked at the CHECK_COLUMNS highest frequencies; runs while
@@ -116,23 +112,32 @@ def _two_sum(a, b):
     return s, (a - (s - t)) + (b - t)
 
 
-def _mul_add(x, b, y=None):
-    """x b + y of double-doubles x and y, (hi, lo) or doubles, and doubles b,
-    to about 2^-104: Dekker's exact product of hi and b, which needs no FMA
-    (each factor split into halves of its mantissa by 2^27 + 1), and exact sums."""
-    (xh, xl), (yh, yl) = (v if isinstance(v, tuple) else (v, 0.0) for v in (x, y or 0.0))
+def _dd(v):
+    """v, a double or a double-double, as (hi, lo)."""
+    return v if isinstance(v, tuple) else (v, 0.0)
+
+
+def _add(x, y):
+    """x + y of double-doubles (or doubles), the hi parts summed exactly."""
+    (xh, xl), (yh, yl) = _dd(x), _dd(y)
+    s, e = _two_sum(xh, yh)
+    return _two_sum(s, e + (xl + yl))
+
+
+def _mul_add(x, b, y=0.0):
+    """x b + y of double-doubles x, y and doubles b, to about 2^-104: Dekker's
+    exact product hi b, no FMA (each factor split in halves by 2^27 + 1)."""
+    xh, xl = _dd(x)
     ta, tb = 134217729.0 * xh, 134217729.0 * b
     a1, b1 = ta - (ta - xh), tb - (tb - b)
     a2, b2, p = xh - a1, b - b1, xh * b
-    s, e = (p, 0.0) if y is None else _two_sum(p, yh)
-    return _two_sum(s, e + (((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + xl * b + yl))
+    return _add((p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + xl * b), y)
 
 
 def _ratio(a, b):
     """a / b of doubles as a double-double (an exact chirp coefficient)."""
     q = a / b
-    p, e = _mul_add(q, b)
-    return q, ((a - p) - e) / b
+    return q, -_mul_add(q, b, -a)[0] / b  # the remainder q b - a, exactly
 
 
 def _chirp(z, chirp, slope=0.0):
@@ -140,7 +145,7 @@ def _chirp(z, chirp, slope=0.0):
     the axis z = (z0, d, m), as double-doubles (hi, lo) by Horner in m."""
     (z0, d, m), h = z, z[1] / 2
     q2, q1, q0 = chirp or (0.0, 0.0, 0.0)
-    a1 = _mul_add(_mul_add(_mul_add(q2, 2.0 * z0, q1), 1.0, slope), h)
+    a1 = _mul_add(_add(_mul_add(q2, 2.0 * z0, q1), slope), h)
     a0 = _mul_add(_mul_add(q2, z0, q1), z0, q0)
     return _mul_add(_mul_add(_mul_add(_mul_add(q2, h), h), m, a1), m, a0)
 
@@ -148,7 +153,7 @@ def _chirp(z, chirp, slope=0.0):
 def _point_chirp(p, c, pre=None, post=None):
     """The chirp in x of c p x + pre(x) + post(p), a stage onto the node p."""
     q2, q1, q0 = pre or (0.0, 0.0, 0.0)
-    return q2, _mul_add(c, p, q1), q0 if post is None else _mul_add(_chirp((p, 0, 0), post), 1, q0)
+    return q2, _mul_add(c, p, q1), q0 if post is None else _add(_chirp((p, 0, 0), post), q0)
 
 
 def _phasor(a):
@@ -167,19 +172,16 @@ def _maps(mu, left, a):
 
 def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0, out=None):
     """Contract grid axis `axis` (0 or 1) of a quaternion field (n0, n1, 4),
-    in any memory order, into a C-order array, out_k = scale sum_j
-    e^{mu (c y_k x_j + pre(x_j) + post(y_k))} f_j, on the output and input
-    axes y and x (``GridSpec.axes``, or the points of :func:`low_rank`), x
-    of the field's length; c (a double or a double-double) scales the
-    kernel angle, signs included, and the kernel and the chirps multiply
-    from the left or not.  `out` is a buffer the caller owns and whose
-    contents may be destroyed, `field` included (as ``overwrite_x`` in
-    ``scipy.fft``): the output fills its memory from the front when it is a
-    C-contiguous writeable float64 array that holds it (and, sharing memory
-    with `field`, y has no more nodes than the axis), else a new array.
-    Raises NonFiniteError, naming the stage, when a block of the output is
-    not finite (an overflow, or a non-finite input).
-    """
+    in any memory order, into a C-order array, out_k = scale sum_j e^{mu (c
+    y_k x_j + pre(x_j) + post(y_k))} f_j, on the output and input axes y and
+    x (``GridSpec.axes``, or the points of :func:`low_rank`); c, a double or
+    a double-double, carries the kernel's signs, and the kernel and chirps
+    multiply from the left or not.  `out` is a buffer the caller owns, its
+    contents (`field`'s too) expendable as ``overwrite_x`` in ``scipy.fft``:
+    the output fills its memory from the front when it is a C-contiguous
+    writeable float64 array that holds it (and, sharing memory with `field`,
+    y has no more nodes than the axis), else a new array.  A block of the
+    output that is not finite raises NonFiniteError, naming the stage."""
     field = np.asarray(field, dtype=float)
     (y0, dy, my), (x0, dx, mx) = y, x
     a_in = None if pre is None and not y0 else _chirp(x, _point_chirp(y0, c, pre))
@@ -195,8 +197,10 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
         lines = COL_BLOCK // 4 if axis == 0 else ROW_BLOCK
         step = (max(lines * my.size // mx.size, 1) if my.size < mx.size
                 else _lines(lines, field.shape[1 - axis]))
-        tabs = _phasor(_mul_add(_mul_add(K, my[:my.size // 2, None]), mx[:mx.size // 2]))
-        tabs = (scale * tabs.real, scale * tabs.imag)  # the GEMMs' contiguous tables
+        tabs, half = np.empty((2, my.size // 2, mx.size // 2)), my[:my.size // 2, None]
+        for lo in range(0, len(half), CHUNK // 4):  # the GEMMs' tables; built whole, 1.7x slower
+            z = _phasor(_mul_add(_mul_add(K, half[lo:lo + CHUNK // 4]), mx[:mx.size // 2]))
+            np.multiply((z.real, z.imag), scale, out=tabs[:, lo:lo + CHUNK // 4])
         # here _nodes takes 1.5-1.6x as long on C-order fields (strided node I/O)
         kernel = _rows if axis == 1 and maps[0] is None and maps[1] is None else _nodes
     shape = field.shape[:axis] + (my.size,) + field.shape[axis + 1:]
@@ -213,14 +217,13 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
 
 def _dft_tables(n_out, n, turn, mu, left, a_in, a_out, scale):
     """(P, inverse, input phasors, output phasors, input maps, output maps)
-    of a stage that is an exact length-n DFT (n_out = n, c dx dy n = `turn`
-    = +-2 pi), or None.  Its angle K m_k m_j is +-pi (2k - n + 1)(2j - n +
-    1) / 2n: the DFT angle +-2 pi k j / n plus terms in j alone and in k
-    alone, integers times pi / 2n reduced mod 4n, the phasors that in_j and
-    out_k multiply.  P has the columns 1, mu, nu and mu nu (nu mu for a
-    right-multiplied kernel, the split being f = a + nu b).  The phasors
-    come twice each, once per component, and the (n, 4, 4) maps are P then
-    the input phasor, the output phasor then P^T."""
+    of an exact length-n DFT stage (n_out = n, c dx dy n = `turn` = +-2 pi),
+    or None.  Its angle K m_k m_j is +-pi (2k - n + 1)(2j - n + 1) / 2n: the
+    DFT's +-2 pi k j / n and terms in j and in k alone, integers times pi /
+    2n reduced mod 4n, in the phasors with in_j and out_k.  P has the
+    columns 1, mu, nu and mu nu (nu mu for a right-multiplied kernel, the
+    split being f = a + nu b); the phasors come once per component, and the
+    (n, 4, 4) maps are P then the input phasor, the output phasor then P^T."""
     if n < 2 or n_out != n or not (abs(abs(turn) - 2 * np.pi)
                                    <= DFT_ULPS * np.finfo(float).eps * 2 * np.pi):
         return None
@@ -247,15 +250,13 @@ def _dft_tables(n_out, n, turn, mu, left, a_in, a_out, scale):
 
 def low_rank(y, x, c):
     """(points, L) of a stage onto axis y whose kernel e^{mu c y x} has low
-    rank in y, or None: points is y with its m p Chebyshev points on the
-    first half of y's m, mirrored (with 0 on an odd axis), and L (len(m) //
-    2, p) interpolates that half from them (see :func:`interpolate`).  w
-    takes max |x|: on shifted x the centre's term acts at the points."""
+    rank in y, or None: points is y with p Chebyshev points on the first half
+    of its m, mirrored (with 0 on an odd axis), and L (len(m) // 2, p) takes
+    them to that half (:func:`interpolate`).  w takes max |x| (x0 included)."""
     (y0, dy, my), (x0, dx, mx) = y, x
-    h, m = mx.size // 2, my.size // 2
+    h, m, cy = mx.size // 2, my.size // 2, _dd(c)[0] * dy / 2
     if h == 0 or m == 0:
         return None
-    cy = _mul_add(c, 1.0)[0] * dy / 2
     # the rule first, from the ends of the axes: full-rank stages allocate nothing
     w = abs(cy) * (abs(x0) + dx / 2 * mx[-1]) * (my[m - 1] - my[0]) / 2
     p = int(np.ceil(w + RANK_SLOPE * np.cbrt(w) + RANK_PAD))
@@ -428,8 +429,7 @@ def interpolate(field, plans, out=None):
     whole rows then take the axis-0 chirp in place (1.7x faster than on a
     block's short rows).  The output fills `out` as in
     :func:`exp_contract`, and `field` may sit there: it is read through
-    copies, transposed for axis 1, else one column block at a time.
-    """
+    copies, transposed for axis 1, else one column block at a time."""
     plans = [None if plan is None else
              (plan[0], np.ascontiguousarray(plan[0][::-1]), _maps(
                  *plan[3:], None if plan[2] is None else _chirp(*plan[1:3])))
@@ -503,8 +503,7 @@ def chirp_multiply(x, chirp, mu, field, left, axis, scale=1.0, out=None):
     line, M being left or right multiplication by ``mu``, in batched
     products of CHUNK lines into a C-order (n0, n1, 4) array, the front of
     `out` when it holds it (see :func:`exp_contract`).  In place, numpy
-    copies the input of one product, so a chunk and not the field.
-    """
+    copies the input of one product, so a chunk and not the field."""
     field = np.asarray(field, dtype=float)
     maps = scale * _maps(mu, left, _chirp(x, chirp))
     out = _reuse(out, field.shape)

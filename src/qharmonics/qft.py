@@ -15,9 +15,9 @@ factor and the side-specific kernel order
 
 Each kernel factor is one contraction along an axis of any uniform grid
 (see ``_kernels``); a kind's ``plan`` lists their records, forward or
-inverse, and one stage loop runs the plans of both families.  On a narrow window,
-where a kernel has low rank, a stage contracts onto Chebyshev points and
-the loop interpolates them once at the end.  On any midpoint grid with
+inverse, and one stage loop runs the plans of both families.  On a narrow
+window, where a kernel has low rank, a stage contracts onto Chebyshev points
+and the loop interpolates them once at the end.  On any midpoint grid with
 ``FreqWindow.natural``, the forward transforms' default window, the
 quadrature is exactly the 2D DFT of the samples about the grid's centre
 (a grid off 0, such as an image on [0, w], adds its centre's terms),
@@ -173,36 +173,38 @@ def _invert(spec: QSpectrum2D, out_grid: GridSpec, overwrite=False) -> QSignal2D
 def _stages(data, plan, axes, src, dst, overwrite=False):
     """Run the stage records `plan`, a kind's ``plan``, from the nodes of grid
     `src` onto those of grid `dst`.  A record ``(axis, left, c, pre, post,
-    scale)`` is the :func:`exp_contract` of grid axis `axis` with the weight
-    dx / scale, dx its input spacing; with c = None it is the pointwise chirp
-    ``scale e^{mu pre}`` on the input nodes (a b = 0 QLCT axis).  A
-    low-rank stage contracts onto its Chebyshev points, and its real
-    interpolation and output chirp wait for the end when every later stage
-    multiplies from the other side; else they run right after it.  Every
-    step fills one buffer of the output's size: `data` when `overwrite` is
-    true (the caller hands it over) and it is one, else a new array, and
-    checks the blocks it writes (NonFiniteError, naming it), so the field
-    returned is finite and the transforms do not scan it again.
-    """
+    scale)`` is the :func:`exp_contract` of grid axis `axis`, or with c =
+    None the chirp e^{mu pre} of its input nodes (a b = 0 QLCT axis), of
+    weight :func:`_weight`.  A low-rank stage contracts onto its Chebyshev
+    points, and its interpolation and output chirp wait for the end when
+    every later stage multiplies from the other side, else run right after
+    it.  Every step fills one buffer of the output's size (`data` when
+    `overwrite` hands it over and it is one, else a new array) and checks
+    the blocks it writes (NonFiniteError, naming it), so the field returned
+    is finite and the transforms do not scan it again."""
     mus, xs, ys = (axes.mu1, axes.mu2), src.axes, dst.axes
     size = 4 * math.prod((xs if c is None else ys)[axis][2].size for axis, _, c, *_ in plan)
     out = (data if overwrite and data.flags.carray and data.dtype == np.float64
            and data.size == size else np.empty(size))
     deferred = [None, None]
     for i, (axis, left, c, pre, post, scale) in enumerate(plan):
-        x, y = xs[axis], ys[axis]
+        x, y, w = xs[axis], ys[axis], _weight(c, scale, xs[axis])
         if c is None:
-            data = chirp_multiply(x, pre, mus[axis], data, left, axis, scale=scale, out=out)
+            data = chirp_multiply(x, pre, mus[axis], data, left, axis, scale=w, out=out)
             continue
         rank = low_rank(y, x, c)
         data = exp_contract(y if rank is None else rank[0], x, c, mus[axis], data, left, axis,
-                            pre=pre, post=post if rank is None else None, scale=x[1] / scale,
-                            out=out)
+                            pre=pre, post=post if rank is None else None, scale=w, out=out)
         if rank is not None:
             deferred[axis] = (rank[1], y, post, mus[axis], left)
             if post is not None and any(later == left for _, later, *_ in plan[i + 1:]):
                 data, deferred = interpolate(data, deferred, out), [None, None]
     return interpolate(data, deferred, out) if any(deferred) else data
+
+
+def _weight(c, scale, x):
+    """A stage record's weight on input axis x: x's spacing over `scale`, or `scale` for a chirp."""
+    return scale if c is None else x[1] / scale
 
 
 def _require(spec: QSpectrum2D, kind, family):

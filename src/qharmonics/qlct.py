@@ -110,10 +110,9 @@ class LctKind:
     family = "qlct"
 
     def plan(self, inverse=False):
-        """Stage records for ``qft._stages``: the kernel sandwich of (A1, A2),
-        or the inverse's, the sandwich of the inverse matrices with its
-        stages in reverse order.  The inverse refuses a phase-corrected kind
-        (ProvenanceMismatchError) and a b = 0 axis (DegenerateBError)."""
+        """Stage records for ``qft._stages``: the kernel sandwich of (A1, A2)
+        or, inverse, of the inverse matrices in reverse order, which refuses a
+        phase-corrected kind (ProvenanceMismatchError) and b = 0 (DegenerateBError)."""
         stages, mats = self.side.stages, (self.A1, self.A2)
         if inverse:
             if self.phase_corrected:
@@ -147,8 +146,7 @@ def _lct_stage(A: LctParams):
     sqrt(2 pi |b|); c = -1/b and the chirps a x^2/(2b) and d xi^2/(2b) -
     sign(b) pi/4 (up to 1e4 rad) are exact double-doubles of a, b and d.
     A b = 0 axis is the pointwise chirp sqrt(d) e^{mu c x^2 / (2d)} f(x)
-    at xi = x/d (c = None); requires d > 0 (det = ad = 1 pins d = 1/a).
-    """
+    at xi = x/d (c = None); requires d > 0 (det = ad = 1 pins d = 1/a)."""
     a, b, c, d = A.astuple()
     if b == 0.0:
         if d <= 0:

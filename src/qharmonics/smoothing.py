@@ -38,7 +38,7 @@ from .errors import (
 from ._kernels import _point_chirp, chirp_multiply
 from .grids import (GridSpec, QSignal2D, QSpectrum2D, evaluate, fixture_values,
                     residual_moduli, sample)
-from .qft import _inverse_plan, _invert
+from .qft import _inverse_plan, _invert, _weight
 from .quaternion import qabs
 
 __all__ = [
@@ -77,9 +77,9 @@ def dirichlet_partial_inverse_freq(spec: QSpectrum2D, point, M, N):
     keep = [order[:n.max(initial=1)] for order, n in zip(orders, counts)]
     cells = spec.data[np.ix_(*keep)]
     for axis, left, c, pre, post, scale in plan:
-        x0, dx, m = g.axes[axis]
-        cells = chirp_multiply((x0, dx, m[keep[axis]]), _point_chirp(p[axis], c, pre, post),
-                               mus[axis], cells, left, axis, scale=dx / scale, out=cells)
+        x = g.axes[axis]
+        cells = chirp_multiply((*x[:2], x[2][keep[axis]]), _point_chirp(p[axis], c, pre, post),
+                               mus[axis], cells, left, axis, scale=_weight(c, scale, x), out=cells)
     np.cumsum(np.cumsum(cells, axis=0, out=cells), axis=1, out=cells)
     table = cells[np.ix_(counts[0] - 1, counts[1] - 1)]
     table[counts[0] == 0] = table[:, counts[1] == 0] = 0.0  # the empty windows
