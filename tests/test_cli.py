@@ -1,6 +1,8 @@
 import argparse
+import gc
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -685,15 +687,21 @@ def test_default_windows_take_the_fft_path(capsys, tmp_path, dft_calls):
 
 # -- console-script checks on the FFT route (formerly CI steps) ---------------
 
+#: a child's environment: this checkout's qharmonics first on the path, and
+#: stdout block-buffered into a pipe (no PYTHONUNBUFFERED), so a lost flush shows
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {
+    "PYTHONPATH": os.pathsep.join([os.path.dirname(os.path.dirname(qharmonics.__file__)),
+                                   os.environ.get("PYTHONPATH", "")])}
+
+
 def console(cwd, *argv, status=0):
-    """``python -m qharmonics.cli argv`` in `cwd`, as the console script runs
-    it; fails unless it exits with `status` and returns stdout."""
-    src = os.path.dirname(os.path.dirname(qharmonics.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    """``python -m qharmonics.cli argv`` in `cwd`, through the program entry
+    as the console script runs it; fails unless it exits with `status` and
+    returns the finished process (stdout and stderr as bytes)."""
     out = subprocess.run([sys.executable, "-m", "qharmonics.cli", *argv], capture_output=True,
-                         text=True, env=env, cwd=cwd)
-    assert out.returncode == status, out.stderr
-    return out.stdout
+                         env=CHILD_ENV, cwd=cwd)
+    assert out.returncode == status, out.stderr.decode()
+    return out
 
 
 def plancherel_ratio(sig, spec):
@@ -757,7 +765,7 @@ GENERIC_FLAGS = ("--a1", "2", "--b1", "0.5", "--c1", "2", "--d1", "1",
 
 def roundtrip_linf(out):
     """The linf_error of a one-line `roundtrip` CSV."""
-    header, line = out.strip().splitlines()
+    header, line = out.decode().strip().splitlines()
     return float(dict(zip(header.split(","), line.split(",")))["linf_error"])
 
 
@@ -774,7 +782,7 @@ def test_console_qlct_roundtrips(tmp_path, argv):
     window of 4 pi by 2 pi, on its default window, and sided on an odd grid
     (in-place stages, odd n), each exits 0 with a finite error."""
     out = console(tmp_path, "roundtrip", "--transform", "qlct", "--fixture", "qgaussian", *argv)
-    assert np.isfinite(roundtrip_linf(out))
+    assert np.isfinite(roundtrip_linf(out.stdout))
 
 
 def test_console_sided_qlct_on_a_narrow_window(tmp_path):
@@ -785,7 +793,7 @@ def test_console_sided_qlct_on_a_narrow_window(tmp_path):
                   "qgaussian", "--grid", "512", "--extent", "10", "--window", "8", "--a1", "1",
                   "--b1", "1", "--c1", "0", "--d1", "1", "--a2", "0.5", "--b2=-1", "--c2", "1",
                   "--d2", "0")
-    assert abs(roundtrip_linf(out) / 4.1886112491731141e-07 - 1) <= 1e-6
+    assert abs(roundtrip_linf(out.stdout) / 4.1886112491731141e-07 - 1) <= 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -823,3 +831,100 @@ def test_console_qlct_default_window_is_the_library_rule(fixtures_33):
             "--window", f"{w.u_max!r},{w.v_max!r}", *m)
     assert ((fixtures_33 / "default.qsp").read_bytes()
             == (fixtures_33 / "explicit.qsp").read_bytes())
+
+
+# -- the program entry: exit codes, messages and outputs (formerly CI steps) --
+
+@pytest.fixture(scope="module")
+def fixtures_16(tmp_path_factory):
+    """The 16^2 fixtures in ``fxu``, a QSIG file with a bad magic, and a
+    ``blocked`` directory whose ``heatgauss.qsig`` is a directory, so that
+    ``fixtures --out-dir blocked`` fails at its second file's rename."""
+    cwd = tmp_path_factory.mktemp("fx16")
+    console(cwd, "fixtures", "--out-dir", "fxu", "--grid", "16")
+    (cwd / "junk.qsig").write_bytes(b"JUNKJUNKJUNK")
+    (cwd / "blocked" / "heatgauss.qsig").mkdir(parents=True)
+    return cwd
+
+
+def tree(cwd):
+    """Every path under `cwd`, relative to it, sorted."""
+    return sorted(str(path.relative_to(cwd)) for path in cwd.rglob("*"))
+
+
+def without_pid(text):
+    """`text` with the process id in a temp file's name (``*.tmp-<pid>``) blanked."""
+    return re.sub(rb"\.tmp-\d+", b".tmp-", text)
+
+
+@pytest.mark.parametrize("argv, status, err", [
+    pytest.param(("roundtrip", "--grid", "16"), 0, "", id="roundtrip"),
+    pytest.param(("jump-demo", "--M", "25,50"), 0, "", id="sinc-partial-sums"),
+    pytest.param(("lc-diag", "--fixture", "qgaussian", "--point", "0.2,-0.1"), 0, "",
+                 id="pointwise-lc-diag"),
+    pytest.param(("jump-demo", "--fixture", "qgaussian", "--point", "0.3,-0.2", "--M", "25,100"),
+                 0, "", id="pointwise-jump-demo"),
+    pytest.param(("variation", "--fixture", "heatgauss", "--grid", "64"), 0, "",
+                 id="pointwise-variation"),
+    pytest.param(("gauss-mean", "--grid", "32", "--schedule", "1,0.1"), 0, "", id="gauss-means"),
+    pytest.param(("qfrft", "--in", "fxu/gaussian.qsig", "--out", "deg.qsp", "--alpha", "0",
+                  "--beta", "0.7"), 1, "fractional kernel degenerates", id="qfrft-sin-alpha-0"),
+    pytest.param(("jump-demo", "--M", "1e17"), 1, "sinc panels, more than 1024",
+                 id="jump-demo-panel-cap"),
+    pytest.param(("lc-diag", "--eps1", "0"), 1, "strip half-widths must be positive",
+                 id="lc-diag-strip"),
+    pytest.param(("gauss-mean", "--schedule", "1,2"), 1, "strictly decreasing",
+                 id="gauss-mean-schedule"),
+    pytest.param(("roundtrip", "--transform", "qlct", "--a1", "1", "--b1", "0", "--c1", "0",
+                  "--d1", "1", "--a2", "1", "--b2", "1", "--c2", "0", "--d2", "1"), 1,
+                 "degenerate (b = 0)", id="qlct-inverse-b0"),
+    pytest.param(("qft", "--in", "junk.qsig", "--out", "never.qsp"), 2, "bad magic",
+                 id="runtime-error-load"),
+    pytest.param(("fixtures", "--out-dir", "blocked", "--grid", "16"), 2, "Is a directory",
+                 id="runtime-error-rename")])
+def test_console_exits_with_mains_code_and_bytes(fixtures_16, capsysbinary, monkeypatch, argv,
+                                                 status, err):
+    """The program entry exits with the code in-process `main` returns (0,
+    1 or 2) and writes the same stdout and stderr bytes (but for the process
+    id in a temp file's name).  A success writes nothing on stderr, a usage
+    error nothing on stdout, and a command that fails leaves the directory
+    as it found it: ``fixtures`` removes the file it wrote before the
+    rename onto a directory failed, and leaves no ``*.tmp-*`` file."""
+    before = tree(fixtures_16)
+    done = console(fixtures_16, *argv, status=status)
+    assert err.encode() in done.stderr and (status != 0 or done.stderr == b"")
+    assert status != 1 or done.stdout == b""
+    assert status == 0 or tree(fixtures_16) == before
+    monkeypatch.chdir(fixtures_16)
+    assert main(list(argv)) == status
+    got = capsysbinary.readouterr()
+    assert (got.out, without_pid(got.err)) == (done.stdout, without_pid(done.stderr))
+    assert status == 0 or tree(fixtures_16) == before
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    """Only the program entry freezes the collector: `main` in process
+    leaves it enabled or disabled, and frozen, as it was."""
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            frozen = gc.get_freeze_count()
+            assert main(["roundtrip", "--grid", "16"]) == 0
+            assert main(["jump-demo", "--M", "1e17"]) == 1
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_program_freezes_the_collector_and_exits_normally():
+    """`program` exits with `main`'s code through a normal exit: atexit
+    handlers run, with the collector's objects frozen, and stdout is
+    flushed."""
+    code = ("import atexit, gc, sys; from qharmonics import cli; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+            "sys.argv[1:] = ['jump-demo', '--M', '25']; cli.program()")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=CHILD_ENV)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.startswith("M,N,I_re") and out.stdout.endswith("\nfrozen True\n")
