@@ -13,21 +13,7 @@ class InvariantViolationError(QHarmonicsError, ArithmeticError):
     """A computed value broke a bound that the mathematics guarantees."""
 
 
-# -- axis / quaternion validation ------------------------------------------
-
-class NotUnitError(QHarmonicsError, ValueError):
-    """Axis vector is not of unit modulus (beyond the normalization slack)."""
-
-
-class NotPureError(QHarmonicsError, ValueError):
-    """Quaternion offered as a transform axis has a nonzero scalar part."""
-
-
-class NotOrthogonalError(QHarmonicsError, ValueError):
-    """The two transform axes are not orthogonal."""
-
-
-# -- grids, sampling and containers ----------------------------------------
+# -- arguments, grids, sampling and containers ------------------------------
 
 class NonFiniteError(QHarmonicsError, ValueError):
     """A sampled value, grid parameter or transform parameter is NaN or infinite."""
@@ -35,9 +21,11 @@ class NonFiniteError(QHarmonicsError, ValueError):
 
 class InvalidParameterError(QHarmonicsError, ValueError):
     """Argument outside its domain: a non-positive grid spacing or sample
-    count, a canonical matrix whose determinant is not 1, net cuts that
-    do not increase, damping parameters that are not positive and
-    strictly decreasing, or an unknown fixture name."""
+    count, a window extent that is not positive, an axis that is not a
+    pure unit quaternion or an axis pair that is not orthogonal, a
+    canonical matrix whose determinant is not 1, net cuts that do not
+    increase, damping parameters that are not positive and strictly
+    decreasing, or an unknown fixture name."""
 
 
 class ShapeMismatchError(QHarmonicsError, ValueError):
@@ -45,19 +33,8 @@ class ShapeMismatchError(QHarmonicsError, ValueError):
 
 
 class QsigFormatError(QHarmonicsError, ValueError):
-    """Malformed QSIG/QSP container."""
-
-
-class BadMagicError(QsigFormatError):
-    pass
-
-
-class BadVersionError(QsigFormatError):
-    pass
-
-
-class TruncatedPayloadError(QsigFormatError):
-    pass
+    """Malformed QSIG/QSP container: a bad magic or version byte, a field
+    or payload cut short, trailing bytes, or a value the constructors refuse."""
 
 
 class BadPpmError(QHarmonicsError, ValueError):
@@ -72,10 +49,6 @@ class IndexOutOfRangeError(QHarmonicsError, IndexError):
 
 # -- transforms -------------------------------------------------------------
 
-class InvalidWindowError(QHarmonicsError, ValueError):
-    """Frequency window with non-positive extent or too few samples."""
-
-
 class ProvenanceMismatchError(QHarmonicsError, ValueError):
     """Spectrum provenance does not match the transform kind supplied."""
 
@@ -89,18 +62,12 @@ class SideMismatchError(QHarmonicsError, ValueError):
 
 
 class DegenerateBError(QHarmonicsError, ValueError):
-    """Operation undefined for a degenerate (b = 0) canonical matrix."""
-
-
-class DegenerateAngleError(QHarmonicsError, ValueError):
-    """Fractional-transform angle with sin(angle) = 0."""
+    """Operation undefined for a degenerate (b = 0) canonical matrix,
+    including a fractional-transform angle with sin(angle) = 0, since the
+    rotation's b is sin(angle)."""
 
 
 # -- smoothing / convergence machinery --------------------------------------
-
-class NonPositiveWindowError(QHarmonicsError, ValueError):
-    """Partial-sum window extents must be positive."""
-
 
 class NonConvergentError(QHarmonicsError, ValueError):
     """Extrapolated directional limits failed to settle."""
@@ -110,14 +77,15 @@ class NoIntegrableSectionError(QHarmonicsError, ValueError):
     """No grid section with finite truncated 1D mass was found."""
 
 
-def _require_real(value, name, error=InvalidParameterError, shape=(), allow_inf=False):
+def _require_real(value, name, shape=(), allow_inf=False):
     """The one argument rule of every boundary: `value` as a float64 array.
 
     `value` is a real number, an array-like of reals of `shape` (any shape
     with None), or, when `name` lists comma-separated names, one real per
-    name.  Anything else (a string, None, a complex part) raises `error`;
-    NaN, and an infinity unless `allow_inf`, raise NonFiniteError.  Each
-    message names the argument (the entry, for a list of names)."""
+    name.  Anything else (a string, None, a complex part) raises
+    InvalidParameterError; NaN, and an infinity unless `allow_inf`, raise
+    NonFiniteError.  Each message names the argument (the entry, for a
+    list of names)."""
     names = name.split(", ")
     shape = (len(names),) if len(names) > 1 else shape
     try:
@@ -130,7 +98,7 @@ def _require_real(value, name, error=InvalidParameterError, shape=(), allow_inf=
     if arr.dtype.kind not in "biuf" or shape is not None and arr.shape != shape:
         want = "a real number" if shape == () else f"reals of shape {shape}" if shape else "reals"
         shown = repr(value) if arr.size <= 8 else f"an array of dtype {arr.dtype}"
-        raise error(f"{name} must be {want}, got {shown}")
+        raise InvalidParameterError(f"{name} must be {want}, got {shown}")
     arr = arr.astype(float, copy=False)
     # one pass and no mask when the sum is finite; else the entries decide, as
     # finite entries may overflow the sum and an allowed infinity makes it inf
@@ -144,7 +112,10 @@ def _require_real(value, name, error=InvalidParameterError, shape=(), allow_inf=
     return arr
 
 
-def _require_counts(counts, names, least=1, error=InvalidParameterError):
-    """Raise `error`, naming `names`, unless each of `counts` is an integer of at least `least`."""
-    if not all(isinstance(n, (int, np.integer)) and n >= least for n in counts):
-        raise error(f"{names} must be integers of at least {least}, got {tuple(counts)!r}")
+def _require_counts(counts, names, least=1):
+    """Raise InvalidParameterError, naming `names`, unless each of `counts`
+    is an integer (a bool is not) of at least `least`."""
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
+               for n in counts):
+        raise InvalidParameterError(
+            f"{names} must be integers of at least {least}, got {tuple(counts)!r}")

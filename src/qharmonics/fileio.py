@@ -23,7 +23,8 @@ write and read files, streaming the payload in blocks of t-rows: a save
 holds one block beyond its field, a load the field it returns plus one.
 Saves are atomic (a temp file renamed over the target): a failed save
 leaves no partial file.  All loads round-trip saves bit-exactly.  Decoding
-raises QsigFormatError for any malformed field, including values the
+raises QsigFormatError for any malformed container: a bad magic or version
+byte, a field or payload cut short, trailing bytes, or a value the
 constructors reject (a non-unit axis, an invalid window or matrix).
 """
 
@@ -34,13 +35,7 @@ import os
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    BadVersionError,
-    QHarmonicsError,
-    QsigFormatError,
-    TruncatedPayloadError,
-)
+from .errors import QHarmonicsError, QsigFormatError
 from .grids import GridSpec, QSignal2D, QSpectrum2D, row_blocks
 from .qft import FreqWindow, QftKind, Side
 from .qlct import LctKind, LctParams
@@ -94,9 +89,9 @@ class _Reader:
         fh = fh if fh.seekable() else io.BytesIO(fh.read())
         head = fh.read(4)
         if len(head) < 4 or head[:3] != family:
-            raise BadMagicError(f"bad magic {head!r}")
+            raise QsigFormatError(f"bad magic {head!r}")
         if head[3:4] != b"1":
-            raise BadVersionError(f"unsupported version byte {head[3:4]!r}")
+            raise QsigFormatError(f"unsupported version byte {head[3:4]!r}")
         self.fh, self.end = fh, fh.seek(0, os.SEEK_END)
         fh.seek(4)
         ns, nt = self.take(_U4, 2).tolist()
@@ -105,8 +100,7 @@ class _Reader:
     def need(self, nbytes):
         pos = self.fh.tell()
         if pos + nbytes > self.end:
-            raise TruncatedPayloadError(
-                f"need {nbytes} bytes at offset {pos}, have {self.end - pos}")
+            raise QsigFormatError(f"need {nbytes} bytes at offset {pos}, have {self.end - pos}")
 
     def take(self, dtype, shape):
         out = np.empty(shape, dtype=dtype)

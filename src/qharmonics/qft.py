@@ -35,7 +35,7 @@ import numpy as np
 
 from ._kernels import chirp_multiply, const_multiply, exp_contract, interpolate, low_rank
 from .errors import (
-    InvalidWindowError,
+    InvalidParameterError,
     NonRealInputError,
     ProvenanceMismatchError,
     SideMismatchError,
@@ -103,10 +103,10 @@ class FreqWindow:
     nv: int
 
     def __post_init__(self):
-        _require_real((self.u_max, self.v_max), "u_max, v_max", InvalidWindowError)
+        _require_real((self.u_max, self.v_max), "u_max, v_max")
         if not (self.u_max > 0 and self.v_max > 0):
-            raise InvalidWindowError("window extents must be positive")
-        _require_counts((self.nu, self.nv), "nu, nv", 2, InvalidWindowError)
+            raise InvalidParameterError("window extents must be positive")
+        _require_counts((self.nu, self.nv), "nu, nv", 2)
 
     @classmethod
     def square(cls, extent, n):
@@ -119,7 +119,7 @@ class FreqWindow:
 
     def scaled(self, fu, fv):
         """The window with its extents multiplied by (fu, fv), same counts."""
-        _require_real((fu, fv), "fu, fv", InvalidWindowError)
+        _require_real((fu, fv), "fu, fv")
         return FreqWindow(fu * self.u_max, fv * self.v_max, self.nu, self.nv)
 
     def to_grid(self) -> GridSpec:

@@ -22,7 +22,6 @@ import numpy as np
 
 from ._kernels import _ratio, const_multiply
 from .errors import (
-    DegenerateAngleError,
     DegenerateBError,
     InvalidParameterError,
     ProvenanceMismatchError,
@@ -253,11 +252,11 @@ def sided_decompose_transform(sig: QSignal2D, kind: LctKind,
 def _require_angles(alpha, beta):
     """The angle rule of :func:`qfrft`, which the CLI applies before it loads
     anything: real, finite, and |sin| of at least 1e-12, below which the
-    fractional kernel degenerates (DegenerateAngleError)."""
+    fractional kernel degenerates (DegenerateBError: the rotation's b is sin)."""
     _require_real((alpha, beta), "alpha, beta")
     for name, angle in (("alpha", alpha), ("beta", beta)):
         if abs(np.sin(angle)) < 1e-12:
-            raise DegenerateAngleError(f"sin({name}) = 0: fractional kernel degenerates")
+            raise DegenerateBError(f"sin({name}) = 0: fractional kernel degenerates")
 
 
 def qfrft(sig: QSignal2D, alpha: float, beta: float, side: Side,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOrthogonalError, NotPureError, NotUnitError, _require_real
+from .errors import InvalidParameterError, _require_real
 
 __all__ = [
     "quat",
@@ -124,23 +124,23 @@ def pure_unit(v):
 
     Raises
     ------
-    InvalidParameterError, NonFiniteError
-        A component that is not a real number, or not finite.
-    NotPureError
-        4-component input with |scalar part| > 1e-12.
-    NotUnitError
-        Norm differs from 1 by more than the normalization slack.
+    InvalidParameterError
+        A component that is not a real number; a shape other than (3,)
+        or (4,); 4-component input with |scalar part| > 1e-12; a norm
+        that differs from 1 by more than the normalization slack.
+    NonFiniteError
+        A component that is not finite.
     """
     v = _require_real(v, "axis", shape=None)
     if v.shape == (4,):
         if abs(v[0]) > AXIS_TOL:
-            raise NotPureError(f"scalar part {v[0]!r} is nonzero")
+            raise InvalidParameterError(f"scalar part {v[0]!r} is nonzero")
         v = v[1:]
     if v.shape != (3,):
-        raise NotPureError(f"expected 3 or 4 components, got shape {v.shape}")
+        raise InvalidParameterError(f"expected 3 or 4 components, got shape {v.shape}")
     n = float(np.sqrt(v @ v))
     if abs(n - 1.0) > UNIT_SLACK:
-        raise NotUnitError(f"axis norm {n!r} is not 1 within {UNIT_SLACK}")
+        raise InvalidParameterError(f"axis norm {n!r} is not 1 within {UNIT_SLACK}")
     return v / n
 
 
@@ -162,7 +162,7 @@ class AxisPair:
         object.__setattr__(self, "mu2", pure_unit(self.mu2))
         dot = float(self.mu1 @ self.mu2)
         if abs(dot) > AXIS_TOL:
-            raise NotOrthogonalError(f"axis dot product {dot!r} is nonzero")
+            raise InvalidParameterError(f"axis dot product {dot!r} is nonzero")
 
     @property
     def mu3(self):

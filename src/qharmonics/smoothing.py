@@ -31,7 +31,6 @@ from .errors import (
     InvariantViolationError,
     NoIntegrableSectionError,
     NonConvergentError,
-    NonPositiveWindowError,
     _require_counts,
     _require_real,
 )
@@ -69,7 +68,7 @@ def dirichlet_partial_inverse_freq(spec: QSpectrum2D, point, M, N):
     p = _require_real(point, "point", shape=(2,))
     M, N = _require_real(M, "M", shape=None), _require_real(N, "N", shape=None)
     if not (np.all(M > 0) and np.all(N > 0)):
-        raise NonPositiveWindowError(f"windows M = {M}, N = {N} must be positive")
+        raise InvalidParameterError(f"windows M = {M}, N = {N} must be positive")
     plan, g, mus = _inverse_plan(spec), spec.grid, (spec.kind.axes.mu1, spec.kind.axes.mu2)
     orders = [np.argsort(np.abs(x), kind="stable") for x in (g.s, g.t)]
     counts = [np.sort(np.abs(x)).searchsorted(w.ravel(), "right") for x, w in ((g.s, M), (g.t, N))]
@@ -108,11 +107,11 @@ MAX_ETA_LEVELS, MAX_LC_NODES = 64, 1 << 20
 
 
 def _require_panels(M, N, rect):
-    """Raise, before any array exists, NonPositiveWindowError unless M, N > 0
-    and InvalidParameterError unless M on the s sides of `rect` (s_lo,
-    s_hi, t_lo, t_hi) and N on its t sides each cut at most MAX_SINC_PANELS."""
+    """Raise InvalidParameterError, before any array exists, unless M, N > 0
+    and M on the s sides of `rect` (s_lo, s_hi, t_lo, t_hi) and N on its
+    t sides each cut at most MAX_SINC_PANELS."""
     if not (M > 0 and N > 0):
-        raise NonPositiveWindowError(f"window ({M}, {N}) must be positive")
+        raise InvalidParameterError(f"window ({M}, {N}) must be positive")
     for name, rate, lo, hi in (("M", M, *rect[:2]), ("N", N, *rect[2:])):
         count = (hi - lo) * rate / np.pi
         if not count <= MAX_SINC_PANELS:

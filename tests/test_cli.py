@@ -756,6 +756,98 @@ def test_console_image_qft_on_its_own_grid(smooth_image, side):
     assert linf_diff(f, qft_inverse(F, F.kind, f.grid)) <= 1e-12
 
 
+def test_console_odd_image_through_qsig_and_its_qft(tmp_path):
+    """A 333 x 257 image (factors 37 and 257) through QSIG (several blocks)
+    and back gives the same PPM bytes; its `qft` on the image's grid (every
+    stage an FFT, its centre a chirp) keeps Plancherel within 1e-12, and the
+    library's `qft_inverse` takes it back onto that grid within 1e-12."""
+    r = np.random.default_rng(7).integers(0, 256, size=(257, 333, 3), dtype=np.uint8)
+    ppm = b"P6\n333 257\n255\n" + r.tobytes()
+    (tmp_path / "odd.ppm").write_bytes(ppm)
+    console(tmp_path, "img2qsig", "--in", "odd.ppm", "--out", "odd.qsig")
+    console(tmp_path, "qsig2img", "--in", "odd.qsig", "--out", "odd-back.ppm")
+    assert (tmp_path / "odd-back.ppm").read_bytes() == ppm
+    console(tmp_path, "qft", "--in", "odd.qsig", "--out", "odd.qsp")
+    f, F = fileio.load_qsig(tmp_path / "odd.qsig"), fileio.load_qspectrum(tmp_path / "odd.qsp")
+    assert abs(plancherel_ratio(f, F) - 1) <= 1e-12
+    assert linf_diff(f, qft_inverse(F, F.kind, f.grid)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def fixtures_37(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("fx37")
+    console(cwd, "fixtures", "--out-dir", "fx", "--grid", "37")
+    return cwd
+
+
+@pytest.mark.parametrize("fixtures_dir, n", [("fixtures_33", 33), ("fixtures_37", 37)],
+                         ids=["33", "37"])
+def test_console_left_qft_file_round_trip_on_odd_grids(request, fixtures_dir, n):
+    """`qft --side left` on its default window and `iqft` through files on
+    the n^2 qgaussian (33 = 3 * 11 and the prime 37 take the FFT) give it
+    back within 1e-12 in l-infinity."""
+    cwd = request.getfixturevalue(fixtures_dir)
+    console(cwd, "qft", "--side", "left", "--in", "fx/qgaussian.qsig", "--out", "f.qsp")
+    console(cwd, "iqft", "--in", "f.qsp", "--out", "fback.qsig", "--grid", str(n),
+            "--extent", "6")
+    f = fileio.load_qsig(cwd / "fx" / "qgaussian.qsig")
+    assert linf_diff(f, fileio.load_qsig(cwd / "fback.qsig")) < 1e-12
+
+
+def test_console_plancherel_on_the_default_window_at_64(tmp_path):
+    """`qft` on its default window of the 64^2 qgaussian (the FFT) keeps
+    Plancherel within 1e-12."""
+    console(tmp_path, "fixtures", "--out-dir", "fx", "--grid", "64")
+    console(tmp_path, "qft", "--in", "fx/qgaussian.qsig", "--out", "g.qsp")
+    f = fileio.load_qsig(tmp_path / "fx" / "qgaussian.qsig")
+    F = fileio.load_qspectrum(tmp_path / "g.qsp")
+    assert abs(plancherel_ratio(f, F) - 1) <= 1e-12
+
+
+# -- console-script round trips on narrow windows (formerly CI steps) ---------
+
+def test_console_roundtrip_on_a_narrow_window_and_an_odd_grid(tmp_path):
+    """`roundtrip` on window 5 over the 301^2 grid of extent 4, where every
+    stage is low-rank, exits 0 with a finite error."""
+    out = console(tmp_path, "roundtrip", "--fixture", "qgaussian", "--grid", "301", "--extent",
+                  "4", "--window", "5")
+    assert np.isfinite(roundtrip_linf(out.stdout))
+
+
+#: the `roundtrip` CSV of a two-sided QFT recomputed by the library on the
+#: whole field (the fixture called once on the whole mesh), for a child that
+#: imports the CLI first and so runs BLAS on the CLI's threads: at 1024^2 the
+#: GEMMs' last digits depend on their thread count
+WHOLE_FIELD_CSV = """
+import sys
+import qharmonics.cli
+import numpy as np
+from qharmonics import fixtures, grids, qft, quaternion
+name, n, extent, window = sys.argv[1], int(sys.argv[2]), float(sys.argv[3]), float(sys.argv[4])
+g, k = grids.GridSpec.centered(extent, n), qft.QftKind()
+f = grids.evaluate(fixtures.FIXTURES[name], *g.mesh())
+spec = qft.qft_forward(grids.QSignal2D(g, f), k, qft.FreqWindow.square(window, n))
+e = quaternion.qabs(qft.qft_inverse(spec, k, g).data - f)
+print("fixture,side,transform,l1_error,linf_error")
+print(f"{name},two,qft,{float(np.sum(e) * g.cell_area):.17g},{float(np.max(e)):.17g}")
+"""
+
+
+@pytest.mark.parametrize("argv", [("indicator", "300", "4", "6"), ("qgaussian", "1024", "10", "8")],
+                         ids=["indicator-300", "qgaussian-1024"])
+def test_console_roundtrip_csv_is_a_whole_field_recomputation(tmp_path, argv):
+    """The CSV of a `roundtrip` process equals byte for byte the residual of
+    the library's round trip of the whole field: on the indicator at 300
+    (the last block of s-rows partial), and on the qgaussian at 1024^2
+    (blocked sampling, the residual in the inverse's field)."""
+    fixture, n, extent, window = argv
+    got = console(tmp_path, "roundtrip", "--fixture", fixture, "--grid", n, "--extent", extent,
+                  "--window", window)
+    want = subprocess.run([sys.executable, "-c", WHOLE_FIELD_CSV, *argv], capture_output=True,
+                          env=CHILD_ENV, check=True)
+    assert got.stdout == want.stdout
+
+
 # -- console-script checks of the QLCT phases (formerly CI steps) -------------
 
 #: the matrices of the CI's QLCT round trips: A1 with b = 0.5, A2 the shear

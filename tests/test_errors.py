@@ -1,12 +1,28 @@
-"""The one argument rule, `errors._require_real`, on the inputs numpy cannot
-turn into a float array by itself."""
+"""The library's error classes, pinned, and the one argument rule,
+`errors._require_real`, on the inputs numpy cannot turn into a float array
+by itself."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qharmonics import errors
 from qharmonics.errors import InvalidParameterError, NonFiniteError, _require_real
+
+#: the error classes, one per rule, pinned: a class joins or leaves ``errors`` only on purpose
+ERROR_CLASSES = [
+    "BadPpmError", "DegenerateBError", "IndexOutOfRangeError", "InvalidParameterError",
+    "InvariantViolationError", "NoIntegrableSectionError", "NonConvergentError",
+    "NonFiniteError", "NonRealInputError", "ProvenanceMismatchError", "QHarmonicsError",
+    "QsigFormatError", "ShapeMismatchError", "SideMismatchError",
+]
+
+
+def test_the_error_class_set_is_pinned():
+    classes = [v for v in vars(errors).values()
+               if isinstance(v, type) and issubclass(v, errors.QHarmonicsError)]
+    assert sorted(c.__name__ for c in classes) == ERROR_CLASSES
 
 
 @pytest.mark.parametrize("value, want", [
@@ -26,12 +42,9 @@ def test_ragged_nestings_and_ints_past_the_float_range_are_refused(value):
         _require_real(value, "x", shape=None)
 
 
-def test_the_refusal_names_the_argument_and_takes_the_callers_error():
-    class Custom(InvalidParameterError):
-        pass
-
-    with pytest.raises(Custom, match="^point must be reals of shape"):
-        _require_real([[1.0], [2.0, 3.0]], "point", Custom, shape=(2,))
+def test_the_refusal_names_the_argument():
+    with pytest.raises(InvalidParameterError, match=r"^point must be reals of shape \(2,\)"):
+        _require_real([[1.0], [2.0, 3.0]], "point", shape=(2,))
 
 
 def test_finite_entries_whose_sum_overflows_pass_and_infinities_pass_when_allowed():

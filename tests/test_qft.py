@@ -4,7 +4,6 @@ import pytest
 from oracles import property_grids, qft_bruteforce, qft_fft_reference, random_axes
 from qharmonics.errors import (
     InvalidParameterError,
-    InvalidWindowError,
     NonRealInputError,
     ProvenanceMismatchError,
     SideMismatchError,
@@ -37,12 +36,12 @@ def rand_signal(n=8, seed=0, extent=2.0, real=False):
 
 
 def test_freq_window_validation():
-    with pytest.raises(InvalidWindowError):
+    with pytest.raises(InvalidParameterError, match="^window extents must be positive$"):
         FreqWindow(-1.0, 1.0, 8, 8)
-    with pytest.raises(InvalidWindowError):
+    with pytest.raises(InvalidParameterError, match="^nu, nv must be integers of at least 2"):
         FreqWindow(1.0, 1.0, 1, 8)
     for nu, nv in [(4.5, 4), (4, 4.0), (np.nan, 4), (4, np.inf), (np.float64(4), 4)]:
-        with pytest.raises(InvalidWindowError):
+        with pytest.raises(InvalidParameterError, match="^nu, nv must be integers of at least 2"):
             FreqWindow(1.0, 1.0, nu, nv)
     assert FreqWindow(1.0, 1.0, np.int64(5), np.int32(4)).to_grid().s.size == 5
     w = FreqWindow.square(2.0, 4)

@@ -9,7 +9,6 @@ from qharmonics import qft as qft_module
 from qharmonics import qlct as qlct_module
 from qharmonics._kernels import chirp_multiply
 from qharmonics.errors import (
-    DegenerateAngleError,
     DegenerateBError,
     ProvenanceMismatchError,
     SideMismatchError,
@@ -364,7 +363,7 @@ def test_qfrft_gaussian_eigenfunction_modulus():
 
 def test_qfrft_degenerate_angle_and_sided_phase():
     sig = rand_signal()
-    with pytest.raises(DegenerateAngleError):
+    with pytest.raises(DegenerateBError, match=r"^sin\(alpha\) = 0: fractional kernel"):
         qfrft(sig, np.pi, 0.5, Side.TWO_SIDED, FreqWindow.square(2.0, 8))
     with pytest.raises(SideMismatchError):
         qfrft(sig, 0.5, 0.5, Side.RIGHT_SIDED, FreqWindow.square(2.0, 8),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import random_axes
-from qharmonics.errors import NotOrthogonalError, NotPureError, NotUnitError
+from qharmonics.errors import InvalidParameterError
 from qharmonics.quaternion import (
     CANONICAL_AXES,
     AxisPair,
@@ -133,9 +133,9 @@ def test_qexp_pure_properties():
 
 
 def test_pure_unit_validation():
-    with pytest.raises(NotUnitError):
+    with pytest.raises(InvalidParameterError, match="^axis norm .* is not 1 within"):
         pure_unit([1.0, 1.0, 0.0])
-    with pytest.raises(NotPureError):
+    with pytest.raises(InvalidParameterError, match="^scalar part .*0.5.* is nonzero$"):
         pure_unit([0.5, 1.0, 0.0, 0.0])
     # norm within the 1e-9 slack gets renormalized exactly
     v = pure_unit(np.array([1.0 + 3e-10, 0.0, 0.0]))
@@ -146,9 +146,9 @@ def test_axis_pair_validation():
     AxisPair(np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
     r = 1 / np.sqrt(2)
     AxisPair(np.array([r, r, 0.0]), np.array([r, -r, 0.0]))
-    with pytest.raises(NotOrthogonalError):
+    with pytest.raises(InvalidParameterError, match="^axis dot product 1.0 is nonzero"):
         AxisPair(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]))
-    with pytest.raises(NotUnitError):
+    with pytest.raises(InvalidParameterError, match="^axis norm 2.0 is not 1 within"):
         AxisPair(np.array([2.0, 0, 0]), np.array([0.0, 1, 0]))
     pair = AxisPair(np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
     np.testing.assert_array_equal(pair.mu3, [0.0, 0.0, 1.0])
@@ -195,7 +195,7 @@ def test_symplectic_split_reconstruction_identities():
 def test_pure_unit_takes_a_pure_quaternion_and_refuses_other_shapes():
     np.testing.assert_array_equal(pure_unit([0.0, 0.0, 1.0, 0.0]), [0.0, 1.0, 0.0])
     for v in ([1.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0], [[1.0, 0.0, 0.0]]):
-        with pytest.raises(NotPureError, match="expected 3 or 4 components"):
+        with pytest.raises(InvalidParameterError, match="^expected 3 or 4 components"):
             pure_unit(v)
 
 

@@ -21,7 +21,6 @@ from qharmonics.errors import (
     NoIntegrableSectionError,
     NonConvergentError,
     NonFiniteError,
-    NonPositiveWindowError,
     ProvenanceMismatchError,
     QHarmonicsError,
 )
@@ -148,15 +147,16 @@ def test_partial_inverse_freq_matches_windowed_sum(side):
 
 def test_partial_inverse_window_validation():
     _, spec = gaussian_spectrum(n=32, wmax=4.0)
-    with pytest.raises(NonPositiveWindowError):
+    with pytest.raises(InvalidParameterError, match="^windows M = .* must be positive$"):
         dirichlet_partial_inverse_freq(spec, (0, 0), -1.0, 2.0)
-    with pytest.raises(NonPositiveWindowError):  # any extent of a sequence
+    # any extent of a sequence
+    with pytest.raises(InvalidParameterError, match="^windows M = .* must be positive$"):
         dirichlet_partial_inverse_freq(spec, (0, 0), (1.0, 2.0), (2.0, 0.0))
     with pytest.raises(NonFiniteError):
         dirichlet_partial_inverse_freq(spec, (0, 0), 2.0, (1.0, np.inf))
     with pytest.raises(NonFiniteError):  # NaN is refused as non-finite before any comparison
         dirichlet_partial_inverse_freq(spec, (0, 0), np.nan, 2.0)
-    with pytest.raises(NonPositiveWindowError):
+    with pytest.raises(InvalidParameterError, match=r"^window \(0.0, 1.0\) must be positive$"):
         dirichlet_partial_inverse_sinc(gaussian, (0, 0), 0.0, 1.0, GAUSS_RECT)
     for point in ((np.nan, 0.0), (0.0, np.inf)):
         with pytest.raises(NonFiniteError):
