@@ -34,7 +34,7 @@ shear = LctParams(1.0, 1.0, 0.0, 1.0)
 print("canonical-transform round trips (sup error):")
 for side in Side:
     kind = LctKind(side, shear, shear)
-    back = qlct_inverse(qlct_forward(sig, kind, window), kind, grid)
+    back = qlct_inverse(qlct_forward(sig, kind, window), grid)
     print(f"  shear matrix, {side.value:>5}-sided: {linf_diff(sig, back):.2e}")
 
 spec = qfrft(sig, 0.8, 1.3, Side.TWO_SIDED, window)

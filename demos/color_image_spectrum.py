@@ -11,7 +11,6 @@ import os
 import numpy as np
 
 from qharmonics import (
-    QftKind,
     image_to_qsig,
     qft_forward,
     qft_inverse,
@@ -48,13 +47,12 @@ print(f"spectrum peak magnitude {mags.max():.1f} at the low-frequency center: "
 # damp high frequencies with a Gaussian mask and invert
 U, V = spec.grid.mesh()
 cutoff = 0.35 * spec.grid.s.max()
-smoothed = qft_inverse(spec.scaled(np.exp(-(U ** 2 + V ** 2) / (2 * cutoff ** 2))),
-                       QftKind(), sig.grid)
+smoothed = qft_inverse(spec.scaled(np.exp(-(U ** 2 + V ** 2) / (2 * cutoff ** 2))), sig.grid)
 blurred, stats = qsig_to_image(smoothed)
 with open(os.path.join(OUT_DIR, "card_smoothed.ppm"), "wb") as fh:
     fh.write(blurred)
 print(f"smoothed image written; residual scalar part {stats['scalar_max_abs']:.2e}")
 
 # sanity: the undamped inverse reproduces the image bytes
-back, _ = qsig_to_image(qft_inverse(spec, QftKind(), sig.grid))
+back, _ = qsig_to_image(qft_inverse(spec, sig.grid))
 print("lossless round trip reproduces the PPM bytes:", back == ppm)

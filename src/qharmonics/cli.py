@@ -236,7 +236,7 @@ def _cmd_inverse(args):
     """``iqft`` and ``iqlct``: ``args.inverse`` refuses the other family's spectrum."""
     grid = _signal_grid(args)
     spec = fileio.load_qspectrum(args.inp)
-    fileio.save_qsig(args.inverse(spec, spec.kind, grid, overwrite=True), args.out)
+    fileio.save_qsig(args.inverse(spec, grid, overwrite=True), args.out)
 
 
 def _cmd_qlct(args):
@@ -274,7 +274,7 @@ def _cmd_roundtrip(args):
     # the forward transform consumes the sample, the inverse the spectrum, and the
     # residual (a block of s-rows at a time) the inverse's field: one field
     spec = forward(sample(fn, grid), kind, window, overwrite=True)
-    back = inverse(spec, kind, grid, overwrite=True)
+    back = inverse(spec, grid, overwrite=True)
     S, T = grid.mesh()
     err = residual_moduli(back.data, lambda rows: evaluate(fn, S[rows], T))  # |back - f|
     print("fixture,side,transform,l1_error,linf_error")

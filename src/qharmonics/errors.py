@@ -50,7 +50,7 @@ class IndexOutOfRangeError(QHarmonicsError, IndexError):
 # -- transforms -------------------------------------------------------------
 
 class ProvenanceMismatchError(QHarmonicsError, ValueError):
-    """Spectrum provenance does not match the transform kind supplied."""
+    """A spectrum or kind of another family, or a kind with no inverse."""
 
 
 class NonRealInputError(QHarmonicsError, ValueError):

@@ -126,7 +126,7 @@ class FreqWindow:
         return GridSpec.centered(self.u_max, self.nu, self.v_max, self.nv)
 
 
-def qft_forward(sig: QSignal2D, kind: QftKind = QftKind(), window: FreqWindow = None,
+def qft_forward(sig: QSignal2D, kind: QftKind = QftKind(), window: FreqWindow = None, *,
                 overwrite=False) -> QSpectrum2D:
     """Forward QFT on the window's midpoint frequency grid; by default
     ``FreqWindow.natural(sig.grid)``, on which the inverse recovers the
@@ -137,23 +137,24 @@ def qft_forward(sig: QSignal2D, kind: QftKind = QftKind(), window: FreqWindow = 
     does for a C-contiguous signal with the counts of the window), so the
     transform allocates no field of its own.
     """
+    _require(kind, "qft", "kind")
     window = FreqWindow.natural(sig.grid) if window is None else window
     fgrid = window.to_grid()
     data = _stages(sig.data, kind.plan(), kind.axes, sig.grid, fgrid, overwrite)
     return _checked(QSpectrum2D, fgrid, data, kind, window)
 
 
-def qft_inverse(spec: QSpectrum2D, kind: QftKind, out_grid: GridSpec,
-                overwrite=False) -> QSignal2D:
-    """Inverse QFT quadrature onto `out_grid` (1/4pi^2 normalization, one
-    1/2pi in the weight of each stage).
+def qft_inverse(spec: QSpectrum2D, out_grid: GridSpec, *, overwrite=False) -> QSignal2D:
+    """Inverse QFT quadrature of `spec` by its own kind onto `out_grid`
+    (1/4pi^2 normalization, one 1/2pi in the weight of each stage).
+    Refuses a spectrum of another family (ProvenanceMismatchError).
 
     ``overwrite=True`` hands the spectrum over, as ``overwrite_x`` in
     ``scipy.fft``: its data may be destroyed and the result may share its
     memory (it does for a C-contiguous spectrum with the counts of
     `out_grid`), so the inverse allocates no field of its own.
     """
-    _require(spec, kind, "qft")
+    _require(spec.kind, "qft")
     return _invert(spec, out_grid, overwrite)
 
 
@@ -207,13 +208,10 @@ def _weight(c, scale, x):
     return scale if c is None else x[1] / scale
 
 
-def _require(spec: QSpectrum2D, kind, family):
-    """Raise ProvenanceMismatchError unless `spec` is a `family` spectrum of `kind`."""
-    if getattr(spec.kind, "family", None) != family:
-        raise ProvenanceMismatchError(f"not a {family.upper()} spectrum: {spec.kind!r}")
-    if spec.kind != kind:
-        raise ProvenanceMismatchError(
-            f"spectrum provenance {spec.kind!r} does not match {kind!r}")
+def _require(kind, family, what="spectrum"):
+    """Raise ProvenanceMismatchError, naming `kind`, unless it is of `family`."""
+    if getattr(kind, "family", None) != family:
+        raise ProvenanceMismatchError(f"not a {family.upper()} {what}: {kind!r}")
 
 
 # -- relations with the complex 2D Fourier transform -------------------------
@@ -284,7 +282,7 @@ def derivative_multiplier(spec: QSpectrum2D, m: int, n: int) -> QSpectrum2D:
     left-sided (mu1 u)^m (n must be 0), right-sided (mu2 v)^n (m must
     be 0); anything else raises SideMismatchError.
     """
-    _require(spec, spec.kind, "qft")
+    _require(spec.kind, "qft")
     _require_counts((m, n), "derivative orders m, n", 0)
     kind = spec.kind
     if kind.side is Side.LEFT_SIDED and n != 0:

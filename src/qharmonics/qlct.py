@@ -155,7 +155,7 @@ def _lct_stage(A: LctParams):
             (_ratio(d, 2.0 * b), 0.0, -np.sign(b) * np.pi / 4), np.sqrt(2.0 * np.pi * abs(b)))
 
 
-def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
+def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow = None, *,
                  overwrite=False) -> QSpectrum2D:
     """Forward QLCT by midpoint quadrature of the kernel sandwich.
 
@@ -171,6 +171,7 @@ def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
     :func:`qft.qft_forward`: its data may be destroyed and the spectrum
     may share its memory.
     """
+    _require(kind, "qlct", "kind")
     if window is None:
         window = FreqWindow.natural(sig.grid).scaled(abs(kind.A1.b) or 1.0, abs(kind.A2.b) or 1.0)
     fgrid = window.to_grid()
@@ -184,9 +185,8 @@ def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow = None,
     return _checked(QSpectrum2D, fgrid, data, kind, window)
 
 
-def qlct_inverse(spec: QSpectrum2D, kind: LctKind, out_grid: GridSpec,
-                 overwrite=False) -> QSignal2D:
-    """Invert a raw QLCT spectrum of `kind`, of any side: the forward
+def qlct_inverse(spec: QSpectrum2D, out_grid: GridSpec, *, overwrite=False) -> QSignal2D:
+    """Invert a raw QLCT spectrum, of any side, by its own kind: the forward
     sandwich of the inverse matrices A^{-1} = (d, -b, -c, a), its stages
     in reverse order, with no 1/4pi^2 prefactor (see module docstring).
 
@@ -196,12 +196,12 @@ def qlct_inverse(spec: QSpectrum2D, kind: LctKind, out_grid: GridSpec,
 
     The sided orders undo the forward kernels innermost-first; swapping
     the two inverse kernels on a non-real signal does not reconstruct f.
-    Refuses a spectrum of another kind; :meth:`LctKind.plan` refuses a
+    Refuses a spectrum of another family; :meth:`LctKind.plan` refuses a
     phase-corrected one and a b = 0 axis.  ``overwrite=True`` hands the
     spectrum over, as for :func:`qft.qft_inverse`: its data may be
     destroyed and the result may share its memory.
     """
-    _require(spec, kind, "qlct")
+    _require(spec.kind, "qlct")
     return _invert(spec, out_grid, overwrite)
 
 
@@ -233,6 +233,7 @@ def sided_decompose_transform(sig: QSignal2D, kind: LctKind,
     commuting subalgebras span{1, mu1} and span{1, mu2} respectively.
     The window defaults as for :func:`qlct_forward`.
     """
+    _require(kind, "qlct", "kind")
     if kind.side is Side.TWO_SIDED:
         raise SideMismatchError("decomposition computes the sided transforms")
     axes, right = kind.axes, kind.side is Side.RIGHT_SIDED

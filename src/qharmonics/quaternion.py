@@ -134,7 +134,7 @@ def pure_unit(v):
     v = _require_real(v, "axis", shape=None)
     if v.shape == (4,):
         if abs(v[0]) > AXIS_TOL:
-            raise InvalidParameterError(f"scalar part {v[0]!r} is nonzero")
+            raise InvalidParameterError(f"scalar part {float(v[0])!r} is nonzero")
         v = v[1:]
     if v.shape != (3,):
         raise InvalidParameterError(f"expected 3 or 4 components, got shape {v.shape}")

@@ -105,7 +105,7 @@ def test_02_l1_inversion_round_trip_all_sides():
     errs = {}
     for side in Side:
         kind = QftKind(side)
-        back = qft_inverse(qft_forward(sig, kind, window), kind, grid)
+        back = qft_inverse(qft_forward(sig, kind, window), grid)
         errs[side.value] = linf_diff(sig, back)
     ok = all(e < 1e-4 for e in errs.values())
     report("02 L1 inversion round-trip", ok,
@@ -159,7 +159,7 @@ def test_06_two_sided_qlct_inversion_prefactor_decision():
     sig = sample(gaussian, grid)
     kind = LctKind(Side.TWO_SIDED, SHEAR, SHEAR)
     spec = qlct_forward(sig, kind, FreqWindow.square(8.0, 256))
-    back = qlct_inverse(spec, kind, grid)
+    back = qlct_inverse(spec, grid)
     err = linf_diff(sig, back)
     with_prefactor = QSignal2D(grid, back.data / (4.0 * np.pi ** 2))
     err_pref = linf_diff(sig, with_prefactor)
@@ -189,7 +189,7 @@ def test_08_sided_qlct_inversion_with_order_control():
     for side in (Side.RIGHT_SIDED, Side.LEFT_SIDED):
         kind = LctKind(side, SHEAR, SHEAR)
         spec = qlct_forward(sig, kind, window)
-        errs[side.value] = linf_diff(sig, qlct_inverse(spec, kind, grid))
+        errs[side.value] = linf_diff(sig, qlct_inverse(spec, grid))
 
     # negative control at 64^2: right-sided with the two inverse kernels
     # applied in the wrong order (u-kernel before v-kernel)

@@ -103,9 +103,9 @@ def test_roundtrip_csv_is_the_library_residual(capsys, fixture, transform):
     if transform:
         A = LctParams(0.5, 0.5, -1.5, 0.5)
         kind = LctKind(Side.TWO_SIDED, A, A)
-        back = qlct_inverse(qlct_forward(sig, kind, window), kind, grid)
+        back = qlct_inverse(qlct_forward(sig, kind, window), grid)
     else:
-        back = qft_inverse(qft_forward(sig, QftKind(), window), QftKind(), grid)
+        back = qft_inverse(qft_forward(sig, QftKind(), window), grid)
     err = qabs(back.data - sig.data)
     row = [fixture, "two", "qlct" if transform else "qft",
            "{:.17g}".format(float(np.sum(err) * grid.cell_area)), "{:.17g}".format(float(np.max(err)))]
@@ -753,7 +753,7 @@ def test_console_image_qft_on_its_own_grid(smooth_image, side):
     f = fileio.load_qsig(smooth_image / "smooth.qsig")
     F = fileio.load_qspectrum(smooth_image / f"{side}.qsp")
     assert abs(plancherel_ratio(f, F) - 1) <= 1e-12
-    assert linf_diff(f, qft_inverse(F, F.kind, f.grid)) <= 1e-12
+    assert linf_diff(f, qft_inverse(F, f.grid)) <= 1e-12
 
 
 def test_console_odd_image_through_qsig_and_its_qft(tmp_path):
@@ -770,7 +770,7 @@ def test_console_odd_image_through_qsig_and_its_qft(tmp_path):
     console(tmp_path, "qft", "--in", "odd.qsig", "--out", "odd.qsp")
     f, F = fileio.load_qsig(tmp_path / "odd.qsig"), fileio.load_qspectrum(tmp_path / "odd.qsp")
     assert abs(plancherel_ratio(f, F) - 1) <= 1e-12
-    assert linf_diff(f, qft_inverse(F, F.kind, f.grid)) <= 1e-12
+    assert linf_diff(f, qft_inverse(F, f.grid)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -827,7 +827,7 @@ name, n, extent, window = sys.argv[1], int(sys.argv[2]), float(sys.argv[3]), flo
 g, k = grids.GridSpec.centered(extent, n), qft.QftKind()
 f = grids.evaluate(fixtures.FIXTURES[name], *g.mesh())
 spec = qft.qft_forward(grids.QSignal2D(g, f), k, qft.FreqWindow.square(window, n))
-e = quaternion.qabs(qft.qft_inverse(spec, k, g).data - f)
+e = quaternion.qabs(qft.qft_inverse(spec, g).data - f)
 print("fixture,side,transform,l1_error,linf_error")
 print(f"{name},two,qft,{float(np.sum(e) * g.cell_area):.17g},{float(np.max(e)):.17g}")
 """

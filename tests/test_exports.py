@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -41,6 +42,23 @@ def test_every_public_name_resolves():
 
 def test_the_name_set_is_pinned():
     assert sorted(qharmonics.__all__) == NAMES
+
+
+def test_the_transform_signatures_are_pinned():
+    """An inverse reads the spectrum's own kind, and each transform takes
+    ``overwrite`` by keyword only, so a call that passes a kind to an
+    inverse fails at the call rather than binding the grid to ``overwrite``."""
+    P = inspect.Parameter
+    arg, key, none = P.POSITIONAL_OR_KEYWORD, P.KEYWORD_ONLY, P.empty
+    inverse = [("spec", arg, none), ("out_grid", arg, none), ("overwrite", key, False)]
+    want = {"qft_forward": [("sig", arg, none), ("kind", arg, qharmonics.QftKind()),
+                            ("window", arg, None), ("overwrite", key, False)],
+            "qlct_forward": [("sig", arg, none), ("kind", arg, none), ("window", arg, None),
+                             ("overwrite", key, False)],
+            "qft_inverse": inverse, "qlct_inverse": inverse}
+    for name, params in want.items():
+        got = inspect.signature(getattr(qharmonics, name)).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in got] == params, name
 
 
 def test_each_name_is_a_submodule_or_in_exactly_one_modules_all():

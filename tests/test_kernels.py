@@ -403,7 +403,7 @@ def test_natural_window_round_trip_on_a_prime_grid():
     sig = QSignal2D(grid, qgaussian(*grid.mesh()))
     for side in Side:
         kind = QftKind(side, AxisPair(MU, np.array([1.0, 0.0, 0.0])))
-        back = qft_inverse(qft_forward(sig, kind), kind, grid)
+        back = qft_inverse(qft_forward(sig, kind), grid)
         assert np.max(np.abs(back.data - sig.data)) <= 4e-15
 
 
@@ -419,7 +419,7 @@ def test_image_grids_take_the_fft_path(shape, side, dft_calls):
     blocks = sum(-(-lines // _kernels.DFT_BLOCK) for lines in shape)
     spec = qft_forward(sig, QftKind(side))
     assert len(dft_calls) == blocks
-    back = qft_inverse(spec, spec.kind, grid)
+    back = qft_inverse(spec, grid)
     assert len(dft_calls) == 2 * blocks
     assert np.max(np.abs(back.data - sig.data)) <= 1e-14
     ratio = (np.sum(spec.data ** 2) * spec.grid.cell_area
@@ -484,12 +484,12 @@ def test_natural_windows_take_the_fft_path(side, dft_calls):
     sig = QSignal2D(grid, np.random.default_rng(9).normal(size=(48, 48, 4)))
     spec = qft_forward(sig, QftKind(side))
     assert len(dft_calls) == 2
-    back = qft_inverse(spec, spec.kind, grid)
+    back = qft_inverse(spec, grid)
     assert len(dft_calls) == 4 and np.max(np.abs(back.data - sig.data)) < 1e-12
     kind = LctKind(side, LctParams(2.0, 0.5, 2.0, 1.0), LctParams(1.0, -1.0, 0.0, 1.0))
     spec = qlct_forward(sig, kind)
     assert len(dft_calls) == 6
-    back = qlct_inverse(spec, kind, grid)
+    back = qlct_inverse(spec, grid)
     assert len(dft_calls) == 8 and np.max(np.abs(back.data - sig.data)) < 1e-12
 
 
@@ -628,11 +628,11 @@ def test_low_rank_axes_interpolate_after_their_last_stage(side, monkeypatch):
     qkind, lkind = narrow_kinds(side, 0.5, -0.8)
     first, last = (axis for axis, _ in side.stages)
     spec = qft_forward(sig, qkind, window)
-    qft_inverse(spec, qkind, grid, overwrite=True)
+    qft_inverse(spec, grid, overwrite=True)
     assert calls == [first, last, (0, 1), last, first, (0, 1)]
     calls.clear()
     spec = qlct_forward(sig, lkind, window)
-    qlct_inverse(spec, lkind, grid)
+    qlct_inverse(spec, grid)
     if side is Side.TWO_SIDED:
         assert calls == [first, last, (0, 1), last, first, (0, 1)]
     else:
@@ -743,7 +743,7 @@ def test_transforms_allocate_one_field(traced_peak, family, side, direction, n, 
     if direction in ("inverse", "consume"):
         given = forward()
         inverse = qft_inverse if family == "qft" else qlct_inverse
-        call = lambda: inverse(given, given.kind, grid, overwrite=direction == "consume")  # noqa: E731
+        call = lambda: inverse(given, grid, overwrite=direction == "consume")  # noqa: E731
     result, peak = traced_peak(call)
     assert result.data.shape == (n, n, 4)
     assert peak / (n * n * 4 * 8) < bound
@@ -793,7 +793,7 @@ def test_overflow_is_refused_by_the_stage_that_writes_it(route, direction, side,
     else:
         x, y = fgrid.axes[0], grid.axes[0]
         spec = QSpectrum2D(fgrid, data, kind, window)
-        call = lambda: qft_inverse(spec, kind, grid)  # noqa: E731
+        call = lambda: qft_inverse(spec, grid)  # noqa: E731
     assert (_kernels.low_rank(y, x, -1.0) is not None) == (route == "low-rank")
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as err:
         call()

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,15 +255,15 @@ def test_two_sided_inverse_round_trip():
     kind = LctKind(Side.TWO_SIDED, SHEAR, SHEAR)
     w = FreqWindow.square(8.0, 128)
     spec = qlct_forward(sig, kind, w)
-    back = qlct_inverse(spec, kind, grid)
+    back = qlct_inverse(spec, grid)
     assert linf_diff(sig, back) < 1e-4
-    zero = qlct_inverse(spec.scaled(0.0), kind, grid)
+    zero = qlct_inverse(spec.scaled(0.0), grid)
     assert np.all(zero.data == 0.0)
     # special matrix round trip agrees with the QFT round trip
     kf = LctKind(Side.TWO_SIDED, FOURIER, FOURIER)
     fspec = qlct_forward(sig, kf, w)
-    fback = qlct_inverse(fspec, kf, grid)
-    qback = qft_inverse(qft_forward(sig, QftKind(), w), QftKind(), grid)
+    fback = qlct_inverse(fspec, grid)
+    qback = qft_inverse(qft_forward(sig, QftKind(), w), grid)
     assert np.max(np.abs(fback.data - qback.data)) < 1e-10
 
 
@@ -274,18 +275,12 @@ def test_sided_inverse_round_trip_and_errors():
     for side in Side:
         kind = LctKind(side, SHEAR, SHEAR)
         spec = qlct_forward(sig, kind, w)
-        back = qlct_inverse(spec, kind, grid)
+        back = qlct_inverse(spec, grid)
         assert linf_diff(sig, back) < 1e-4
-    kind = LctKind(Side.RIGHT_SIDED, SHEAR, SHEAR)
-    spec = qlct_forward(sig, kind, w)
-    with pytest.raises(ProvenanceMismatchError):
-        qlct_inverse(spec, LctKind(Side.RIGHT_SIDED, GENERIC, SHEAR), grid)
-    with pytest.raises(ProvenanceMismatchError):  # the spectrum's own side, not another
-        qlct_inverse(spec, LctKind(Side.TWO_SIDED, SHEAR, SHEAR), grid)
     degen = LctKind(Side.TWO_SIDED, LctParams.identity_chirp(), SHEAR)
     dspec = qlct_forward(sig, degen, w)
     with pytest.raises(DegenerateBError):
-        qlct_inverse(dspec, degen, grid)
+        qlct_inverse(dspec, grid)
 
 
 def test_sided_routes_on_real_input():
@@ -297,14 +292,14 @@ def test_sided_routes_on_real_input():
     w = FreqWindow.square(8.0, 64)
     two = LctKind(Side.TWO_SIDED, SHEAR, SHEAR)
     spec_two = qlct_forward(sig, two, w)
-    ref = qlct_inverse(spec_two, two, grid)
+    ref = qlct_inverse(spec_two, grid)
     err_two = linf_diff(sig, ref)
     assert err_two < 1e-4
     for side in (Side.RIGHT_SIDED, Side.LEFT_SIDED):
         kind = LctKind(side, SHEAR, SHEAR)
         spec = qlct_forward(sig, kind, w)
         np.testing.assert_allclose(spec.data, spec_two.data, rtol=0, atol=1e-13)
-        back = qlct_inverse(spec, kind, grid)
+        back = qlct_inverse(spec, grid)
         err = linf_diff(sig, back)
         assert err < 1e-4
         route_gap = np.max(np.abs(back.data - ref.data))
@@ -376,7 +371,7 @@ def test_phase_corrected_spectrum_refuses_inverse():
     w = FreqWindow.square(4.0, 16)
     corr = qfrft(sig, 0.7, 0.7, Side.TWO_SIDED, w, phase_corrected=True)
     with pytest.raises(ProvenanceMismatchError):
-        qlct_inverse(corr, corr.kind, grid)
+        qlct_inverse(corr, grid)
 
 
 @pytest.mark.parametrize("side", list(Side))
@@ -390,8 +385,7 @@ def test_forward_and_inverse_are_real_linear(side):
         fwd = lambda d: qlct_forward(QSignal2D(grid, d), kind, window).data
         assert np.max(np.abs(fwd(a * f + b * g) - (a * fwd(f) + b * fwd(g)))) < 1e-12
         F, G = rng.normal(size=(2, 12, 9, 4))
-        inv = lambda d: qlct_inverse(QSpectrum2D(window.to_grid(), d, kind, window),
-                                     kind, grid).data
+        inv = lambda d: qlct_inverse(QSpectrum2D(window.to_grid(), d, kind, window), grid).data
         assert np.max(np.abs(inv(a * F + b * G) - (a * inv(F) + b * inv(G)))) < 1e-12
 
 
@@ -405,7 +399,7 @@ def test_inverse_after_forward_recovers_the_input_on_the_scaled_natural_window(s
         kind = LctKind(side, GENERIC, SHEAR, random_axes(rng))
         natural = FreqWindow.natural(grid)
         window = FreqWindow(GENERIC.b * natural.u_max, SHEAR.b * natural.v_max, ns, nt)
-        back = qlct_inverse(qlct_forward(sig, kind, window), kind, grid)
+        back = qlct_inverse(qlct_forward(sig, kind, window), grid)
         assert linf_diff(sig, back) < 1e-13
 
 
@@ -417,9 +411,9 @@ def test_round_trip_at_512_is_as_accurate_as_the_qft(side):
     grid = GridSpec.centered(6.0, 512)
     sig = QSignal2D(grid, np.random.default_rng(0).normal(size=(512, 512, 4)))
     kind = LctKind(side, GENERIC, LctParams(1.0, -1.0, 0.0, 1.0))
-    back = qlct_inverse(qlct_forward(sig, kind), kind, grid)
+    back = qlct_inverse(qlct_forward(sig, kind), grid)
     qkind = QftKind(side)
-    qback = qft_inverse(qft_forward(sig, qkind, FreqWindow.natural(grid)), qkind, grid)
+    qback = qft_inverse(qft_forward(sig, qkind, FreqWindow.natural(grid)), grid)
     assert linf_diff(sig, back) <= 2 * linf_diff(sig, qback)
 
 
@@ -448,13 +442,57 @@ def test_inverses_refuse_the_other_familys_spectrum(side):
     qspec = qft_forward(sig, QftKind(side), window)
     lkind = LctKind(side, GENERIC, SHEAR)
     lspec = qlct_forward(sig, lkind, window)
-    for call in (lambda: qft_inverse(lspec, lspec.kind, sig.grid),
-                 lambda: qft_inverse(lspec, QftKind(side), sig.grid),
-                 lambda: derivative_multiplier(lspec, 0, 0),
-                 lambda: qlct_inverse(qspec, qspec.kind, sig.grid),
-                 lambda: qlct_inverse(qspec, lkind, sig.grid)):
-        with pytest.raises(ProvenanceMismatchError):
+    for call, message in ((lambda: qft_inverse(lspec, sig.grid), f"not a QFT spectrum: {lkind!r}"),
+                          (lambda: derivative_multiplier(lspec, 0, 0),
+                           f"not a QFT spectrum: {lkind!r}"),
+                          (lambda: qlct_inverse(qspec, sig.grid),
+                           f"not a QLCT spectrum: {qspec.kind!r}")):
+        with pytest.raises(ProvenanceMismatchError) as err:
             call()
+        assert str(err.value) == message
+
+
+def test_a_kind_passed_to_an_inverse_is_a_type_error():
+    """A call of the form (spec, kind, grid), which the inverses once took,
+    fails at the call: `overwrite` is keyword-only, so the grid cannot bind
+    to it and hand the spectrum over."""
+    sig = rand_signal(8, seed=5)
+    qkind, lkind = QftKind(), LctKind(Side.TWO_SIDED, GENERIC, SHEAR)
+    for inverse, spec in ((qft_inverse, qft_forward(sig, qkind)),
+                          (qlct_inverse, qlct_forward(sig, lkind))):
+        before = spec.data.tobytes()
+        with pytest.raises(TypeError):
+            inverse(spec, spec.kind, sig.grid)
+        assert spec.data.tobytes() == before
+    with pytest.raises(TypeError):
+        qft_forward(sig, qkind, None, True)
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_forwards_refuse_the_other_familys_kind(side):
+    """Each forward, and the sided decomposition, refuses a kind of the other
+    family by the rule of the inverses, naming the kind, before it allocates
+    a field (a QLCT kind once ran the QFT forward on the wrong grid, and a
+    QFT kind raised AttributeError in the QLCT forward)."""
+    sig = rand_signal(64, seed=5)
+    window = FreqWindow.square(3.0, 64)
+    qkind, lkind = QftKind(side), LctKind(side, GENERIC, SHEAR)
+    calls = [(lambda: qft_forward(sig, lkind, window), f"not a QFT kind: {lkind!r}"),
+             (lambda: qft_forward(sig, lkind), f"not a QFT kind: {lkind!r}"),
+             (lambda: qlct_forward(sig, qkind, window), f"not a QLCT kind: {qkind!r}"),
+             (lambda: qlct_forward(sig, qkind), f"not a QLCT kind: {qkind!r}")]
+    if side is not Side.TWO_SIDED:
+        calls.append((lambda: sided_decompose_transform(sig, qkind), f"not a QLCT kind: {qkind!r}"))
+    for call, message in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProvenanceMismatchError) as err:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == message
+        assert peak < sig.data.nbytes / 8
 
 
 B0 = LctParams(2.0, 0.0, 0.3, 0.5)
@@ -506,10 +544,10 @@ def test_transforms_leave_their_input_untouched(side):
     qspec = qft_forward(sig, qkind, window)
     lspec = qlct_forward(sig, lkind, window.scaled(0.5, 1.0))
     calls = [lambda: qft_forward(sig, qkind, window),
-             lambda: qft_inverse(qspec, qkind, sig.grid),
+             lambda: qft_inverse(qspec, sig.grid),
              lambda: qlct_forward(sig, lkind, window),
              lambda: qlct_forward(sig, b0_first, window),
-             lambda: qlct_inverse(lspec, lkind, sig.grid),
+             lambda: qlct_inverse(lspec, sig.grid),
              lambda: qlct_forward(sig, lkind),
              lambda: qfrft(sig, 0.7, -1.1, side, window)]
     if side is Side.TWO_SIDED:
@@ -541,17 +579,17 @@ def test_inverses_that_consume_their_spectrum_give_the_same_bytes(side, n):
     for kind, forward, inverse, b in cases:
         for window in (FreqWindow.natural(grid), narrow):
             spec = forward(sig, kind, window.scaled(*b))
-            want = inverse(spec, kind, grid).data.tobytes()
-            got = inverse(spec, kind, grid, overwrite=True).data
+            want = inverse(spec, grid).data.tobytes()
+            got = inverse(spec, grid, overwrite=True).data
             assert np.shares_memory(got, spec.data)
             assert got.tobytes() == want
 
             spec = forward(sig, kind, window.scaled(*b))
             before = spec.data.tobytes()
-            got = inverse(spec, kind, other, overwrite=True).data
+            got = inverse(spec, other, overwrite=True).data
             assert not np.shares_memory(got, spec.data)
             assert spec.data.tobytes() == before
-            assert got.tobytes() == inverse(spec, kind, other).data.tobytes()
+            assert got.tobytes() == inverse(spec, other).data.tobytes()
 
 
 def _forward_cases(side, n):

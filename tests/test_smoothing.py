@@ -427,7 +427,7 @@ def test_gauss_mean_inverse_decreasing_and_closed_form():
     # damped integral equals the heat smoothing: closed form for the Gaussian
     S, T = sig.grid.mesh()
     for alpha, err in pairs:
-        mean = qft_inverse(damped(spec, alpha), spec.kind, sig.grid)
+        mean = qft_inverse(damped(spec, alpha), sig.grid)
         c = 1.0 + 4.0 * alpha
         heat = np.exp(-(S ** 2 + T ** 2) / c) / c
         assert np.max(np.abs(mean.data[..., 0] - heat)) < 1e-6
@@ -459,8 +459,8 @@ def test_qlct_gauss_mean_is_the_dechirped_qft_gauss_mean(b):
     twin = qft_forward(twin_sig, QftKind(Side.TWO_SIDED, kind.axes), FreqWindow.natural(grid))
     schedule = (1.0, 0.1, 0.01)
     for alpha in schedule:
-        mean = qlct_inverse(damped(spec, alpha), kind, grid).data
-        want = chirped(qft_inverse(damped(twin, alpha * b * b), twin.kind, grid).data,
+        mean = qlct_inverse(damped(spec, alpha), grid).data
+        want = chirped(qft_inverse(damped(twin, alpha * b * b), grid).data,
                        kind, S, T, sign=-1.0)
         assert np.max(np.abs(mean - want)) <= 1e-14 * np.max(np.abs(want))
     got = gauss_mean_inverse(spec, schedule, sig)
@@ -497,7 +497,7 @@ def test_smoothing_refuses_what_the_inverses_refuse():
                               window)
     for spec, error in ((corrected, ProvenanceMismatchError), (degenerate, DegenerateBError)):
         with pytest.raises(error) as inverse:
-            qlct_inverse(spec, spec.kind, grid)
+            qlct_inverse(spec, grid)
         for call in (lambda: dirichlet_partial_inverse_freq(spec, (0.1, 0.2), 2.0, 2.0),
                      lambda: gauss_mean_inverse(spec, (1.0,), sig)):
             with pytest.raises(error) as got:
