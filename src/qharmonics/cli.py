@@ -36,7 +36,7 @@ from . import fileio, fixtures, smoothing, variation  # noqa: E402
 from .errors import QHarmonicsError, _require_real  # noqa: E402
 from .grids import GridSpec, evaluate, image_to_qsig, qsig_to_image, residual_moduli, sample  # noqa: E402
 from .qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse  # noqa: E402
-from .qlct import LctKind, LctParams, _require_angles, qfrft, qlct_forward, qlct_inverse  # noqa: E402
+from .qlct import LctKind, LctParams, _require_angles, qlct_forward, qlct_inverse  # noqa: E402
 from .quaternion import CANONICAL_AXES, AxisPair  # noqa: E402
 from .variation import Net  # noqa: E402
 
@@ -48,6 +48,7 @@ _DESCRIPTION = ("Quaternion Fourier and linear canonical transforms of QSIG sign
                 "error (no partial output).")
 _G17 = "{:.17g}".format
 _SIDES = [side.value for side in Side]
+_MATRIX = ("a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2")
 
 
 class _UsageError(Exception):
@@ -108,14 +109,23 @@ def _window(args, grid) -> FreqWindow | None:
         return FreqWindow(vals[0], vals[1], grid.ns, grid.nt)
 
 
-def _matrices(args):
-    missing = [f"--{k}" for k in ("a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2")
-               if getattr(args, k) is None]
+def _kind(args):
+    """The kind of ``args.transform`` on ``--side`` and the axis flags: a QFT,
+    qfrft's rotations under its angle rule, or a QLCT of the matrix flags."""
+    axes, side = _axes(args), Side(args.side)
+    if args.transform == "qft":
+        return QftKind(side, axes)
+    if args.transform == "qfrft":
+        with _usage("invalid angles: "):
+            _require_angles(args.alpha, args.beta)
+        return LctKind(side, LctParams.rotation(args.alpha), LctParams.rotation(args.beta), axes,
+                       args.phase_corrected)
+    entries = [getattr(args, k) for k in _MATRIX]
+    missing = [f"--{k}" for k, v in zip(_MATRIX, entries) if v is None]
     if missing:
         raise _UsageError(f"missing matrix flags: {', '.join(missing)}")
     with _usage("invalid canonical matrix: "):
-        return (LctParams(args.a1, args.b1, args.c1, args.d1),
-                LctParams(args.a2, args.b2, args.c2, args.d2))
+        return LctKind(side, LctParams(*entries[:4]), LctParams(*entries[4:]), axes)
 
 
 def _signal_grid(args) -> GridSpec:
@@ -151,13 +161,14 @@ def _build_parser():
         p.add_argument("--extent", type=finite, default=extent)
 
     def matrix_flags(p):
-        for k in ("a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2"):
+        for k in _MATRIX:
             p.add_argument(f"--{k}", type=finite, default=None)
 
-    def forward(name, run, help, *angles):
+    def forward(name, help, *angles):
         """A transform of a QSIG file to a spectrum file; `angles` are
         required reals that come before --window."""
-        p = add(name, run, help, axes=True)
+        p = add(name, _cmd_forward, help, axes=True)
+        p.set_defaults(transform=name)
         io_flags(p)
         p.add_argument("--side", choices=_SIDES, default="two")
         for flag in angles:
@@ -171,11 +182,11 @@ def _build_parser():
         io_flags(p)
         grid_flags(p)
 
-    forward("qft", _cmd_qft, "forward QFT of a QSIG file")
+    forward("qft", "forward QFT of a QSIG file")
     inverse("iqft", qft_inverse, "inverse QFT of a spectrum file")
-    matrix_flags(forward("qlct", _cmd_qlct, "forward QLCT of a QSIG file"))
+    matrix_flags(forward("qlct", "forward QLCT of a QSIG file"))
     inverse("iqlct", qlct_inverse, "inverse QLCT of a spectrum file")
-    p = forward("qfrft", _cmd_qfrft, "fractional transform of a QSIG file", "--alpha", "--beta")
+    p = forward("qfrft", "fractional transform of a QSIG file", "--alpha", "--beta")
     p.add_argument("--phase-corrected", action="store_true")
 
     p = add("roundtrip", _cmd_roundtrip, "forward+inverse reconstruction errors on a fixture",
@@ -224,12 +235,14 @@ def _build_parser():
 
 # -- subcommand bodies --------------------------------------------------------
 
-def _cmd_qft(args):
-    axes = _axes(args)
+def _cmd_forward(args):
+    """``qft``, ``qlct`` and ``qfrft``: the forward of :func:`_kind`, in the
+    loaded signal's buffer (qfrft is the QLCT of its rotations); the
+    transforms are read by name when it runs (bench/spans.py rebinds them)."""
+    kind = _kind(args)
     sig = fileio.load_qsig(args.inp)
-    window = _window(args, sig.grid)
-    spec = qft_forward(sig, QftKind(Side(args.side), axes), window, overwrite=True)
-    fileio.save_qspectrum(spec, args.out)
+    forward = qft_forward if kind.family == "qft" else qlct_forward
+    fileio.save_qspectrum(forward(sig, kind, _window(args, sig.grid), overwrite=True), args.out)
 
 
 def _cmd_inverse(args):
@@ -239,35 +252,12 @@ def _cmd_inverse(args):
     fileio.save_qsig(args.inverse(spec, grid, overwrite=True), args.out)
 
 
-def _cmd_qlct(args):
-    axes = _axes(args)
-    A1, A2 = _matrices(args)
-    sig = fileio.load_qsig(args.inp)
-    window = _window(args, sig.grid)
-    spec = qlct_forward(sig, LctKind(Side(args.side), A1, A2, axes), window, overwrite=True)
-    fileio.save_qspectrum(spec, args.out)
-
-
-def _cmd_qfrft(args):
-    axes = _axes(args)
-    with _usage("invalid angles: "):
-        _require_angles(args.alpha, args.beta)
-    sig = fileio.load_qsig(args.inp)
-    window = _window(args, sig.grid)
-    spec = qfrft(sig, args.alpha, args.beta, Side(args.side), window, axes,
-                 phase_corrected=args.phase_corrected)
-    fileio.save_qspectrum(spec, args.out)
-
-
 def _cmd_roundtrip(args):
-    axes = _axes(args)
+    kind = _kind(args)
     fn = _fixture(args)
-    side = Side(args.side)
     grid = _signal_grid(args)
-    if args.transform == "qft":
-        kind, forward, inverse = QftKind(side, axes), qft_forward, qft_inverse
-    else:
-        kind, forward, inverse = LctKind(side, *_matrices(args), axes), qlct_forward, qlct_inverse
+    forward, inverse = ((qft_forward, qft_inverse) if kind.family == "qft"
+                        else (qlct_forward, qlct_inverse))
     with _usage("invalid canonical matrix: "):
         kind.plan(inverse=True)
     window = _window(args, grid)

@@ -112,6 +112,12 @@ def _require_real(value, name, shape=(), allow_inf=False):
     return arr
 
 
+def _require_type(value, cls, name, optional=False):
+    """InvalidParameterError, naming `name`, unless `value` is a `cls` (or None if `optional`)."""
+    if not (isinstance(value, cls) or optional and value is None):
+        raise InvalidParameterError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _require_counts(counts, names, least=1):
     """Raise InvalidParameterError, naming `names`, unless each of `counts`
     is an integer (a bool is not) of at least `least`."""

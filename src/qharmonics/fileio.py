@@ -14,7 +14,8 @@ grid header and the payload::
     | [QLCT tags only] 8 f64 (a1 b1 c1 d1 a2 b2 c2 d2)
 
 Kind tags: 1 two-sided QFT, 2 right QFT, 3 left QFT, 4 two-sided QLCT,
-5 right QLCT, 6 left QLCT.  Flags: bit0 fractional phase corrected.
+5 right QLCT, 6 left QLCT.  Flags: bit0 fractional phase corrected, valid
+on rotation matrices only (on others the file fails to decode).
 Bits 1 and 2 are written as 0 and ignored on read: older writers set
 them for a b < 0 matrix they had flipped to -A, and the stored matrix
 is the one the data was computed with.  ``encode_*`` and

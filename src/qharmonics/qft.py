@@ -41,6 +41,7 @@ from .errors import (
     SideMismatchError,
     _require_counts,
     _require_real,
+    _require_type,
 )
 from .grids import GridSpec, QSignal2D, QSpectrum2D, _checked
 from .quaternion import CANONICAL_AXES, AxisPair
@@ -138,6 +139,7 @@ def qft_forward(sig: QSignal2D, kind: QftKind = QftKind(), window: FreqWindow = 
     transform allocates no field of its own.
     """
     _require(kind, "qft", "kind")
+    _require_type(window, FreqWindow, "window", optional=True)
     window = FreqWindow.natural(sig.grid) if window is None else window
     fgrid = window.to_grid()
     data = _stages(sig.data, kind.plan(), kind.axes, sig.grid, fgrid, overwrite)
@@ -154,8 +156,7 @@ def qft_inverse(spec: QSpectrum2D, out_grid: GridSpec, *, overwrite=False) -> QS
     memory (it does for a C-contiguous spectrum with the counts of
     `out_grid`), so the inverse allocates no field of its own.
     """
-    _require(spec.kind, "qft")
-    return _invert(spec, out_grid, overwrite)
+    return _invert(spec, out_grid, overwrite, "qft")
 
 
 def _inverse_plan(spec: QSpectrum2D):
@@ -165,8 +166,12 @@ def _inverse_plan(spec: QSpectrum2D):
     return spec.kind.plan(inverse=True)
 
 
-def _invert(spec: QSpectrum2D, out_grid: GridSpec, overwrite=False) -> QSignal2D:
-    """Run :func:`_inverse_plan` onto `out_grid`; ``overwrite`` as for the inverses."""
+def _invert(spec: QSpectrum2D, out_grid: GridSpec, overwrite=False, family=None) -> QSignal2D:
+    """Check `spec` (of `family`, if given) and `out_grid`, then run :func:`_inverse_plan`."""
+    _require_type(spec, QSpectrum2D, "spec")
+    if family is not None:
+        _require(spec.kind, family)
+    _require_type(out_grid, GridSpec, "out_grid")
     return _checked(QSignal2D, out_grid, _stages(spec.data, _inverse_plan(spec), spec.kind.axes,
                                                  spec.grid, out_grid, overwrite))
 

@@ -24,18 +24,13 @@ from ._kernels import _ratio, const_multiply
 from .errors import (
     DegenerateBError,
     InvalidParameterError,
-    ProvenanceMismatchError,
     SideMismatchError,
     _require_real,
+    _require_type,
 )
 from .grids import GridSpec, QSignal2D, QSpectrum2D, _checked
 from .qft import FreqWindow, Side, _invert, _require, _stages
-from .quaternion import (
-    CANONICAL_AXES,
-    AxisPair,
-    axis_components,
-    qexp_pure,
-)
+from .quaternion import CANONICAL_AXES, AxisPair, axis_components, qexp_pure
 
 __all__ = [
     "LctParams",
@@ -98,7 +93,7 @@ class LctParams:
 
 @dataclass(frozen=True)
 class LctKind:
-    """Which QLCT: side, per-axis matrices, axes, and the QFRFT phase flag."""
+    """Which QLCT: side, per-axis matrices, axes, and the QFRFT phase flag (rotations only)."""
 
     side: Side
     A1: LctParams
@@ -108,18 +103,23 @@ class LctKind:
 
     family = "qlct"
 
+    def __post_init__(self):
+        if self.phase_corrected and not all(A.a == A.d and A.b == -A.c
+                                            for A in (self.A1, self.A2)):
+            raise InvalidParameterError("a phase-corrected kind needs rotations (a = d, b = -c)")
+
     def plan(self, inverse=False):
         """Stage records for ``qft._stages``: the kernel sandwich of (A1, A2)
-        or, inverse, of the inverse matrices in reverse order, which refuses a
-        phase-corrected kind (ProvenanceMismatchError) and b = 0 (DegenerateBError)."""
+        or, inverse, of the inverse matrices in reverse order, which refuses
+        b = 0 (DegenerateBError); a phase-corrected kind's records carry the
+        fractional phase, the inverse's the negated one."""
         stages, mats = self.side.stages, (self.A1, self.A2)
         if inverse:
-            if self.phase_corrected:
-                raise ProvenanceMismatchError("undo the fractional phase factors before inverting")
             if self.A1.is_degenerate or self.A2.is_degenerate:
                 raise DegenerateBError("inverse through a degenerate (b = 0) axis")
             stages, mats = tuple(reversed(stages)), (self.A1.inverse, self.A2.inverse)
-        return tuple((axis, left, *_lct_stage(mats[axis])) for axis, left in stages)
+        return tuple((axis, left, *_lct_stage(mats[axis], self.phase_corrected))
+                     for axis, left in stages)
 
 
 def lct_kernel(A: LctParams, axis, x, xi):
@@ -139,20 +139,24 @@ def lct_kernel(A: LctParams, axis, x, xi):
     return qexp_pure(axis, phase) / np.sqrt(2.0 * np.pi * abs(b))
 
 
-def _lct_stage(A: LctParams):
+def _lct_stage(A: LctParams, phase_corrected):
     """(c, pre, post, scale) of one axis's stage record: chirp(x), the
     Fourier kernel at xi/b and chirp(xi) in one contraction of weight dx /
     sqrt(2 pi |b|); c = -1/b and the chirps a x^2/(2b) and d xi^2/(2b) -
     sign(b) pi/4 (up to 1e4 rad) are exact double-doubles of a, b and d.
-    A b = 0 axis is the pointwise chirp sqrt(d) e^{mu c x^2 / (2d)} f(x)
-    at xi = x/d (c = None); requires d > 0 (det = ad = 1 pins d = 1/a)."""
+    `phase_corrected` adds theta/2 to the constant, theta = atan2(b, a): the
+    kernel is then the 2 pi-periodic sqrt(1 - mu cot theta) one (Almeida),
+    and a rotation's inverse negates theta.  A b = 0 axis is the pointwise
+    chirp sqrt(d) e^{mu c x^2 / (2d)} f(x) at xi = x/d (c = None); requires
+    d > 0 (det = ad = 1 pins d = 1/a)."""
     a, b, c, d = A.astuple()
     if b == 0.0:
         if d <= 0:
             raise DegenerateBError("degenerate branch needs d > 0")
         return None, (_ratio(c, 2.0 * d), 0.0, 0.0), None, np.sqrt(d)
-    return (_ratio(-1.0, b), (_ratio(a, 2.0 * b), 0.0, 0.0),
-            (_ratio(d, 2.0 * b), 0.0, -np.sign(b) * np.pi / 4), np.sqrt(2.0 * np.pi * abs(b)))
+    phase = -np.sign(b) * np.pi / 4 + (np.arctan2(b, a) / 2 if phase_corrected else 0.0)
+    return (_ratio(-1.0, b), (_ratio(a, 2.0 * b), 0.0, 0.0), (_ratio(d, 2.0 * b), 0.0, phase),
+            np.sqrt(2.0 * np.pi * abs(b)))
 
 
 def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow = None, *,
@@ -172,6 +176,7 @@ def qlct_forward(sig: QSignal2D, kind: LctKind, window: FreqWindow = None, *,
     may share its memory.
     """
     _require(kind, "qlct", "kind")
+    _require_type(window, FreqWindow, "window", optional=True)
     if window is None:
         window = FreqWindow.natural(sig.grid).scaled(abs(kind.A1.b) or 1.0, abs(kind.A2.b) or 1.0)
     fgrid = window.to_grid()
@@ -196,13 +201,12 @@ def qlct_inverse(spec: QSpectrum2D, out_grid: GridSpec, *, overwrite=False) -> Q
 
     The sided orders undo the forward kernels innermost-first; swapping
     the two inverse kernels on a non-real signal does not reconstruct f.
-    Refuses a spectrum of another family; :meth:`LctKind.plan` refuses a
-    phase-corrected one and a b = 0 axis.  ``overwrite=True`` hands the
-    spectrum over, as for :func:`qft.qft_inverse`: its data may be
+    A phase-corrected spectrum inverts too.  Refuses a spectrum of another
+    family, and :meth:`LctKind.plan` a b = 0 axis.  ``overwrite=True`` hands
+    the spectrum over, as for :func:`qft.qft_inverse`: its data may be
     destroyed and the result may share its memory.
     """
-    _require(spec.kind, "qlct")
-    return _invert(spec, out_grid, overwrite)
+    return _invert(spec, out_grid, overwrite, "qlct")
 
 
 # bench/spans.py wraps these names and bench/worker.py calls qlct_via_qft; they
@@ -231,9 +235,11 @@ def sided_decompose_transform(sig: QSignal2D, kind: LctKind,
 
     where f = f_a + f_b mu2 = f_d + mu1 f_e with the parts living in the
     commuting subalgebras span{1, mu1} and span{1, mu2} respectively.
-    The window defaults as for :func:`qlct_forward`.
+    The two-sided kinds keep ``kind``'s matrices and phase flag, and the
+    window defaults as for :func:`qlct_forward`.
     """
     _require(kind, "qlct", "kind")
+    _require_type(window, FreqWindow, "window", optional=True)
     if kind.side is Side.TWO_SIDED:
         raise SideMismatchError("decomposition computes the sided transforms")
     axes, right = kind.axes, kind.side is Side.RIGHT_SIDED
@@ -243,7 +249,7 @@ def sided_decompose_transform(sig: QSignal2D, kind: LctKind,
     (p0, p1), (q0, q1), mu = ((a0, a1), (a2, a3), mu1) if right else ((a0, a2), (a1, a3), mu2)
     flipped = AxisPair(-mu1, mu2) if right else AxisPair(mu1, -mu2)
     term1, term2 = (qlct_forward(QSignal2D(sig.grid, _embed(re, im, mu)),
-                                 LctKind(Side.TWO_SIDED, kind.A1, kind.A2, ax), window)
+                                 replace(kind, side=Side.TWO_SIDED, axes=ax), window)
                     for re, im, ax in ((p0, p1, axes), (q0, q1, flipped)))
     unit = np.concatenate([[0.0], mu2 if right else mu1])
     data = term1.data + const_multiply(unit, term2.data, left=not right)
@@ -265,24 +271,15 @@ def qfrft(sig: QSignal2D, alpha: float, beta: float, side: Side,
           phase_corrected=False) -> QSpectrum2D:
     """Fractional transform: QLCT with rotation matrices A(alpha), A(beta).
 
-    The raw QLCT output differs from the fractional transform by the
-    fixed phases e^{-mu1 alpha/2}, e^{-mu2 beta/2}; ``phase_corrected``
-    multiplies them back out (left/right respectively) and is recorded
-    in the provenance.  The correction only factors out as a constant
-    sandwich for the two-sided transform; sided kinds accept raw output
-    only.  A negative angle gives a rotation with b = sin(angle) < 0, used
-    as given, so a forward pass with (-alpha, -beta) inverts the
-    (alpha, beta) pass.  The window defaults as for :func:`qlct_forward`:
-    the natural window scaled by (|sin alpha|, |sin beta|).
+    The raw QLCT kernel of a rotation differs from the fractional kernel
+    by the phase e^{-mu theta/2}, theta the angle reduced to (-pi, pi];
+    ``phase_corrected`` sets the kind's flag, whose stages multiply it back
+    into each kernel on any side (see :func:`_lct_stage`).  A negative
+    angle gives a rotation with b = sin(angle) < 0, used as given, so a
+    forward pass with (-alpha, -beta) inverts the (alpha, beta) pass.  The
+    window defaults as for :func:`qlct_forward`: the natural window scaled
+    by (|sin alpha|, |sin beta|).
     """
     _require_angles(alpha, beta)
-    if phase_corrected and side is not Side.TWO_SIDED:
-        raise SideMismatchError(
-            "phase correction is a constant sandwich only for the two-sided kind")
-    kind = LctKind(side, LctParams.rotation(alpha), LctParams.rotation(beta), axes)
-    spec = qlct_forward(sig, kind, window)
-    if not phase_corrected:
-        return spec
-    data = const_multiply(qexp_pure(axes.mu1, alpha / 2), spec.data, left=True)
-    data = const_multiply(qexp_pure(axes.mu2, beta / 2), data, left=False)
-    return QSpectrum2D(spec.grid, data, replace(kind, phase_corrected=True), spec.window)
+    return qlct_forward(sig, LctKind(side, LctParams.rotation(alpha), LctParams.rotation(beta),
+                                     axes, phase_corrected), window)

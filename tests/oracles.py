@@ -99,23 +99,25 @@ def qft_fft_reference(sig, side):
     return f0 + qmul(i, f1[:, ::-1]) + qmul(j, f2[::-1]) + qmul(kk, f3[::-1, ::-1])
 
 
-def lct_kernel_ref(mat, mu, x, xi):
+def lct_kernel_ref(mat, mu, x, xi, phase=0.0):
     """Canonical kernel from the written-out formula, as one exponential.
 
     The prefactor e^{-sign(b) mu pi/4} shares the axis with the phase,
     so K = e^{mu (a x^2/(2b) - x xi/b + d xi^2/(2b) - sign(b) pi/4)}
-           / sqrt(2 pi |b|).
+           / sqrt(2 pi |b|), times e^{mu phase} (a fractional kernel's
+    correction, phase = half the rotation's angle).
     """
     a, b, _, d = mat
-    theta = (a * x * x - 2.0 * x * xi + d * xi * xi) / (2.0 * b) - np.sign(b) * np.pi / 4
+    theta = (a * x * x - 2.0 * x * xi + d * xi * xi) / (2.0 * b) - np.sign(b) * np.pi / 4 + phase
     return exp_axis(mu, theta) / np.sqrt(2.0 * np.pi * abs(b))
 
 
-def qlct_bruteforce(sig, side, A1, A2, axes, u, v):
-    """Direct kernel-sandwich quadrature with reference kernels."""
+def qlct_bruteforce(sig, side, A1, A2, axes, u, v, phases=(0.0, 0.0)):
+    """Direct kernel-sandwich quadrature with reference kernels, each
+    multiplied by e^{mu phase} of its entry of `phases`."""
     s, t = sig.grid.s, sig.grid.t
-    K1 = lct_kernel_ref(A1.astuple(), axes.mu1, s[:, None], u[None, :])  # (ns, nu, 4)
-    K2 = lct_kernel_ref(A2.astuple(), axes.mu2, t[:, None], v[None, :])  # (nt, nv, 4)
+    K1 = lct_kernel_ref(A1.astuple(), axes.mu1, s[:, None], u[None, :], phases[0])  # (ns, nu, 4)
+    K2 = lct_kernel_ref(A2.astuple(), axes.mu2, t[:, None], v[None, :], phases[1])  # (nt, nv, 4)
     data = sig.data
     nu, nv = len(u), len(v)
     out = np.zeros((nu, nv, 4))

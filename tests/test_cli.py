@@ -651,11 +651,13 @@ def test_roundtrip_default_windows(capsys):
 @pytest.mark.parametrize("forward", [
     *(pytest.param(("qlct", "--side", side.value, *LCT_FLAGS), id=f"qlct-{side.value}")
       for side in Side),
-    pytest.param(("qfrft", "--alpha", "0.5", "--beta", "0.7"), id="qfrft")])
+    pytest.param(("qfrft", "--alpha", "0.5", "--beta", "0.7"), id="qfrft"),
+    pytest.param(("qfrft", "--side", "left", "--phase-corrected", "--alpha", "0.5", "--beta",
+                  "0.7"), id="qfrft-left-corrected")])
 def test_file_round_trips_on_default_windows(capsys, tmp_path, forward):
     """Without --window, qlct and qfrft write their spectra on the natural
     window scaled by |b| (|sin| of the angles for qfrft), from which iqlct
-    recovers the signal."""
+    recovers the signal, also a phase-corrected one of any side."""
     code, _, err = run(capsys, "fixtures", "--out-dir", str(tmp_path), "--grid", "33")
     assert code == 0 and err == ""
     src, spec, back = tmp_path / "qgaussian.qsig", tmp_path / "q.qsp", tmp_path / "b.qsig"
@@ -665,6 +667,28 @@ def test_file_round_trips_on_default_windows(capsys, tmp_path, forward):
                        "--grid", "33", "--extent", "6")
     assert code == 0 and err == ""
     assert linf_diff(fileio.load_qsig(src), fileio.load_qsig(back)) < 1e-12
+
+
+def test_commands_call_the_transforms_by_their_module_names(capsys, tmp_path, monkeypatch):
+    """`qft`, `qlct`, `qfrft` and `roundtrip` read the transforms from the
+    module when they run, so wrappers bound over those names (as a stage
+    trace binds them) see every call."""
+    calls = []
+    for name in ("qft_forward", "qft_inverse", "qlct_forward", "qlct_inverse"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, fn=fn, name=name, **k: calls.append(name)
+                            or fn(*a, **k))
+    code, _, err = run(capsys, "fixtures", "--out-dir", str(tmp_path), "--grid", "16")
+    src, spec = str(tmp_path / "qgaussian.qsig"), str(tmp_path / "q.qsp")
+    for argv in (["qft"], ["qlct", *LCT_FLAGS], ["qfrft", "--alpha", "0.5", "--beta", "0.7"]):
+        code, _, err = run(capsys, *argv[:1], "--in", src, "--out", spec, *argv[1:])
+        assert code == 0 and err == ""
+    for transform in ("qft", "qlct"):
+        code, _, err = run(capsys, "roundtrip", "--grid", "16", "--transform", transform,
+                           *LCT_FLAGS)
+        assert code == 0 and err == ""
+    assert calls == ["qft_forward", "qlct_forward", "qlct_forward", "qft_forward", "qft_inverse",
+                     "qlct_forward", "qlct_inverse"]
 
 
 def test_default_windows_take_the_fft_path(capsys, tmp_path, dft_calls):

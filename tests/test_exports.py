@@ -47,7 +47,9 @@ def test_the_name_set_is_pinned():
 def test_the_transform_signatures_are_pinned():
     """An inverse reads the spectrum's own kind, and each transform takes
     ``overwrite`` by keyword only, so a call that passes a kind to an
-    inverse fails at the call rather than binding the grid to ``overwrite``."""
+    inverse fails at the call rather than binding the grid to ``overwrite``.
+    ``qfrft`` is the angle rule plus the QLCT forward of a kind, whose phase
+    flag it sets: it has no option of its own."""
     P = inspect.Parameter
     arg, key, none = P.POSITIONAL_OR_KEYWORD, P.KEYWORD_ONLY, P.empty
     inverse = [("spec", arg, none), ("out_grid", arg, none), ("overwrite", key, False)]
@@ -55,7 +57,10 @@ def test_the_transform_signatures_are_pinned():
                             ("window", arg, None), ("overwrite", key, False)],
             "qlct_forward": [("sig", arg, none), ("kind", arg, none), ("window", arg, None),
                              ("overwrite", key, False)],
-            "qft_inverse": inverse, "qlct_inverse": inverse}
+            "qft_inverse": inverse, "qlct_inverse": inverse,
+            "qfrft": [("sig", arg, none), ("alpha", arg, none), ("beta", arg, none),
+                      ("side", arg, none), ("window", arg, None),
+                      ("axes", arg, qharmonics.CANONICAL_AXES), ("phase_corrected", arg, False)]}
     for name, params in want.items():
         got = inspect.signature(getattr(qharmonics, name)).parameters.values()
         assert [(p.name, p.kind, p.default) for p in got] == params, name

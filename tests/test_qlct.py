@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 
@@ -5,13 +6,15 @@ import numpy as np
 import pytest
 
 from oracles import property_grids, qlct_bruteforce, random_axes
-from qharmonics import _kernels
+from qharmonics import _kernels, fileio
 from qharmonics import qft as qft_module
 from qharmonics import qlct as qlct_module
 from qharmonics._kernels import chirp_multiply
 from qharmonics.errors import (
     DegenerateBError,
+    InvalidParameterError,
     ProvenanceMismatchError,
+    QsigFormatError,
     SideMismatchError,
 )
 from qharmonics.fixtures import gaussian, qgaussian
@@ -357,21 +360,71 @@ def test_qfrft_gaussian_eigenfunction_modulus():
 
 
 def test_qfrft_degenerate_angle_and_sided_phase():
+    """An angle with sin = 0 is refused; a phase-corrected qfrft of any side
+    is the QLCT of its corrected kind, bit for bit."""
     sig = rand_signal()
     with pytest.raises(DegenerateBError, match=r"^sin\(alpha\) = 0: fractional kernel"):
         qfrft(sig, np.pi, 0.5, Side.TWO_SIDED, FreqWindow.square(2.0, 8))
-    with pytest.raises(SideMismatchError):
-        qfrft(sig, 0.5, 0.5, Side.RIGHT_SIDED, FreqWindow.square(2.0, 8),
-              phase_corrected=True)
+    for side in Side:
+        spec = qfrft(sig, 0.5, -2.5, side, FreqWindow.square(2.0, 8), phase_corrected=True)
+        assert spec.kind == LctKind(side, LctParams.rotation(0.5), LctParams.rotation(-2.5),
+                                    phase_corrected=True)
+        same = qlct_forward(sig, spec.kind, FreqWindow.square(2.0, 8))
+        assert same.data.tobytes() == spec.data.tobytes()
 
 
-def test_phase_corrected_spectrum_refuses_inverse():
-    grid = GridSpec.centered(4.0, 16)
-    sig = sample(gaussian, grid)
-    w = FreqWindow.square(4.0, 16)
-    corr = qfrft(sig, 0.7, 0.7, Side.TWO_SIDED, w, phase_corrected=True)
-    with pytest.raises(ProvenanceMismatchError):
-        qlct_inverse(corr, grid)
+def test_phase_corrected_spectrum_inverts_on_every_side():
+    """The inverse of a corrected spectrum carries the negated phase, so on
+    the scaled natural window it recovers the signal to rounding."""
+    sig = rand_signal(16, seed=44)
+    for side, (alpha, beta) in itertools.product(Side, ((0.7, 0.7), (2.6, -1.1), (4.0, 7.0))):
+        corr = qfrft(sig, alpha, beta, side, phase_corrected=True)
+        assert linf_diff(sig, qlct_inverse(corr, sig.grid)) < 1e-12, (side, alpha, beta)
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_phase_corrected_qfrft_keeps_the_gaussian(side):
+    """e^{-(s^2+t^2)/2} is the fractional transform's fixed point (Almeida,
+    IEEE Trans. Signal Process. 42, 1994) for every angle, also past pi,
+    where the kernel's phase is that of the angle reduced to (-pi, pi]."""
+    grid = GridSpec.centered(10.0, 128)
+    psi = sample(lambda S, T: np.exp(-(S ** 2 + T ** 2) / 2), grid)
+    for alpha, beta in ((0.4, 0.5), (2.6, 0.5), (4.0, 0.5), (-2.0, 0.5), (7.0, 0.5)):
+        spec = qfrft(psi, alpha, beta, side, phase_corrected=True)
+        U, V = spec.grid.mesh()
+        want = np.zeros_like(spec.data)
+        want[..., 0] = np.exp(-(U ** 2 + V ** 2) / 2)
+        assert np.max(np.abs(spec.data - want)) < 1e-12, (alpha, beta)
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT_SIDED, Side.LEFT_SIDED])
+def test_sided_phase_corrected_spectrum_matches_the_oracle(side):
+    """A sided corrected spectrum is the kernel sandwich with each kernel
+    multiplied by e^{mu theta/2}, in place, on generalized axes too."""
+    sig = rand_signal(8, seed=45)
+    A1, A2 = LctParams.rotation(0.8), LctParams.rotation(-2.3)
+    for axes in (LctKind(side, A1, A2).axes, random_axes(np.random.default_rng(46))):
+        kind = LctKind(side, A1, A2, axes, phase_corrected=True)
+        got = qlct_forward(sig, kind, FreqWindow.square(3.0, 8))
+        want = qlct_bruteforce(sig, side, A1, A2, axes, got.grid.s, got.grid.t,
+                               phases=(0.4, -1.15))
+        assert np.max(np.abs(got.data - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_phase_correction_needs_rotations():
+    """Only a rotation's inverse has the negated angle, so a corrected kind
+    with any other matrix is refused, and so is a QSP file that records one."""
+    R = LctParams.rotation(0.7)
+    for A1, A2 in ((SHEAR, R), (R, GENERIC), (LctParams(1.0, 0.0, 0.5, 1.0), R)):
+        with pytest.raises(InvalidParameterError, match="rotations"):
+            LctKind(Side.LEFT_SIDED, A1, A2, phase_corrected=True)
+        LctKind(Side.LEFT_SIDED, A1, A2)
+    spec = qfrft(rand_signal(), 0.7, 0.7, Side.TWO_SIDED, phase_corrected=True)
+    raw = bytearray(fileio.encode_qspectrum(spec))
+    a1 = len(raw) - spec.data.nbytes - 64  # the matrices' 8 f64 come before the payload
+    raw[a1:a1 + 32] = np.array(SHEAR.astuple(), dtype="<f8").tobytes()
+    with pytest.raises(QsigFormatError, match="rotations"):
+        fileio.decode_qspectrum(bytes(raw))
 
 
 @pytest.mark.parametrize("side", list(Side))
@@ -495,6 +548,46 @@ def test_forwards_refuse_the_other_familys_kind(side):
         assert peak < sig.data.nbytes / 8
 
 
+def _wrong_types(entry):
+    """(call, argument) pairs that pass `entry` an argument of the wrong type."""
+    sig = rand_signal(64, seed=6)
+    grid, sided = sig.grid, LctKind(Side.LEFT_SIDED, GENERIC, SHEAR)
+    qspec = qft_forward(sig, QftKind(), FreqWindow.square(3.0, 8))
+    lspec = qlct_forward(sig, sided, FreqWindow.square(3.0, 8))
+    return sig, {
+        "qft_forward": [(lambda: qft_forward(sig, QftKind(), grid), "window"),
+                        (lambda: qft_forward(sig, QftKind(), "8"), "window")],
+        "qlct_forward": [(lambda: qlct_forward(sig, sided, grid), "window"),
+                         (lambda: qfrft(sig, 0.7, 0.9, Side.TWO_SIDED, grid), "window")],
+        "sided_decompose_transform": [(lambda: sided_decompose_transform(sig, sided, grid),
+                                       "window")],
+        "qft_inverse": [(lambda: qft_inverse(qspec, "grid"), "out_grid"),
+                        (lambda: qft_inverse(sig, grid), "spec"),
+                        (lambda: qft_inverse(qspec.data, grid), "spec")],
+        "qlct_inverse": [(lambda: qlct_inverse(lspec, qspec.window), "out_grid"),
+                         (lambda: qlct_inverse(sig, grid), "spec")],
+    }[entry]
+
+
+@pytest.mark.parametrize("entry", ["qft_forward", "qft_inverse", "qlct_forward", "qlct_inverse",
+                                   "sided_decompose_transform"])
+def test_entry_points_refuse_arguments_of_the_wrong_type(entry):
+    """A window that is neither a FreqWindow nor None, an out_grid that is not
+    a GridSpec and a spec that is not a QSpectrum2D raise
+    InvalidParameterError, naming the argument, before a field is
+    allocated (they once raised AttributeError)."""
+    sig, calls = _wrong_types(entry)
+    for call, name in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError, match=f"^{name} must be a ") as err:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sig.data.nbytes / 8, str(err.value)
+
+
 B0 = LctParams(2.0, 0.0, 0.3, 0.5)
 
 
@@ -521,7 +614,7 @@ def test_default_windows_bit_for_bit(side):
     pairs.append((qlct_module.qlct_via_qft(sig, kind, fast=True), qlct_forward(sig, kind),
                   natural.scaled(2.0, 0.5)))
     window = natural.scaled(abs(np.sin(0.7)), abs(np.sin(-1.1)))
-    for corrected in (False, True) if side is Side.TWO_SIDED else (False,):
+    for corrected in (False, True):
         pairs.append((qfrft(sig, 0.7, -1.1, side, phase_corrected=corrected),
                       qfrft(sig, 0.7, -1.1, side, window, phase_corrected=corrected), window))
     for default, explicit, window in pairs:
@@ -549,10 +642,9 @@ def test_transforms_leave_their_input_untouched(side):
              lambda: qlct_forward(sig, b0_first, window),
              lambda: qlct_inverse(lspec, sig.grid),
              lambda: qlct_forward(sig, lkind),
-             lambda: qfrft(sig, 0.7, -1.1, side, window)]
-    if side is Side.TWO_SIDED:
-        calls.append(lambda: qfrft(sig, 0.7, -1.1, side, window, phase_corrected=True))
-    else:
+             lambda: qfrft(sig, 0.7, -1.1, side, window),
+             lambda: qfrft(sig, 0.7, -1.1, side, window, phase_corrected=True)]
+    if side is not Side.TWO_SIDED:
         calls.append(lambda: sided_decompose_transform(sig, lkind, window))
     before = [a.copy() for a in (sig.data, qspec.data, lspec.data)]
     for call in calls:
@@ -664,8 +756,10 @@ def test_plan_of_the_inverse_is_the_forward_plan_of_the_inverse_matrices():
     """``LctKind.plan(inverse=True)`` runs the forward stages in reverse, each
     with the record of the inverse matrix, and refuses what has no inverse.
     A record's c, a x^2/2b and d xi^2/2b are double-doubles (hi, lo) of the
-    given a, b and d, the output chirp's constant is -sign(b) pi/4, and the
-    scale divides the input spacing by sqrt(2 pi |b|)."""
+    given a, b and d, the output chirp's constant is -sign(b) pi/4, plus
+    theta/2 for a phase-corrected kind (theta = atan2(b, a), which the
+    inverse matrix negates), and the scale divides the input spacing by
+    sqrt(2 pi |b|)."""
     A1, A2 = LctParams(2.0, 0.5, 2.0, 1.0), LctParams(0.5, -2.0, 0.25, 1.0)
     for side in Side:
         stages = LctKind(side, A1, A2).plan(inverse=True)
@@ -676,8 +770,16 @@ def test_plan_of_the_inverse_is_the_forward_plan_of_the_inverse_matrices():
             assert c == (-1.0 / b, 0.0) and pre == ((a / (2 * b), 0.0), 0.0, 0.0)
             assert post == ((d / (2 * b), 0.0), 0.0, -np.sign(b) * np.pi / 4)
             assert scale == np.sqrt(2.0 * np.pi * abs(b))
-    with pytest.raises(ProvenanceMismatchError):
-        LctKind(Side.TWO_SIDED, A1, A2, phase_corrected=True).plan(inverse=True)
+    R1, R2 = LctParams.rotation(0.7), LctParams.rotation(4.0)  # theta of R2: 4 - 2 pi
+    for side in Side:
+        raw, corrected = (LctKind(side, R1, R2, phase_corrected=flag) for flag in (False, True))
+        for inverse, sign in ((False, 1.0), (True, -1.0)):
+            for got, want in zip(corrected.plan(inverse), raw.plan(inverse)):
+                A = (R1, R2)[got[0]]
+                assert got[:4] == want[:4] and got[5] == want[5]
+                q0 = want[4][2] + sign * np.arctan2(A.b, A.a) / 2
+                assert got[4][:2] == want[4][:2] and got[4][2] == q0
+    assert np.arctan2(R2.b, R2.a) == pytest.approx(4.0 - 2 * np.pi)
     with pytest.raises(DegenerateBError):
         LctKind(Side.LEFT_SIDED, A1, LctParams.identity_chirp()).plan(inverse=True)
     LctKind(Side.LEFT_SIDED, A1, LctParams.identity_chirp()).plan()  # the forward has a b = 0 stage

@@ -21,7 +21,6 @@ from qharmonics.errors import (
     NoIntegrableSectionError,
     NonConvergentError,
     NonFiniteError,
-    ProvenanceMismatchError,
     QHarmonicsError,
 )
 from qharmonics.fixtures import gaussian, indicator, qgaussian, sinc_rect
@@ -487,22 +486,36 @@ def test_gauss_means_converge_on_every_side(family, side):
 
 
 def test_smoothing_refuses_what_the_inverses_refuse():
-    """Phase-corrected and b = 0 QLCT spectra raise as the QLCT inverse
-    does, and a spectrum of neither family raises a library error."""
+    """A b = 0 QLCT spectrum raises as the QLCT inverse does, and a spectrum
+    of neither family raises a library error.  A phase-corrected spectrum
+    is not refused on any side: its inverse kernels carry the negated
+    phase, so on its default window the whole-window partial sum and a
+    light Gauss mean recover the signal, and a two-sided one, the raw
+    spectrum between two constants, has the raw spectrum's partial sums
+    and Gauss means on any window."""
     grid = GridSpec.centered(4.0, 16)
     sig = sample(qgaussian, grid)
     window = FreqWindow.square(3.0, 16)
-    corrected = qfrft(sig, 0.7, 0.9, Side.TWO_SIDED, window, phase_corrected=True)
+    for side in Side:
+        corrected = qfrft(sig, 0.7, -2.9, side, phase_corrected=True)
+        whole = dirichlet_partial_inverse_freq(corrected, (grid.s[5], grid.t[9]), 1e3, 1e3)
+        assert np.max(np.abs(whole - sig.data[5, 9])) < 1e-13
+        assert gauss_mean_inverse(corrected, (1e-12,), sig)[0][1] < 1e-10
+    raw, corrected = (qfrft(sig, 0.7, -2.9, Side.TWO_SIDED, window, phase_corrected=flag)
+                      for flag in (False, True))
+    for call in (lambda spec: dirichlet_partial_inverse_freq(spec, (0.1, 0.2), [1.0, 2.0],
+                                                             [1.5, 3.0]),
+                 lambda spec: np.array(gauss_mean_inverse(spec, (1.0, 0.1), sig))):
+        np.testing.assert_allclose(call(corrected), call(raw), rtol=0, atol=1e-13)
     degenerate = qlct_forward(sig, LctKind(Side.TWO_SIDED, LctParams(1.0, 0.0, 0.5, 1.0), KIND.A2),
                               window)
-    for spec, error in ((corrected, ProvenanceMismatchError), (degenerate, DegenerateBError)):
-        with pytest.raises(error) as inverse:
-            qlct_inverse(spec, grid)
-        for call in (lambda: dirichlet_partial_inverse_freq(spec, (0.1, 0.2), 2.0, 2.0),
-                     lambda: gauss_mean_inverse(spec, (1.0,), sig)):
-            with pytest.raises(error) as got:
-                call()
-            assert str(got.value) == str(inverse.value)
+    with pytest.raises(DegenerateBError) as inverse:
+        qlct_inverse(degenerate, grid)
+    for call in (lambda: dirichlet_partial_inverse_freq(degenerate, (0.1, 0.2), 2.0, 2.0),
+                 lambda: gauss_mean_inverse(degenerate, (1.0,), sig)):
+        with pytest.raises(DegenerateBError) as got:
+            call()
+        assert str(got.value) == str(inverse.value)
     for kind in (SimpleNamespace(side=Side.TWO_SIDED, family="ft"), object()):
         foreign = QSpectrum2D(window.to_grid(), np.ones((16, 16, 4)), kind)
         with pytest.raises(QHarmonicsError):
