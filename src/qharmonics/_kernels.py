@@ -30,13 +30,16 @@ chirp, and writes straight into the C-order output.  The chirps act on the
 nodes before the fold and after the unfold: they need not be even in m.
 
 Narrow kernels have low rank: cos(c y x) on y in [-Y, 0], |x| <= X, is
-interpolated to the ulp by a barycentric matrix L from about w + 10 w^(1/3)
-Chebyshev points t in y, w = |c| X Y / 2, for any n (Ruiz-Antolin and
-Townsend, SIAM J. Sci. Comput. 40, 2018).  :func:`low_rank` gives L and the
-points as an axis (m = t, -t and 0 on an odd axis), onto which a stage is an
-ordinary folded stage of 2p (+1) outputs.  L commutes with every later stage,
-and :func:`interpolate` applies it with the output chirp to an axis or two at
-once: the first stage shrinks its axis, the next runs on the compressed field.
+interpolated by a barycentric matrix L from about w + 10 w^(1/3) Chebyshev
+points t in y, w = |c| X Y / 2, for any n (Ruiz-Antolin and Townsend, SIAM
+J. Sci. Comput. 40, 2018).  L's closed-form weights are those of the exact
+points, not of t as rounded, so a low-rank stage is about 3.5e-15 off the
+long-double sum (512 nodes, window 8) where the fold is 9.6e-16 off.
+:func:`low_rank` gives L and the points as an axis (m = t, -t and 0 on an
+odd axis), onto which a stage is an ordinary folded stage of 2p (+1)
+outputs.  L commutes with every later stage, and :func:`interpolate`
+applies it with the output chirp to an axis or two at once: the first stage
+shrinks its axis, the next runs on the compressed field.
 
 On the natural window a stage is exactly a length-n DFT about the centres of
 its grids: as many outputs as inputs and c dx dy n = +-2 pi.  On any n each
@@ -46,13 +49,13 @@ and b in span{1, mu} with nu a pure unit normal to mu, and on each of a and
 b e^{mu theta} is the complex e^{i theta}, so a block is P, input phasors,
 one complex FFT along the nodes, output phasors and P^T.  The phasors hold
 the half-sample shifts (index products reduced mod 4n), in_j, out_k and
-``scale``.  A phasor on both components is the chirp map cos I + sin M^T, so
-node-major blocks (axis 0) fold the phasors into P and P^T as one 4x4 map
-per node on each side; row-layout blocks (axis 1) keep P and the phasor
-multiplies.  The FFT runs in the block's buffer (``out=``, numpy >= 2.0);
-``numpy.fft`` is loaded by the first such stage.  A block spans DFT_BLOCK =
-48 grid lines: at n = 1024 its buffer and its output are 1.5 MiB each, about
-a core's L2 cache (2 MiB), where 64 lines spill it.
+``scale``.  A phasor on both components is the chirp map cos I + sin M^T,
+so each side is one 4x4 map per node, and every block, on either axis, is
+the node-first view of DFT_BLOCK = 48 grid lines: a per-node map into its
+buffer, the FFT along the nodes there (``out=``, numpy >= 2.0; ``numpy.fft``
+loads with the first such stage) and a per-node map into the output.  At n
+= 1024 a block's buffer and its output are 1.5 MiB each, about a core's L2
+cache (2 MiB), where 64 lines spill it.
 
 Every stage checks the blocks it writes, and transforms do not rescan their
 output.  Right after its last write to a block, while the block is in
@@ -64,7 +67,9 @@ contiguous buffer instead, just before the output map: that map is the
 stage's scale times an orthogonal map per node, so a finite energy
 (scale^2 times the buffer's sum of squares) bounds every output value near
 the square root of the largest double, and only a block whose energy is
-not finite is tested elementwise.
+not finite is tested elementwise.  Stages run with numpy's overflow and
+invalid warnings off, so that their checks report an overflow, also where
+warnings are errors.
 
 A block reads all of its input before it writes its output, so a stage can
 write into the front of its input's memory (``out=field``), also when it
@@ -170,6 +175,7 @@ def _maps(mu, left, a):
     return z.real * np.eye(4) + z.imag * mul_matrix(np.concatenate([[0.0], mu]), left).T
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the block checks report an overflow
 def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0, out=None):
     """Contract grid axis `axis` (0 or 1) of a quaternion field (n0, n1, 4),
     in any memory order, into a C-order array, out_k = scale sum_j e^{mu (c
@@ -216,13 +222,12 @@ def exp_contract(y, x, c, mu, field, left, axis, pre=None, post=None, scale=1.0,
 
 
 def _dft_tables(n_out, n, turn, mu, left, a_in, a_out, scale):
-    """(P, inverse, input phasors, output phasors, input maps, output maps)
-    of an exact length-n DFT stage (n_out = n, c dx dy n = `turn` = +-2 pi),
-    or None.  Its angle K m_k m_j is +-pi (2k - n + 1)(2j - n + 1) / 2n: the
-    DFT's +-2 pi k j / n and terms in j and in k alone, integers times pi /
-    2n reduced mod 4n, in the phasors with in_j and out_k.  P has the
-    columns 1, mu, nu and mu nu (nu mu for a right-multiplied kernel, the
-    split being f = a + nu b); the phasors come once per component, and the
+    """(inverse, input maps, output maps) of an exact length-n DFT stage
+    (n_out = n, c dx dy n = `turn` = +-2 pi), or None.  Its angle K m_k m_j
+    is +-pi (2k - n + 1)(2j - n + 1) / 2n: the DFT's +-2 pi k j / n and terms
+    in j and in k alone, integers times pi / 2n reduced mod 4n, in the
+    phasors with in_j and out_k.  P has the columns 1, mu, nu and mu nu (nu
+    mu for a right-multiplied kernel, the split being f = a + nu b), and the
     (n, 4, 4) maps are P then the input phasor, the output phasor then P^T."""
     if n < 2 or n_out != n or not (abs(abs(turn) - 2 * np.pi)
                                    <= DFT_ULPS * np.finfo(float).eps * 2 * np.pi):
@@ -244,8 +249,7 @@ def _dft_tables(n_out, n, turn, mu, left, a_in, a_out, scale):
     J = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
     maps_in, maps_out = (p.real[:, None, None] * np.eye(4) + p.imag[:, None, None] * J
                          for p in (p_in, p_out))
-    return (P, sign > 0, np.repeat(p_in, 2), np.repeat(p_out, 2),
-            P @ maps_in, maps_out @ P.T)
+    return sign > 0, P @ maps_in, maps_out @ P.T
 
 
 def low_rank(y, x, c):
@@ -281,12 +285,8 @@ def _check(block, stage, axis=None):
     output block just written and still in cache, is finite: one reduction
     (a dot product on a contiguous block), and the elementwise test only
     when that is not finite, as finite values may overflow it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if block.flags.c_contiguous:
-            flat = block.reshape(-1)
-            total = np.dot(flat, flat)
-        else:
-            total = np.add.reduce(block, axis=None)
+    total = (np.dot(block.ravel(), block.ravel()) if block.flags.c_contiguous
+             else np.add.reduce(block, axis=None))
     if not np.isfinite(total) and not np.isfinite(block).all():
         where = "" if axis is None else f" on axis {axis}"
         raise NonFiniteError(f"{stage}{where} gave non-finite values (an overflow, or a "
@@ -336,33 +336,21 @@ def _fold(F, even, odd, pre):
 
 
 def _dft(F, dst, tabs, scale, pre, post, MT, bufs):
-    """One block of an exact-DFT stage, node axis first, into `dst` (which
-    may be `F`), in the block's memory order.  Node-major (axis 0), one
-    per-node 4x4 map (P and the input phasors) takes the nodes into two
-    complex components each, one FFT along the nodes runs in the buffer, and
-    one per-node map (the output phasors, scale and chirps included, and
-    P^T) writes `dst`.  In row layout (axis 1, each sample row's nodes
-    contiguous), P and P^T map all nodes alike and the phasors multiply each
-    sample row's flat nodes: per-node maps are slower in that layout.
-    Returns whether the block's energy is finite, which proves every value
-    of `dst` finite (see the module docstring)."""
-    P, inverse, p_in, p_out, maps_in, maps_out = tabs
-    node = 0
-    if abs(F.strides[0]) < abs(F.strides[1]):
-        F, dst, node = F.swapaxes(0, 1), dst.swapaxes(0, 1), 1
-    z = np.matmul(F, P if node else maps_in, out=_buffer(bufs, "z", *F.shape)).view(complex)
-    if node:
-        z.reshape(len(z), -1)[...] *= p_in
+    """One block of an exact-DFT stage on either axis, node axis first: (n, k,
+    4) input `F` and output `dst`, which may be `F`.  A per-node map (P and
+    the input phasors) writes two complex components a node to the buffer,
+    the FFT runs along the nodes there, and a per-node map (the output
+    phasors, scale included, then P^T) writes `dst`.  Returns whether the
+    block's energy is finite, which proves `dst` finite (module docstring)."""
+    inverse, maps_in, maps_out = tabs
+    z = np.matmul(F, maps_in, out=_buffer(bufs, "z", *F.shape)).view(complex)
     if inverse:
-        np.fft.ifft(z, axis=node, norm="forward", out=z)
+        np.fft.ifft(z, axis=0, norm="forward", out=z)
     else:
-        np.fft.fft(z, axis=node, out=z)
-    if node:
-        z.reshape(len(z), -1)[...] *= p_out
+        np.fft.fft(z, axis=0, out=z)
     zf = z.view(float).reshape(-1)
-    with np.errstate(over="ignore"):
-        energy = float(np.dot(zf, zf)) * (1.0 if node else scale * scale)
-    np.matmul(z.view(float), P.T if node else maps_out, out=dst)
+    energy = float(np.dot(zf, zf)) * scale * scale
+    np.matmul(z.view(float), maps_out, out=dst)
     return math.isfinite(energy)
 
 
@@ -420,6 +408,7 @@ def _rows(F, dst, tabs, scale, pre, post, MT, bufs):
         V[..., m] = centre
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the block checks report an overflow
 def interpolate(field, plans, out=None):
     """Take the axes that low-rank stages left on their points to the output
     axes y: ``plans[axis]`` is None or ``(L, y, post, mu, left)``, the output
@@ -497,6 +486,7 @@ def _interpolate(L, Lr, src, dst, lo=0):
         dst[m - lo] = src[p]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the block checks report an overflow
 def chirp_multiply(x, chirp, mu, field, left, axis, scale=1.0, out=None):
     """Multiply elementwise along grid axis `axis`, its axis `x`, by scale
     e^{mu chirp(x)}: the 4x4 map ``scale (cos(phi) I + sin(phi) M)`` of each

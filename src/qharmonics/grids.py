@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (BadPpmError, InvalidParameterError, ShapeMismatchError, _require_counts,
-                     _require_real)
+from .errors import (BadPpmError, InvalidParameterError, NonFiniteError, ShapeMismatchError,
+                     _require_counts, _require_real)
 from .quaternion import qabs
 
 __all__ = [
@@ -46,6 +46,12 @@ class GridSpec:
         if not (self.ds > 0 and self.dt > 0):
             raise InvalidParameterError("grid spacings must be positive")
         _require_counts((self.ns, self.nt), "ns, nt")  # 1x1 grids round-trip single pixels
+        with np.errstate(over="ignore", invalid="ignore"):  # every sum's weight and last nodes
+            span = np.array([self.cell_area] + [_nodes(lo + n * d / 2, d, n - 1.0) for lo, d, n in
+                            ((self.s_min, self.ds, self.ns), (self.t_min, self.dt, self.nt))])
+        if not np.isfinite(span).all():
+            raise NonFiniteError("grid cell area and nodes must be finite, got area {!r} and last "
+                                 "nodes {!r}, {!r}".format(*span.tolist()))
 
     @classmethod
     def centered(cls, extent, n, extent_t=None, nt=None):
@@ -145,7 +151,8 @@ class QSpectrum2D:
         if factor.shape not in ((), self.data.shape[:2]):
             raise ShapeMismatchError(f"factor of shape {factor.shape} is neither a scalar "
                                      f"nor the spectrum's {self.data.shape[:2]}")
-        data = self.data * (factor[..., None] if factor.ndim == 2 else factor)
+        with np.errstate(over="ignore"):  # the constructor's check reports an overflow
+            data = self.data * (factor[..., None] if factor.ndim == 2 else factor)
         return QSpectrum2D(self.grid, data, self.kind, self.window)
 
 

@@ -734,6 +734,24 @@ def plancherel_ratio(sig, spec):
             / (4 * np.pi ** 2 * np.sum(sig.data ** 2) * sig.grid.cell_area))
 
 
+@pytest.mark.parametrize("argv, status, want", [
+    (["--extent", "1e300"], 1, "qharmonics: invalid --extent: grid cell area and nodes must be "
+                               "finite, got area inf"),
+    (["--extent", "1", "--window", "1e300"], 2, "qharmonics: error: grid cell area and nodes "
+                                                "must be finite, got area inf"),
+    (["--extent", "1", "--window", "1e154"], 2, "qharmonics: error: contract on axis 1 gave "
+                                                "non-finite values"),
+], ids=["extent", "window-grid", "window-sum"])
+def test_console_refuses_an_overflow_in_one_line(tmp_path, argv, status, want):
+    """A `roundtrip` whose signal grid (--extent) or frequency grid (--window
+    1e300) has an infinite cell area, or whose inverse sums overflow
+    (--window 1e154), exits 1 or 2 with one line on stderr, no numpy
+    warning before it, and nothing on stdout or on disk."""
+    out = console(tmp_path, "roundtrip", "--grid", "4", *argv, status=status)
+    assert out.stdout == b"" and os.listdir(tmp_path) == []
+    assert out.stderr.decode().startswith(want) and out.stderr.count(b"\n") == 1
+
+
 @pytest.fixture(scope="module")
 def fixtures_360(tmp_path_factory):
     cwd = tmp_path_factory.mktemp("fx360")

@@ -586,6 +586,10 @@ def gauss_mean(schedule):
     # a bool is an int to isinstance, and is not a count
     (lambda: GridSpec.centered(1.0, True), InvalidParameterError),
     (lambda: FreqWindow(1.0, 1.0, True, 4), InvalidParameterError),
+    # finite parameters whose cell area, or whose last node, overflows
+    (lambda: GridSpec.centered(1e300, 4), NonFiniteError),
+    (lambda: GridSpec(1e308, 0, 1e308, 1, 4, 4), NonFiniteError),
+    (lambda: GridSpec(0, 1e308, 1, 1e308, 4, 4), NonFiniteError),
 ])
 def test_constructors_raise_typed_errors(make, error):
     with pytest.raises(error):
@@ -660,6 +664,14 @@ def test_spectrum_scaled_takes_a_scalar_or_a_field_of_its_own_shape():
     for shape in ((4,), (4, 1), (1, 4), (4, 5), (4, 4, 4), (1,)):
         with pytest.raises(ShapeMismatchError, match=r"\bfactor\b"):
             GAUSS_SPEC.scaled(np.ones(shape))
+
+
+def test_spectrum_scaled_past_the_largest_double_is_refused():
+    """A scaling that overflows raises NonFiniteError from the spectrum's
+    own check, also where numpy's overflow warning is an error (as in this
+    suite)."""
+    with pytest.raises(NonFiniteError, match=r"\bdata\b"):
+        GAUSS_SPEC.scaled(1e308).scaled(1e308)
 
 
 def _corruptions(raw):

@@ -8,6 +8,7 @@ centre + m spacing / 2, and each kernel entry's whole angle as an exact sum
 """
 
 
+import contextlib
 import itertools
 import re
 
@@ -232,15 +233,15 @@ LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
 
 
 @LONG_DOUBLE
-@pytest.mark.parametrize("n", [64, 65, 257, 333, 360, 509, 512, 1021, 1024])
+@pytest.mark.parametrize("n", [64, 65, 101, 257, 333, 360, 509, 512, 1021, 1024])
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
 def test_dft_stage_against_exact_long_double_dft(n, direction, dft_calls):
     """On the natural window a stage is exactly a length-n DFT, its kernel
     angles +-pi (2k - n + 1)(2j - n + 1) / 2n: against that DFT in long
     double, the index products reduced mod 4n in integers, the FFT stage is
-    within 16 eps, on axis 0 (node-major blocks, the phasors in per-node
-    maps) and on axis 1 (row layout) alike, with left and right kernels,
-    and the two axes agree to 4 eps on a field and its transpose.  The
+    within 16 eps, with left and right kernels.  Its blocks have one
+    node-major layout on either axis, so the axis-1 stage of a field's
+    C-order transpose equals the axis-0 stage bit for bit.  The
     lengths include primes (257, 509, 1021) and 333 = 9 * 37, lengths with
     a prime factor above 13.  The QLCT stage (b = -0.8) carries chirps x^2/b
     and y^2/2b of 60 to 2e4 rad, taken in long double on the nodes defined
@@ -270,7 +271,7 @@ def test_dft_stage_against_exact_long_double_dft(n, direction, dft_calls):
             ref = long_double_sum(theta, MU, field, left, scale)
             for stage in (got, across):
                 assert np.max(np.abs(stage - ref)) / np.max(np.abs(ref)) <= 16 * eps
-            assert np.max(np.abs(got - across)) <= 4 * eps * np.max(np.abs(got))
+            assert np.array_equal(got, across)
 
 
 @LONG_DOUBLE
@@ -764,18 +765,10 @@ OVERFLOW_ROUTES = {"fft": (65, (1000.0, None), (1e-3, None)),
                    "partial-fold": (101, (1000.0, 8.0), (1.0, 1e4))}
 
 
-@pytest.mark.parametrize("route", list(OVERFLOW_ROUTES))
-@pytest.mark.parametrize("direction", ["forward", "inverse"])
-@pytest.mark.parametrize("side", list(Side))
-def test_overflow_is_refused_by_the_stage_that_writes_it(route, direction, side, dft_calls):
-    """A field of 1e306 values whose transform overflows raises
-    NonFiniteError from the check of the stage that wrote the non-finite
-    block, with overflow warnings off, and returns nothing: on the FFT,
-    fold and low-rank routes, forward and inverse, every side.  On the
-    "partial" routes the 1e306 values fill only the last lines across the
-    first stage's axis, which on n = 101 are its partial last block (96-100
-    of FFT blocks of 48 lines, 78-100 of fold blocks of 26): the message
-    names that stage."""
+def refuse_overflow(route, direction, side, dft_calls, warnings):
+    """The transform of `route` (OVERFLOW_ROUTES) in `direction` on `side`,
+    run in the numpy error state `warnings`, is refused by the stage that
+    wrote the overflow."""
     n, *setups = OVERFLOW_ROUTES[route]
     extent, width = setups[direction == "inverse"]
     grid = GridSpec.centered(extent, n)
@@ -795,7 +788,7 @@ def test_overflow_is_refused_by_the_stage_that_writes_it(route, direction, side,
         spec = QSpectrum2D(fgrid, data, kind, window)
         call = lambda: qft_inverse(spec, grid)  # noqa: E731
     assert (_kernels.low_rank(y, x, -1.0) is not None) == (route == "low-rank")
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as err:
+    with warnings, pytest.raises(NonFiniteError) as err:
         call()
     assert re.match(STAGE_CHECK, str(err.value))
     assert bool(dft_calls) == (width is None)
@@ -803,19 +796,58 @@ def test_overflow_is_refused_by_the_stage_that_writes_it(route, direction, side,
         assert str(err.value).startswith(f"contract on axis {first} ")
 
 
+@pytest.mark.parametrize("route", list(OVERFLOW_ROUTES))
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
 @pytest.mark.parametrize("side", list(Side))
-def test_overflow_in_a_b0_chirp_is_refused(side):
-    """A b = 0 QLCT axis with d = 1e5 scales a field of 1e306 by sqrt(d)
-    past the largest double: its pointwise chirp, the first stage, refuses
-    it (NonFiniteError naming the chirp), with overflow warnings off."""
+def test_overflow_is_refused_by_the_stage_that_writes_it(route, direction, side, dft_calls):
+    """A field of 1e306 values whose transform overflows raises
+    NonFiniteError from the check of the stage that wrote the non-finite
+    block, with overflow warnings off, and returns nothing: on the FFT,
+    fold and low-rank routes, forward and inverse, every side.  On the
+    "partial" routes the 1e306 values fill only the last lines across the
+    first stage's axis, which on n = 101 are its partial last block (96-100
+    of FFT blocks of 48 lines, 78-100 of fold blocks of 26): the message
+    names that stage."""
+    refuse_overflow(route, direction, side, dft_calls,
+                    np.errstate(over="ignore", invalid="ignore"))
+
+
+@pytest.mark.parametrize("route", list(OVERFLOW_ROUTES))
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("side", list(Side))
+def test_overflow_is_refused_when_warnings_are_errors(route, direction, side, dft_calls):
+    """The same overflows in numpy's error state with overflow warnings on,
+    which this suite turns into errors: a stage runs its blocks with them
+    off, so its own check raises NonFiniteError, not a RuntimeWarning."""
+    refuse_overflow(route, direction, side, dft_calls, contextlib.nullcontext())
+
+
+def refuse_b0_overflow(side, warnings):
+    """A b = 0 QLCT axis on `side` whose chirp overflows, run in the numpy
+    error state `warnings`, is refused by that chirp."""
     grid = GridSpec.centered(1000.0, 101)
     sig = QSignal2D(grid, np.full((101, 101, 4), HUGE))
     b0, plain = LctParams(1e-5, 0.0, 0.0, 1e5), LctParams(1.0, 1.0, 0.0, 1.0)
     first = side.stages[0][0]
     kind = LctKind(side, *((b0, plain) if first == 0 else (plain, b0)))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            NonFiniteError, match=f"^chirp on axis {first} gave non-finite values"):
+    with warnings, pytest.raises(NonFiniteError,
+                                 match=f"^chirp on axis {first} gave non-finite values"):
         qlct_forward(sig, kind)
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_overflow_in_a_b0_chirp_is_refused(side):
+    """A b = 0 QLCT axis with d = 1e5 scales a field of 1e306 by sqrt(d)
+    past the largest double: its pointwise chirp, the first stage, refuses
+    it (NonFiniteError naming the chirp), with overflow warnings off."""
+    refuse_b0_overflow(side, np.errstate(over="ignore", invalid="ignore"))
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_overflow_in_a_b0_chirp_is_refused_when_warnings_are_errors(side):
+    """The same with overflow warnings on, which this suite turns into
+    errors: the chirp's own check still raises NonFiniteError."""
+    refuse_b0_overflow(side, contextlib.nullcontext())
 
 
 @pytest.mark.parametrize("chirped", [False, True])
