@@ -14,6 +14,7 @@ from qharmonics import (
     LctKind,
     LctParams,
     Net,
+    QSignal2D,
     Side,
     hardy_bvf_check,
     jordan_split,
@@ -38,7 +39,7 @@ for side in Side:
     print(f"  shear matrix, {side.value:>5}-sided: {linf_diff(sig, back):.2e}")
 
 spec = qfrft(sig, 0.8, 1.3, Side.TWO_SIDED, window)
-back = qfrft(spec.as_signal(), -0.8, -1.3, Side.TWO_SIDED,
+back = qfrft(QSignal2D(spec.grid, spec.data), -0.8, -1.3, Side.TWO_SIDED,
              FreqWindow(10.0, 10.0, 128, 128))
 err = np.max(np.abs(back.data - sig.data))
 print(f"  fractional (0.8, 1.3) then (-0.8, -1.3): {err:.2e}")

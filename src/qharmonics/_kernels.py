@@ -97,7 +97,7 @@ ROW_BLOCK = 128
 COL_BLOCK = 1024
 #: a block spans at most 1 / BLOCK_SHARE of the grid lines across its axis
 BLOCK_SHARE = 4
-#: input nodes per chunk of a fold or of an in-place chirp (CHUNK / 4 rows of a kernel table)
+#: input nodes per chunk of a fold (CHUNK / 4 rows of a kernel table, or lines of a chirp)
 CHUNK = 64
 #: low-rank path: p = w + RANK_SLOPE cbrt(w) + RANK_PAD points per half axis,
 #: checked at the CHECK_COLUMNS highest frequencies; runs while
@@ -414,20 +414,19 @@ def interpolate(field, plans, out=None):
     axes y: ``plans[axis]`` is None or ``(L, y, post, mu, left)``, the output
     chirp acting after L.  Column blocks of COL_BLOCK / 16 grid columns (at
     most a quarter of the output's) run axis 1 and its chirp on the
-    compressed rows, then one axis-0 GEMM into the C-order output, whose
-    whole rows then take the axis-0 chirp in place (1.7x faster than on a
-    block's short rows).  The output fills `out` as in
-    :func:`exp_contract`, and `field` may sit there: it is read through
-    copies, transposed for axis 1, else one column block at a time."""
-    plans = [None if plan is None else
-             (plan[0], np.ascontiguousarray(plan[0][::-1]), _maps(
-                 *plan[3:], None if plan[2] is None else _chirp(*plan[1:3])))
-             for plan in plans]
+    compressed rows, then one axis-0 GEMM into the C-order output.  With the
+    blocks' buffers freed, :func:`chirp_multiply` then applies the axis-0
+    chirp in place to whole rows (1.7x faster than to a block's short rows).
+    The output fills `out` as in :func:`exp_contract`, and `field` may sit
+    there: it is read through copies, transposed for axis 1, else one column
+    block at a time."""
     (a0, a1), (p0, p1) = field.shape[:2], (plan[0].shape[1] if plan else 0 for plan in plans)
     n0, n1 = (a if plan is None else 2 * len(plan[0]) + a % 2 for a, plan in zip((a0, a1), plans))
     out = _reuse(out, (n0, n1, 4))
-    rows, chirp0 = None, None if plans[0] is None else plans[0][2]
+    L0, L1 = (plan and (plan[0], np.ascontiguousarray(plan[0][::-1])) for plan in plans)
+    rows, chirp0 = None, plans[0] is not None and plans[0][2] is not None
     if plans[1] is not None:
+        maps = _maps(*plans[1][3:], None if plans[1][2] is None else _chirp(*plans[1][1:3]))
         rows = np.empty((a1, a0, 4))
         for (d1, s1), (d0, s0) in itertools.product(_halves(a1, p1), _halves(a0, p0)):
             rows[d1, d0] = field[s0, s1].swapaxes(0, 1)
@@ -440,23 +439,21 @@ def interpolate(field, plans, out=None):
             for d0, s0 in _halves(a0, p0):
                 W[d0] = field[s0, lo:lo + k]
         else:
-            L, Lr, maps = plans[1]
             Wt = _buffer(bufs, "Wt", k, a0, 4)
-            _interpolate(L, Lr, rows.reshape(a1, -1), Wt.reshape(k, -1), lo)
+            _interpolate(*L1, rows.reshape(a1, -1), Wt.reshape(k, -1), lo)
             if maps is not None:
                 Wt = np.matmul(Wt, maps[lo:lo + k], out=_buffer(bufs, "chirped", k, a0, 4))
-            W = dst if plans[0] is None else _buffer(bufs, "W", a0, k, 4)
+            W = dst if L0 is None else _buffer(bufs, "W", a0, k, 4)
             W.swapaxes(0, 1)[...] = Wt
-        if plans[0] is not None:
-            _interpolate(*plans[0][:2], W.reshape(a0, -1), dst.reshape(n0, -1))
-        if chirp0 is None:  # else the axis-0 chirp writes the block last
+        if L0 is not None:
+            _interpolate(*L0, W.reshape(a0, -1), dst.reshape(n0, -1))
+        if not chirp0:  # else the axis-0 chirp writes the block last
             _check(dst, "interpolate")
-    chunk = CHUNK // 4
-    for r in range(0, n0 if chirp0 is not None else 0, chunk):  # the axis-0 chirp, in place
-        a = out[r:r + chunk]
-        a[...] = np.matmul(a, chirp0[r:r + chunk], out=_buffer(bufs, "a", *a.shape))
-        _check(a, "interpolate")
-    return out
+    if not chirp0:
+        return out
+    rows = bufs = W = Wt = None  # the chirp's overlap copies take their place
+    _, y, post, mu, left = plans[0]
+    return chirp_multiply(y, post, mu, out, left, 0, out=out)
 
 
 def _halves(q, p):
@@ -491,16 +488,16 @@ def chirp_multiply(x, chirp, mu, field, left, axis, scale=1.0, out=None):
     """Multiply elementwise along grid axis `axis`, its axis `x`, by scale
     e^{mu chirp(x)}: the 4x4 map ``scale (cos(phi) I + sin(phi) M)`` of each
     line, M being left or right multiplication by ``mu``, in batched
-    products of CHUNK lines into a C-order (n0, n1, 4) array, the front of
-    `out` when it holds it (see :func:`exp_contract`).  In place, numpy
+    products of CHUNK / 4 lines into a C-order (n0, n1, 4) array, the front
+    of `out` when it holds it (see :func:`exp_contract`).  In place, numpy
     copies the input of one product, so a chunk and not the field."""
     field = np.asarray(field, dtype=float)
     maps = scale * _maps(mu, left, _chirp(x, chirp))
     out = _reuse(out, field.shape)
     src, dst = np.moveaxis(field, axis, 0), np.moveaxis(out, axis, 0)
-    for lo in range(0, len(src), CHUNK):
-        np.matmul(src[lo:lo + CHUNK], maps[lo:lo + CHUNK], out=dst[lo:lo + CHUNK])
-        _check(dst[lo:lo + CHUNK], "chirp", axis)
+    for lo in range(0, len(src), CHUNK // 4):
+        np.matmul(src[lo:lo + CHUNK // 4], maps[lo:lo + CHUNK // 4], out=dst[lo:lo + CHUNK // 4])
+        _check(dst[lo:lo + CHUNK // 4], "chirp", axis)
     return out
 
 

@@ -131,6 +131,8 @@ def _kind(args):
 def _signal_grid(args) -> GridSpec:
     if args.grid < 2:
         raise _UsageError("--grid must be at least 2")
+    with _usage("invalid --grid: "):  # the library's node cap, on the counts alone
+        GridSpec.centered(1.0, args.grid)
     with _usage("invalid --extent: "):
         return GridSpec.centered(args.extent, args.grid)
 
@@ -261,6 +263,9 @@ def _cmd_roundtrip(args):
     with _usage("invalid canonical matrix: "):
         kind.plan(inverse=True)
     window = _window(args, grid)
+    if window is None:  # the forward's default window, checked before the fixture is sampled
+        with _usage("invalid --extent: "):
+            FreqWindow.natural(grid)
     # the forward transform consumes the sample, the inverse the spectrum, and the
     # residual (a block of s-rows at a time) the inverse's field: one field
     spec = forward(sample(fn, grid), kind, window, overwrite=True)
@@ -314,7 +319,8 @@ def _cmd_variation(args):
     net = Net(sig.grid.s, sig.grid.t)
     report = variation.hardy_bvf_check(field, net, bound=args.bound)
     print("vitali,line_var_s,line_var_t,is_hardy_bvf,nets_tested")
-    print(report.to_csv_row())
+    print(",".join([_G17(report.vitali), _G17(report.line_var_s), _G17(report.line_var_t),
+                    str(report.is_hardy_bvf).lower(), str(report.nets_tested)]))
 
 
 def _cmd_lc_diag(args):
@@ -341,8 +347,12 @@ def _cmd_qsig2img(args):
 
 def _cmd_fixtures(args):
     """The one command that writes more than one file: each is written
-    atomically, and if a later one fails the ones already written go too."""
+    atomically, and if a later one fails the files it wrote and the
+    directories it made go too."""
     grid = _signal_grid(args)
+    made, head = [], os.path.abspath(args.out_dir)
+    while not os.path.exists(head):
+        made, head = made + [head], os.path.dirname(head)
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
     try:
@@ -352,15 +362,15 @@ def _cmd_fixtures(args):
             written.append(path)
             print(f"wrote {name}.qsig")
     except Exception:
-        for path in written:
+        for path, remove in [(p, os.unlink) for p in written] + [(d, os.rmdir) for d in made]:
             with contextlib.suppress(OSError):
-                os.unlink(path)
+                remove(path)
         raise
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; return its exit code.  Exit 2 leaves no partial output:
-    `fixtures` removes the files it wrote, every other command writes one file atomically."""
+    """Run one subcommand; return its exit code.  Exit 2 leaves no partial output: `fixtures`
+    removes the files and directories it made, every other command writes one file atomically."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

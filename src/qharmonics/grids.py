@@ -29,6 +29,8 @@ __all__ = [
     "qsig_to_image",
 ]
 
+MAX_GRID_NODES = 1 << 26  # most nodes ns * nt of a grid: a field of 2 GiB, 8192^2
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -46,6 +48,8 @@ class GridSpec:
         if not (self.ds > 0 and self.dt > 0):
             raise InvalidParameterError("grid spacings must be positive")
         _require_counts((self.ns, self.nt), "ns, nt")  # 1x1 grids round-trip single pixels
+        if int(self.ns) * int(self.nt) > MAX_GRID_NODES:  # before any node array exists
+            raise InvalidParameterError(f"{self.ns} x {self.nt} grid nodes, more than {MAX_GRID_NODES}")
         with np.errstate(over="ignore", invalid="ignore"):  # every sum's weight and last nodes
             span = np.array([self.cell_area] + [_nodes(lo + n * d / 2, d, n - 1.0) for lo, d, n in
                             ((self.s_min, self.ds, self.ns), (self.t_min, self.dt, self.nt))])
@@ -139,10 +143,6 @@ class QSpectrum2D:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _check_data(self.grid, self.data))
-
-    def as_signal(self):
-        """Reinterpret the samples as a plain signal (drops provenance)."""
-        return QSignal2D(self.grid, self.data)
 
     def scaled(self, factor):
         """Pointwise real scaling (scalar or (ns, nt) field); provenance kept.

@@ -108,6 +108,7 @@ class FreqWindow:
         if not (self.u_max > 0 and self.v_max > 0):
             raise InvalidParameterError("window extents must be positive")
         _require_counts((self.nu, self.nv), "nu, nv", 2)
+        self.to_grid()  # refused here if that grid is not finite or too large, as GridSpec is
 
     @classmethod
     def square(cls, extent, n):

@@ -343,7 +343,8 @@ def lc_class_diagnostic(fn, point, eps1, eps2, radius,
     are the quadrature nodes closest to zero with finite truncated 1D
     mass; a strip has at most MAX_LC_NODES nodes.  Raw numbers are
     returned for the caller to judge: the underlying condition is
-    asymptotic and not decidable from finite data.
+    asymptotic and not decidable from finite data.  Strips run with numpy's
+    overflow warnings off: a Gaussian at radius 1e300 is 0, with no warning.
     """
     x0, y0 = _require_real(point, "point", shape=(2,)).tolist()
     _require_strips(eps1, eps2, radius)
@@ -351,6 +352,6 @@ def lc_class_diagnostic(fn, point, eps1, eps2, radius,
     if int(n_inner) * int(n_outer) > MAX_LC_NODES:
         raise InvalidParameterError(f"n_inner * n_outer = {int(n_inner) * int(n_outer)} "
                                     f"strip nodes, more than {MAX_LC_NODES}")
-    val1 = _lc_strip(fn, x0, y0, eps1, eps2, radius, n_inner, n_outer, swap=False)
-    val2 = _lc_strip(fn, x0, y0, eps2, eps1, radius, n_inner, n_outer, swap=True)
-    return val1, val2
+    with np.errstate(over="ignore"):
+        return (_lc_strip(fn, x0, y0, eps1, eps2, radius, n_inner, n_outer, swap=False),
+                _lc_strip(fn, x0, y0, eps2, eps1, radius, n_inner, n_outer, swap=True))

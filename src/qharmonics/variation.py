@@ -88,22 +88,12 @@ class VariationReport:
     is_hardy_bvf: bool
     nets_tested: int
 
-    def to_csv_row(self):
-        return "{:.17g},{:.17g},{:.17g},{},{}".format(
-            self.vitali, self.line_var_s, self.line_var_t,
-            str(self.is_hardy_bvf).lower(), self.nets_tested)
-
-
-def eval_on_net(fn, net: Net):
-    """Evaluate a callable f(s, t) at all net nodes, by :func:`grids.fixture_values`."""
-    return fixture_values(fn, net.s_cuts[:, None], net.t_cuts[None, :])
-
 
 def _as_field(f, net=None):
     if callable(f):
         if net is None:
             raise InvalidParameterError("a net is required to evaluate a callable field")
-        f = eval_on_net(f, net)
+        f = fixture_values(f, net.s_cuts[:, None], net.t_cuts[None, :])
     f = _require_real(f, "f", shape=None)
     if f.ndim != 2:
         raise InvalidParameterError(f"expected a 2D field, got shape {f.shape}")

@@ -6,6 +6,8 @@ plain quaternion-product loops, so agreement with the production paths
 is evidence, not tautology.
 """
 
+import math
+
 import numpy as np
 
 from qharmonics.grids import GridSpec
@@ -174,6 +176,26 @@ def si_panels(a, b, order=10):
     vals = np.sinc(nodes / np.pi)  # sin(t)/t with the removable singularity
     total = float(np.sum(weights * vals))
     return total if b >= a else -total
+
+
+def si(x):
+    """Si(x): the power series up to |x| = 4, half-period panels from there."""
+    head = math.copysign(min(abs(x), 4.0), x)
+    return si_series(head) + si_panels(head, x)
+
+
+def indicator_sinc_sum(x0, y0, M, N):
+    """The sinc partial sum at (x0, y0) of the indicator of [-1, 1]^2, in closed form:
+    (1/pi^2) [Si(M(x0+1)) - Si(M(x0-1))] [Si(N(y0+1)) - Si(N(y0-1))]."""
+    return ((si(M * (x0 + 1)) - si(M * (x0 - 1)))
+            * (si(N * (y0 + 1)) - si(N * (y0 - 1))) / math.pi ** 2)
+
+
+def gaussian_heat(alpha):
+    """The heat smoothing at time alpha (the Gauss mean's multiplier e^{-alpha (u^2+v^2)})
+    of e^{-(s^2+t^2)}, as a fixture: e^{-r^2/(1+4 alpha)} / (1+4 alpha)."""
+    c = 1.0 + 4.0 * alpha
+    return lambda S, T: np.exp(-(S ** 2 + T ** 2) / c) / c
 
 
 def sinc_partial_sum_reference(fn, point, M, N, rect, order=8):

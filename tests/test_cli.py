@@ -3,6 +3,7 @@ import gc
 import itertools
 import os
 import re
+import resource
 import subprocess
 import sys
 
@@ -718,12 +719,22 @@ CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {
                                    os.environ.get("PYTHONPATH", "")])}
 
 
-def console(cwd, *argv, status=0):
+def limit_memory():
+    """A child's address space of 2 GiB (``preexec_fn``): a runaway
+    allocation fails in the child as a MemoryError, and no field of a
+    grid at the node cap fits."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    soft = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def console(cwd, *argv, status=0, limited=False):
     """``python -m qharmonics.cli argv`` in `cwd`, through the program entry
-    as the console script runs it; fails unless it exits with `status` and
-    returns the finished process (stdout and stderr as bytes)."""
+    as the console script runs it (in 2 GiB of address space if `limited`);
+    fails unless it exits with `status` and returns the finished process
+    (stdout and stderr as bytes)."""
     out = subprocess.run([sys.executable, "-m", "qharmonics.cli", *argv], capture_output=True,
-                         env=CHILD_ENV, cwd=cwd)
+                         env=CHILD_ENV, cwd=cwd, preexec_fn=limit_memory if limited else None)
     assert out.returncode == status, out.stderr.decode()
     return out
 
@@ -737,19 +748,66 @@ def plancherel_ratio(sig, spec):
 @pytest.mark.parametrize("argv, status, want", [
     (["--extent", "1e300"], 1, "qharmonics: invalid --extent: grid cell area and nodes must be "
                                "finite, got area inf"),
-    (["--extent", "1", "--window", "1e300"], 2, "qharmonics: error: grid cell area and nodes "
-                                                "must be finite, got area inf"),
+    (["--extent", "1", "--window", "1e300"], 1, "qharmonics: invalid window: grid cell area and "
+                                                "nodes must be finite, got area inf"),
     (["--extent", "1", "--window", "1e154"], 2, "qharmonics: error: contract on axis 1 gave "
                                                 "non-finite values"),
-], ids=["extent", "window-grid", "window-sum"])
+    (["--extent", "1e-320"], 1, "qharmonics: invalid --extent: u_max must be finite, got "
+                                "non-finite inf"),
+    (["--extent", "1e-160"], 1, "qharmonics: invalid --extent: grid cell area and nodes must be "
+                                "finite, got area inf"),
+], ids=["extent", "window-grid", "window-sum", "natural-window", "natural-grid"])
 def test_console_refuses_an_overflow_in_one_line(tmp_path, argv, status, want):
-    """A `roundtrip` whose signal grid (--extent) or frequency grid (--window
-    1e300) has an infinite cell area, or whose inverse sums overflow
-    (--window 1e154), exits 1 or 2 with one line on stderr, no numpy
-    warning before it, and nothing on stdout or on disk."""
+    """A `roundtrip` whose signal grid (--extent 1e300), frequency grid
+    (--window 1e300), natural window (pi / spacing at --extent 1e-320) or
+    natural window's grid (--extent 1e-160) overflows exits 1 before it
+    samples; one whose inverse sums overflow (--window 1e154) exits 2.  Each
+    writes one line on stderr, no numpy warning before it, and nothing on
+    stdout or on disk."""
     out = console(tmp_path, "roundtrip", "--grid", "4", *argv, status=status)
     assert out.stdout == b"" and os.listdir(tmp_path) == []
     assert out.stderr.decode().startswith(want) and out.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["roundtrip"], ["gauss-mean"], ["variation", "--fixture", "gaussian"],
+    ["iqft", "--in", "absent.qsp", "--out", "back.qsig"],
+    ["fixtures", "--out-dir", "d/sub"],
+], ids=["roundtrip", "gauss-mean", "variation", "iqft", "fixtures"])
+def test_console_refuses_a_grid_past_the_node_cap(tmp_path, argv):
+    """``--grid 1000000000`` (10^18 nodes, 8 GB for one axis's nodes) is a
+    usage error naming --grid, raised before any array or directory exists,
+    in a child whose 2 GiB address space would turn an allocation into exit
+    2; it writes one line and nothing on stdout or on disk."""
+    out = console(tmp_path, *argv, "--grid", "1000000000", "--extent", "1", status=1,
+                  limited=True)
+    assert out.stdout == b"" and os.listdir(tmp_path) == []
+    assert out.stderr == (b"qharmonics: invalid --grid: 1000000000 x 1000000000 grid nodes, "
+                          b"more than 67108864\n")
+
+
+@pytest.mark.parametrize("existing", [[], ["d"], ["d", "d/sub"]], ids=["new", "parent", "out-dir"])
+def test_console_failed_fixtures_removes_the_directories_it_made(tmp_path, existing):
+    """`fixtures --grid 8192`, at the node cap, fails on its first 2 GiB
+    sample in a 2 GiB address space (exit 2, one line): it removes the
+    directories of --out-dir d/sub that it made, and leaves those that
+    existed as they were, with their contents."""
+    for name in existing:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "keep").write_bytes(b"kept")
+    out = console(tmp_path, "fixtures", "--out-dir", "d/sub", "--grid", "8192", status=2,
+                  limited=True)
+    assert out.stderr.startswith(b"qharmonics: error: Unable to allocate 2.00 GiB")
+    assert out.stdout == b"" and out.stderr.count(b"\n") == 1
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == sorted(
+        existing + [f"{name}/keep" for name in existing])
+
+
+def test_console_lc_diag_far_strip_prints_no_warning(tmp_path):
+    """`lc-diag --radius 1e300` squares coordinates past the largest double:
+    the Gaussian is 0 there, and stderr stays empty (no numpy warning)."""
+    out = console(tmp_path, "lc-diag", "--eps1", "0.5", "--eps2", "0.5", "--radius", "1e300")
+    assert (out.stdout, out.stderr) == (b"val_s,val_t\n0,0\n", b"")
 
 
 @pytest.fixture(scope="module")

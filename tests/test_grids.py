@@ -15,6 +15,7 @@ from qharmonics.errors import (
 )
 from qharmonics.fixtures import gaussian, get_fixture, indicator, qgaussian
 from qharmonics.grids import (
+    MAX_GRID_NODES,
     GridSpec,
     QSignal2D,
     QSpectrum2D,
@@ -328,8 +329,9 @@ def test_qsig_format_errors(tmp_path, monkeypatch):
     path = tmp_path / "x.qsig"
     fileio.save_qsig(sig, path)
     raw = path.read_bytes()
-    oversized = bytearray(raw)
+    oversized, past_file = bytearray(raw), bytearray(raw)
     oversized[7] |= 0x80  # ns with its top bit set declares a 256 GiB payload
+    past_file[4:6] = (8192).to_bytes(2, "little")  # 8192 x 4 nodes: 1 MiB, under the node cap
     cases = [
         (b"NOPE" + raw[4:], r"^bad magic b'NOPE'$"),
         (b"QSG9" + raw[4:], r"^unsupported version byte b'9'$"),
@@ -337,8 +339,9 @@ def test_qsig_format_errors(tmp_path, monkeypatch):
         (raw[:4 + 8 + 32] + raw[44:44 + 3 * 32], r"^need 512 bytes at offset 44, have 96$"),
         # the payload ends inside its last t-row
         (raw[:-40], r"^need 512 bytes at offset 44, have 472$"),
-        # refused before allocating
-        (bytes(oversized), r"^need \d+ bytes at offset 44, have 512$"),
+        # refused before allocating: past the node cap by the header's grid, else by the file
+        (bytes(oversized), r"^malformed container: 2147483652 x 4 grid nodes, more than 67108864$"),
+        (bytes(past_file), r"^need 1048576 bytes at offset 44, have 512$"),
         (raw + b"\x00", r"^1 trailing bytes$"),
     ]
     bad = tmp_path / "bad.qsig"
@@ -590,10 +593,30 @@ def gauss_mean(schedule):
     (lambda: GridSpec.centered(1e300, 4), NonFiniteError),
     (lambda: GridSpec(1e308, 0, 1e308, 1, 4, 4), NonFiniteError),
     (lambda: GridSpec(0, 1e308, 1, 1e308, 4, 4), NonFiniteError),
+    # windows whose grid overflows, or has more nodes than MAX_GRID_NODES
+    (lambda: FreqWindow(1e300, 1e300, 4, 4), NonFiniteError),
+    (lambda: FreqWindow.natural(GridSpec.centered(1e-160, 4)), NonFiniteError),
+    (lambda: FreqWindow.natural(GridSpec.centered(1e-320, 4)), NonFiniteError),
+    (lambda: FreqWindow(1.0, 1.0, 8193, 8192), InvalidParameterError),
 ])
 def test_constructors_raise_typed_errors(make, error):
     with pytest.raises(error):
         make()
+
+
+def test_grids_past_the_node_cap_are_refused_before_any_array():
+    """A grid of more than MAX_GRID_NODES = 2^26 nodes (a 2 GiB field) is
+    refused, whatever its shape, by count alone: 10^9 x 10^9 would need 8 GB
+    for one axis's nodes.  A grid at the cap builds, and allocates nothing."""
+    assert MAX_GRID_NODES == 8192 ** 2
+    for ns, nt in ((8193, 8192), (1, MAX_GRID_NODES + 1), (10 ** 9, 10 ** 9),
+                   (np.int64(2 ** 40), np.int64(2 ** 40))):  # an int64 product would wrap
+        with pytest.raises(InvalidParameterError, match=f"^{ns} x {nt} grid nodes, more than "
+                                                        f"{MAX_GRID_NODES}$"):
+            GridSpec.centered(1.0, ns, 1.0, nt)
+    for ns, nt in ((8192, 8192), (2, MAX_GRID_NODES // 2)):
+        grid = GridSpec.centered(1.0, ns, 1.0, nt)
+        assert (grid.ns, grid.nt) == (ns, nt) and FreqWindow.natural(grid).to_grid().nt == nt
 
 
 RECT = (-4.0, 4.0, -4.0, 4.0)

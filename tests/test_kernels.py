@@ -853,13 +853,15 @@ def test_overflow_in_a_b0_chirp_is_refused_when_warnings_are_errors(side):
 @pytest.mark.parametrize("chirped", [False, True])
 def test_interpolation_checks_the_blocks_it_writes(chirped):
     """`interpolate` checks each column block it writes, or, with an axis-0
-    output chirp, each run of rows that chirp writes last: a non-finite
-    value in the last column of its input raises NonFiniteError naming it."""
+    output chirp, `chirp_multiply` checks each run of rows it writes last: a
+    non-finite value in the last column of its input raises NonFiniteError
+    naming the stage that wrote it."""
     L = np.random.default_rng(2).normal(size=(4, 2))
     field = np.ones((4, 9, 4))
     field[1, -1, 2] = np.nan
     y, post = GridSpec.centered(2.0, 8).axes[0], (0.3, 1.0, 0.5) if chirped else None
-    with pytest.raises(NonFiniteError, match="^interpolate gave non-finite values"):
+    stage = "chirp on axis 0" if chirped else "interpolate"
+    with pytest.raises(NonFiniteError, match=f"^{stage} gave non-finite values"):
         interpolate(field, [(L, y, post, MU, True), None])
     field[1, -1, 2] = 1.0
     assert np.all(np.isfinite(interpolate(field, [(L, y, post, MU, True), None])))

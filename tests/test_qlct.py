@@ -343,7 +343,7 @@ def test_qfrft_round_trip_by_negated_angles():
     sig = sample(gaussian, grid)
     a, b = 0.7, 1.1
     spec = qfrft(sig, a, b, Side.TWO_SIDED, FreqWindow.square(8.0, 128))
-    back = qfrft(spec.as_signal(), -a, -b, Side.TWO_SIDED,
+    back = qfrft(QSignal2D(spec.grid, spec.data), -a, -b, Side.TWO_SIDED,
                  FreqWindow(10.0, 10.0, 128, 128))
     assert np.max(np.abs(back.data - sig.data)) < 1e-4
 

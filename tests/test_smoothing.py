@@ -7,7 +7,9 @@ import pytest
 
 from oracles import (
     exp_axis,
+    gaussian_heat,
     half_period_panels,
+    indicator_sinc_sum,
     partial_sum_long_double,
     random_axes,
     si_panels,
@@ -23,11 +25,11 @@ from qharmonics.errors import (
     NonFiniteError,
     QHarmonicsError,
 )
-from qharmonics.fixtures import gaussian, indicator, qgaussian, sinc_rect
+from qharmonics.fixtures import QGAUSS_COEFF, gaussian, indicator, qgaussian, sinc_rect
 from qharmonics.grids import GridSpec, QSignal2D, QSpectrum2D, l1_norm, sample
 from qharmonics.qft import FreqWindow, QftKind, Side, qft_forward, qft_inverse
 from qharmonics.qlct import LctKind, LctParams, qfrft, qlct_forward, qlct_inverse
-from qharmonics.quaternion import CANONICAL_AXES, qabs, qmul
+from qharmonics.quaternion import CANONICAL_AXES, AxisPair, qabs, qmul
 from qharmonics import smoothing
 from qharmonics.smoothing import (
     dirichlet_partial_inverse_freq,
@@ -40,6 +42,7 @@ from qharmonics.smoothing import (
 )
 
 GAUSS_RECT = (-8.0, 8.0, -8.0, 8.0)
+TILTED = AxisPair(np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.0, 1.0]))
 
 
 def gaussian_spectrum(n=128, extent=10.0, wmax=8.0):
@@ -354,6 +357,19 @@ def test_indicator_corner_sweep():
     assert errs[-1] < 0.03
 
 
+@pytest.mark.parametrize("M, N", [(25.0, 100.0), (400.0, 60.0), (100.0, 400.0)])
+def test_indicator_sinc_partial_sum_is_the_si_product(M, N):
+    """The sinc route on the indicator of [-1, 1]^2, over its support, is
+    (1/pi^2) [Si(M(x0+1)) - Si(M(x0-1))] [Si(N(y0+1)) - Si(N(y0-1))] within
+    1e-14 (1.1e-15 measured) at a corner, an edge, an interior point, the
+    centre and an outside point, with M and N independent; a real field
+    gives a real sum."""
+    for point in ((1.0, 1.0), (1.0, 0.3), (0.5, -0.4), (0.0, 0.0), (1.7, -0.2)):
+        got = dirichlet_partial_inverse_sinc(indicator, point, M, N, sinc_rect("indicator", point))
+        assert abs(got[0] - indicator_sinc_sum(*point, M, N)) <= 1e-14, point
+        assert not got[1:].any()
+
+
 def test_eta_jump_average():
     ja = eta_jump_average(gaussian, (0.3, -0.7))
     assert abs(ja.value[0] - gaussian(0.3, -0.7)) < 1e-8
@@ -432,6 +448,25 @@ def test_gauss_mean_inverse_decreasing_and_closed_form():
         assert np.max(np.abs(mean.data[..., 0] - heat)) < 1e-6
         assert np.max(np.abs(mean.data[..., 1:])) < 1e-9
         assert err == l1_norm(QSignal2D(sig.grid, mean.data - sig.data))
+
+
+@pytest.mark.parametrize("fixture", ["gaussian", "qgaussian"])
+def test_gauss_mean_inverse_is_the_heat_smoothing_in_closed_form(fixture):
+    """On every QFT side with tilted axes (256^2, extent 10, window 12), the
+    Gauss mean of e^{-(s^2+t^2)}, and of the quaternion multiple qgaussian,
+    is e^{-r^2/(1+4 alpha)}/(1+4 alpha) times the same constant: its L1
+    distance to that closed form is within 1e-14 (3e-15 measured; alpha
+    scaled by 1.01 moves it to 9e-5 and more)."""
+    grid = GridSpec.centered(10.0, 256)
+    sig = sample(gaussian if fixture == "gaussian" else qgaussian, grid)
+    heats = {alpha: sample(gaussian_heat(alpha) if fixture == "gaussian" else
+                           lambda S, T: gaussian_heat(alpha)(S, T)[..., None] * QGAUSS_COEFF, grid)
+             for alpha in (0.1, 0.01, 0.001)}
+    for side in Side:
+        spec = qft_forward(sig, QftKind(side, TILTED), FreqWindow.square(12.0, 256))
+        for alpha, heat in heats.items():
+            ((_, err),) = gauss_mean_inverse(spec, (alpha,), heat)
+            assert err <= 1e-14, (side, alpha, err)
 
 
 def test_gauss_mean_large_alpha_kills_signal():
@@ -596,6 +631,13 @@ def test_lc_diagnostic_errors():
     bad = lambda S, T: np.inf * np.ones(np.broadcast(S, T).shape)
     with pytest.raises(NoIntegrableSectionError):
         lc_class_diagnostic(bad, (0, 0), 0.5, 0.5, 4.0)
+
+
+def test_lc_diagnostic_far_strips_give_zero_without_a_warning():
+    """Squaring coordinates near 1e300 overflows: the Gaussian is 0 there,
+    and no numpy warning is raised (this suite makes warnings errors)."""
+    assert lc_class_diagnostic(gaussian, (0, 0), 0.5, 0.5, 1e300) == (0.0, 0.0)
+    assert lc_class_diagnostic(qgaussian, (0.3, -0.2), 0.5, 0.25, 1e300) == (0.0, 0.0)
 
 
 def test_sinc_bound_violation_raises_typed_error(monkeypatch):

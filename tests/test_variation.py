@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qharmonics.variation as variation
+from qharmonics.grids import fixture_values
 from qharmonics.errors import (
     IndexOutOfRangeError,
     InvalidParameterError,
@@ -12,7 +13,6 @@ from qharmonics.errors import (
 )
 from qharmonics.variation import (
     Net,
-    eval_on_net,
     hardy_bvf_check,
     jordan_split,
     mixed_difference,
@@ -43,7 +43,7 @@ def test_coarsened_keeps_every_step_th_cut_and_the_last():
 
 def test_mixed_difference_examples():
     unit = Net.uniform(0, 1, 1, 0, 1, 1)
-    f = eval_on_net(product_st, unit)
+    f = fixture_values(product_st, unit.s_cuts[:, None], unit.t_cuts[None, :])
     d11, d10, d01 = mixed_difference(f, (0, 0))
     assert (d11, d10, d01) == (1.0, 0.0, 0.0)
 
@@ -51,7 +51,8 @@ def test_mixed_difference_examples():
     assert mixed_difference(const, (1, 2)) == (0.0, 0.0, 0.0)
 
     net = Net.uniform(-1, 2, 5, 0, 1, 6)
-    sep = eval_on_net(lambda S, T: np.exp(S) + np.sin(3 * T), net)
+    sep = fixture_values(lambda S, T: np.exp(S) + np.sin(3 * T), net.s_cuts[:, None],
+                         net.t_cuts[None, :])
     d11s = [mixed_difference(sep, (i, j))[0]
             for i in range(5) for j in range(6)]
     assert np.max(np.abs(d11s)) < 1e-12
@@ -95,8 +96,6 @@ def test_hardy_check_gaussian_and_constant():
     rep0 = hardy_bvf_check(np.zeros((65, 65)) + 1.0, net)
     assert rep0.is_hardy_bvf
     assert (rep0.vitali, rep0.line_var_s, rep0.line_var_t) == (0.0, 0.0, 0.0)
-    row = rep0.to_csv_row()
-    assert row.split(",")[3] == "true"
     # sections are indices of the 65 x 65 field, never wrapped
     assert hardy_bvf_check(np.ones((65, 65)), net, t_index=64, s_index=0).is_hardy_bvf
     for kw in ({"t_index": 65}, {"s_index": 65}, {"t_index": -1}, {"s_index": -65},
@@ -132,7 +131,7 @@ def test_quasi_monotone_examples():
 
 def test_jordan_split_quasi_monotone_input():
     net = Net.uniform(0, 1, 6, 0, 1, 6)
-    f = eval_on_net(product_st, net)
+    f = fixture_values(product_st, net.s_cuts[:, None], net.t_cuts[None, :])
     f1, f2 = jordan_split(f)
     assert np.max(np.abs(f2)) == 0.0
     np.testing.assert_allclose(f1 - f2, f, atol=1e-12)
